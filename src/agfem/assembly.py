@@ -4,11 +4,13 @@ Element matrices carry the bulk gradient term plus the weak-Dirichlet
 boundary terms; the penalty is either beta/h (aggregated spaces, robust
 for any cut) or beta times the largest generalized eigenvalue of the
 boundary/volume pencil per cut cell (standard spaces, which blows up as
-the kept volume shrinks).  The constrained scatter redistributes the
-rows and columns of constrained DOFs onto their masters, weighted by the
-extrapolation coefficients; products of two constrained DOFs pick up
-both weights.  Distributed assembly loops over locally owned cells only
-and ships off-owner contributions to the row owners at finalize.
+the kept volume shrinks).  Assembly is one kernel run per subdomain on
+the virtual runtime, serial being the one-process case: element entries
+are expanded through the extension operator C (A = C^T A_e C), each
+cell summed on its own, and after one routed exchange the row owners
+sum per (row, col) in global-cell order.  That order depends on neither
+the partition nor the numbering, so serial and distributed systems are
+bitwise equal; entries summing to zero are not stored.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.linalg
 
-from .fespace import StdSpace, shape_gradients, shape_values
+from .fespace import StdSpace, extension_operator, shape_gradients, shape_values
 from .geometry import CutQuadrature
 from .runtime import VirtualRuntime
 
@@ -157,59 +159,11 @@ def poisson_elements(space: StdSpace, quads, taus, f=None, g=None) -> list:
 
 
 # ---------------------------------------------------------------------------
-# serial assembly
+# constrained assembly
 
-
-def _scatter_rows(dofs, constraints, node_id: int):
-    """Rows and weights receiving the contributions of one global DOF."""
-    if constraints is None:
-        return np.array([node_id], dtype=np.int64), np.array([1.0])
-    row = int(dofs.row_of[node_id - 1])
-    if row > 0:
-        return np.array([row], dtype=np.int64), np.array([1.0])
-    try:
-        return constraints.for_dof(node_id)
-    except KeyError:
-        raise AssemblyError(
-            f"DOF {node_id} has neither a system row nor a constraint") from None
-
-
-def assemble_serial(space: StdSpace, dofs, constraints, elements):
-    """Assemble (A, b) over the free DOFs.
-
-    With constraints the system lives on the interior rows and
-    constrained element entries are redistributed onto master rows with
-    the extrapolation weights (products of two weights for the
-    constrained-constrained block).  With ``constraints=None`` the
-    standard space is assembled over all DOFs.
-    """
-    n = space.n_dofs if constraints is None else dofs.n_interior
-    rows_l, cols_l, vals_l = [], [], []
-    b = np.zeros(n)
-    for elem in elements:
-        cell_nodes = space.cell_dofs[elem.cell_id - 1]
-        infos = [_scatter_rows(dofs, constraints, int(g)) for g in cell_nodes]
-        for a, (ra, wa) in enumerate(infos):
-            np.add.at(b, ra - 1, wa * elem.vector[a])
-            for c, (rc, wc) in enumerate(infos):
-                val = elem.matrix[a, c]
-                if val == 0.0:
-                    continue
-                rows_l.append(np.repeat(ra, rc.size))
-                cols_l.append(np.tile(rc, ra.size))
-                vals_l.append(np.outer(wa, wc).ravel() * val)
-    if rows_l:
-        rows = np.concatenate(rows_l) - 1
-        cols = np.concatenate(cols_l) - 1
-        vals = np.concatenate(vals_l)
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    else:
-        A = sp.csr_matrix((n, n))
-    return A, b
-
-
-# ---------------------------------------------------------------------------
-# distributed assembly
+# cells expanded through C at once; a fully constrained 3D Q1 cell alone
+# makes 8**4 = 4096 products, so this bounds the memory of the expansion
+CHUNK_CELLS = 64
 
 
 @dataclass
@@ -226,9 +180,6 @@ class DistributedSystem:
     def n_subdomains(self) -> int:
         return len(self.blocks)
 
-    def owned_range(self, s: int):
-        return int(self.row_starts[s - 1]), int(self.row_starts[s])
-
     def gather(self):
         """Full (A, b) with globally ordered rows."""
         A = sp.vstack(self.blocks).tocsr()
@@ -236,97 +187,147 @@ class DistributedSystem:
         return A, b
 
 
-def _dist_scatter_rows(piece, constraints, l: int, a: int):
-    j = int(piece.cell_j[l][a])
-    if piece.j_interior[j - 1]:
-        gid = int(piece.cell_g[l][a])
-        if gid == -1:
-            raise AssemblyError(
-                f"subdomain {piece.s}: interior DOF {j} of local cell {l} "
-                f"has no global id")
-        return np.array([gid], dtype=np.int64), np.array([1.0])
-    try:
-        return constraints.for_dof(j)
-    except KeyError:
-        raise AssemblyError(
-            f"subdomain {piece.s}: DOF {j} has neither a global id nor a "
-            f"constraint") from None
+def _ranges(starts, lens):
+    """Concatenated ``arange(start, start + len)`` for every pair."""
+    offsets = np.cumsum(lens) - lens
+    return np.arange(int(np.sum(lens))) + np.repeat(starts - offsets, lens)
 
 
-def _assembly_body(proc, piece, constraints, elements, n_global, row_starts):
+def _sum_runs(keys, vals, n_group):
+    """Stably sort by ``keys`` (most significant first) and sum ``vals``
+    over runs equal in the first ``n_group`` keys, so each sum runs in
+    the order of the other keys, then of the input.  Returns the group
+    keys, ascending, and the sums."""
+    order = np.lexsort(keys[::-1])
+    group = [k[order] for k in keys[:n_group]]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any([k[1:] != k[:-1] for k in group], axis=0)
+    starts = np.flatnonzero(new)
+    return [k[starts] for k in group], np.add.reduceat(vals[order], starts)
+
+
+def _cell_sums(C, dofs, mats, vecs):
+    """Element entries of a chunk of cells (0-based DOFs ``dofs``, (nc, m))
+    expanded through C; returns nonzero (row, col, cell, value) sums per
+    chunk-local cell, with col -1 for the right-hand side.
+
+    A cell's products come in (a, p, b, q) order, node a times entry p of
+    its row of C.  A (row, col) gets at most one product per node pair
+    (a, b), so each cell sums in node-pair order whatever the numbering.
+    """
+    nc, m = dofs.shape
+    lens = np.diff(C.indptr)[dofs].ravel()
+    pos = _ranges(C.indptr[dofs.ravel()], lens)
+    ent_row, ent_w = C.indices[pos], C.data[pos]
+    ent_node = np.repeat(np.arange(nc * m), lens)    # flat (cell, a)
+    n_ent = lens.reshape(nc, m).sum(axis=1)
+    cell = np.repeat(np.arange(nc), n_ent * n_ent)
+    k = _ranges(np.zeros(nc, dtype=np.int64), n_ent * n_ent)
+    first = (np.cumsum(n_ent) - n_ent)[cell]
+    e1 = first + k // n_ent[cell]
+    e2 = first + k % n_ent[cell]
+    val = np.concatenate([
+        vecs.ravel()[ent_node] * ent_w,
+        mats[cell, ent_node[e1] % m, ent_node[e2] % m] * (ent_w[e1] * ent_w[e2])])
+    keep = val != 0.0
+    (cell, row, col), val = _sum_runs(
+        [np.concatenate([ent_node // m, cell])[keep],
+         np.concatenate([ent_row, ent_row[e1]])[keep],
+         np.concatenate([np.full(ent_row.size, -1), ent_row[e2]])[keep]],
+        val[keep], 3)
+    return row, col, cell, val
+
+
+def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, elements,
+                   n_global, row_starts):
+    """Owned rows of one subdomain from its owned cells: their local DOFs
+    ``cell_dofs`` (n_cells, m), global ids and elements, the 1-based
+    global row of each free local DOF ``row_of`` (else 0) and the
+    constraints of the others."""
     s = proc.rank
-    mesh = piece.mesh
-    m = len(piece.cell_j[1]) if mesh.n_local else 0
-    rows_l, cols_l, vals_l = [], [], []
-    brows_l, bvals_l = [], []
-    for l, elem in zip(range(1, mesh.n_local + 1), elements):
-        infos = [_dist_scatter_rows(piece, constraints, l, a) for a in range(m)]
-        for a, (ra, wa) in enumerate(infos):
-            if elem.vector[a] != 0.0:
-                brows_l.append(ra)
-                bvals_l.append(wa * elem.vector[a])
-            for c, (rc, wc) in enumerate(infos):
-                val = elem.matrix[a, c]
-                if val == 0.0:
-                    continue
-                rows_l.append(np.repeat(ra, rc.size))
-                cols_l.append(np.tile(rc, ra.size))
-                vals_l.append(np.outer(wa, wc).ravel() * val)
-    rows = np.concatenate(rows_l) if rows_l else np.zeros(0, dtype=np.int64)
-    cols = np.concatenate(cols_l) if cols_l else np.zeros(0, dtype=np.int64)
-    vals = np.concatenate(vals_l) if vals_l else np.zeros(0)
-    brows = np.concatenate(brows_l) if brows_l else np.zeros(0, dtype=np.int64)
-    bvals = np.concatenate(bvals_l) if bvals_l else np.zeros(0)
-    if rows.size and (rows.min() < 1 or rows.max() > n_global):
-        raise AssemblyError(f"subdomain {s}: contribution outside the "
-                            f"interior id range")
+    C = extension_operator(row_of, constraints, n_global)
+    empty = np.diff(C.indptr)[cell_dofs - 1] == 0
+    if np.any(empty):
+        raise AssemblyError(
+            f"subdomain {s}: DOF {int(cell_dofs[empty][0])} has neither a "
+            f"system row nor a constraint")
+    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
+    for start in range(0, len(elements), CHUNK_CELLS):
+        chunk = elements[start:start + CHUNK_CELLS]
+        row, col, cell, val = _cell_sums(
+            C, cell_dofs[start:start + len(chunk)] - 1,
+            np.stack([e.matrix for e in chunk]),
+            np.stack([e.vector for e in chunk]))
+        parts.append((row, col, cell_ids[start + cell], val))
+    trip = tuple(np.concatenate(x) for x in zip(*parts))
 
-    owner = np.searchsorted(row_starts, rows, side="right")
-    bowner = np.searchsorted(row_starts, brows, side="right")
-    payloads = {}
-    staged = 0
-    for sp_ in range(1, len(row_starts)):
-        if sp_ == s:
-            continue
-        mask = owner == sp_
-        bmask = bowner == sp_
-        if np.any(mask) or np.any(bmask):
-            payloads[sp_] = (rows[mask], cols[mask], vals[mask],
-                             brows[bmask], bvals[bmask])
-            staged += int(mask.sum() + bmask.sum())
+    owner = np.searchsorted(row_starts, trip[0] + 1, side="right")
+    payloads = {int(dst): tuple(x[owner == dst] for x in trip)
+                for dst in np.unique(owner) if dst != s}
+    staged = sum(p[0].size for p in payloads.values())
     received = yield proc.routed_exchange(payloads)
 
-    my_start, my_end = int(row_starts[s - 1]), int(row_starts[s])
-    n_owned = my_end - my_start
-    keep = owner == s
-    parts = [(rows[keep], cols[keep], vals[keep], brows[bowner == s],
-              bvals[bowner == s])]
-    for src in sorted(received):
-        parts.append(received[src])
-    all_rows = np.concatenate([p[0] for p in parts])
-    all_cols = np.concatenate([p[1] for p in parts])
-    all_vals = np.concatenate([p[2] for p in parts])
-    A = sp.coo_matrix(
-        (all_vals, (all_rows - my_start, all_cols - 1)),
-        shape=(n_owned, n_global)).tocsr()
+    parts = [tuple(x[owner == s] for x in trip)]
+    parts += [received[src] for src in sorted(received)]
+    row, col, cell, val = (np.concatenate(x) for x in zip(*parts))
+    (row, col), val = _sum_runs([row, col, cell], val, 2)
+    first = int(row_starts[s - 1]) - 1
+    n_owned = int(row_starts[s]) - 1 - first
     b = np.zeros(n_owned)
-    for p in parts:
-        np.add.at(b, p[3] - my_start, p[4])
+    b[row[col < 0] - first] = val[col < 0]
+    nz = (col >= 0) & (val != 0.0)
+    A = sp.csr_matrix((val[nz], (row[nz] - first, col[nz])),
+                      shape=(n_owned, n_global))
     return A, b, staged
+
+
+def assemble_serial(space: StdSpace, dofs, constraints, elements):
+    """Assemble (A, b) over the free DOFs: the kernel on one process.
+
+    With constraints the system lives on the interior rows and constrained
+    entries land on their masters weighted by the extrapolation
+    coefficients; with ``constraints=None`` the standard space is
+    assembled over all DOFs.  Bitwise equal to any distributed assembly.
+    """
+    n = space.n_dofs if constraints is None else dofs.n_interior
+    row_of = np.arange(1, n + 1) if constraints is None else dofs.row_of
+    cell_ids = np.array([e.cell_id for e in elements], dtype=np.int64)
+    [(A, b, _)] = VirtualRuntime(1).run(
+        _assembly_body,
+        args=[(space.cell_dofs[cell_ids - 1], cell_ids, row_of, constraints,
+               elements, n, np.array([1, n + 1]))],
+        phase="assembly")
+    return A, b
+
+
+def _owned_cells(piece):
+    """Local DOFs, global ids and global DOF rows of a subdomain's owned
+    cells; a free DOF without a global id gets row -1, which the kernel
+    rejects."""
+    local = range(1, piece.mesh.n_local + 1)
+    m = (piece.q + 1) ** piece.mesh.classification.grid.d
+    cell_dofs = np.array([piece.cell_j[l] for l in local],
+                         dtype=np.int64).reshape(-1, m)
+    cell_g = np.array([piece.cell_g[l] for l in local],
+                      dtype=np.int64).reshape(-1, m)
+    free = piece.j_interior[cell_dofs - 1]
+    row_of = np.zeros(piece.n_local_dofs, dtype=np.int64)
+    row_of[cell_dofs[free] - 1] = cell_g[free]
+    return cell_dofs, piece.mesh.global_ids[:piece.mesh.n_local], row_of
 
 
 def assemble_distributed(runtime: VirtualRuntime, numbering, constraints_per_s,
                          elements_per_s, phase: str = "assembly") -> DistributedSystem:
     """Assemble the row-wise partitioned system over all subdomains.
 
-    Every subdomain integrates its locally owned cells only; the final
-    routed exchange transfers staged off-owner rows to their owners,
-    after which the gathered matrix equals the serial assembly.
+    Each subdomain runs the kernel on its owned cells and one routed
+    exchange moves off-owner rows to their owners; the gathered system
+    equals the serial one bitwise, up to the row numbering.
     """
     row_starts = numbering.owned_ranges()
     results = runtime.run(
         _assembly_body,
-        args=[(p, c, e, numbering.n_global, row_starts)
+        args=[(*_owned_cells(p), c, e, numbering.n_global, row_starts)
               for p, c, e in zip(numbering.pieces, constraints_per_s,
                                  elements_per_s)],
         phase=phase)

@@ -48,14 +48,6 @@ class DistRootMap:
     def next_of(self, s: int, l: int) -> int:
         return int(self.nexts[s - 1][l - 1])
 
-    def local_roots_by_global_id(self, meshes) -> dict:
-        """Global cell id -> root id, collected from owners only."""
-        out = {}
-        for mesh, roots in zip(meshes, self.roots):
-            for l in range(1, mesh.n_local + 1):
-                out[mesh.global_of(l)] = int(roots[l - 1])
-        return out
-
 
 def _aggregate_body(proc, mesh: SubdomainMesh, face_active, barycenters):
     cls = mesh.classification

@@ -237,8 +237,8 @@ class SolveOutputs:
     constraints: object
     quads: list
     taus: np.ndarray
-    matrix: object
-    rhs: np.ndarray
+    matrix: object                # serial system; None when procs > 1
+    rhs: np.ndarray | None
     solution: np.ndarray          # serial reduced numbering
     report: object
     norms: object
@@ -285,8 +285,11 @@ def penalty_per_cell(cfg, space, cls, quads):
     return taus
 
 
-def run_solve_pipeline(cfg: ExperimentConfig, level=None) -> SolveOutputs:
-    """classify -> aggregate -> spaces/constraints -> assemble -> solve -> norms."""
+def run_solve_pipeline(cfg: ExperimentConfig, level=None,
+                       runtime=None) -> SolveOutputs:
+    """classify -> aggregate -> spaces/constraints -> assemble -> solve -> norms.
+
+    ``procs > 1`` assembles and solves only distributed, on ``runtime``."""
     timer = PhaseTimer()
     with timer.time("classify"):
         grid, ls, cls, face_active = geometry_setup(cfg, level)
@@ -308,10 +311,9 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None) -> SolveOutputs:
     u, grad_u, f = manufactured_solution(cfg)
     with timer.time("assemble"):
         elements = poisson_elements(space, quads, taus, f, u)
-        if cfg.space == "agg":
+        A = b = None
+        if cfg.procs == 1:
             A, b = assemble_serial(space, dofs, constraints, elements)
-        else:
-            A, b = assemble_serial(space, None, None, elements)
 
     out = SolveOutputs(cfg=cfg, grid=grid, levelset=ls, classification=cls,
                        root_map=root_map, aggregate_stats=agg_stats,
@@ -325,7 +327,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None) -> SolveOutputs:
             x, report = pcg_jacobi((A, b), rtol=cfg.rtol, maxit=cfg.maxit)
         out.solution, out.report = x, report
     else:
-        _distributed_stage(cfg, out, elements, timer)
+        _distributed_stage(cfg, out, elements, timer, runtime)
     with timer.time("norms"):
         if cfg.space == "agg":
             out.norms = error_norms(space, dofs, constraints, quads,
@@ -631,10 +633,8 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
             checked["procs"].append(1)
             continue
         sub = replace(cfg, procs=P, space="agg")
-        if runtime_factory is None:
-            out = run_solve_pipeline(sub)
-        else:
-            out = _run_with_runtime(sub, runtime_factory(P))
+        out = run_solve_pipeline(
+            sub, runtime=runtime_factory(P) if runtime_factory else None)
         mismatch = compare_with_serial(out.meshes, out.dist_map, serial.root_map)
         if mismatch is not None:
             s, g, want, got = mismatch
@@ -690,16 +690,6 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
                 f"({serial.report.iterations} vs {out.report.iterations} iterations)")
         checked["procs"].append(P)
     return checked
-
-
-def _run_with_runtime(cfg, runtime):
-    """Pipeline variant with an injected runtime (test instrumentation)."""
-    inner = run_solve_pipeline(replace(cfg, procs=1))
-    inner.cfg = cfg
-    u, _, f = manufactured_solution(cfg)
-    elements = poisson_elements(inner.space, inner.quads, inner.taus, f, u)
-    _distributed_stage(cfg, inner, elements, PhaseTimer(), runtime)
-    return inner
 
 
 def cmd_parallel_check(cfg: ExperimentConfig, procs_list) -> dict:

@@ -11,9 +11,10 @@ of the reduced linear system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .aggregation import RootMap
 from .geometry import CellClassification
@@ -222,18 +223,10 @@ class AgConstraints:
     constrained: np.ndarray   # (n_c,)
     masters: np.ndarray       # (n_c, (q+1)**d)
     coeffs: np.ndarray        # (n_c, (q+1)**d)
-    row_index: dict = field(init=False)
-
-    def __post_init__(self):
-        self.row_index = {int(c): i for i, c in enumerate(self.constrained)}
 
     @property
     def n_constrained(self) -> int:
         return self.constrained.size
-
-    def for_dof(self, dof):
-        i = self.row_index[int(dof)]
-        return self.masters[i], self.coeffs[i]
 
 
 def build_constraints_serial(space: StdSpace, dofs: DofClassification,
@@ -264,6 +257,28 @@ def build_constraints_serial(space: StdSpace, dofs: DofClassification,
                          coeffs=coeffs)
 
 
+def extension_operator(row_of: np.ndarray, constraints: AgConstraints | None,
+                       n_free: int) -> sp.csr_matrix:
+    """The aggregation extension operator C, one CSR row per DOF.
+
+    ``row_of[j - 1]`` is the 1-based system row of free DOF j (0 if it is
+    not free).  Row j of C is the unit vector of that row for a free DOF
+    and the extrapolation coefficients on the masters for a constrained
+    one, so an aggregated function with free values x has nodal values
+    C @ x.  A DOF that is neither gets an empty row.
+    """
+    free = np.flatnonzero(row_of > 0)
+    rows, cols, vals = [free], [row_of[free] - 1], [np.ones(free.size)]
+    if constraints is not None:
+        m = constraints.masters.shape[1]
+        rows.append(np.repeat(constraints.constrained - 1, m))
+        cols.append(constraints.masters.ravel() - 1)
+        vals.append(constraints.coeffs.ravel())
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row_of.size, n_free))
+
+
 def prolongate(dofs: DofClassification, constraints: AgConstraints | None,
                interior_values: np.ndarray) -> np.ndarray:
     """Expand a reduced vector to all nodes through the constraints."""
@@ -272,10 +287,5 @@ def prolongate(dofs: DofClassification, constraints: AgConstraints | None,
         raise ValueError(
             f"expected {dofs.n_interior} interior values, "
             f"got {interior_values.shape}")
-    full = np.zeros(dofs.space.n_dofs)
-    full[dofs.interior_ids - 1] = interior_values
-    if constraints is not None and constraints.n_constrained:
-        full[constraints.constrained - 1] = np.einsum(
-            "cm,cm->c", constraints.coeffs,
-            interior_values[constraints.masters - 1])
-    return full
+    return extension_operator(dofs.row_of, constraints,
+                              dofs.n_interior) @ interior_values

@@ -388,9 +388,6 @@ class CellClassification:
     def label_of(self, cell_id: int) -> int:
         return int(self.labels[tuple(self.id_to_lattice[cell_id - 1])])
 
-    def barycenter_of(self, cell_id: int) -> np.ndarray:
-        return self.grid.cell_barycenter(self.id_to_lattice[cell_id - 1])
-
     def barycenters(self) -> np.ndarray:
         return self.grid.origin + (self.id_to_lattice + 0.5) * self.grid.h
 

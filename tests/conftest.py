@@ -63,8 +63,8 @@ def random_geometry(rng, max_level=5):
     return level, ls
 
 
-def classified(level, ls):
-    grid = unit_box_grid(level, 2)
+def classified(level, ls, d=2):
+    grid = unit_box_grid(level, d)
     cls = classify_cells(grid, ls)
 
     def face_active(ka, kb):

@@ -15,7 +15,7 @@ from agfem.fespace import (build_constraints_serial, build_std_space,
                            shape_values)
 from agfem.geometry import CutQuadrature, classify_cells, cut_quadrature
 from agfem.grid import unit_box_grid
-from agfem.levelset import HalfPlane, Sphere
+from agfem.levelset import HalfPlane, Popcorn, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
@@ -139,8 +139,8 @@ def test_patch_consistency_for_harmonic_solution():
     assert np.max(np.abs(A @ nodal - b)) < 1e-12
 
 
-def _serial_agg_system(level, ls, beta=10.0, f=None, g=None):
-    grid, cls, fa = classified(level, ls)
+def _serial_agg_system(level, ls, beta=10.0, f=None, g=None, d=2):
+    grid, cls, fa = classified(level, ls, d)
     rm = aggregate_serial(cls, fa)
     space = build_std_space(cls, 1)
     dofs = classify_dofs(space, cls, rm)
@@ -262,18 +262,25 @@ def test_distributed_assembly_single_process_exact():
     assert np.array_equal(b_d, b)
 
 
-def test_distributed_assembly_matches_serial():
-    ls = Sphere((0.5, 0.5), 0.3)
+@pytest.mark.parametrize("d, level, ls, n_parts", [
+    (2, 5, Sphere((0.5, 0.5), 0.3), 4),
+    (3, 3, Popcorn(), 8),
+], ids=["circle-2d-L5-P4", "popcorn-3d-L3-P8"])
+def test_distributed_assembly_matches_serial(d, level, ls, n_parts):
+    # the canonical summation order makes the systems bitwise equal
     grid, cls, space, dofs, cons, quads, taus, elements, A, b = \
-        _serial_agg_system(5, ls, g=lambda p: p[:, 0] + p[:, 1])
-    system, perm = _distributed_system(5, ls, 4, elements, space, dofs)
+        _serial_agg_system(level, ls, g=lambda p: np.sum(p, axis=1), d=d)
+    system, perm = _distributed_system(level, ls, n_parts, elements, space,
+                                       dofs)
     A_d, b_d = system.gather()
-    pm = sp.csr_matrix((np.ones(perm.size), (perm, np.arange(perm.size))),
-                       shape=(perm.size, perm.size))
-    A_cmp = pm @ A_d @ pm.T
-    diff = sp.csr_matrix(A_cmp - A)
-    assert diff.nnz == 0 or np.max(np.abs(diff.data)) <= 1e-12
-    assert np.max(np.abs(pm @ b_d - b)) <= 1e-12
+    inv = np.argsort(perm)      # serial row -> distributed id
+    A_cmp = A_d[inv][:, inv]
+    A_cmp.sort_indices()
+    assert np.array_equal(A_cmp.indptr, A.indptr)
+    assert np.array_equal(A_cmp.indices, A.indices)
+    assert np.array_equal(A_cmp.data, A.data)
+    assert np.array_equal(b_d[inv], b)
+    assert (A.data == 0).sum() == 0
     assert sum(system.staged_counts) > 0
 
 

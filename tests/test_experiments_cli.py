@@ -107,6 +107,24 @@ def test_parallel_check_passes_clean():
     assert result["procs"] == [1, 2, 4]
 
 
+def test_distributed_run_builds_no_serial_system(monkeypatch):
+    import agfem.experiments as ex
+
+    def serial_assembly(*args):
+        raise AssertionError("a distributed run assembled the serial system")
+
+    monkeypatch.setattr(ex, "assemble_serial", serial_assembly)
+    out = ex.run_solve_pipeline(ExperimentConfig(level=3, procs=2).validate())
+    assert out.matrix is None and out.report.converged
+
+
+def test_parallel_check_passes_popcorn_at_eight_processes():
+    # rounding differences in assembly summation once let CG histories
+    # drift apart here
+    cfg = ExperimentConfig(geometry="popcorn", dimension=3, level=3).validate()
+    assert run_parallel_check(cfg, [8])["procs"] == [8]
+
+
 def test_cut_sweep_benign_and_blowup(tmp_path):
     from agfem.experiments import cmd_cut_sweep
 
