@@ -8,9 +8,8 @@ virtual-process runtime.
 
 from .aggregation import (AggregateSet, AggregationStalledError, RootMap,
                           aggregate_serial, aggregates)
-from .assembly import (DistributedSystem, ElementContribution, assemble_distributed,
-                       assemble_serial, element_poisson_nitsche, nitsche_tau_agg,
-                       nitsche_tau_std, poisson_elements)
+from .assembly import (DistributedSystem, assemble_distributed, assemble_serial,
+                       nitsche_tau_agg, nitsche_tau_std, poisson_elements)
 from .distagg import (DistRootMap, aggregate_parallel, build_direct_plan,
                       build_inverse_plan, import_root_data)
 from .distspace import (DistNumbering, build_constraints_distributed,
@@ -18,8 +17,8 @@ from .distspace import (DistNumbering, build_constraints_distributed,
 from .fespace import (AgConstraints, DofClassification, StdSpace,
                       build_constraints_serial, build_std_space, classify_dofs,
                       prolongate)
-from .geometry import (CellClassification, CutQuadrature, classify_cells,
-                       cut_quadrature, face_is_active)
+from .geometry import (CellClassification, QuadratureStore, classify_cells,
+                       cut_quadrature)
 from .grid import BackgroundGrid, build_grid, face_neighbors, unit_box_grid
 from .levelset import HalfPlane, LevelSet, Popcorn, Sphere
 from .partition import (Partition, SubdomainMesh, build_subdomain_meshes,
@@ -32,18 +31,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgConstraints", "AggregateSet", "AggregationStalledError",
-    "BackgroundGrid", "CellClassification", "CutQuadrature", "DistNumbering",
-    "DistRootMap", "DistributedSystem", "DofClassification",
-    "ElementContribution", "ErrorNorms", "HalfPlane", "LevelSet", "Partition",
-    "Popcorn", "RootMap", "SolveReport", "Sphere", "StdSpace",
-    "SubdomainMesh", "VirtualRuntime", "aggregate_parallel",
-    "aggregate_serial", "aggregates", "assemble_distributed",
-    "assemble_serial", "build_constraints_distributed",
-    "build_constraints_serial", "build_direct_plan", "build_grid",
-    "build_inverse_plan", "build_std_space", "build_subdomain_meshes",
-    "classify_cells", "classify_dofs", "condition_estimate", "cut_quadrature",
-    "element_poisson_nitsche", "error_norms", "face_is_active",
-    "face_neighbors", "import_root_data", "nitsche_tau_agg", "nitsche_tau_std",
-    "number_dofs_distributed", "partition_weighted_sfc", "pcg_jacobi",
+    "BackgroundGrid", "CellClassification", "DistNumbering", "DistRootMap",
+    "DistributedSystem", "DofClassification", "ErrorNorms", "HalfPlane",
+    "LevelSet", "Partition", "Popcorn", "QuadratureStore", "RootMap",
+    "SolveReport", "Sphere", "StdSpace", "SubdomainMesh", "VirtualRuntime",
+    "aggregate_parallel", "aggregate_serial", "aggregates",
+    "assemble_distributed", "assemble_serial",
+    "build_constraints_distributed", "build_constraints_serial",
+    "build_direct_plan", "build_grid", "build_inverse_plan",
+    "build_std_space", "build_subdomain_meshes", "classify_cells",
+    "classify_dofs", "condition_estimate", "cut_quadrature", "error_norms",
+    "face_neighbors", "import_root_data", "nitsche_tau_agg",
+    "nitsche_tau_std", "number_dofs_distributed", "partition_weighted_sfc", "pcg_jacobi",
     "poisson_elements", "prolongate", "unit_box_grid",
 ]

@@ -4,7 +4,10 @@ Element matrices carry the bulk gradient term plus the weak-Dirichlet
 boundary terms; the penalty is either beta/h (aggregated spaces, robust
 for any cut) or beta times the largest generalized eigenvalue of the
 boundary/volume pencil per cut cell (standard spaces, which blows up as
-the kept volume shrinks).  Assembly is one kernel run per subdomain on
+the kept volume shrinks).  Elements come from one batched pass over the
+flat quadrature store, in fixed-size chunks of points, as two arrays:
+matrices (n_active, m, m) and vectors (n_active, m); each cell sums its
+points in store order.  Assembly is one kernel run per subdomain on
 the virtual runtime, serial being the one-process case: element entries
 are expanded through the extension operator C (A = C^T A_e C), each
 cell summed on its own, and after one routed exchange the row owners
@@ -22,7 +25,7 @@ import scipy.sparse as sp
 import scipy.linalg
 
 from .fespace import StdSpace, extension_operator, shape_gradients, shape_values
-from .geometry import CutQuadrature
+from .geometry import QuadratureStore, point_chunks
 from .runtime import VirtualRuntime
 
 
@@ -32,13 +35,6 @@ class AssemblyError(RuntimeError):
 
 class TauUnboundedError(RuntimeError):
     """The cut-cell volume form is numerically singular beyond constants."""
-
-
-@dataclass
-class ElementContribution:
-    cell_id: int
-    matrix: np.ndarray   # ((q+1)**d, (q+1)**d), symmetric
-    vector: np.ndarray
 
 
 def nitsche_tau_agg(h: float, beta: float) -> float:
@@ -53,27 +49,30 @@ def _constant_complement(m: int) -> np.ndarray:
     return scipy.linalg.null_space(ones)
 
 
-def nitsche_tau_std(space: StdSpace, cell_id: int, quad: CutQuadrature,
+def nitsche_tau_std(space: StdSpace, cell_id: int, quad: QuadratureStore,
                     beta: float) -> float:
     """Cell-wise penalty for the standard space from the local eigenproblem.
 
     Assembles the volume form V (gradient products over the kept region)
     and the boundary form B (normal-derivative products over the
-    interface), deflates the constant kernel of V, and returns beta times
-    the largest eigenvalue of B x = lambda V x, floored at beta/h.
+    interface) from the cell's run of the store, deflates the constant
+    kernel of V, and returns beta times the largest eigenvalue of
+    B x = lambda V x, floored at beta/h.
     """
-    if not quad.has_boundary:
+    bulk = slice(*quad.offsets[cell_id - 1:cell_id + 1])
+    bnd = slice(*quad.boundary_offsets[cell_id - 1:cell_id + 1])
+    if bnd.start == bnd.stop:
         raise ValueError(f"cell {cell_id} has no boundary rule")
     grid = space.classification.grid
     d = grid.d
     q = space.q
-    xi = space.reference_coords(cell_id, quad.points)
+    xi = space.reference_coords(cell_id, quad.points[bulk])
     grads = shape_gradients(q, d, xi) / grid.h
-    V = np.einsum("nad,nbd,n->ab", grads, grads, quad.weights)
-    xib = space.reference_coords(cell_id, quad.boundary_points)
+    V = np.einsum("nad,nbd,n->ab", grads, grads, quad.weights[bulk])
+    xib = space.reference_coords(cell_id, quad.boundary_points[bnd])
     gradsb = shape_gradients(q, d, xib) / grid.h
-    gn = np.einsum("nad,nd->na", gradsb, quad.boundary_normals)
-    B = np.einsum("na,nb,n->ab", gn, gn, quad.boundary_weights)
+    gn = np.einsum("nad,nd->na", gradsb, quad.boundary_normals[bnd])
+    B = np.einsum("na,nb,n->ab", gn, gn, quad.boundary_weights[bnd])
 
     Z = _constant_complement(V.shape[0])
     Vh = Z.T @ V @ Z
@@ -89,73 +88,59 @@ def nitsche_tau_std(space: StdSpace, cell_id: int, quad: CutQuadrature,
     return max(beta * lam_max, floor)
 
 
-def element_poisson_nitsche(space: StdSpace, cell_id: int, quad: CutQuadrature,
-                            tau: float, f=None, g=None) -> ElementContribution:
-    """Element matrix and vector of the weak-Dirichlet Poisson form.
+def _add_weighted_runs(out, cells, w, vals):
+    """``out[k - 1] += sum of w * vals`` over the points of each cell k;
+    ``cells`` is nondecreasing, so a cell's points form one run and sum
+    in point order."""
+    n = len(cells)
+    starts = np.flatnonzero(np.diff(cells, prepend=0))
+    runs = sp.csr_matrix((w, np.arange(n), np.append(starts, n)),
+                         shape=(len(starts), n))
+    out[cells[starts] - 1] += (runs @ vals.reshape(n, -1)).reshape(
+        (-1,) + out.shape[1:])
+
+
+def poisson_elements(space: StdSpace, quad: QuadratureStore, taus, f=None,
+                     g=None):
+    """Element matrices (n_active, m, m) and vectors (n_active, m) of the
+    weak-Dirichlet Poisson form, for every active cell in id order:
 
     A_ab = int grad(phi_a).grad(phi_b) dOmega
          + int (tau phi_a phi_b - phi_a n.grad(phi_b) - phi_b n.grad(phi_a)) dGamma
     b_a  = int phi_a f dOmega + int (tau phi_a - n.grad(phi_a)) g dGamma
-    restricted to the cell's cut region and interface.
-    """
-    grid = space.classification.grid
-    d, q = grid.d, space.q
-    m = space.nodes_per_cell
-    A = np.zeros((m, m))
-    b = np.zeros(m)
-    if quad.weights.size:
-        xi = space.reference_coords(cell_id, quad.points)
-        grads = shape_gradients(q, d, xi) / grid.h
-        A += np.einsum("nad,nbd,n->ab", grads, grads, quad.weights)
-        if f is not None:
-            vals = shape_values(q, d, xi)
-            b += vals.T @ (quad.weights * np.asarray(f(quad.points)))
-    if quad.has_boundary:
-        xib = space.reference_coords(cell_id, quad.boundary_points)
-        vals = shape_values(q, d, xib)
-        grads = shape_gradients(q, d, xib) / grid.h
-        gn = np.einsum("nad,nd->na", grads, quad.boundary_normals)
-        w = quad.boundary_weights
-        A += tau * np.einsum("na,nb,n->ab", vals, vals, w)
-        A -= np.einsum("na,nb,n->ab", vals, gn, w)
-        A -= np.einsum("na,nb,n->ab", gn, vals, w)
-        if g is not None:
-            gvals = np.asarray(g(quad.boundary_points))
-            b += (tau * vals - gn).T @ (w * gvals)
-    return ElementContribution(cell_id=cell_id, matrix=A, vector=b)
 
-
-def poisson_elements(space: StdSpace, quads, taus, f=None, g=None) -> list:
-    """Element contributions for every active cell, in cell-id order.
-
-    Interior cells share one stiffness template and a batched load
-    integral; cut cells are integrated individually.
+    over each cell's run of the store, with the cell's ``taus`` entry.
+    One pass over the store in chunks of ``CHUNK_POINTS`` points.
     """
     cls = space.classification
-    n = cls.n_active
-    out: list = [None] * n
-    interior = cls.interior_ids
-    template = None
-    if interior.size:
-        k0 = int(interior[0])
-        template = element_poisson_nitsche(space, k0, quads[k0 - 1], 0.0).matrix
-        quad0 = quads[k0 - 1]
-        xi0 = space.reference_coords(k0, quad0.points)
-        phi_w = shape_values(space.q, cls.grid.d, xi0) * quad0.weights[:, None]
-        ref_pts = quad0.points - cls.grid.cell_origin(cls.lattice_of(k0))
-        for k in interior:
-            k = int(k)
-            if f is not None:
-                pts = cls.grid.cell_origin(cls.lattice_of(k)) + ref_pts
-                vec = phi_w.T @ np.asarray(f(pts))
-            else:
-                vec = np.zeros(space.nodes_per_cell)
-            out[k - 1] = ElementContribution(k, template, vec)
-    for k in cls.cut_ids:
-        k = int(k)
-        out[k - 1] = element_poisson_nitsche(
-            space, k, quads[k - 1], float(taus[k - 1]), f, g)
-    return out
+    d, q, h = cls.grid.d, space.q, cls.grid.h
+    m = space.nodes_per_cell
+    taus = np.asarray(taus, dtype=np.float64)
+    mats = np.zeros((cls.n_active, m, m))
+    vecs = np.zeros((cls.n_active, m))
+    for sl in point_chunks(quad.weights.size):
+        cells, pts, w = quad.bulk_cells(sl), quad.points[sl], quad.weights[sl]
+        xi = space.reference_coords(cells, pts)
+        grads = shape_gradients(q, d, xi) / h
+        _add_weighted_runs(mats, cells, w,
+                           grads @ np.ascontiguousarray(grads.transpose(0, 2, 1)))
+        if f is not None:
+            _add_weighted_runs(vecs, cells, w * np.asarray(f(pts)),
+                               shape_values(q, d, xi))
+    for sl in point_chunks(quad.boundary_weights.size):
+        cells, pts = quad.boundary_cells(sl), quad.boundary_points[sl]
+        w, tau = quad.boundary_weights[sl], taus[cells - 1]
+        xi = space.reference_coords(cells, pts)
+        vals = shape_values(q, d, xi)
+        gn = np.einsum("nad,nd->na", shape_gradients(q, d, xi) / h,
+                       quad.boundary_normals[sl])
+        # tau v v^T - v gn^T - gn v^T = v c^T + c v^T, c = tau v / 2 - gn
+        vc = vals[:, :, None] * (0.5 * tau[:, None] * vals - gn)[:, None, :]
+        _add_weighted_runs(mats, cells, w, vc + vc.transpose(0, 2, 1))
+        if g is not None:
+            _add_weighted_runs(vecs, cells, w * np.asarray(g(pts)),
+                               tau[:, None] * vals - gn)
+    return mats, vecs
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +223,12 @@ def _cell_sums(C, dofs, mats, vecs):
     return row, col, cell, val
 
 
-def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, elements,
+def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
                    n_global, row_starts):
     """Owned rows of one subdomain from its owned cells: their local DOFs
-    ``cell_dofs`` (n_cells, m), global ids and elements, the 1-based
-    global row of each free local DOF ``row_of`` (else 0) and the
-    constraints of the others."""
+    ``cell_dofs`` (n_cells, m), global ids, element matrices and vectors,
+    the 1-based global row of each free local DOF ``row_of`` (else 0) and
+    the constraints of the others."""
     s = proc.rank
     C = extension_operator(row_of, constraints, n_global)
     empty = np.diff(C.indptr)[cell_dofs - 1] == 0
@@ -252,12 +237,9 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, elements,
             f"subdomain {s}: DOF {int(cell_dofs[empty][0])} has neither a "
             f"system row nor a constraint")
     parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
-    for start in range(0, len(elements), CHUNK_CELLS):
-        chunk = elements[start:start + CHUNK_CELLS]
-        row, col, cell, val = _cell_sums(
-            C, cell_dofs[start:start + len(chunk)] - 1,
-            np.stack([e.matrix for e in chunk]),
-            np.stack([e.vector for e in chunk]))
+    for start in range(0, len(cell_ids), CHUNK_CELLS):
+        sl = slice(start, start + CHUNK_CELLS)
+        row, col, cell, val = _cell_sums(C, cell_dofs[sl] - 1, mats[sl], vecs[sl])
         parts.append((row, col, cell_ids[start + cell], val))
     trip = tuple(np.concatenate(x) for x in zip(*parts))
 
@@ -282,7 +264,9 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, elements,
 
 
 def assemble_serial(space: StdSpace, dofs, constraints, elements):
-    """Assemble (A, b) over the free DOFs: the kernel on one process.
+    """Assemble (A, b) over the free DOFs from the element arrays
+    ``elements = (matrices, vectors)`` of every active cell: the kernel on
+    one process.
 
     With constraints the system lives on the interior rows and constrained
     entries land on their masters weighted by the extrapolation
@@ -291,11 +275,11 @@ def assemble_serial(space: StdSpace, dofs, constraints, elements):
     """
     n = space.n_dofs if constraints is None else dofs.n_interior
     row_of = np.arange(1, n + 1) if constraints is None else dofs.row_of
-    cell_ids = np.array([e.cell_id for e in elements], dtype=np.int64)
+    cell_ids = np.arange(1, space.classification.n_active + 1)
     [(A, b, _)] = VirtualRuntime(1).run(
         _assembly_body,
-        args=[(space.cell_dofs[cell_ids - 1], cell_ids, row_of, constraints,
-               elements, n, np.array([1, n + 1]))],
+        args=[(space.cell_dofs, cell_ids, row_of, constraints, *elements, n,
+               np.array([1, n + 1]))],
         phase="assembly")
     return A, b
 
@@ -317,20 +301,22 @@ def _owned_cells(piece):
 
 
 def assemble_distributed(runtime: VirtualRuntime, numbering, constraints_per_s,
-                         elements_per_s, phase: str = "assembly") -> DistributedSystem:
+                         elements, phase: str = "assembly") -> DistributedSystem:
     """Assemble the row-wise partitioned system over all subdomains.
 
-    Each subdomain runs the kernel on its owned cells and one routed
-    exchange moves off-owner rows to their owners; the gathered system
-    equals the serial one bitwise, up to the row numbering.
+    ``elements = (matrices, vectors)`` covers every active cell; each
+    subdomain runs the kernel on the rows of its owned cells, and one
+    routed exchange moves off-owner rows to their owners.  The gathered
+    system equals the serial one bitwise, up to the row numbering.
     """
     row_starts = numbering.owned_ranges()
-    results = runtime.run(
-        _assembly_body,
-        args=[(*_owned_cells(p), c, e, numbering.n_global, row_starts)
-              for p, c, e in zip(numbering.pieces, constraints_per_s,
-                                 elements_per_s)],
-        phase=phase)
+    mats, vecs = elements
+    args = []
+    for piece, cons in zip(numbering.pieces, constraints_per_s):
+        cell_dofs, cell_ids, row_of = _owned_cells(piece)
+        args.append((cell_dofs, cell_ids, row_of, cons, mats[cell_ids - 1],
+                     vecs[cell_ids - 1], numbering.n_global, row_starts))
+    results = runtime.run(_assembly_body, args=args, phase=phase)
     return DistributedSystem(
         n_global=numbering.n_global, row_starts=row_starts,
         blocks=[r[0] for r in results], rhs=[r[1] for r in results],

@@ -8,6 +8,7 @@ files are byte-identical across repeated runs and thread counts.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -235,7 +236,7 @@ class SolveOutputs:
     space: object
     dofs: object
     constraints: object
-    quads: list
+    quadrature: object
     taus: np.ndarray
     matrix: object                # serial system; None when procs > 1
     rhs: np.ndarray | None
@@ -259,29 +260,18 @@ def geometry_setup(cfg: ExperimentConfig, level=None):
                          cfg.dimension)
     ls = make_levelset(cfg)
     cls = classify_cells(grid, ls)
-
-    def face_active(ka, kb):
-        return face_is_active(grid, ls, cls.lattice_of(ka), cls.lattice_of(kb))
-
-    return grid, ls, cls, face_active
+    return grid, ls, cls, functools.partial(face_is_active, cls)
 
 
-def cell_quadratures(grid, ls, cls, order):
-    return [cut_quadrature(grid, ls, cls.lattice_of(k), order)
-            for k in range(1, cls.n_active + 1)]
-
-
-def penalty_per_cell(cfg, space, cls, quads):
+def penalty_per_cell(cfg, space, cls, quad):
     """Per-cell Nitsche penalty: beta/h for agg, eigenproblem for std."""
     h = float(np.min(cls.grid.h))
     taus = np.zeros(cls.n_active)
     if cfg.space == "agg":
         taus[:] = nitsche_tau_agg(h, cfg.beta)
         return taus
-    for k in cls.cut_ids:
-        k = int(k)
-        if quads[k - 1].has_boundary:
-            taus[k - 1] = nitsche_tau_std(space, k, quads[k - 1], cfg.beta)
+    for k in np.flatnonzero(np.diff(quad.boundary_offsets)) + 1:
+        taus[k - 1] = nitsche_tau_std(space, int(k), quad, cfg.beta)
     return taus
 
 
@@ -293,7 +283,8 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
     timer = PhaseTimer()
     with timer.time("classify"):
         grid, ls, cls, face_active = geometry_setup(cfg, level)
-        quads = cell_quadratures(grid, ls, cls, cfg.quad_order)
+    with timer.time("quadrature"):
+        quad = cut_quadrature(grid, ls, cls, cfg.quad_order)
 
     root_map = None
     agg_stats = None
@@ -307,10 +298,10 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
         dofs = classify_dofs(space, cls, root_map)
         if cfg.space == "agg":
             constraints = build_constraints_serial(space, dofs, root_map)
-        taus = penalty_per_cell(cfg, space, cls, quads)
+        taus = penalty_per_cell(cfg, space, cls, quad)
     u, grad_u, f = manufactured_solution(cfg)
     with timer.time("assemble"):
-        elements = poisson_elements(space, quads, taus, f, u)
+        elements = poisson_elements(space, quad, taus, f, u)
         A = b = None
         if cfg.procs == 1:
             A, b = assemble_serial(space, dofs, constraints, elements)
@@ -318,7 +309,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
     out = SolveOutputs(cfg=cfg, grid=grid, levelset=ls, classification=cls,
                        root_map=root_map, aggregate_stats=agg_stats,
                        space=space, dofs=dofs, constraints=constraints,
-                       quads=quads, taus=taus, matrix=A, rhs=b,
+                       quadrature=quad, taus=taus, matrix=A, rhs=b,
                        solution=None, report=None, norms=None,
                        timings=timer.timings)
 
@@ -327,26 +318,21 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
             x, report = pcg_jacobi((A, b), rtol=cfg.rtol, maxit=cfg.maxit)
         out.solution, out.report = x, report
     else:
-        _distributed_stage(cfg, out, elements, timer, runtime)
+        _distributed_stage(cfg, out, elements, face_active, timer, runtime)
     with timer.time("norms"):
         if cfg.space == "agg":
-            out.norms = error_norms(space, dofs, constraints, quads,
+            out.norms = error_norms(space, dofs, constraints, quad,
                                     out.solution, u, grad_u)
         else:
-            out.norms = error_norms(space, None, None, quads, out.solution,
+            out.norms = error_norms(space, None, None, quad, out.solution,
                                     u, grad_u)
     return out
 
 
-def _distributed_stage(cfg, out: SolveOutputs, elements, timer, runtime=None):
+def _distributed_stage(cfg, out: SolveOutputs, elements, face_active, timer,
+                       runtime=None):
     """Parallel aggregation, numbering, assembly, and solve for procs > 1."""
     cls = out.classification
-    grid = out.grid
-    ls = out.levelset
-
-    def face_active(ka, kb):
-        return face_is_active(grid, ls, cls.lattice_of(ka), cls.lattice_of(kb))
-
     with timer.time("partition"):
         part = partition_weighted_sfc(cls, n_subdomains=cfg.procs)
         meshes = build_subdomain_meshes(cls, part)
@@ -367,10 +353,7 @@ def _distributed_stage(cfg, out: SolveOutputs, elements, timer, runtime=None):
         dist_cons = [build_constraints_distributed(p, dist_map, bf)
                      for p, bf in zip(numbering.pieces, buffers)]
     with timer.time("assemble-distributed"):
-        elements_per_s = [[elements[m.global_of(l) - 1]
-                           for l in range(1, m.n_local + 1)] for m in meshes]
-        system = assemble_distributed(runtime, numbering, dist_cons,
-                                      elements_per_s)
+        system = assemble_distributed(runtime, numbering, dist_cons, elements)
     with timer.time("solve"):
         x_d, report = pcg_jacobi(system, rtol=cfg.rtol, maxit=cfg.maxit,
                                  runtime=runtime)

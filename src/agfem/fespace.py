@@ -124,14 +124,12 @@ class StdSpace:
         return {tuple(int(v) for v in k): i + 1
                 for i, k in enumerate(self.node_keys)}
 
-    def cell_box(self, cell_id: int):
+    def reference_coords(self, cell_id, points: np.ndarray) -> np.ndarray:
+        """Coordinates of ``points`` in the unit box of ``cell_id``: one
+        cell id, or one per point."""
         grid = self.classification.grid
         lo = grid.cell_origin(self.classification.lattice_of(cell_id))
-        return lo, grid.h
-
-    def reference_coords(self, cell_id: int, points: np.ndarray) -> np.ndarray:
-        lo, h = self.cell_box(cell_id)
-        return (np.atleast_2d(points) - lo) / h
+        return (np.atleast_2d(points) - lo) / grid.h
 
 
 def build_std_space(classification: CellClassification, q: int = 1) -> StdSpace:

@@ -3,14 +3,18 @@
 Cells are classified against a level set by sampling at cell vertices:
 interior when psi < -tol at every vertex, exterior when the linearized
 cut region is empty, cut otherwise.  A vertex with psi >= -tol counts as
-outside (the domain is the strict negative set).
+outside (the domain is the strict negative set).  The vertex samples are
+kept for cut-cell corner values and face activity.
 
 Cut integration linearizes the level set on a simplex subdivision of the
 cell (four fan triangles around the center in 2D, the six-tetrahedron
 Kuhn split in 3D) and places collapsed tensor Gauss rules on each inside
-sub-simplex.  Interface facets come from the linear zero crossing; this
-is exact for half-plane geometries and first-order convergent for smooth
-ones.
+sub-simplex.  Interface facets come from the linear zero crossing, their
+normals along the gradient of the simplex's linear interpolant; this is
+exact for half-plane geometries and first-order convergent for smooth
+ones.  All rules live in one flat store in cell-id order: interior cells
+share one box rule, cut cells are clipped one at a time and their rules
+mapped in batches.
 """
 
 from __future__ import annotations
@@ -21,13 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import BackgroundGrid, face_neighbors, morton_encode
-from .levelset import LevelSet, gradient
+from .levelset import LevelSet
 
 EXTERIOR, INTERIOR, CUT = 0, 1, 2
 
 # cut regions smaller than this fraction of the cell volume are dropped
 # and the cell is demoted to exterior
 MIN_VOLUME_FRACTION = 1e-14
+
+# quadrature points mapped, integrated or evaluated at once
+CHUNK_POINTS = 8192
 
 
 class ClassificationError(ValueError):
@@ -36,6 +43,12 @@ class ClassificationError(ValueError):
 
 def default_tolerance(grid: BackgroundGrid) -> float:
     return 1e-12 * float(np.min(grid.h))
+
+
+def point_chunks(n: int) -> list:
+    """Slices covering ``range(n)`` in batches of ``CHUNK_POINTS``."""
+    return [slice(s, min(s + CHUNK_POINTS, n))
+            for s in range(0, n, CHUNK_POINTS)]
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +60,20 @@ def _gauss01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def tensor_box_rule(lo: np.ndarray, hi: np.ndarray, order: int):
-    """Tensor-product Gauss rule on an axis-aligned box, exact to `order`."""
-    d = len(lo)
+def _box_rule(h: np.ndarray, order: int):
+    """Tensor-product Gauss rule on the box [0, h], exact to `order`."""
     x, w = _gauss01(max(1, (order + 2) // 2))
-    pts_1d = [lo[a] + x * (hi[a] - lo[a]) for a in range(d)]
-    wts_1d = [w * (hi[a] - lo[a]) for a in range(d)]
-    grids = np.meshgrid(*pts_1d, indexing="ij")
+    grids = np.meshgrid(*[x * ha for ha in h], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*wts_1d, indexing="ij")
     weights = np.ones(points.shape[0])
-    for g in wgrids:
+    for g in np.meshgrid(*[w * ha for ha in h], indexing="ij"):
         weights = weights * g.ravel()
     return points, weights
 
 
 def _segment_rule(order: int):
-    return _gauss01(max(1, (order + 2) // 2))
+    x, w = _gauss01(max(1, (order + 2) // 2))
+    return x[:, None], w
 
 
 def _triangle_rule(order: int):
@@ -98,13 +108,6 @@ def _simplex_volume(verts: np.ndarray) -> float:
     return abs(float(np.linalg.det(edges))) / fact
 
 
-def _map_simplex_rule(verts: np.ndarray, ref_pts: np.ndarray, ref_w: np.ndarray):
-    edges = verts[1:] - verts[0]
-    points = verts[0] + ref_pts @ edges
-    weights = ref_w * abs(float(np.linalg.det(edges)))
-    return points, weights
-
-
 # ---------------------------------------------------------------------------
 # linear clipping of simplices
 
@@ -118,54 +121,55 @@ def _crossing(p_in, p_out, f_in, f_out):
 def _clip_triangle(verts, vals, tol):
     """Clip one triangle by the linear interpolant of `vals`.
 
-    Returns (inside triangles, interface segments); a segment is a
-    (2, 2) array.
+    Returns (inside triangles, interface segments, an inside vertex); a
+    segment is a (2, 2) array.
     """
     inside = vals < -tol
     m = int(inside.sum())
     if m == 0:
-        return [], []
+        return [], [], None
     if m == 3:
-        return [verts], []
+        return [verts], [], None
     ins = [i for i in range(3) if inside[i]]
     outs = [i for i in range(3) if not inside[i]]
     if m == 1:
         a = ins[0]
         c1 = _crossing(verts[a], verts[outs[0]], vals[a], vals[outs[0]])
         c2 = _crossing(verts[a], verts[outs[1]], vals[a], vals[outs[1]])
-        return [np.array([verts[a], c1, c2])], [np.array([c1, c2])]
+        return [np.array([verts[a], c1, c2])], [np.array([c1, c2])], verts[a]
     a, b = ins
     o = outs[0]
     ca = _crossing(verts[a], verts[o], vals[a], vals[o])
     cb = _crossing(verts[b], verts[o], vals[b], vals[o])
     tris = [np.array([verts[a], verts[b], cb]), np.array([verts[a], cb, ca])]
-    return tris, [np.array([ca, cb])]
+    return tris, [np.array([ca, cb])], verts[a]
 
 
 _WEDGE_SPLIT = ((0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5))
 
 
 def _clip_tet(verts, vals, tol):
-    """Clip one tetrahedron; returns (inside tets, interface triangles)."""
+    """Clip one tetrahedron; returns (inside tets, interface triangles, an
+    inside vertex)."""
     inside = vals < -tol
     m = int(inside.sum())
     if m == 0:
-        return [], []
+        return [], [], None
     if m == 4:
-        return [verts], []
+        return [verts], [], None
     ins = [i for i in range(4) if inside[i]]
     outs = [i for i in range(4) if not inside[i]]
     if m == 1:
         a = ins[0]
         c = [_crossing(verts[a], verts[o], vals[a], vals[o]) for o in outs]
-        return [np.array([verts[a], *c])], [np.array(c)]
+        return [np.array([verts[a], *c])], [np.array(c)], verts[a]
     if m == 3:
         o = outs[0]
         c = [_crossing(verts[i], verts[o], vals[i], vals[o]) for i in ins]
         # inside part is a wedge: triangle of inside vertices plus crossings
         wedge = np.array([verts[ins[0]], verts[ins[1]], verts[ins[2]], *c])
         tets = [wedge[list(idx)] for idx in _WEDGE_SPLIT]
-        return tets, [np.array(c)]
+        return tets, [np.array(c)], verts[ins[0]]
     a, b = ins
     o1, o2 = outs
     ca1 = _crossing(verts[a], verts[o1], vals[a], vals[o1])
@@ -178,7 +182,7 @@ def _clip_tet(verts, vals, tol):
     quad = [ca1, cb1, cb2, ca2]
     facets = [np.array([quad[0], quad[1], quad[2]]),
               np.array([quad[0], quad[2], quad[3]])]
-    return tets, facets
+    return tets, facets, verts[a]
 
 
 _KUHN_PERMS = list(itertools.permutations(range(3)))
@@ -211,17 +215,19 @@ def _cell_simplices(grid: BackgroundGrid, lattice, corner_vals, center_val):
 
 
 def _clip_cell(grid, lattice, corner_vals, center_val, tol):
+    """Inside simplices, interface facets and an inside vertex per facet."""
     clip = _clip_triangle if grid.d == 2 else _clip_tet
-    bulk, facets = [], []
+    bulk, facets, anchors = [], [], []
     for simplex, vals in _cell_simplices(grid, lattice, corner_vals, center_val):
-        b, f = clip(simplex, vals, tol)
+        b, f, a = clip(simplex, vals, tol)
         bulk.extend(b)
         facets.extend(f)
-    return bulk, facets
+        anchors.extend([a] * len(f))
+    return bulk, facets, anchors
 
 
 def _cut_volume(grid, lattice, corner_vals, center_val, tol) -> float:
-    bulk, _ = _clip_cell(grid, lattice, corner_vals, center_val, tol)
+    bulk, _, _ = _clip_cell(grid, lattice, corner_vals, center_val, tol)
     return float(sum(_simplex_volume(s) for s in bulk))
 
 
@@ -230,121 +236,157 @@ def _cut_volume(grid, lattice, corner_vals, center_val, tol) -> float:
 
 
 @dataclass
-class CutQuadrature:
-    """Bulk rule over the cell's inside region and a rule on its interface."""
+class QuadratureStore:
+    """Bulk and interface rules of every active cell, flat, in cell-id order.
 
-    points: np.ndarray
-    weights: np.ndarray
-    boundary_points: np.ndarray
-    boundary_weights: np.ndarray
-    boundary_normals: np.ndarray
+    Active cell k owns rows ``offsets[k-1]:offsets[k]`` of the bulk arrays
+    and ``boundary_offsets[k-1]:boundary_offsets[k]`` of the interface
+    arrays.  Interface normals are unit vectors pointing out of the
+    domain.
+    """
 
-    @property
-    def is_empty(self) -> bool:
-        return self.weights.size == 0
+    points: np.ndarray            # (n, d)
+    weights: np.ndarray           # (n,)
+    offsets: np.ndarray           # (n_active + 1,), from 0
+    boundary_points: np.ndarray   # (nb, d)
+    boundary_weights: np.ndarray  # (nb,)
+    boundary_normals: np.ndarray  # (nb, d)
+    boundary_offsets: np.ndarray  # (n_active + 1,), from 0
 
-    @property
-    def has_boundary(self) -> bool:
-        return self.boundary_weights.size > 0
+    def bulk_cells(self, rows: slice = slice(None)) -> np.ndarray:
+        """Cell id of each bulk point in ``rows``."""
+        return _cells_of(self.offsets, rows)
 
-
-def _empty_quadrature(d: int) -> CutQuadrature:
-    z = np.zeros((0, d))
-    return CutQuadrature(z, np.zeros(0), z.copy(), np.zeros(0), z.copy())
-
-
-def _facet_measure_and_normal(facet: np.ndarray):
-    if facet.shape[0] == 2:
-        t = facet[1] - facet[0]
-        length = float(np.hypot(t[0], t[1]))
-        if length == 0.0:
-            return 0.0, None
-        return length, np.array([t[1], -t[0]]) / length
-    n = np.cross(facet[1] - facet[0], facet[2] - facet[0])
-    area2 = float(np.linalg.norm(n))
-    if area2 == 0.0:
-        return 0.0, None
-    return 0.5 * area2, n / area2
+    def boundary_cells(self, rows: slice = slice(None)) -> np.ndarray:
+        """Cell id of each interface point in ``rows``."""
+        return _cells_of(self.boundary_offsets, rows)
 
 
-def cut_quadrature(grid: BackgroundGrid, ls: LevelSet, cell, order: int,
-                   tol: float | None = None) -> CutQuadrature:
-    """Quadrature for one interior or cut cell.
+def _cells_of(offsets, rows):
+    start, stop, _ = rows.indices(int(offsets[-1]))
+    return np.searchsorted(offsets, np.arange(start, stop), side="right")
 
-    Interior cells get the plain tensor-product Gauss rule and an empty
-    boundary rule.  Cut cells get rules on the linearized inside region
-    and interface; normals point out of the domain (aligned with the
-    level-set gradient).  A cut whose volume fraction falls below
-    ``MIN_VOLUME_FRACTION`` yields an empty rule so the caller can demote
-    the cell to exterior.
+
+def _offsets(counts):
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def _clip_cut_cells(grid, ls, cls):
+    """Clip every cut cell, in id order: inside simplices (n, d+1, d) and
+    their cell ids, facets (nf, d, d), an inside vertex per facet and the
+    facet cell ids."""
+    d = grid.d
+    cut = cls.cut_ids
+    lattices = cls.id_to_lattice[cut - 1]
+    corners = _corner_values(cls.vertex_values, d)[tuple(lattices.T)]
+    centers = np.zeros(cut.size)
+    if d == 2 and cut.size:
+        centers = np.asarray(ls(cls.barycenters()[cut - 1]), dtype=np.float64)
+    simplices, s_cell, facets, anchors, f_cell = [], [], [], [], []
+    for k, lattice, cvals, cval in zip(cut, lattices, corners, centers):
+        b, f, a = _clip_cell(grid, lattice, cvals, float(cval), cls.tol)
+        simplices += b
+        facets += f
+        anchors += a
+        s_cell += [k] * len(b)
+        f_cell += [k] * len(f)
+    return (np.array(simplices).reshape(-1, d + 1, d),
+            np.array(s_cell, dtype=np.int32),
+            np.array(facets).reshape(-1, d, d),
+            np.array(anchors).reshape(-1, d),
+            np.array(f_cell, dtype=np.int32))
+
+
+def _map_rule(simplices, ref_pts):
+    """``ref_pts`` mapped onto each simplex: first vertex plus reference
+    point times edge matrix, (n, n_ref, d)."""
+    return simplices[:, :1] + ref_pts @ (simplices[:, 1:] - simplices[:, :1])
+
+
+def _bulk_rules(grid, cls, simplices, s_cell, order):
+    """Points, weights and offsets of the bulk rules of all active cells:
+    the box rule moved to every interior cell, and the simplex rule
+    mapped onto the kept sub-simplices of the cut cells."""
+    d = grid.d
+    box_pts, box_w = _box_rule(grid.h, order)
+    ref_pts, ref_w = (_triangle_rule if d == 2 else _tet_rule)(order)
+    jac = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1]))
+    volume = jac / (2.0 if d == 2 else 6.0)
+    keep = ~(volume < MIN_VOLUME_FRACTION * grid.cell_volume)
+    simplices, s_cell, jac = simplices[keep], s_cell[keep], jac[keep]
+    n_ref = len(ref_w)
+    counts = np.bincount(s_cell - 1, minlength=cls.n_active) * n_ref
+    counts[cls.interior_ids - 1] = len(box_w)
+    offsets = _offsets(counts)
+    points = np.empty((offsets[-1], d))
+    weights = np.empty(offsets[-1])
+    interior = cls.interior_ids - 1
+    rows = (offsets[interior][:, None] + np.arange(len(box_w))).ravel()
+    lo = grid.cell_origin(cls.id_to_lattice[interior])
+    points[rows] = (lo[:, None, :] + box_pts).reshape(-1, d)
+    weights[rows] = np.tile(box_w, interior.size)
+    # first row of each simplex: its cell's offset plus the simplices
+    # before it in the same cell
+    first = offsets[s_cell - 1] + n_ref * (
+        np.arange(s_cell.size) - np.searchsorted(s_cell, s_cell))
+    per = max(1, CHUNK_POINTS // n_ref)
+    for s in range(0, len(simplices), per):
+        rows = (first[s:s + per, None] + np.arange(n_ref)).ravel()
+        points[rows] = _map_rule(simplices[s:s + per], ref_pts).reshape(-1, d)
+        weights[rows] = (jac[s:s + per, None] * ref_w).ravel()
+    return points, weights, offsets
+
+
+def _interface_rules(grid, n_active, facets, anchors, f_cell, order):
+    """Points, weights, unit normals and offsets of the interface rules.
+
+    Each normal points away from the inside vertex ``anchors`` of its
+    simplex, along the gradient of the simplex's linear interpolant."""
+    d = grid.d
+    f_pts, f_w = (_segment_rule if d == 2 else _triangle_rule)(order)
+    edges = facets[:, 1:] - facets[:, :1]
+    if d == 2:
+        scale = np.hypot(edges[:, 0, 0], edges[:, 0, 1])
+        normals = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
+        measure = scale
+    else:
+        normals = np.cross(edges[:, 0], edges[:, 1])
+        # twice the area; a row-wise dot sums like the norm of one vector
+        scale = np.sqrt((normals[:, None, :] @ normals[:, :, None]).ravel())
+        measure = 0.5 * scale
+    keep = ~(measure < 1e-14 * float(np.min(grid.h)) ** (d - 1))
+    facets, anchors, f_cell = facets[keep], anchors[keep], f_cell[keep]
+    normals = normals[keep] / scale[keep, None]
+    outward = np.einsum("nd,nd->n", normals, facets.mean(axis=1) - anchors)
+    normals[outward < 0.0] *= -1.0
+    n_f = len(f_w)
+    return (_map_rule(facets, f_pts).reshape(-1, d),
+            (scale[keep, None] * f_w).ravel(),
+            np.repeat(normals, n_f, axis=0),
+            _offsets(np.bincount(f_cell - 1, minlength=n_active) * n_f))
+
+
+def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
+                   cls: CellClassification, order: int) -> QuadratureStore:
+    """Quadrature of every active cell of ``cls``, classified against ``ls``.
+
+    Interior cells get the tensor-product Gauss rule of their box and no
+    interface rule.  Cut cells get rules on the linearized inside region
+    and interface; sub-simplices below ``MIN_VOLUME_FRACTION`` of the cell
+    and facets of negligible measure are dropped.  Corner values come
+    from the classification; ``ls`` is sampled only at 2D cut-cell
+    centers.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    if tol is None:
-        tol = default_tolerance(grid)
-    lattice = np.asarray(cell, dtype=np.int64)
-    verts = grid.cell_vertices(lattice)
-    corner_vals = np.asarray(ls(verts), dtype=np.float64)
-    if np.all(corner_vals < -tol):
-        lo = grid.cell_origin(lattice)
-        points, weights = tensor_box_rule(lo, lo + grid.h, order)
-        z = np.zeros((0, grid.d))
-        return CutQuadrature(points, weights, z, np.zeros(0), z.copy())
-
-    center_val = float(ls(grid.cell_barycenter(lattice)[None, :])[0])
-    bulk, facets = _clip_cell(grid, lattice, corner_vals, center_val, tol)
-    volume = sum(_simplex_volume(s) for s in bulk)
-    if volume < MIN_VOLUME_FRACTION * grid.cell_volume:
-        return _empty_quadrature(grid.d)
-
-    if grid.d == 2:
-        ref_pts, ref_w = _triangle_rule(order)
-    else:
-        ref_pts, ref_w = _tet_rule(order)
-    pts_parts, w_parts = [], []
-    for simplex in bulk:
-        if _simplex_volume(simplex) < MIN_VOLUME_FRACTION * grid.cell_volume:
-            continue
-        p, w = _map_simplex_rule(simplex, ref_pts, ref_w)
-        pts_parts.append(p)
-        w_parts.append(w)
-    points = np.vstack(pts_parts) if pts_parts else np.zeros((0, grid.d))
-    weights = np.concatenate(w_parts) if w_parts else np.zeros(0)
-
-    h_min = float(np.min(grid.h))
-    grad_step = 1e-6 * h_min
-    bp_parts, bw_parts, bn_parts = [], [], []
-    if grid.d == 2:
-        f_ref, f_w = _segment_rule(order)
-    else:
-        f_ref, f_w = _triangle_rule(order)
-    for facet in facets:
-        measure, normal = _facet_measure_and_normal(facet)
-        if measure < 1e-14 * h_min ** (grid.d - 1):
-            continue
-        centroid = facet.mean(axis=0)
-        g = gradient(ls, centroid, grad_step)[0]
-        if float(g @ normal) < 0.0:
-            normal = -normal
-        if grid.d == 2:
-            p = facet[0] + f_ref[:, None] * (facet[1] - facet[0])
-            w = f_w * measure
-        else:
-            edges = facet[1:] - facet[0]
-            p = facet[0] + f_ref @ edges
-            w = f_w * (2.0 * measure)
-        bp_parts.append(p)
-        bw_parts.append(w)
-        bn_parts.append(np.broadcast_to(normal, p.shape).copy())
-    if bp_parts:
-        bpoints = np.vstack(bp_parts)
-        bweights = np.concatenate(bw_parts)
-        bnormals = np.vstack(bn_parts)
-    else:
-        bpoints = np.zeros((0, grid.d))
-        bweights = np.zeros(0)
-        bnormals = np.zeros((0, grid.d))
-    return CutQuadrature(points, weights, bpoints, bweights, bnormals)
+    simplices, s_cell, facets, anchors, f_cell = _clip_cut_cells(grid, ls, cls)
+    points, weights, offsets = _bulk_rules(grid, cls, simplices, s_cell, order)
+    b_points, b_weights, b_normals, b_offsets = _interface_rules(
+        grid, cls.n_active, facets, anchors, f_cell, order)
+    return QuadratureStore(
+        points=points, weights=weights, offsets=offsets,
+        boundary_points=b_points, boundary_weights=b_weights,
+        boundary_normals=b_normals, boundary_offsets=b_offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +395,7 @@ def cut_quadrature(grid: BackgroundGrid, ls: LevelSet, cell, order: int,
 
 @dataclass
 class CellClassification:
-    """Per-cell labels plus the active-cell id tables.
+    """Per-cell labels, the active-cell id tables and the vertex samples.
 
     Active cells (interior or cut) get contiguous 1-based global ids in
     Morton order.  Exterior cells have id 0.
@@ -364,6 +406,7 @@ class CellClassification:
     active_id: np.ndarray        # lattice-shaped int64, 0 where exterior
     id_to_lattice: np.ndarray    # (n_active, d)
     tol: float
+    vertex_values: np.ndarray    # level set at the grid vertices, (n+1,)*d
     interior_ids: np.ndarray = field(init=False)
     cut_ids: np.ndarray = field(init=False)
     is_cut: np.ndarray = field(init=False)
@@ -399,6 +442,29 @@ class CellClassification:
             if nb_id > 0:
                 out.append(nb_id)
         return np.asarray(out, dtype=np.int64)
+
+    def face_active(self, ka: int, kb: int) -> bool:
+        """True iff the face shared by active cells ``ka`` and ``kb``
+        intersects the domain: psi < -tol at some face vertex, or a raw
+        sign change of psi along a face edge (linear interpolation places
+        a sub-segment inside)."""
+        a, b = self.id_to_lattice[ka - 1], self.id_to_lattice[kb - 1]
+        diff = b - a
+        if np.sum(np.abs(diff)) != 1:
+            raise ValueError(f"cells {ka} and {kb} are not face neighbors")
+        axis = int(np.argmax(np.abs(diff)))
+        hi = np.maximum(a, b)
+        vals = self.vertex_values[tuple(
+            int(hi[ax]) if ax == axis else slice(hi[ax], hi[ax] + 2)
+            for ax in range(self.grid.d))]
+        if np.any(vals < -self.tol):
+            return True
+        return bool(np.any(vals < 0.0) and np.any(vals > 0.0))
+
+
+def face_is_active(cls: CellClassification, ka: int, kb: int) -> bool:
+    """Function form of :meth:`CellClassification.face_active`."""
+    return cls.face_active(ka, kb)
 
 
 def _vertex_values(grid: BackgroundGrid, ls: LevelSet) -> np.ndarray:
@@ -472,35 +538,5 @@ def classify_cells(grid: BackgroundGrid, ls: LevelSet,
     active_id = np.zeros(labels.shape, dtype=np.int64)
     active_id[tuple(id_to_lattice.T)] = np.arange(1, len(id_to_lattice) + 1)
     return CellClassification(grid=grid, labels=labels, active_id=active_id,
-                              id_to_lattice=id_to_lattice, tol=tol)
-
-
-def face_is_active(grid: BackgroundGrid, ls: LevelSet, cell_a, cell_b,
-                   tol: float | None = None) -> bool:
-    """True iff the face shared by two neighbor cells intersects the domain.
-
-    The test is: psi < -tol at some face vertex, or a raw sign change of
-    psi along a face edge (linear interpolation places a sub-segment
-    inside).
-    """
-    if tol is None:
-        tol = default_tolerance(grid)
-    a = np.asarray(cell_a, dtype=np.int64)
-    b = np.asarray(cell_b, dtype=np.int64)
-    diff = b - a
-    if np.sum(np.abs(diff)) != 1:
-        raise ValueError(f"cells {tuple(a)} and {tuple(b)} are not face neighbors")
-    axis = int(np.argmax(np.abs(diff)))
-    hi = a if diff[axis] < 0 else b
-    lo_corner = grid.cell_origin(hi)
-    other_axes = [ax for ax in range(grid.d) if ax != axis]
-    verts = []
-    for combo in itertools.product((0.0, 1.0), repeat=len(other_axes)):
-        p = lo_corner.copy()
-        for ax, c in zip(other_axes, combo):
-            p[ax] += c * grid.h[ax]
-        verts.append(p)
-    vals = np.asarray(ls(np.asarray(verts)), dtype=np.float64)
-    if np.any(vals < -tol):
-        return True
-    return bool(np.any(vals < 0.0) and np.any(vals > 0.0))
+                              id_to_lattice=id_to_lattice, tol=tol,
+                              vertex_values=vvals)

@@ -124,14 +124,3 @@ class CallableLevelSet(LevelSet):
         return np.asarray(self.fn(np.asarray(points, dtype=np.float64)),
                           dtype=np.float64)
 
-
-def gradient(ls: LevelSet, points: np.ndarray, step: float) -> np.ndarray:
-    """Central finite-difference gradient, used to orient interface normals."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    d = points.shape[1]
-    grad = np.empty_like(points)
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = step
-        grad[:, axis] = (ls(points + e) - ls(points - e)) / (2.0 * step)
-    return grad

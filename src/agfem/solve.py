@@ -7,7 +7,8 @@ products reduce the concatenated per-process arrays in subdomain order
 in a single summation, so iteration histories are bitwise identical for
 every process count and scheduling choice.  Convergence is declared on
 the unpreconditioned residual, ||r||/||b|| < rtol, within maxit
-iterations; non-convergence is reported, not raised.
+iterations; non-convergence is reported, not raised.  Error norms run in
+one batched pass over the bulk points of the flat quadrature store.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import DistributedSystem
-from .fespace import shape_gradients, shape_values
+from .fespace import prolongate, shape_gradients, shape_values
+from .geometry import point_chunks
 from .runtime import VirtualRuntime
 
 
@@ -202,38 +204,33 @@ class ErrorNorms:
     absolute: bool = False   # set when the exact norm vanishes
 
 
-def error_norms(space, dofs, constraints, quads, interior_values,
+def error_norms(space, dofs, constraints, quad, interior_values,
                 u_exact, grad_exact) -> ErrorNorms:
     """Relative L2 and H1-semi errors of a reduced solution vector.
 
     The vector is prolongated through the constraints before evaluation
-    and all integrals use the cut quadratures, so only the physical
-    domain contributes.  For an unconstrained (standard) space pass
+    and the integrals run over the bulk points of the quadrature store,
+    in chunks of ``CHUNK_POINTS``, so only the physical domain
+    contributes.  For an unconstrained (standard) space pass
     ``dofs=None`` and the full nodal vector.
     """
-    from .fespace import prolongate
-
     if dofs is None:
         full = np.asarray(interior_values, dtype=np.float64)
         if full.shape != (space.n_dofs,):
             raise ValueError("standard-space vector must cover all DOFs")
     else:
         full = prolongate(dofs, constraints, interior_values)
-    cls = space.classification
-    grid = cls.grid
+    grid = space.classification.grid
     err2 = errg2 = base2 = baseg2 = 0.0
-    for k in range(1, cls.n_active + 1):
-        quad = quads[k - 1]
-        if quad.weights.size == 0:
-            continue
-        nodal = full[space.cell_dofs[k - 1] - 1]
-        xi = space.reference_coords(k, quad.points)
-        uh = shape_values(space.q, grid.d, xi) @ nodal
-        gh = np.einsum("nad,a->nd", shape_gradients(space.q, grid.d, xi) / grid.h,
-                       nodal)
-        ue = np.asarray(u_exact(quad.points))
-        ge = np.asarray(grad_exact(quad.points))
-        w = quad.weights
+    for sl in point_chunks(quad.weights.size):
+        cells, pts, w = quad.bulk_cells(sl), quad.points[sl], quad.weights[sl]
+        nodal = full[space.cell_dofs[cells - 1] - 1]
+        xi = space.reference_coords(cells, pts)
+        uh = np.einsum("na,na->n", shape_values(space.q, grid.d, xi), nodal)
+        gh = np.einsum("nad,na->nd",
+                       shape_gradients(space.q, grid.d, xi) / grid.h, nodal)
+        ue = np.asarray(u_exact(pts))
+        ge = np.asarray(grad_exact(pts))
         err2 += float(w @ (ue - uh) ** 2)
         errg2 += float(w @ np.sum((ge - gh) ** 2, axis=1))
         base2 += float(w @ ue**2)

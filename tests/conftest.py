@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from agfem.geometry import classify_cells, face_is_active
+from agfem.geometry import classify_cells
 from agfem.grid import face_neighbors, unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
 
@@ -66,11 +66,20 @@ def random_geometry(rng, max_level=5):
 def classified(level, ls, d=2):
     grid = unit_box_grid(level, d)
     cls = classify_cells(grid, ls)
+    return grid, cls, cls.face_active
 
-    def face_active(ka, kb):
-        return face_is_active(grid, ls, cls.lattice_of(ka), cls.lattice_of(kb))
 
-    return grid, cls, face_active
+def gradient(ls, points, step):
+    """Central finite-difference gradient of a level set, the oracle for
+    interface normal orientation."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    d = points.shape[1]
+    grad = np.empty_like(points)
+    for axis in range(d):
+        e = np.zeros(d)
+        e[axis] = step
+        grad[:, axis] = (ls(points + e) - ls(points - e)) / (2.0 * step)
+    return grad
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from agfem.experiments import (ExperimentConfig, cmd_solve, run_convergence,
                                run_cut_sweep, run_solve_pipeline)
 from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs, prolongate)
-from agfem.geometry import classify_cells, cut_quadrature, face_is_active
+from agfem.geometry import classify_cells, cut_quadrature
 from agfem.grid import unit_box_grid
 from agfem.levelset import CallableLevelSet, HalfPlane, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
@@ -63,11 +63,7 @@ def equivalence_data():
             grid = unit_box_grid(level, 2)
             ls = make_ls()
             cls = classify_cells(grid, ls)
-
-            def fa(a, b, grid=grid, ls=ls, cls=cls):
-                return face_is_active(grid, ls, cls.lattice_of(a),
-                                      cls.lattice_of(b))
-
+            fa = cls.face_active
             serial = aggregate_serial(cls, fa)
             stats = aggregates(cls, serial, fa)
             agg_seconds += time.perf_counter() - t0
@@ -76,11 +72,10 @@ def equivalence_data():
             space = build_std_space(cls, 1)
             dofs = classify_dofs(space, cls, serial)
             cons = build_constraints_serial(space, dofs, serial)
-            quads = [cut_quadrature(grid, ls, cls.lattice_of(k), 4)
-                     for k in range(1, cls.n_active + 1)]
+            quad = cut_quadrature(grid, ls, cls, 4)
             taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
             u = lambda p: p[:, 0] + p[:, 1]
-            elements = poisson_elements(space, quads, taus, None, u)
+            elements = poisson_elements(space, quad, taus, None, u)
             A_s, b_s = assemble_serial(space, dofs, cons, elements)
             sys_seconds += time.perf_counter() - t0
 
@@ -102,9 +97,7 @@ def equivalence_data():
                                            root_cell_data_provider(numbering))
                 dcons = [build_constraints_distributed(p, dist, bf)
                          for p, bf in zip(numbering.pieces, buffers)]
-                elems = [[elements[m.global_of(l) - 1]
-                          for l in range(1, m.n_local + 1)] for m in meshes]
-                system = assemble_distributed(rt, numbering, dcons, elems)
+                system = assemble_distributed(rt, numbering, dcons, elements)
                 A_d, b_d = system.gather()
                 perm = distributed_row_permutation(numbering, space, dofs)
                 pm = sp.csr_matrix(
@@ -303,23 +296,15 @@ def test_criterion_9_cut_geometry_quadrature():
     worst = 0.0
     for offset in (0.3, 0.5, 0.7251):
         ls = HalfPlane((1.0, 0.0), offset)
-        cls = classify_cells(grid, ls)
-        area = boundary = 0.0
-        for k in range(1, cls.n_active + 1):
-            q = cut_quadrature(grid, ls, cls.lattice_of(k), 2)
-            area += q.weights.sum()
-            boundary += q.boundary_weights.sum()
+        q = cut_quadrature(grid, ls, classify_cells(grid, ls), 2)
+        area, boundary = q.weights.sum(), q.boundary_weights.sum()
         worst = max(worst, abs(area - offset), abs(boundary - 1.0))
     ls = Sphere((0.5, 0.5), 0.3)
     errs = []
     for level in (4, 5, 6, 7):
         g = unit_box_grid(level, 2)
-        cls = classify_cells(g, ls)
-        area = perim = 0.0
-        for k in range(1, cls.n_active + 1):
-            q = cut_quadrature(g, ls, cls.lattice_of(k), 2)
-            area += q.weights.sum()
-            perim += q.boundary_weights.sum()
+        q = cut_quadrature(g, ls, classify_cells(g, ls), 2)
+        area, perim = q.weights.sum(), q.boundary_weights.sum()
         errs.append((abs(area - np.pi * 0.09), abs(perim - 2 * np.pi * 0.3)))
     rates = [min(np.log2(errs[i][j] / errs[i + 1][j]) for j in (0, 1))
              for i in range(3)]

@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from agfem.aggregation import aggregate_serial
+from dataclasses import replace
+
 from agfem.assembly import (AssemblyError, assemble_distributed, assemble_serial,
-                            element_poisson_nitsche, export_matrix_coo,
-                            nitsche_tau_agg, nitsche_tau_std, poisson_elements)
+                            export_matrix_coo, nitsche_tau_agg, nitsche_tau_std,
+                            poisson_elements)
 from agfem.distagg import aggregate_parallel, build_direct_plan, build_inverse_plan, import_root_data
 from agfem.distspace import (build_constraints_distributed,
                              distributed_row_permutation,
@@ -13,7 +15,7 @@ from agfem.distspace import (build_constraints_distributed,
 from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs, prolongate, shape_gradients,
                            shape_values)
-from agfem.geometry import CutQuadrature, classify_cells, cut_quadrature
+from agfem.geometry import classify_cells, cut_quadrature
 from agfem.grid import unit_box_grid
 from agfem.levelset import HalfPlane, Popcorn, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
@@ -37,7 +39,7 @@ def test_tau_std_grows_as_cut_shrinks():
     taus = []
     for frac in (0.5, 0.1, 0.01, 0.001):
         ls = HalfPlane((1, 0), frac)
-        quad = cut_quadrature(grid, ls, (0, 0), 4)
+        quad = cut_quadrature(grid, ls, classify_cells(grid, ls), 4)
         taus.append(nitsche_tau_std(space, 1, quad, 10.0))
     assert all(taus[i] < taus[i + 1] for i in range(3)), taus
     assert taus[0] >= nitsche_tau_agg(1.0, 10.0)
@@ -47,16 +49,17 @@ def test_tau_std_needs_boundary_and_floors_degenerate_rules():
     grid = unit_box_grid(0, 2)
     cls = classify_cells(grid, HalfPlane((1, 0), 0.5))
     space = build_std_space(cls, 1)
-    quad = cut_quadrature(grid, HalfPlane((1, 0), 5.0), (0, 0), 2)
+    interior = HalfPlane((1, 0), 5.0)
+    quad = cut_quadrature(grid, interior, classify_cells(grid, interior), 2)
     with pytest.raises(ValueError, match="no boundary rule"):
         nitsche_tau_std(space, 1, quad, 10.0)
     # degenerate boundary rule with zero weight: B = 0, floored at beta/h
-    base = cut_quadrature(grid, HalfPlane((1, 0), 0.5), (0, 0), 2)
-    degenerate = CutQuadrature(
-        points=base.points, weights=base.weights,
-        boundary_points=base.boundary_points[:1],
+    base = cut_quadrature(grid, HalfPlane((1, 0), 0.5), cls, 2)
+    degenerate = replace(
+        base, boundary_points=base.boundary_points[:1],
         boundary_weights=np.zeros(1),
-        boundary_normals=base.boundary_normals[:1])
+        boundary_normals=base.boundary_normals[:1],
+        boundary_offsets=np.array([0, 1]))
     assert nitsche_tau_std(space, 1, degenerate, 10.0) == \
         nitsche_tau_agg(1.0, 10.0)
 
@@ -66,9 +69,9 @@ def test_interior_stiffness_stencil():
     # neighbors -1/6, opposite corner -1/3, zero row sums
     grid, cls, _ = classified(0, HalfPlane((1, 0), 5.0))
     space = build_std_space(cls, 1)
-    quad = cut_quadrature(grid, HalfPlane((1, 0), 5.0), (0, 0), 4)
-    elem = element_poisson_nitsche(space, 1, quad, 0.0)
-    A = elem.matrix
+    quad = cut_quadrature(grid, HalfPlane((1, 0), 5.0), cls, 4)
+    mats, vecs = poisson_elements(space, quad, np.zeros(1))
+    A = mats[0]
     expected = np.array([
         [2 / 3, -1 / 6, -1 / 6, -1 / 3],
         [-1 / 6, 2 / 3, -1 / 3, -1 / 6],
@@ -76,18 +79,59 @@ def test_interior_stiffness_stencil():
         [-1 / 3, -1 / 6, -1 / 6, 2 / 3]])
     assert np.allclose(A, expected, atol=1e-14)
     assert np.allclose(A.sum(axis=1), 0.0, atol=1e-14)
-    assert np.allclose(elem.vector, 0.0)
+    assert np.allclose(vecs[0], 0.0)
+
+
+def _cell_element(space, quad, k, tau, f, g):
+    """Element matrix and vector of one cell, integrated over its own run
+    of the store: the per-cell reference for the batched pass."""
+    grid = space.classification.grid
+    d, q = grid.d, space.q
+    bulk = slice(*quad.offsets[k - 1:k + 1])
+    bnd = slice(*quad.boundary_offsets[k - 1:k + 1])
+    xi = space.reference_coords(k, quad.points[bulk])
+    grads = shape_gradients(q, d, xi) / grid.h
+    w = quad.weights[bulk]
+    A = np.einsum("nad,nbd,n->ab", grads, grads, w)
+    b = shape_values(q, d, xi).T @ (w * f(quad.points[bulk]))
+    xib = space.reference_coords(k, quad.boundary_points[bnd])
+    vals = shape_values(q, d, xib)
+    gn = np.einsum("nad,nd->na", shape_gradients(q, d, xib) / grid.h,
+                   quad.boundary_normals[bnd])
+    w = quad.boundary_weights[bnd]
+    A += tau * np.einsum("na,nb,n->ab", vals, vals, w)
+    A -= np.einsum("na,nb,n->ab", vals, gn, w)
+    A -= np.einsum("na,nb,n->ab", gn, vals, w)
+    b += (tau * vals - gn).T @ (w * g(quad.boundary_points[bnd]))
+    return A, b
+
+
+def test_elements_match_per_cell_integration():
+    # popcorn L3 spans many point chunks, so cells straddle chunk ends
+    ls = Popcorn()
+    grid, cls, _ = classified(3, ls, 3)
+    space = build_std_space(cls, 1)
+    quad = cut_quadrature(grid, ls, cls, 4)
+    f = lambda p: np.sin(p[:, 0]) + p[:, 1]
+    g = lambda p: p[:, 2] ** 2
+    taus = 10.0 + np.arange(cls.n_active) % 7
+    mats, vecs = poisson_elements(space, quad, taus, f, g)
+    for k in range(1, cls.n_active + 1):
+        A, b = _cell_element(space, quad, k, taus[k - 1], f, g)
+        assert np.allclose(mats[k - 1], A, rtol=0, atol=1e-13 * np.abs(A).max())
+        assert np.allclose(vecs[k - 1], b, rtol=0,
+                           atol=1e-13 * max(np.abs(b).max(), 1e-300))
 
 
 def test_homogeneous_data_gives_zero_vector():
     grid, cls, fa = classified(1, HalfPlane((1, 0), 0.75))
     space = build_std_space(cls, 1)
     k = int(cls.cut_ids[0])
-    quad = cut_quadrature(grid, HalfPlane((1, 0), 0.75), cls.lattice_of(k), 4)
-    elem = element_poisson_nitsche(space, k, quad, 10.0,
-                                   f=lambda p: np.zeros(p.shape[0]),
-                                   g=lambda p: np.zeros(p.shape[0]))
-    assert np.allclose(elem.vector, 0.0)
+    quad = cut_quadrature(grid, HalfPlane((1, 0), 0.75), cls, 4)
+    mats, vecs = poisson_elements(space, quad, np.full(cls.n_active, 10.0),
+                                  f=lambda p: np.zeros(p.shape[0]),
+                                  g=lambda p: np.zeros(p.shape[0]))
+    assert np.allclose(vecs[k - 1], 0.0)
 
 
 def _synthetic_boundary(grid, lattice):
@@ -127,13 +171,15 @@ def test_patch_consistency_for_harmonic_solution():
     space = build_std_space(cls, 1)
     u = lambda p: p[:, 0] + p[:, 1]
     tau = nitsche_tau_agg(0.5, 10.0)
-    elements = []
-    for k in range(1, cls.n_active + 1):
-        base = cut_quadrature(grid, HalfPlane((1, 0), 5.0),
-                              cls.lattice_of(k), 4)
-        bp, bw, bn = _synthetic_boundary(grid, cls.lattice_of(k))
-        quad = CutQuadrature(base.points, base.weights, bp, bw, bn)
-        elements.append(element_poisson_nitsche(space, k, quad, tau, None, u))
+    base = cut_quadrature(grid, HalfPlane((1, 0), 5.0), cls, 4)
+    rules = [_synthetic_boundary(grid, cls.lattice_of(k))
+             for k in range(1, cls.n_active + 1)]
+    quad = replace(
+        base, boundary_points=np.vstack([r[0] for r in rules]),
+        boundary_weights=np.concatenate([r[1] for r in rules]),
+        boundary_normals=np.vstack([r[2] for r in rules]),
+        boundary_offsets=np.cumsum([0] + [r[1].size for r in rules]))
+    elements = poisson_elements(space, quad, np.full(cls.n_active, tau), None, u)
     A, b = assemble_serial(space, None, None, elements)
     nodal = u(space.node_coords)
     assert np.max(np.abs(A @ nodal - b)) < 1e-12
@@ -145,16 +191,15 @@ def _serial_agg_system(level, ls, beta=10.0, f=None, g=None, d=2):
     space = build_std_space(cls, 1)
     dofs = classify_dofs(space, cls, rm)
     cons = build_constraints_serial(space, dofs, rm)
-    quads = [cut_quadrature(grid, ls, cls.lattice_of(k), 4)
-             for k in range(1, cls.n_active + 1)]
+    quad = cut_quadrature(grid, ls, cls, 4)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), beta))
-    elements = poisson_elements(space, quads, taus, f, g)
+    elements = poisson_elements(space, quad, taus, f, g)
     A, b = assemble_serial(space, dofs, cons, elements)
-    return grid, cls, space, dofs, cons, quads, taus, elements, A, b
+    return grid, cls, space, dofs, cons, quad, taus, elements, A, b
 
 
 def test_all_interior_assembly_is_standard():
-    grid, cls, space, dofs, cons, quads, taus, elements, A, b = \
+    grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(1, HalfPlane((1, 0), 5.0))
     assert cons.n_constrained == 0
     A_std, b_std = assemble_serial(space, None, None, elements)
@@ -163,44 +208,39 @@ def test_all_interior_assembly_is_standard():
 
 
 def test_matrix_symmetry():
-    grid, cls, space, dofs, cons, quads, taus, elements, A, b = \
+    grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(4, Sphere((0.5, 0.5), 0.3))
     dev = abs(A - A.T).max()
     assert dev <= 1e-12 * abs(A).max()
 
 
-def _direct_energy(space, dofs, cons, quads, taus, full):
+def _direct_energy(space, dofs, cons, quad, taus, full):
     """a(v, v) integrated directly from the prolongated nodal function."""
-    cls = space.classification
-    grid = cls.grid
-    total = 0.0
-    for k in range(1, cls.n_active + 1):
-        quad = quads[k - 1]
-        nodal = full[space.cell_dofs[k - 1] - 1]
-        if quad.weights.size:
-            xi = space.reference_coords(k, quad.points)
-            gv = np.einsum("nad,a->nd",
-                           shape_gradients(space.q, grid.d, xi) / grid.h, nodal)
-            total += float(quad.weights @ np.sum(gv * gv, axis=1))
-        if quad.has_boundary:
-            xib = space.reference_coords(k, quad.boundary_points)
-            vv = shape_values(space.q, grid.d, xib) @ nodal
-            gb = np.einsum("nad,a->nd",
-                           shape_gradients(space.q, grid.d, xib) / grid.h,
-                           nodal)
-            gn = np.einsum("nd,nd->n", gb, quad.boundary_normals)
-            w = quad.boundary_weights
-            total += float(w @ (taus[k - 1] * vv * vv - 2.0 * vv * gn))
-    return total
+    grid = space.classification.grid
+    cells = quad.bulk_cells()
+    nodal = full[space.cell_dofs[cells - 1] - 1]
+    xi = space.reference_coords(cells, quad.points)
+    gv = np.einsum("nad,na->nd",
+                   shape_gradients(space.q, grid.d, xi) / grid.h, nodal)
+    total = float(quad.weights @ np.sum(gv * gv, axis=1))
+    cells = quad.boundary_cells()
+    nodal = full[space.cell_dofs[cells - 1] - 1]
+    xib = space.reference_coords(cells, quad.boundary_points)
+    vv = np.einsum("na,na->n", shape_values(space.q, grid.d, xib), nodal)
+    gb = np.einsum("nad,na->nd",
+                   shape_gradients(space.q, grid.d, xib) / grid.h, nodal)
+    gn = np.einsum("nd,nd->n", gb, quad.boundary_normals)
+    w = quad.boundary_weights
+    return total + float(w @ (taus[cells - 1] * vv * vv - 2.0 * vv * gn))
 
 
 def test_energy_identity_against_direct_integration(rng):
-    grid, cls, space, dofs, cons, quads, taus, elements, A, b = \
+    grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(3, Sphere((0.5, 0.5), 0.3))
     for _ in range(5):
         v = rng.standard_normal(dofs.n_interior)
         full = prolongate(dofs, cons, v)
-        quad_energy = _direct_energy(space, dofs, cons, quads, taus, full)
+        quad_energy = _direct_energy(space, dofs, cons, quad, taus, full)
         matrix_energy = float(v @ (A @ v))
         assert abs(quad_energy - matrix_energy) <= 1e-11 * max(
             1.0, abs(matrix_energy))
@@ -209,13 +249,13 @@ def test_energy_identity_against_direct_integration(rng):
 def test_spd_for_aggregated_space():
     for offset_frac in (0.5, 1e-3, 1e-6):
         ls = HalfPlane((1, 0), 0.5 + offset_frac * 0.0625)
-        grid, cls, space, dofs, cons, quads, taus, elements, A, b = \
+        grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
             _serial_agg_system(4, ls)
         np.linalg.cholesky(A.toarray())  # raises if not SPD
 
 
 def test_unknown_dof_rejected():
-    grid, cls, space, dofs, cons, quads, taus, elements, A, b = \
+    grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(2, HalfPlane((1, 0), 0.6))
     broken = sp.csr_matrix((dofs.n_interior, dofs.n_interior))
     cons_missing = type(cons)(constrained=cons.constrained[:-1],
@@ -226,17 +266,11 @@ def test_unknown_dof_rejected():
 
 
 def _distributed_system(level, ls, n_parts, elements, space, dofs):
-    grid = space.classification.grid
     cls = space.classification
-    from agfem.geometry import face_is_active
-
-    def fa(a, b):
-        return face_is_active(grid, ls, cls.lattice_of(a), cls.lattice_of(b))
-
     part = partition_weighted_sfc(cls, n_subdomains=n_parts)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(n_parts)
-    dist = aggregate_parallel(rt, meshes, fa)
+    dist = aggregate_parallel(rt, meshes, cls.face_active)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     numbering = number_dofs_distributed(rt, meshes, 1)
@@ -244,16 +278,14 @@ def _distributed_system(level, ls, n_parts, elements, space, dofs):
                                root_cell_data_provider(numbering))
     dcons = [build_constraints_distributed(p, dist, bf)
              for p, bf in zip(numbering.pieces, buffers)]
-    elems_per_s = [[elements[m.global_of(l) - 1]
-                    for l in range(1, m.n_local + 1)] for m in meshes]
-    system = assemble_distributed(rt, numbering, dcons, elems_per_s)
+    system = assemble_distributed(rt, numbering, dcons, elements)
     perm = distributed_row_permutation(numbering, space, dofs)
     return system, perm
 
 
 def test_distributed_assembly_single_process_exact():
     ls = Sphere((0.5, 0.5), 0.3)
-    grid, cls, space, dofs, cons, quads, taus, elements, A, b = \
+    grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(3, ls, g=lambda p: p[:, 0])
     system, perm = _distributed_system(3, ls, 1, elements, space, dofs)
     assert sum(system.staged_counts) == 0
@@ -268,7 +300,7 @@ def test_distributed_assembly_single_process_exact():
 ], ids=["circle-2d-L5-P4", "popcorn-3d-L3-P8"])
 def test_distributed_assembly_matches_serial(d, level, ls, n_parts):
     # the canonical summation order makes the systems bitwise equal
-    grid, cls, space, dofs, cons, quads, taus, elements, A, b = \
+    grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(level, ls, g=lambda p: np.sum(p, axis=1), d=d)
     system, perm = _distributed_system(level, ls, n_parts, elements, space,
                                        dofs)
@@ -285,7 +317,7 @@ def test_distributed_assembly_matches_serial(d, level, ls, n_parts):
 
 
 def test_matrix_export_format(tmp_path):
-    grid, cls, space, dofs, cons, quads, taus, elements, A, b = \
+    grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(2, HalfPlane((1, 0), 0.6))
     path = tmp_path / "matrix.txt"
     export_matrix_coo(A, path)

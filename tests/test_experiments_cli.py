@@ -63,6 +63,9 @@ def test_cmd_solve_writes_record_and_dumps(tmp_path):
     for name in ("aggregates.csv", "constraints.csv", "matrix.txt",
                  "solve_report.csv", "timings.csv"):
         assert (tmp_path / name).exists(), name
+    with open(tmp_path / "timings.csv") as fh:
+        phases = [row["phase"] for row in csv.DictReader(fh)]
+    assert phases[:2] == ["classify", "quadrature"]
 
 
 def test_runs_csv_is_deterministic(tmp_path):

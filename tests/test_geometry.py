@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from agfem.geometry import (CUT, EXTERIOR, INTERIOR, ClassificationError,
-                            classify_cells, cut_quadrature, face_is_active)
+                            _corner_values, _cut_volume, classify_cells,
+                            cut_quadrature)
 from agfem.grid import unit_box_grid
-from agfem.levelset import CallableLevelSet, HalfPlane, Sphere
-from agfem.levelset import gradient as ls_gradient
+from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
+
+from conftest import gradient
 
 
 def test_classify_all_interior():
@@ -61,126 +63,166 @@ def test_nonfinite_level_set_reports_cell():
         classify_cells(grid, CallableLevelSet(bad, "bad"))
 
 
+def _store(level, ls, order, d=2):
+    grid = unit_box_grid(level, d)
+    cls = classify_cells(grid, ls)
+    return grid, cls, cut_quadrature(grid, ls, cls, order)
+
+
+def _per_cell(cls, cells, values):
+    return np.bincount(cells - 1, values, minlength=cls.n_active)
+
+
 def test_interior_cell_uses_tensor_rule():
-    grid = unit_box_grid(1, 2)
-    quad = cut_quadrature(grid, HalfPlane((1, 0), 5.0), (0, 0), 2)
-    assert quad.weights.sum() == pytest.approx(0.25, abs=1e-15)
+    grid, cls, quad = _store(1, HalfPlane((1, 0), 5.0), 2)
+    assert cls.n_active == 4 and cls.cut_ids.size == 0
+    cell = slice(*quad.offsets[:2])
+    assert quad.weights[cell].sum() == pytest.approx(0.25, abs=1e-15)
     assert quad.boundary_weights.size == 0
     assert np.all(quad.weights > 0)
 
 
 def test_halfplane_cut_is_exact():
-    grid = unit_box_grid(0, 2)
-    quad = cut_quadrature(grid, HalfPlane((1, 0), 0.5), (0, 0), 2)
+    grid, cls, quad = _store(0, HalfPlane((1, 0), 0.5), 2)
     assert abs(quad.weights.sum() - 0.5) < 1e-12
     assert abs(quad.boundary_weights.sum() - 1.0) < 1e-12
     assert np.allclose(quad.boundary_normals, [1.0, 0.0])
 
     # oblique cuts stay exact at finer levels
     for level in (2, 4):
-        g = unit_box_grid(level, 2)
         ls = HalfPlane(np.array([1.0, 2.0]) / np.sqrt(5.0), 0.31)
-        cls = classify_cells(g, ls)
-        area = 0.0
-        for k in range(1, cls.n_active + 1):
-            q = cut_quadrature(g, ls, cls.lattice_of(k), 2)
-            area += q.weights.sum()
+        grid, cls, quad = _store(level, ls, 2)
         # {x + 2y < c} with c = 0.31*sqrt(5) < 1 clips a triangle of area
         # c^2/4 = 0.31^2 * 5 / 4 off the unit square
         exact = 0.31**2 * 5.0 / 4.0
-        assert abs(area - exact) < 1e-12
+        assert abs(quad.weights.sum() - exact) < 1e-12
 
 
 def test_halfplane_exact_3d():
-    grid = unit_box_grid(0, 3)
-    quad = cut_quadrature(grid, HalfPlane((1, 0, 0), 0.5), (0, 0, 0), 2)
+    grid, cls, quad = _store(0, HalfPlane((1, 0, 0), 0.5), 2, d=3)
     assert abs(quad.weights.sum() - 0.5) < 1e-12
     assert abs(quad.boundary_weights.sum() - 1.0) < 1e-12
     assert np.allclose(quad.boundary_normals, [1.0, 0.0, 0.0])
 
 
 def test_circle_measures_level_six():
-    grid = unit_box_grid(6, 2)
-    ls = Sphere((0.5, 0.5), 0.3)
-    cls = classify_cells(grid, ls)
-    area = perimeter = 0.0
-    for k in range(1, cls.n_active + 1):
-        q = cut_quadrature(grid, ls, cls.lattice_of(k), 2)
-        area += q.weights.sum()
-        perimeter += q.boundary_weights.sum()
-    assert abs(area - np.pi * 0.09) < 1e-3
-    assert abs(perimeter - 2 * np.pi * 0.3) < 1e-2
+    grid, cls, quad = _store(6, Sphere((0.5, 0.5), 0.3), 2)
+    assert abs(quad.weights.sum() - np.pi * 0.09) < 1e-3
+    assert abs(quad.boundary_weights.sum() - 2 * np.pi * 0.3) < 1e-2
 
 
 def test_circle_measures_converge_first_order():
     ls = Sphere((0.5, 0.5), 0.3)
     errs_area, errs_perim = [], []
     for level in (4, 5, 6, 7):
-        grid = unit_box_grid(level, 2)
-        cls = classify_cells(grid, ls)
-        area = perimeter = 0.0
-        for k in range(1, cls.n_active + 1):
-            q = cut_quadrature(grid, ls, cls.lattice_of(k), 2)
-            area += q.weights.sum()
-            perimeter += q.boundary_weights.sum()
-        errs_area.append(abs(area - np.pi * 0.09))
-        errs_perim.append(abs(perimeter - 2 * np.pi * 0.3))
+        grid, cls, quad = _store(level, ls, 2)
+        errs_area.append(abs(quad.weights.sum() - np.pi * 0.09))
+        errs_perim.append(abs(quad.boundary_weights.sum() - 2 * np.pi * 0.3))
     for errs in (errs_area, errs_perim):
         rates = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
         assert min(rates) > 0.9, rates
 
 
 def test_weights_positive_and_bounded():
-    grid = unit_box_grid(3, 2)
-    ls = Sphere((0.45, 0.55), 0.27)
-    cls = classify_cells(grid, ls)
-    for k in range(1, cls.n_active + 1):
-        q = cut_quadrature(grid, ls, cls.lattice_of(k), 3)
-        assert np.all(q.weights >= -1e-15)
-        assert q.weights.sum() <= grid.cell_volume * (1 + 1e-12)
-        assert np.allclose(np.linalg.norm(q.boundary_normals, axis=1), 1.0,
-                           atol=1e-12) or q.boundary_weights.size == 0
+    grid, cls, quad = _store(3, Sphere((0.45, 0.55), 0.27), 3)
+    assert np.all(quad.weights >= -1e-15)
+    volumes = _per_cell(cls, quad.bulk_cells(), quad.weights)
+    assert np.all(volumes <= grid.cell_volume * (1 + 1e-12))
+    assert np.allclose(np.linalg.norm(quad.boundary_normals, axis=1), 1.0,
+                       atol=1e-12)
 
 
 def test_normals_align_with_gradient():
-    grid = unit_box_grid(5, 2)
-    ls = Sphere((0.5, 0.5), 0.3)
-    cls = classify_cells(grid, ls)
+    # holds where the mesh resolves the level set; on popcorn L3 a few
+    # facets of the linearized surface face against the true gradient
+    for level, ls, d in ((5, Sphere((0.5, 0.5), 0.3), 2), (4, Popcorn(), 3)):
+        grid, cls, quad = _store(level, ls, 2, d)
+        assert quad.boundary_weights.size > 0
+        grads = gradient(ls, quad.boundary_points, 1e-7)
+        assert np.all(np.einsum("nd,nd->n", grads, quad.boundary_normals) > 0)
+
+
+@pytest.mark.parametrize("level, ls, d", [
+    (5, Sphere((0.5, 0.5), 0.3), 2),
+    (3, Popcorn(), 3),
+], ids=["circle-2d-L5", "popcorn-3d-L3"])
+def test_normals_point_out_of_the_discrete_domain(level, ls, d):
+    # divergence theorem on the linearized domain, exact for linear
+    # fields: d |Omega_h| = int_Gamma_h (x - c).n for any c; a facet
+    # whose normal points inward breaks it
+    grid, cls, quad = _store(level, ls, 2, d)
+    volume = d * quad.weights.sum()
+    for c in (np.full(d, 0.5), np.array([0.3, 0.6, 0.45])[:d]):
+        flux = quad.boundary_weights @ np.einsum(
+            "nd,nd->n", quad.boundary_points - c, quad.boundary_normals)
+        assert abs(flux - volume) <= 1e-13 * volume
+
+
+@pytest.mark.parametrize("level, ls, d", [
+    (5, Sphere((0.5, 0.5), 0.3), 2),
+    (3, Popcorn(), 3),
+], ids=["circle-2d-L5", "popcorn-3d-L3"])
+def test_store_files_points_under_their_cells(level, ls, d):
+    grid, cls, quad = _store(level, ls, 4, d)
+    for offsets, cells, pts in (
+            (quad.offsets, quad.bulk_cells(), quad.points),
+            (quad.boundary_offsets, quad.boundary_cells(), quad.boundary_points)):
+        assert offsets.shape == (cls.n_active + 1,) and offsets[0] == 0
+        assert np.all(np.diff(offsets) >= 0) and offsets[-1] == len(pts)
+        assert np.array_equal(cells, np.repeat(np.arange(1, cls.n_active + 1),
+                                               np.diff(offsets)))
+        lo = grid.cell_origin(cls.id_to_lattice[cells - 1])
+        assert np.all((pts >= lo) & (pts <= lo + grid.h))
+    # every cut cell's weights sum to its clipped volume
+    volumes = _per_cell(cls, quad.bulk_cells(), quad.weights)
+    centers = ls(cls.barycenters())
+    corners = _corner_values(cls.vertex_values, d)
     for k in cls.cut_ids:
-        q = cut_quadrature(grid, ls, cls.lattice_of(int(k)), 2)
-        if q.boundary_weights.size == 0:
-            continue
-        grads = ls_gradient(ls, q.boundary_points, 1e-7)
-        assert np.all(np.einsum("nd,nd->n", grads, q.boundary_normals) > 0)
+        lattice = cls.lattice_of(k)
+        clipped = _cut_volume(grid, lattice, corners[tuple(lattice)],
+                              float(centers[k - 1]), cls.tol)
+        assert abs(volumes[k - 1] - clipped) <= 1e-14 * clipped
+    assert np.array_equal(np.unique(quad.boundary_cells()), cls.cut_ids)
 
 
 def test_zero_measure_cut_demoted():
     grid = unit_box_grid(1, 2)
     # boundary grazes the right edge: kept volume below the demotion cutoff
     ls = HalfPlane((-1.0, 0.0), -(1.0 - 1e-16))
-    quad = cut_quadrature(grid, ls, (1, 0), 2)
-    assert quad.is_empty
     cls = classify_cells(grid, ls)
     assert np.all(cls.labels[1, :] == EXTERIOR)
+    quad = cut_quadrature(grid, ls, cls, 2)
+    assert quad.weights.size == 0 and quad.boundary_weights.size == 0
 
 
 def test_face_activity():
     grid = unit_box_grid(2, 2)
     inside = HalfPlane((1, 0), 0.9)
-    assert face_is_active(grid, inside, (1, 1), (2, 1))
-    outside = HalfPlane((1, 0), 0.1)
-    assert not face_is_active(grid, outside, (2, 1), (3, 1))
+    cls = classify_cells(grid, inside)
+    assert cls.face_active(cls.id_at((1, 1)), cls.id_at((2, 1)))
+    # two disks, one in each of the cut cells (0, 0) and (1, 0): their
+    # shared face lies outside both
+    disks = CallableLevelSet(
+        lambda p: np.minimum(np.hypot(p[:, 0] - 0.05, p[:, 1] - 0.05),
+                             np.hypot(p[:, 0] - 0.45, p[:, 1] - 0.05)) - 0.1,
+        "disks")
+    cls = classify_cells(grid, disks)
+    a, b = cls.id_at((0, 0)), cls.id_at((1, 0))
+    assert a and b and not cls.face_active(a, b)
     # one face vertex at psi = -0.1, crossing along the face
     crossing = CallableLevelSet(
         lambda p: np.where(p[:, 1] < 0.3, -0.1, 0.3 * np.ones(p.shape[0])),
         "step")
-    assert face_is_active(grid, crossing, (0, 0), (1, 0))
+    cls = classify_cells(grid, crossing)
+    assert cls.face_active(cls.id_at((0, 0)), cls.id_at((1, 0)))
     with pytest.raises(ValueError, match="not face neighbors"):
-        face_is_active(grid, inside, (0, 0), (2, 0))
+        cls.face_active(cls.id_at((0, 0)), cls.id_at((2, 0)))
 
 
 def test_face_activity_zero_vertices_inactive():
     # psi = 0 on the whole face: the domain is the strict negative set
     grid = unit_box_grid(1, 2)
-    ls = HalfPlane((1, 0), 0.5)
-    assert not face_is_active(grid, ls, (0, 0), (1, 0))
+    ls = CallableLevelSet(lambda p: -(p[:, 0] - 0.5) ** 2, "valley")
+    cls = classify_cells(grid, ls)
+    a, b = cls.id_at((0, 0)), cls.id_at((1, 0))
+    assert a and b and not cls.face_active(a, b)

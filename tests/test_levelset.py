@@ -1,7 +1,9 @@
 import numpy as np
 
 from agfem.levelset import (CallableLevelSet, HalfPlane, Popcorn, Sphere,
-                            Transformed, gradient)
+                            Transformed)
+
+from conftest import gradient
 
 
 def test_halfplane_sign_convention():

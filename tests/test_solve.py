@@ -65,16 +65,15 @@ def _circle_system(level, rtol=1e-6, g=None, f=None):
     space = build_std_space(cls, 1)
     dofs = classify_dofs(space, cls, rm)
     cons = build_constraints_serial(space, dofs, rm)
-    quads = [cut_quadrature(grid, ls, cls.lattice_of(k), 4)
-             for k in range(1, cls.n_active + 1)]
+    quad = cut_quadrature(grid, ls, cls, 4)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
-    elements = poisson_elements(space, quads, taus, f, g)
+    elements = poisson_elements(space, quad, taus, f, g)
     A, b = assemble_serial(space, dofs, cons, elements)
-    return space, dofs, cons, quads, A, b
+    return space, dofs, cons, quad, A, b
 
 
 def test_lanczos_close_to_dense_on_fe_system():
-    space, dofs, cons, quads, A, b = _circle_system(4)
+    space, dofs, cons, quad, A, b = _circle_system(4)
     dense = condition_estimate(A, "dense")
     lanczos = condition_estimate(A, "lanczos")
     assert abs(lanczos - dense) <= 0.1 * dense
@@ -83,9 +82,9 @@ def test_lanczos_close_to_dense_on_fe_system():
 def test_interpolant_has_zero_error():
     u = lambda p: p[:, 0] + p[:, 1]
     gu = lambda p: np.ones_like(p)
-    space, dofs, cons, quads, A, b = _circle_system(4, g=u)
+    space, dofs, cons, quad, A, b = _circle_system(4, g=u)
     exact = u(space.node_coords[dofs.interior_ids - 1])
-    norms = error_norms(space, dofs, cons, quads, exact, u, gu)
+    norms = error_norms(space, dofs, cons, quad, exact, u, gu)
     assert norms.l2 <= 1e-12 and norms.h1_semi <= 1e-12
     assert not norms.absolute
 
@@ -93,8 +92,8 @@ def test_interpolant_has_zero_error():
 def test_zero_exact_solution_flags_absolute_norms():
     u = lambda p: np.zeros(p.shape[0])
     gu = lambda p: np.zeros_like(p)
-    space, dofs, cons, quads, A, b = _circle_system(3, g=u)
-    norms = error_norms(space, dofs, cons, quads,
+    space, dofs, cons, quad, A, b = _circle_system(3, g=u)
+    norms = error_norms(space, dofs, cons, quad,
                         np.zeros(dofs.n_interior), u, gu)
     assert norms.absolute
     assert norms.l2 == 0.0
@@ -103,19 +102,19 @@ def test_zero_exact_solution_flags_absolute_norms():
 def test_error_tracks_solver_tolerance():
     u = lambda p: p[:, 0] + p[:, 1]
     gu = lambda p: np.ones_like(p)
-    space, dofs, cons, quads, A, b = _circle_system(4, g=u)
+    space, dofs, cons, quad, A, b = _circle_system(4, g=u)
     x6, rep6 = pcg_jacobi((A, b), rtol=1e-6)
-    n6 = error_norms(space, dofs, cons, quads, x6, u, gu)
+    n6 = error_norms(space, dofs, cons, quad, x6, u, gu)
     assert rep6.converged
     assert n6.l2 <= 10 * 1e-6
     x9, rep9 = pcg_jacobi((A, b), rtol=1e-9)
-    n9 = error_norms(space, dofs, cons, quads, x9, u, gu)
+    n9 = error_norms(space, dofs, cons, quad, x9, u, gu)
     assert rep9.converged
     assert n9.l2 <= n6.l2 / 100.0
 
 
 def test_galerkin_consistency_for_in_span_solution():
     u = lambda p: p[:, 0] + p[:, 1]
-    space, dofs, cons, quads, A, b = _circle_system(4, g=u)
+    space, dofs, cons, quad, A, b = _circle_system(4, g=u)
     xstar = u(space.node_coords[dofs.interior_ids - 1])
     assert np.max(np.abs(A @ xstar - b)) <= 1e-12
