@@ -1,17 +1,17 @@
 """Aggregated unfitted finite elements on Cartesian background grids.
 
-Level-set cell classification, serial and distributed cell aggregation,
+Level-set cell classification, cell aggregation on any number of subdomains,
 constrained aggregated FE spaces, Nitsche-Poisson assembly, and a
 Jacobi-preconditioned CG solver, all reproducible on a deterministic
 virtual-process runtime.
 """
 
-from .aggregation import (AggregateSet, AggregationStalledError, RootMap,
-                          aggregate_serial, aggregates)
+from .aggregation import (AggregateSet, AggregationStalledError, DistRootMap,
+                          RootMap, aggregate_parallel, aggregate_serial,
+                          aggregates, gather_root_map)
 from .assembly import (DistributedSystem, assemble_distributed, assemble_serial,
                        nitsche_tau_agg, nitsche_tau_std, poisson_elements)
-from .distagg import (DistRootMap, aggregate_parallel, build_direct_plan,
-                      build_inverse_plan, import_root_data)
+from .distagg import build_direct_plan, build_inverse_plan, import_root_data
 from .distspace import (DistNumbering, build_constraints_distributed,
                         number_dofs_distributed)
 from .fespace import (AgConstraints, DofClassification, StdSpace,
@@ -41,7 +41,7 @@ __all__ = [
     "build_direct_plan", "build_grid", "build_inverse_plan",
     "build_std_space", "build_subdomain_meshes", "classify_cells",
     "classify_dofs", "condition_estimate", "cut_quadrature", "error_norms",
-    "face_neighbors", "import_root_data", "nitsche_tau_agg",
+    "face_neighbors", "gather_root_map", "import_root_data", "nitsche_tau_agg",
     "nitsche_tau_std", "number_dofs_distributed", "partition_weighted_sfc", "pcg_jacobi",
     "poisson_elements", "prolongate", "unit_box_grid",
 ]

@@ -1,13 +1,18 @@
-"""Serial cell aggregation.
+"""Cell aggregation: one sweep over subdomain views.
 
-Every active cell is assigned a root interior cell by sweeping over the
-untouched cut cells: a cut cell joins the aggregate of a face neighbor
-that was already touched at the start of the round and whose shared face
-intersects the domain.  Among candidates the one whose root-cell
-barycenter is closest to the current cell wins; ties go to the smaller
-neighbor id.  The candidate snapshot is frozen per round, which makes the
-result independent of the in-round scan order and lets the distributed
-variant reproduce it exactly.
+Every active cell is assigned a root interior cell.  The sweep runs in
+rounds over the untouched cut cells: a cut cell joins the aggregate of a
+face neighbor that was touched by the end of the previous round and
+whose shared face is open (intersects the domain).  Among candidates
+the one whose root-cell barycenter is closest to the cell wins; ties go
+to the smaller neighbor id.  Each round reads a frozen snapshot, so the
+result does not depend on the order in which cells or subdomains are
+visited, and the sweep runs unchanged on any partition: every subdomain
+assigns its owned cut cells from its view's face table, and a
+nearest-neighbor exchange refreshes the ghost copies between rounds.
+The sweep stops when no owned cell anywhere is untouched, so its round
+count does not depend on the partition.  Serial aggregation is the run
+on one subdomain.
 """
 
 from __future__ import annotations
@@ -16,7 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CellClassification
+from .geometry import CUT, INTERIOR, CellClassification
+from .partition import (Partition, SubdomainMesh, build_subdomain_meshes,
+                        group_sorted)
+from .runtime import VirtualRuntime
 
 
 class AggregationStalledError(RuntimeError):
@@ -53,139 +61,204 @@ class RootMap:
         return self.root.size
 
 
-def pick_candidate(candidates, roots_of_candidates, cell_barycenter,
-                   root_barycenters) -> int:
-    """Index into `candidates` of the winner under the distance/id tie-break."""
-    best = 0
-    best_dist = None
-    for i, (cand, rb) in enumerate(zip(candidates, root_barycenters)):
-        dist = float(np.sum((rb - cell_barycenter) ** 2))
-        if best_dist is None or dist < best_dist or (
-                dist == best_dist and cand < candidates[best]):
-            best = i
-            best_dist = dist
-    return best
+@dataclass
+class DistRootMap:
+    """Per-subdomain root maps over local ids; values are global ids."""
+
+    roots: list        # per s: (n_relevant,) global root id
+    root_owners: list  # per s: (n_relevant,) subdomain owning the root
+    nexts: list        # per s: (n_relevant,) global id of the next cell
+    rounds: int
+
+    def root_of(self, s: int, l: int) -> int:
+        return int(self.roots[s - 1][l - 1])
+
+    def owner_of(self, s: int, l: int) -> int:
+        return int(self.root_owners[s - 1][l - 1])
+
+    def next_of(self, s: int, l: int) -> int:
+        return int(self.nexts[s - 1][l - 1])
 
 
-def aggregate_serial(classification: CellClassification, face_active,
-                     neighbors=None, barycenters=None) -> RootMap:
-    """Run the serial aggregation sweep.
+def assign_round(cells, face_ids, face_open, root, global_ids, barycenters):
+    """One round of the sweep for the untouched cells ``cells`` (local ids).
 
-    Parameters
-    ----------
-    classification : active-cell classification.
-    face_active : callable (cell_id, cell_id) -> bool testing whether the
-        shared face intersects the domain.
-    neighbors : optional callable (cell_id) -> array of active neighbor
-        ids in deterministic order; defaults to the grid adjacency.
-    barycenters : optional (n_active, d) array; defaults to the lattice
-        barycenters.
+    Candidates are open-face neighbors touched in the frozen snapshot
+    ``root`` (-1 where untouched); each cell takes the candidate whose
+    root barycenter is closest, ties going to the smaller global id.
+    Returns the cells that found a candidate and the local id of the
+    neighbor each one chose.
     """
-    n = classification.n_active
-    if neighbors is None:
-        neighbors = classification.active_face_neighbors
-    if barycenters is None:
-        barycenters = classification.barycenters()
-    root = np.full(n, -1, dtype=np.int64)
-    nxt = np.full(n, -1, dtype=np.int64)
-    interior = classification.interior_ids
-    root[interior - 1] = interior
-    nxt[interior - 1] = interior
+    nb = face_ids[cells - 1]
+    # face_open is False where there is no neighbor (nb == 0)
+    ok = face_open[cells - 1] & (root[nb - 1] != -1)
+    cand_root = np.where(ok, root[nb - 1], 1)
+    diff = (barycenters[cand_root - 1]
+            - barycenters[global_ids[cells - 1] - 1][:, None, :])
+    dist = np.where(ok, np.sum(diff ** 2, axis=-1), np.inf)
+    best = dist.min(axis=1)
+    tie_ids = np.where(dist == best[:, None], global_ids[nb - 1],
+                       np.iinfo(np.int64).max)
+    pick = np.argmin(tie_ids, axis=1)
+    found = np.isfinite(best)
+    return cells[found], nb[found, pick[found]]
 
-    untouched = [int(k) for k in classification.cut_ids]
-    rounds = 0
-    while untouched:
-        touched = root != -1  # frozen snapshot for this round
-        assigned = []
-        for k in untouched:
-            cands, cand_roots = [], []
-            for nb in neighbors(k):
-                if touched[nb - 1] and face_active(k, int(nb)):
-                    cands.append(int(nb))
-                    cand_roots.append(int(root[nb - 1]))
-            if not cands:
-                continue
-            pick = pick_candidate(
-                cands, cand_roots, barycenters[k - 1],
-                [barycenters[r - 1] for r in cand_roots])
-            root[k - 1] = cand_roots[pick]
-            nxt[k - 1] = cands[pick]
-            assigned.append(k)
+
+def _refresh_ghosts(proc, agg, send, recv):
+    payloads = {sp: agg[:, ids - 1] for sp, ids in send.items() if ids.size}
+    received = yield proc.neighbor_exchange(payloads)
+    for sp, vals in received.items():
+        agg[:, recv[sp] - 1] = vals
+
+
+def _aggregate_body(proc, mesh: SubdomainMesh, barycenters):
+    g_ids = mesh.global_ids
+    interior = mesh.labels == INTERIOR
+    # rows: root, root owner, next cell; interior ghosts are known locally
+    agg = np.full((3, mesh.n_relevant), -1, dtype=np.int64)
+    agg[:, interior] = (g_ids[interior], mesh.owner_of_relevant[interior],
+                        g_ids[interior])
+    cut = mesh.labels == CUT
+    send = {sp: ids[cut[ids - 1]] for sp, ids in mesh.send_halo.items()}
+    recv = {sp: ids[cut[ids - 1]] for sp, ids in mesh.recv_halo.items()}
+    owned_cut = np.flatnonzero(cut[:mesh.n_local]) + 1
+
+    rounds, before = 0, None
+    while True:
+        untouched = owned_cut[agg[0, owned_cut - 1] == -1]
+        left = yield proc.sum_ordered(float(untouched.size))
+        if left == 0:
+            break
+        if left == before:
+            raise AggregationStalledError(g_ids[untouched - 1])
+        before = left
+        if rounds:
+            yield from _refresh_ghosts(proc, agg, send, recv)
+        cells, chosen = assign_round(untouched, mesh.face_ids, mesh.face_open,
+                                     agg[0], g_ids, barycenters)
+        agg[:, cells - 1] = agg[:, chosen - 1]
+        agg[2, cells - 1] = g_ids[chosen - 1]
         rounds += 1
-        if not assigned:
-            raise AggregationStalledError(untouched)
-        untouched = [k for k in untouched if root[k - 1] == -1]
-    return RootMap(root=root, next=nxt, rounds=rounds)
+    if rounds:
+        yield from _refresh_ghosts(proc, agg, send, recv)
+    return agg[0], agg[1], agg[2], rounds
+
+
+def aggregate_parallel(runtime, meshes, phase: str = "aggregate") -> DistRootMap:
+    """Run the aggregation sweep on the virtual runtime, one process per
+    subdomain view.  Ghost values are current on return."""
+    barycenters = meshes[0].classification.barycenters()
+    neighbor_sets = [set(m.neighbors.tolist()) for m in meshes]
+    results = runtime.run(
+        _aggregate_body, args=[(m, barycenters) for m in meshes],
+        phase=phase, neighbor_sets=neighbor_sets)
+    return DistRootMap(
+        roots=[r[0] for r in results],
+        root_owners=[r[1] for r in results],
+        nexts=[r[2] for r in results],
+        rounds=max(r[3] for r in results))
+
+
+def gather_root_map(meshes, dist_map: DistRootMap) -> RootMap:
+    """The global root map, read off each subdomain's owned cells."""
+    n = meshes[0].classification.n_active
+    root = np.empty(n, dtype=np.int64)
+    nxt = np.empty(n, dtype=np.int64)
+    for mesh, roots, nexts in zip(meshes, dist_map.roots, dist_map.nexts):
+        own = mesh.global_ids[:mesh.n_local] - 1
+        root[own] = roots[:mesh.n_local]
+        nxt[own] = nexts[:mesh.n_local]
+    return RootMap(root=root, next=nxt, rounds=dist_map.rounds)
+
+
+def aggregate_serial(classification: CellClassification) -> RootMap:
+    """The sweep on one subdomain that owns every active cell."""
+    n = classification.n_active
+    part = Partition(1, np.ones(n, dtype=np.int64), np.ones(n))
+    meshes = build_subdomain_meshes(classification, part)
+    return gather_root_map(meshes, aggregate_parallel(VirtualRuntime(1), meshes))
+
+
+def compare_with_serial(meshes, dist_map: DistRootMap, serial: RootMap):
+    """First (subdomain, global id, serial root, parallel root) mismatch."""
+    for mesh, roots in zip(meshes, dist_map.roots):
+        own = mesh.global_ids[:mesh.n_local]
+        bad = np.flatnonzero(roots[:mesh.n_local] != serial.root[own - 1])
+        if bad.size:
+            g = int(own[bad[0]])
+            return (mesh.s, g, serial.root_of(g), int(roots[bad[0]]))
+    return None
 
 
 @dataclass
 class AggregateSet:
-    """Aggregates grouped by root id, with path statistics."""
+    """Aggregate sizes by root id, with path statistics."""
 
-    members: dict
+    root: np.ndarray   # the validated root map
+    n_aggregates: int
     max_size: int
     max_path_length: int
 
     @property
-    def n_aggregates(self) -> int:
-        return len(self.members)
+    def members(self) -> dict:
+        """Root id -> ascending member cell ids."""
+        order = np.argsort(self.root, kind="stable")
+        return group_sorted(self.root[order], order + 1)
 
 
-def aggregates(classification: CellClassification, root_map: RootMap,
-               face_active=None) -> AggregateSet:
-    """Group cells by root and validate aggregate well-formedness.
+def _first(mask, message):
+    bad = np.flatnonzero(mask)
+    if bad.size:
+        raise AggregateValidationError(message(int(bad[0]) + 1))
 
-    Checks that the aggregates partition the active cells, that each one
-    contains exactly one interior cell (its root), and that following the
-    next-cell map from any member reaches the root through face-neighbor
-    steps whose shared faces are active.
+
+def aggregates(classification: CellClassification,
+               root_map: RootMap) -> AggregateSet:
+    """Validate aggregate well-formedness and measure the aggregates.
+
+    Checks that every cell is assigned, that each aggregate contains
+    exactly one interior cell (its root), and that following the
+    next-cell map from any member reaches the root through steps to face
+    neighbors across open faces.
     """
     n = classification.n_active
     if root_map.n_cells != n:
         raise AggregateValidationError("root map size does not match mesh")
-    if np.any(root_map.root == -1):
-        missing = np.flatnonzero(root_map.root == -1) + 1
+    root, nxt = root_map.root, root_map.next
+    if np.any(root == -1):
+        missing = np.flatnonzero(root == -1) + 1
         raise AggregateValidationError(f"unassigned cells: {missing.tolist()}")
 
-    interior = set(int(k) for k in classification.interior_ids)
-    members: dict[int, list[int]] = {}
-    for k in range(1, n + 1):
-        members.setdefault(int(root_map.root[k - 1]), []).append(k)
+    interior = ~classification.is_cut
+    _first((root < 1) | (root > n) | ~interior[np.clip(root, 1, n) - 1],
+           lambda k: f"aggregate rooted at {root[k - 1]} has a non-interior root")
+    n_interior = np.bincount(root[interior] - 1, minlength=n)
+    _first(n_interior[root - 1] != 1,
+           lambda k: f"aggregate rooted at {root[k - 1]} contains "
+                     f"{n_interior[root[k - 1] - 1]} interior cells")
 
-    for root_id, cells in members.items():
-        if root_id not in interior:
-            raise AggregateValidationError(
-                f"aggregate rooted at {root_id} has a non-interior root")
-        n_interior = sum(1 for c in cells if c in interior)
-        if n_interior != 1:
-            raise AggregateValidationError(
-                f"aggregate rooted at {root_id} contains {n_interior} "
-                f"interior cells (members {cells})")
+    cells = np.arange(1, n + 1)
+    step = nxt != cells
+    hit = classification.face_ids == nxt[:, None]
+    _first(step & ~hit.any(axis=1),
+           lambda k: f"next-cell {nxt[k - 1]} of cell {k} is not a face neighbor")
+    _first(step & ~(hit & classification.face_open).any(axis=1),
+           lambda k: f"path step {k} -> {nxt[k - 1]} crosses an inactive face")
+    _first(root[nxt - 1] != root,
+           lambda k: f"root changes along the path at {k} -> {nxt[k - 1]}")
 
-    max_path = 0
-    for k in range(1, n + 1):
-        path_len = 0
-        cur = k
-        while cur != root_map.next_of(cur):
-            nxt = root_map.next_of(cur)
-            if nxt not in set(int(x) for x in classification.active_face_neighbors(cur)):
-                raise AggregateValidationError(
-                    f"next-cell {nxt} of cell {cur} is not a face neighbor")
-            if face_active is not None and not face_active(cur, nxt):
-                raise AggregateValidationError(
-                    f"path step {cur} -> {nxt} crosses an inactive face")
-            if root_map.root_of(nxt) != root_map.root_of(cur):
-                raise AggregateValidationError(
-                    f"root changes along the path at {cur} -> {nxt}")
-            cur = nxt
-            path_len += 1
-            if path_len > n:
-                raise AggregateValidationError(f"next-cell cycle through {k}")
-        if cur != root_map.root_of(k):
-            raise AggregateValidationError(
-                f"path from {k} ends at {cur}, not its root {root_map.root_of(k)}")
-        max_path = max(max_path, path_len)
+    # walk every path at once, one step per pass
+    cur, length = cells.copy(), np.zeros(n, dtype=np.int64)
+    moving = step
+    while moving.any():
+        _first(moving & (length >= n), lambda k: f"next-cell cycle through {k}")
+        cur[moving] = nxt[cur[moving] - 1]
+        length += moving
+        moving = nxt[cur - 1] != cur
+    _first(cur != root, lambda k: f"path from {k} ends at {cur[k - 1]}, "
+                                  f"not its root {root[k - 1]}")
 
-    max_size = max((len(c) for c in members.values()), default=0)
-    return AggregateSet(members=members, max_size=max_size,
-                        max_path_length=max_path)
+    sizes = np.bincount(root - 1, minlength=n)
+    return AggregateSet(root=root, n_aggregates=int(np.count_nonzero(sizes)),
+                        max_size=int(sizes.max(initial=0)),
+                        max_path_length=int(length.max(initial=0)))

@@ -1,14 +1,12 @@
-"""Distributed cell aggregation and root-data import.
+"""Aggregation path plans and root-data import.
 
-The parallel sweep reproduces the serial aggregates exactly: each round
-refreshes ghost root values with a nearest-neighbor exchange, assigns
-untouched local cut cells against the frozen snapshot with the same
-distance/id tie-break as the serial sweep, and terminates on a global
-and-reduction.  Path plans are then reconstructed in both directions:
-the receive side is a communication-free scan, the send side forwards
-(first-cell, next-cell, origin) tuples along the aggregation paths using
-only nearest-neighbor traffic.  Only the final data import may route
-messages between non-neighbor subdomains.
+The aggregation sweep itself (``aggregation.aggregate_parallel``) leaves
+every subdomain with the roots, root owners and next cells of its
+locally relevant cells.  Path plans are reconstructed from these in
+both directions: the receive side is a communication-free scan, the
+send side forwards (first-cell, next-cell, origin) tuples along the
+aggregation paths using only nearest-neighbor traffic.  Only the final
+data import may route messages between non-neighbor subdomains.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import AggregationStalledError, RootMap, pick_candidate
+from .aggregation import DistRootMap
 from .geometry import CUT
 from .partition import SubdomainMesh
 
@@ -28,119 +26,6 @@ class PathReconstructionError(RuntimeError):
 
 class ImportProtocolError(RuntimeError):
     """A root-data buffer did not match its import plan."""
-
-
-@dataclass
-class DistRootMap:
-    """Per-subdomain root maps over local ids; values are global ids."""
-
-    roots: list        # per s: (n_relevant,) global root id
-    root_owners: list  # per s: (n_relevant,) subdomain owning the root
-    nexts: list        # per s: (n_relevant,) global id of the next cell
-    rounds: int
-
-    def root_of(self, s: int, l: int) -> int:
-        return int(self.roots[s - 1][l - 1])
-
-    def owner_of(self, s: int, l: int) -> int:
-        return int(self.root_owners[s - 1][l - 1])
-
-    def next_of(self, s: int, l: int) -> int:
-        return int(self.nexts[s - 1][l - 1])
-
-
-def _aggregate_body(proc, mesh: SubdomainMesh, face_active, barycenters):
-    cls = mesh.classification
-    n_rel = mesh.n_relevant
-    s = proc.rank
-    root = np.full(n_rel, -1, dtype=np.int64)
-    owner = np.full(n_rel, -1, dtype=np.int64)
-    nxt = np.full(n_rel, -1, dtype=np.int64)
-    for l in mesh.locals_interior():
-        g = mesh.global_of(l)
-        root[l - 1] = g
-        owner[l - 1] = s
-        nxt[l - 1] = g
-    local_cut = mesh.locals_cut()
-
-    rounds = 0
-    while True:
-        payloads = {}
-        for sp, send_ids in mesh.send_halo.items():
-            payloads[sp] = (root[send_ids - 1].copy(),
-                            owner[send_ids - 1].copy(),
-                            nxt[send_ids - 1].copy())
-        received = yield proc.neighbor_exchange(payloads)
-        for sp, (r_vals, o_vals, n_vals) in received.items():
-            idx = mesh.recv_halo[sp] - 1
-            root[idx] = r_vals
-            owner[idx] = o_vals
-            nxt[idx] = n_vals
-
-        touched = root != -1  # frozen snapshot; in-round assignments wait
-        progressed = False
-        for l in local_cut:
-            if root[l - 1] != -1:
-                continue
-            g = mesh.global_of(l)
-            cands, cand_roots, cand_owners = [], [], []
-            for nb in cls.active_face_neighbors(g):
-                l2 = mesh.local_id(int(nb))
-                if touched[l2 - 1] and face_active(g, int(nb)):
-                    cands.append(int(nb))
-                    cand_roots.append(int(root[l2 - 1]))
-                    cand_owners.append(int(owner[l2 - 1]))
-            if not cands:
-                continue
-            # root barycenters derive from global ids alone (lattice geometry)
-            pick = pick_candidate(
-                cands, cand_roots, barycenters[g - 1],
-                [barycenters[r - 1] for r in cand_roots])
-            root[l - 1] = cand_roots[pick]
-            owner[l - 1] = cand_owners[pick]
-            nxt[l - 1] = cands[pick]
-            progressed = True
-        rounds += 1
-
-        all_done = yield proc.reduce_logical_and(bool(np.all(root != -1)))
-        if all_done:
-            break
-        stalled = yield proc.reduce_logical_and(not progressed)
-        if stalled:
-            orphans = [mesh.global_of(l) for l in local_cut if root[l - 1] == -1]
-            raise AggregationStalledError(orphans)
-    return root, owner, nxt, rounds
-
-
-def aggregate_parallel(runtime, meshes, face_active, barycenters=None,
-                       phase: str = "aggregate") -> DistRootMap:
-    """Run the parallel aggregation sweep on the virtual runtime.
-
-    The restriction of the result to each subdomain's local cells equals
-    the serial root map for the same mesh.
-    """
-    if barycenters is None:
-        barycenters = meshes[0].classification.barycenters()
-    neighbor_sets = [set(int(x) for x in m.neighbors) for m in meshes]
-    results = runtime.run(
-        _aggregate_body,
-        args=[(m, face_active, barycenters) for m in meshes],
-        phase=phase, neighbor_sets=neighbor_sets)
-    return DistRootMap(
-        roots=[r[0] for r in results],
-        root_owners=[r[1] for r in results],
-        nexts=[r[2] for r in results],
-        rounds=max(r[3] for r in results))
-
-
-def compare_with_serial(meshes, dist_map: DistRootMap, serial: RootMap):
-    """First (subdomain, global id, serial root, parallel root) mismatch."""
-    for mesh, roots in zip(meshes, dist_map.roots):
-        for l in range(1, mesh.n_local + 1):
-            g = mesh.global_of(l)
-            if int(roots[l - 1]) != serial.root_of(g):
-                return (mesh.s, g, serial.root_of(g), int(roots[l - 1]))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distagg import DistRootMap, RootDataBuffer
+from .aggregation import DistRootMap
+from .distagg import RootDataBuffer
 from .fespace import AgConstraints, node_offsets, shape_values
 from .geometry import INTERIOR
 from .partition import SubdomainMesh

@@ -17,11 +17,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import svg
-from .aggregation import aggregate_serial, aggregates
+# aggregate_serial is not called here; it stays importable from this
+# module for perfbench, which wraps the pipeline's layers by name
+from .aggregation import (aggregate_parallel, aggregate_serial, aggregates,
+                          compare_with_serial, gather_root_map)
 from .assembly import (assemble_distributed, assemble_serial, export_matrix_coo,
                        nitsche_tau_agg, nitsche_tau_std, poisson_elements)
-from .distagg import (aggregate_parallel, build_direct_plan, build_inverse_plan,
-                      compare_with_serial, import_root_data)
+from .distagg import build_direct_plan, build_inverse_plan, import_root_data
 from .distspace import (build_constraints_distributed, distributed_row_permutation,
                         number_dofs_distributed, root_cell_data_provider)
 from .fespace import build_std_space, build_constraints_serial, classify_dofs
@@ -279,20 +281,26 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
                        runtime=None) -> SolveOutputs:
     """classify -> aggregate -> spaces/constraints -> assemble -> solve -> norms.
 
-    ``procs > 1`` assembles and solves only distributed, on ``runtime``."""
+    Aggregation runs once, on ``procs`` subdomains, for every process
+    count; ``procs > 1`` assembles and solves only distributed, on
+    ``runtime``."""
     timer = PhaseTimer()
     with timer.time("classify"):
-        grid, ls, cls, face_active = geometry_setup(cfg, level)
+        grid, ls, cls, _ = geometry_setup(cfg, level)
     with timer.time("quadrature"):
         quad = cut_quadrature(grid, ls, cls, cfg.quad_order)
-
-    root_map = None
-    agg_stats = None
-    constraints = None
-    with timer.time("aggregate"):
-        if cfg.space == "agg":
-            root_map = aggregate_serial(cls, face_active)
-            agg_stats = aggregates(cls, root_map, face_active)
+    meshes = dist_map = root_map = agg_stats = constraints = None
+    if cfg.space == "agg":  # validation rejects std with procs > 1
+        if runtime is None:
+            runtime = VirtualRuntime(cfg.procs, threads=cfg.threads,
+                                     trace=bool(cfg.trace))
+        with timer.time("partition"):
+            part = partition_weighted_sfc(cls, n_subdomains=cfg.procs)
+            meshes = build_subdomain_meshes(cls, part)
+        with timer.time("aggregate"):
+            dist_map = aggregate_parallel(runtime, meshes)
+            root_map = gather_root_map(meshes, dist_map)
+            agg_stats = aggregates(cls, root_map)
     with timer.time("space"):
         space = build_std_space(cls, 1)
         dofs = classify_dofs(space, cls, root_map)
@@ -318,7 +326,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
             x, report = pcg_jacobi((A, b), rtol=cfg.rtol, maxit=cfg.maxit)
         out.solution, out.report = x, report
     else:
-        _distributed_stage(cfg, out, elements, face_active, timer, runtime)
+        _distributed_stage(out, meshes, dist_map, elements, timer, runtime)
     with timer.time("norms"):
         if cfg.space == "agg":
             out.norms = error_norms(space, dofs, constraints, quad,
@@ -329,18 +337,10 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
     return out
 
 
-def _distributed_stage(cfg, out: SolveOutputs, elements, face_active, timer,
-                       runtime=None):
-    """Parallel aggregation, numbering, assembly, and solve for procs > 1."""
-    cls = out.classification
-    with timer.time("partition"):
-        part = partition_weighted_sfc(cls, n_subdomains=cfg.procs)
-        meshes = build_subdomain_meshes(cls, part)
-    if runtime is None:
-        runtime = VirtualRuntime(cfg.procs, threads=cfg.threads,
-                                 trace=bool(cfg.trace))
-    with timer.time("aggregate-parallel"):
-        dist_map = aggregate_parallel(runtime, meshes, face_active)
+def _distributed_stage(out: SolveOutputs, meshes, dist_map, elements, timer,
+                       runtime):
+    """Path plans, numbering, import, assembly, and solve for procs > 1."""
+    cfg = out.cfg
     with timer.time("plans"):
         direct = [build_direct_plan(m, dist_map) for m in meshes]
         inverse = build_inverse_plan(runtime, meshes, dist_map)
@@ -495,8 +495,7 @@ def _write_dumps(cfg, out: SolveOutputs, out_dir):
 def _owner_vector(meshes, cls):
     owner = np.zeros(cls.n_active, dtype=np.int64)
     for mesh in meshes:
-        for l in range(1, mesh.n_local + 1):
-            owner[mesh.global_of(l) - 1] = mesh.s
+        owner[mesh.global_ids[:mesh.n_local] - 1] = mesh.s
     return owner
 
 

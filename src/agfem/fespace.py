@@ -120,10 +120,6 @@ class StdSpace:
     def nodes_per_cell(self) -> int:
         return self.cell_dofs.shape[1]
 
-    def key_index(self) -> dict:
-        return {tuple(int(v) for v in k): i + 1
-                for i, k in enumerate(self.node_keys)}
-
     def reference_coords(self, cell_id, points: np.ndarray) -> np.ndarray:
         """Coordinates of ``points`` in the unit box of ``cell_id``: one
         cell id, or one per point."""

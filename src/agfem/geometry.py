@@ -4,7 +4,10 @@ Cells are classified against a level set by sampling at cell vertices:
 interior when psi < -tol at every vertex, exterior when the linearized
 cut region is empty, cut otherwise.  A vertex with psi >= -tol counts as
 outside (the domain is the strict negative set).  The vertex samples are
-kept for cut-cell corner values and face activity.
+kept for cut-cell corner values and for the face table, built once per
+classification in one array step: every active cell's face-neighbor ids
+and whether each shared face intersects the domain (is open), which is
+what aggregation paths may cross.
 
 Cut integration linearizes the level set on a simplex subdivision of the
 cell (four fan triangles around the center in 2D, the six-tetrahedron
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import BackgroundGrid, face_neighbors, morton_encode
+from .grid import FACE_STEPS, BackgroundGrid, morton_encode
 from .levelset import LevelSet
 
 EXTERIOR, INTERIOR, CUT = 0, 1, 2
@@ -398,7 +401,8 @@ class CellClassification:
     """Per-cell labels, the active-cell id tables and the vertex samples.
 
     Active cells (interior or cut) get contiguous 1-based global ids in
-    Morton order.  Exterior cells have id 0.
+    Morton order.  Exterior cells have id 0.  The face table lists each
+    active cell's face neighbors and which of those faces are open.
     """
 
     grid: BackgroundGrid
@@ -410,6 +414,8 @@ class CellClassification:
     interior_ids: np.ndarray = field(init=False)
     cut_ids: np.ndarray = field(init=False)
     is_cut: np.ndarray = field(init=False)
+    face_ids: np.ndarray = field(init=False)   # (n_active, 2d), 0: no neighbor
+    face_open: np.ndarray = field(init=False)  # (n_active, 2d) bool
 
     def __post_init__(self):
         lab = self.labels[tuple(self.id_to_lattice.T)]
@@ -417,6 +423,7 @@ class CellClassification:
         self.is_cut = lab == CUT
         self.interior_ids = ids[lab == INTERIOR]
         self.cut_ids = ids[self.is_cut]
+        self.face_ids, self.face_open = _face_table(self)
 
     @property
     def n_active(self) -> int:
@@ -428,43 +435,44 @@ class CellClassification:
     def id_at(self, lattice) -> int:
         return int(self.active_id[tuple(np.asarray(lattice, dtype=np.int64))])
 
-    def label_of(self, cell_id: int) -> int:
-        return int(self.labels[tuple(self.id_to_lattice[cell_id - 1])])
-
     def barycenters(self) -> np.ndarray:
         return self.grid.origin + (self.id_to_lattice + 0.5) * self.grid.h
 
-    def active_face_neighbors(self, cell_id: int) -> np.ndarray:
-        """Active-cell ids of face neighbors, deterministic -x,+x,-y,+y[,±z]."""
-        out = []
-        for nb in face_neighbors(self.grid, self.id_to_lattice[cell_id - 1]):
-            nb_id = self.active_id[tuple(nb)]
-            if nb_id > 0:
-                out.append(nb_id)
-        return np.asarray(out, dtype=np.int64)
+    def neighbor_ids(self, steps) -> np.ndarray:
+        """Active ids of the cells at ``lattice + step``, one row per active
+        cell and one column per step; 0 outside the grid or exterior."""
+        padded = np.pad(self.active_id, 1)
+        at = self.id_to_lattice[:, None, :] + 1 + np.asarray(steps)
+        return padded[tuple(np.moveaxis(at, -1, 0))]
 
-    def face_active(self, ka: int, kb: int) -> bool:
-        """True iff the face shared by active cells ``ka`` and ``kb``
-        intersects the domain: psi < -tol at some face vertex, or a raw
-        sign change of psi along a face edge (linear interpolation places
-        a sub-segment inside)."""
-        a, b = self.id_to_lattice[ka - 1], self.id_to_lattice[kb - 1]
-        diff = b - a
-        if np.sum(np.abs(diff)) != 1:
-            raise ValueError(f"cells {ka} and {kb} are not face neighbors")
-        axis = int(np.argmax(np.abs(diff)))
-        hi = np.maximum(a, b)
-        vals = self.vertex_values[tuple(
-            int(hi[ax]) if ax == axis else slice(hi[ax], hi[ax] + 2)
-            for ax in range(self.grid.d))]
-        if np.any(vals < -self.tol):
-            return True
-        return bool(np.any(vals < 0.0) and np.any(vals > 0.0))
+
+def _face_table(cls: CellClassification):
+    """Face-neighbor ids and open flags of every active cell, in the
+    order -x, +x, -y, +y[, -z, +z].
+
+    A face is open iff it is shared with an active cell and intersects
+    the domain: psi < -tol at some face vertex, or psi < 0 at one face
+    vertex and psi > 0 at another (linear interpolation then places part
+    of the face inside)."""
+    d = cls.grid.d
+    ids = cls.neighbor_ids(FACE_STEPS[d])
+    bits = np.array(list(itertools.product((0, 1), repeat=d)))
+    vals = cls.vertex_values[tuple(np.moveaxis(
+        cls.id_to_lattice[:, None, :] + bits, -1, 0))]
+    inside, neg, pos = vals < -cls.tol, vals < 0.0, vals > 0.0
+    open_ = np.empty(ids.shape, dtype=bool)
+    for axis in range(d):
+        for side in (0, 1):
+            on = bits[:, axis] == side
+            open_[:, 2 * axis + side] = inside[:, on].any(axis=1) | (
+                neg[:, on].any(axis=1) & pos[:, on].any(axis=1))
+    return ids, open_ & (ids > 0)
 
 
 def face_is_active(cls: CellClassification, ka: int, kb: int) -> bool:
-    """Function form of :meth:`CellClassification.face_active`."""
-    return cls.face_active(ka, kb)
+    """Whether active cells ``ka`` and ``kb`` share an open face, read off
+    the face table; False when they share no face."""
+    return bool(np.any(cls.face_open[ka - 1] & (cls.face_ids[ka - 1] == kb)))
 
 
 def _vertex_values(grid: BackgroundGrid, ls: LevelSet) -> np.ndarray:

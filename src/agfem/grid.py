@@ -15,7 +15,7 @@ import numpy as np
 _INT64_MAX = np.iinfo(np.int64).max
 
 # deterministic neighbor order: -x, +x, -y, +y, [-z, +z]
-_NEIGHBOR_STEPS = {
+FACE_STEPS = {
     2: np.array([[-1, 0], [1, 0], [0, -1], [0, 1]], dtype=np.int64),
     3: np.array(
         [[-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, 0], [0, 0, -1], [0, 0, 1]],
@@ -149,6 +149,6 @@ def face_neighbors(grid: BackgroundGrid, cell) -> np.ndarray:
     lat = np.asarray(cell, dtype=np.int64)
     if not grid.contains_lattice(lat):
         raise GridError(f"cell {tuple(lat)} outside grid")
-    cand = lat + _NEIGHBOR_STEPS[grid.d]
+    cand = lat + FACE_STEPS[grid.d]
     keep = np.all((cand >= 0) & (cand < grid.n_per_axis), axis=1)
     return cand[keep]

@@ -4,7 +4,10 @@ Subdomains own contiguous ranges of Morton-ordered cells; range
 boundaries balance per-subdomain weight sums.  Each subdomain view keeps
 its owned cells plus a ghost layer of every foreign active cell that
 shares a vertex, edge, or face with an owned cell, which guarantees all
-cells incident to any locally owned node are locally relevant.
+cells incident to any locally owned node are locally relevant.  All
+views are built in array steps from one vertex-adjacency table: ghost
+layers, matched halo lists, labels, and each view's own face table in
+local ids.
 """
 
 from __future__ import annotations
@@ -217,7 +220,9 @@ class SubdomainMesh:
 
     Local ids are 1-based; ``global_ids[l-1]`` maps back to the active
     mesh.  Halo lists pair up across subdomains by ascending global id,
-    so positional payloads line up without further negotiation.
+    so positional payloads line up without further negotiation.  The
+    face table is the global one restricted to the view, in local ids: 0
+    where the neighbor does not exist or is not locally relevant.
     """
 
     s: int
@@ -228,15 +233,14 @@ class SubdomainMesh:
     neighbors: np.ndarray             # sorted subdomain ids
     send_halo: dict                   # s' -> local ids of owned cells ghosted by s'
     recv_halo: dict                   # s' -> local ids of ghosts owned by s'
+    labels: np.ndarray                # (n_relevant,) INTERIOR or CUT
+    face_ids: np.ndarray              # (n_relevant, 2d) local ids
+    face_open: np.ndarray             # (n_relevant, 2d) bool
     local_of: dict = field(init=False)
-    labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.local_of = {int(g): l + 1 for l, g in enumerate(self.global_ids)}
-        lab = np.empty(self.global_ids.size, dtype=np.int8)
-        for i, g in enumerate(self.global_ids):
-            lab[i] = self.classification.label_of(int(g))
-        self.labels = lab
+        self.local_of = dict(zip(self.global_ids.tolist(),
+                                 range(1, self.global_ids.size + 1)))
 
     @property
     def n_relevant(self) -> int:
@@ -258,81 +262,70 @@ class SubdomainMesh:
     def is_relevant(self, global_id: int) -> bool:
         return int(global_id) in self.local_of
 
-    def locals_cut(self):
-        return [l for l in range(1, self.n_local + 1)
-                if self.labels[l - 1] == CUT]
+    def locals_cut(self) -> np.ndarray:
+        return np.flatnonzero(self.labels[:self.n_local] == CUT) + 1
 
-    def relevant_cut(self):
-        return [l for l in range(1, self.n_relevant + 1)
-                if self.labels[l - 1] == CUT]
+    def relevant_cut(self) -> np.ndarray:
+        return np.flatnonzero(self.labels == CUT) + 1
 
-    def locals_interior(self):
-        return [l for l in range(1, self.n_local + 1)
-                if self.labels[l - 1] == INTERIOR]
-
-    def relevant_interior(self):
-        return [l for l in range(1, self.n_relevant + 1)
-                if self.labels[l - 1] == INTERIOR]
+    def relevant_interior(self) -> np.ndarray:
+        return np.flatnonzero(self.labels == INTERIOR) + 1
 
 
-def _vertex_adjacent(classification: CellClassification, lattice) -> list:
-    grid = classification.grid
-    out = []
-    for off in itertools.product((-1, 0, 1), repeat=grid.d):
-        if all(o == 0 for o in off):
-            continue
-        nb = lattice + np.asarray(off, dtype=np.int64)
-        if np.all(nb >= 0) and np.all(nb < grid.n_per_axis):
-            nb_id = classification.active_id[tuple(nb)]
-            if nb_id > 0:
-                out.append(int(nb_id))
-    return out
+def group_sorted(keys: np.ndarray, values: np.ndarray) -> dict:
+    """{key: the values under it} for ``keys`` sorted ascending."""
+    uniq, starts = np.unique(keys, return_index=True)
+    return dict(zip(uniq.tolist(), np.split(values, starts[1:])))
 
 
 def build_subdomain_meshes(classification: CellClassification,
                            partition: Partition) -> list:
-    """Build every subdomain's local/ghost view plus matched halo lists."""
+    """Build every subdomain's local/ghost view plus matched halo lists.
+
+    The ghosts of subdomain s are the foreign active cells that share a
+    vertex with a cell of s, read off one vertex-adjacency table."""
+    cls = classification
+    n = cls.n_active
     owner = partition.owner_of_active
     n_parts = partition.n_subdomains
-    locals_per: list = [[] for _ in range(n_parts)]
-    for k in range(1, classification.n_active + 1):
-        locals_per[owner[k - 1] - 1].append(k)
-
-    ghosts_per: list = []
-    for s in range(1, n_parts + 1):
-        ghosts = set()
-        for k in locals_per[s - 1]:
-            for nb in _vertex_adjacent(classification, classification.lattice_of(k)):
-                if owner[nb - 1] != s:
-                    ghosts.add(nb)
-        ghosts_per.append(sorted(ghosts))
+    steps = [o for o in itertools.product((-1, 0, 1), repeat=cls.grid.d)
+             if any(o)]
+    adj = cls.neighbor_ids(steps)
+    # ghost pairs (s, g), sorted by s, then by g
+    host = np.broadcast_to(owner[:, None], adj.shape)
+    foreign = (adj > 0) & (owner[adj - 1] != host)
+    pairs = np.unique(host[foreign] * (n + 1) + adj[foreign])
+    ghost_s, ghost_g = np.divmod(pairs, n + 1)
+    ghost_owner = owner[ghost_g - 1]
+    ghost_bounds = np.searchsorted(ghost_s, np.arange(1, n_parts + 2))
+    # owned cells by subdomain, ascending; rank of each within its owner
+    by_owner = np.argsort(owner, kind="stable")
+    own_bounds = np.searchsorted(owner[by_owner], np.arange(1, n_parts + 2))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_owner] = np.arange(n) - np.repeat(own_bounds[:-1], np.diff(own_bounds))
+    # send side mirrors the receiver's ghost list: by sender, receiver, id
+    sends = np.lexsort((ghost_g, ghost_s, ghost_owner))
+    send_bounds = np.searchsorted(ghost_owner[sends], np.arange(1, n_parts + 2))
+    label = np.where(cls.is_cut, CUT, INTERIOR).astype(np.int8)
+    to_local = np.zeros(n + 1, dtype=np.int64)
 
     meshes = []
     for s in range(1, n_parts + 1):
-        own = np.asarray(locals_per[s - 1], dtype=np.int64)
-        gho = np.asarray(ghosts_per[s - 1], dtype=np.int64)
-        global_ids = np.concatenate([own, gho])
-        owner_rel = owner[global_ids - 1]
-        nbrs = np.unique(owner_rel[len(own):])
-        recv_halo = {}
-        for sp in nbrs:
-            sel = gho[owner[gho - 1] == sp]
-            recv_halo[int(sp)] = np.asarray(
-                [len(own) + int(np.searchsorted(gho, g)) + 1 for g in sel],
-                dtype=np.int64)
+        own = by_owner[own_bounds[s - 1]:own_bounds[s]] + 1
+        gs, ge = ghost_bounds[s - 1], ghost_bounds[s]
+        global_ids = np.concatenate([own, ghost_g[gs:ge]])
+        by_src = np.argsort(ghost_owner[gs:ge], kind="stable")
+        recv_halo = group_sorted(ghost_owner[gs:ge][by_src], own.size + 1 + by_src)
+        out = sends[send_bounds[s - 1]:send_bounds[s]]
+        send_halo = group_sorted(ghost_s[out], rank[ghost_g[out] - 1] + 1)
+        to_local[global_ids] = np.arange(1, global_ids.size + 1)
+        face_ids = to_local[cls.face_ids[global_ids - 1]]
+        to_local[global_ids] = 0
         meshes.append(SubdomainMesh(
-            s=s, classification=classification, global_ids=global_ids,
-            n_local=len(own), owner_of_relevant=owner_rel,
-            neighbors=nbrs.astype(np.int64), send_halo={}, recv_halo=recv_halo))
-
-    # send side mirrors the receiver's ghost list, both in ascending global id
-    for mesh in meshes:
-        for other in meshes:
-            if other.s == mesh.s:
-                continue
-            ghosts_owned_here = [g for g in ghosts_per[other.s - 1]
-                                 if owner[g - 1] == mesh.s]
-            if ghosts_owned_here:
-                mesh.send_halo[other.s] = np.asarray(
-                    [mesh.local_id(g) for g in ghosts_owned_here], dtype=np.int64)
+            s=s, classification=cls, global_ids=global_ids,
+            n_local=own.size, owner_of_relevant=owner[global_ids - 1],
+            neighbors=np.asarray(list(recv_halo), dtype=np.int64),
+            send_halo=send_halo, recv_halo=recv_halo,
+            labels=label[global_ids - 1], face_ids=face_ids,
+            face_open=cls.face_open[global_ids - 1] & (face_ids > 0)))
     return meshes

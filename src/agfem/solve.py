@@ -7,8 +7,10 @@ products reduce the concatenated per-process arrays in subdomain order
 in a single summation, so iteration histories are bitwise identical for
 every process count and scheduling choice.  Convergence is declared on
 the unpreconditioned residual, ||r||/||b|| < rtol, within maxit
-iterations; non-convergence is reported, not raised.  Error norms run in
-one batched pass over the bulk points of the flat quadrature store.
+iterations; non-convergence is reported, not raised, and so is a
+breakdown (p'Ap not positive and finite), which ends the iteration.
+Error norms run in one batched pass over the bulk points of the flat
+quadrature store.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
         for it in range(1, maxit + 1):
             Ap = yield from run_matvec(p)
             pAp = yield proc.sum_ordered(p * Ap)
+            if not 0.0 < pAp < np.inf:
+                break  # breakdown: the operator is not positive definite on p
             alpha = rz / pAp
             alphas.append(alpha)
             x = x + alpha * p

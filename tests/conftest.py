@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,27 @@ def bfs_aggregation_oracle(classification, face_active):
     return assigned
 
 
+def face_rule(classification, ka, kb):
+    """Scalar face-activity rule, the oracle for the face table.
+
+    True iff the face shared by active cells ``ka`` and ``kb`` intersects
+    the domain: psi < -tol at some face vertex, or a raw sign change of
+    psi across the face vertices (linear interpolation places part of the
+    face inside)."""
+    a = classification.id_to_lattice[ka - 1]
+    b = classification.id_to_lattice[kb - 1]
+    diff = b - a
+    assert np.sum(np.abs(diff)) == 1, f"cells {ka} and {kb} share no face"
+    axis = int(np.argmax(np.abs(diff)))
+    hi = np.maximum(a, b)
+    vals = classification.vertex_values[tuple(
+        int(hi[ax]) if ax == axis else slice(hi[ax], hi[ax] + 2)
+        for ax in range(classification.grid.d))]
+    if np.any(vals < -classification.tol):
+        return True
+    return bool(np.any(vals < 0.0) and np.any(vals > 0.0))
+
+
 def random_geometry(rng, max_level=5):
     """A random solvable cut configuration (always has interior cells)."""
     level = int(rng.integers(3, max_level + 1))
@@ -66,7 +89,7 @@ def random_geometry(rng, max_level=5):
 def classified(level, ls, d=2):
     grid = unit_box_grid(level, d)
     cls = classify_cells(grid, ls)
-    return grid, cls, cls.face_active
+    return grid, cls, functools.partial(face_rule, cls)
 
 
 def gradient(ls, points, step):

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from agfem.aggregation import aggregate_serial, aggregates
+from agfem.aggregation import (aggregate_parallel, aggregate_serial,
+                               aggregates, compare_with_serial)
 from agfem.assembly import assemble_serial, nitsche_tau_agg, poisson_elements
-from agfem.distagg import (aggregate_parallel, build_direct_plan,
-                           build_inverse_plan, check_plan_duality,
-                           compare_with_serial, import_root_data)
+from agfem.distagg import (build_direct_plan, build_inverse_plan,
+                           check_plan_duality, import_root_data)
 from agfem.distspace import (build_constraints_distributed,
                              distributed_row_permutation,
                              number_dofs_distributed, root_cell_data_provider)
@@ -63,9 +63,8 @@ def equivalence_data():
             grid = unit_box_grid(level, 2)
             ls = make_ls()
             cls = classify_cells(grid, ls)
-            fa = cls.face_active
-            serial = aggregate_serial(cls, fa)
-            stats = aggregates(cls, serial, fa)
+            serial = aggregate_serial(cls)
+            stats = aggregates(cls, serial)
             agg_seconds += time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -84,7 +83,7 @@ def equivalence_data():
                 part = partition_weighted_sfc(cls, n_subdomains=n_parts)
                 meshes = build_subdomain_meshes(cls, part)
                 rt = VirtualRuntime(n_parts, trace=True)
-                dist = aggregate_parallel(rt, meshes, fa)
+                dist = aggregate_parallel(rt, meshes)
                 mismatch = compare_with_serial(meshes, dist, serial)
                 direct = [build_direct_plan(m, dist) for m in meshes]
                 inverse = build_inverse_plan(rt, meshes, dist)
@@ -205,7 +204,7 @@ def test_criterion_6_constraint_correctness():
         grid, cls, fa = classified(level, ls)
         if cls.interior_ids.size == 0 or cls.cut_ids.size == 0:
             continue
-        rm = aggregate_serial(cls, fa)
+        rm = aggregate_serial(cls)
         space = build_std_space(cls, 1)
         dofs = classify_dofs(space, cls, rm)
         cons = build_constraints_serial(space, dofs, rm)
@@ -233,8 +232,8 @@ def test_criterion_7_aggregate_well_formedness(equivalence_data):
         grid, cls, fa = classified(level, ls)
         if cls.interior_ids.size == 0:
             continue
-        rm = aggregate_serial(cls, fa)
-        aggregates(cls, rm, fa)  # raises on any structural violation
+        rm = aggregate_serial(cls)
+        aggregates(cls, rm)  # raises on any structural violation
         oracle = bfs_aggregation_oracle(cls, fa)
         for k in range(1, cls.n_active + 1):
             assert (rm.root_of(k), rm.next_of(k)) == oracle[k]
@@ -262,11 +261,11 @@ def test_criterion_8_plan_duality_and_traffic(equivalence_data):
         return np.minimum(strip, disk)
 
     grid, cls, fa = classified(5, CallableLevelSet(bulb, "bulb"))
-    serial = aggregate_serial(cls, fa)
+    serial = aggregate_serial(cls)
     part = partition_weighted_sfc(cls, n_subdomains=16)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(16, trace=True)
-    dist = aggregate_parallel(rt, meshes, fa)
+    dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     rcv, snd = check_plan_duality(direct, inverse)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from agfem.aggregation import aggregate_serial
+from agfem.aggregation import aggregate_parallel, aggregate_serial
 from dataclasses import replace
 
 from agfem.assembly import (AssemblyError, assemble_distributed, assemble_serial,
                             export_matrix_coo, nitsche_tau_agg, nitsche_tau_std,
                             poisson_elements)
-from agfem.distagg import aggregate_parallel, build_direct_plan, build_inverse_plan, import_root_data
+from agfem.distagg import build_direct_plan, build_inverse_plan, import_root_data
 from agfem.distspace import (build_constraints_distributed,
                              distributed_row_permutation,
                              number_dofs_distributed, root_cell_data_provider)
@@ -187,7 +187,7 @@ def test_patch_consistency_for_harmonic_solution():
 
 def _serial_agg_system(level, ls, beta=10.0, f=None, g=None, d=2):
     grid, cls, fa = classified(level, ls, d)
-    rm = aggregate_serial(cls, fa)
+    rm = aggregate_serial(cls)
     space = build_std_space(cls, 1)
     dofs = classify_dofs(space, cls, rm)
     cons = build_constraints_serial(space, dofs, rm)
@@ -270,7 +270,7 @@ def _distributed_system(level, ls, n_parts, elements, space, dofs):
     part = partition_weighted_sfc(cls, n_subdomains=n_parts)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(n_parts)
-    dist = aggregate_parallel(rt, meshes, cls.face_active)
+    dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     numbering = number_dofs_distributed(rt, meshes, 1)

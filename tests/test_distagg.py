@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from agfem.aggregation import aggregate_serial
-from agfem.distagg import (DistRootMap, PathReconstructionError,
-                           aggregate_parallel, build_direct_plan,
+from agfem.aggregation import (AggregationStalledError, DistRootMap,
+                               aggregate_parallel, aggregate_serial,
+                               compare_with_serial)
+from agfem.distagg import (PathReconstructionError, build_direct_plan,
                            build_inverse_plan, check_plan_duality,
-                           compare_with_serial, import_root_data)
+                           import_root_data)
 from agfem.distspace import number_dofs_distributed, root_cell_data_provider
-from agfem.levelset import HalfPlane, Sphere
+from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
 from agfem.partition import Partition, build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import classified, random_geometry
+from conftest import bfs_aggregation_oracle, classified, random_geometry
 
 
 def _left_right_setup():
@@ -25,11 +26,11 @@ def _left_right_setup():
 
 def test_single_process_matches_serial():
     grid, cls, fa = classified(3, Sphere((0.5, 0.5), 0.3))
-    serial = aggregate_serial(cls, fa)
+    serial = aggregate_serial(cls)
     part = partition_weighted_sfc(cls, n_subdomains=1)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(1)
-    dist = aggregate_parallel(rt, meshes, fa)
+    dist = aggregate_parallel(rt, meshes)
     assert compare_with_serial(meshes, dist, serial) is None
     assert np.array_equal(dist.roots[0], serial.root)
     assert np.array_equal(dist.nexts[0], serial.next)
@@ -46,9 +47,9 @@ def test_single_process_matches_serial():
 
 def test_left_right_roots_cross_subdomains():
     grid, cls, fa, meshes = _left_right_setup()
-    serial = aggregate_serial(cls, fa)
+    serial = aggregate_serial(cls)
     rt = VirtualRuntime(2)
-    dist = aggregate_parallel(rt, meshes, fa)
+    dist = aggregate_parallel(rt, meshes)
     assert compare_with_serial(meshes, dist, serial) is None
     right = meshes[1]
     for l in right.locals_cut():
@@ -59,19 +60,67 @@ def test_left_right_roots_cross_subdomains():
         assert root == serial.root_of(g)
 
 
-def test_circle_matches_serial_many_subdomains():
-    grid, cls, fa = classified(3, Sphere((0.5, 0.5), 0.45))
-    serial = aggregate_serial(cls, fa)
-    part = partition_weighted_sfc(cls, n_subdomains=16)
+@pytest.mark.parametrize("level, ls, d, n_parts", [
+    (3, Sphere((0.5, 0.5), 0.45), 2, 16),
+    *[(3, Popcorn(), 3, p) for p in (2, 4, 8)],
+    *[(4, Sphere((0.5, 0.5, 0.5), 0.3), 3, p) for p in (2, 4, 8)],
+], ids=["circle-2d-L3-P16", "popcorn-3d-L3-P2", "popcorn-3d-L3-P4",
+        "popcorn-3d-L3-P8", "sphere-3d-L4-P2", "sphere-3d-L4-P4",
+        "sphere-3d-L4-P8"])
+def test_circle_matches_serial_many_subdomains(level, ls, d, n_parts):
+    grid, cls, fa = classified(level, ls, d)
+    serial = aggregate_serial(cls)
+    oracle = bfs_aggregation_oracle(cls, fa)
+    assert all((serial.root_of(k), serial.next_of(k)) == oracle[k]
+               for k in range(1, cls.n_active + 1))
+    part = partition_weighted_sfc(cls, n_subdomains=n_parts)
     meshes = build_subdomain_meshes(cls, part)
-    dist = aggregate_parallel(VirtualRuntime(16), meshes, fa)
+    rt = VirtualRuntime(n_parts, trace=True)
+    dist = aggregate_parallel(rt, meshes)
     assert compare_with_serial(meshes, dist, serial) is None
+    assert dist.rounds == serial.rounds
+    for mesh, roots, nexts in zip(meshes, dist.roots, dist.nexts):
+        # ghosts included: the final refresh leaves every copy current
+        assert [(int(r), int(x)) for r, x in zip(roots, nexts)] == \
+            [oracle[int(g)] for g in mesh.global_ids]
+    direct = [build_direct_plan(m, dist) for m in meshes]
+    inverse = build_inverse_plan(rt, meshes, dist)
+    rcv, snd = check_plan_duality(direct, inverse)
+    assert rcv == snd and rcv
+    nbr = [set(m.neighbors.tolist()) for m in meshes]
+    traffic = [rec for rec in rt.trace
+               if rec.phase in ("aggregate", "inverse-plan")]
+    assert {rec.phase for rec in traffic} == {"aggregate", "inverse-plan"}
+    assert all(rec.kind == "neighbor" and rec.dst in nbr[rec.src - 1]
+               for rec in traffic)
+
+
+def test_stall_lists_every_orphan_across_subdomains():
+    # a disk with interior cells and a speck without any: only the speck's
+    # cells are orphans, wherever they are owned
+    def two_disks(p):
+        p = np.atleast_2d(p)
+        return np.minimum(np.linalg.norm(p - (0.3, 0.3), axis=-1) - 0.2,
+                          np.linalg.norm(p - (0.5, 0.8), axis=-1) - 0.04)
+
+    grid, cls, fa = classified(4, CallableLevelSet(two_disks, "two-disks"))
+    speck = [k for k in range(1, cls.n_active + 1)
+             if np.linalg.norm(cls.barycenters()[k - 1] - (0.5, 0.8)) < 0.2]
+    assert speck and all(cls.is_cut[k - 1] for k in speck)
+    halves = np.where(cls.id_to_lattice[:, 0] < 8, 1, 2).astype(np.int64)
+    assert len({int(halves[k - 1]) for k in speck}) == 2  # straddles the cut
+    for part in (Partition(1, np.ones_like(halves), np.ones(cls.n_active)),
+                 Partition(2, halves, np.ones(cls.n_active))):
+        meshes = build_subdomain_meshes(cls, part)
+        with pytest.raises(AggregationStalledError) as err:
+            aggregate_parallel(VirtualRuntime(part.n_subdomains), meshes)
+        assert err.value.orphan_ids == speck
 
 
 def test_direct_plan_left_right():
     grid, cls, fa, meshes = _left_right_setup()
     rt = VirtualRuntime(2)
-    dist = aggregate_parallel(rt, meshes, fa)
+    dist = aggregate_parallel(rt, meshes)
     left_plan = build_direct_plan(meshes[0], dist)
     right_plan = build_direct_plan(meshes[1], dist)
     assert left_plan.recv_sources == []
@@ -85,7 +134,7 @@ def test_direct_plan_left_right():
 def test_inverse_plan_duality_left_right():
     grid, cls, fa, meshes = _left_right_setup()
     rt = VirtualRuntime(2)
-    dist = aggregate_parallel(rt, meshes, fa)
+    dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     assert inverse[0].send_targets == [2]
@@ -115,14 +164,14 @@ def test_inverse_plan_matches_oracle_randomized(rng):
         grid, cls, fa = classified(level, ls)
         if cls.interior_ids.size == 0:
             continue
-        serial = aggregate_serial(cls, fa)
+        serial = aggregate_serial(cls)
         for n_parts in (2, 4, 16):
             if n_parts > cls.n_active:
                 continue
             part = partition_weighted_sfc(cls, n_subdomains=n_parts)
             meshes = build_subdomain_meshes(cls, part)
             rt = VirtualRuntime(n_parts)
-            dist = aggregate_parallel(rt, meshes, fa)
+            dist = aggregate_parallel(rt, meshes)
             direct = [build_direct_plan(m, dist) for m in meshes]
             inverse = build_inverse_plan(rt, meshes, dist)
             rcv, snd = check_plan_duality(direct, inverse)
@@ -136,7 +185,7 @@ def test_inverse_plan_matches_oracle_randomized(rng):
 def test_import_round_trips_owner_data():
     grid, cls, fa, meshes = _left_right_setup()
     rt = VirtualRuntime(2)
-    dist = aggregate_parallel(rt, meshes, fa)
+    dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     numbering = number_dofs_distributed(rt, meshes, 1)
@@ -160,10 +209,10 @@ def test_scheduling_independence_of_module_outputs():
     grid, cls, fa = classified(4, Sphere((0.531, 0.472), 0.3))
     part = partition_weighted_sfc(cls, n_subdomains=4)
     meshes = build_subdomain_meshes(cls, part)
-    baseline = aggregate_parallel(VirtualRuntime(4), meshes, fa)
+    baseline = aggregate_parallel(VirtualRuntime(4), meshes)
     for runtime in (VirtualRuntime(4, step_order=[3, 1, 0, 2]),
                     VirtualRuntime(4, threads=3)):
-        other = aggregate_parallel(runtime, meshes, fa)
+        other = aggregate_parallel(runtime, meshes)
         for a, b in zip(baseline.roots, other.roots):
             assert np.array_equal(a, b)
         for a, b in zip(baseline.nexts, other.nexts):
@@ -171,12 +220,14 @@ def test_scheduling_independence_of_module_outputs():
 
 
 def test_rounds_stay_bounded(rng):
+    grid, cls, fa = classified(4, Sphere((0.5, 0.5), 0.3))
+    serial = aggregate_serial(cls)
     for n_parts in (2, 4, 8, 16):
-        grid, cls, fa = classified(4, Sphere((0.5, 0.5), 0.3))
         part = partition_weighted_sfc(cls, n_subdomains=n_parts)
         meshes = build_subdomain_meshes(cls, part)
-        dist = aggregate_parallel(VirtualRuntime(n_parts), meshes, fa)
+        dist = aggregate_parallel(VirtualRuntime(n_parts), meshes)
         assert dist.rounds <= n_parts + 2
+        assert dist.rounds == serial.rounds
 
 
 def test_traffic_discipline():
@@ -184,7 +235,7 @@ def test_traffic_discipline():
     part = partition_weighted_sfc(cls, n_subdomains=8)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(8, trace=True)
-    dist = aggregate_parallel(rt, meshes, fa)
+    dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     numbering = number_dofs_distributed(rt, meshes, 1)
@@ -200,7 +251,7 @@ def test_traffic_discipline():
 def test_cycle_guard():
     grid, cls, fa, meshes = _left_right_setup()
     rt = VirtualRuntime(2)
-    dist = aggregate_parallel(rt, meshes, fa)
+    dist = aggregate_parallel(rt, meshes)
     # corrupt the next map of the right half into a two-cell loop
     right = meshes[1]
     cut = right.locals_cut()

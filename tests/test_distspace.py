@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from agfem.aggregation import aggregate_serial
-from agfem.distagg import (RootDataBuffer, aggregate_parallel, build_direct_plan,
+from agfem.aggregation import aggregate_parallel, aggregate_serial
+from agfem.distagg import (RootDataBuffer, build_direct_plan,
                            build_inverse_plan, import_root_data)
 from agfem.distspace import (MissingImportError, build_constraints_distributed,
                              distributed_row_permutation,
@@ -17,13 +17,13 @@ from conftest import classified
 
 def _setup(level, ls, n_parts):
     grid, cls, fa = classified(level, ls)
-    serial_rm = aggregate_serial(cls, fa)
+    serial_rm = aggregate_serial(cls)
     space = build_std_space(cls, 1)
     dofs = classify_dofs(space, cls, serial_rm)
     part = partition_weighted_sfc(cls, n_subdomains=n_parts)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(n_parts)
-    dist = aggregate_parallel(rt, meshes, fa)
+    dist = aggregate_parallel(rt, meshes)
     numbering = number_dofs_distributed(rt, meshes, 1)
     return grid, cls, fa, space, dofs, serial_rm, meshes, rt, dist, numbering
 
@@ -122,12 +122,14 @@ def test_constraints_match_serial(n_parts):
 def test_owner_consistency_with_serial():
     grid, cls, fa, space, dofs, rm, meshes, rt, dist, numbering = _setup(
         4, Sphere((0.5, 0.5), 0.3), 4)
+    node_of_key = {tuple(int(v) for v in k): i + 1
+                   for i, k in enumerate(space.node_keys)}
     for piece in numbering.pieces:
         mesh = piece.mesh
         for j in piece.exterior_js():
             l_own = int(piece.own_local_cell[j - 1])
             key = tuple(int(v) for v in piece.node_keys[j - 1])
-            node_id = space.key_index()[key]
+            node_id = node_of_key[key]
             assert mesh.global_of(l_own) == int(dofs.own_cell[node_id - 1])
 
 

@@ -86,15 +86,10 @@ def test_parallel_check_detects_injected_fault():
     cfg = ExperimentConfig(geometry="offset-circle", level=4).validate()
 
     def corrupt(phase, superstep, src, dst, payload):
-        # swap two interior ghost roots in the very first exchange
-        if phase == "aggregate" and superstep == 0 and isinstance(payload, tuple):
-            roots, owners, nexts = payload
-            pos = np.flatnonzero(roots > 0)
-            if pos.size >= 2:
-                roots = roots.copy()
-                a, b = pos[0], pos[1]
-                roots[a], roots[b] = int(roots[b]), int(roots[a])
-                return roots, owners, nexts
+        # reverse the ghost roots (first row) of every aggregation exchange
+        if phase == "aggregate" and isinstance(payload, np.ndarray):
+            payload = payload.copy()
+            payload[0] = payload[0][::-1]
         return payload
 
     def factory(n_parts):

@@ -11,7 +11,7 @@ from conftest import classified, random_geometry
 
 def _agg_pipeline(level, ls):
     grid, cls, fa = classified(level, ls)
-    rm = aggregate_serial(cls, fa)
+    rm = aggregate_serial(cls)
     space = build_std_space(cls, 1)
     dofs = classify_dofs(space, cls, rm)
     cons = build_constraints_serial(space, dofs, rm)
@@ -90,7 +90,7 @@ def test_constraints_reproduce_polynomials(rng):
         grid, cls, fa = classified(level, ls)
         if cls.interior_ids.size == 0:
             continue
-        rm = aggregate_serial(cls, fa)
+        rm = aggregate_serial(cls)
         space = build_std_space(cls, 1)
         dofs = classify_dofs(space, cls, rm)
         cons = build_constraints_serial(space, dofs, rm)

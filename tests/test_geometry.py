@@ -3,11 +3,11 @@ import pytest
 
 from agfem.geometry import (CUT, EXTERIOR, INTERIOR, ClassificationError,
                             _corner_values, _cut_volume, classify_cells,
-                            cut_quadrature)
+                            cut_quadrature, face_is_active)
 from agfem.grid import unit_box_grid
 from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
 
-from conftest import gradient
+from conftest import face_rule, gradient
 
 
 def test_classify_all_interior():
@@ -195,11 +195,50 @@ def test_zero_measure_cut_demoted():
     assert quad.weights.size == 0 and quad.boundary_weights.size == 0
 
 
+def _face_open(cls, a, b):
+    """Face-table entry of the face between the cells at lattices a and b,
+    read from both sides."""
+    ka, kb = cls.id_at(a), cls.id_at(b)
+    assert ka and kb
+    [col_a] = np.flatnonzero(cls.face_ids[ka - 1] == kb)
+    [col_b] = np.flatnonzero(cls.face_ids[kb - 1] == ka)
+    assert cls.face_open[ka - 1, col_a] == cls.face_open[kb - 1, col_b]
+    return bool(cls.face_open[ka - 1, col_a])
+
+
+@pytest.mark.parametrize("level, ls, d", [
+    (5, Sphere((0.5, 0.5), 0.3), 2),
+    (3, Popcorn(), 3),
+], ids=["circle-2d-L5", "popcorn-3d-L3"])
+def test_face_table_matches_face_rule(level, ls, d):
+    grid = unit_box_grid(level, d)
+    cls = classify_cells(grid, ls)
+    n_open = 0
+    for k in range(1, cls.n_active + 1):
+        lattice = cls.lattice_of(k)
+        expected = [cls.id_at(nb) if grid.contains_lattice(nb) else 0
+                    for nb in lattice + _steps(d)]
+        assert cls.face_ids[k - 1].tolist() == expected
+        for nb, is_open in zip(cls.face_ids[k - 1], cls.face_open[k - 1]):
+            if nb == 0:
+                assert not is_open
+                continue
+            assert is_open == face_rule(cls, k, int(nb))
+            assert is_open == face_is_active(cls, k, int(nb))
+            n_open += is_open
+    assert n_open > 0
+
+
+def _steps(d):
+    """Face steps in table order: -x, +x, -y, +y[, -z, +z]."""
+    return np.repeat(np.eye(d, dtype=np.int64), 2, axis=0) * np.tile([-1, 1], d)[:, None]
+
+
 def test_face_activity():
     grid = unit_box_grid(2, 2)
     inside = HalfPlane((1, 0), 0.9)
     cls = classify_cells(grid, inside)
-    assert cls.face_active(cls.id_at((1, 1)), cls.id_at((2, 1)))
+    assert _face_open(cls, (1, 1), (2, 1))
     # two disks, one in each of the cut cells (0, 0) and (1, 0): their
     # shared face lies outside both
     disks = CallableLevelSet(
@@ -207,16 +246,13 @@ def test_face_activity():
                              np.hypot(p[:, 0] - 0.45, p[:, 1] - 0.05)) - 0.1,
         "disks")
     cls = classify_cells(grid, disks)
-    a, b = cls.id_at((0, 0)), cls.id_at((1, 0))
-    assert a and b and not cls.face_active(a, b)
+    assert not _face_open(cls, (0, 0), (1, 0))
     # one face vertex at psi = -0.1, crossing along the face
     crossing = CallableLevelSet(
         lambda p: np.where(p[:, 1] < 0.3, -0.1, 0.3 * np.ones(p.shape[0])),
         "step")
     cls = classify_cells(grid, crossing)
-    assert cls.face_active(cls.id_at((0, 0)), cls.id_at((1, 0)))
-    with pytest.raises(ValueError, match="not face neighbors"):
-        cls.face_active(cls.id_at((0, 0)), cls.id_at((2, 0)))
+    assert _face_open(cls, (0, 0), (1, 0))
 
 
 def test_face_activity_zero_vertices_inactive():
@@ -224,5 +260,4 @@ def test_face_activity_zero_vertices_inactive():
     grid = unit_box_grid(1, 2)
     ls = CallableLevelSet(lambda p: -(p[:, 0] - 0.5) ** 2, "valley")
     cls = classify_cells(grid, ls)
-    a, b = cls.id_at((0, 0)), cls.id_at((1, 0))
-    assert a and b and not cls.face_active(a, b)
+    assert not _face_open(cls, (0, 0), (1, 0))

@@ -61,7 +61,7 @@ def test_condition_estimates():
 def _circle_system(level, rtol=1e-6, g=None, f=None):
     ls = Sphere((0.5, 0.5), 0.3)
     grid, cls, fa = classified(level, ls)
-    rm = aggregate_serial(cls, fa)
+    rm = aggregate_serial(cls)
     space = build_std_space(cls, 1)
     dofs = classify_dofs(space, cls, rm)
     cons = build_constraints_serial(space, dofs, rm)
@@ -118,3 +118,13 @@ def test_galerkin_consistency_for_in_span_solution():
     space, dofs, cons, quad, A, b = _circle_system(4, g=u)
     xstar = u(space.node_coords[dofs.interior_ids - 1])
     assert np.max(np.abs(A @ xstar - b)) <= 1e-12
+
+
+def test_breakdown_stops_unconverged():
+    # p'Ap = 0 in the first step: the iteration ends instead of dividing
+    A = sp.diags([1.0, -1.0, 1.0]).tocsr()
+    b = np.array([1.0, 1.0, 0.0])
+    x, report = pcg_jacobi((A, b), rtol=1e-10, maxit=10, precondition=False)
+    assert not report.converged
+    assert np.all(np.isfinite(x))
+    assert np.all(np.isfinite(report.residual_history))
