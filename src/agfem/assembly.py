@@ -288,15 +288,10 @@ def _owned_cells(piece):
     """Local DOFs, global ids and global DOF rows of a subdomain's owned
     cells; a free DOF without a global id gets row -1, which the kernel
     rejects."""
-    local = range(1, piece.mesh.n_local + 1)
-    m = (piece.q + 1) ** piece.mesh.classification.grid.d
-    cell_dofs = np.array([piece.cell_j[l] for l in local],
-                         dtype=np.int64).reshape(-1, m)
-    cell_g = np.array([piece.cell_g[l] for l in local],
-                      dtype=np.int64).reshape(-1, m)
+    cell_dofs = piece.cell_j
     free = piece.j_interior[cell_dofs - 1]
     row_of = np.zeros(piece.n_local_dofs, dtype=np.int64)
-    row_of[cell_dofs[free] - 1] = cell_g[free]
+    row_of[cell_dofs[free] - 1] = piece.cell_g[:piece.mesh.n_local][free]
     return cell_dofs, piece.mesh.global_ids[:piece.mesh.n_local], row_of
 
 

@@ -587,15 +587,17 @@ def _constraint_key_view_serial(space, dofs, constraints):
 
 
 def _constraint_key_view_dist(numbering, dist_constraints):
-    gid_key = {}
+    # every global id is owned by one piece, on one of its local nodes
+    key_of_gid = {}
     for piece in numbering.pieces:
-        for key, gid in piece.gid_of_key.items():
-            gid_key[gid] = key
+        js = np.flatnonzero(piece.j_interior)
+        key_of_gid.update(zip(piece.gid_of(piece.node_codes[js]).tolist(),
+                              map(tuple, piece.node_keys[js].tolist())))
     view = {}
     for piece, cons in zip(numbering.pieces, dist_constraints):
         for i, j in enumerate(cons.constrained):
             key = tuple(int(v) for v in piece.node_keys[j - 1])
-            masters = [gid_key[int(g)] for g in cons.masters[i]]
+            masters = [key_of_gid[int(g)] for g in cons.masters[i]]
             view.setdefault(key, []).append((piece.s, masters, cons.coeffs[i]))
     return view
 

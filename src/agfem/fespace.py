@@ -89,6 +89,15 @@ def shape_gradients(q: int, d: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def encode_node_keys(keys: np.ndarray, q: int, n_per_axis: int) -> np.ndarray:
+    """One int64 per node lattice key: (..., d) keys of spacing h/q to (...)."""
+    span = q * n_per_axis + 1
+    enc = keys[..., 0].astype(np.int64)
+    for axis in range(1, keys.shape[-1]):
+        enc = enc * span + keys[..., axis]
+    return enc
+
+
 def _first_touch_ids(encoded: np.ndarray):
     """1-based ids in first-occurrence order.
 
@@ -136,10 +145,7 @@ def build_std_space(classification: CellClassification, q: int = 1) -> StdSpace:
     offs = node_offsets(q, grid.d)
     cell_keys = (classification.id_to_lattice[:, None, :] * q
                  + offs[None, :, :])                      # (n_act, m, d)
-    span = q * grid.n_per_axis + 1
-    enc = cell_keys[..., 0].astype(np.int64)
-    for axis in range(1, grid.d):
-        enc = enc * span + cell_keys[..., axis]
+    enc = encode_node_keys(cell_keys, q, grid.n_per_axis)
     flat_ids, n_nodes, first_pos = _first_touch_ids(enc.ravel())
     cell_dofs = flat_ids.reshape(cell_keys.shape[:2])
     flat_keys = cell_keys.reshape(-1, grid.d)
@@ -232,21 +238,15 @@ def build_constraints_serial(space: StdSpace, dofs: DofClassification,
     expressed as reduced-system rows.
     """
     out_ids = dofs.exterior_ids
-    m = space.nodes_per_cell
-    masters = np.zeros((out_ids.size, m), dtype=np.int64)
-    coeffs = np.zeros((out_ids.size, m))
-    for i, dof in enumerate(out_ids):
-        own = int(dofs.own_cell[dof - 1])
-        root = root_map.root_of(own)
-        master_nodes = space.cell_dofs[root - 1]
-        rows = dofs.row_of[master_nodes - 1]
-        if np.any(rows == 0):
-            raise RuntimeError(
-                f"root cell {root} carries a non-interior DOF; the root map "
-                f"must point at interior cells")
-        xi = space.reference_coords(root, space.node_coords[dof - 1])
-        masters[i] = rows
-        coeffs[i] = shape_values(space.q, space.classification.grid.d, xi)[0]
+    roots = root_map.root[dofs.own_cell[out_ids - 1] - 1]
+    masters = dofs.row_of[space.cell_dofs[roots - 1] - 1]
+    bad = np.flatnonzero(np.any(masters == 0, axis=1))
+    if bad.size:
+        raise RuntimeError(
+            f"root cell {int(roots[bad[0]])} carries a non-interior DOF; the "
+            f"root map must point at interior cells")
+    xi = space.reference_coords(roots, space.node_coords[out_ids - 1])
+    coeffs = shape_values(space.q, space.classification.grid.d, xi)
     return AgConstraints(constrained=out_ids.copy(), masters=masters,
                          coeffs=coeffs)
 

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from agfem.aggregation import aggregate_parallel, aggregate_serial
+from agfem.experiments import ExperimentConfig, make_levelset
 from agfem.distagg import (RootDataBuffer, build_direct_plan,
                            build_inverse_plan, import_root_data)
 from agfem.distspace import (MissingImportError, build_constraints_distributed,
                              distributed_row_permutation,
                              number_dofs_distributed, root_cell_data_provider)
-from agfem.fespace import build_constraints_serial, build_std_space, classify_dofs
+from agfem.fespace import (build_constraints_serial, build_std_space,
+                           classify_dofs, encode_node_keys, node_offsets)
+from agfem.geometry import INTERIOR, classify_cells
+from agfem.grid import unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
-from agfem.runtime import VirtualRuntime
+from agfem.runtime import RuntimeProtocolError, VirtualRuntime
 
 from conftest import classified
 
@@ -28,15 +32,25 @@ def _setup(level, ls, n_parts):
     return grid, cls, fa, space, dofs, serial_rm, meshes, rt, dist, numbering
 
 
+def _gid_of_key(piece, space):
+    """{node key: global id} of the ids one piece knows."""
+    codes = encode_node_keys(space.node_keys, space.q,
+                             space.classification.grid.n_per_axis)
+    key_of = dict(zip(codes.tolist(), map(tuple, space.node_keys.tolist())))
+    return {key_of[c]: g
+            for c, g in zip(piece.gid_codes.tolist(), piece.gids.tolist())}
+
+
 def test_single_process_numbering_matches_serial_rows():
     grid, cls, fa, space, dofs, rm, meshes, rt, dist, numbering = _setup(
         3, Sphere((0.5, 0.5), 0.3), 1)
     piece = numbering.pieces[0]
     assert numbering.n_global == dofs.n_interior
     assert piece.owned_start == 1 and piece.n_owned == dofs.n_interior
+    gids = _gid_of_key(piece, space)
     for node_id in dofs.interior_ids:
         key = tuple(int(v) for v in space.node_keys[node_id - 1])
-        assert piece.gid_of_key[key] == dofs.row_of[node_id - 1]
+        assert gids[key] == dofs.row_of[node_id - 1]
 
 
 def test_owned_ranges_partition_the_interior_ids():
@@ -48,7 +62,7 @@ def test_owned_ranges_partition_the_interior_ids():
     assert numbering.n_global == dofs.n_interior
     seen = {}
     for piece in numbering.pieces:
-        for key, gid in piece.gid_of_key.items():
+        for key, gid in _gid_of_key(piece, space).items():
             if key in seen:
                 assert seen[key] == gid  # replicated ids agree everywhere
             seen[key] = gid
@@ -66,9 +80,10 @@ def test_interface_dofs_owned_by_smaller_subdomain():
     keys2 = {tuple(int(v) for v in k) for k in p2.node_keys}
     interface = keys1 & keys2
     assert interface
+    gids1, gids2 = _gid_of_key(p1, space), _gid_of_key(p2, space)
     for key in interface:
-        gid = p1.gid_of_key[key]
-        assert gid == p2.gid_of_key[key]
+        gid = gids1[key]
+        assert gid == gids2[key]
         assert ranges[0] <= gid < ranges[1]  # subdomain 1 owns the interface
 
 
@@ -90,7 +105,7 @@ def test_constraints_match_serial(n_parts):
                                root_cell_data_provider(numbering))
     gid_to_key = {}
     for piece in numbering.pieces:
-        for key, gid in piece.gid_of_key.items():
+        for key, gid in _gid_of_key(piece, space).items():
             gid_to_key[gid] = key
     row_to_key = {int(dofs.row_of[i - 1]): tuple(int(v) for v in
                                                  space.node_keys[i - 1])
@@ -147,12 +162,216 @@ def test_missing_import_reported():
 
     grid, cls, fa, space, dofs, rm, meshes, rt, dist, numbering = _setup(
         5, CallableLevelSet(bulb, "bulb"), 8)
+    direct = [build_direct_plan(m, dist) for m in meshes]
+    buffers = import_root_data(rt, meshes, direct,
+                               build_inverse_plan(rt, meshes, dist),
+                               root_cell_data_provider(numbering))
     hit = False
-    for piece, mesh in zip(numbering.pieces, meshes):
-        plan = build_direct_plan(mesh, dist)
+    for piece, mesh, plan, buf in zip(numbering.pieces, meshes, direct,
+                                      buffers):
         if any(not mesh.is_relevant(int(k)) for k in plan.remote_roots):
             empty = RootDataBuffer(s=piece.s, z_of={}, coords=[], dofs=[])
             with pytest.raises(MissingImportError, match="neither locally"):
                 build_constraints_distributed(piece, dist, empty)
+            blank = RootDataBuffer(s=piece.s, z_of=buf.z_of, coords=buf.coords,
+                                   dofs=[np.full_like(g, -1) for g in buf.dofs])
+            with pytest.raises(MissingImportError,
+                               match="carries unresolved master ids"):
+                build_constraints_distributed(piece, dist, blank)
             hit = True
     assert hit
+
+
+def _cell_keys(classification, global_id, q, offs):
+    return classification.lattice_of(global_id) * q + offs
+
+
+def _oracle_numbering_body(proc, mesh, q):
+    """The per-node numbering over tuple keys and dicts, kept as the
+    oracle of the array steps: same supersteps, same payloads."""
+    s = proc.rank
+    cls = mesh.classification
+    offs = node_offsets(q, cls.grid.d)
+    m = offs.shape[0]
+
+    j_of_key: dict = {}
+    keys_in_order: list = []
+    cell_j: dict = {}
+    for l in range(1, mesh.n_local + 1):
+        keys = _cell_keys(cls, mesh.global_of(l), q, offs)
+        row = np.empty(m, dtype=np.int64)
+        for a in range(m):
+            key = tuple(int(v) for v in keys[a])
+            j = j_of_key.get(key)
+            if j is None:
+                j = len(keys_in_order) + 1
+                j_of_key[key] = j
+                keys_in_order.append(key)
+            row[a] = j
+        cell_j[l] = row
+    n_j = len(keys_in_order)
+    node_keys = np.asarray(keys_in_order, dtype=np.int64)
+    node_coords = cls.grid.origin + node_keys * (cls.grid.h / q)
+
+    interior_cells = mesh.relevant_interior()
+    j_interior = np.zeros(n_j, dtype=bool)
+    owner_of_key: dict = {}
+    for l in interior_cells:
+        cell_owner = int(mesh.owner_of_relevant[l - 1])
+        for kk in _cell_keys(cls, mesh.global_of(l), q, offs):
+            key = tuple(int(v) for v in kk)
+            prev = owner_of_key.get(key)
+            if prev is None or cell_owner < prev:
+                owner_of_key[key] = cell_owner
+            j = j_of_key.get(key)
+            if j is not None:
+                j_interior[j - 1] = True
+
+    local_interior = [l for l in interior_cells if mesh.is_local(l)]
+    owned_keys: list = []
+    seen: set = set()
+    for l in local_interior:
+        for kk in _cell_keys(cls, mesh.global_of(l), q, offs):
+            key = tuple(int(v) for v in kk)
+            if key not in seen and owner_of_key[key] == s:
+                seen.add(key)
+                owned_keys.append(key)
+    n_owned = len(owned_keys)
+
+    offset = yield proc.exclusive_scan_sum(n_owned)
+    owned_start = offset + 1
+    gid_of_key = {key: owned_start + i for i, key in enumerate(owned_keys)}
+
+    interior_send = {
+        sp: [l for l in ids if mesh.labels[l - 1] == INTERIOR]
+        for sp, ids in mesh.send_halo.items()}
+    interior_recv = {
+        sp: [l for l in ids if mesh.labels[l - 1] == INTERIOR]
+        for sp, ids in mesh.recv_halo.items()}
+    for _ in range(2):
+        payloads = {}
+        for sp, cells in interior_send.items():
+            rows = np.full((len(cells), m), -1, dtype=np.int64)
+            for i, l in enumerate(cells):
+                for a, kk in enumerate(_cell_keys(cls, mesh.global_of(l), q, offs)):
+                    rows[i, a] = gid_of_key.get(tuple(int(v) for v in kk), -1)
+            payloads[sp] = rows
+        received = yield proc.neighbor_exchange(payloads)
+        for sp, rows in received.items():
+            cells = interior_recv[sp]
+            assert rows.shape[0] == len(cells)
+            for l, row in zip(cells, rows):
+                keys = _cell_keys(cls, mesh.global_of(l), q, offs)
+                for a in range(m):
+                    gid = int(row[a])
+                    if gid == -1:
+                        continue
+                    key = tuple(int(v) for v in keys[a])
+                    assert gid_of_key.get(key, gid) == gid
+                    gid_of_key[key] = gid
+
+    cell_g: dict = {}
+    for l in range(1, mesh.n_relevant + 1):
+        keys = _cell_keys(cls, mesh.global_of(l), q, offs)
+        cell_g[l] = np.asarray(
+            [gid_of_key.get(tuple(int(v) for v in kk), -1) for kk in keys],
+            dtype=np.int64)
+
+    own_local_cell = np.zeros(n_j, dtype=np.int64)
+    for g in sorted(mesh.global_of(l) for l in range(1, mesh.n_relevant + 1)):
+        l = mesh.local_id(g)
+        for kk in _cell_keys(cls, g, q, offs):
+            j = j_of_key.get(tuple(int(v) for v in kk))
+            if j is not None and own_local_cell[j - 1] == 0:
+                own_local_cell[j - 1] = l
+
+    total = yield proc.sum_ordered(np.array([float(n_owned)]))
+    return dict(node_keys=node_keys, node_coords=node_coords, cell_j=cell_j,
+                cell_g=cell_g, j_interior=j_interior,
+                own_local_cell=own_local_cell, owned_start=owned_start,
+                n_owned=n_owned, gid_of_key=gid_of_key), int(total)
+
+
+def _views(geometry, d, level, n_parts):
+    cfg = ExperimentConfig(geometry=geometry, dimension=d, level=level)
+    cls = classify_cells(unit_box_grid(level, d), make_levelset(cfg))
+    part = partition_weighted_sfc(cls, n_subdomains=n_parts)
+    return build_subdomain_meshes(cls, part)
+
+
+@pytest.mark.parametrize("geometry,d,level,n_parts", [
+    ("circle", 2, 5, 1), ("circle", 2, 5, 4), ("offset-circle", 2, 6, 16),
+    ("popcorn", 3, 3, 8), ("circle", 3, 4, 8)])
+def test_numbering_matches_the_per_node_oracle(geometry, d, level, n_parts):
+    meshes = _views(geometry, d, level, n_parts)
+    traced = VirtualRuntime(n_parts, trace=True)
+    numbering = number_dofs_distributed(traced, meshes, 1)
+    oracle_rt = VirtualRuntime(n_parts, trace=True)
+    oracle = oracle_rt.run(
+        _oracle_numbering_body, args=[(m, 1) for m in meshes],
+        phase="numbering",
+        neighbor_sets=[set(m.neighbors.tolist()) for m in meshes])
+    assert traced.trace == oracle_rt.trace
+    grid = meshes[0].classification.grid
+    for piece, (want, total) in zip(numbering.pieces, oracle):
+        mesh = piece.mesh
+        assert numbering.n_global == total
+        assert (piece.owned_start, piece.n_owned) == (want["owned_start"],
+                                                      want["n_owned"])
+        for name in ("node_keys", "node_coords", "j_interior",
+                     "own_local_cell"):
+            assert np.array_equal(getattr(piece, name), want[name]), name
+        assert np.array_equal(piece.cell_j, np.array(
+            [want["cell_j"][l] for l in range(1, mesh.n_local + 1)]
+        ).reshape(piece.cell_j.shape))
+        assert np.array_equal(piece.cell_g, np.array(
+            [want["cell_g"][l] for l in range(1, mesh.n_relevant + 1)]
+        ).reshape(piece.cell_g.shape))
+        keys = np.array(list(want["gid_of_key"]), dtype=np.int64)
+        codes = encode_node_keys(keys.reshape(-1, d), 1, grid.n_per_axis)
+        order = np.argsort(codes)
+        assert np.array_equal(piece.gid_codes, codes[order])
+        assert np.array_equal(piece.gids, np.array(
+            list(want["gid_of_key"].values()), dtype=np.int64)[order])
+
+
+def _faulty_numbering(payload_filter):
+    meshes = _views("circle", 2, 5, 4)
+    rt = VirtualRuntime(4, payload_filter=payload_filter)
+    return number_dofs_distributed(rt, meshes, 1)
+
+
+def test_numbering_rejects_a_changed_global_id():
+    ranges = _faulty_numbering(None).owned_ranges()
+    changed = []
+
+    def change_one(phase, step, src, dst, rows):
+        # an id the receiver owns, sent back to it with another value
+        hit = np.argwhere((rows >= ranges[dst - 1]) & (rows < ranges[dst]))
+        if phase != "numbering" or changed or not hit.size:
+            return rows
+        changed.append((src, dst))
+        rows = rows.copy()
+        rows[tuple(hit[0])] += 1
+        return rows
+
+    with pytest.raises(RuntimeProtocolError, match="conflicting global ids"):
+        _faulty_numbering(change_one)
+    assert changed
+
+
+def test_numbering_rejects_a_dropped_row():
+    def drop_one(phase, step, src, dst, rows):
+        return rows[1:] if phase == "numbering" and len(rows) else rows
+
+    with pytest.raises(RuntimeProtocolError, match="numbering payload"):
+        _faulty_numbering(drop_one)
+
+
+def test_numbering_rejects_unresolved_ghost_ids():
+    def blank(phase, step, src, dst, rows):
+        return np.full_like(rows, -1) if phase == "numbering" else rows
+
+    with pytest.raises(RuntimeProtocolError,
+                       match="unresolved global DOF ids"):
+        _faulty_numbering(blank)

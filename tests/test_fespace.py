@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from agfem.aggregation import aggregate_serial
+from agfem.aggregation import RootMap, aggregate_serial
 from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs, prolongate, shape_gradients,
                            shape_values)
@@ -103,6 +104,17 @@ def test_constraints_reproduce_polynomials(rng):
             assert np.max(np.abs(full - poly)) < 1e-12
 
 
+def test_constraints_equal_the_per_dof_loop():
+    grid, cls, space, dofs, cons = _agg_pipeline(4, Sphere((0.531, 0.472), 0.3))
+    rm = aggregate_serial(cls)
+    for i, dof in enumerate(cons.constrained):
+        root = rm.root_of(int(dofs.own_cell[dof - 1]))
+        xi = space.reference_coords(root, space.node_coords[dof - 1])
+        assert np.array_equal(cons.masters[i],
+                              dofs.row_of[space.cell_dofs[root - 1] - 1])
+        assert np.array_equal(cons.coeffs[i], shape_values(1, 2, xi)[0])
+
+
 def test_constrained_node_on_root_node_is_unit_vector():
     # make the root cell's own node value reproduce exactly: evaluate the
     # basis at a root-cell corner
@@ -131,3 +143,14 @@ def test_agg_space_dimension():
     grid, cls, space, dofs, cons = _agg_pipeline(3, Sphere((0.5, 0.5), 0.3))
     assert cons.n_constrained == dofs.exterior_ids.size
     assert dofs.n_interior == space.n_dofs - cons.n_constrained
+
+
+def test_root_map_onto_a_cut_cell_is_rejected():
+    grid, cls, fa = classified(3, Sphere((0.5, 0.5), 0.3))
+    rm = aggregate_serial(cls)
+    own_roots = RootMap(root=np.arange(1, cls.n_active + 1), next=rm.next,
+                        rounds=rm.rounds)
+    space = build_std_space(cls, 1)
+    dofs = classify_dofs(space, cls, own_roots)
+    with pytest.raises(RuntimeError, match="carries a non-interior DOF"):
+        build_constraints_serial(space, dofs, own_roots)

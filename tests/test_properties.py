@@ -1,5 +1,6 @@
 """Property tests on random geometries: subdomain views against brute-force
-oracles, and the aggregation sweep against the BFS oracle."""
+oracles, the distributed DOF numbering against its ownership rule, and
+the aggregation sweep against the BFS oracle."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from agfem.aggregation import (AggregationStalledError, aggregate_parallel,
                                gather_root_map)
+from agfem.distspace import number_dofs_distributed
+from agfem.fespace import node_offsets
 from agfem.geometry import classify_cells
 from agfem.grid import unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
@@ -43,6 +46,30 @@ def _ghost_oracle(cls, owner, s):
     return foreign[touch.any(axis=1)] + 1
 
 
+def _check_numbering(cls, owner, meshes):
+    """Global ids cover 1..n_global once per node, agree wherever a node is
+    replicated, and lie in the range of the smallest subdomain among the
+    interior cells touching the node."""
+    n_parts = len(meshes)
+    numbering = number_dofs_distributed(VirtualRuntime(n_parts), meshes, 1)
+    ranges = numbering.owned_ranges()
+    offs = node_offsets(1, cls.grid.d)
+    lowest = {}
+    for k in cls.interior_ids:
+        for key in map(tuple, (cls.id_to_lattice[k - 1] + offs).tolist()):
+            lowest[key] = min(lowest.get(key, n_parts), int(owner[k - 1]))
+    gid_of = {}
+    for piece, mesh in zip(numbering.pieces, meshes):
+        for l in mesh.relevant_interior():
+            keys = cls.id_to_lattice[mesh.global_ids[l - 1] - 1] + offs
+            for key, gid in zip(map(tuple, keys.tolist()),
+                                piece.cell_g[l - 1].tolist()):
+                assert gid_of.setdefault(key, gid) == gid
+                assert ranges[lowest[key] - 1] <= gid < ranges[lowest[key]]
+    assert sorted(gid_of.values()) == list(range(1, numbering.n_global + 1))
+    assert numbering.n_global == len(lowest)
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(cut_meshes())
 def test_views_and_sweep_match_oracles(case):
@@ -70,6 +97,8 @@ def test_views_and_sweep_match_oracles(case):
         for l, nb in zip(*np.nonzero(rows)):
             assert mesh.face_open[l, nb] == face_rule(
                 cls, int(own[l]), int(named[l, nb]))
+
+    _check_numbering(cls, owner, meshes)
 
     try:
         oracle = bfs_aggregation_oracle(
