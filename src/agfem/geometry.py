@@ -15,9 +15,11 @@ Kuhn split in 3D) and places collapsed tensor Gauss rules on each inside
 sub-simplex.  Interface facets come from the linear zero crossing, their
 normals along the gradient of the simplex's linear interpolant; this is
 exact for half-plane geometries and first-order convergent for smooth
-ones.  All rules live in one flat store in cell-id order: interior cells
-share one box rule, cut cells are clipped one at a time and their rules
-mapped in batches.
+ones.  Clipping is one array pass over all sub-simplices of a batch of
+cells, read off case tables by the number of inside vertices; the same
+pass gives classification its cut volumes and quadrature its simplices
+and facets.  All rules live in one flat store in cell-id order: interior
+cells share one box rule, cut-cell rules are mapped in batches.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FACE_STEPS, BackgroundGrid, morton_encode
+from .grid import FACE_STEPS, BackgroundGrid, _corner_offsets, morton_encode
 from .levelset import LevelSet
 
 EXTERIOR, INTERIOR, CUT = 0, 1, 2
@@ -104,134 +106,75 @@ def _tet_rule(order: int):
     return np.stack([x, y, z], axis=1), w
 
 
-def _simplex_volume(verts: np.ndarray) -> float:
-    edges = verts[1:] - verts[0]
-    d = verts.shape[1]
-    fact = 2.0 if d == 2 else 6.0
-    return abs(float(np.linalg.det(edges))) / fact
-
-
 # ---------------------------------------------------------------------------
-# linear clipping of simplices
+# linear clipping of simplices, by case
 
 
-def _crossing(p_in, p_out, f_in, f_out):
-    t = f_in / (f_in - f_out)
-    t = min(max(t, 0.0), 1.0)
-    return p_in + t * (p_out - p_in)
+# Sub-simplices of a cell over its corners (x fastest) and, in 2D, its
+# center (index 4): four fan triangles in 2D, six Kuhn tetrahedra in 3D.
+_SUBDIVISION = {
+    2: np.array([[4, 0, 1], [4, 1, 3], [4, 3, 2], [4, 2, 0]]),
+    3: np.array([[0, 1 << p, (1 << p) | (1 << q), 7]
+                 for p, q, _ in itertools.permutations(range(3))]),
+}
+
+# Marching-tetrahedra cases by dimension and inside-vertex count m: inside
+# simplices and interface facets over points 0..d, the vertices with the
+# inside ones first, then the crossings on the edges (0, m), (0, m+1),
+# ..., (1, m), ...  A wedge in a tetrahedron splits into three tets.
+_CASES = {
+    2: {1: ([[0, 3, 4]], [[3, 4]]), 2: ([[0, 1, 4], [0, 4, 3]], [[3, 4]]),
+        3: ([[0, 1, 2]], np.zeros((0, 2), dtype=np.intp))},
+    3: {1: ([[0, 4, 5, 6]], [[4, 5, 6]]),
+        2: ([[0, 4, 5, 1], [4, 5, 1, 6], [5, 1, 6, 7]], [[4, 6, 7], [4, 7, 5]]),
+        3: ([[0, 1, 2, 4], [1, 2, 4, 5], [2, 4, 5, 6]], [[4, 5, 6]]),
+        4: ([[0, 1, 2, 3]], np.zeros((0, 3), dtype=np.intp))},
+}
 
 
-def _clip_triangle(verts, vals, tol):
-    """Clip one triangle by the linear interpolant of `vals`.
-
-    Returns (inside triangles, interface segments, an inside vertex); a
-    segment is a (2, 2) array.
-    """
-    inside = vals < -tol
-    m = int(inside.sum())
-    if m == 0:
-        return [], [], None
-    if m == 3:
-        return [verts], [], None
-    ins = [i for i in range(3) if inside[i]]
-    outs = [i for i in range(3) if not inside[i]]
-    if m == 1:
-        a = ins[0]
-        c1 = _crossing(verts[a], verts[outs[0]], vals[a], vals[outs[0]])
-        c2 = _crossing(verts[a], verts[outs[1]], vals[a], vals[outs[1]])
-        return [np.array([verts[a], c1, c2])], [np.array([c1, c2])], verts[a]
-    a, b = ins
-    o = outs[0]
-    ca = _crossing(verts[a], verts[o], vals[a], vals[o])
-    cb = _crossing(verts[b], verts[o], vals[b], vals[o])
-    tris = [np.array([verts[a], verts[b], cb]), np.array([verts[a], cb, ca])]
-    return tris, [np.array([ca, cb])], verts[a]
-
-
-_WEDGE_SPLIT = ((0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5))
-
-
-def _clip_tet(verts, vals, tol):
-    """Clip one tetrahedron; returns (inside tets, interface triangles, an
-    inside vertex)."""
-    inside = vals < -tol
-    m = int(inside.sum())
-    if m == 0:
-        return [], [], None
-    if m == 4:
-        return [verts], [], None
-    ins = [i for i in range(4) if inside[i]]
-    outs = [i for i in range(4) if not inside[i]]
-    if m == 1:
-        a = ins[0]
-        c = [_crossing(verts[a], verts[o], vals[a], vals[o]) for o in outs]
-        return [np.array([verts[a], *c])], [np.array(c)], verts[a]
-    if m == 3:
-        o = outs[0]
-        c = [_crossing(verts[i], verts[o], vals[i], vals[o]) for i in ins]
-        # inside part is a wedge: triangle of inside vertices plus crossings
-        wedge = np.array([verts[ins[0]], verts[ins[1]], verts[ins[2]], *c])
-        tets = [wedge[list(idx)] for idx in _WEDGE_SPLIT]
-        return tets, [np.array(c)], verts[ins[0]]
-    a, b = ins
-    o1, o2 = outs
-    ca1 = _crossing(verts[a], verts[o1], vals[a], vals[o1])
-    ca2 = _crossing(verts[a], verts[o2], vals[a], vals[o2])
-    cb1 = _crossing(verts[b], verts[o1], vals[b], vals[o1])
-    cb2 = _crossing(verts[b], verts[o2], vals[b], vals[o2])
-    wedge = np.array([verts[a], ca1, ca2, verts[b], cb1, cb2])
-    tets = [wedge[list(idx)] for idx in _WEDGE_SPLIT]
-    # the zero set cuts the tet in a planar quad, split it into triangles
-    quad = [ca1, cb1, cb2, ca2]
-    facets = [np.array([quad[0], quad[1], quad[2]]),
-              np.array([quad[0], quad[2], quad[3]])]
-    return tets, facets, verts[a]
-
-
-_KUHN_PERMS = list(itertools.permutations(range(3)))
-
-
-def _cell_simplices(grid: BackgroundGrid, lattice, corner_vals, center_val):
-    """Simplex subdivision of one cell with sampled level-set values."""
-    verts = grid.cell_vertices(lattice)
+def _sub_simplices(grid: BackgroundGrid, lattices, corners, centers):
+    """Sub-simplices of a batch of cells, cell by cell, and their level-set
+    values: (n * s, d+1, d) and (n * s, d+1); ``centers`` is unused in 3D."""
+    points = grid.cell_origin(lattices)[:, None, :] + _corner_offsets(grid.d) * grid.h
     if grid.d == 2:
-        center = grid.cell_barycenter(lattice)
-        ring = [0, 1, 3, 2]  # corners in boundary order, x fastest indexing
-        out = []
-        for i in range(4):
-            a, b = ring[i], ring[(i + 1) % 4]
-            tri = np.array([center, verts[a], verts[b]])
-            vals = np.array([center_val, corner_vals[a], corner_vals[b]])
-            out.append((tri, vals))
-        return out
-    out = []
-    for perm in _KUHN_PERMS:
-        idx = [0]
-        bits = 0
-        for axis in perm:
-            bits |= 1 << axis
-            idx.append(bits)
-        tet = verts[idx]
-        vals = corner_vals[list(idx)]
-        out.append((tet, vals))
-    return out
+        points = np.concatenate(
+            [points, grid.cell_barycenter(lattices)[:, None]], axis=1)
+        corners = np.concatenate([corners, centers[:, None]], axis=1)
+    table = _SUBDIVISION[grid.d]
+    return (points[:, table].reshape(-1, grid.d + 1, grid.d),
+            corners[:, table].reshape(-1, grid.d + 1))
 
 
-def _clip_cell(grid, lattice, corner_vals, center_val, tol):
-    """Inside simplices, interface facets and an inside vertex per facet."""
-    clip = _clip_triangle if grid.d == 2 else _clip_tet
-    bulk, facets, anchors = [], [], []
-    for simplex, vals in _cell_simplices(grid, lattice, corner_vals, center_val):
-        b, f, a = clip(simplex, vals, tol)
-        bulk.extend(b)
-        facets.extend(f)
-        anchors.extend([a] * len(f))
-    return bulk, facets, anchors
+def _clip(simplices, values, tol):
+    """Clip simplices (n, d+1, d) to where the linear interpolant of their
+    vertex values (n, d+1) is below ``-tol``.
 
-
-def _cut_volume(grid, lattice, corner_vals, center_val, tol) -> float:
-    bulk, _, _ = _clip_cell(grid, lattice, corner_vals, center_val, tol)
-    return float(sum(_simplex_volume(s) for s in bulk))
+    Returns the inside simplices with the index of the simplex each comes
+    from, and the interface facets (nf, d, d) with an inside vertex each
+    (the first of its simplex) and their simplex index, in simplex order
+    and within a simplex in case order."""
+    d = simplices.shape[2]
+    inside = values < -tol
+    order = np.argsort(~inside, axis=1, kind="stable")
+    verts = np.take_along_axis(simplices, order[..., None], axis=1)
+    vals = np.take_along_axis(values, order, axis=1)
+    count = inside.sum(axis=1)
+    parts = []
+    for m, (b_table, f_table) in _CASES[d].items():
+        src = np.flatnonzero(count == m)
+        p, f = verts[src], vals[src]
+        i, o = np.array([(i, o) for i in range(m) for o in range(m, d + 1)],
+                        dtype=np.intp).reshape(-1, 2).T
+        t = np.clip(f[:, i] / (f[:, i] - f[:, o]), 0.0, 1.0)[..., None]
+        p = np.concatenate([p, p[:, i] + t * (p[:, o] - p[:, i])], axis=1)
+        parts.append((p[:, b_table].reshape(-1, d + 1, d),
+                      np.repeat(src, len(b_table)),
+                      p[:, f_table].reshape(-1, d, d),
+                      np.repeat(p[:, 0], len(f_table), axis=0),
+                      np.repeat(src, len(f_table))))
+    bulk, b_src, facets, anchors, f_src = (np.concatenate(x) for x in zip(*parts))
+    b, f = np.argsort(b_src, kind="stable"), np.argsort(f_src, kind="stable")
+    return bulk[b], b_src[b], facets[f], anchors[f], f_src[f]
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +215,6 @@ def _cells_of(offsets, rows):
 
 def _offsets(counts):
     return np.concatenate([[0], np.cumsum(counts)])
-
-
-def _clip_cut_cells(grid, ls, cls):
-    """Clip every cut cell, in id order: inside simplices (n, d+1, d) and
-    their cell ids, facets (nf, d, d), an inside vertex per facet and the
-    facet cell ids."""
-    d = grid.d
-    cut = cls.cut_ids
-    lattices = cls.id_to_lattice[cut - 1]
-    corners = _corner_values(cls.vertex_values, d)[tuple(lattices.T)]
-    centers = np.zeros(cut.size)
-    if d == 2 and cut.size:
-        centers = np.asarray(ls(cls.barycenters()[cut - 1]), dtype=np.float64)
-    simplices, s_cell, facets, anchors, f_cell = [], [], [], [], []
-    for k, lattice, cvals, cval in zip(cut, lattices, corners, centers):
-        b, f, a = _clip_cell(grid, lattice, cvals, float(cval), cls.tol)
-        simplices += b
-        facets += f
-        anchors += a
-        s_cell += [k] * len(b)
-        f_cell += [k] * len(f)
-    return (np.array(simplices).reshape(-1, d + 1, d),
-            np.array(s_cell, dtype=np.int32),
-            np.array(facets).reshape(-1, d, d),
-            np.array(anchors).reshape(-1, d),
-            np.array(f_cell, dtype=np.int32))
 
 
 def _map_rule(simplices, ref_pts):
@@ -382,7 +299,16 @@ def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    simplices, s_cell, facets, anchors, f_cell = _clip_cut_cells(grid, ls, cls)
+    cut = cls.cut_ids
+    lattices = cls.id_to_lattice[cut - 1]
+    corners = _corner_values(cls.vertex_values, grid.d)[tuple(lattices.T)]
+    centers = np.zeros(cut.size)
+    if grid.d == 2 and cut.size:
+        centers = np.asarray(ls(cls.barycenters()[cut - 1]), dtype=np.float64)
+    simplices, s_src, facets, anchors, f_src = _clip(
+        *_sub_simplices(grid, lattices, corners, centers), cls.tol)
+    n_sub = len(_SUBDIVISION[grid.d])
+    s_cell, f_cell = cut[s_src // n_sub], cut[f_src // n_sub]
     points, weights, offsets = _bulk_rules(grid, cls, simplices, s_cell, order)
     b_points, b_weights, b_normals, b_offsets = _interface_rules(
         grid, cls.n_active, facets, anchors, f_cell, order)
@@ -486,21 +412,19 @@ def _vertex_values(grid: BackgroundGrid, ls: LevelSet) -> np.ndarray:
 
 def _corner_values(vvals: np.ndarray, d: int) -> np.ndarray:
     """Per-cell corner values, shape lattice + (2**d,), x-fastest corners."""
-    slabs = []
-    for c in range(1 << d):
-        sl = tuple(slice(1, None) if (c >> a) & 1 else slice(0, -1)
-                   for a in range(d))
-        slabs.append(vvals[sl])
-    return np.stack(slabs, axis=-1)
+    n = vvals.shape[0] - 1
+    return np.stack([vvals[tuple(slice(b, b + n) for b in bits)]
+                     for bits in _corner_offsets(d).astype(np.intp)], axis=-1)
 
 
 def classify_cells(grid: BackgroundGrid, ls: LevelSet,
                    tol: float | None = None) -> CellClassification:
     """Classify every background cell as interior, cut, or exterior.
 
-    A cell is interior iff psi < -tol at all its vertices; it is exterior
-    iff no vertex is inside and the linearized cut region is empty (or
-    below the demotion threshold); otherwise it is cut.
+    A cell is interior iff psi < -tol at all its vertices.  Every other
+    cell with an inside vertex (or, in 2D, an inside center) is clipped,
+    all in one pass; it is cut iff its clipped volume reaches
+    ``MIN_VOLUME_FRACTION`` of the cell, else exterior.
     """
     if tol is None:
         tol = default_tolerance(grid)
@@ -512,33 +436,29 @@ def classify_cells(grid: BackgroundGrid, ls: LevelSet,
         cell = np.minimum(bad, grid.n_per_axis - 1)
         raise ClassificationError(
             f"level set {ls.name!r} returned a non-finite value at a vertex "
-            f"of cell {tuple(int(c) for c in cell)}"
-        )
+            f"of cell {tuple(int(c) for c in cell)}")
     corners = _corner_values(vvals, grid.d)
     labels = np.full(corners.shape[:-1], EXTERIOR, dtype=np.int8)
     labels[np.max(corners, axis=-1) < -tol] = INTERIOR
 
-    candidates = np.argwhere((labels != INTERIOR) & (np.min(corners, axis=-1) < -tol))
-    if grid.d == 2 and candidates.size:
-        centers = grid.origin + (candidates + 0.5) * grid.h
-        center_vals = np.asarray(ls(centers), dtype=np.float64)
-    else:
-        center_vals = np.zeros(len(candidates))
-    min_volume = MIN_VOLUME_FRACTION * grid.cell_volume
-    for lattice, cval in zip(candidates, center_vals):
-        cvals = corners[tuple(lattice)]
-        if _cut_volume(grid, lattice, cvals, cval, tol) >= min_volume:
-            labels[tuple(lattice)] = CUT
-    if grid.d == 2:
-        # a center sample inside an all-outside-corner cell can still open
-        # a cut region under the fan subdivision
-        extra = np.argwhere(labels == EXTERIOR)
-        if extra.size:
-            cvs = np.asarray(ls(grid.origin + (extra + 0.5) * grid.h))
-            for lattice, cval in zip(extra[cvs < -tol], cvs[cvs < -tol]):
-                cvals = corners[tuple(lattice)]
-                if _cut_volume(grid, lattice, cvals, float(cval), tol) >= min_volume:
-                    labels[tuple(lattice)] = CUT
+    # any other cell with an inside corner (or, in 2D, center) is cut
+    # unless its clipped volume falls below the demotion threshold
+    rest = labels != INTERIOR
+    lattices, cvals = np.argwhere(rest), corners[rest]
+    touched = np.min(cvals, axis=-1) < -tol
+    centers = np.zeros(len(lattices))
+    if grid.d == 2 and lattices.size:
+        centers = np.asarray(ls(grid.cell_barycenter(lattices)), dtype=np.float64)
+        touched |= centers < -tol
+    lattices, cvals, centers = lattices[touched], cvals[touched], centers[touched]
+    simplices, src, *_ = _clip(
+        *_sub_simplices(grid, lattices, cvals, centers), tol)
+    volume = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1])) / (
+        2.0 if grid.d == 2 else 6.0)
+    volume = np.bincount(src // len(_SUBDIVISION[grid.d]), volume,
+                         minlength=len(lattices))
+    cut = lattices[volume >= MIN_VOLUME_FRACTION * grid.cell_volume]
+    labels[tuple(cut.T)] = CUT
 
     active = np.argwhere(labels != EXTERIOR).astype(np.int64)
     order = np.argsort(morton_encode(active, grid.level), kind="stable")

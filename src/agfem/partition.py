@@ -83,23 +83,20 @@ def _adaptive_boundaries(prefix: np.ndarray, n_parts: int) -> np.ndarray:
     return bounds
 
 
-def _range_sums(weights: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    return np.array([weights[bounds[s]:bounds[s + 1]].sum()
-                     for s in range(bounds.size - 1)])
-
-
-def _repair_boundaries(weights: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+def _repair_boundaries(weights: np.ndarray, prefix: np.ndarray,
+                       bounds: np.ndarray) -> np.ndarray:
     """Shrink the max-min spread of range sums by boundary moves.
 
     Candidate moves shift one cell across a single boundary, or cascade
     one cell across every boundary between the heaviest and lightest
     range; the best strictly improving move is applied until the spread
-    is within one max weight or no move helps.
+    is within one max weight or no move helps.  Range sums are
+    differences of the zero-led ``prefix`` sums of ``weights``.
     """
     n_parts = bounds.size - 1
     if n_parts == 1:
         return bounds
-    sums = _range_sums(weights, bounds)
+    sums = np.diff(prefix[bounds])
     w_max = float(weights.max())
     mean = sums.sum() / n_parts
 
@@ -129,7 +126,7 @@ def _repair_boundaries(weights: np.ndarray, bounds: np.ndarray) -> np.ndarray:
             trial[move] += delta
             if np.any(np.diff(trial) < 1):
                 continue
-            ns = _range_sums(weights, trial)
+            ns = np.diff(prefix[trial])
             cand = objective(ns)
             if cand < current and (best is None or cand < best[0]):
                 best = (cand, trial, ns)
@@ -141,12 +138,12 @@ def _repair_boundaries(weights: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 def _split(weights: np.ndarray, n_parts: int) -> np.ndarray:
     """Owner (1-based) per position for Morton-ordered weighted cells."""
-    prefix = np.cumsum(weights)
+    prefix = np.concatenate([[0.0], np.cumsum(weights)])
     best = None
-    for seed_bounds in (_adaptive_boundaries(prefix, n_parts),
-                        _balanced_boundaries(prefix, n_parts)):
-        bounds = _repair_boundaries(weights, seed_bounds)
-        sums = _range_sums(weights, bounds)
+    for seed_bounds in (_adaptive_boundaries(prefix[1:], n_parts),
+                        _balanced_boundaries(prefix[1:], n_parts)):
+        bounds = _repair_boundaries(weights, prefix, seed_bounds)
+        sums = np.diff(prefix[bounds])
         score = (float(sums.max() - sums.min()), float(np.sum(sums**2)))
         if best is None or score < best[0]:
             best = (score, bounds)

@@ -27,6 +27,10 @@ from .geometry import point_chunks
 from .runtime import VirtualRuntime
 
 
+class NotPositiveDefiniteError(ValueError):
+    """A matrix expected to be SPD has a non-positive eigenvalue."""
+
+
 @dataclass
 class SolveReport:
     iterations: int
@@ -173,10 +177,11 @@ def condition_estimate(system, method: str = "lanczos", maxit: int | None = None
                        seed: int = 0) -> float:
     """Spectral condition number of an SPD matrix.
 
-    ``dense`` computes the exact extreme eigenvalues (capped at n=2000);
-    ``lanczos`` runs an unpreconditioned CG recurrence against a seeded
-    random right-hand side and reads the extreme Ritz values off the
-    tridiagonal.
+    ``dense`` computes the exact extreme eigenvalues (capped at n=2000)
+    and raises ``NotPositiveDefiniteError`` when the smallest is not
+    positive; ``lanczos`` runs an unpreconditioned CG recurrence against
+    a seeded random right-hand side and reads the extreme Ritz values off
+    the tridiagonal.
     """
     if isinstance(system, DistributedSystem):
         A, _ = system.gather()
@@ -188,6 +193,10 @@ def condition_estimate(system, method: str = "lanczos", maxit: int | None = None
         if n > 2000:
             raise ValueError(f"dense estimate limited to n <= 2000, got {n}")
         eig = scipy.linalg.eigvalsh(A.toarray())
+        if not eig[0] > 0.0:
+            raise NotPositiveDefiniteError(
+                f"matrix is not positive definite: smallest eigenvalue "
+                f"{float(eig[0])!r}")
         return float(eig[-1] / eig[0])
     if method != "lanczos":
         raise ValueError(f"unknown method {method!r}")

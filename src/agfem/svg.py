@@ -43,9 +43,17 @@ def _fmt(v: float) -> str:
 
 def line_chart(path, series, xlabel: str = "", ylabel: str = "",
                logx: bool = False, logy: bool = False, title: str = ""):
-    """Write a polyline chart; `series` is a list of (label, xs, ys)."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if not (logy and y <= 0)]
+    """Write a polyline chart; `series` is a list of (label, xs, ys).
+
+    Points with a non-finite coordinate, or a non-positive one on a log
+    axis, are not drawn."""
+    def finite(x, y):
+        return math.isfinite(x) and math.isfinite(y)
+
+    points = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
+              if finite(x, y)]
+    xs_all = [x for x, _ in points]
+    ys_all = [y for _, y in points if not (logy and y <= 0)]
     if not xs_all or not ys_all:
         xs_all, ys_all = [1.0], [1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -101,7 +109,8 @@ def line_chart(path, series, xlabel: str = "", ylabel: str = "",
     for i, (label, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)
-                       if not (logy and y <= 0) and not (logx and x <= 0))
+                       if finite(x, y) and not (logy and y <= 0)
+                       and not (logx and x <= 0))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * i

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -103,6 +104,156 @@ def gradient(ls, points, step):
         e[axis] = step
         grad[:, axis] = (ls(points + e) - ls(points - e)) / (2.0 * step)
     return grad
+
+
+def _crossing(p_in, p_out, f_in, f_out):
+    t = f_in / (f_in - f_out)
+    t = min(max(t, 0.0), 1.0)
+    return p_in + t * (p_out - p_in)
+
+
+def clip_triangle(verts, vals, tol):
+    """Clip one triangle by the linear interpolant of `vals`, the per-
+    simplex oracle of the case-table clipper.
+
+    Returns (inside triangles, interface segments, an inside vertex); a
+    segment is a (2, 2) array.
+    """
+    inside = vals < -tol
+    m = int(inside.sum())
+    if m == 0:
+        return [], [], None
+    if m == 3:
+        return [verts], [], None
+    ins = [i for i in range(3) if inside[i]]
+    outs = [i for i in range(3) if not inside[i]]
+    if m == 1:
+        a = ins[0]
+        c1 = _crossing(verts[a], verts[outs[0]], vals[a], vals[outs[0]])
+        c2 = _crossing(verts[a], verts[outs[1]], vals[a], vals[outs[1]])
+        return [np.array([verts[a], c1, c2])], [np.array([c1, c2])], verts[a]
+    a, b = ins
+    o = outs[0]
+    ca = _crossing(verts[a], verts[o], vals[a], vals[o])
+    cb = _crossing(verts[b], verts[o], vals[b], vals[o])
+    tris = [np.array([verts[a], verts[b], cb]), np.array([verts[a], cb, ca])]
+    return tris, [np.array([ca, cb])], verts[a]
+
+
+_WEDGE_SPLIT = ((0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5))
+
+
+def clip_tet(verts, vals, tol):
+    """Clip one tetrahedron; returns (inside tets, interface triangles, an
+    inside vertex)."""
+    inside = vals < -tol
+    m = int(inside.sum())
+    if m == 0:
+        return [], [], None
+    if m == 4:
+        return [verts], [], None
+    ins = [i for i in range(4) if inside[i]]
+    outs = [i for i in range(4) if not inside[i]]
+    if m == 1:
+        a = ins[0]
+        c = [_crossing(verts[a], verts[o], vals[a], vals[o]) for o in outs]
+        return [np.array([verts[a], *c])], [np.array(c)], verts[a]
+    if m == 3:
+        o = outs[0]
+        c = [_crossing(verts[i], verts[o], vals[i], vals[o]) for i in ins]
+        # inside part is a wedge: triangle of inside vertices plus crossings
+        wedge = np.array([verts[ins[0]], verts[ins[1]], verts[ins[2]], *c])
+        tets = [wedge[list(idx)] for idx in _WEDGE_SPLIT]
+        return tets, [np.array(c)], verts[ins[0]]
+    a, b = ins
+    o1, o2 = outs
+    ca1 = _crossing(verts[a], verts[o1], vals[a], vals[o1])
+    ca2 = _crossing(verts[a], verts[o2], vals[a], vals[o2])
+    cb1 = _crossing(verts[b], verts[o1], vals[b], vals[o1])
+    cb2 = _crossing(verts[b], verts[o2], vals[b], vals[o2])
+    wedge = np.array([verts[a], ca1, ca2, verts[b], cb1, cb2])
+    tets = [wedge[list(idx)] for idx in _WEDGE_SPLIT]
+    # the zero set cuts the tet in a planar quad, split it into triangles
+    quad = [ca1, cb1, cb2, ca2]
+    facets = [np.array([quad[0], quad[1], quad[2]]),
+              np.array([quad[0], quad[2], quad[3]])]
+    return tets, facets, verts[a]
+
+
+def cell_simplices(grid, lattice, corner_vals, center_val):
+    """Simplex subdivision of one cell with sampled level-set values."""
+    verts = grid.cell_vertices(lattice)
+    if grid.d == 2:
+        center = grid.cell_barycenter(lattice)
+        ring = [0, 1, 3, 2]  # corners in boundary order, x fastest indexing
+        out = []
+        for i in range(4):
+            a, b = ring[i], ring[(i + 1) % 4]
+            tri = np.array([center, verts[a], verts[b]])
+            vals = np.array([center_val, corner_vals[a], corner_vals[b]])
+            out.append((tri, vals))
+        return out
+    out = []
+    for perm in itertools.permutations(range(3)):
+        idx = [0]
+        bits = 0
+        for axis in perm:
+            bits |= 1 << axis
+            idx.append(bits)
+        out.append((verts[idx], corner_vals[idx]))
+    return out
+
+
+def clip_simplices(pairs, tol):
+    """Inside simplices, interface facets and an inside vertex per facet of
+    a list of (vertices, values) simplices, one at a time; with the index
+    of the simplex each piece comes from."""
+    bulk, b_src, facets, anchors, f_src = [], [], [], [], []
+    for k, (simplex, vals) in enumerate(pairs):
+        clip = clip_triangle if simplex.shape[1] == 2 else clip_tet
+        b, f, a = clip(simplex, vals, tol)
+        bulk += b
+        facets += f
+        anchors += [a] * len(f)
+        b_src += [k] * len(b)
+        f_src += [k] * len(f)
+    return bulk, b_src, facets, anchors, f_src
+
+
+def clip_cell(grid, lattice, corner_vals, center_val, tol):
+    """Inside simplices, interface facets and an inside vertex per facet of
+    one cell, clipped one sub-simplex at a time."""
+    bulk, _, facets, anchors, _ = clip_simplices(
+        cell_simplices(grid, lattice, corner_vals, center_val), tol)
+    return bulk, facets, anchors
+
+
+def cut_volume(grid, lattice, corner_vals, center_val, tol) -> float:
+    """Clipped volume of one cell, summed simplex by simplex."""
+    bulk, _, _ = clip_cell(grid, lattice, corner_vals, center_val, tol)
+    fact = 2.0 if grid.d == 2 else 6.0
+    return float(sum(abs(float(np.linalg.det(s[1:] - s[0]))) / fact
+                     for s in bulk))
+
+
+def clip_cells_oracle(grid, lattices, corners, centers, tol):
+    """A batch of cells clipped one at a time, as arrays: inside simplices
+    and the batch position of each one's cell, facets, an inside vertex
+    per facet and the facet cell positions."""
+    d = grid.d
+    simplices, s_cell, facets, anchors, f_cell = [], [], [], [], []
+    for k, (lattice, cvals, cval) in enumerate(zip(lattices, corners, centers)):
+        b, f, a = clip_cell(grid, lattice, cvals, float(cval), tol)
+        simplices += b
+        facets += f
+        anchors += a
+        s_cell += [k] * len(b)
+        f_cell += [k] * len(f)
+    return (np.array(simplices).reshape(-1, d + 1, d),
+            np.array(s_cell, dtype=np.intp),
+            np.array(facets).reshape(-1, d, d),
+            np.array(anchors).reshape(-1, d),
+            np.array(f_cell, dtype=np.intp))
 
 
 @pytest.fixture

@@ -99,6 +99,30 @@ def test_parallel_check_detects_injected_fault():
         run_parallel_check(cfg, [4], runtime_factory=factory)
 
 
+def test_parallel_check_detects_a_rounding_level_assembly_fault():
+    # one exchanged assembly value off by a relative 1e-14 is within any
+    # tolerance-based comparison; the systems must agree exactly
+    cfg = ExperimentConfig(level=4).validate()
+    nudged = []
+
+    def nudge(phase, superstep, src, dst, payload):
+        if phase == "assembly" and not nudged:
+            row, col, cell, val = payload
+            k = int(np.flatnonzero(val)[0])
+            val = val.copy()
+            val[k] *= 1.0 + 1e-14
+            nudged.append((src, dst, k))
+            payload = (row, col, cell, val)
+        return payload
+
+    def factory(n_parts):
+        return VirtualRuntime(n_parts, payload_filter=nudge)
+
+    with pytest.raises(EquivalenceError, match="assembled"):
+        run_parallel_check(cfg, [4], runtime_factory=factory)
+    assert nudged
+
+
 def test_parallel_check_passes_clean():
     cfg = ExperimentConfig(level=3).validate()
     result = run_parallel_check(cfg, [1, 2, 4])
@@ -137,6 +161,19 @@ def test_cut_sweep_benign_and_blowup(tmp_path):
     aggs = [float(r["kappa_agg"]) for r in rows[1:]]
     assert max(aggs) / min(aggs) <= 10.0
     assert (tmp_path / "cut_sweep.csv").exists()
+    assert (tmp_path / "cut_sweep.svg").exists()
+
+
+def test_cut_sweep_writes_nan_for_an_indefinite_matrix(tmp_path):
+    # at delta = 1e-8 the standard-space matrix has a negative eigenvalue
+    # in floating point, which once came out as kappa_std = -1.7e16
+    from agfem.experiments import cmd_cut_sweep
+
+    cfg = ExperimentConfig(geometry="halfplane", level=5, offset=0.5,
+                           out=str(tmp_path)).validate()
+    [row] = cmd_cut_sweep(cfg, (1e-8,))
+    assert row["kappa_std"] == "nan"
+    assert float(row["kappa_agg"]) > 0
     assert (tmp_path / "cut_sweep.svg").exists()
 
 

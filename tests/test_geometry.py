@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from agfem.geometry import (CUT, EXTERIOR, INTERIOR, ClassificationError,
-                            _corner_values, _cut_volume, classify_cells,
-                            cut_quadrature, face_is_active)
+from agfem.geometry import (CUT, EXTERIOR, INTERIOR, MIN_VOLUME_FRACTION,
+                            ClassificationError, _clip, _corner_values,
+                            _sub_simplices, classify_cells, cut_quadrature,
+                            face_is_active)
 from agfem.grid import unit_box_grid
 from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
 
-from conftest import face_rule, gradient
+from conftest import clip_cells_oracle, cut_volume, face_rule, gradient
 
 
 def test_classify_all_interior():
@@ -179,10 +180,39 @@ def test_store_files_points_under_their_cells(level, ls, d):
     corners = _corner_values(cls.vertex_values, d)
     for k in cls.cut_ids:
         lattice = cls.lattice_of(k)
-        clipped = _cut_volume(grid, lattice, corners[tuple(lattice)],
-                              float(centers[k - 1]), cls.tol)
+        clipped = cut_volume(grid, lattice, corners[tuple(lattice)],
+                             float(centers[k - 1]), cls.tol)
         assert abs(volumes[k - 1] - clipped) <= 1e-14 * clipped
     assert np.array_equal(np.unique(quad.boundary_cells()), cls.cut_ids)
+
+
+@pytest.mark.parametrize("level, ls, d", [
+    (5, Sphere((0.5, 0.5), 0.3), 2),
+    (3, Popcorn(), 3),
+    (4, Popcorn(), 3),
+], ids=["circle-2d-L5", "popcorn-3d-L3", "popcorn-3d-L4"])
+def test_clipper_matches_the_per_simplex_oracle(level, ls, d):
+    # the cut cells in one pass, then one at a time
+    grid = unit_box_grid(level, d)
+    cls = classify_cells(grid, ls)
+    lattices = cls.id_to_lattice[cls.cut_ids - 1]
+    corners = _corner_values(cls.vertex_values, d)
+    batch = (grid, lattices, corners[tuple(lattices.T)],
+             ls(cls.barycenters()[cls.cut_ids - 1]))
+    bulk, b_src, facets, anchors, f_src = _clip(*_sub_simplices(*batch), cls.tol)
+    n_sub = 4 if d == 2 else 6
+    got = (bulk, b_src // n_sub, facets, anchors, f_src // n_sub)
+    for g, w in zip(got, clip_cells_oracle(*batch, cls.tol)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+    # a cell that is not interior is cut iff the oracle's clipped volume
+    # reaches the demotion threshold
+    for lattice in np.argwhere(cls.labels != INTERIOR):
+        center = float(ls(grid.cell_barycenter(lattice)[None])[0])
+        volume = cut_volume(grid, lattice, corners[tuple(lattice)], center,
+                            cls.tol)
+        cut = volume >= MIN_VOLUME_FRACTION * grid.cell_volume
+        assert (cls.labels[tuple(lattice)] == CUT) == cut
 
 
 def test_zero_measure_cut_demoted():

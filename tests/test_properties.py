@@ -1,6 +1,7 @@
-"""Property tests on random geometries: subdomain views against brute-force
-oracles, the distributed DOF numbering against its ownership rule, and
-the aggregation sweep against the BFS oracle."""
+"""Property tests on random geometries: the case-table clipper against the
+per-simplex oracle, subdomain views against brute-force oracles, the
+distributed DOF numbering against its ownership rule, and the aggregation
+sweep against the BFS oracle."""
 
 import numpy as np
 import pytest
@@ -10,13 +11,53 @@ from agfem.aggregation import (AggregationStalledError, aggregate_parallel,
                                gather_root_map)
 from agfem.distspace import number_dofs_distributed
 from agfem.fespace import node_offsets
-from agfem.geometry import classify_cells
+from agfem.geometry import _clip, classify_cells
 from agfem.grid import unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import bfs_aggregation_oracle, face_rule
+from conftest import bfs_aggregation_oracle, clip_simplices, face_rule
+
+
+TOL = 1e-12
+
+
+@st.composite
+def valued_simplices(draw):
+    """A batch of random 2D or 3D simplices with vertex values that mix
+    random ones with exact zeros, values at +-tol and an edge whose two
+    ends share one value."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    value = st.one_of(st.floats(-1.0, 1.0, allow_nan=False),
+                      st.sampled_from([0.0, -0.0, TOL, -TOL, 2 * TOL, -2 * TOL]))
+    k = n * (d + 1)
+    simplices = np.array(draw(st.lists(coord, min_size=k * d, max_size=k * d)))
+    values = np.array(draw(st.lists(value, min_size=k, max_size=k)))
+    simplices, values = simplices.reshape(n, d + 1, d), values.reshape(n, d + 1)
+    for k in range(n):
+        if draw(st.booleans()):
+            a, b = draw(st.permutations(range(d + 1)))[:2]
+            values[k, b] = values[k, a]
+    return simplices, values
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(valued_simplices())
+def test_case_table_clipper_matches_the_per_simplex_oracle(case):
+    simplices, values = case
+    d = simplices.shape[2]
+    bulk, b_src, facets, anchors, f_src = clip_simplices(
+        zip(simplices, values), TOL)
+    got = _clip(simplices, values, TOL)
+    want = (np.array(bulk).reshape(-1, d + 1, d), np.array(b_src, dtype=np.intp),
+            np.array(facets).reshape(-1, d, d), np.array(anchors).reshape(-1, d),
+            np.array(f_src, dtype=np.intp))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 @st.composite

@@ -58,6 +58,12 @@ def test_condition_estimates():
         condition_estimate(A, "qr")
 
 
+def test_condition_estimate_rejects_an_indefinite_matrix():
+    A = sp.diags([1.0, -1.0, 1.0]).tocsr()
+    with pytest.raises(ValueError, match="smallest eigenvalue -1.0"):
+        condition_estimate(A, "dense")
+
+
 def _circle_system(level, rtol=1e-6, g=None, f=None):
     ls = Sphere((0.5, 0.5), 0.3)
     grid, cls, fa = classified(level, ls)
