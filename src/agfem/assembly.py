@@ -4,16 +4,19 @@ Element matrices carry the bulk gradient term plus the weak-Dirichlet
 boundary terms; the penalty is either beta/h (aggregated spaces, robust
 for any cut) or beta times the largest generalized eigenvalue of the
 boundary/volume pencil per cut cell (standard spaces, which blows up as
-the kept volume shrinks).  Elements come from one batched pass over the
-flat quadrature store, in fixed-size chunks of points, as two arrays:
-matrices (n_active, m, m) and vectors (n_active, m); each cell sums its
-points in store order.  Assembly is one kernel run per subdomain on
-the virtual runtime, serial being the one-process case: element entries
-are expanded through the extension operator C (A = C^T A_e C), each
-cell summed on its own, and after one routed exchange the row owners
-sum per (row, col) in global-cell order.  That order depends on neither
-the partition nor the numbering, so serial and distributed systems are
-bitwise equal; entries summing to zero are not stored.
+the kept volume shrinks).  Elements come as two arrays, matrices
+(n_active, m, m) and vectors (n_active, m).  Interior cells share one
+reference element: their common box rule gives one stiffness matrix
+and one table of shape values for the load vectors.  Cut cells and the
+interface are integrated point by point in fixed-size chunks of the
+flat quadrature store; each cell sums its points in store order.
+Assembly is one kernel run per subdomain on the virtual runtime, serial
+being the one-process case: element entries are expanded through the
+extension operator C (A = C^T A_e C), each cell summed on its own, and
+after one routed exchange the row owners sum per (row, col) in
+global-cell order.  That order depends on neither the partition nor the
+numbering, so serial and distributed systems are bitwise equal; entries
+summing to zero are not stored.
 """
 
 from __future__ import annotations
@@ -100,6 +103,14 @@ def _add_weighted_runs(out, cells, w, vals):
         (-1,) + out.shape[1:])
 
 
+def reference_tables(space: StdSpace, quad: QuadratureStore):
+    """Shape values (n_box, m) and physical gradients (n_box, m, d) at the
+    box rule that every interior cell of ``quad`` holds."""
+    grid = space.classification.grid
+    return (shape_values(space.q, grid.d, quad.box_points),
+            shape_gradients(space.q, grid.d, quad.box_points) / grid.h)
+
+
 def poisson_elements(space: StdSpace, quad: QuadratureStore, taus, f=None,
                      g=None):
     """Element matrices (n_active, m, m) and vectors (n_active, m) of the
@@ -110,7 +121,10 @@ def poisson_elements(space: StdSpace, quad: QuadratureStore, taus, f=None,
     b_a  = int phi_a f dOmega + int (tau phi_a - n.grad(phi_a)) g dGamma
 
     over each cell's run of the store, with the cell's ``taus`` entry.
-    One pass over the store in chunks of ``CHUNK_POINTS`` points.
+    Interior cells share one reference element: one stiffness matrix,
+    and load vectors from f at their points times the fixed table of
+    shape values.  Cut cells and interface points are integrated point
+    by point, in chunks of ``CHUNK_POINTS`` points.
     """
     cls = space.classification
     d, q, h = cls.grid.d, space.q, cls.grid.h
@@ -118,8 +132,15 @@ def poisson_elements(space: StdSpace, quad: QuadratureStore, taus, f=None,
     taus = np.asarray(taus, dtype=np.float64)
     mats = np.zeros((cls.n_active, m, m))
     vecs = np.zeros((cls.n_active, m))
-    for sl in point_chunks(quad.weights.size):
-        cells, pts, w = quad.bulk_cells(sl), quad.points[sl], quad.weights[sl]
+    vals_ref, grads_ref = reference_tables(space, quad)
+    mats[cls.interior_ids - 1] = np.einsum("nad,nbd,n->ab", grads_ref,
+                                           grads_ref, quad.box_weights)
+    if f is not None:
+        for cells, rows in quad.interior_chunks(cls.interior_ids):
+            fw = np.asarray(f(quad.points[rows.ravel()])).reshape(rows.shape)
+            vecs[cells - 1] = (fw * quad.box_weights) @ vals_ref
+    for cells, rows in quad.cut_chunks(cls.cut_ids):
+        pts, w = quad.points[rows], quad.weights[rows]
         xi = space.reference_coords(cells, pts)
         grads = shape_gradients(q, d, xi) / h
         _add_weighted_runs(mats, cells, w,

@@ -507,7 +507,8 @@ def cmd_solve(cfg: ExperimentConfig) -> dict:
     out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
     outputs = run_solve_pipeline(cfg)
-    record = make_run_record(cfg, outputs)
+    with PhaseTimer(outputs.timings).time("record"):
+        record = make_run_record(cfg, outputs)
     append_csv(os.path.join(out_dir, "runs.csv"), RECORD_FIELDS, [record])
     write_timings(out_dir, "solve", cfg, outputs.timings)
     _write_dumps(cfg, outputs, out_dir)

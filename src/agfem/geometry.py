@@ -11,15 +11,19 @@ what aggregation paths may cross.
 
 Cut integration linearizes the level set on a simplex subdivision of the
 cell (four fan triangles around the center in 2D, the six-tetrahedron
-Kuhn split in 3D) and places collapsed tensor Gauss rules on each inside
-sub-simplex.  Interface facets come from the linear zero crossing, their
-normals along the gradient of the simplex's linear interpolant; this is
-exact for half-plane geometries and first-order convergent for smooth
-ones.  Clipping is one array pass over all sub-simplices of a batch of
+Kuhn split in 3D) and places a collapsed tensor rule on each inside
+sub-simplex: Gauss-Legendre on triangles, Gauss-Jacobi on tetrahedra,
+where the Jacobi weights absorb the Jacobian of the collapse (Stroud's
+conical product rules; 27 points are exact to degree 5).  Interface
+facets come from the linear zero crossing, their normals along the
+gradient of the simplex's linear interpolant; this is exact for
+half-plane geometries and first-order convergent for smooth ones.  Clipping is one array pass over all sub-simplices of a batch of
 cells, read off case tables by the number of inside vertices; the same
 pass gives classification its cut volumes and quadrature its simplices
 and facets.  All rules live in one flat store in cell-id order: interior
-cells share one box rule, cut-cell rules are mapped in batches.
+cells share one box rule, which the store also keeps in unit-box
+coordinates for reference-element integration, and cut-cell rules are
+mapped in batches.
 """
 
 from __future__ import annotations
@@ -60,9 +64,16 @@ def point_chunks(n: int) -> list:
 # reference rules
 
 
-def _gauss01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _gauss01(n: int, alpha: int = 0):
+    """n-point Gauss-Jacobi rule on [0, 1] for the weight (1 - x)**alpha;
+    alpha = 0 is Gauss-Legendre."""
+    if alpha == 0:
+        x, w = np.polynomial.legendre.leggauss(n)
+    else:
+        # imported here: only 3D runs need it, and it costs 2D runs memory
+        import scipy.special
+        x, w = scipy.special.roots_jacobi(n, alpha, 0.0)
+    return 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)
 
 
 def _box_rule(h: np.ndarray, order: int):
@@ -94,15 +105,19 @@ def _triangle_rule(order: int):
 
 
 def _tet_rule(order: int):
-    m = max(1, (order + 4) // 2)
-    u, wu = _gauss01(m)
-    v, wv = _gauss01(m)
+    """Collapsed Gauss-Jacobi (Stroud conical product) rule on the unit
+    tetrahedron: the Jacobian (1-u)**2 (1-v) of the collapse is the
+    Jacobi weight of the first two axes, so m = (order+2)//2 points per
+    axis are exact to total degree 2m - 1 with positive weights."""
+    m = max(1, (order + 2) // 2)
+    u, wu = _gauss01(m, 2)
+    v, wv = _gauss01(m, 1)
     t, wt = _gauss01(m)
     uu, vv, tt = np.meshgrid(u, v, t, indexing="ij")
     x = uu.ravel()
     y = (vv * (1.0 - uu)).ravel()
     z = (tt * (1.0 - uu) * (1.0 - vv)).ravel()
-    w = np.einsum("i,j,k->ijk", wu * (1.0 - u) ** 2, wv * (1.0 - v), wt).ravel()
+    w = np.einsum("i,j,k->ijk", wu, wv, wt).ravel()
     return np.stack([x, y, z], axis=1), w
 
 
@@ -188,7 +203,10 @@ class QuadratureStore:
     Active cell k owns rows ``offsets[k-1]:offsets[k]`` of the bulk arrays
     and ``boundary_offsets[k-1]:boundary_offsets[k]`` of the interface
     arrays.  Interface normals are unit vectors pointing out of the
-    domain.
+    domain.  Every interior cell holds the same box rule, its points at
+    the cell origin plus ``box_points * h`` and its weights
+    ``box_weights``, so integrals over interior cells can use one
+    reference element.
     """
 
     points: np.ndarray            # (n, d)
@@ -198,10 +216,32 @@ class QuadratureStore:
     boundary_weights: np.ndarray  # (nb,)
     boundary_normals: np.ndarray  # (nb, d)
     boundary_offsets: np.ndarray  # (n_active + 1,), from 0
+    box_points: np.ndarray        # (n_box, d) interior rule, unit-box coords
+    box_weights: np.ndarray       # (n_box,) its weights, as stored
 
     def bulk_cells(self, rows: slice = slice(None)) -> np.ndarray:
         """Cell id of each bulk point in ``rows``."""
         return _cells_of(self.offsets, rows)
+
+    def interior_chunks(self, cell_ids):
+        """Batches of about ``CHUNK_POINTS`` points of the interior cells
+        ``cell_ids``: (cells, their bulk rows (n_cells, n_box))."""
+        n_box = self.box_weights.size
+        per = max(1, CHUNK_POINTS // n_box)
+        for s in range(0, cell_ids.size, per):
+            cells = cell_ids[s:s + per]
+            yield cells, self.offsets[cells - 1][:, None] + np.arange(n_box)
+
+    def cut_chunks(self, cell_ids):
+        """Batches of ``CHUNK_POINTS`` bulk rows of the cells ``cell_ids``
+        (ascending), in store order: (cell of each row, rows)."""
+        start = self.offsets[cell_ids - 1]
+        counts = self.offsets[cell_ids] - start
+        cells = np.repeat(cell_ids, counts)
+        rows = np.arange(cells.size) + np.repeat(
+            start - (np.cumsum(counts) - counts), counts)
+        for sl in point_chunks(rows.size):
+            yield cells[sl], rows[sl]
 
     def boundary_cells(self, rows: slice = slice(None)) -> np.ndarray:
         """Cell id of each interface point in ``rows``."""
@@ -224,9 +264,10 @@ def _map_rule(simplices, ref_pts):
 
 
 def _bulk_rules(grid, cls, simplices, s_cell, order):
-    """Points, weights and offsets of the bulk rules of all active cells:
-    the box rule moved to every interior cell, and the simplex rule
-    mapped onto the kept sub-simplices of the cut cells."""
+    """Points, weights and offsets of the bulk rules of all active cells,
+    and the box rule in unit-box coordinates with its weights: the box
+    rule moved to every interior cell, and the simplex rule mapped onto
+    the kept sub-simplices of the cut cells."""
     d = grid.d
     box_pts, box_w = _box_rule(grid.h, order)
     ref_pts, ref_w = (_triangle_rule if d == 2 else _tet_rule)(order)
@@ -254,7 +295,7 @@ def _bulk_rules(grid, cls, simplices, s_cell, order):
         rows = (first[s:s + per, None] + np.arange(n_ref)).ravel()
         points[rows] = _map_rule(simplices[s:s + per], ref_pts).reshape(-1, d)
         weights[rows] = (jac[s:s + per, None] * ref_w).ravel()
-    return points, weights, offsets
+    return points, weights, offsets, _box_rule(np.ones(d), order)[0], box_w
 
 
 def _interface_rules(grid, n_active, facets, anchors, f_cell, order):
@@ -309,13 +350,15 @@ def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
         *_sub_simplices(grid, lattices, corners, centers), cls.tol)
     n_sub = len(_SUBDIVISION[grid.d])
     s_cell, f_cell = cut[s_src // n_sub], cut[f_src // n_sub]
-    points, weights, offsets = _bulk_rules(grid, cls, simplices, s_cell, order)
+    points, weights, offsets, box_points, box_weights = _bulk_rules(
+        grid, cls, simplices, s_cell, order)
     b_points, b_weights, b_normals, b_offsets = _interface_rules(
         grid, cls.n_active, facets, anchors, f_cell, order)
     return QuadratureStore(
         points=points, weights=weights, offsets=offsets,
         boundary_points=b_points, boundary_weights=b_weights,
-        boundary_normals=b_normals, boundary_offsets=b_offsets)
+        boundary_normals=b_normals, boundary_offsets=b_offsets,
+        box_points=box_points, box_weights=box_weights)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ result at the next superstep.  Messages posted in one superstep are
 visible only in the next; reductions and scans are evaluated in
 subdomain-id order, so every public result is independent of how the
 processes are scheduled (serial in any order, or on a thread pool).
+Every delivered payload is a private copy whose arrays are read-only,
+so no process can change what another one sent or received.
 """
 
 from __future__ import annotations
@@ -224,5 +226,21 @@ class VirtualRuntime:
                         phase, self._superstep,
                         "routed" if req.routed else "neighbor",
                         src, dst, len(pickle.dumps(payload, protocol=4))))
-                deliveries[dst - 1][src] = copy.deepcopy(payload)
+                deliveries[dst - 1][src] = _frozen(payload)
         return deliveries
+
+
+def _frozen(payload):
+    """A copy of ``payload`` whose arrays are read-only: every ndarray is
+    copied once, walking tuples, lists and dicts; anything else is deep
+    copied.  A body that writes into a received array fails, and no
+    later write by the sender reaches the receiver."""
+    if isinstance(payload, np.ndarray):
+        out = payload.copy()
+        out.flags.writeable = False
+        return out
+    if isinstance(payload, (tuple, list)):
+        return type(payload)(_frozen(x) for x in payload)
+    if isinstance(payload, dict):
+        return {k: _frozen(v) for k, v in payload.items()}
+    return copy.deepcopy(payload)

@@ -7,10 +7,12 @@ products reduce the concatenated per-process arrays in subdomain order
 in a single summation, so iteration histories are bitwise identical for
 every process count and scheduling choice.  Convergence is declared on
 the unpreconditioned residual, ||r||/||b|| < rtol, within maxit
-iterations; non-convergence is reported, not raised, and so is a
-breakdown (p'Ap not positive and finite), which ends the iteration.
-Error norms run in one batched pass over the bulk points of the flat
-quadrature store.
+iterations; non-convergence is reported, not raised.  The report's
+``reason`` says why the iteration ended: ``converged``, ``maxit``,
+``breakdown`` (p'Ap not positive) or ``nonfinite`` (||b|| or p'Ap NaN
+or infinite).  Error norms run in one batched pass over the bulk points
+of the flat quadrature store, interior cells through one reference
+element.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import DistributedSystem
+from .assembly import DistributedSystem, reference_tables
 from .fespace import prolongate, shape_gradients, shape_values
-from .geometry import point_chunks
 from .runtime import VirtualRuntime
 
 
@@ -41,6 +42,7 @@ class SolveReport:
     kappa: float | None   # preconditioned-operator estimate from the recurrence
     rtol: float
     maxit: int
+    reason: str           # converged, maxit, breakdown or nonfinite
 
 
 def _as_distributed(system) -> tuple:
@@ -116,19 +118,23 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
     history: list = []
     alphas: list = []
     betas: list = []
-    converged = False
     iterations = 0
-    if bnorm == 0.0:
-        converged = True
-    else:
+    reason = "converged" if bnorm == 0.0 else "maxit"
+    if not np.isfinite(bnorm):
+        reason = "nonfinite"
+    elif bnorm > 0.0:
         z = inv_diag * r
         p = z.copy()
         rz = yield proc.sum_ordered(r * z)
         for it in range(1, maxit + 1):
             Ap = yield from run_matvec(p)
             pAp = yield proc.sum_ordered(p * Ap)
-            if not 0.0 < pAp < np.inf:
-                break  # breakdown: the operator is not positive definite on p
+            if not np.isfinite(pAp):
+                reason = "nonfinite"
+                break
+            if not pAp > 0.0:
+                reason = "breakdown"  # not positive definite on p
+                break
             alpha = rz / pAp
             alphas.append(alpha)
             x = x + alpha * p
@@ -138,7 +144,7 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
             history.append(rel)
             iterations = it
             if rel < rtol:
-                converged = True
+                reason = "converged"
                 break
             z = inv_diag * r
             rz_new = yield proc.sum_ordered(r * z)
@@ -148,8 +154,9 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
             rz = rz_new
     lo, hi, kappa = _ritz_from_recurrence(alphas, betas)
     report = SolveReport(iterations=iterations, residual_history=history,
-                         converged=converged, ritz_min=lo, ritz_max=hi,
-                         kappa=kappa, rtol=rtol, maxit=maxit)
+                         converged=reason == "converged", ritz_min=lo,
+                         ritz_max=hi, kappa=kappa, rtol=rtol, maxit=maxit,
+                         reason=reason)
     return x, report
 
 
@@ -210,6 +217,29 @@ def condition_estimate(system, method: str = "lanczos", maxit: int | None = None
     return report.kappa
 
 
+def _solution_chunks(space, quad, full):
+    """Points, weights, u_h and grad(u_h) over the bulk rows of ``quad``
+    in chunks: interior cells from their nodal values and the reference
+    tables, cut cells point by point."""
+    cls = space.classification
+    d, h = cls.grid.d, cls.grid.h
+    vals_ref, grads_ref = reference_tables(space, quad)
+    for cells, rows in quad.interior_chunks(cls.interior_ids):
+        nodal = full[space.cell_dofs[cells - 1] - 1]
+        rows = rows.ravel()
+        yield (quad.points[rows], quad.weights[rows],
+               (nodal @ vals_ref.T).ravel(),
+               np.einsum("ca,nad->cnd", nodal, grads_ref).reshape(-1, d))
+    for cells, rows in quad.cut_chunks(cls.cut_ids):
+        nodal = full[space.cell_dofs[cells - 1] - 1]
+        pts = quad.points[rows]
+        xi = space.reference_coords(cells, pts)
+        yield (pts, quad.weights[rows],
+               np.einsum("na,na->n", shape_values(space.q, d, xi), nodal),
+               np.einsum("nad,na->nd",
+                         shape_gradients(space.q, d, xi) / h, nodal))
+
+
 @dataclass
 class ErrorNorms:
     l2: float
@@ -223,9 +253,12 @@ def error_norms(space, dofs, constraints, quad, interior_values,
 
     The vector is prolongated through the constraints before evaluation
     and the integrals run over the bulk points of the quadrature store,
-    in chunks of ``CHUNK_POINTS``, so only the physical domain
-    contributes.  For an unconstrained (standard) space pass
-    ``dofs=None`` and the full nodal vector.
+    in chunks of about ``CHUNK_POINTS``, so only the physical domain
+    contributes.  At interior points u_h and its gradient come from the
+    cell's nodal values and the fixed reference tables of the shared box
+    rule; cut-cell points evaluate the shape functions one by one.  For
+    an unconstrained (standard) space pass ``dofs=None`` and the full
+    nodal vector.
     """
     if dofs is None:
         full = np.asarray(interior_values, dtype=np.float64)
@@ -233,15 +266,8 @@ def error_norms(space, dofs, constraints, quad, interior_values,
             raise ValueError("standard-space vector must cover all DOFs")
     else:
         full = prolongate(dofs, constraints, interior_values)
-    grid = space.classification.grid
     err2 = errg2 = base2 = baseg2 = 0.0
-    for sl in point_chunks(quad.weights.size):
-        cells, pts, w = quad.bulk_cells(sl), quad.points[sl], quad.weights[sl]
-        nodal = full[space.cell_dofs[cells - 1] - 1]
-        xi = space.reference_coords(cells, pts)
-        uh = np.einsum("na,na->n", shape_values(space.q, grid.d, xi), nodal)
-        gh = np.einsum("nad,na->nd",
-                       shape_gradients(space.q, grid.d, xi) / grid.h, nodal)
+    for pts, w, uh, gh in _solution_chunks(space, quad, full):
         ue = np.asarray(u_exact(pts))
         ge = np.asarray(grad_exact(pts))
         err2 += float(w @ (ue - uh) ** 2)

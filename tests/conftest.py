@@ -8,7 +8,8 @@ import itertools
 import numpy as np
 import pytest
 
-from agfem.geometry import classify_cells
+from agfem.fespace import shape_gradients, shape_values
+from agfem.geometry import classify_cells, point_chunks
 from agfem.grid import face_neighbors, unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
 
@@ -254,6 +255,64 @@ def clip_cells_oracle(grid, lattices, corners, centers, tol):
             np.array(facets).reshape(-1, d, d),
             np.array(anchors).reshape(-1, d),
             np.array(f_cell, dtype=np.intp))
+
+
+def all_points_elements(space, quad, taus, f=None, g=None):
+    """Element matrices and vectors integrated point by point over every
+    bulk and interface point of the store, interior cells included: the
+    oracle for the reference-element path of ``poisson_elements``."""
+    cls = space.classification
+    d, q, h = cls.grid.d, space.q, cls.grid.h
+    m = space.nodes_per_cell
+    mats = np.zeros((cls.n_active, m, m))
+    vecs = np.zeros((cls.n_active, m))
+    for sl in point_chunks(quad.weights.size):
+        cells, pts, w = quad.bulk_cells(sl), quad.points[sl], quad.weights[sl]
+        xi = space.reference_coords(cells, pts)
+        grads = shape_gradients(q, d, xi) / h
+        np.add.at(mats, cells - 1, w[:, None, None] * np.einsum(
+            "nad,nbd->nab", grads, grads))
+        if f is not None:
+            np.add.at(vecs, cells - 1,
+                      (w * f(pts))[:, None] * shape_values(q, d, xi))
+    for sl in point_chunks(quad.boundary_weights.size):
+        cells, pts = quad.boundary_cells(sl), quad.boundary_points[sl]
+        w, tau = quad.boundary_weights[sl], taus[cells - 1]
+        xi = space.reference_coords(cells, pts)
+        vals = shape_values(q, d, xi)
+        gn = np.einsum("nad,nd->na", shape_gradients(q, d, xi) / h,
+                       quad.boundary_normals[sl])
+        np.add.at(mats, cells - 1, w[:, None, None] * (
+            tau[:, None, None] * vals[:, :, None] * vals[:, None, :]
+            - vals[:, :, None] * gn[:, None, :]
+            - gn[:, :, None] * vals[:, None, :]))
+        if g is not None:
+            np.add.at(vecs, cells - 1, (w * g(pts))[:, None]
+                      * (tau[:, None] * vals - gn))
+    return mats, vecs
+
+
+def all_points_norms(space, quad, full, u_exact, grad_exact):
+    """(L2, H1-semi) error norms of the nodal vector ``full``, relative,
+    or absolute when the exact norms vanish, with u_h evaluated point by
+    point at every bulk point: the oracle for ``error_norms``."""
+    grid = space.classification.grid
+    err2 = errg2 = base2 = baseg2 = 0.0
+    for sl in point_chunks(quad.weights.size):
+        cells, pts, w = quad.bulk_cells(sl), quad.points[sl], quad.weights[sl]
+        nodal = full[space.cell_dofs[cells - 1] - 1]
+        xi = space.reference_coords(cells, pts)
+        uh = np.einsum("na,na->n", shape_values(space.q, grid.d, xi), nodal)
+        gh = np.einsum("nad,na->nd",
+                       shape_gradients(space.q, grid.d, xi) / grid.h, nodal)
+        ue, ge = np.asarray(u_exact(pts)), np.asarray(grad_exact(pts))
+        err2 += float(w @ (ue - uh) ** 2)
+        errg2 += float(w @ np.sum((ge - gh) ** 2, axis=1))
+        base2 += float(w @ ue**2)
+        baseg2 += float(w @ np.sum(ge**2, axis=1))
+    if base2 > 1e-28 and baseg2 > 1e-28:
+        return np.sqrt(err2 / base2), np.sqrt(errg2 / baseg2)
+    return np.sqrt(err2), np.sqrt(errg2)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from agfem.levelset import HalfPlane, Popcorn, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import classified
+from conftest import all_points_elements, classified
 
 
 def test_tau_agg_values():
@@ -121,6 +121,29 @@ def test_elements_match_per_cell_integration():
         assert np.allclose(mats[k - 1], A, rtol=0, atol=1e-13 * np.abs(A).max())
         assert np.allclose(vecs[k - 1], b, rtol=0,
                            atol=1e-13 * max(np.abs(b).max(), 1e-300))
+
+
+@pytest.mark.parametrize("level, ls, d", [
+    (6, Sphere((0.5, 0.5), 0.3), 2), (3, Popcorn(), 3)],
+    ids=["circle-2d-L6", "popcorn-3d-L3"])
+def test_reference_element_matches_all_points_oracle(level, ls, d):
+    # interior cells take one reference element; every cell must match
+    # point-by-point integration over its whole run of the store
+    grid, cls, _ = classified(level, ls, d)
+    space = build_std_space(cls, 1)
+    quad = cut_quadrature(grid, ls, cls, 4)
+    f = lambda p: np.sin(p[:, 0]) + p[:, 1]
+    g = lambda p: p[:, -1] ** 2
+    taus = 10.0 + np.arange(cls.n_active) % 7
+    got = poisson_elements(space, quad, taus, f, g)
+    want = all_points_elements(space, quad, taus, f, g)
+    assert cls.interior_ids.size and cls.cut_ids.size
+    for ids in (cls.interior_ids, cls.cut_ids):
+        for a, b in zip(got, want):
+            a = a[ids - 1].reshape(ids.size, -1)
+            b = b[ids - 1].reshape(ids.size, -1)
+            scale = np.abs(b).max(axis=1)
+            assert np.all(np.abs(a - b).max(axis=1) <= 1e-13 * scale)
 
 
 def test_homogeneous_data_gives_zero_vector():

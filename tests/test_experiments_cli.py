@@ -66,6 +66,7 @@ def test_cmd_solve_writes_record_and_dumps(tmp_path):
     with open(tmp_path / "timings.csv") as fh:
         phases = [row["phase"] for row in csv.DictReader(fh)]
     assert phases[:2] == ["classify", "quadrature"]
+    assert phases[-1] == "record" and phases.count("record") == 1
 
 
 def test_runs_csv_is_deterministic(tmp_path):

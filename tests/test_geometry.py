@@ -1,10 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from agfem.geometry import (CUT, EXTERIOR, INTERIOR, MIN_VOLUME_FRACTION,
-                            ClassificationError, _clip, _corner_values,
-                            _sub_simplices, classify_cells, cut_quadrature,
-                            face_is_active)
+                            ClassificationError, _box_rule, _clip,
+                            _corner_values, _segment_rule, _sub_simplices,
+                            _tet_rule, _triangle_rule, classify_cells,
+                            cut_quadrature, face_is_active)
 from agfem.grid import unit_box_grid
 from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
 
@@ -81,6 +85,44 @@ def test_interior_cell_uses_tensor_rule():
     assert quad.weights[cell].sum() == pytest.approx(0.25, abs=1e-15)
     assert quad.boundary_weights.size == 0
     assert np.all(quad.weights > 0)
+
+
+def _simplex_moment(powers):
+    """Integral of prod x_i**p_i over the unit simplex."""
+    return (math.prod(math.factorial(p) for p in powers)
+            / math.factorial(sum(powers) + len(powers)))
+
+
+def _box_moment(powers):
+    return math.prod(1.0 / (p + 1) for p in powers)
+
+
+RULES = {
+    "segment": (_segment_rule, 1, _simplex_moment),
+    "triangle": (_triangle_rule, 2, _simplex_moment),
+    "tet": (_tet_rule, 3, _simplex_moment),
+    "box-2d": (lambda order: _box_rule(np.ones(2), order), 2, _box_moment),
+    "box-3d": (lambda order: _box_rule(np.ones(3), order), 3, _box_moment),
+}
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("name", RULES)
+def test_reference_rules_integrate_monomials(name, order):
+    rule, d, moment = RULES[name]
+    points, weights = rule(order)
+    assert points.shape == (weights.size, d)
+    assert np.all(weights > 0)
+    for powers in itertools.product(range(order + 1), repeat=d):
+        if sum(powers) > order:
+            continue
+        got = weights @ np.prod(points ** np.array(powers), axis=1)
+        assert abs(got - moment(powers)) <= 1e-14 * moment(powers), powers
+
+
+def test_tet_rule_has_27_points_at_order_4():
+    # 3 Gauss-Jacobi points per collapsed axis, exact to degree 5
+    assert _tet_rule(4)[1].size == _tet_rule(5)[1].size == 27
 
 
 def test_halfplane_cut_is_exact():
@@ -184,6 +226,19 @@ def test_store_files_points_under_their_cells(level, ls, d):
                              float(centers[k - 1]), cls.tol)
         assert abs(volumes[k - 1] - clipped) <= 1e-14 * clipped
     assert np.array_equal(np.unique(quad.boundary_cells()), cls.cut_ids)
+    # every interior cell holds the box rule the store keeps for it
+    for cells, rows in quad.interior_chunks(cls.interior_ids):
+        lo = grid.cell_origin(cls.id_to_lattice[cells - 1])
+        assert np.array_equal(quad.points[rows],
+                              lo[:, None, :] + quad.box_points * grid.h)
+        assert np.array_equal(quad.weights[rows],
+                              np.broadcast_to(quad.box_weights, rows.shape))
+    rows = np.concatenate([r for _, r in quad.cut_chunks(cls.cut_ids)])
+    cells = np.concatenate([c for c, _ in quad.cut_chunks(cls.cut_ids)])
+    assert np.array_equal(cells, quad.bulk_cells()[rows])
+    assert np.array_equal(np.sort(np.concatenate([rows, np.concatenate(
+        [r.ravel() for _, r in quad.interior_chunks(cls.interior_ids)])])),
+        np.arange(quad.weights.size))
 
 
 @pytest.mark.parametrize("level, ls, d", [

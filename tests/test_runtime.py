@@ -1,6 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
+import agfem.runtime
+from agfem.experiments import ExperimentConfig, run_solve_pipeline
 from agfem.runtime import RuntimeProtocolError, VirtualRuntime
 
 
@@ -78,19 +82,46 @@ def test_routed_exchange_reaches_anyone():
 
 
 def test_payloads_are_isolated():
-    rt = VirtualRuntime(2)
+    # the receiver gets a read-only copy: a write into it fails loudly and
+    # cannot leak back, and the sender's later write does not reach it
     data = np.array([1.0, 2.0])
 
-    def body(proc):
+    def body(proc, write):
         if proc.rank == 1:
-            received = yield proc.routed_exchange({2: data})
-        else:
-            received = yield proc.routed_exchange({})
+            yield proc.routed_exchange({2: data})
+            data[1] = -1.0
+            yield proc.routed_exchange({})
+            return None
+        received = yield proc.routed_exchange({})
+        yield proc.routed_exchange({})
+        if write:
             received[1][0] = 99.0
-        return None
+        return received[1]
 
-    rt.run(body)
+    got = VirtualRuntime(2).run(body, args=[(False,)] * 2)[1]
+    assert np.array_equal(got, [1.0, 2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        VirtualRuntime(2).run(body, args=[(True,)] * 2)
     assert data[0] == 1.0  # receiver mutation cannot leak back
+
+
+def test_nested_payload_arrays_are_read_only():
+    rt = VirtualRuntime(2)
+    payload = (np.arange(3), [np.ones(2), (4, "x")], {"k": np.zeros(1)})
+
+    def body(proc):
+        posts = {2: payload} if proc.rank == 1 else {}
+        received = yield proc.routed_exchange(posts)
+        return received
+
+    got = rt.run(body)[1][1]
+    arrays = [got[0], got[1][0], got[2]["k"]]
+    assert got[1][1] == (4, "x") and type(got[1]) is list
+    for a, want in zip(arrays, [payload[0], payload[1][0], payload[2]["k"]]):
+        assert np.array_equal(a, want) and a is not want
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7
+    assert all(a.flags.writeable for a in (payload[0], payload[1][0]))
 
 
 def test_reductions():
@@ -187,3 +218,24 @@ def test_trace_records_traffic():
     kinds = {(t.kind, t.src, t.dst) for t in rt.trace}
     assert kinds == {("neighbor", 1, 2), ("neighbor", 2, 1)}
     assert all(t.phase == "demo" and t.n_bytes > 0 for t in rt.trace)
+
+
+def test_read_only_delivery_keeps_the_distributed_trace(monkeypatch):
+    # circle L7 on 32 subdomains at an offset centre: supersteps,
+    # messages, bytes and the solution equal those of deep-copy delivery
+    cfg = ExperimentConfig(level=7, procs=32, center=(0.531, 0.472),
+                           solution="sine").validate()
+
+    def run():
+        rt = VirtualRuntime(cfg.procs, trace=True)
+        out = run_solve_pipeline(cfg, runtime=rt)
+        return rt, out
+
+    rt, out = run()
+    monkeypatch.setattr(agfem.runtime, "_frozen", copy.deepcopy)
+    rt_ref, out_ref = run()
+    assert rt._superstep == rt_ref._superstep
+    assert len(rt.trace) == len(rt_ref.trace) > 0
+    assert rt.trace == rt_ref.trace
+    assert out.report.iterations == out_ref.report.iterations
+    assert np.array_equal(out.solution, out_ref.solution)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,11 +7,12 @@ import scipy.sparse as sp
 from agfem.aggregation import aggregate_serial
 from agfem.assembly import assemble_serial, nitsche_tau_agg, poisson_elements
 from agfem.fespace import build_constraints_serial, build_std_space, classify_dofs
+from agfem.experiments import ExperimentConfig, manufactured_solution
 from agfem.geometry import cut_quadrature
-from agfem.levelset import Sphere
+from agfem.levelset import Popcorn, Sphere
 from agfem.solve import condition_estimate, error_norms, pcg_jacobi
 
-from conftest import classified
+from conftest import all_points_norms, classified
 
 
 def test_identity_converges_immediately():
@@ -17,6 +20,7 @@ def test_identity_converges_immediately():
     b = np.arange(1.0, 21.0)
     x, report = pcg_jacobi((A, b), rtol=1e-10)
     assert report.converged and report.iterations == 1
+    assert report.reason == "converged"
     assert np.allclose(x, b, atol=1e-14)
 
 
@@ -37,6 +41,7 @@ def test_nonconvergence_is_reported_not_raised():
     b = rng.standard_normal(40)
     x, report = pcg_jacobi((A, b), rtol=1e-14, maxit=2)
     assert not report.converged and report.iterations == 2
+    assert report.reason == "maxit"
 
 
 def test_zero_rhs():
@@ -131,6 +136,44 @@ def test_breakdown_stops_unconverged():
     A = sp.diags([1.0, -1.0, 1.0]).tocsr()
     b = np.array([1.0, 1.0, 0.0])
     x, report = pcg_jacobi((A, b), rtol=1e-10, maxit=10, precondition=False)
-    assert not report.converged
+    assert not report.converged and report.reason == "breakdown"
     assert np.all(np.isfinite(x))
     assert np.all(np.isfinite(report.residual_history))
+
+
+@pytest.mark.parametrize("where", ["rhs", "matrix"])
+def test_nonfinite_values_stop_with_their_reason(where):
+    A = sp.diags([2.0, 1.0, 4.0]).tocsr()
+    b = np.array([1.0, 1.0, 1.0])
+    if where == "rhs":
+        b[1] = np.nan
+    else:
+        A.data[2] = np.inf
+    x, report = pcg_jacobi((A, b), rtol=1e-10, maxit=10)
+    assert not report.converged and report.reason == "nonfinite"
+    assert report.iterations == 0
+
+
+@pytest.mark.parametrize("level, ls, d", [
+    (6, Sphere((0.5, 0.5), 0.3), 2), (3, Popcorn(), 3)],
+    ids=["circle-2d-L6", "popcorn-3d-L3"])
+def test_error_norms_match_all_points_oracle(level, ls, d):
+    # interior points read u_h off the reference tables; the norms and,
+    # with the cut-cell weights zeroed, the interior sums alone must
+    # match point-by-point evaluation at every bulk point
+    grid, cls, _ = classified(level, ls, d)
+    space = build_std_space(cls, 1)
+    quad = cut_quadrature(grid, ls, cls, 4)
+    u, gu, _ = manufactured_solution(ExperimentConfig(dimension=d,
+                                                      solution="sine"))
+    full = u(space.node_coords) + 0.01 * np.random.default_rng(5).standard_normal(
+        space.n_dofs)
+    interior = np.repeat(~cls.is_cut, np.diff(quad.offsets))
+    zero, zero_grad = (lambda p: np.zeros(len(p))), np.zeros_like
+    for q in (quad, replace(quad, weights=np.where(interior, quad.weights, 0.0))):
+        for exact in ((u, gu), (zero, zero_grad)):
+            got = error_norms(space, None, None, q, full, *exact)
+            want = all_points_norms(space, q, full, *exact)
+            assert got.absolute == (exact[0] is zero)
+            assert got.l2 == pytest.approx(want[0], rel=1e-13, abs=0)
+            assert got.h1_semi == pytest.approx(want[1], rel=1e-13, abs=0)
