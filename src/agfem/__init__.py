@@ -15,8 +15,7 @@ from .distagg import build_direct_plan, build_inverse_plan, import_root_data
 from .distspace import (DistNumbering, build_constraints_distributed,
                         number_dofs_distributed)
 from .fespace import (AgConstraints, DofClassification, StdSpace,
-                      build_constraints_serial, build_std_space, classify_dofs,
-                      prolongate)
+                      build_constraints_serial, build_std_space, classify_dofs)
 from .geometry import (CellClassification, QuadratureStore, classify_cells,
                        cut_quadrature)
 from .grid import BackgroundGrid, build_grid, face_neighbors, unit_box_grid
@@ -43,5 +42,5 @@ __all__ = [
     "classify_dofs", "condition_estimate", "cut_quadrature", "error_norms",
     "face_neighbors", "gather_root_map", "import_root_data", "nitsche_tau_agg",
     "nitsche_tau_std", "number_dofs_distributed", "partition_weighted_sfc", "pcg_jacobi",
-    "poisson_elements", "prolongate", "unit_box_grid",
+    "poisson_elements", "unit_box_grid",
 ]

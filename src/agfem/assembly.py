@@ -182,6 +182,15 @@ class DistributedSystem:
     rhs: list                 # per s: (n_owned,)
     staged_counts: list       # per s: off-owner triplets shipped at finalize
 
+    @classmethod
+    def one_block(cls, A, b) -> "DistributedSystem":
+        """A serial system ``(A, b)`` as the one-subdomain partition."""
+        A = sp.csr_matrix(A)
+        n = A.shape[0]
+        return cls(n_global=n, row_starts=np.array([1, n + 1], dtype=np.int64),
+                   blocks=[A], rhs=[np.asarray(b, dtype=np.float64)],
+                   staged_counts=[0])
+
     @property
     def n_subdomains(self) -> int:
         return len(self.blocks)
@@ -247,9 +256,9 @@ def _cell_sums(C, dofs, mats, vecs):
 def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
                    n_global, row_starts):
     """Owned rows of one subdomain from its owned cells: their local DOFs
-    ``cell_dofs`` (n_cells, m), global ids, element matrices and vectors,
-    the 1-based global row of each free local DOF ``row_of`` (else 0) and
-    the constraints of the others."""
+    ``cell_dofs`` (n_cells, m) and global ids, the 1-based global row of
+    each free local DOF ``row_of`` (else 0), the constraints of the
+    others, and the element matrices and vectors of every active cell."""
     s = proc.rank
     C = extension_operator(row_of, constraints, n_global)
     empty = np.diff(C.indptr)[cell_dofs - 1] == 0
@@ -260,8 +269,10 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
     for start in range(0, len(cell_ids), CHUNK_CELLS):
         sl = slice(start, start + CHUNK_CELLS)
-        row, col, cell, val = _cell_sums(C, cell_dofs[sl] - 1, mats[sl], vecs[sl])
-        parts.append((row, col, cell_ids[start + cell], val))
+        ids = cell_ids[sl]
+        row, col, cell, val = _cell_sums(C, cell_dofs[sl] - 1, mats[ids - 1],
+                                         vecs[ids - 1])
+        parts.append((row, col, ids[cell], val))
     trip = tuple(np.concatenate(x) for x in zip(*parts))
 
     owner = np.searchsorted(row_starts, trip[0] + 1, side="right")
@@ -305,17 +316,6 @@ def assemble_serial(space: StdSpace, dofs, constraints, elements):
     return A, b
 
 
-def _owned_cells(piece):
-    """Local DOFs, global ids and global DOF rows of a subdomain's owned
-    cells; a free DOF without a global id gets row -1, which the kernel
-    rejects."""
-    cell_dofs = piece.cell_j
-    free = piece.j_interior[cell_dofs - 1]
-    row_of = np.zeros(piece.n_local_dofs, dtype=np.int64)
-    row_of[cell_dofs[free] - 1] = piece.cell_g[:piece.mesh.n_local][free]
-    return cell_dofs, piece.mesh.global_ids[:piece.mesh.n_local], row_of
-
-
 def assemble_distributed(runtime: VirtualRuntime, numbering, constraints_per_s,
                          elements, phase: str = "assembly") -> DistributedSystem:
     """Assemble the row-wise partitioned system over all subdomains.
@@ -326,12 +326,9 @@ def assemble_distributed(runtime: VirtualRuntime, numbering, constraints_per_s,
     system equals the serial one bitwise, up to the row numbering.
     """
     row_starts = numbering.owned_ranges()
-    mats, vecs = elements
-    args = []
-    for piece, cons in zip(numbering.pieces, constraints_per_s):
-        cell_dofs, cell_ids, row_of = _owned_cells(piece)
-        args.append((cell_dofs, cell_ids, row_of, cons, mats[cell_ids - 1],
-                     vecs[cell_ids - 1], numbering.n_global, row_starts))
+    args = [(*piece.owned_cells(), cons, *elements, numbering.n_global,
+             row_starts)
+            for piece, cons in zip(numbering.pieces, constraints_per_s)]
     results = runtime.run(_assembly_body, args=args, phase=phase)
     return DistributedSystem(
         n_global=numbering.n_global, row_starts=row_starts,

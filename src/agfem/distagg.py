@@ -17,7 +17,7 @@ import numpy as np
 
 from .aggregation import DistRootMap
 from .geometry import CUT
-from .partition import SubdomainMesh
+from .partition import SubdomainMesh, group_sorted
 
 
 class PathReconstructionError(RuntimeError):
@@ -61,15 +61,14 @@ class InversePlan:
 def build_direct_plan(mesh: SubdomainMesh, dist_map: DistRootMap) -> DirectPlan:
     """Communication-free scan over local and ghost cut cells."""
     s = mesh.s
-    recv: dict = {}
-    roots = dist_map.roots[s - 1]
-    owners = dist_map.root_owners[s - 1]
-    for l in mesh.relevant_cut():
-        sp = int(owners[l - 1])
-        if sp != s:
-            recv.setdefault(sp, set()).add(int(roots[l - 1]))
-    recv_roots = {sp: np.asarray(sorted(ks), dtype=np.int64)
-                  for sp, ks in recv.items()}
+    cut = mesh.relevant_cut() - 1
+    owners = dist_map.root_owners[s - 1][cut]
+    roots = dist_map.roots[s - 1][cut]
+    away = owners != s
+    # unique (owner, root) pairs, ascending by owner and then root
+    pairs = np.unique(np.stack([owners[away], roots[away]], axis=1)
+                      .astype(np.int64), axis=0)
+    recv_roots = group_sorted(pairs[:, 0], pairs[:, 1])
     return DirectPlan(s=s, recv_sources=sorted(recv_roots), recv_roots=recv_roots)
 
 
@@ -77,14 +76,11 @@ def _inverse_body(proc, mesh: SubdomainMesh, roots, owners, nexts, n_cells):
     s = proc.rank
     # one tuple per cut cell whose root lives elsewhere; ghost cut cells
     # participate because their roots must be imported here as well
-    tuples = []
-    next_of_local = {}
-    for l in mesh.relevant_cut():
-        if int(owners[l - 1]) != s:
-            g = mesh.global_of(l)
-            tuples.append((g, g, s, 0))
-    for l in range(1, mesh.n_local + 1):
-        next_of_local[mesh.global_of(l)] = int(nexts[l - 1])
+    cut = mesh.relevant_cut() - 1
+    away = mesh.global_ids[cut[owners[cut] != s]].tolist()
+    tuples = [(g, g, s, 0) for g in away]
+    next_of_local = dict(zip(mesh.global_ids[:mesh.n_local].tolist(),
+                             nexts[:mesh.n_local].tolist()))
 
     send: dict = {}
     labels = mesh.labels

@@ -20,6 +20,12 @@ none that is locally relevant); nothing reads those entries.
 Constrained DOFs never get global ids; each subdomain expresses them by
 local id against global master ids, importing root-cell data when the
 root is not locally relevant.
+
+This is the space setup of every run of the aggregated space, serial
+runs being the one-subdomain case: there the local ids are the serial
+node ids and the global ids the serial rows.  Assembly and the nodal
+values behind the error norms read a subdomain's owned cells through
+``DistSpacePiece.owned_cells``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 from .aggregation import DistRootMap
 from .distagg import RootDataBuffer
 from .fespace import (AgConstraints, _first_touch_ids, encode_node_keys,
-                      node_offsets, shape_values)
+                      extension_operator, node_offsets, shape_values)
 from .geometry import INTERIOR
 from .partition import SubdomainMesh
 from .runtime import RuntimeProtocolError
@@ -79,6 +85,16 @@ class DistSpacePiece:
     def gid_of(self, codes: np.ndarray) -> np.ndarray:
         """Global ids of node codes; -1 where unknown here."""
         return _lookup(self.gid_codes, self.gids, codes)
+
+    def owned_cells(self):
+        """Local DOFs (n_local, m), global ids and the global row of each
+        local DOF of the owned cells: its global id if it is free, else 0;
+        a free DOF without a global id gets -1, which assembly rejects."""
+        cell_dofs = self.cell_j
+        free = self.j_interior[cell_dofs - 1]
+        row_of = np.zeros(self.n_local_dofs, dtype=np.int64)
+        row_of[cell_dofs[free] - 1] = self.cell_g[:self.mesh.n_local][free]
+        return cell_dofs, self.mesh.global_ids[:self.mesh.n_local], row_of
 
 
 @dataclass
@@ -128,7 +144,8 @@ def _numbering_body(proc, mesh: SubdomainMesh, q: int):
     node_coords = grid.origin + node_keys * (grid.h / q)
     j_codes = codes[:n_local].ravel()[first]
     by_j = np.argsort(j_codes)
-    j_of = _lookup(j_codes[by_j], by_j + 1, codes)        # -1: not local
+    j_of = np.concatenate([cell_j, _lookup(j_codes[by_j], by_j + 1,
+                                           codes[n_local:])])  # -1: not local
 
     # owner per interior node: smallest subdomain among its interior cells
     interior = mesh.labels == INTERIOR
@@ -156,9 +173,9 @@ def _numbering_body(proc, mesh: SubdomainMesh, q: int):
     send = {sp: ls[interior[ls - 1]] for sp, ls in mesh.send_halo.items()}
     recv = {sp: ls[interior[ls - 1]] for sp, ls in mesh.recv_halo.items()}
     for _ in range(2):
-        known = _lookup(gid_codes, gids, codes)
         received = yield proc.neighbor_exchange(
-            {sp: known[ls - 1] for sp, ls in send.items()})
+            {sp: _lookup(gid_codes, gids, codes[ls - 1])
+             for sp, ls in send.items()})
         empty = np.zeros(0, dtype=np.int64)
         new_codes, new_gids = [empty], [empty]
         for sp, rows in received.items():
@@ -268,25 +285,37 @@ def build_constraints_distributed(piece: DistSpacePiece,
     return AgConstraints(constrained=out_js, masters=masters, coeffs=coeffs)
 
 
-def distributed_row_permutation(numbering: DistNumbering, space, dofs):
-    """Map distributed global ids to serial reduced rows via node keys.
+def nodal_values(numbering: DistNumbering, constraints_per_s, x: np.ndarray,
+                 n_active: int) -> np.ndarray:
+    """Nodal values (n_active, m) of every active cell for the solution
+    ``x`` in global-id numbering: each subdomain expands ``x`` through its
+    own extension operator and fills the rows of its owned cells."""
+    nodal = np.zeros((n_active, numbering.pieces[0].cell_j.shape[1]))
+    for piece, cons in zip(numbering.pieces, constraints_per_s):
+        cell_dofs, cell_ids, row_of = piece.owned_cells()
+        C = extension_operator(row_of, cons, numbering.n_global)
+        nodal[cell_ids - 1] = (C @ x)[cell_dofs - 1]
+    return nodal
 
-    Returns ``perm`` with ``perm[gid - 1] = serial row - 1``; used to
-    compare distributed systems against their serial counterparts.
+
+def numbering_permutation(numbering: DistNumbering,
+                          reference: DistNumbering) -> np.ndarray:
+    """Map the global ids of one numbering to another's via node codes.
+
+    Returns ``perm`` with ``perm[gid - 1] = reference id - 1``; used to
+    compare runs on different process counts.
     """
-    serial = encode_node_keys(space.node_keys[dofs.interior_ids - 1], space.q,
-                              space.classification.grid.n_per_axis)
-    by_code = np.argsort(serial)
-    rows_by_code = dofs.row_of[dofs.interior_ids - 1][by_code]
-    perm = np.zeros(numbering.n_global, dtype=np.int64)
-    seen = np.zeros(numbering.n_global, dtype=bool)
+    codes = np.concatenate([p.gid_codes for p in reference.pieces])
+    ids = np.concatenate([p.gids for p in reference.pieces])
+    by_code = np.argsort(codes)
+    perm = np.full(numbering.n_global, -1, dtype=np.int64)
     for piece in numbering.pieces:
-        rows = _lookup(serial[by_code], rows_by_code, piece.gid_codes)
-        if np.any(rows == -1):
-            gid = int(piece.gids[np.argmax(rows == -1)])
-            raise KeyError(f"distributed id {gid} maps to no serial row")
-        perm[piece.gids - 1] = rows - 1
-        seen[piece.gids - 1] = True
-    if not np.all(seen):
-        raise KeyError("some distributed ids were never defined")
+        ref = _lookup(codes[by_code], ids[by_code], piece.gid_codes)
+        if np.any(ref == -1):
+            gid = int(piece.gids[np.argmax(ref == -1)])
+            raise KeyError(f"global id {gid} names a node the reference "
+                           f"does not number")
+        perm[piece.gids - 1] = ref - 1
+    if np.any(perm < 0):
+        raise KeyError("some global ids were never defined")
     return perm

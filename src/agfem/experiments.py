@@ -1,8 +1,12 @@
 """Experiment driver: configs, the solve pipeline, and the study commands.
 
-Each command appends deterministic rows to CSV files under the output
-directory; wall-clock timings go to a separate timings.csv so the result
-files are byte-identical across repeated runs and thread counts.
+The solve pipeline (``run_solve_pipeline``) runs the aggregated space
+as one sequence for every process count, serial runs being the
+one-subdomain case, and keeps one system and one solution in global-id
+numbering.  Each command appends deterministic rows to CSV files under
+the output directory; wall-clock timings go to a separate timings.csv so
+the result files are byte-identical across repeated runs and thread
+counts.
 """
 
 from __future__ import annotations
@@ -17,18 +21,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import svg
-# aggregate_serial is not called here; it stays importable from this
-# module for perfbench, which wraps the pipeline's layers by name
+# aggregate_serial, build_constraints_serial and classify_dofs are not
+# called here; they stay importable from this module for perfbench,
+# which wraps the pipeline's layers by name
 from .aggregation import (aggregate_parallel, aggregate_serial, aggregates,
                           compare_with_serial, gather_root_map)
-from .assembly import (assemble_distributed, assemble_serial, export_matrix_coo,
-                       nitsche_tau_agg, nitsche_tau_std, poisson_elements)
+from .assembly import (DistributedSystem, assemble_distributed,
+                       assemble_serial, export_matrix_coo, nitsche_tau_agg,
+                       nitsche_tau_std, poisson_elements)
 from .distagg import build_direct_plan, build_inverse_plan, import_root_data
-from .distspace import (_lookup, build_constraints_distributed,
-                        distributed_row_permutation, number_dofs_distributed,
+from .distspace import (_lookup, build_constraints_distributed, nodal_values,
+                        number_dofs_distributed, numbering_permutation,
                         root_cell_data_provider)
-from .fespace import (build_constraints_serial, build_std_space, classify_dofs,
-                      encode_node_keys)
+from .fespace import build_constraints_serial, build_std_space, classify_dofs
 from .geometry import classify_cells, cut_quadrature, face_is_active
 from .grid import unit_box_grid
 from .levelset import HalfPlane, Popcorn, Sphere
@@ -191,12 +196,13 @@ def manufactured_solution(cfg: ExperimentConfig):
 
     def grad(p):
         p = np.atleast_2d(p)
+        sines = [np.sin(pi * p[:, a]) for a in range(d)]
+        cosines = [np.cos(pi * p[:, a]) for a in range(d)]
         out = np.empty_like(p)
         for c in range(d):
             comp = np.full(p.shape[0], pi)
             for a in range(d):
-                comp = comp * (np.cos(pi * p[:, a]) if a == c
-                               else np.sin(pi * p[:, a]))
+                comp = comp * (cosines[a] if a == c else sines[a])
             out[:, c] = comp
         return out
 
@@ -230,34 +236,41 @@ class PhaseTimer:
 
 @dataclass
 class SolveOutputs:
-    """Everything a solve run produced, for records, dumps, and checks."""
+    """Everything a solve run produced, for records, dumps, and checks.
+
+    The system and the solution are in global-id numbering for the
+    aggregated space (the serial rows when ``procs = 1``) and in node-id
+    numbering for the standard space."""
 
     cfg: ExperimentConfig
     grid: object
     levelset: object
     classification: object
-    root_map: object
-    aggregate_stats: object
     space: object
-    dofs: object
-    constraints: object
     quadrature: object
     taus: np.ndarray
-    matrix: object                # serial system; None when procs > 1
-    rhs: np.ndarray | None
-    solution: np.ndarray          # serial reduced numbering
+    system: DistributedSystem
+    solution: np.ndarray
     report: object
     norms: object
     timings: dict
-    runtime: VirtualRuntime | None = None
+    runtime: VirtualRuntime
+    # the aggregated space only; None for the standard space
+    root_map: object = None
+    aggregate_stats: object = None
     meshes: list | None = None
     dist_map: object = None
     numbering: object = None
-    dist_constraints: list | None = None
-    dist_system: object = None
-    dist_solution: np.ndarray | None = None
-    dist_report: object = None
-    row_permutation: np.ndarray | None = None
+    constraints: list | None = None   # per subdomain
+
+    @property
+    def n_interior_dofs(self) -> int:
+        """Free DOFs of the aggregated space; for the standard space, the
+        nodes of interior cells."""
+        if self.numbering is not None:
+            return self.numbering.n_global
+        cls = self.classification
+        return int(np.unique(self.space.cell_dofs[cls.interior_ids - 1]).size)
 
 
 def geometry_setup(cfg: ExperimentConfig, level=None):
@@ -282,21 +295,25 @@ def penalty_per_cell(cfg, space, cls, quad):
 
 def run_solve_pipeline(cfg: ExperimentConfig, level=None,
                        runtime=None) -> SolveOutputs:
-    """classify -> aggregate -> spaces/constraints -> assemble -> solve -> norms.
+    """classify -> aggregate -> space/constraints -> assemble -> solve -> norms.
 
-    Aggregation runs once, on ``procs`` subdomains, for every process
-    count; ``procs > 1`` assembles and solves only distributed, on
-    ``runtime``."""
+    The aggregated space runs one sequence for every process count, on
+    ``procs`` subdomains of ``runtime``: partition, aggregation, path
+    plans, DOF numbering, root-data import, constraints, distributed
+    assembly and PCG; a serial run is the one-subdomain case.  The error
+    norms read the nodal values each subdomain forms for its owned cells.
+    The standard space runs serially and assembles over all its DOFs."""
     timer = PhaseTimer()
     with timer.time("classify"):
         grid, ls, cls, _ = geometry_setup(cfg, level)
     with timer.time("quadrature"):
         quad = cut_quadrature(grid, ls, cls, cfg.quad_order)
-    meshes = dist_map = root_map = agg_stats = constraints = None
-    if cfg.space == "agg":  # validation rejects std with procs > 1
-        if runtime is None:
-            runtime = VirtualRuntime(cfg.procs, threads=cfg.threads,
-                                     trace=bool(cfg.trace))
+    if runtime is None:
+        runtime = VirtualRuntime(cfg.procs, threads=cfg.threads,
+                                 trace=bool(cfg.trace))
+    agg = cfg.space == "agg"  # validation rejects std with procs > 1
+    meshes = dist_map = root_map = agg_stats = numbering = constraints = None
+    if agg:
         with timer.time("partition"):
             part = partition_weighted_sfc(cls, n_subdomains=cfg.procs)
             meshes = build_subdomain_meshes(cls, part)
@@ -304,76 +321,45 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
             dist_map = aggregate_parallel(runtime, meshes)
             root_map = gather_root_map(meshes, dist_map)
             agg_stats = aggregates(cls, root_map)
+        with timer.time("plans"):
+            direct = [build_direct_plan(m, dist_map) for m in meshes]
+            inverse = build_inverse_plan(runtime, meshes, dist_map)
+        with timer.time("numbering"):
+            numbering = number_dofs_distributed(runtime, meshes, 1)
+        with timer.time("import"):
+            buffers = import_root_data(runtime, meshes, direct, inverse,
+                                       root_cell_data_provider(numbering))
+        with timer.time("constraints"):
+            constraints = [build_constraints_distributed(p, dist_map, bf)
+                           for p, bf in zip(numbering.pieces, buffers)]
     with timer.time("space"):
         space = build_std_space(cls, 1)
-        dofs = classify_dofs(space, cls, root_map)
-        if cfg.space == "agg":
-            constraints = build_constraints_serial(space, dofs, root_map)
         taus = penalty_per_cell(cfg, space, cls, quad)
     u, grad_u, f = manufactured_solution(cfg)
     with timer.time("assemble"):
         elements = poisson_elements(space, quad, taus, f, u)
-        A = b = None
-        if cfg.procs == 1:
-            A, b = assemble_serial(space, dofs, constraints, elements)
-
-    out = SolveOutputs(cfg=cfg, grid=grid, levelset=ls, classification=cls,
-                       root_map=root_map, aggregate_stats=agg_stats,
-                       space=space, dofs=dofs, constraints=constraints,
-                       quadrature=quad, taus=taus, matrix=A, rhs=b,
-                       solution=None, report=None, norms=None,
-                       timings=timer.timings)
-
-    if cfg.procs == 1:
-        with timer.time("solve"):
-            x, report = pcg_jacobi((A, b), rtol=cfg.rtol, maxit=cfg.maxit)
-        out.solution, out.report = x, report
-    else:
-        _distributed_stage(out, meshes, dist_map, elements, timer, runtime)
-    with timer.time("norms"):
-        if cfg.space == "agg":
-            out.norms = error_norms(space, dofs, constraints, quad,
-                                    out.solution, u, grad_u)
+        if agg:
+            system = assemble_distributed(runtime, numbering, constraints,
+                                          elements)
         else:
-            out.norms = error_norms(space, None, None, quad, out.solution,
-                                    u, grad_u)
-    return out
-
-
-def _distributed_stage(out: SolveOutputs, meshes, dist_map, elements, timer,
-                       runtime):
-    """Path plans, numbering, import, assembly, and solve for procs > 1."""
-    cfg = out.cfg
-    with timer.time("plans"):
-        direct = [build_direct_plan(m, dist_map) for m in meshes]
-        inverse = build_inverse_plan(runtime, meshes, dist_map)
-    with timer.time("numbering"):
-        numbering = number_dofs_distributed(runtime, meshes, 1)
-    with timer.time("import"):
-        buffers = import_root_data(runtime, meshes, direct, inverse,
-                                   root_cell_data_provider(numbering))
-    with timer.time("constraints"):
-        dist_cons = [build_constraints_distributed(p, dist_map, bf)
-                     for p, bf in zip(numbering.pieces, buffers)]
-    with timer.time("assemble-distributed"):
-        system = assemble_distributed(runtime, numbering, dist_cons, elements)
+            system = DistributedSystem.one_block(
+                *assemble_serial(space, None, None, elements))
     with timer.time("solve"):
-        x_d, report = pcg_jacobi(system, rtol=cfg.rtol, maxit=cfg.maxit,
-                                 runtime=runtime)
-    perm = distributed_row_permutation(numbering, out.space, out.dofs)
-    x_serial = np.zeros_like(x_d)
-    x_serial[perm] = x_d
-    out.runtime = runtime
-    out.meshes = meshes
-    out.dist_map = dist_map
-    out.numbering = numbering
-    out.dist_constraints = dist_cons
-    out.dist_system = system
-    out.dist_solution = x_d
-    out.dist_report = report
-    out.row_permutation = perm
-    out.solution = x_serial
-    out.report = report
+        x, report = pcg_jacobi(system, rtol=cfg.rtol, maxit=cfg.maxit,
+                               runtime=runtime)
+    with timer.time("norms"):
+        if agg:
+            nodal = nodal_values(numbering, constraints, x, cls.n_active)
+        else:
+            nodal = x[space.cell_dofs - 1]
+        norms = error_norms(space, quad, nodal, u, grad_u)
+    return SolveOutputs(cfg=cfg, grid=grid, levelset=ls, classification=cls,
+                        space=space, quadrature=quad, taus=taus,
+                        system=system, solution=x, report=report, norms=norms,
+                        timings=timer.timings, runtime=runtime,
+                        root_map=root_map, aggregate_stats=agg_stats,
+                        meshes=meshes, dist_map=dist_map, numbering=numbering,
+                        constraints=constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +377,7 @@ RECORD_FIELDS = [
 
 def make_run_record(cfg: ExperimentConfig, out: SolveOutputs,
                     command: str = "solve") -> dict:
-    if out.dist_system is not None:
-        A, b = out.dist_system.gather()
-    else:
-        A, b = sp.csr_matrix(out.matrix), out.rhs
+    A, b = out.system.gather()
     checksum = float(np.sum(A.data**2) + np.sum(b**2))
     n = A.shape[0]
     try:
@@ -422,7 +405,7 @@ def make_run_record(cfg: ExperimentConfig, out: SolveOutputs,
         "n_cells": out.grid.n_cells,
         "n_active": out.classification.n_active,
         "n_cut": int(out.classification.cut_ids.size),
-        "n_interior_dofs": out.dofs.n_interior,
+        "n_interior_dofs": out.n_interior_dofs,
         "agg_rounds": out.root_map.rounds if out.root_map is not None else "",
         "max_aggregate": (out.aggregate_stats.max_size
                           if out.aggregate_stats is not None else ""),
@@ -460,7 +443,7 @@ def _write_dumps(cfg, out: SolveOutputs, out_dir):
                 for k in range(1, out.classification.n_active + 1)]
         append_csv(os.path.join(out_dir, "aggregates.csv"),
                    ["cell_id", "root_id", "next_id"], rows)
-        if out.meshes is not None:
+        if cfg.procs > 1:
             rows = []
             for mesh in out.meshes:
                 for l in range(1, mesh.n_relevant + 1):
@@ -478,17 +461,23 @@ def _write_dumps(cfg, out: SolveOutputs, out_dir):
             append_csv(os.path.join(out_dir, "partition.csv"),
                        ["cell_id", "owner"], prows)
     if "constraints" in cfg.dump and out.constraints is not None:
+        # on one subdomain the local ids are the node ids of the space
+        serial = cfg.procs == 1
+        head = ["constrained"] if serial else ["subdomain", "local_id"]
         rows = []
-        for i, dof in enumerate(out.constraints.constrained):
-            rows.append({
-                "constrained": int(dof),
-                "masters": ";".join(str(int(m)) for m in out.constraints.masters[i]),
-                "coeffs": ";".join(repr(float(c)) for c in out.constraints.coeffs[i])})
-        append_csv(os.path.join(out_dir, "constraints.csv"),
-                   ["constrained", "masters", "coeffs"], rows)
+        for s, cons in enumerate(out.constraints, 1):
+            for j, masters, coeffs in zip(cons.constrained, cons.masters,
+                                          cons.coeffs):
+                row = {head[-1]: int(j),
+                       "masters": ";".join(str(int(m)) for m in masters),
+                       "coeffs": ";".join(repr(float(c)) for c in coeffs)}
+                rows.append(row if serial else dict(row, subdomain=s))
+        append_csv(os.path.join(out_dir, "constraints.csv" if serial
+                                else "constraints_dist.csv"),
+                   head + ["masters", "coeffs"], rows)
     if "matrix" in cfg.dump:
-        A = out.matrix if out.dist_system is None else out.dist_system.gather()[0]
-        export_matrix_coo(A, os.path.join(out_dir, "matrix.txt"))
+        export_matrix_coo(out.system.gather()[0],
+                          os.path.join(out_dir, "matrix.txt"))
         rows = [{"iteration": i + 1, "relative_residual": repr(float(r))}
                 for i, r in enumerate(out.report.residual_history)]
         append_csv(os.path.join(out_dir, "solve_report.csv"),
@@ -512,7 +501,7 @@ def cmd_solve(cfg: ExperimentConfig) -> dict:
     append_csv(os.path.join(out_dir, "runs.csv"), RECORD_FIELDS, [record])
     write_timings(out_dir, "solve", cfg, outputs.timings)
     _write_dumps(cfg, outputs, out_dir)
-    if cfg.trace and outputs.runtime is not None and outputs.runtime.trace:
+    if cfg.trace and outputs.runtime.trace:
         rows = [{"phase": t.phase, "superstep": t.superstep, "kind": t.kind,
                  "src": t.src, "dst": t.dst, "bytes": t.n_bytes}
                 for t in outputs.runtime.trace]
@@ -546,7 +535,7 @@ def run_cut_sweep(cfg: ExperimentConfig, offsets=DEFAULT_SWEEP):
                           radius=cfg.radius + delta * h)
             out = run_solve_pipeline(sub)
             try:
-                kappa = condition_estimate(out.matrix, "dense")
+                kappa = condition_estimate(out.system, "dense")
             except NotPositiveDefiniteError:
                 # not SPD in floating point: no condition number to report
                 kappa = float("nan")
@@ -582,16 +571,16 @@ def cmd_cut_sweep(cfg: ExperimentConfig, offsets=DEFAULT_SWEEP):
 # parallel check
 
 
-def _constraint_mismatch(space, constraints, numbering, dist_constraints,
-                         perm):
-    """First difference between the serial constraints and every
-    subdomain's, compared exactly by node code with distributed masters
-    mapped to serial rows through ``perm``; None when they agree."""
-    codes = encode_node_keys(space.node_keys[constraints.constrained - 1],
-                             space.q, space.classification.grid.n_per_axis)
+def _constraint_mismatch(serial: SolveOutputs, out: SolveOutputs, perm):
+    """First difference between the constraints of the one-subdomain run
+    ``serial`` and every subdomain's in ``out``, compared exactly by node
+    code with masters mapped to serial ids through ``perm``; None when
+    they agree."""
+    [ref], [ref_cons] = serial.numbering.pieces, serial.constraints
+    codes = ref.node_codes[ref_cons.constrained - 1]
     by_code = np.argsort(codes)
     seen = np.zeros(codes.size, dtype=bool)
-    for piece, cons in zip(numbering.pieces, dist_constraints):
+    for piece, cons in zip(out.numbering.pieces, out.constraints):
         js = cons.constrained
         i = _lookup(codes[by_code], by_code, piece.node_codes[js - 1])
         bad = np.flatnonzero(i < 0)
@@ -600,28 +589,30 @@ def _constraint_mismatch(space, constraints, numbering, dist_constraints,
             return f"node {key} is constrained in subdomain {piece.s} only"
         seen[i] = True
         for what, want, got in (
-                ("master sets", constraints.masters[i], perm[cons.masters - 1] + 1),
-                ("constraint coefficients", constraints.coeffs[i], cons.coeffs)):
+                ("master sets", ref_cons.masters[i], perm[cons.masters - 1] + 1),
+                ("constraint coefficients", ref_cons.coeffs[i], cons.coeffs)):
             bad = np.flatnonzero(np.any(want != got, axis=1))
             if bad.size:
                 key = tuple(piece.node_keys[js[bad[0]] - 1].tolist())
                 return f"{what} differ for node {key} (subdomain {piece.s})"
     if not np.all(seen):
-        key = tuple(space.node_keys[constraints.constrained[~seen][0] - 1].tolist())
+        key = tuple(ref.node_keys[ref_cons.constrained[~seen][0] - 1].tolist())
         return f"node {key} is constrained serially only"
     return None
 
 
 def run_parallel_check(cfg: ExperimentConfig, procs_list,
                        runtime_factory=None) -> dict:
-    """Assert serial/parallel equality of aggregates, constraints, systems,
-    and solver histories; raises EquivalenceError with the first diff.
+    """Assert that runs on every P in ``procs_list`` equal the P = 1 run in
+    aggregates, constraints, systems and solver histories; raises
+    EquivalenceError with the first difference.
 
-    Constraints and systems must agree exactly; residual histories to
-    1e-10, as distributed inner products sum in another row order."""
-    base = replace(cfg, procs=1, space="agg")
-    serial = run_solve_pipeline(base)
-    A_s = sp.csr_matrix(serial.matrix)
+    Global ids are matched to the serial ones by node code.  Constraints
+    and systems must agree exactly; residual histories to 1e-10, as
+    distributed inner products sum in another row order."""
+    serial = run_solve_pipeline(replace(cfg, procs=1, space="agg"))
+    A_s, b_s = serial.system.gather()
+    n_s = serial.numbering.n_global
     checked = {"procs": [], "aggregate_cells": 0, "constrained_dofs": 0}
     for P in procs_list:
         if P == 1:
@@ -638,16 +629,18 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
                 f"serial root {want}, parallel root {got}")
         checked["aggregate_cells"] += serial.classification.n_active
 
-        perm = out.row_permutation
-        mismatch = _constraint_mismatch(serial.space, serial.constraints,
-                                        out.numbering, out.dist_constraints,
-                                        perm)
+        if out.numbering.n_global != n_s:
+            raise EquivalenceError(
+                f"P={P}: {out.numbering.n_global} global DOF ids, {n_s} "
+                f"serially")
+        perm = numbering_permutation(out.numbering, serial.numbering)
+        mismatch = _constraint_mismatch(serial, out, perm)
         if mismatch is not None:
             raise EquivalenceError(f"P={P}: {mismatch}")
-        checked["constrained_dofs"] += serial.constraints.n_constrained
+        checked["constrained_dofs"] += serial.constraints[0].n_constrained
 
-        A_d, b_d = out.dist_system.gather()
-        inv = np.argsort(perm)   # distributed row of each serial row
+        A_d, b_d = out.system.gather()
+        inv = np.argsort(perm)   # id at P of each serial id
         A_cmp = sp.csr_matrix(A_d[inv][:, inv])
         rows = (A_cmp != A_s).tocoo().row
         if rows.size:
@@ -655,7 +648,7 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
             raise EquivalenceError(
                 f"P={P}: assembled matrices differ by {dev:.3e} at row "
                 f"{rows.min() + 1}")
-        rows = np.flatnonzero(b_d[inv] != serial.rhs)
+        rows = np.flatnonzero(b_d[inv] != b_s)
         if rows.size:
             raise EquivalenceError(
                 f"P={P}: assembled vectors differ at row {rows[0] + 1}")
@@ -703,7 +696,7 @@ def run_convergence(cfg: ExperimentConfig, levels):
         rows.append({
             "level": level,
             "h": repr(float(np.min(out.grid.h))),
-            "n_interior_dofs": out.dofs.n_interior,
+            "n_interior_dofs": out.n_interior_dofs,
             "iterations": out.report.iterations,
             "rel_l2": repr(float(out.norms.l2)),
             "rel_h1": repr(float(out.norms.h1_semi)),

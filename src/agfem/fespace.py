@@ -7,6 +7,13 @@ ids and the numbering is reproducible.  Exterior DOFs (touched only by
 cut cells) are constrained to the full DOF set of their root cell with
 extrapolation coefficients; interior DOFs stay free and index the rows
 of the reduced linear system.
+
+The solve pipeline numbers and constrains the aggregated space through
+``distspace`` for every process count; a serial run is its
+one-subdomain case.  ``classify_dofs`` and ``build_constraints_serial``
+are the independent serial reference that the tests check it against.
+The shape functions, node codes and the extension operator here serve
+both.
 """
 
 from __future__ import annotations
@@ -157,7 +164,7 @@ def build_std_space(classification: CellClassification, q: int = 1) -> StdSpace:
 
 @dataclass
 class DofClassification:
-    """Interior/exterior DOF split plus owner and root cells.
+    """Interior/exterior DOF split plus owner cells.
 
     Interior DOFs get 1-based rows in first-touch order over interior
     cells; those rows index the reduced system.
@@ -169,16 +176,15 @@ class DofClassification:
     interior_ids: np.ndarray    # (n_in,) node ids in row order
     exterior_ids: np.ndarray    # (n_out,) node ids ascending
     own_cell: np.ndarray        # (n_nodes,) smallest containing cell (valid on I_out)
-    root_cell: np.ndarray | None = None  # O = R(K_own), valid on I_out
 
     @property
     def n_interior(self) -> int:
         return self.interior_ids.size
 
 
-def classify_dofs(space: StdSpace, classification: CellClassification,
-                  root_map: RootMap | None = None) -> DofClassification:
-    """Split DOFs into interior and exterior and fix owner/root cells."""
+def classify_dofs(space: StdSpace,
+                  classification: CellClassification) -> DofClassification:
+    """Split DOFs into interior and exterior and fix their owner cells."""
     n_nodes = space.n_dofs
     interior_mask = np.zeros(n_nodes, dtype=bool)
     interior_cells = classification.interior_ids
@@ -198,17 +204,9 @@ def classify_dofs(space: StdSpace, classification: CellClassification,
     else:
         interior_ids = np.zeros(0, dtype=np.int64)
     exterior_ids = np.flatnonzero(~interior_mask).astype(np.int64) + 1
-
-    root_cell = None
-    if root_map is not None:
-        root_cell = np.zeros(n_nodes, dtype=np.int64)
-        if exterior_ids.size:
-            root_cell[exterior_ids - 1] = root_map.root[
-                own_cell[exterior_ids - 1] - 1]
     return DofClassification(space=space, interior_mask=interior_mask,
                              row_of=row_of, interior_ids=interior_ids,
-                             exterior_ids=exterior_ids, own_cell=own_cell,
-                             root_cell=root_cell)
+                             exterior_ids=exterior_ids, own_cell=own_cell)
 
 
 @dataclass
@@ -272,14 +270,3 @@ def extension_operator(row_of: np.ndarray, constraints: AgConstraints | None,
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(row_of.size, n_free))
 
-
-def prolongate(dofs: DofClassification, constraints: AgConstraints | None,
-               interior_values: np.ndarray) -> np.ndarray:
-    """Expand a reduced vector to all nodes through the constraints."""
-    interior_values = np.asarray(interior_values, dtype=np.float64)
-    if interior_values.shape != (dofs.n_interior,):
-        raise ValueError(
-            f"expected {dofs.n_interior} interior values, "
-            f"got {interior_values.shape}")
-    return extension_operator(dofs.row_of, constraints,
-                              dofs.n_interior) @ interior_values

@@ -10,9 +10,10 @@ the unpreconditioned residual, ||r||/||b|| < rtol, within maxit
 iterations; non-convergence is reported, not raised.  The report's
 ``reason`` says why the iteration ended: ``converged``, ``maxit``,
 ``breakdown`` (p'Ap not positive) or ``nonfinite`` (||b|| or p'Ap NaN
-or infinite).  Error norms run in one batched pass over the bulk points
-of the flat quadrature store, interior cells through one reference
-element.
+or infinite).  Error norms take the nodal values of every active cell,
+however the space produced them, and run in one batched pass over the
+bulk points of the flat quadrature store, interior cells through one
+reference element.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import DistributedSystem, reference_tables
-from .fespace import prolongate, shape_gradients, shape_values
+from .fespace import shape_gradients, shape_values
 from .runtime import VirtualRuntime
 
 
@@ -48,13 +49,7 @@ class SolveReport:
 def _as_distributed(system) -> tuple:
     if isinstance(system, DistributedSystem):
         return system, None
-    A, b = system
-    A = sp.csr_matrix(A)
-    n = A.shape[0]
-    wrapped = DistributedSystem(
-        n_global=n, row_starts=np.array([1, n + 1], dtype=np.int64),
-        blocks=[A], rhs=[np.asarray(b, dtype=np.float64)], staged_counts=[0])
-    return wrapped, VirtualRuntime(1)
+    return DistributedSystem.one_block(*system), VirtualRuntime(1)
 
 
 def _ritz_from_recurrence(alphas, betas):
@@ -217,7 +212,7 @@ def condition_estimate(system, method: str = "lanczos", maxit: int | None = None
     return report.kappa
 
 
-def _solution_chunks(space, quad, full):
+def _solution_chunks(space, quad, nodal):
     """Points, weights, u_h and grad(u_h) over the bulk rows of ``quad``
     in chunks: interior cells from their nodal values and the reference
     tables, cut cells point by point."""
@@ -225,19 +220,19 @@ def _solution_chunks(space, quad, full):
     d, h = cls.grid.d, cls.grid.h
     vals_ref, grads_ref = reference_tables(space, quad)
     for cells, rows in quad.interior_chunks(cls.interior_ids):
-        nodal = full[space.cell_dofs[cells - 1] - 1]
+        values = nodal[cells - 1]
         rows = rows.ravel()
         yield (quad.points[rows], quad.weights[rows],
-               (nodal @ vals_ref.T).ravel(),
-               np.einsum("ca,nad->cnd", nodal, grads_ref).reshape(-1, d))
+               (values @ vals_ref.T).ravel(),
+               np.einsum("ca,nad->cnd", values, grads_ref).reshape(-1, d))
     for cells, rows in quad.cut_chunks(cls.cut_ids):
-        nodal = full[space.cell_dofs[cells - 1] - 1]
+        values = nodal[cells - 1]
         pts = quad.points[rows]
         xi = space.reference_coords(cells, pts)
         yield (pts, quad.weights[rows],
-               np.einsum("na,na->n", shape_values(space.q, d, xi), nodal),
+               np.einsum("na,na->n", shape_values(space.q, d, xi), values),
                np.einsum("nad,na->nd",
-                         shape_gradients(space.q, d, xi) / h, nodal))
+                         shape_gradients(space.q, d, xi) / h, values))
 
 
 @dataclass
@@ -247,27 +242,25 @@ class ErrorNorms:
     absolute: bool = False   # set when the exact norm vanishes
 
 
-def error_norms(space, dofs, constraints, quad, interior_values,
-                u_exact, grad_exact) -> ErrorNorms:
-    """Relative L2 and H1-semi errors of a reduced solution vector.
+def error_norms(space, quad, nodal, u_exact, grad_exact) -> ErrorNorms:
+    """Relative L2 and H1-semi errors of a discrete solution given by the
+    nodal values of every active cell, ``nodal`` of shape (n_active, m).
 
-    The vector is prolongated through the constraints before evaluation
-    and the integrals run over the bulk points of the quadrature store,
-    in chunks of about ``CHUNK_POINTS``, so only the physical domain
-    contributes.  At interior points u_h and its gradient come from the
-    cell's nodal values and the fixed reference tables of the shared box
-    rule; cut-cell points evaluate the shape functions one by one.  For
-    an unconstrained (standard) space pass ``dofs=None`` and the full
-    nodal vector.
+    For the aggregated space these come from each subdomain's extension
+    operator (``distspace.nodal_values``); for the standard space they are
+    ``x[space.cell_dofs - 1]``.  The integrals run over the bulk points of
+    the quadrature store, in chunks of about ``CHUNK_POINTS``, so only the
+    physical domain contributes.  At interior points u_h and its gradient
+    come from the cell's nodal values and the fixed reference tables of
+    the shared box rule; cut-cell points evaluate the shape functions one
+    by one.
     """
-    if dofs is None:
-        full = np.asarray(interior_values, dtype=np.float64)
-        if full.shape != (space.n_dofs,):
-            raise ValueError("standard-space vector must cover all DOFs")
-    else:
-        full = prolongate(dofs, constraints, interior_values)
+    nodal = np.asarray(nodal, dtype=np.float64)
+    if nodal.shape != space.cell_dofs.shape:
+        raise ValueError(f"expected nodal values of shape "
+                         f"{space.cell_dofs.shape}, got {nodal.shape}")
     err2 = errg2 = base2 = baseg2 = 0.0
-    for pts, w, uh, gh in _solution_chunks(space, quad, full):
+    for pts, w, uh, gh in _solution_chunks(space, quad, nodal):
         ue = np.asarray(u_exact(pts))
         ge = np.asarray(grad_exact(pts))
         err2 += float(w @ (ue - uh) ** 2)

@@ -8,7 +8,9 @@ import itertools
 import numpy as np
 import pytest
 
-from agfem.fespace import shape_gradients, shape_values
+from agfem.distspace import _lookup
+from agfem.fespace import (encode_node_keys, extension_operator,
+                           shape_gradients, shape_values)
 from agfem.geometry import classify_cells, point_chunks
 from agfem.grid import face_neighbors, unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
@@ -313,6 +315,39 @@ def all_points_norms(space, quad, full, u_exact, grad_exact):
     if base2 > 1e-28 and baseg2 > 1e-28:
         return np.sqrt(err2 / base2), np.sqrt(errg2 / baseg2)
     return np.sqrt(err2), np.sqrt(errg2)
+
+
+def prolongate(dofs, constraints, interior_values):
+    """Expand a reduced vector of the serial reference space to all nodes
+    through its constraints."""
+    interior_values = np.asarray(interior_values, dtype=np.float64)
+    if interior_values.shape != (dofs.n_interior,):
+        raise ValueError(
+            f"expected {dofs.n_interior} interior values, "
+            f"got {interior_values.shape}")
+    return extension_operator(dofs.row_of, constraints,
+                              dofs.n_interior) @ interior_values
+
+
+def distributed_row_permutation(numbering, space, dofs):
+    """Map distributed global ids to the rows of the serial reference
+    space via node keys: ``perm[gid - 1] = serial row - 1``."""
+    serial = encode_node_keys(space.node_keys[dofs.interior_ids - 1], space.q,
+                              space.classification.grid.n_per_axis)
+    by_code = np.argsort(serial)
+    rows_by_code = dofs.row_of[dofs.interior_ids - 1][by_code]
+    perm = np.zeros(numbering.n_global, dtype=np.int64)
+    seen = np.zeros(numbering.n_global, dtype=bool)
+    for piece in numbering.pieces:
+        rows = _lookup(serial[by_code], rows_by_code, piece.gid_codes)
+        if np.any(rows == -1):
+            gid = int(piece.gids[np.argmax(rows == -1)])
+            raise KeyError(f"distributed id {gid} maps to no serial row")
+        perm[piece.gids - 1] = rows - 1
+        seen[piece.gids - 1] = True
+    if not np.all(seen):
+        raise KeyError("some distributed ids were never defined")
+    return perm
 
 
 @pytest.fixture

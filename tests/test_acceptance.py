@@ -16,12 +16,11 @@ from agfem.assembly import assemble_serial, nitsche_tau_agg, poisson_elements
 from agfem.distagg import (build_direct_plan, build_inverse_plan,
                            check_plan_duality, import_root_data)
 from agfem.distspace import (build_constraints_distributed,
-                             distributed_row_permutation,
                              number_dofs_distributed, root_cell_data_provider)
 from agfem.experiments import (ExperimentConfig, cmd_solve, run_convergence,
                                run_cut_sweep, run_solve_pipeline)
 from agfem.fespace import (build_constraints_serial, build_std_space,
-                           classify_dofs, prolongate)
+                           classify_dofs)
 from agfem.geometry import classify_cells, cut_quadrature
 from agfem.grid import unit_box_grid
 from agfem.levelset import CallableLevelSet, HalfPlane, Sphere
@@ -29,7 +28,8 @@ from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 from agfem.assembly import assemble_distributed
 
-from conftest import bfs_aggregation_oracle, classified, random_geometry
+from conftest import (bfs_aggregation_oracle, classified,
+                      distributed_row_permutation, prolongate, random_geometry)
 
 GEOMETRIES = {
     "halfplane": lambda: HalfPlane((1.0, 0.0), 0.6180339887),
@@ -69,7 +69,7 @@ def equivalence_data():
 
             t0 = time.perf_counter()
             space = build_std_space(cls, 1)
-            dofs = classify_dofs(space, cls, serial)
+            dofs = classify_dofs(space, cls)
             cons = build_constraints_serial(space, dofs, serial)
             quad = cut_quadrature(grid, ls, cls, 4)
             taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
@@ -206,7 +206,7 @@ def test_criterion_6_constraint_correctness():
             continue
         rm = aggregate_serial(cls)
         space = build_std_space(cls, 1)
-        dofs = classify_dofs(space, cls, rm)
+        dofs = classify_dofs(space, cls)
         cons = build_constraints_serial(space, dofs, rm)
         if cons.n_constrained:
             worst = max(worst, float(np.max(np.abs(

@@ -10,18 +10,17 @@ from agfem.assembly import (AssemblyError, assemble_distributed, assemble_serial
                             poisson_elements)
 from agfem.distagg import build_direct_plan, build_inverse_plan, import_root_data
 from agfem.distspace import (build_constraints_distributed,
-                             distributed_row_permutation,
                              number_dofs_distributed, root_cell_data_provider)
 from agfem.fespace import (build_constraints_serial, build_std_space,
-                           classify_dofs, prolongate, shape_gradients,
-                           shape_values)
+                           classify_dofs, shape_gradients, shape_values)
 from agfem.geometry import classify_cells, cut_quadrature
 from agfem.grid import unit_box_grid
 from agfem.levelset import HalfPlane, Popcorn, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import all_points_elements, classified
+from conftest import (all_points_elements, classified,
+                      distributed_row_permutation, prolongate)
 
 
 def test_tau_agg_values():
@@ -212,7 +211,7 @@ def _serial_agg_system(level, ls, beta=10.0, f=None, g=None, d=2):
     grid, cls, fa = classified(level, ls, d)
     rm = aggregate_serial(cls)
     space = build_std_space(cls, 1)
-    dofs = classify_dofs(space, cls, rm)
+    dofs = classify_dofs(space, cls)
     cons = build_constraints_serial(space, dofs, rm)
     quad = cut_quadrature(grid, ls, cls, 4)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), beta))

@@ -6,7 +6,6 @@ from agfem.experiments import ExperimentConfig, make_levelset
 from agfem.distagg import (RootDataBuffer, build_direct_plan,
                            build_inverse_plan, import_root_data)
 from agfem.distspace import (MissingImportError, build_constraints_distributed,
-                             distributed_row_permutation,
                              number_dofs_distributed, root_cell_data_provider)
 from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs, encode_node_keys, node_offsets)
@@ -16,14 +15,14 @@ from agfem.levelset import HalfPlane, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import RuntimeProtocolError, VirtualRuntime
 
-from conftest import classified
+from conftest import classified, distributed_row_permutation
 
 
 def _setup(level, ls, n_parts):
     grid, cls, fa = classified(level, ls)
     serial_rm = aggregate_serial(cls)
     space = build_std_space(cls, 1)
-    dofs = classify_dofs(space, cls, serial_rm)
+    dofs = classify_dofs(space, cls)
     part = partition_weighted_sfc(cls, n_subdomains=n_parts)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(n_parts)

@@ -6,10 +6,14 @@ import sys
 import numpy as np
 import pytest
 
+from agfem.aggregation import aggregate_serial
+from agfem.assembly import assemble_serial, poisson_elements
 from agfem.experiments import (ConfigError, EquivalenceError, ExperimentConfig,
                                cmd_convergence, cmd_solve,
-                               fit_order, load_config, run_parallel_check,
+                               fit_order, load_config, manufactured_solution,
+                               run_parallel_check, run_solve_pipeline,
                                run_weight_study)
+from agfem.fespace import build_constraints_serial, classify_dofs
 from agfem.runtime import VirtualRuntime
 
 
@@ -67,6 +71,74 @@ def test_cmd_solve_writes_record_and_dumps(tmp_path):
         phases = [row["phase"] for row in csv.DictReader(fh)]
     assert phases[:2] == ["classify", "quadrature"]
     assert phases[-1] == "record" and phases.count("record") == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sine_gradient_keeps_its_factor_order(d):
+    # one sin and one cos per axis, multiplied in the order of the
+    # per-component formula, so the norms stay bitwise the same
+    _, grad, _ = manufactured_solution(ExperimentConfig(dimension=d,
+                                                        solution="sine"))
+    p = np.random.default_rng(d).random((50, d))
+    want = np.empty_like(p)
+    for c in range(d):
+        comp = np.full(p.shape[0], np.pi)
+        for a in range(d):
+            comp = comp * (np.cos(np.pi * p[:, a]) if a == c
+                           else np.sin(np.pi * p[:, a]))
+        want[:, c] = comp
+    assert grad(p).tobytes() == want.tobytes()
+
+
+def test_distributed_dumps_name_the_matrix_rows(tmp_path):
+    cfg = ExperimentConfig(level=4, procs=2, out=str(tmp_path),
+                           dump=("constraints", "matrix"))
+    cmd_solve(cfg.validate())
+    assert not (tmp_path / "constraints.csv").exists()
+    entries = {tuple(int(v) for v in line.split()[:2])
+               for line in (tmp_path / "matrix.txt").read_text().splitlines()}
+    rows = {r for r, _ in entries}
+    with open(tmp_path / "constraints_dist.csv") as fh:
+        cons = list(csv.DictReader(fh))
+    assert cons and {r["subdomain"] for r in cons} == {"1", "2"}
+    for r in cons:
+        masters = [int(m) for m in r["masters"].split(";")]
+        assert set(masters) <= rows
+        # the masters are the DOFs of one root cell, so the matrix
+        # couples every pair of them
+        assert {(a, b) for a in masters for b in masters} <= entries
+        coeffs = [float(c) for c in r["coeffs"].split(";")]
+        assert sum(coeffs) == pytest.approx(1.0, rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("params", [
+    dict(geometry="circle", level=5),
+    dict(geometry="popcorn", dimension=3, level=3),
+], ids=["circle-L5", "popcorn-L3"])
+def test_one_subdomain_run_equals_the_serial_reference(params):
+    # P = 1 runs the distributed space setup and assembly; its ids,
+    # constraints and system are those of the serial builders, bitwise
+    cfg = ExperimentConfig(procs=1, solution="sine", **params).validate()
+    out = run_solve_pipeline(cfg)
+    space, cls = out.space, out.classification
+    dofs = classify_dofs(space, cls)
+    cons = build_constraints_serial(space, dofs, aggregate_serial(cls))
+    u, _, f = manufactured_solution(cfg)
+    A, b = assemble_serial(space, dofs, cons, poisson_elements(
+        space, out.quadrature, out.taus, f, u))
+
+    [piece], [dcons] = out.numbering.pieces, out.constraints
+    assert np.array_equal(piece.cell_j, space.cell_dofs)
+    assert np.array_equal(piece.gid_of(piece.node_codes),
+                          np.where(dofs.row_of > 0, dofs.row_of, -1))
+    assert np.array_equal(dcons.constrained, cons.constrained)
+    assert np.array_equal(dcons.masters, cons.masters)
+    assert dcons.coeffs.tobytes() == cons.coeffs.tobytes()
+    A_d, b_d = out.system.gather()
+    assert np.array_equal(A_d.indptr, A.indptr)
+    assert np.array_equal(A_d.indices, A.indices)
+    assert A_d.data.tobytes() == A.data.tobytes()
+    assert b_d.tobytes() == b.tobytes()
 
 
 def test_runs_csv_is_deterministic(tmp_path):
@@ -131,14 +203,22 @@ def test_parallel_check_passes_clean():
 
 
 def test_distributed_run_builds_no_serial_system(monkeypatch):
+    # every process count, the serial one included, runs the distributed
+    # space setup and assembly; the serial builders are test references
     import agfem.experiments as ex
 
-    def serial_assembly(*args):
-        raise AssertionError("a distributed run assembled the serial system")
+    def serial(name):
+        def refuse(*args):
+            raise AssertionError(f"an agg run called {name}")
+        return refuse
 
-    monkeypatch.setattr(ex, "assemble_serial", serial_assembly)
-    out = ex.run_solve_pipeline(ExperimentConfig(level=3, procs=2).validate())
-    assert out.matrix is None and out.report.converged
+    for name in ("build_constraints_serial", "assemble_serial"):
+        monkeypatch.setattr(ex, name, serial(name))
+    for procs in (1, 4):
+        out = ex.run_solve_pipeline(
+            ExperimentConfig(level=3, procs=procs).validate())
+        assert out.report.converged
+        assert out.system.n_subdomains == len(out.numbering.pieces) == procs
 
 
 def test_parallel_check_passes_popcorn_at_eight_processes():

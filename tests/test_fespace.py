@@ -1,20 +1,23 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from agfem.aggregation import RootMap, aggregate_serial
 from agfem.fespace import (build_constraints_serial, build_std_space,
-                           classify_dofs, prolongate, shape_gradients,
-                           shape_values)
+                           classify_dofs, shape_gradients, shape_values)
+from agfem.distspace import nodal_values
+from agfem.experiments import ExperimentConfig, run_solve_pipeline
 from agfem.levelset import HalfPlane, Sphere
 
-from conftest import classified, random_geometry
+from conftest import classified, prolongate, random_geometry
 
 
 def _agg_pipeline(level, ls):
     grid, cls, fa = classified(level, ls)
     rm = aggregate_serial(cls)
     space = build_std_space(cls, 1)
-    dofs = classify_dofs(space, cls, rm)
+    dofs = classify_dofs(space, cls)
     cons = build_constraints_serial(space, dofs, rm)
     return grid, cls, space, dofs, cons
 
@@ -93,7 +96,7 @@ def test_constraints_reproduce_polynomials(rng):
             continue
         rm = aggregate_serial(cls)
         space = build_std_space(cls, 1)
-        dofs = classify_dofs(space, cls, rm)
+        dofs = classify_dofs(space, cls)
         cons = build_constraints_serial(space, dofs, rm)
         assert np.allclose(cons.coeffs.sum(axis=1), 1.0, atol=1e-13)
         assert cons.masters.shape[1] == 4
@@ -102,6 +105,39 @@ def test_constraints_reproduce_polynomials(rng):
         for poly in (np.ones_like(x), x, y, x * y):
             full = prolongate(dofs, cons, poly[dofs.interior_ids - 1])
             assert np.max(np.abs(full - poly)) < 1e-12
+
+
+@pytest.mark.parametrize("procs", [1, 3])
+@pytest.mark.parametrize("params", [
+    dict(geometry="offset-circle", level=5),
+    dict(geometry="popcorn", dimension=3, level=3),
+], ids=["2d", "3d"])
+def test_pipeline_constraints_reproduce_polynomials(params, procs):
+    # the constraints of every subdomain, and the nodal values the error
+    # norms read, reproduce every Q1 monomial from its free values
+    out = run_solve_pipeline(ExperimentConfig(procs=procs, **params).validate())
+    numbering, constraints = out.numbering, out.constraints
+    d = out.grid.d
+    coords = np.full((numbering.n_global, d), np.nan)
+    for piece in numbering.pieces:
+        gid = piece.gid_of(piece.node_codes)
+        coords[gid[gid > 0] - 1] = piece.node_coords[gid > 0]
+    assert not np.isnan(coords).any()
+    cell_coords = out.space.node_coords[out.space.cell_dofs - 1]
+    n_constrained = 0
+    for powers in itertools.product((0, 1), repeat=d):
+        def poly(p):
+            return np.prod(p ** np.array(powers), axis=-1)
+
+        for piece, cons in zip(numbering.pieces, constraints):
+            got = np.sum(cons.coeffs * poly(coords[cons.masters - 1]), axis=1)
+            want = poly(piece.node_coords[cons.constrained - 1])
+            assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+            n_constrained += cons.n_constrained
+        nodal = nodal_values(numbering, constraints, poly(coords),
+                             out.classification.n_active)
+        assert np.max(np.abs(nodal - poly(cell_coords))) < 1e-12
+    assert n_constrained > 0
 
 
 def test_constraints_equal_the_per_dof_loop():
@@ -151,6 +187,6 @@ def test_root_map_onto_a_cut_cell_is_rejected():
     own_roots = RootMap(root=np.arange(1, cls.n_active + 1), next=rm.next,
                         rounds=rm.rounds)
     space = build_std_space(cls, 1)
-    dofs = classify_dofs(space, cls, own_roots)
+    dofs = classify_dofs(space, cls)
     with pytest.raises(RuntimeError, match="carries a non-interior DOF"):
         build_constraints_serial(space, dofs, own_roots)
