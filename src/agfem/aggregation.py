@@ -70,15 +70,6 @@ class DistRootMap:
     nexts: list        # per s: (n_relevant,) global id of the next cell
     rounds: int
 
-    def root_of(self, s: int, l: int) -> int:
-        return int(self.roots[s - 1][l - 1])
-
-    def owner_of(self, s: int, l: int) -> int:
-        return int(self.root_owners[s - 1][l - 1])
-
-    def next_of(self, s: int, l: int) -> int:
-        return int(self.nexts[s - 1][l - 1])
-
 
 def assign_round(cells, face_ids, face_open, root, global_ids, barycenters):
     """One round of the sweep for the untouched cells ``cells`` (local ids).

@@ -274,17 +274,23 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
                                          vecs[ids - 1])
         parts.append((row, col, ids[cell], val))
     trip = tuple(np.concatenate(x) for x in zip(*parts))
+    del parts
 
+    # the owned part is copied only if some rows leave (never at P = 1)
+    # and merged only if some arrive
     owner = np.searchsorted(row_starts, trip[0] + 1, side="right")
     payloads = {int(dst): tuple(x[owner == dst] for x in trip)
                 for dst in np.unique(owner) if dst != s}
     staged = sum(p[0].size for p in payloads.values())
     received = yield proc.routed_exchange(payloads)
-
-    parts = [tuple(x[owner == s] for x in trip)]
-    parts += [received[src] for src in sorted(received)]
-    row, col, cell, val = (np.concatenate(x) for x in zip(*parts))
-    (row, col), val = _sum_runs([row, col, cell], val, 2)
+    if staged:
+        mine = owner == s
+        trip = tuple(x[mine] for x in trip)
+    if received:
+        trip = tuple(np.concatenate([x] + [received[src][i]
+                                           for src in sorted(received)])
+                     for i, x in enumerate(trip))
+    (row, col), val = _sum_runs(list(trip[:3]), trip[3], 2)
     first = int(row_starts[s - 1]) - 1
     n_owned = int(row_starts[s]) - 1 - first
     b = np.zeros(n_owned)

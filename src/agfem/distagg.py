@@ -4,24 +4,28 @@ The aggregation sweep itself (``aggregation.aggregate_parallel``) leaves
 every subdomain with the roots, root owners and next cells of its
 locally relevant cells.  Path plans are reconstructed from these in
 both directions: the receive side is a communication-free scan, the
-send side forwards (first-cell, next-cell, origin) tuples along the
-aggregation paths using only nearest-neighbor traffic.  Only the final
-data import may route messages between non-neighbor subdomains.
+send side forwards path rows (first cell, current cell, origin, hops)
+along the aggregation paths using only nearest-neighbor traffic.  Only
+the final data import may route messages between non-neighbor
+subdomains.
+
+Every plan and buffer is a set of aligned arrays: a plan lists its
+(peer, root) pairs sorted by peer and then root, and each phase runs as
+array steps over them, one message per peer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregation import DistRootMap
-from .geometry import CUT
-from .partition import SubdomainMesh, group_sorted
+from .partition import SubdomainMesh, _lookup
 
 
 class PathReconstructionError(RuntimeError):
-    """A path tuple was forwarded more often than the global cell count."""
+    """A path row was forwarded more often than the global cell count."""
 
 
 class ImportProtocolError(RuntimeError):
@@ -33,105 +37,103 @@ class ImportProtocolError(RuntimeError):
 
 
 @dataclass
-class DirectPlan:
-    """Receive side: which roots to import from which subdomains."""
+class PathPlan:
+    """Pairs (``peers[i]``, ``roots[i]``) of subdomain and root cell id,
+    unique and sorted by peer and then root.  A direct (receive) plan
+    imports each root from its peer; an inverse (send) plan sends each of
+    its roots to the peer."""
 
     s: int
-    recv_sources: list                 # sorted subdomain ids
-    recv_roots: dict                   # s' -> sorted array of root ids
-    remote_roots: np.ndarray = field(default=None)  # all imported roots, ascending
-    z_of: dict = field(default=None)   # root id -> 1-based buffer slot
+    peers: np.ndarray   # (n,) subdomain ids
+    roots: np.ndarray   # (n,) global root ids
 
-    def __post_init__(self):
-        all_roots = sorted({int(k) for roots in self.recv_roots.values()
-                            for k in roots})
-        self.remote_roots = np.asarray(all_roots, dtype=np.int64)
-        self.z_of = {k: z + 1 for z, k in enumerate(all_roots)}
+    @classmethod
+    def from_pairs(cls, s: int, peers, roots, n_cells: int):
+        key = np.unique(np.asarray(peers, dtype=np.int64) * (n_cells + 1)
+                        + roots)
+        return cls(s, *np.divmod(key, n_cells + 1))
 
 
-@dataclass
-class InversePlan:
-    """Send side: which of my root cells each requesting subdomain needs."""
-
-    s: int
-    send_targets: list
-    send_roots: dict
-
-
-def build_direct_plan(mesh: SubdomainMesh, dist_map: DistRootMap) -> DirectPlan:
+def build_direct_plan(mesh: SubdomainMesh, dist_map: DistRootMap) -> PathPlan:
     """Communication-free scan over local and ghost cut cells."""
     s = mesh.s
     cut = mesh.relevant_cut() - 1
     owners = dist_map.root_owners[s - 1][cut]
     roots = dist_map.roots[s - 1][cut]
     away = owners != s
-    # unique (owner, root) pairs, ascending by owner and then root
-    pairs = np.unique(np.stack([owners[away], roots[away]], axis=1)
-                      .astype(np.int64), axis=0)
-    recv_roots = group_sorted(pairs[:, 0], pairs[:, 1])
-    return DirectPlan(s=s, recv_sources=sorted(recv_roots), recv_roots=recv_roots)
+    return PathPlan.from_pairs(s, owners[away], roots[away],
+                               mesh.classification.n_active)
 
 
-def _inverse_body(proc, mesh: SubdomainMesh, roots, owners, nexts, n_cells):
+def _inverse_body(proc, mesh: SubdomainMesh, owners, nexts, n_cells):
     s = proc.rank
-    # one tuple per cut cell whose root lives elsewhere; ghost cut cells
-    # participate because their roots must be imported here as well
+    # by local id: the local id of the next cell of an owned cut cell (0
+    # if that is not relevant here), else -1, where a path row stops
+    walk = np.full(mesh.n_relevant + 1, -1)
+    owned_cut = mesh.locals_cut()
+    walk[owned_cut] = mesh.local_ids(nexts[owned_cut - 1])
+    # one path row (first, current, origin, hops) per cut cell whose root
+    # lives elsewhere; ghost cut cells take part because their roots must
+    # be imported here as well
     cut = mesh.relevant_cut() - 1
-    away = mesh.global_ids[cut[owners[cut] != s]].tolist()
-    tuples = [(g, g, s, 0) for g in away]
-    next_of_local = dict(zip(mesh.global_ids[:mesh.n_local].tolist(),
-                             nexts[:mesh.n_local].tolist()))
-
-    send: dict = {}
-    labels = mesh.labels
+    away = mesh.global_ids[cut[owners[cut] != s]]
+    rows = np.stack([away, away, np.full(away.size, s), np.zeros_like(away)])
+    rests = []
     while True:
-        forwards: dict = {}
-        for (k, n, z, hops) in tuples:
-            while n in next_of_local and labels[mesh.local_id(n) - 1] == CUT:
-                n = next_of_local[n]
-                hops += 1
-                if hops > n_cells:
-                    raise PathReconstructionError(
-                        f"tuple from cell {k} (origin {z}) exceeded "
-                        f"{n_cells} hops; the next-cell map must contain a cycle")
-            l_n = mesh.local_id(n)
-            if mesh.is_local(l_n):
-                send.setdefault(z, set()).add(n)  # rests at an interior local cell
-            else:
-                owner_of_n = int(mesh.owner_of_relevant[l_n - 1])
-                forwards.setdefault(owner_of_n, []).append((k, n, z, hops + 1))
-        received = yield proc.neighbor_exchange(forwards)
-        tuples = [t for src in sorted(received) for t in received[src]]
-        all_empty = yield proc.reduce_logical_and(not tuples)
+        # follow every row through owned cut cells, all rows at once
+        l = mesh.local_ids(rows[1])
+        step = walk[l] >= 0
+        while step.any():
+            rows[1, step] = nexts[l[step] - 1]
+            rows[3, step] += 1
+            over = np.flatnonzero(step & (rows[3] > n_cells))
+            if over.size:
+                k, z = rows[0, over[0]], rows[2, over[0]]
+                raise PathReconstructionError(
+                    f"path row from cell {k} (origin {z}) exceeded "
+                    f"{n_cells} hops; the next-cell map must contain a cycle")
+            l[step] = walk[l[step]]
+            step = walk[l] >= 0
+        if np.any(l == 0):
+            raise PathReconstructionError(
+                f"path row from cell {rows[0, np.argmax(l == 0)]} left the "
+                f"cells relevant to subdomain {s}")
+        # a row resting at an owned cell (an interior one) names a root
+        # to send; the others move on to the owner of their current cell
+        here = l <= mesh.n_local
+        rests.append(rows[:, here])
+        ahead = rows[:, ~here]
+        ahead[3] += 1
+        to = mesh.owner_of_relevant[l[~here] - 1]
+        received = yield proc.neighbor_exchange(
+            {int(p): ahead[:, to == p] for p in np.unique(to)})
+        rows = np.concatenate(
+            [rows[:, :0]] + [received[src] for src in sorted(received)], axis=1)
+        all_empty = yield proc.reduce_logical_and(rows.shape[1] == 0)
         if all_empty:
             break
-    send_roots = {z: np.asarray(sorted(ks), dtype=np.int64)
-                  for z, ks in send.items()}
-    return InversePlan(s=s, send_targets=sorted(send_roots), send_roots=send_roots)
+    rests = np.concatenate(rests, axis=1)
+    return PathPlan.from_pairs(s, rests[2], rests[1], n_cells)
 
 
 def build_inverse_plan(runtime, meshes, dist_map: DistRootMap,
                        phase: str = "inverse-plan"):
-    """Forward path tuples to the root owners; nearest-neighbor traffic only."""
+    """Forward path rows to the root owners; nearest-neighbor traffic only."""
     n_cells = meshes[0].classification.n_active
     neighbor_sets = [set(int(x) for x in m.neighbors) for m in meshes]
     return runtime.run(
         _inverse_body,
-        args=[(m, dist_map.roots[m.s - 1], dist_map.root_owners[m.s - 1],
-               dist_map.nexts[m.s - 1], n_cells) for m in meshes],
+        args=[(m, dist_map.root_owners[m.s - 1], dist_map.nexts[m.s - 1],
+               n_cells) for m in meshes],
         phase=phase, neighbor_sets=neighbor_sets)
 
 
 def check_plan_duality(direct_plans, inverse_plans):
-    """Send and receive plans must name the same (src, dst, cell) triples."""
-    recv_triples = {(p.s, sp, int(k))
-                    for p in direct_plans
-                    for sp in p.recv_sources
-                    for k in p.recv_roots[sp]}
-    send_triples = {(z, p.s, int(k))
-                    for p in inverse_plans
-                    for z in p.send_targets
-                    for k in p.send_roots[z]}
+    """Send and receive plans must name the same (dst, src, cell) triples."""
+    recv_triples = {(p.s, sp, k) for p in direct_plans
+                    for sp, k in zip(p.peers.tolist(), p.roots.tolist())}
+    send_triples = {(z, p.s, k) for p in inverse_plans
+                    for z, k in zip(p.peers.tolist(), p.roots.tolist())}
     return recv_triples, send_triples
 
 
@@ -141,64 +143,55 @@ def check_plan_duality(direct_plans, inverse_plans):
 
 @dataclass
 class RootDataBuffer:
-    """Imported nodal coordinates and global DOF ids, one slot per root."""
+    """Imported nodal coordinates and global DOF ids, one row per root,
+    roots ascending."""
 
     s: int
-    z_of: dict
-    coords: list   # per slot: (n_nodes, d) array
-    dofs: list     # per slot: (n_nodes,) global DOF ids
+    roots: np.ndarray    # (n,) global root ids
+    coords: np.ndarray   # (n, m, d) nodal coordinates
+    dofs: np.ndarray     # (n, m) global DOF ids
 
-    def slot(self, root_id: int) -> int:
-        return self.z_of[int(root_id)]
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.coords)
+    def rows_of(self, root_ids) -> np.ndarray:
+        """Row of each root id; -1 where it was not imported."""
+        return _lookup(self.roots, np.arange(self.roots.size),
+                       np.asarray(root_ids))
 
 
-def _import_body(proc, direct: DirectPlan, inverse: InversePlan, cell_data):
+def _import_body(proc, direct: PathPlan, inverse: PathPlan, cell_data):
     s = proc.rank
-    payloads = {}
-    for sp in inverse.send_targets:
-        buf = []
-        for k in inverse.send_roots[sp]:
-            x, g = cell_data(s, int(k))
-            buf.append((np.asarray(x, dtype=np.float64),
-                        np.asarray(g, dtype=np.int64)))
-        payloads[sp] = buf
-    received = yield proc.routed_exchange(payloads)
+    coords, dofs = cell_data(s, inverse.roots)
+    to = inverse.peers
+    received = yield proc.routed_exchange(
+        {int(p): (coords[to == p], dofs[to == p]) for p in np.unique(to)})
 
-    n_slots = len(direct.remote_roots)
-    coords: list = [None] * n_slots
-    dofs: list = [None] * n_slots
-    for sp in direct.recv_sources:
+    parts = [(coords[:0], dofs[:0])]  # shapes for when nothing arrives
+    peers, counts = np.unique(direct.peers, return_counts=True)
+    for sp, n in zip(peers.tolist(), counts.tolist()):
         if sp not in received:
             raise ImportProtocolError(
                 f"subdomain {s} expected a root-data buffer from {sp}")
-        cells = received[sp]
-        expected = direct.recv_roots[sp]
-        if len(cells) != len(expected):
+        x, g = received[sp]
+        if x.shape[0] != n or x.shape[:2] != g.shape:
             raise ImportProtocolError(
-                f"buffer from {sp} to {s} holds {len(cells)} cells, "
-                f"plan expects {len(expected)}")
-        for k, (x, g) in zip(expected, cells):
-            if x.shape[0] != g.shape[0]:
-                raise ImportProtocolError(
-                    f"malformed buffer entry for cell {int(k)} from {sp} to {s}")
-            z = direct.z_of[int(k)]
-            coords[z - 1] = x
-            dofs[z - 1] = g
-    return RootDataBuffer(s=s, z_of=dict(direct.z_of), coords=coords, dofs=dofs)
+                f"buffer from {sp} to {s} holds coordinates {x.shape} and "
+                f"ids {g.shape}, plan expects {n} cells")
+        parts.append((x, g))
+    by_root = np.argsort(direct.roots)
+    return RootDataBuffer(
+        s=s, roots=direct.roots[by_root],
+        coords=np.concatenate([x for x, _ in parts])[by_root],
+        dofs=np.concatenate([g for _, g in parts])[by_root])
 
 
 def import_root_data(runtime, meshes, direct_plans, inverse_plans, cell_data,
                      phase: str = "import"):
     """Deliver root-cell nodal data to every requesting subdomain.
 
-    ``cell_data(s, k)`` must return the owner-side nodal coordinates and
-    cell-wise global DOF ids of local cell ``k``; payloads are forwarded
-    untouched so coordinates round-trip bit-exactly.  Destinations need
-    not be nearest neighbors, so this step uses routed exchange.
+    ``cell_data(s, root_ids)`` must return the owner-side nodal
+    coordinates (n, m, d) and cell-wise global DOF ids (n, m) of local
+    cells ``root_ids``; payloads are forwarded untouched so coordinates
+    round-trip bit-exactly.  Destinations need not be nearest neighbors,
+    so this step uses routed exchange.
     """
     return runtime.run(
         _import_body,

@@ -19,7 +19,10 @@ none that is locally relevant); nothing reads those entries.
 
 Constrained DOFs never get global ids; each subdomain expresses them by
 local id against global master ids, importing root-cell data when the
-root is not locally relevant.
+root is not locally relevant.  The roots of all exterior DOFs are looked
+up at once, in the view (``SubdomainMesh.local_ids``) and else in the
+import buffer (``RootDataBuffer.rows_of``), and the owner side answers
+the import for a whole batch of root cells.
 
 This is the space setup of every run of the aggregated space, serial
 runs being the one-subdomain case: there the local ids are the serial
@@ -39,21 +42,12 @@ from .distagg import RootDataBuffer
 from .fespace import (AgConstraints, _first_touch_ids, encode_node_keys,
                       extension_operator, node_offsets, shape_values)
 from .geometry import INTERIOR
-from .partition import SubdomainMesh
+from .partition import SubdomainMesh, _lookup
 from .runtime import RuntimeProtocolError
 
 
 class MissingImportError(RuntimeError):
     """A constraint needed a root cell that was neither local nor imported."""
-
-
-def _lookup(table: np.ndarray, values: np.ndarray,
-            query: np.ndarray) -> np.ndarray:
-    """``values`` at ``query`` in a table sorted ascending; -1 if absent."""
-    if table.size == 0:
-        return np.full(query.shape, -1, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(table, query), table.size - 1)
-    return np.where(table[pos] == query, values[pos], -1)
 
 
 @dataclass
@@ -111,6 +105,8 @@ class DistNumbering:
 def _merge_ids(s: int, codes, gids, new_codes, new_gids):
     """The sorted (code, gid) table extended by received pairs; -1 skipped."""
     known = new_gids != -1
+    if not known.any():
+        return codes, gids
     codes = np.concatenate([codes, new_codes[known]])
     gids = np.concatenate([gids, new_gids[known]])
     order = np.lexsort((gids, codes))
@@ -193,7 +189,7 @@ def _numbering_body(proc, mesh: SubdomainMesh, q: int):
     unresolved = np.flatnonzero(interior & np.any(cell_g == -1, axis=1))
     if unresolved.size:
         raise RuntimeProtocolError(
-            f"subdomain {s}: interior cell {mesh.global_of(unresolved[0] + 1)} "
+            f"subdomain {s}: interior cell {mesh.global_ids[unresolved[0]]} "
             f"has unresolved global DOF ids after the exchange rounds")
 
     # owner cell per local DOF: smallest global id among relevant cells
@@ -201,8 +197,7 @@ def _numbering_body(proc, mesh: SubdomainMesh, q: int):
     smallest = np.full(n_j, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(smallest, j_of[hit] - 1,
                   np.broadcast_to(mesh.global_ids[:, None], j_of.shape)[hit])
-    by_gid = np.argsort(mesh.global_ids)
-    own_local_cell = _lookup(mesh.global_ids[by_gid], by_gid + 1, smallest)
+    own_local_cell = mesh.local_ids(smallest)
 
     total = yield proc.sum_ordered(np.array([float(n_owned)]))
     piece = DistSpacePiece(
@@ -226,12 +221,15 @@ def number_dofs_distributed(runtime, meshes, q: int = 1,
 
 
 def root_cell_data_provider(numbering: DistNumbering):
-    """Owner-side (coordinates, global ids) lookup for root-cell import."""
+    """Owner-side nodal coordinates (n, m, d) and global ids (n, m) of a
+    batch of owned cells, for root-cell import."""
     by_rank = {p.s: p for p in numbering.pieces}
 
-    def cell_data(s: int, global_id: int):
+    def cell_data(s: int, global_ids: np.ndarray):
         piece = by_rank[s]
-        l = piece.mesh.local_id(global_id)
+        l = piece.mesh.local_ids(global_ids)
+        if np.any((l == 0) | (l > piece.mesh.n_local)):
+            raise KeyError(f"subdomain {s} does not own every requested cell")
         return piece.node_coords[piece.cell_j[l - 1] - 1], piece.cell_g[l - 1]
 
     return cell_data
@@ -251,24 +249,19 @@ def build_constraints_distributed(piece: DistSpacePiece,
     s = piece.s
     out_js = piece.exterior_js()
     roots = dist_map.roots[s - 1][piece.own_local_cell[out_js - 1] - 1]
-    by_gid = np.argsort(mesh.global_ids)
-    l_root = _lookup(mesh.global_ids[by_gid], by_gid + 1, roots)
+    l_root = mesh.local_ids(roots)
     here = np.flatnonzero(l_root > 0)
     masters = np.zeros((out_js.size, piece.cell_g.shape[1]), dtype=np.int64)
     masters[here] = piece.cell_g[l_root[here] - 1]
     lo = grid.cell_origin(mesh.classification.id_to_lattice[roots - 1])
     h = np.tile(grid.h, (out_js.size, 1))
-    away = np.flatnonzero(l_root < 0)
-    z = np.array([buffer.z_of.get(int(k), 0) for k in roots[away]],
-                 dtype=np.int64)
-    missing = np.zeros(out_js.size, dtype=bool)
-    missing[away[z == 0]] = True
-    imported, z = away[z > 0], z[z > 0]
-    if z.size:
-        coords = np.stack([buffer.coords[zz - 1] for zz in z])
-        masters[imported] = np.stack([buffer.dofs[zz - 1] for zz in z])
-        lo[imported] = coords[:, 0]
-        h[imported] = coords[:, -1] - coords[:, 0]
+    rows = buffer.rows_of(roots)
+    missing = (l_root == 0) & (rows < 0)
+    imported = np.flatnonzero((l_root == 0) & (rows >= 0))
+    coords = buffer.coords[rows[imported]]
+    masters[imported] = buffer.dofs[rows[imported]]
+    lo[imported] = coords[:, 0]
+    h[imported] = coords[:, -1] - coords[:, 0]
     bad = np.flatnonzero(missing | np.any(masters == -1, axis=1))
     if bad.size:
         i = bad[0]

@@ -30,14 +30,14 @@ from .assembly import (DistributedSystem, assemble_distributed,
                        assemble_serial, export_matrix_coo, nitsche_tau_agg,
                        nitsche_tau_std, poisson_elements)
 from .distagg import build_direct_plan, build_inverse_plan, import_root_data
-from .distspace import (_lookup, build_constraints_distributed, nodal_values,
+from .distspace import (build_constraints_distributed, nodal_values,
                         number_dofs_distributed, numbering_permutation,
                         root_cell_data_provider)
 from .fespace import build_constraints_serial, build_std_space, classify_dofs
 from .geometry import classify_cells, cut_quadrature, face_is_active
 from .grid import unit_box_grid
 from .levelset import HalfPlane, Popcorn, Sphere
-from .partition import partition_weighted_sfc, build_subdomain_meshes
+from .partition import _lookup, build_subdomain_meshes, partition_weighted_sfc
 from .runtime import VirtualRuntime
 from .solve import (NotPositiveDefiniteError, condition_estimate,
                     error_norms, pcg_jacobi)
@@ -438,24 +438,21 @@ def write_timings(out_dir, command, cfg, timings):
 
 def _write_dumps(cfg, out: SolveOutputs, out_dir):
     if "aggregates" in cfg.dump and out.root_map is not None:
-        rows = [{"cell_id": k, "root_id": out.root_map.root_of(k),
-                 "next_id": out.root_map.next_of(k)}
-                for k in range(1, out.classification.n_active + 1)]
-        append_csv(os.path.join(out_dir, "aggregates.csv"),
-                   ["cell_id", "root_id", "next_id"], rows)
+        rm = out.root_map
+        head = ["cell_id", "root_id", "next_id"]
+        append_csv(os.path.join(out_dir, "aggregates.csv"), head,
+                   _rows(head, np.arange(1, rm.n_cells + 1), rm.root, rm.next))
         if cfg.procs > 1:
+            dm = out.dist_map
+            head = ["subdomain", "local_id", "global_id", "root_id",
+                    "root_owner", "next_id"]
             rows = []
             for mesh in out.meshes:
-                for l in range(1, mesh.n_relevant + 1):
-                    rows.append({
-                        "subdomain": mesh.s, "local_id": l,
-                        "global_id": mesh.global_of(l),
-                        "root_id": out.dist_map.root_of(mesh.s, l),
-                        "root_owner": out.dist_map.owner_of(mesh.s, l),
-                        "next_id": out.dist_map.next_of(mesh.s, l)})
-            append_csv(os.path.join(out_dir, "aggregates_dist.csv"),
-                       ["subdomain", "local_id", "global_id", "root_id",
-                        "root_owner", "next_id"], rows)
+                n = mesh.n_relevant
+                rows += _rows(head, np.full(n, mesh.s), np.arange(1, n + 1),
+                              mesh.global_ids, dm.roots[mesh.s - 1],
+                              dm.root_owners[mesh.s - 1], dm.nexts[mesh.s - 1])
+            append_csv(os.path.join(out_dir, "aggregates_dist.csv"), head, rows)
             prows = [{"cell_id": k + 1, "owner": int(o)} for k, o in
                      enumerate(_owner_vector(out.meshes, out.classification))]
             append_csv(os.path.join(out_dir, "partition.csv"),
@@ -482,6 +479,11 @@ def _write_dumps(cfg, out: SolveOutputs, out_dir):
                 for i, r in enumerate(out.report.residual_history)]
         append_csv(os.path.join(out_dir, "solve_report.csv"),
                    ["iteration", "relative_residual"], rows)
+
+
+def _rows(head, *columns):
+    """CSV rows of aligned integer columns."""
+    return [dict(zip(head, r)) for r in np.column_stack(columns).tolist()]
 
 
 def _owner_vector(meshes, cls):

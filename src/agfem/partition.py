@@ -163,9 +163,6 @@ class Partition:
     weights: np.ndarray
     owner_of_background: np.ndarray | None = None  # flat, Morton-code indexed
 
-    def owner_of(self, cell_id: int) -> int:
-        return int(self.owner_of_active[cell_id - 1])
-
     def subdomain_weights(self) -> np.ndarray:
         out = np.zeros(self.n_subdomains)
         np.add.at(out, self.owner_of_active - 1, self.weights)
@@ -211,15 +208,28 @@ def partition_weighted_sfc(classification: CellClassification, weights=None,
     return Partition(n_subdomains, owner_active, weights)
 
 
+def _lookup(table: np.ndarray, values: np.ndarray, query: np.ndarray,
+            absent: int = -1) -> np.ndarray:
+    """``values`` at ``query`` in a table sorted ascending; ``absent``
+    where a query is not in the table."""
+    if table.size == 0:
+        return np.full(query.shape, absent, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(table, query), table.size - 1)
+    return np.where(table[pos] == query, values[pos], absent)
+
+
 @dataclass
 class SubdomainMesh:
     """Locally relevant cells of one subdomain: owned first, then ghosts.
 
     Local ids are 1-based; ``global_ids[l-1]`` maps back to the active
-    mesh.  Halo lists pair up across subdomains by ascending global id,
-    so positional payloads line up without further negotiation.  The
-    face table is the global one restricted to the view, in local ids: 0
-    where the neighbor does not exist or is not locally relevant.
+    mesh, and ``local_ids`` maps a batch of global ids forward by
+    ``searchsorted`` in the view's ids, sorted once, with 0 where a cell
+    is not locally relevant.  Halo lists pair up across subdomains by
+    ascending global id, so positional payloads line up without further
+    negotiation.  The face table is the global one restricted to the
+    view, in local ids: 0 where the neighbor does not exist or is not
+    locally relevant.
     """
 
     s: int
@@ -233,11 +243,12 @@ class SubdomainMesh:
     labels: np.ndarray                # (n_relevant,) INTERIOR or CUT
     face_ids: np.ndarray              # (n_relevant, 2d) local ids
     face_open: np.ndarray             # (n_relevant, 2d) bool
-    local_of: dict = field(init=False)
+    sorted_gids: np.ndarray = field(init=False)   # global_ids ascending
+    sorted_locals: np.ndarray = field(init=False)  # their local ids
 
     def __post_init__(self):
-        self.local_of = dict(zip(self.global_ids.tolist(),
-                                 range(1, self.global_ids.size + 1)))
+        order = np.argsort(self.global_ids)
+        self.sorted_gids, self.sorted_locals = self.global_ids[order], order + 1
 
     @property
     def n_relevant(self) -> int:
@@ -247,17 +258,10 @@ class SubdomainMesh:
     def n_ghost(self) -> int:
         return self.n_relevant - self.n_local
 
-    def is_local(self, l: int) -> bool:
-        return 1 <= l <= self.n_local
-
-    def global_of(self, l: int) -> int:
-        return int(self.global_ids[l - 1])
-
-    def local_id(self, global_id: int) -> int:
-        return self.local_of[int(global_id)]
-
-    def is_relevant(self, global_id: int) -> bool:
-        return int(global_id) in self.local_of
+    def local_ids(self, global_ids) -> np.ndarray:
+        """Local ids of ``global_ids``; 0 where not locally relevant."""
+        return _lookup(self.sorted_gids, self.sorted_locals,
+                       np.asarray(global_ids), absent=0)
 
     def locals_cut(self) -> np.ndarray:
         return np.flatnonzero(self.labels[:self.n_local] == CUT) + 1

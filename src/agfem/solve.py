@@ -75,7 +75,6 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
     s = proc.rank
     my_start, my_end = int(row_starts[s - 1]), int(row_starts[s])
     n_owned = my_end - my_start
-    n_global = A.shape[1]
 
     # scatter setup: ask each owner for the off-owned columns we touch
     cols = np.unique(A.indices) + 1 if A.nnz else np.zeros(0, dtype=np.int64)
@@ -87,19 +86,24 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
     incoming = yield proc.routed_exchange(requests)
     push_plan = {int(src): np.asarray(gids, dtype=np.int64) - my_start
                  for src, gids in incoming.items()}
-    pull_order = {sp_: gids for sp_, gids in requests.items()}
+
+    diag = A.diagonal(k=my_start - 1) if n_owned else np.zeros(0)
+    # columns renumbered by rank among the touched ones: ghosts owned by
+    # lower ranks, the owned range, ghosts owned by higher ranks; the
+    # entry order is kept, so every row sums as before
+    touched = np.concatenate([ext[ext < my_start],
+                              np.arange(my_start, my_end), ext[ext >= my_end]])
+    A = sp.csr_matrix((A.data, np.searchsorted(touched, A.indices + 1),
+                       A.indptr), shape=(n_owned, touched.size))
 
     def run_matvec(x_own):
         # one exchange of off-owned entries per application
         payloads = {dst: x_own[idx] for dst, idx in push_plan.items()}
         received = yield proc.routed_exchange(payloads)
-        x_full = np.zeros(n_global)
-        x_full[my_start - 1:my_end - 1] = x_own
-        for src in sorted(received):
-            x_full[pull_order[src] - 1] = received[src]
-        return A @ x_full
+        return A @ np.concatenate(
+            [received[src] for src in sorted(received) if src < s] + [x_own]
+            + [received[src] for src in sorted(received) if src > s])
 
-    diag = A.diagonal(k=my_start - 1) if n_owned else np.zeros(0)
     if precondition:
         if np.any(diag <= 0):
             raise ValueError("Jacobi preconditioning needs positive diagonal")

@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from agfem.distspace import _lookup
+from agfem.partition import _lookup
 from agfem.fespace import (encode_node_keys, extension_operator,
                            shape_gradients, shape_values)
 from agfem.geometry import classify_cells, point_chunks

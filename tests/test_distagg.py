@@ -36,13 +36,15 @@ def test_single_process_matches_serial():
     assert np.array_equal(dist.nexts[0], serial.next)
     # degenerate partition: all plans and buffers are empty
     direct = build_direct_plan(meshes[0], dist)
-    assert direct.recv_sources == [] and direct.remote_roots.size == 0
+    assert direct.peers.size == 0 and direct.roots.size == 0
     inverse = build_inverse_plan(rt, meshes, dist)
-    assert inverse[0].send_targets == []
+    assert inverse[0].peers.size == 0 and inverse[0].roots.size == 0
     numbering = number_dofs_distributed(rt, meshes, 1)
     buffers = import_root_data(rt, meshes, [direct], inverse,
                                root_cell_data_provider(numbering))
-    assert buffers[0].n_cells == 0
+    assert buffers[0].roots.size == 0
+    assert buffers[0].coords.shape == (0, 4, 2)
+    assert buffers[0].dofs.shape == (0, 4)
 
 
 def test_left_right_roots_cross_subdomains():
@@ -53,10 +55,10 @@ def test_left_right_roots_cross_subdomains():
     assert compare_with_serial(meshes, dist, serial) is None
     right = meshes[1]
     for l in right.locals_cut():
-        g = right.global_of(l)
-        root = dist.root_of(2, l)
+        g = int(right.global_ids[l - 1])
+        root = int(dist.roots[1][l - 1])
         assert cls.lattice_of(root)[0] == 1      # col-2 root
-        assert dist.owner_of(2, l) == 1          # owned by the left half
+        assert dist.root_owners[1][l - 1] == 1   # owned by the left half
         assert root == serial.root_of(g)
 
 
@@ -87,6 +89,11 @@ def test_circle_matches_serial_many_subdomains(level, ls, d, n_parts):
     inverse = build_inverse_plan(rt, meshes, dist)
     rcv, snd = check_plan_duality(direct, inverse)
     assert rcv == snd and rcv
+    # duality triples are (dst, src, root), the oracle's (src, dst, root)
+    assert {(src, dst, k) for dst, src, k in snd} == \
+        _inverse_oracle(meshes, serial)
+    for plan in direct + inverse:
+        _assert_sorted_pairs(plan, cls.n_active)
     nbr = [set(m.neighbors.tolist()) for m in meshes]
     traffic = [rec for rec in rt.trace
                if rec.phase in ("aggregate", "inverse-plan")]
@@ -123,12 +130,10 @@ def test_direct_plan_left_right():
     dist = aggregate_parallel(rt, meshes)
     left_plan = build_direct_plan(meshes[0], dist)
     right_plan = build_direct_plan(meshes[1], dist)
-    assert left_plan.recv_sources == []
-    assert right_plan.recv_sources == [1]
+    assert left_plan.peers.size == 0 and left_plan.roots.size == 0
     col2 = sorted(int(cls.id_at((1, r))) for r in range(4))
-    assert right_plan.recv_roots[1].tolist() == col2
-    # buffer slots enumerate imported roots in ascending id order
-    assert [right_plan.z_of[k] for k in col2] == [1, 2, 3, 4]
+    assert right_plan.peers.tolist() == [1] * 4
+    assert right_plan.roots.tolist() == col2
 
 
 def test_inverse_plan_duality_left_right():
@@ -137,25 +142,34 @@ def test_inverse_plan_duality_left_right():
     dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
-    assert inverse[0].send_targets == [2]
-    assert inverse[0].send_roots[2].tolist() == direct[1].recv_roots[1].tolist()
-    assert inverse[1].send_targets == []
+    assert inverse[0].peers.tolist() == [2] * 4
+    assert inverse[0].roots.tolist() == direct[1].roots.tolist()
+    assert inverse[1].peers.size == 0 and inverse[1].roots.size == 0
     rcv, snd = check_plan_duality(direct, inverse)
     assert rcv == snd
 
 
 def _inverse_oracle(meshes, serial):
-    """Send sets recomputed from the global serial map and mesh views."""
-    out = {}
+    """Send triples (src, dst, root) recomputed from the global serial map
+    and the owned cells of the views."""
+    owner_of = {int(g): m.s for m in meshes
+                for g in m.global_ids[:m.n_local]}
+    out = set()
     for mesh in meshes:
         for l in mesh.relevant_cut():
-            g = mesh.global_of(l)
-            root = serial.root_of(g)
-            owner_mesh = next(m for m in meshes if m.is_relevant(root)
-                              and m.is_local(m.local_id(root)))
-            if owner_mesh.s != mesh.s:
-                out.setdefault((owner_mesh.s, mesh.s), set()).add(root)
-    return {(src, dst, k) for (src, dst), ks in out.items() for k in ks}
+            root = serial.root_of(int(mesh.global_ids[l - 1]))
+            if owner_of[root] != mesh.s:
+                out.add((owner_of[root], mesh.s, root))
+    return out
+
+
+def _assert_sorted_pairs(plan, n_cells):
+    """A plan's (peer, root) pairs are unique and ascending by peer, then
+    root, and never name the plan's own subdomain."""
+    assert plan.peers.shape == plan.roots.shape
+    key = plan.peers * (n_cells + 1) + plan.roots
+    assert np.all(np.diff(key) > 0)
+    assert np.all(plan.peers != plan.s)
 
 
 def test_inverse_plan_matches_oracle_randomized(rng):
@@ -177,8 +191,8 @@ def test_inverse_plan_matches_oracle_randomized(rng):
             rcv, snd = check_plan_duality(direct, inverse)
             assert rcv == snd
             expected = _inverse_oracle(meshes, serial)
-            got = {(p.s, dst, int(k)) for p in inverse
-                   for dst in p.send_targets for k in p.send_roots[dst]}
+            got = {(p.s, dst, k) for p in inverse
+                   for dst, k in zip(p.peers.tolist(), p.roots.tolist())}
             assert got == expected
 
 
@@ -191,18 +205,50 @@ def test_import_round_trips_owner_data():
     numbering = number_dofs_distributed(rt, meshes, 1)
     provider = root_cell_data_provider(numbering)
     buffers = import_root_data(rt, meshes, direct, inverse, provider)
-    assert buffers[0].n_cells == 0
+    assert buffers[0].roots.size == 0
     right = buffers[1]
-    assert right.n_cells == 4
-    for k, z in right.z_of.items():
-        x_owner, g_owner = provider(1, k)
-        assert right.coords[z - 1].tolist() == x_owner.tolist()  # bit exact
-        assert np.array_equal(right.dofs[z - 1], g_owner)
+    # one row per imported root, roots ascending
+    col2 = sorted(int(cls.id_at((1, r))) for r in range(4))
+    assert right.roots.tolist() == col2
+    assert right.coords.shape == (4, 4, 2) and right.dofs.shape == (4, 4)
+    assert right.rows_of(right.roots[::-1]).tolist() == [3, 2, 1, 0]
+    left_only = int(cls.id_at((0, 0)))
+    assert right.rows_of([left_only]).tolist() == [-1]
+    x_owner, g_owner = provider(1, right.roots)
+    with pytest.raises(KeyError, match="does not own"):
+        provider(2, right.roots)                      # ghosts there
+    assert right.coords.tolist() == x_owner.tolist()  # bit exact
+    assert np.array_equal(right.dofs, g_owner)
+    for k, x in zip(col2, right.coords):
         lo = grid.cell_origin(cls.lattice_of(k))
         hi = lo + grid.h
-        assert np.all(right.coords[z - 1] >= lo - 1e-15)
-        assert np.all(right.coords[z - 1] <= hi + 1e-15)
-        assert right.coords[z - 1].shape == (4, 2)
+        assert np.all(x >= lo - 1e-15)
+        assert np.all(x <= hi + 1e-15)
+
+
+def test_import_buffers_hold_their_roots_ascending():
+    # relabelled subdomains: a plan's peer order no longer follows the
+    # cell ids, so the buffer must sort what arrives
+    grid, cls, fa = classified(5, Sphere((0.531, 0.472), 0.3))
+    sfc = partition_weighted_sfc(cls, n_subdomains=8)
+    part = Partition(8, 9 - sfc.owner_of_active, sfc.weights)
+    meshes = build_subdomain_meshes(cls, part)
+    rt = VirtualRuntime(8)
+    dist = aggregate_parallel(rt, meshes)
+    direct = [build_direct_plan(m, dist) for m in meshes]
+    inverse = build_inverse_plan(rt, meshes, dist)
+    numbering = number_dofs_distributed(rt, meshes, 1)
+    provider = root_cell_data_provider(numbering)
+    buffers = import_root_data(rt, meshes, direct, inverse, provider)
+    assert any(np.any(np.diff(p.roots) < 0) for p in direct)
+    for plan, buf in zip(direct, buffers):
+        assert np.array_equal(buf.roots, np.sort(plan.roots))
+        for peer in np.unique(plan.peers).tolist():
+            roots = plan.roots[plan.peers == peer]
+            x, g = provider(peer, roots)
+            rows = buf.rows_of(roots)
+            assert np.array_equal(buf.coords[rows], x)
+            assert np.array_equal(buf.dofs[rows], g)
 
 
 def test_scheduling_independence_of_module_outputs():
@@ -257,9 +303,26 @@ def test_cycle_guard():
     cut = right.locals_cut()
     a, b = cut[0], cut[1]
     bad_nexts = [n.copy() for n in dist.nexts]
-    bad_nexts[1][a - 1] = right.global_of(b)
-    bad_nexts[1][b - 1] = right.global_of(a)
+    bad_nexts[1][a - 1] = right.global_ids[b - 1]
+    bad_nexts[1][b - 1] = right.global_ids[a - 1]
     bad = DistRootMap(roots=dist.roots, root_owners=dist.root_owners,
                       nexts=bad_nexts, rounds=dist.rounds)
     with pytest.raises(PathReconstructionError, match="cycle"):
+        build_inverse_plan(rt, meshes, bad)
+
+
+def test_path_leaving_the_view_is_reported():
+    grid, cls, fa, meshes = _left_right_setup()
+    rt = VirtualRuntime(2)
+    dist = aggregate_parallel(rt, meshes)
+    # point a cut cell of the right half at a column-0 cell, which the
+    # right view does not hold
+    right = meshes[1]
+    far = int(cls.id_at((0, 0)))
+    assert right.local_ids([far]).tolist() == [0]
+    bad_nexts = [n.copy() for n in dist.nexts]
+    bad_nexts[1][right.locals_cut()[0] - 1] = far
+    bad = DistRootMap(roots=dist.roots, root_owners=dist.root_owners,
+                      nexts=bad_nexts, rounds=dist.rounds)
+    with pytest.raises(PathReconstructionError, match="left the cells"):
         build_inverse_plan(rt, meshes, bad)

@@ -144,7 +144,7 @@ def test_owner_consistency_with_serial():
             l_own = int(piece.own_local_cell[j - 1])
             key = tuple(int(v) for v in piece.node_keys[j - 1])
             node_id = node_of_key[key]
-            assert mesh.global_of(l_own) == int(dofs.own_cell[node_id - 1])
+            assert mesh.global_ids[l_own - 1] == dofs.own_cell[node_id - 1]
 
 
 def test_missing_import_reported():
@@ -168,12 +168,14 @@ def test_missing_import_reported():
     hit = False
     for piece, mesh, plan, buf in zip(numbering.pieces, meshes, direct,
                                       buffers):
-        if any(not mesh.is_relevant(int(k)) for k in plan.remote_roots):
-            empty = RootDataBuffer(s=piece.s, z_of={}, coords=[], dofs=[])
+        if np.any(mesh.local_ids(plan.roots) == 0):
+            empty = RootDataBuffer(s=piece.s, roots=buf.roots[:0],
+                                   coords=buf.coords[:0], dofs=buf.dofs[:0])
             with pytest.raises(MissingImportError, match="neither locally"):
                 build_constraints_distributed(piece, dist, empty)
-            blank = RootDataBuffer(s=piece.s, z_of=buf.z_of, coords=buf.coords,
-                                   dofs=[np.full_like(g, -1) for g in buf.dofs])
+            blank = RootDataBuffer(s=piece.s, roots=buf.roots,
+                                   coords=buf.coords,
+                                   dofs=np.full_like(buf.dofs, -1))
             with pytest.raises(MissingImportError,
                                match="carries unresolved master ids"):
                 build_constraints_distributed(piece, dist, blank)
@@ -181,8 +183,9 @@ def test_missing_import_reported():
     assert hit
 
 
-def _cell_keys(classification, global_id, q, offs):
-    return classification.lattice_of(global_id) * q + offs
+def _cell_keys(mesh, l, q, offs):
+    lattice = mesh.classification.lattice_of(int(mesh.global_ids[l - 1]))
+    return lattice * q + offs
 
 
 def _oracle_numbering_body(proc, mesh, q):
@@ -197,7 +200,7 @@ def _oracle_numbering_body(proc, mesh, q):
     keys_in_order: list = []
     cell_j: dict = {}
     for l in range(1, mesh.n_local + 1):
-        keys = _cell_keys(cls, mesh.global_of(l), q, offs)
+        keys = _cell_keys(mesh, l, q, offs)
         row = np.empty(m, dtype=np.int64)
         for a in range(m):
             key = tuple(int(v) for v in keys[a])
@@ -217,7 +220,7 @@ def _oracle_numbering_body(proc, mesh, q):
     owner_of_key: dict = {}
     for l in interior_cells:
         cell_owner = int(mesh.owner_of_relevant[l - 1])
-        for kk in _cell_keys(cls, mesh.global_of(l), q, offs):
+        for kk in _cell_keys(mesh, l, q, offs):
             key = tuple(int(v) for v in kk)
             prev = owner_of_key.get(key)
             if prev is None or cell_owner < prev:
@@ -226,11 +229,11 @@ def _oracle_numbering_body(proc, mesh, q):
             if j is not None:
                 j_interior[j - 1] = True
 
-    local_interior = [l for l in interior_cells if mesh.is_local(l)]
+    local_interior = [l for l in interior_cells if l <= mesh.n_local]
     owned_keys: list = []
     seen: set = set()
     for l in local_interior:
-        for kk in _cell_keys(cls, mesh.global_of(l), q, offs):
+        for kk in _cell_keys(mesh, l, q, offs):
             key = tuple(int(v) for v in kk)
             if key not in seen and owner_of_key[key] == s:
                 seen.add(key)
@@ -252,7 +255,7 @@ def _oracle_numbering_body(proc, mesh, q):
         for sp, cells in interior_send.items():
             rows = np.full((len(cells), m), -1, dtype=np.int64)
             for i, l in enumerate(cells):
-                for a, kk in enumerate(_cell_keys(cls, mesh.global_of(l), q, offs)):
+                for a, kk in enumerate(_cell_keys(mesh, l, q, offs)):
                     rows[i, a] = gid_of_key.get(tuple(int(v) for v in kk), -1)
             payloads[sp] = rows
         received = yield proc.neighbor_exchange(payloads)
@@ -260,7 +263,7 @@ def _oracle_numbering_body(proc, mesh, q):
             cells = interior_recv[sp]
             assert rows.shape[0] == len(cells)
             for l, row in zip(cells, rows):
-                keys = _cell_keys(cls, mesh.global_of(l), q, offs)
+                keys = _cell_keys(mesh, l, q, offs)
                 for a in range(m):
                     gid = int(row[a])
                     if gid == -1:
@@ -271,15 +274,14 @@ def _oracle_numbering_body(proc, mesh, q):
 
     cell_g: dict = {}
     for l in range(1, mesh.n_relevant + 1):
-        keys = _cell_keys(cls, mesh.global_of(l), q, offs)
+        keys = _cell_keys(mesh, l, q, offs)
         cell_g[l] = np.asarray(
             [gid_of_key.get(tuple(int(v) for v in kk), -1) for kk in keys],
             dtype=np.int64)
 
     own_local_cell = np.zeros(n_j, dtype=np.int64)
-    for g in sorted(mesh.global_of(l) for l in range(1, mesh.n_relevant + 1)):
-        l = mesh.local_id(g)
-        for kk in _cell_keys(cls, g, q, offs):
+    for l in np.argsort(mesh.global_ids) + 1:
+        for kk in _cell_keys(mesh, l, q, offs):
             j = j_of_key.get(tuple(int(v) for v in kk))
             if j is not None and own_local_cell[j - 1] == 0:
                 own_local_cell[j - 1] = l

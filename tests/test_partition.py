@@ -104,9 +104,7 @@ def test_ghost_symmetry_and_cover(rng):
         for n_parts in (2, 4, 7):
             part = partition_weighted_sfc(cls, n_subdomains=n_parts)
             meshes = build_subdomain_meshes(cls, part)
-            owned = np.concatenate(
-                [[m.global_of(l) for l in range(1, m.n_local + 1)]
-                 for m in meshes])
+            owned = np.concatenate([m.global_ids[:m.n_local] for m in meshes])
             assert np.array_equal(np.sort(owned),
                                   np.arange(1, cls.n_active + 1))
             for mesh in meshes:
@@ -123,8 +121,8 @@ def test_halo_lists_align():
         for sp, send_ids in mesh.send_halo.items():
             other = meshes[sp - 1]
             recv_ids = other.recv_halo[mesh.s]
-            sent_globals = [mesh.global_of(int(l)) for l in send_ids]
-            recv_globals = [other.global_of(int(l)) for l in recv_ids]
+            sent_globals = mesh.global_ids[send_ids - 1].tolist()
+            recv_globals = other.global_ids[recv_ids - 1].tolist()
             assert sent_globals == recv_globals
 
 

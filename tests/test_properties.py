@@ -131,6 +131,12 @@ def test_views_and_sweep_match_oracles(case):
                                   meshes[sp - 1].global_ids[recv - 1])
         assert sorted(mesh.send_halo) == sorted(
             m.s for m in meshes if mesh.s in m.recv_halo)
+        # the batch lookup inverts the view and gives 0 outside it
+        assert np.array_equal(mesh.local_ids(mesh.global_ids),
+                              np.arange(1, mesh.n_relevant + 1))
+        outside = np.setdiff1d(np.arange(cls.n_active + 2), mesh.global_ids)
+        assert np.array_equal(mesh.local_ids(outside),
+                              np.zeros(outside.size, dtype=np.int64))
         # owned rows of the view's face table name the global neighbors
         rows = mesh.face_ids[:mesh.n_local]
         named = np.where(rows > 0, mesh.global_ids[rows - 1], 0)
