@@ -11,12 +11,17 @@ and one table of shape values for the load vectors.  Cut cells and the
 interface are integrated point by point in fixed-size chunks of the
 flat quadrature store; each cell sums its points in store order.
 Assembly is one kernel run per subdomain on the virtual runtime, serial
-being the one-process case: element entries are expanded through the
-extension operator C (A = C^T A_e C), each cell summed on its own, and
-after one routed exchange the row owners sum per (row, col) in
-global-cell order.  That order depends on neither the partition nor the
-numbering, so serial and distributed systems are bitwise equal; entries
-summing to zero are not stored.
+being the one-process case.  It forms A = C^T A_e C, C the extension
+operator, as per-cell sums: a cell whose DOFs are all free has unit
+rows in C, so its element entries are its sums as they stand; the other
+cells are expanded through C in batches of about ``CHUNK_PRODUCTS``
+products and summed per (cell, row, col) on one int64 key.  The sums
+form one stream in global-cell order, and after one routed exchange
+each row owner runs one stable sort on the key row * (n + 1) + col + 1,
+so every (row, col) sums its cells in global-cell order.  That order
+depends on neither the partition nor the numbering, so serial and
+distributed systems are bitwise equal; entries summing to zero are not
+stored.
 """
 
 from __future__ import annotations
@@ -167,9 +172,9 @@ def poisson_elements(space: StdSpace, quad: QuadratureStore, taus, f=None,
 # ---------------------------------------------------------------------------
 # constrained assembly
 
-# cells expanded through C at once; a fully constrained 3D Q1 cell alone
-# makes 8**4 = 4096 products, so this bounds the memory of the expansion
-CHUNK_CELLS = 64
+# products expanded through C at once, n_ent * (n_ent + 1) per cell of
+# n_ent entries of C; a fully constrained 3D Q1 cell alone makes 8**4
+CHUNK_PRODUCTS = 2**16
 
 
 @dataclass
@@ -208,56 +213,120 @@ def _ranges(starts, lens):
     return np.arange(int(np.sum(lens))) + np.repeat(starts - offsets, lens)
 
 
-def _sum_runs(keys, vals, n_group):
-    """Stably sort by ``keys`` (most significant first) and sum ``vals``
-    over runs equal in the first ``n_group`` keys, so each sum runs in
-    the order of the other keys, then of the input.  Returns the group
-    keys, ascending, and the sums."""
-    order = np.lexsort(keys[::-1])
-    group = [k[order] for k in keys[:n_group]]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = np.any([k[1:] != k[:-1] for k in group], axis=0)
+def _sum_runs(key, val):
+    """Stably sort by ``key`` and sum ``val`` over runs of equal keys, each
+    in input order.  Returns the keys, ascending, and the sums."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    return [k[starts] for k in group], np.add.reduceat(vals[order], starts)
+    return key[starts], np.add.reduceat(val[order], starts)
 
 
-def _cell_sums(C, dofs, mats, vecs):
-    """Element entries of a chunk of cells (0-based DOFs ``dofs``, (nc, m))
-    expanded through C; returns nonzero (row, col, cell, value) sums per
-    chunk-local cell, with col -1 for the right-hand side.
+def _free_sums(rows, mats, vecs, n):
+    """Nonzero (key, value) entries of cells whose DOFs are all free, 0-based
+    global rows ``rows`` (nc, m), cell by cell, and their number per cell.
+
+    A key is row * (n + 1) + col + 1, col -1 standing for the right-hand
+    side.  The rows of C of these cells are unit rows, so each (row, col)
+    of a cell is one element entry times 1.0: its cell sum.
+    """
+    nc, m = rows.shape
+    key = np.empty((nc, m, m + 1), dtype=np.int64)
+    key[:, :, m] = rows * (n + 1)
+    key[:, :, :m] = key[:, :, m:] + rows[:, None, :] + 1
+    val = np.empty((nc, m, m + 1))
+    val[:, :, :m] = mats
+    val[:, :, m] = vecs
+    keep = val != 0.0
+    return key[keep], val[keep], keep.sum(axis=(1, 2))
+
+
+def _cell_sums(C, dofs, mats, vecs, n):
+    """Element entries of a batch of cells (0-based DOFs ``dofs``, (nc, m))
+    expanded through C; returns the nonzero (key, value) sums of each cell,
+    keyed as in ``_free_sums``, cell by cell, and their number per cell.
 
     A cell's products come in (a, p, b, q) order, node a times entry p of
     its row of C.  A (row, col) gets at most one product per node pair
     (a, b), so each cell sums in node-pair order whatever the numbering.
+    The sort runs on one key (cell, row, col); the caller keeps nc * n *
+    (n + 1) within int64.
     """
     nc, m = dofs.shape
+    span = n * (n + 1)    # keys of one cell
     lens = np.diff(C.indptr)[dofs].ravel()
     pos = _ranges(C.indptr[dofs.ravel()], lens)
-    ent_row, ent_w = C.indices[pos], C.data[pos]
+    ent_row, ent_w = C.indices[pos].astype(np.int64), C.data[pos]
     ent_node = np.repeat(np.arange(nc * m), lens)    # flat (cell, a)
     n_ent = lens.reshape(nc, m).sum(axis=1)
     cell = np.repeat(np.arange(nc), n_ent * n_ent)
     k = _ranges(np.zeros(nc, dtype=np.int64), n_ent * n_ent)
     first = (np.cumsum(n_ent) - n_ent)[cell]
-    e1 = first + k // n_ent[cell]
-    e2 = first + k % n_ent[cell]
+    e1, e2 = np.divmod(k, n_ent[cell])
+    e1 += first
+    e2 += first
     val = np.concatenate([
         vecs.ravel()[ent_node] * ent_w,
-        mats[cell, ent_node[e1] % m, ent_node[e2] % m] * (ent_w[e1] * ent_w[e2])])
+        mats.ravel()[ent_node[e1] * m + ent_node[e2] % m]
+        * (ent_w[e1] * ent_w[e2])])
+    key = np.concatenate([
+        ent_node // m * span + ent_row * (n + 1),
+        cell * span + ent_row[e1] * (n + 1) + ent_row[e2] + 1])
     keep = val != 0.0
-    (cell, row, col), val = _sum_runs(
-        [np.concatenate([ent_node // m, cell])[keep],
-         np.concatenate([ent_row, ent_row[e1]])[keep],
-         np.concatenate([np.full(ent_row.size, -1), ent_row[e2]])[keep]],
-        val[keep], 3)
-    return row, col, cell, val
+    key, val = _sum_runs(key[keep], val[keep])
+    cell, key = np.divmod(key, span)
+    return key, val, np.bincount(cell, minlength=nc)
+
+
+def _constrained_sums(C, dofs, mats, vecs, n):
+    """``_cell_sums`` over batches of consecutive cells: a batch holds the
+    cells whose products start in one window of ``CHUNK_PRODUCTS``."""
+    n_ent = np.diff(C.indptr)[dofs].sum(axis=1)
+    products = n_ent * (n_ent + 1)
+    # every cell has at least two products, so a batch has at most
+    # `window` cells, and its keys stay within int64
+    window = min(CHUNK_PRODUCTS, np.iinfo(np.int64).max // (n * (n + 1)))
+    batch = (np.cumsum(products) - products) // window
+    bounds = np.flatnonzero(np.diff(batch, prepend=-1))
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0),
+              np.zeros(0, dtype=np.int64))]
+    for lo, hi in zip(bounds, np.append(bounds[1:], len(dofs))):
+        parts.append(_cell_sums(C, dofs[lo:hi], mats[lo:hi], vecs[lo:hi], n))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _cell_stream(C, cell_dofs, cell_ids, row_of, mats, vecs, n):
+    """The cell sums of every cell as one stream in the order of
+    ``cell_ids``: cells whose DOFs are all free straight from their
+    elements, the others expanded through C.  Returns keys, values and
+    the number of sums of each cell."""
+    rows = row_of[cell_dofs - 1]
+    free = np.all(rows > 0, axis=1)
+    fc, cc = np.flatnonzero(free), np.flatnonzero(~free)
+    parts = [(fc, *_free_sums(rows[fc] - 1, mats[cell_ids[fc] - 1],
+                              vecs[cell_ids[fc] - 1], n)),
+             (cc, *_constrained_sums(C, cell_dofs[cc] - 1,
+                                     mats[cell_ids[cc] - 1],
+                                     vecs[cell_ids[cc] - 1], n))]
+    counts = np.zeros(len(cell_ids), dtype=np.int64)
+    for idx, _, _, lens in parts:
+        counts[idx] = lens
+    offsets = np.cumsum(counts) - counts
+    key = np.empty(int(counts.sum()), dtype=np.int64)
+    val = np.empty(key.size)
+    for idx, k, v, lens in parts:
+        dest = _ranges(offsets[idx], lens)
+        key[dest], val[dest] = k, v
+    return key, val, counts
 
 
 def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
                    n_global, row_starts):
     """Owned rows of one subdomain from its owned cells: their local DOFs
-    ``cell_dofs`` (n_cells, m) and global ids, the 1-based global row of
-    each free local DOF ``row_of`` (else 0), the constraints of the
+    ``cell_dofs`` (n_cells, m) and ascending global ids, the 1-based global
+    row of each free local DOF ``row_of`` (else 0), the constraints of the
     others, and the element matrices and vectors of every active cell."""
     s = proc.rank
     C = extension_operator(row_of, constraints, n_global)
@@ -266,33 +335,37 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
         raise AssemblyError(
             f"subdomain {s}: DOF {int(cell_dofs[empty][0])} has neither a "
             f"system row nor a constraint")
-    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
-    for start in range(0, len(cell_ids), CHUNK_CELLS):
-        sl = slice(start, start + CHUNK_CELLS)
-        ids = cell_ids[sl]
-        row, col, cell, val = _cell_sums(C, cell_dofs[sl] - 1, mats[ids - 1],
-                                         vecs[ids - 1])
-        parts.append((row, col, ids[cell], val))
-    trip = tuple(np.concatenate(x) for x in zip(*parts))
-    del parts
+    key, val, counts = _cell_stream(C, cell_dofs, cell_ids, row_of, mats,
+                                    vecs, n_global)
 
-    # the owned part is copied only if some rows leave (never at P = 1)
-    # and merged only if some arrive
-    owner = np.searchsorted(row_starts, trip[0] + 1, side="right")
-    payloads = {int(dst): tuple(x[owner == dst] for x in trip)
-                for dst in np.unique(owner) if dst != s}
-    staged = sum(p[0].size for p in payloads.values())
-    received = yield proc.routed_exchange(payloads)
-    if staged:
-        mine = owner == s
-        trip = tuple(x[mine] for x in trip)
-    if received:
-        trip = tuple(np.concatenate([x] + [received[src][i]
-                                           for src in sorted(received)])
-                     for i, x in enumerate(trip))
-    (row, col), val = _sum_runs(list(trip[:3]), trip[3], 2)
+    # off-owner sums leave with their cell ids, and received streams are
+    # merged back into global-cell order
+    stride = n_global + 1
     first = int(row_starts[s - 1]) - 1
     n_owned = int(row_starts[s]) - 1 - first
+    payloads = {}
+    if proc.size > 1:
+        cell = np.repeat(cell_ids, counts)
+        off = (key < first * stride) | (key >= (first + n_owned) * stride)
+        if np.any(off):
+            at = np.flatnonzero(off)
+            owner = np.searchsorted(row_starts, key[at] // stride + 1,
+                                    side="right")
+            for dst in np.unique(owner):
+                sel = at[owner == dst]
+                payloads[int(dst)] = (key[sel], cell[sel], val[sel])
+            key, cell, val = key[~off], cell[~off], val[~off]
+    staged = sum(p[0].size for p in payloads.values())
+    received = yield proc.routed_exchange(payloads)
+    if received:
+        key, cell, val = (np.concatenate([x] + [received[src][i]
+                                                for src in sorted(received)])
+                          for i, x in enumerate((key, cell, val)))
+        order = np.argsort(cell, kind="stable")
+        key, val = key[order], val[order]
+    key, val = _sum_runs(key, val)
+    row, col = np.divmod(key, stride)
+    col -= 1
     b = np.zeros(n_owned)
     b[row[col < 0] - first] = val[col < 0]
     nz = (col >= 0) & (val != 0.0)

@@ -81,7 +81,9 @@ class ProcessContext:
 
         All processes contribute once per superstep; the runtime performs
         a single reduction over the concatenated array, so the result is
-        bitwise identical to the serial sum of the same values.
+        bitwise identical to the serial sum of the same values.  A (k, n)
+        stack gives k sums in one superstep, row i summed over the
+        concatenation of every process's row i.
         """
         return _SumOrdered(np.atleast_1d(np.asarray(values)))
 
@@ -197,7 +199,15 @@ class VirtualRuntime:
                 prefix = prefix + r.value
             return out
         if kind is _SumOrdered:
-            total = float(np.sum(np.concatenate([r.values for r in requests])))
+            values = [r.values for r in requests]
+            if len({v.shape[:-1] for v in values}) != 1:
+                raise RuntimeProtocolError(
+                    f"mismatched sum_ordered stacks in superstep "
+                    f"{self._superstep}")
+            joined = values[0] if len(values) == 1 else \
+                np.concatenate(values, axis=-1)
+            total = float(np.sum(joined)) if joined.ndim == 1 else \
+                tuple(float(np.sum(row)) for row in joined)
             return [total] * self.n_procs
         return self._deliver(requests, phase, neighbor_sets)
 

@@ -5,15 +5,16 @@ The solver runs the same code path serially and distributed: a serial
 system is wrapped as a one-process distributed system.  All inner
 products reduce the concatenated per-process arrays in subdomain order
 in a single summation, so iteration histories are bitwise identical for
-every process count and scheduling choice.  Convergence is declared on
-the unpreconditioned residual, ||r||/||b|| < rtol, within maxit
-iterations; non-convergence is reported, not raised.  The report's
-``reason`` says why the iteration ended: ``converged``, ``maxit``,
-``breakdown`` (p'Ap not positive) or ``nonfinite`` (||b|| or p'Ap NaN
-or infinite).  Error norms take the nodal values of every active cell,
-however the space produced them, and run in one batched pass over the
-bulk points of the flat quadrature store, interior cells through one
-reference element.
+every process count and scheduling choice.  r'r and r'z reduce in one
+superstep, so an iteration takes three: the matvec exchange, p'Ap and
+that pair.  Convergence is declared on the unpreconditioned residual,
+||r||/||b|| < rtol, within maxit iterations; non-convergence is
+reported, not raised.  The report's ``reason`` says why the iteration
+ended: ``converged``, ``maxit``, ``breakdown`` (p'Ap not positive) or
+``nonfinite`` (||b|| or p'Ap NaN or infinite).  Error norms take the
+nodal values of every active cell, however the space produced them,
+and run in one batched pass over the bulk points of the flat
+quadrature store, interior cells through one reference element.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ def _ritz_from_recurrence(alphas, betas):
     return lo, hi, kappa
 
 
+def _dot_terms(out, r, z):
+    """``out`` with rows r*r and r*z, to be reduced in one superstep."""
+    np.multiply(r, r, out=out[0])
+    np.multiply(r, z, out=out[1])
+    return out
+
+
 def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
     s = proc.rank
     my_start, my_end = int(row_starts[s - 1]), int(row_starts[s])
@@ -111,9 +119,14 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
     else:
         inv_diag = np.ones(n_owned)
 
+    # r'r and r'z share a superstep: z is formed before the convergence
+    # test, so the last r'z is computed and not used
     x = np.zeros(n_owned)
     r = b.copy()
-    bnorm = np.sqrt((yield proc.sum_ordered(b * b)))
+    z = inv_diag * r
+    terms = np.empty((2, n_owned))
+    bb, rz = yield proc.sum_ordered(_dot_terms(terms, r, z))
+    bnorm = np.sqrt(bb)
     history: list = []
     alphas: list = []
     betas: list = []
@@ -122,9 +135,7 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
     if not np.isfinite(bnorm):
         reason = "nonfinite"
     elif bnorm > 0.0:
-        z = inv_diag * r
         p = z.copy()
-        rz = yield proc.sum_ordered(r * z)
         for it in range(1, maxit + 1):
             Ap = yield from run_matvec(p)
             pAp = yield proc.sum_ordered(p * Ap)
@@ -138,15 +149,14 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
             alphas.append(alpha)
             x = x + alpha * p
             r = r - alpha * Ap
-            rnorm = np.sqrt((yield proc.sum_ordered(r * r)))
-            rel = rnorm / bnorm
+            z = inv_diag * r
+            rr, rz_new = yield proc.sum_ordered(_dot_terms(terms, r, z))
+            rel = np.sqrt(rr) / bnorm
             history.append(rel)
             iterations = it
             if rel < rtol:
                 reason = "converged"
                 break
-            z = inv_diag * r
-            rz_new = yield proc.sum_ordered(r * z)
             beta = rz_new / rz
             betas.append(beta)
             p = z + beta * p

@@ -7,6 +7,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from agfem.partition import _lookup
 from agfem.fespace import (encode_node_keys, extension_operator,
@@ -315,6 +316,74 @@ def all_points_norms(space, quad, full, u_exact, grad_exact):
     if base2 > 1e-28 and baseg2 > 1e-28:
         return np.sqrt(err2 / base2), np.sqrt(errg2 / baseg2)
     return np.sqrt(err2), np.sqrt(errg2)
+
+
+def _oracle_ranges(starts, lens):
+    offsets = np.cumsum(lens) - lens
+    return np.arange(int(np.sum(lens))) + np.repeat(starts - offsets, lens)
+
+
+def _oracle_sum_runs(keys, vals, n_group):
+    """Stably lexsort by ``keys`` (most significant first) and sum ``vals``
+    over runs equal in the first ``n_group`` keys."""
+    order = np.lexsort(keys[::-1])
+    group = [k[order] for k in keys[:n_group]]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any([k[1:] != k[:-1] for k in group], axis=0)
+    starts = np.flatnonzero(new)
+    return [k[starts] for k in group], np.add.reduceat(vals[order], starts)
+
+
+def _oracle_cell_sums(C, dofs, mats, vecs):
+    """Every entry of a chunk of cells expanded through C, products in
+    (a, p, b, q) order, summed per (cell, row, col); col -1 is the
+    right-hand side."""
+    nc, m = dofs.shape
+    lens = np.diff(C.indptr)[dofs].ravel()
+    pos = _oracle_ranges(C.indptr[dofs.ravel()], lens)
+    ent_row, ent_w = C.indices[pos], C.data[pos]
+    ent_node = np.repeat(np.arange(nc * m), lens)
+    n_ent = lens.reshape(nc, m).sum(axis=1)
+    cell = np.repeat(np.arange(nc), n_ent * n_ent)
+    k = _oracle_ranges(np.zeros(nc, dtype=np.int64), n_ent * n_ent)
+    first = (np.cumsum(n_ent) - n_ent)[cell]
+    e1 = first + k // n_ent[cell]
+    e2 = first + k % n_ent[cell]
+    val = np.concatenate([
+        vecs.ravel()[ent_node] * ent_w,
+        mats[cell, ent_node[e1] % m, ent_node[e2] % m] * (ent_w[e1] * ent_w[e2])])
+    keep = val != 0.0
+    (cell, row, col), val = _oracle_sum_runs(
+        [np.concatenate([ent_node // m, cell])[keep],
+         np.concatenate([ent_row, ent_row[e1]])[keep],
+         np.concatenate([np.full(ent_row.size, -1), ent_row[e2]])[keep]],
+        val[keep], 3)
+    return row, col, cell, val
+
+
+def oracle_assembly(subdomains, constraints, elements, n):
+    """Global (A, b) over ``n`` rows, summed in the canonical order by
+    expanding every cell through C: each cell summed on its own, in
+    chunks of 64 cells, then every (row, col) over its cells in
+    global-cell order.  ``subdomains`` holds (cell_dofs, cell_ids,
+    row_of) per subdomain, with one ``constraints`` entry each; this is
+    the oracle for the assembly kernel at any process count."""
+    mats, vecs = elements
+    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
+    for (cell_dofs, cell_ids, row_of), cons in zip(subdomains, constraints):
+        C = extension_operator(row_of, cons, n)
+        for start in range(0, len(cell_ids), 64):
+            ids = cell_ids[start:start + 64]
+            row, col, cell, val = _oracle_cell_sums(
+                C, cell_dofs[start:start + 64] - 1, mats[ids - 1],
+                vecs[ids - 1])
+            parts.append((row, col, ids[cell], val))
+    trip = [np.concatenate(x) for x in zip(*parts)]
+    (row, col), val = _oracle_sum_runs(trip[:3], trip[3], 2)
+    b = np.zeros(n)
+    b[row[col < 0]] = val[col < 0]
+    nz = (col >= 0) & (val != 0.0)
+    return sp.csr_matrix((val[nz], (row[nz], col[nz])), shape=(n, n)), b
 
 
 def prolongate(dofs, constraints, interior_values):

@@ -20,7 +20,7 @@ from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
 from conftest import (all_points_elements, classified,
-                      distributed_row_permutation, prolongate)
+                      distributed_row_permutation, oracle_assembly, prolongate)
 
 
 def test_tau_agg_values():
@@ -279,12 +279,19 @@ def test_spd_for_aggregated_space():
 def test_unknown_dof_rejected():
     grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(2, HalfPlane((1, 0), 0.6))
-    broken = sp.csr_matrix((dofs.n_interior, dofs.n_interior))
     cons_missing = type(cons)(constrained=cons.constrained[:-1],
                               masters=cons.masters[:-1],
                               coeffs=cons.coeffs[:-1])
     with pytest.raises(AssemblyError, match="neither"):
         assemble_serial(space, dofs, cons_missing, elements)
+    # a free DOF without a row (-1) in a cell whose other DOFs are free
+    j = int(space.cell_dofs[cls.interior_ids[0] - 1, -1])
+    row_of = dofs.row_of.copy()
+    row_of[j - 1] = -1
+    first = space.cell_dofs[dofs.own_cell[j - 1] - 1]
+    assert np.sum(row_of[first - 1] > 0) == first.size - 1
+    with pytest.raises(AssemblyError, match=f"DOF {j} has neither"):
+        assemble_serial(space, replace(dofs, row_of=row_of), cons, elements)
 
 
 def _distributed_system(level, ls, n_parts, elements, space, dofs):
@@ -302,14 +309,14 @@ def _distributed_system(level, ls, n_parts, elements, space, dofs):
              for p, bf in zip(numbering.pieces, buffers)]
     system = assemble_distributed(rt, numbering, dcons, elements)
     perm = distributed_row_permutation(numbering, space, dofs)
-    return system, perm
+    return system, perm, numbering, dcons
 
 
 def test_distributed_assembly_single_process_exact():
     ls = Sphere((0.5, 0.5), 0.3)
     grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(3, ls, g=lambda p: p[:, 0])
-    system, perm = _distributed_system(3, ls, 1, elements, space, dofs)
+    system, *_ = _distributed_system(3, ls, 1, elements, space, dofs)
     assert sum(system.staged_counts) == 0
     A_d, b_d = system.gather()
     assert abs(A_d - A).max() == 0.0
@@ -324,8 +331,8 @@ def test_distributed_assembly_matches_serial(d, level, ls, n_parts):
     # the canonical summation order makes the systems bitwise equal
     grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(level, ls, g=lambda p: np.sum(p, axis=1), d=d)
-    system, perm = _distributed_system(level, ls, n_parts, elements, space,
-                                       dofs)
+    system, perm, *_ = _distributed_system(level, ls, n_parts, elements,
+                                           space, dofs)
     A_d, b_d = system.gather()
     inv = np.argsort(perm)      # serial row -> distributed id
     A_cmp = A_d[inv][:, inv]
@@ -336,6 +343,56 @@ def test_distributed_assembly_matches_serial(d, level, ls, n_parts):
     assert np.array_equal(b_d[inv], b)
     assert (A.data == 0).sum() == 0
     assert sum(system.staged_counts) > 0
+
+
+def _assert_bitwise(A, b, A_ref, b_ref):
+    assert np.array_equal(A.indptr, A_ref.indptr)
+    assert np.array_equal(A.indices, A_ref.indices)
+    assert np.array_equal(A.data.view(np.int64), A_ref.data.view(np.int64))
+    assert np.array_equal(b.view(np.int64), b_ref.view(np.int64))
+
+
+@pytest.mark.parametrize("n_parts", [1, 3])
+@pytest.mark.parametrize("d, level, ls", [
+    (2, 5, Sphere((0.5, 0.5), 0.3)), (3, 3, Popcorn()),
+    (3, 3, Sphere((0.5, 0.5, 0.5), 0.35))],
+    ids=["circle-2d-L5", "popcorn-3d-L3", "sphere-3d-L3"])
+def test_kernel_matches_per_cell_oracle(d, level, ls, n_parts):
+    # free cells skip C and constrained ones go in batches of products,
+    # yet every entry sums in the order of the per-cell expansion; with
+    # f = None the interior load vectors are zeros that must be dropped
+    grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
+        _serial_agg_system(level, ls, g=lambda p: np.sum(p, axis=1), d=d)
+    _assert_bitwise(A, b, *oracle_assembly(
+        [(space.cell_dofs, np.arange(1, cls.n_active + 1), dofs.row_of)],
+        [cons], elements, dofs.n_interior))
+    system, _, numbering, dcons = _distributed_system(
+        level, ls, n_parts, elements, space, dofs)
+    _assert_bitwise(*system.gather(), *oracle_assembly(
+        [piece.owned_cells() for piece in numbering.pieces], dcons, elements,
+        numbering.n_global))
+
+
+@pytest.mark.parametrize("level, ls, d", [
+    (4, Sphere((0.5, 0.5), 0.3), 2), (3, Popcorn(), 3)],
+    ids=["circle-2d-L4", "popcorn-3d-L3"])
+def test_standard_space_matches_per_cell_oracle(level, ls, d):
+    # every DOF of the standard space is free, so its cut cells take the
+    # free path too; zeros of either sign are dropped as in the oracle
+    grid, cls, _ = classified(level, ls, d)
+    space = build_std_space(cls, 1)
+    quad = cut_quadrature(grid, ls, cls, 4)
+    taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
+    mats, vecs = poisson_elements(space, quad, taus, None, lambda p: p[:, 0])
+    mats[::3, 0, 1] = -0.0
+    vecs[cls.cut_ids[::2] - 1] = -0.0
+    assert cls.cut_ids.size
+    n = space.n_dofs
+    _assert_bitwise(*assemble_serial(space, None, None, (mats, vecs)),
+                    *oracle_assembly([(space.cell_dofs,
+                                       np.arange(1, cls.n_active + 1),
+                                       np.arange(1, n + 1))],
+                                     [None], (mats, vecs), n))
 
 
 def test_matrix_export_format(tmp_path):

@@ -160,6 +160,28 @@ def test_sum_ordered_matches_serial_sum():
     assert all(r == serial for r in results)
 
 
+def test_stacked_sum_ordered_sums_each_row_as_one_reduction():
+    rng = np.random.default_rng(4)
+    stacks = [rng.standard_normal((2, n)) for n in (17, 5, 31)]
+    serial = tuple(float(np.sum(np.concatenate([s[i] for s in stacks])))
+                   for i in range(2))
+    rt = VirtualRuntime(3)
+
+    def body(proc, stack):
+        sums = yield proc.sum_ordered(stack)
+        return sums
+
+    before = rt._superstep
+    assert rt.run(body, args=[(s,) for s in stacks]) == [serial] * 3
+    assert rt._superstep == before + 1
+
+    def mismatched(proc):
+        yield proc.sum_ordered(np.ones((proc.rank, 4)))
+
+    with pytest.raises(RuntimeProtocolError, match="mismatched sum_ordered"):
+        VirtualRuntime(2).run(mismatched)
+
+
 def test_mismatched_participation_detected():
     rt = VirtualRuntime(2)
 

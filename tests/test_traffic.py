@@ -14,7 +14,7 @@ from agfem.runtime import VirtualRuntime
 # phase -> (supersteps, messages); the solve takes 41 iterations
 EXPECTED = {"aggregate": (5, 42), "inverse-plan": (6, 22),
             "numbering": (4, 80), "import": (1, 19), "assembly": (1, 20),
-            "solve": (166, 1596)}
+            "solve": (125, 1596)}
 
 
 def test_supersteps_and_messages_per_phase(monkeypatch, tmp_path):
