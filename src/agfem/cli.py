@@ -19,12 +19,14 @@ from .geometry import ClassificationError
 from .grid import GridError
 from .partition import PartitionError
 from .runtime import RuntimeProtocolError
+from .solve import NotPositiveDefiniteError
 
+# failures a valid configuration can reach; any other is a bug
 _NUMERICAL_ERRORS = (
     AggregationStalledError, AggregateValidationError, AssemblyError,
     TauUnboundedError, ImportProtocolError, PathReconstructionError,
     MissingImportError, ClassificationError, RuntimeProtocolError,
-    GridError, PartitionError, ValueError, ArithmeticError,
+    GridError, PartitionError, NotPositiveDefiniteError,
 )
 
 

@@ -1,21 +1,23 @@
 """Distributed DOF numbering and aggregation constraints.
 
 Every step runs on arrays over the view's cells, with each node named by
-one int64 code of its lattice key (``fespace.encode_node_keys``).
-Interior DOFs receive contiguous, sequentially increasing global ids: a
-DOF is owned by the smallest subdomain id among the interior cells
-touching it (one ``np.minimum.at`` over the relevant interior cells),
-every subdomain numbers the DOFs it owns in first-touch order over its
-local interior cells, and an exclusive scan turns the owned counts into
-ranges.  The ids a subdomain knows live in one table of (code, global
-id) pairs sorted by code and read with ``searchsorted``.  Cell-wise id
-arrays are completed through halo exchanges of ``(n_cells, m)`` id rows,
-merged into the table with one lexsort per round.  Two rounds are
-needed: after the first, a ghost cell's owner knows the whole cell-wise
-array including ids owned by third parties; the second round relays
-those to everyone holding the cell as a ghost.  Rows of cut cells keep
--1 where a node has no id known here (it touches no interior cell, or
-none that is locally relevant); nothing reads those entries.
+one int64 code of its lattice key (``fespace.encode_node_keys``).  The
+nodes of one set of cells, the interior cells for the aggregated space
+and every active cell for the standard space, receive contiguous,
+sequentially increasing global ids: a node is owned by the smallest
+subdomain id among the numbered cells touching it (one
+``np.minimum.at`` over the relevant numbered cells), every subdomain
+numbers the nodes it owns in first-touch order over its local numbered
+cells, and an exclusive scan turns the owned counts into ranges.  The
+ids a subdomain knows live in one table of (code, global id) pairs
+sorted by code and read with ``searchsorted``.  Cell-wise id arrays are
+completed through halo exchanges of ``(n_cells, m)`` id rows, merged
+into the table with one lexsort per round.  Two rounds are needed: after
+the first, a ghost cell's owner knows the whole cell-wise array
+including ids owned by third parties; the second round relays those to
+everyone holding the cell as a ghost.  Rows of cut cells keep -1 where a
+node has no id known here (it touches no numbered cell, or none that is
+locally relevant); nothing reads those entries.
 
 Constrained DOFs never get global ids; each subdomain expresses them by
 local id against global master ids, importing root-cell data when the
@@ -24,10 +26,10 @@ up at once, in the view (``SubdomainMesh.local_ids``) and else in the
 import buffer (``RootDataBuffer.rows_of``), and the owner side answers
 the import for a whole batch of root cells.
 
-This is the space setup of every run of the aggregated space, serial
-runs being the one-subdomain case: there the local ids are the serial
-node ids and the global ids the serial rows.  Assembly and the nodal
-values behind the error norms read a subdomain's owned cells through
+This is the space setup of every run of either space, serial runs being
+the one-subdomain case: there the local ids are the serial node ids and
+the global ids the serial rows.  Assembly and the nodal values behind
+the error norms read a subdomain's owned cells through
 ``DistSpacePiece.owned_cells``.
 """
 
@@ -62,7 +64,7 @@ class DistSpacePiece:
     node_coords: np.ndarray      # (n_j, d)
     cell_j: np.ndarray           # (n_local, m) local DOF ids
     cell_g: np.ndarray           # (n_relevant, m) global ids, -1 holes
-    j_interior: np.ndarray       # (n_j,) bool
+    j_interior: np.ndarray       # (n_j,) bool: touches a numbered cell
     own_local_cell: np.ndarray   # (n_j,) local cell with smallest global id
     owned_start: int             # first owned global id (1-based)
     n_owned: int
@@ -123,7 +125,7 @@ def _merge_ids(s: int, codes, gids, new_codes, new_gids):
     return codes[keep], gids[keep]
 
 
-def _numbering_body(proc, mesh: SubdomainMesh, q: int):
+def _numbering_body(proc, mesh: SubdomainMesh, q: int, interior_only: bool):
     s = proc.rank
     grid = mesh.classification.grid
     offs = node_offsets(q, grid.d)
@@ -143,19 +145,20 @@ def _numbering_body(proc, mesh: SubdomainMesh, q: int):
     j_of = np.concatenate([cell_j, _lookup(j_codes[by_j], by_j + 1,
                                            codes[n_local:])])  # -1: not local
 
-    # owner per interior node: smallest subdomain among its interior cells
-    interior = mesh.labels == INTERIOR
-    int_codes = codes[interior].ravel()
-    uniq, inv = np.unique(int_codes, return_inverse=True)
+    # owner per numbered node: smallest subdomain among its numbered cells
+    numbered = (mesh.labels == INTERIOR if interior_only
+                else np.ones(mesh.n_relevant, dtype=bool))
+    num_codes = codes[numbered].ravel()
+    uniq, inv = np.unique(num_codes, return_inverse=True)
     owner = np.full(uniq.size, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(owner, inv,
-                  np.repeat(mesh.owner_of_relevant[interior], m))
+                  np.repeat(mesh.owner_of_relevant[numbered], m))
     j_interior = np.isin(j_codes, uniq)
 
-    # owned nodes in first-touch order over the local interior cells,
-    # which lead the interior rows since local cells come first
-    local_int = int_codes[:m * np.count_nonzero(interior[:n_local])]
-    mine = local_int[owner[inv[:local_int.size]] == s]
+    # owned nodes in first-touch order over the local numbered cells,
+    # which lead the numbered rows since local cells come first
+    local_num = num_codes[:m * np.count_nonzero(numbered[:n_local])]
+    mine = local_num[owner[inv[:local_num.size]] == s]
     owned = mine[np.sort(np.unique(mine, return_index=True)[1])]
     n_owned = owned.size
 
@@ -164,10 +167,10 @@ def _numbering_body(proc, mesh: SubdomainMesh, q: int):
     by_code = np.argsort(owned)
     gid_codes, gids = owned[by_code], owned_start + by_code.astype(np.int64)
 
-    # complete cell-wise arrays on locally relevant interior cells; the
+    # complete cell-wise arrays on locally relevant numbered cells; the
     # second round relays third-party ids resolved at ghost owners
-    send = {sp: ls[interior[ls - 1]] for sp, ls in mesh.send_halo.items()}
-    recv = {sp: ls[interior[ls - 1]] for sp, ls in mesh.recv_halo.items()}
+    send = {sp: ls[numbered[ls - 1]] for sp, ls in mesh.send_halo.items()}
+    recv = {sp: ls[numbered[ls - 1]] for sp, ls in mesh.recv_halo.items()}
     for _ in range(2):
         received = yield proc.neighbor_exchange(
             {sp: _lookup(gid_codes, gids, codes[ls - 1])
@@ -186,10 +189,10 @@ def _numbering_body(proc, mesh: SubdomainMesh, q: int):
                                      np.concatenate(new_gids))
 
     cell_g = _lookup(gid_codes, gids, codes)
-    unresolved = np.flatnonzero(interior & np.any(cell_g == -1, axis=1))
+    unresolved = np.flatnonzero(numbered & np.any(cell_g == -1, axis=1))
     if unresolved.size:
         raise RuntimeProtocolError(
-            f"subdomain {s}: interior cell {mesh.global_ids[unresolved[0]]} "
+            f"subdomain {s}: cell {mesh.global_ids[unresolved[0]]} "
             f"has unresolved global DOF ids after the exchange rounds")
 
     # owner cell per local DOF: smallest global id among relevant cells
@@ -210,11 +213,13 @@ def _numbering_body(proc, mesh: SubdomainMesh, q: int):
 
 
 def number_dofs_distributed(runtime, meshes, q: int = 1,
-                            phase: str = "numbering") -> DistNumbering:
-    """Assign global ids to interior DOFs across all subdomains."""
+                            phase: str = "numbering",
+                            interior_only: bool = True) -> DistNumbering:
+    """Assign global ids to the DOFs of the interior cells across all
+    subdomains, or of every active cell with ``interior_only=False``."""
     neighbor_sets = [set(int(x) for x in m.neighbors) for m in meshes]
     results = runtime.run(
-        _numbering_body, args=[(m, q) for m in meshes],
+        _numbering_body, args=[(m, q, interior_only) for m in meshes],
         phase=phase, neighbor_sets=neighbor_sets)
     return DistNumbering(pieces=[r[0] for r in results],
                          n_global=results[0][1])

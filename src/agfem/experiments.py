@@ -1,16 +1,17 @@
 """Experiment driver: configs, the solve pipeline, and the study commands.
 
-The solve pipeline (``run_solve_pipeline``) runs the aggregated space
-as one sequence for every process count, serial runs being the
-one-subdomain case, and keeps one system and one solution in global-id
-numbering.  Each command appends deterministic rows to CSV files under
-the output directory; wall-clock timings go to a separate timings.csv so
-the result files are byte-identical across repeated runs and thread
-counts.
+The solve pipeline (``run_solve_pipeline``) runs both spaces as one
+sequence for every process count, serial runs being the one-subdomain
+case and the standard space the case without constraints, and keeps one
+system and one solution in global-id numbering.  Each command appends
+deterministic rows to CSV files under the output directory; wall-clock
+timings go to a separate timings.csv so the result files are
+byte-identical across repeated runs and thread counts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import os
@@ -21,9 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import svg
-# aggregate_serial, build_constraints_serial and classify_dofs are not
-# called here; they stay importable from this module for perfbench,
-# which wraps the pipeline's layers by name
+# aggregate_serial, assemble_serial, build_constraints_serial and
+# classify_dofs are not called here; they stay importable from this
+# module for perfbench, which wraps the pipeline's layers by name
 from .aggregation import (aggregate_parallel, aggregate_serial, aggregates,
                           compare_with_serial, gather_root_map)
 from .assembly import (DistributedSystem, assemble_distributed,
@@ -39,8 +40,8 @@ from .grid import unit_box_grid
 from .levelset import HalfPlane, Popcorn, Sphere
 from .partition import _lookup, build_subdomain_meshes, partition_weighted_sfc
 from .runtime import VirtualRuntime
-from .solve import (NotPositiveDefiniteError, condition_estimate,
-                    error_norms, pcg_jacobi)
+from .solve import (DENSE_LIMIT, NotPositiveDefiniteError,
+                    condition_estimate, error_norms, pcg_jacobi)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,29 +113,25 @@ class ExperimentConfig:
         for d in self.dump:
             if d not in DUMPS:
                 raise ConfigError(f"unknown dump target {d!r}")
-        if self.space == "std" and self.procs > 1:
-            raise ConfigError("the standard space runs serially (procs = 1)")
         return self
 
 
-_TUPLE_FIELDS = {"center": float, "normal": float}
-
-
 def _parse_value(name: str, raw: str):
+    # annotations are strings: str, int, float, or tuple (of floats but dump)
     kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     if name not in kinds:
         raise ConfigError(f"unknown config key {name!r}")
     raw = raw.strip()
     if name == "dump":
         return tuple(v.strip() for v in raw.split(",") if v.strip())
-    if name in _TUPLE_FIELDS:
-        return tuple(float(v) for v in raw.split(","))
-    if name in ("geometry", "space", "out", "solution"):
+    if kinds[name] == "str":
         return raw
-    if name in ("dimension", "level", "maxit", "procs", "seed", "threads",
-                "quad_order", "trace"):
-        return int(raw)
-    return float(raw)
+    try:
+        if kinds[name] == "tuple":
+            return tuple(float(v) for v in raw.split(","))
+        return int(raw) if kinds[name] == "int" else float(raw)
+    except ValueError:
+        raise ConfigError(f"bad value {raw!r} for {name}") from None
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
@@ -220,27 +217,23 @@ def manufactured_solution(cfg: ExperimentConfig):
 class PhaseTimer:
     timings: dict = field(default_factory=dict)
 
+    @contextlib.contextmanager
     def time(self, name):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.timings[name] = timer.timings.get(name, 0.0) + \
-                    time.perf_counter() - self.t0
-
-        return _Ctx()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + \
+                time.perf_counter() - t0
 
 
 @dataclass
 class SolveOutputs:
     """Everything a solve run produced, for records, dumps, and checks.
 
-    The system and the solution are in global-id numbering for the
-    aggregated space (the serial rows when ``procs = 1``) and in node-id
-    numbering for the standard space."""
+    The system and the solution are in the global-id numbering of
+    ``numbering``.  The standard space has no aggregates, and None for
+    the constraints of each subdomain."""
 
     cfg: ExperimentConfig
     grid: object
@@ -255,20 +248,18 @@ class SolveOutputs:
     norms: object
     timings: dict
     runtime: VirtualRuntime
+    meshes: list
+    numbering: object
+    constraints: list                 # per subdomain
     # the aggregated space only; None for the standard space
     root_map: object = None
     aggregate_stats: object = None
-    meshes: list | None = None
     dist_map: object = None
-    numbering: object = None
-    constraints: list | None = None   # per subdomain
 
     @property
     def n_interior_dofs(self) -> int:
-        """Free DOFs of the aggregated space; for the standard space, the
-        nodes of interior cells."""
-        if self.numbering is not None:
-            return self.numbering.n_global
+        """The DOFs of interior cells: for the aggregated space, its free
+        DOFs."""
         cls = self.classification
         return int(np.unique(self.space.cell_dofs[cls.interior_ids - 1]).size)
 
@@ -297,12 +288,12 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
                        runtime=None) -> SolveOutputs:
     """classify -> aggregate -> space/constraints -> assemble -> solve -> norms.
 
-    The aggregated space runs one sequence for every process count, on
-    ``procs`` subdomains of ``runtime``: partition, aggregation, path
-    plans, DOF numbering, root-data import, constraints, distributed
-    assembly and PCG; a serial run is the one-subdomain case.  The error
-    norms read the nodal values each subdomain forms for its owned cells.
-    The standard space runs serially and assembles over all its DOFs."""
+    Both spaces run one sequence for every process count, on ``procs``
+    subdomains of ``runtime``: partition, DOF numbering, distributed
+    assembly, PCG and norms, a serial run being the one-subdomain case.
+    The aggregated space numbers the nodes of interior cells and adds
+    aggregation, path plans, root-data import and constraints; the
+    standard space numbers every node and has no constraints."""
     timer = PhaseTimer()
     with timer.time("classify"):
         grid, ls, cls, _ = geometry_setup(cfg, level)
@@ -311,12 +302,12 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
     if runtime is None:
         runtime = VirtualRuntime(cfg.procs, threads=cfg.threads,
                                  trace=bool(cfg.trace))
-    agg = cfg.space == "agg"  # validation rejects std with procs > 1
-    meshes = dist_map = root_map = agg_stats = numbering = constraints = None
+    agg = cfg.space == "agg"
+    dist_map = root_map = agg_stats = None
+    with timer.time("partition"):
+        part = partition_weighted_sfc(cls, n_subdomains=cfg.procs)
+        meshes = build_subdomain_meshes(cls, part)
     if agg:
-        with timer.time("partition"):
-            part = partition_weighted_sfc(cls, n_subdomains=cfg.procs)
-            meshes = build_subdomain_meshes(cls, part)
         with timer.time("aggregate"):
             dist_map = aggregate_parallel(runtime, meshes)
             root_map = gather_root_map(meshes, dist_map)
@@ -324,8 +315,11 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
         with timer.time("plans"):
             direct = [build_direct_plan(m, dist_map) for m in meshes]
             inverse = build_inverse_plan(runtime, meshes, dist_map)
-        with timer.time("numbering"):
-            numbering = number_dofs_distributed(runtime, meshes, 1)
+    with timer.time("numbering"):
+        numbering = number_dofs_distributed(runtime, meshes, 1,
+                                            interior_only=agg)
+    constraints = [None] * cfg.procs
+    if agg:
         with timer.time("import"):
             buffers = import_root_data(runtime, meshes, direct, inverse,
                                        root_cell_data_provider(numbering))
@@ -338,28 +332,21 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
     u, grad_u, f = manufactured_solution(cfg)
     with timer.time("assemble"):
         elements = poisson_elements(space, quad, taus, f, u)
-        if agg:
-            system = assemble_distributed(runtime, numbering, constraints,
-                                          elements)
-        else:
-            system = DistributedSystem.one_block(
-                *assemble_serial(space, None, None, elements))
+        system = assemble_distributed(runtime, numbering, constraints,
+                                      elements)
     with timer.time("solve"):
         x, report = pcg_jacobi(system, rtol=cfg.rtol, maxit=cfg.maxit,
                                runtime=runtime)
     with timer.time("norms"):
-        if agg:
-            nodal = nodal_values(numbering, constraints, x, cls.n_active)
-        else:
-            nodal = x[space.cell_dofs - 1]
+        nodal = nodal_values(numbering, constraints, x, cls.n_active)
         norms = error_norms(space, quad, nodal, u, grad_u)
     return SolveOutputs(cfg=cfg, grid=grid, levelset=ls, classification=cls,
                         space=space, quadrature=quad, taus=taus,
                         system=system, solution=x, report=report, norms=norms,
                         timings=timer.timings, runtime=runtime,
-                        root_map=root_map, aggregate_stats=agg_stats,
-                        meshes=meshes, dist_map=dist_map, numbering=numbering,
-                        constraints=constraints)
+                        meshes=meshes, numbering=numbering,
+                        constraints=constraints, root_map=root_map,
+                        aggregate_stats=agg_stats, dist_map=dist_map)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +444,7 @@ def _write_dumps(cfg, out: SolveOutputs, out_dir):
                      enumerate(_owner_vector(out.meshes, out.classification))]
             append_csv(os.path.join(out_dir, "partition.csv"),
                        ["cell_id", "owner"], prows)
-    if "constraints" in cfg.dump and out.constraints is not None:
+    if "constraints" in cfg.dump and cfg.space == "agg":
         # on one subdomain the local ids are the node ids of the space
         serial = cfg.procs == 1
         head = ["constrained"] if serial else ["subdomain", "local_id"]
@@ -532,10 +519,14 @@ def run_cut_sweep(cfg: ExperimentConfig, offsets=DEFAULT_SWEEP):
     for delta in offsets:
         results = {}
         for space_kind in ("agg", "std"):
-            sub = replace(cfg, space=space_kind, procs=1,
+            sub = replace(cfg, space=space_kind,
                           offset=cfg.offset + delta * h,
                           radius=cfg.radius + delta * h)
             out = run_solve_pipeline(sub)
+            if out.system.n_global > DENSE_LIMIT:
+                raise ConfigError(
+                    f"cut sweep at level {cfg.level}: {out.system.n_global} "
+                    f"{space_kind} rows exceed the dense limit {DENSE_LIMIT}")
             try:
                 kappa = condition_estimate(out.system, "dense")
             except NotPositiveDefiniteError:

@@ -8,12 +8,12 @@ cut cells) are constrained to the full DOF set of their root cell with
 extrapolation coefficients; interior DOFs stay free and index the rows
 of the reduced linear system.
 
-The solve pipeline numbers and constrains the aggregated space through
-``distspace`` for every process count; a serial run is its
-one-subdomain case.  ``classify_dofs`` and ``build_constraints_serial``
-are the independent serial reference that the tests check it against.
-The shape functions, node codes and the extension operator here serve
-both.
+The solve pipeline numbers both spaces, and constrains the aggregated
+one, through ``distspace`` for every process count; on one subdomain
+the standard space's global ids are the node ids built here.
+``classify_dofs`` and ``build_constraints_serial`` are the independent
+serial reference that the tests check it against.  The shape functions,
+node codes and the extension operator here serve both.
 """
 
 from __future__ import annotations

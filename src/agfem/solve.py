@@ -31,7 +31,12 @@ from .runtime import VirtualRuntime
 
 
 class NotPositiveDefiniteError(ValueError):
-    """A matrix expected to be SPD has a non-positive eigenvalue."""
+    """A matrix expected to be SPD has a non-positive eigenvalue or
+    diagonal entry."""
+
+
+# largest order the dense condition estimate accepts
+DENSE_LIMIT = 2000
 
 
 @dataclass
@@ -47,26 +52,15 @@ class SolveReport:
     reason: str           # converged, maxit, breakdown or nonfinite
 
 
-def _as_distributed(system) -> tuple:
-    if isinstance(system, DistributedSystem):
-        return system, None
-    return DistributedSystem.one_block(*system), VirtualRuntime(1)
-
-
 def _ritz_from_recurrence(alphas, betas):
     k = len(alphas)
     if k == 0:
         return None, None, None
-    diag = np.empty(k)
-    off = np.empty(max(k - 1, 0))
-    diag[0] = 1.0 / alphas[0]
-    for i in range(1, k):
-        diag[i] = 1.0 / alphas[i] + betas[i - 1] / alphas[i - 1]
-        off[i - 1] = np.sqrt(betas[i - 1]) / alphas[i - 1]
-    if k == 1:
-        eig = diag
-    else:
-        eig = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    alphas, betas = np.asarray(alphas), np.asarray(betas[:k - 1])
+    diag = 1.0 / alphas
+    diag[1:] += betas / alphas[:-1]
+    off = np.sqrt(betas) / alphas[:-1]
+    eig = diag if k == 1 else scipy.linalg.eigvalsh_tridiagonal(diag, off)
     lo, hi = float(eig[0]), float(eig[-1])
     kappa = hi / lo if lo > 0 else None
     return lo, hi, kappa
@@ -114,7 +108,8 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
 
     if precondition:
         if np.any(diag <= 0):
-            raise ValueError("Jacobi preconditioning needs positive diagonal")
+            raise NotPositiveDefiniteError(
+                "Jacobi preconditioning needs positive diagonal")
         inv_diag = 1.0 / diag
     else:
         inv_diag = np.ones(n_owned)
@@ -161,12 +156,8 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
             betas.append(beta)
             p = z + beta * p
             rz = rz_new
-    lo, hi, kappa = _ritz_from_recurrence(alphas, betas)
-    report = SolveReport(iterations=iterations, residual_history=history,
-                         converged=reason == "converged", ritz_min=lo,
-                         ritz_max=hi, kappa=kappa, rtol=rtol, maxit=maxit,
-                         reason=reason)
-    return x, report
+    # every rank holds the same recurrence; the caller reads one
+    return x, (iterations, history, alphas, betas, reason)
 
 
 def pcg_jacobi(system, rtol: float = 1e-6, maxit: int = 500,
@@ -177,27 +168,33 @@ def pcg_jacobi(system, rtol: float = 1e-6, maxit: int = 500,
     ``system`` is a ``DistributedSystem`` (give the runtime that owns its
     processes) or a serial ``(A, b)`` pair.
     """
-    dist, own_runtime = _as_distributed(system)
+    dist = system if isinstance(system, DistributedSystem) else \
+        DistributedSystem.one_block(*system)
     if runtime is None:
-        runtime = own_runtime or VirtualRuntime(dist.n_subdomains)
+        runtime = VirtualRuntime(dist.n_subdomains)
     results = runtime.run(
         _pcg_body,
         args=[(dist.blocks[i], dist.rhs[i], dist.row_starts, rtol, maxit,
                precondition) for i in range(dist.n_subdomains)],
         phase=phase)
     x = np.concatenate([r[0] for r in results])
-    return x, results[0][1]
+    iterations, history, alphas, betas, reason = results[0][1]
+    lo, hi, kappa = _ritz_from_recurrence(alphas, betas)
+    return x, SolveReport(iterations=iterations, residual_history=history,
+                          converged=reason == "converged", ritz_min=lo,
+                          ritz_max=hi, kappa=kappa, rtol=rtol, maxit=maxit,
+                          reason=reason)
 
 
 def condition_estimate(system, method: str = "lanczos", maxit: int | None = None,
                        seed: int = 0) -> float:
     """Spectral condition number of an SPD matrix.
 
-    ``dense`` computes the exact extreme eigenvalues (capped at n=2000)
-    and raises ``NotPositiveDefiniteError`` when the smallest is not
-    positive; ``lanczos`` runs an unpreconditioned CG recurrence against
-    a seeded random right-hand side and reads the extreme Ritz values off
-    the tridiagonal.
+    ``dense`` computes the exact extreme eigenvalues (n at most
+    ``DENSE_LIMIT``) and raises ``NotPositiveDefiniteError`` when the
+    smallest is not positive; ``lanczos`` runs an unpreconditioned CG
+    recurrence against a seeded random right-hand side and reads the
+    extreme Ritz values off the tridiagonal.
     """
     if isinstance(system, DistributedSystem):
         A, _ = system.gather()
@@ -206,8 +203,9 @@ def condition_estimate(system, method: str = "lanczos", maxit: int | None = None
     A = sp.csr_matrix(A)
     n = A.shape[0]
     if method == "dense":
-        if n > 2000:
-            raise ValueError(f"dense estimate limited to n <= 2000, got {n}")
+        if n > DENSE_LIMIT:
+            raise ValueError(f"dense estimate limited to n <= {DENSE_LIMIT}, "
+                             f"got {n}")
         eig = scipy.linalg.eigvalsh(A.toarray())
         if not eig[0] > 0.0:
             raise NotPositiveDefiniteError(
@@ -260,14 +258,14 @@ def error_norms(space, quad, nodal, u_exact, grad_exact) -> ErrorNorms:
     """Relative L2 and H1-semi errors of a discrete solution given by the
     nodal values of every active cell, ``nodal`` of shape (n_active, m).
 
-    For the aggregated space these come from each subdomain's extension
-    operator (``distspace.nodal_values``); for the standard space they are
-    ``x[space.cell_dofs - 1]``.  The integrals run over the bulk points of
-    the quadrature store, in chunks of about ``CHUNK_POINTS``, so only the
-    physical domain contributes.  At interior points u_h and its gradient
-    come from the cell's nodal values and the fixed reference tables of
-    the shared box rule; cut-cell points evaluate the shape functions one
-    by one.
+    For either space these come from each subdomain's extension operator
+    (``distspace.nodal_values``); without constraints, as for the standard
+    space, that reads ``x`` at the global ids of the cell's nodes.  The
+    integrals run over the bulk points of the quadrature store, in chunks
+    of about ``CHUNK_POINTS``, so only the physical domain contributes.
+    At interior points u_h and its gradient come from the cell's nodal
+    values and the fixed reference tables of the shared box rule; cut-cell
+    points evaluate the shape functions one by one.
     """
     nodal = np.asarray(nodal, dtype=np.float64)
     if nodal.shape != space.cell_dofs.shape:

@@ -2,17 +2,20 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from agfem.aggregation import aggregate_serial
 from agfem.assembly import assemble_serial, poisson_elements
+from agfem.distspace import numbering_permutation
 from agfem.experiments import (ConfigError, EquivalenceError, ExperimentConfig,
-                               cmd_convergence, cmd_solve,
-                               fit_order, load_config, manufactured_solution,
-                               run_parallel_check, run_solve_pipeline,
-                               run_weight_study)
+                               cmd_convergence, cmd_solve, fit_order,
+                               load_config, manufactured_solution,
+                               run_cut_sweep, run_parallel_check,
+                               run_solve_pipeline, run_weight_study)
 from agfem.fespace import build_constraints_serial, classify_dofs
 from agfem.runtime import VirtualRuntime
 
@@ -50,7 +53,7 @@ def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         ExperimentConfig(beta=-1.0).validate()
     with pytest.raises(ConfigError):
-        ExperimentConfig(space="std", procs=4).validate()
+        ExperimentConfig(procs=0).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(dump=("everything",)).validate()
 
@@ -204,21 +207,93 @@ def test_parallel_check_passes_clean():
 
 def test_distributed_run_builds_no_serial_system(monkeypatch):
     # every process count, the serial one included, runs the distributed
-    # space setup and assembly; the serial builders are test references
+    # space setup and assembly for both spaces; the serial builders are
+    # test references
     import agfem.experiments as ex
+    from agfem.assembly import DistributedSystem
 
     def serial(name):
         def refuse(*args):
-            raise AssertionError(f"an agg run called {name}")
+            raise AssertionError(f"a solve run called {name}")
         return refuse
 
-    for name in ("build_constraints_serial", "assemble_serial"):
+    for name in ("aggregate_serial", "classify_dofs",
+                 "build_constraints_serial", "assemble_serial"):
         monkeypatch.setattr(ex, name, serial(name))
-    for procs in (1, 4):
+    monkeypatch.setattr(DistributedSystem, "one_block", serial("one_block"))
+    for space, procs in [(s, p) for s in ("agg", "std") for p in (1, 4)]:
         out = ex.run_solve_pipeline(
-            ExperimentConfig(level=3, procs=procs).validate())
+            ExperimentConfig(level=3, procs=procs, space=space).validate())
         assert out.report.converged
         assert out.system.n_subdomains == len(out.numbering.pieces) == procs
+        assert len(out.constraints) == procs
+
+
+def _gathered_bytes(out, perm=None):
+    """The gathered (A, b) as bytes, rows and columns mapped through the
+    inverse of ``perm`` when given."""
+    A, b = out.system.gather()
+    if perm is not None:
+        inv = np.argsort(perm)
+        A, b = sp.csr_matrix(A[inv][:, inv]), b[inv]
+    return (A.shape, A.indptr.tobytes(), A.indices.tobytes(),
+            A.data.tobytes(), b.tobytes())
+
+
+@pytest.mark.parametrize("params, procs", [
+    (dict(geometry="offset-circle", level=5), 2),
+    (dict(geometry="offset-circle", level=5), 4),
+    (dict(geometry="popcorn", dimension=3, level=3), 8),
+], ids=["offset-circle-P2", "offset-circle-P4", "popcorn-P8"])
+def test_std_space_gathers_bitwise_to_the_serial_system(params, procs):
+    # the standard space numbers every node of the active cells and
+    # assembles without constraints on any number of subdomains
+    cfg = ExperimentConfig(space="std", solution="sine", **params).validate()
+    serial = run_solve_pipeline(cfg)
+    out = run_solve_pipeline(replace(cfg, procs=procs))
+    assert out.numbering.n_global == serial.numbering.n_global
+    perm = numbering_permutation(out.numbering, serial.numbering)
+    assert _gathered_bytes(out, perm) == _gathered_bytes(serial)
+    assert out.report.iterations == serial.report.iterations
+    assert out.report.residual_history == serial.report.residual_history
+    assert out.norms == serial.norms
+
+
+@pytest.mark.parametrize("params", [
+    dict(geometry="circle", level=5),
+    dict(geometry="halfplane", level=4, offset=0.5 + 1e-8 * 0.5**4),
+    dict(geometry="popcorn", dimension=3, level=3),
+], ids=["circle-L5", "halfplane-delta-1e-8", "popcorn-L3"])
+def test_std_one_subdomain_run_equals_the_serial_assembly(params):
+    # on one subdomain the global ids are the node ids of the space, so
+    # the system is the serial assembly over all DOFs, bitwise
+    cfg = ExperimentConfig(space="std", solution="sine", **params).validate()
+    out = run_solve_pipeline(cfg)
+    [piece] = out.numbering.pieces
+    assert np.array_equal(piece.gid_of(piece.node_codes),
+                          np.arange(1, out.space.n_dofs + 1))
+    u, _, f = manufactured_solution(cfg)
+    A, b = assemble_serial(out.space, None, None, poisson_elements(
+        out.space, out.quadrature, out.taus, f, u))
+    A_d, b_d = out.system.gather()
+    assert np.array_equal(A_d.indptr, A.indptr)
+    assert np.array_equal(A_d.indices, A.indices)
+    assert A_d.data.tobytes() == A.data.tobytes()
+    assert b_d.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("procs", [1, 4])
+def test_std_dumps_write_no_constraints_or_aggregates(tmp_path, procs):
+    cfg = ExperimentConfig(space="std", level=4, procs=procs,
+                           out=str(tmp_path),
+                           dump=("aggregates", "constraints", "matrix"))
+    record = cmd_solve(cfg.validate())
+    assert record["agg_rounds"] == "" and record["max_aggregate"] == ""
+    assert (tmp_path / "matrix.txt").exists()
+    assert (tmp_path / "solve_report.csv").exists()
+    written = {p.name for p in tmp_path.iterdir()}
+    assert written == {"runs.csv", "timings.csv", "matrix.txt",
+                       "solve_report.csv"}
 
 
 def test_parallel_check_passes_popcorn_at_eight_processes():
@@ -256,6 +331,26 @@ def test_cut_sweep_writes_nan_for_an_indefinite_matrix(tmp_path):
     assert row["kappa_std"] == "nan"
     assert float(row["kappa_agg"]) > 0
     assert (tmp_path / "cut_sweep.svg").exists()
+
+
+def test_cut_sweep_on_two_processes_matches_one():
+    # both spaces run distributed; the dense estimate reads the gathered
+    # system in another row order, so kappa agrees to rounding only
+    cfg = ExperimentConfig(geometry="halfplane", level=4, offset=0.5).validate()
+    one = run_cut_sweep(cfg, (1e-2, 1e-6))
+    two = run_cut_sweep(replace(cfg, procs=2), (1e-2, 1e-6))
+    for a, b in zip(one, two):
+        for key in ("delta", "iters_agg", "iters_std", "converged_std"):
+            assert a[key] == b[key]
+        for key in ("kappa_agg", "kappa_std"):
+            assert float(b[key]) == pytest.approx(float(a[key]), rel=1e-10)
+
+
+def test_cut_sweep_past_the_dense_limit_is_a_config_error(tmp_path):
+    res = _cli("cut-sweep", "--geometry", "halfplane", "--level", "6",
+               "--offsets", "1e-2", "--out", str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "level 6" in res.stderr
 
 
 def test_fit_order_on_synthetic_data():
@@ -316,6 +411,27 @@ def test_cli_exit_codes(tmp_path):
                      "--out", str(tmp_path / "num"))
     assert numerical.returncode == 3
     assert "numerical failure" in numerical.stderr
+
+
+@pytest.mark.parametrize("exc", [TypeError("bug"), ValueError("bug")],
+                         ids=["TypeError", "ValueError"])
+def test_cli_does_not_report_a_bug_as_a_numerical_failure(monkeypatch,
+                                                          tmp_path, exc):
+    # only the typed failures a valid config can reach exit 3; an error
+    # raised by a programming bug inside the pipeline keeps its traceback
+    from click.testing import CliRunner
+
+    import agfem.experiments as ex
+    from agfem import cli
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(ex, "poisson_elements", broken)
+    res = CliRunner().invoke(cli.main, ["solve", "--level", "3",
+                                        "--out", str(tmp_path)])
+    assert res.exit_code != 3
+    assert res.exception is exc
 
 
 def test_cli_repeated_runs_byte_identical(tmp_path):

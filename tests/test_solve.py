@@ -10,7 +10,8 @@ from agfem.fespace import build_constraints_serial, build_std_space, classify_do
 from agfem.experiments import ExperimentConfig, manufactured_solution
 from agfem.geometry import cut_quadrature
 from agfem.levelset import Popcorn, Sphere
-from agfem.solve import condition_estimate, error_norms, pcg_jacobi
+from agfem.solve import (NotPositiveDefiniteError, condition_estimate,
+                         error_norms, pcg_jacobi)
 
 from conftest import all_points_norms, classified, prolongate
 
@@ -183,3 +184,36 @@ def test_error_norms_match_all_points_oracle(level, ls, d):
             assert got.absolute == (exact[0] is zero)
             assert got.l2 == pytest.approx(want[0], rel=1e-13, abs=0)
             assert got.h1_semi == pytest.approx(want[1], rel=1e-13, abs=0)
+
+
+def test_ritz_values_come_from_one_recurrence_per_solve(monkeypatch):
+    # every rank runs the same recurrence; the report is built once, and
+    # a row-wise split of the system gives the one-block report exactly
+    import agfem.solve as solve
+    from agfem.assembly import DistributedSystem
+
+    rng = np.random.default_rng(1)
+    M = rng.standard_normal((24, 24))
+    A = sp.csr_matrix(M @ M.T + 24 * np.eye(24))
+    b = rng.standard_normal(24)
+    starts = np.array([1, 7, 13, 19, 25])
+    split = DistributedSystem(
+        n_global=24, row_starts=starts,
+        blocks=[A[i - 1:j - 1] for i, j in zip(starts[:-1], starts[1:])],
+        rhs=[b[i - 1:j - 1] for i, j in zip(starts[:-1], starts[1:])],
+        staged_counts=[0] * 4)
+    calls = []
+    ritz = solve._ritz_from_recurrence
+    monkeypatch.setattr(solve, "_ritz_from_recurrence",
+                        lambda *args: calls.append(1) or ritz(*args))
+    x4, report4 = pcg_jacobi(split, rtol=1e-10)
+    assert len(calls) == 1
+    x1, report1 = pcg_jacobi((A, b), rtol=1e-10)
+    assert report4 == report1 and report4.kappa is not None
+    assert x4.tobytes() == x1.tobytes()
+
+
+def test_a_non_positive_diagonal_is_not_positive_definite():
+    A = sp.diags([1.0, 0.0, 2.0]).tocsr()
+    with pytest.raises(NotPositiveDefiniteError, match="positive diagonal"):
+        pcg_jacobi((A, np.ones(3)))
