@@ -39,11 +39,9 @@ def _common_options(fn):
         click.option("--space", type=click.Choice(ex.SPACES), default=None),
         click.option("--beta", type=float, default=None),
         click.option("--procs", type=int, default=None),
-        click.option("--weight", type=float, default=None),
         click.option("--rtol", type=float, default=None),
         click.option("--maxit", type=int, default=None),
         click.option("--out", type=str, default=None),
-        click.option("--seed", type=int, default=None),
         click.option("--threads", type=int, default=None),
         click.option("--dump", type=str, default=None,
                      help="comma list: aggregates,constraints,matrix"),

@@ -48,7 +48,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_EQUIVALENCE = 4
 
-RECORD_SCHEMA_VERSION = 1
+RECORD_SCHEMA_VERSION = 2
 
 GEOMETRIES = ("circle", "offset-circle", "halfplane", "popcorn")
 SPACES = ("agg", "std")
@@ -76,9 +76,7 @@ class ExperimentConfig:
     rtol: float = 1e-6
     maxit: int = 500
     procs: int = 1
-    weight: float = 10.0
     out: str = "."
-    seed: int = 0
     threads: int = 1
     dump: tuple = ()
     solution: str = "linear"
@@ -102,14 +100,12 @@ class ExperimentConfig:
             raise ConfigError("the popcorn geometry is three-dimensional")
         if self.level < 1:
             raise ConfigError("level must be >= 1")
-        for name in ("beta", "rtol", "weight", "radius"):
+        for name in ("beta", "rtol", "radius"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("maxit", "procs", "threads", "quad_order"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         for d in self.dump:
             if d not in DUMPS:
                 raise ConfigError(f"unknown dump target {d!r}")
@@ -355,10 +351,10 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
 
 RECORD_FIELDS = [
     "schema_version", "command", "geometry", "dimension", "level", "space",
-    "beta", "rtol", "maxit", "procs", "weight", "seed", "threads", "solution",
-    "n_cells", "n_active", "n_cut", "n_interior_dofs", "agg_rounds",
-    "max_aggregate", "assembly_checksum", "iterations", "converged",
-    "kappa_est", "rel_l2", "rel_h1",
+    "beta", "rtol", "maxit", "procs", "threads", "solution", "n_cells",
+    "n_active", "n_cut", "n_interior_dofs", "agg_rounds", "max_aggregate",
+    "assembly_checksum", "iterations", "converged", "kappa_est", "rel_l2",
+    "rel_h1",
 ]
 
 
@@ -366,14 +362,7 @@ def make_run_record(cfg: ExperimentConfig, out: SolveOutputs,
                     command: str = "solve") -> dict:
     A, b = out.system.gather()
     checksum = float(np.sum(A.data**2) + np.sum(b**2))
-    n = A.shape[0]
-    try:
-        # near-degenerate standard-space cuts can defeat the recurrence;
-        # the record then reports nan instead of failing the run
-        kappa = condition_estimate(A, "lanczos", maxit=min(n, 300)) if n \
-            else float("nan")
-    except (ValueError, FloatingPointError):
-        kappa = float("nan")
+    kappa = out.report.kappa   # Ritz kappa of the operator PCG saw, or None
     return {
         "schema_version": RECORD_SCHEMA_VERSION,
         "command": command,
@@ -385,8 +374,6 @@ def make_run_record(cfg: ExperimentConfig, out: SolveOutputs,
         "rtol": repr(cfg.rtol),
         "maxit": cfg.maxit,
         "procs": cfg.procs,
-        "weight": repr(cfg.weight),
-        "seed": cfg.seed,
         "threads": cfg.threads,
         "solution": cfg.solution,
         "n_cells": out.grid.n_cells,
@@ -399,7 +386,7 @@ def make_run_record(cfg: ExperimentConfig, out: SolveOutputs,
         "assembly_checksum": repr(checksum),
         "iterations": out.report.iterations,
         "converged": out.report.converged,
-        "kappa_est": repr(float(kappa)),
+        "kappa_est": "nan" if kappa is None else repr(kappa),
         "rel_l2": repr(float(out.norms.l2)),
         "rel_h1": repr(float(out.norms.h1_semi)),
     }
@@ -528,7 +515,7 @@ def run_cut_sweep(cfg: ExperimentConfig, offsets=DEFAULT_SWEEP):
                     f"cut sweep at level {cfg.level}: {out.system.n_global} "
                     f"{space_kind} rows exceed the dense limit {DENSE_LIMIT}")
             try:
-                kappa = condition_estimate(out.system, "dense")
+                kappa = condition_estimate(out.system)
             except NotPositiveDefiniteError:
                 # not SPD in floating point: no condition number to report
                 kappa = float("nan")
@@ -596,14 +583,15 @@ def _constraint_mismatch(serial: SolveOutputs, out: SolveOutputs, perm):
 
 def run_parallel_check(cfg: ExperimentConfig, procs_list,
                        runtime_factory=None) -> dict:
-    """Assert that runs on every P in ``procs_list`` equal the P = 1 run in
-    aggregates, constraints, systems and solver histories; raises
-    EquivalenceError with the first difference.
+    """Assert that runs of ``cfg.space`` on every P in ``procs_list`` equal
+    the P = 1 run in aggregates and constraints (the aggregated space
+    only), systems and solver histories; raises EquivalenceError with the
+    first difference.
 
     Global ids are matched to the serial ones by node code.  Constraints
     and systems must agree exactly; residual histories to 1e-10, as
     distributed inner products sum in another row order."""
-    serial = run_solve_pipeline(replace(cfg, procs=1, space="agg"))
+    serial = run_solve_pipeline(replace(cfg, procs=1))
     A_s, b_s = serial.system.gather()
     n_s = serial.numbering.n_global
     checked = {"procs": [], "aggregate_cells": 0, "constrained_dofs": 0}
@@ -611,26 +599,27 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
         if P == 1:
             checked["procs"].append(1)
             continue
-        sub = replace(cfg, procs=P, space="agg")
         out = run_solve_pipeline(
-            sub, runtime=runtime_factory(P) if runtime_factory else None)
-        mismatch = compare_with_serial(out.meshes, out.dist_map, serial.root_map)
-        if mismatch is not None:
-            s, g, want, got = mismatch
-            raise EquivalenceError(
-                f"P={P}: aggregation differs at cell {g} (subdomain {s}): "
-                f"serial root {want}, parallel root {got}")
-        checked["aggregate_cells"] += serial.classification.n_active
-
+            replace(cfg, procs=P),
+            runtime=runtime_factory(P) if runtime_factory else None)
         if out.numbering.n_global != n_s:
             raise EquivalenceError(
                 f"P={P}: {out.numbering.n_global} global DOF ids, {n_s} "
                 f"serially")
         perm = numbering_permutation(out.numbering, serial.numbering)
-        mismatch = _constraint_mismatch(serial, out, perm)
-        if mismatch is not None:
-            raise EquivalenceError(f"P={P}: {mismatch}")
-        checked["constrained_dofs"] += serial.constraints[0].n_constrained
+        if cfg.space == "agg":
+            mismatch = compare_with_serial(out.meshes, out.dist_map,
+                                           serial.root_map)
+            if mismatch is not None:
+                s, g, want, got = mismatch
+                raise EquivalenceError(
+                    f"P={P}: aggregation differs at cell {g} (subdomain "
+                    f"{s}): serial root {want}, parallel root {got}")
+            checked["aggregate_cells"] += serial.classification.n_active
+            mismatch = _constraint_mismatch(serial, out, perm)
+            if mismatch is not None:
+                raise EquivalenceError(f"P={P}: {mismatch}")
+            checked["constrained_dofs"] += serial.constraints[0].n_constrained
 
         A_d, b_d = out.system.gather()
         inv = np.argsort(perm)   # id at P of each serial id
@@ -660,11 +649,11 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
 def cmd_parallel_check(cfg: ExperimentConfig, procs_list) -> dict:
     os.makedirs(cfg.out, exist_ok=True)
     result = run_parallel_check(cfg, procs_list)
-    rows = [{"geometry": cfg.geometry, "level": cfg.level,
+    rows = [{"geometry": cfg.geometry, "level": cfg.level, "space": cfg.space,
              "procs": ",".join(str(p) for p in result["procs"]),
              "status": "pass"}]
     append_csv(os.path.join(cfg.out, "parallel_check.csv"),
-               ["geometry", "level", "procs", "status"], rows)
+               ["geometry", "level", "space", "procs", "status"], rows)
     return result
 
 

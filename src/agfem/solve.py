@@ -1,5 +1,5 @@
-"""Jacobi-preconditioned conjugate gradients, condition estimation, and
-discretization error norms.
+"""Jacobi-preconditioned conjugate gradients, the exact condition number,
+and discretization error norms.
 
 The solver runs the same code path serially and distributed: a serial
 system is wrapped as a one-process distributed system.  All inner
@@ -11,10 +11,15 @@ that pair.  Convergence is declared on the unpreconditioned residual,
 ||r||/||b|| < rtol, within maxit iterations; non-convergence is
 reported, not raised.  The report's ``reason`` says why the iteration
 ended: ``converged``, ``maxit``, ``breakdown`` (p'Ap not positive) or
-``nonfinite`` (||b|| or p'Ap NaN or infinite).  Error norms take the
-nodal values of every active cell, however the space produced them,
-and run in one batched pass over the bulk points of the flat
-quadrature store, interior cells through one reference element.
+``nonfinite`` (||b|| or p'Ap NaN or infinite).  The report's ``kappa``
+is the condition number of the Jacobi-preconditioned operator, read off
+the extreme Ritz values of the CG recurrence: a lower bound that
+tightens as the iteration resolves both ends of the spectrum.
+``condition_estimate`` gives the exact kappa(A) of a small matrix.
+Error norms take the nodal values of every active cell, however the
+space produced them, and run in one batched pass over the bulk points
+of the flat quadrature store, interior cells through one reference
+element.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ class SolveReport:
     converged: bool
     ritz_min: float | None
     ritz_max: float | None
-    kappa: float | None   # preconditioned-operator estimate from the recurrence
+    kappa: float | None   # Ritz kappa of D^-1 A from the recurrence, None
+                          # before the first step or if ritz_min <= 0
     rtol: float
     maxit: int
     reason: str           # converged, maxit, breakdown or nonfinite
@@ -73,7 +79,7 @@ def _dot_terms(out, r, z):
     return out
 
 
-def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
+def _pcg_body(proc, A, b, row_starts, rtol, maxit):
     s = proc.rank
     my_start, my_end = int(row_starts[s - 1]), int(row_starts[s])
     n_owned = my_end - my_start
@@ -106,13 +112,10 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
             [received[src] for src in sorted(received) if src < s] + [x_own]
             + [received[src] for src in sorted(received) if src > s])
 
-    if precondition:
-        if np.any(diag <= 0):
-            raise NotPositiveDefiniteError(
-                "Jacobi preconditioning needs positive diagonal")
-        inv_diag = 1.0 / diag
-    else:
-        inv_diag = np.ones(n_owned)
+    if np.any(diag <= 0):
+        raise NotPositiveDefiniteError(
+            "Jacobi preconditioning needs positive diagonal")
+    inv_diag = 1.0 / diag
 
     # r'r and r'z share a superstep: z is formed before the convergence
     # test, so the last r'z is computed and not used
@@ -161,8 +164,7 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit, precondition):
 
 
 def pcg_jacobi(system, rtol: float = 1e-6, maxit: int = 500,
-               runtime: VirtualRuntime | None = None, precondition: bool = True,
-               phase: str = "solve"):
+               runtime: VirtualRuntime | None = None, phase: str = "solve"):
     """Solve the SPD system; returns the global solution and a report.
 
     ``system`` is a ``DistributedSystem`` (give the runtime that owns its
@@ -174,8 +176,8 @@ def pcg_jacobi(system, rtol: float = 1e-6, maxit: int = 500,
         runtime = VirtualRuntime(dist.n_subdomains)
     results = runtime.run(
         _pcg_body,
-        args=[(dist.blocks[i], dist.rhs[i], dist.row_starts, rtol, maxit,
-               precondition) for i in range(dist.n_subdomains)],
+        args=[(dist.blocks[i], dist.rhs[i], dist.row_starts, rtol, maxit)
+              for i in range(dist.n_subdomains)],
         phase=phase)
     x = np.concatenate([r[0] for r in results])
     iterations, history, alphas, betas, reason = results[0][1]
@@ -186,42 +188,21 @@ def pcg_jacobi(system, rtol: float = 1e-6, maxit: int = 500,
                           reason=reason)
 
 
-def condition_estimate(system, method: str = "lanczos", maxit: int | None = None,
-                       seed: int = 0) -> float:
-    """Spectral condition number of an SPD matrix.
-
-    ``dense`` computes the exact extreme eigenvalues (n at most
-    ``DENSE_LIMIT``) and raises ``NotPositiveDefiniteError`` when the
-    smallest is not positive; ``lanczos`` runs an unpreconditioned CG
-    recurrence against a seeded random right-hand side and reads the
-    extreme Ritz values off the tridiagonal.
-    """
-    if isinstance(system, DistributedSystem):
-        A, _ = system.gather()
-    else:
-        A = system
-    A = sp.csr_matrix(A)
+def condition_estimate(system) -> float:
+    """Exact spectral condition number of an SPD matrix of order at most
+    ``DENSE_LIMIT``, from its extreme eigenvalues; raises
+    ``NotPositiveDefiniteError`` when the smallest is not positive."""
+    A = system.gather()[0] if isinstance(system, DistributedSystem) else system
     n = A.shape[0]
-    if method == "dense":
-        if n > DENSE_LIMIT:
-            raise ValueError(f"dense estimate limited to n <= {DENSE_LIMIT}, "
-                             f"got {n}")
-        eig = scipy.linalg.eigvalsh(A.toarray())
-        if not eig[0] > 0.0:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: smallest eigenvalue "
-                f"{float(eig[0])!r}")
-        return float(eig[-1] / eig[0])
-    if method != "lanczos":
-        raise ValueError(f"unknown method {method!r}")
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal(n)
-    _, report = pcg_jacobi((A, b), rtol=1e-300,
-                           maxit=maxit if maxit is not None else n,
-                           precondition=False)
-    if report.kappa is None:
-        raise ValueError("recurrence produced no Ritz values")
-    return report.kappa
+    if n > DENSE_LIMIT:
+        raise ValueError(f"dense estimate limited to n <= {DENSE_LIMIT}, "
+                         f"got {n}")
+    eig = scipy.linalg.eigvalsh(sp.csr_matrix(A).toarray())
+    if not eig[0] > 0.0:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite: smallest eigenvalue "
+            f"{float(eig[0])!r}")
+    return float(eig[-1] / eig[0])
 
 
 def _solution_chunks(space, quad, nodal):

@@ -11,11 +11,13 @@ import scipy.sparse as sp
 from agfem.aggregation import aggregate_serial
 from agfem.assembly import assemble_serial, poisson_elements
 from agfem.distspace import numbering_permutation
-from agfem.experiments import (ConfigError, EquivalenceError, ExperimentConfig,
-                               cmd_convergence, cmd_solve, fit_order,
-                               load_config, manufactured_solution,
-                               run_cut_sweep, run_parallel_check,
-                               run_solve_pipeline, run_weight_study)
+from agfem.experiments import (RECORD_FIELDS, RECORD_SCHEMA_VERSION,
+                               ConfigError, EquivalenceError, ExperimentConfig,
+                               cmd_convergence, cmd_parallel_check, cmd_solve,
+                               fit_order, load_config, make_run_record,
+                               manufactured_solution, run_cut_sweep,
+                               run_parallel_check, run_solve_pipeline,
+                               run_weight_study)
 from agfem.fespace import build_constraints_serial, classify_dofs
 from agfem.runtime import VirtualRuntime
 
@@ -41,10 +43,12 @@ def test_load_config_file_and_overrides(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path):
+    # weight and seed were keys of schema 1 that nothing read
     path = tmp_path / "run.cfg"
-    path.write_text("mesh_size = 4\n")
-    with pytest.raises(ConfigError, match="unknown config key"):
-        load_config(str(path))
+    for line in ("mesh_size = 4", "weight = 10.0", "seed = 0"):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(str(path))
 
 
 def test_invalid_values_rejected():
@@ -74,6 +78,43 @@ def test_cmd_solve_writes_record_and_dumps(tmp_path):
         phases = [row["phase"] for row in csv.DictReader(fh)]
     assert phases[:2] == ["classify", "quadrature"]
     assert phases[-1] == "record" and phases.count("record") == 1
+
+
+def test_runs_csv_header_is_the_record_schema(tmp_path):
+    record = cmd_solve(ExperimentConfig(level=3, out=str(tmp_path)).validate())
+    with open(tmp_path / "runs.csv") as fh:
+        header = next(csv.reader(fh))
+    assert header == RECORD_FIELDS == list(record)
+    assert "weight" not in header and "seed" not in header
+    assert record["schema_version"] == RECORD_SCHEMA_VERSION == 2
+
+
+def test_solve_runs_one_cg_and_records_its_ritz_kappa(monkeypatch, tmp_path):
+    import agfem.experiments as ex
+
+    phases = []
+    run = VirtualRuntime.run
+
+    def recording(self, body, args=None, phase="", *rest, **kwargs):
+        phases.append(phase)
+        return run(self, body, args, phase, *rest, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve run called condition_estimate")
+
+    monkeypatch.setattr(VirtualRuntime, "run", recording)
+    monkeypatch.setattr(ex, "condition_estimate", refuse)
+    for procs in (1, 4):
+        phases.clear()
+        cfg = ExperimentConfig(level=4, procs=procs,
+                               out=str(tmp_path / str(procs))).validate()
+        cmd_solve(cfg)
+        assert phases.count("solve") == 1
+    out = run_solve_pipeline(cfg)
+    assert out.report.kappa is not None
+    assert make_run_record(cfg, out)["kappa_est"] == repr(out.report.kappa)
+    out.report = replace(out.report, kappa=None)
+    assert make_run_record(cfg, out)["kappa_est"] == "nan"
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -178,31 +219,55 @@ def test_parallel_check_detects_injected_fault():
 def test_parallel_check_detects_a_rounding_level_assembly_fault():
     # one exchanged assembly value off by a relative 1e-14 is within any
     # tolerance-based comparison; the systems must agree exactly
-    cfg = ExperimentConfig(level=4).validate()
-    nudged = []
+    for space in ("agg", "std"):
+        cfg = ExperimentConfig(level=4, space=space).validate()
+        nudged = []
 
-    def nudge(phase, superstep, src, dst, payload):
-        if phase == "assembly" and not nudged:
-            key, cell, val = payload
-            k = int(np.flatnonzero(val)[0])
-            val = val.copy()
-            val[k] *= 1.0 + 1e-14
-            nudged.append((src, dst, k))
-            payload = (key, cell, val)
-        return payload
+        def nudge(phase, superstep, src, dst, payload):
+            if phase == "assembly" and not nudged:
+                key, cell, val = payload
+                k = int(np.flatnonzero(val)[0])
+                val = val.copy()
+                val[k] *= 1.0 + 1e-14
+                nudged.append((src, dst, k))
+                payload = (key, cell, val)
+            return payload
 
-    def factory(n_parts):
-        return VirtualRuntime(n_parts, payload_filter=nudge)
+        def factory(n_parts):
+            return VirtualRuntime(n_parts, payload_filter=nudge)
 
-    with pytest.raises(EquivalenceError, match="assembled"):
-        run_parallel_check(cfg, [4], runtime_factory=factory)
-    assert nudged
+        with pytest.raises(EquivalenceError, match="assembled"):
+            run_parallel_check(cfg, [4], runtime_factory=factory)
+        assert nudged
 
 
 def test_parallel_check_passes_clean():
-    cfg = ExperimentConfig(level=3).validate()
-    result = run_parallel_check(cfg, [1, 2, 4])
-    assert result["procs"] == [1, 2, 4]
+    for space in ("agg", "std"):
+        cfg = ExperimentConfig(level=3, space=space).validate()
+        result = run_parallel_check(cfg, [1, 2, 4])
+        assert result["procs"] == [1, 2, 4]
+        assert (result["constrained_dofs"] > 0) == (space == "agg")
+
+
+def test_parallel_check_checks_and_records_the_configured_space(monkeypatch,
+                                                                tmp_path):
+    import agfem.experiments as ex
+
+    spaces = []
+    pipeline = ex.run_solve_pipeline
+
+    def recording(cfg, *args, **kwargs):
+        spaces.append(cfg.space)
+        return pipeline(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "run_solve_pipeline", recording)
+    cfg = ExperimentConfig(space="std", level=3, out=str(tmp_path)).validate()
+    cmd_parallel_check(cfg, [1, 2])
+    assert spaces == ["std", "std"]
+    with open(tmp_path / "parallel_check.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [{"geometry": "circle", "level": "3", "space": "std",
+                     "procs": "1,2", "status": "pass"}]
 
 
 def test_distributed_run_builds_no_serial_system(monkeypatch):

@@ -31,8 +31,7 @@ def test_diagonal_system_closed_form():
     x, report = pcg_jacobi((A, b), rtol=1e-12)
     assert report.converged
     assert np.allclose(x, [1.0, 0.01], atol=1e-12)
-    assert condition_estimate(A, "dense") == pytest.approx(100.0)
-    assert condition_estimate(A, "lanczos") == pytest.approx(100.0, rel=1e-6)
+    assert condition_estimate(A) == pytest.approx(100.0)
 
 
 def test_nonconvergence_is_reported_not_raised():
@@ -53,21 +52,19 @@ def test_zero_rhs():
 
 
 def test_condition_estimates():
-    assert condition_estimate(sp.identity(30, format="csr"), "dense") == \
+    assert condition_estimate(sp.identity(30, format="csr")) == \
         pytest.approx(1.0)
     A = sp.diags(np.arange(1.0, 11.0)).tocsr()
-    assert condition_estimate(A, "dense") == pytest.approx(10.0)
+    assert condition_estimate(A) == pytest.approx(10.0)
     big = sp.identity(2001, format="csr")
     with pytest.raises(ValueError, match="2000"):
-        condition_estimate(big, "dense")
-    with pytest.raises(ValueError, match="unknown method"):
-        condition_estimate(A, "qr")
+        condition_estimate(big)
 
 
 def test_condition_estimate_rejects_an_indefinite_matrix():
     A = sp.diags([1.0, -1.0, 1.0]).tocsr()
     with pytest.raises(ValueError, match="smallest eigenvalue -1.0"):
-        condition_estimate(A, "dense")
+        condition_estimate(A)
 
 
 def _circle_system(level, rtol=1e-6, g=None, f=None):
@@ -88,13 +85,6 @@ def _norms(space, dofs, cons, quad, x, u, gu):
     """Error norms of a reduced vector of the serial reference space."""
     nodal = prolongate(dofs, cons, x)[space.cell_dofs - 1]
     return error_norms(space, quad, nodal, u, gu)
-
-
-def test_lanczos_close_to_dense_on_fe_system():
-    space, dofs, cons, quad, A, b = _circle_system(4)
-    dense = condition_estimate(A, "dense")
-    lanczos = condition_estimate(A, "lanczos")
-    assert abs(lanczos - dense) <= 0.1 * dense
 
 
 def test_interpolant_has_zero_error():
@@ -139,10 +129,11 @@ def test_galerkin_consistency_for_in_span_solution():
 
 
 def test_breakdown_stops_unconverged():
-    # p'Ap = 0 in the first step: the iteration ends instead of dividing
-    A = sp.diags([1.0, -1.0, 1.0]).tocsr()
-    b = np.array([1.0, 1.0, 0.0])
-    x, report = pcg_jacobi((A, b), rtol=1e-10, maxit=10, precondition=False)
+    # positive diagonal, indefinite: p'Ap = -2 in the first step, and the
+    # iteration ends instead of dividing
+    A = sp.csr_matrix([[1.0, 2.0], [2.0, 1.0]])
+    b = np.array([1.0, -1.0])
+    x, report = pcg_jacobi((A, b), rtol=1e-10, maxit=10)
     assert not report.converged and report.reason == "breakdown"
     assert np.all(np.isfinite(x))
     assert np.all(np.isfinite(report.residual_history))
