@@ -1,27 +1,28 @@
 """Nitsche-Poisson element integration and constrained assembly.
 
-Element matrices carry the bulk gradient term plus the weak-Dirichlet
-boundary terms; the penalty is either beta/h (aggregated spaces, robust
-for any cut) or beta times the largest generalized eigenvalue of the
-boundary/volume pencil per cut cell (standard spaces, which blows up as
-the kept volume shrinks).  Elements come as two arrays, matrices
-(n_active, m, m) and vectors (n_active, m).  Interior cells share one
-reference element: their common box rule gives one stiffness matrix
-and one table of shape values for the load vectors.  Cut cells and the
-interface are integrated point by point in fixed-size chunks of the
-flat quadrature store; each cell sums its points in store order.
-Assembly is one kernel run per subdomain on the virtual runtime, serial
-being the one-process case.  It forms A = C^T A_e C, C the extension
-operator, as per-cell sums: a cell whose DOFs are all free has unit
-rows in C, so its element entries are its sums as they stand; the other
-cells are expanded through C in batches of about ``CHUNK_PRODUCTS``
-products and summed per (cell, row, col) on one int64 key.  The sums
-form one stream in global-cell order, and after one routed exchange
-each row owner runs one stable sort on the key row * (n + 1) + col + 1,
-so every (row, col) sums its cells in global-cell order.  That order
-depends on neither the partition nor the numbering, so serial and
-distributed systems are bitwise equal; entries summing to zero are not
-stored.
+Elements are Q1 on the cells of the ``CellClassification``: no space
+object is needed to integrate them.  Element matrices carry the bulk
+gradient term plus the weak-Dirichlet boundary terms; the penalty is
+either beta/h (aggregated spaces, robust for any cut) or beta times the
+largest generalized eigenvalue of the boundary/volume pencil per cut
+cell (standard spaces, which blows up as the kept volume shrinks).
+Elements come as two arrays, matrices (n_active, m, m) and vectors
+(n_active, m), m = 2**d.  Interior cells share one reference element:
+their common box rule gives one stiffness matrix and one table of shape
+values for the load vectors.  Cut cells and the interface are integrated
+point by point in fixed-size chunks of the flat quadrature store; each
+cell sums its points in store order.  Assembly is one kernel run per
+subdomain on the virtual runtime, serial being the one-process case.  It
+forms A = C^T A_e C, C the extension operator, as per-cell sums: a cell
+whose DOFs are all free has unit rows in C, so its element entries are
+its sums as they stand; the other cells are expanded through C in
+batches of about ``CHUNK_PRODUCTS`` products and summed per (cell, row,
+col) on one int64 key.  The sums form one stream in global-cell order,
+and after one routed exchange each row owner runs one stable sort on the
+key row * (n + 1) + col + 1, so every (row, col) sums its cells in
+global-cell order.  That order depends on neither the partition nor the
+numbering, so serial and distributed systems are bitwise equal; entries
+summing to zero are not stored.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.linalg
 
-from .fespace import StdSpace, extension_operator, shape_gradients, shape_values
-from .geometry import QuadratureStore, point_chunks
+from .fespace import extension_operator, shape_gradients, shape_values
+from .geometry import CellClassification, QuadratureStore, point_chunks
 from .runtime import VirtualRuntime
 
 
@@ -52,13 +53,8 @@ def nitsche_tau_agg(h: float, beta: float) -> float:
     return beta / h
 
 
-def _constant_complement(m: int) -> np.ndarray:
-    ones = np.ones((1, m))
-    return scipy.linalg.null_space(ones)
-
-
-def nitsche_tau_std(space: StdSpace, cell_id: int, quad: QuadratureStore,
-                    beta: float) -> float:
+def nitsche_tau_std(cls: CellClassification, cell_id: int,
+                    quad: QuadratureStore, beta: float) -> float:
     """Cell-wise penalty for the standard space from the local eigenproblem.
 
     Assembles the volume form V (gradient products over the kept region)
@@ -71,18 +67,16 @@ def nitsche_tau_std(space: StdSpace, cell_id: int, quad: QuadratureStore,
     bnd = slice(*quad.boundary_offsets[cell_id - 1:cell_id + 1])
     if bnd.start == bnd.stop:
         raise ValueError(f"cell {cell_id} has no boundary rule")
-    grid = space.classification.grid
-    d = grid.d
-    q = space.q
-    xi = space.reference_coords(cell_id, quad.points[bulk])
-    grads = shape_gradients(q, d, xi) / grid.h
+    grid = cls.grid
+    xi = cls.reference_coords(cell_id, quad.points[bulk])
+    grads = shape_gradients(xi) / grid.h
     V = np.einsum("nad,nbd,n->ab", grads, grads, quad.weights[bulk])
-    xib = space.reference_coords(cell_id, quad.boundary_points[bnd])
-    gradsb = shape_gradients(q, d, xib) / grid.h
+    xib = cls.reference_coords(cell_id, quad.boundary_points[bnd])
+    gradsb = shape_gradients(xib) / grid.h
     gn = np.einsum("nad,nd->na", gradsb, quad.boundary_normals[bnd])
     B = np.einsum("na,nb,n->ab", gn, gn, quad.boundary_weights[bnd])
 
-    Z = _constant_complement(V.shape[0])
+    Z = scipy.linalg.null_space(np.ones((1, V.shape[0])))
     Vh = Z.T @ V @ Z
     Bh = Z.T @ B @ Z
     floor = nitsche_tau_agg(float(np.min(grid.h)), beta)
@@ -108,16 +102,15 @@ def _add_weighted_runs(out, cells, w, vals):
         (-1,) + out.shape[1:])
 
 
-def reference_tables(space: StdSpace, quad: QuadratureStore):
+def reference_tables(cls: CellClassification, quad: QuadratureStore):
     """Shape values (n_box, m) and physical gradients (n_box, m, d) at the
     box rule that every interior cell of ``quad`` holds."""
-    grid = space.classification.grid
-    return (shape_values(space.q, grid.d, quad.box_points),
-            shape_gradients(space.q, grid.d, quad.box_points) / grid.h)
+    return (shape_values(quad.box_points),
+            shape_gradients(quad.box_points) / cls.grid.h)
 
 
-def poisson_elements(space: StdSpace, quad: QuadratureStore, taus, f=None,
-                     g=None):
+def poisson_elements(cls: CellClassification, quad: QuadratureStore, taus,
+                     f=None, g=None):
     """Element matrices (n_active, m, m) and vectors (n_active, m) of the
     weak-Dirichlet Poisson form, for every active cell in id order:
 
@@ -131,13 +124,11 @@ def poisson_elements(space: StdSpace, quad: QuadratureStore, taus, f=None,
     shape values.  Cut cells and interface points are integrated point
     by point, in chunks of ``CHUNK_POINTS`` points.
     """
-    cls = space.classification
-    d, q, h = cls.grid.d, space.q, cls.grid.h
-    m = space.nodes_per_cell
+    h, m = cls.grid.h, 2 ** cls.grid.d
     taus = np.asarray(taus, dtype=np.float64)
     mats = np.zeros((cls.n_active, m, m))
     vecs = np.zeros((cls.n_active, m))
-    vals_ref, grads_ref = reference_tables(space, quad)
+    vals_ref, grads_ref = reference_tables(cls, quad)
     mats[cls.interior_ids - 1] = np.einsum("nad,nbd,n->ab", grads_ref,
                                            grads_ref, quad.box_weights)
     if f is not None:
@@ -146,19 +137,19 @@ def poisson_elements(space: StdSpace, quad: QuadratureStore, taus, f=None,
             vecs[cells - 1] = (fw * quad.box_weights) @ vals_ref
     for cells, rows in quad.cut_chunks(cls.cut_ids):
         pts, w = quad.points[rows], quad.weights[rows]
-        xi = space.reference_coords(cells, pts)
-        grads = shape_gradients(q, d, xi) / h
+        xi = cls.reference_coords(cells, pts)
+        grads = shape_gradients(xi) / h
         _add_weighted_runs(mats, cells, w,
                            grads @ np.ascontiguousarray(grads.transpose(0, 2, 1)))
         if f is not None:
             _add_weighted_runs(vecs, cells, w * np.asarray(f(pts)),
-                               shape_values(q, d, xi))
+                               shape_values(xi))
     for sl in point_chunks(quad.boundary_weights.size):
         cells, pts = quad.boundary_cells(sl), quad.boundary_points[sl]
         w, tau = quad.boundary_weights[sl], taus[cells - 1]
-        xi = space.reference_coords(cells, pts)
-        vals = shape_values(q, d, xi)
-        gn = np.einsum("nad,nd->na", shape_gradients(q, d, xi) / h,
+        xi = cls.reference_coords(cells, pts)
+        vals = shape_values(xi)
+        gn = np.einsum("nad,nd->na", shape_gradients(xi) / h,
                        quad.boundary_normals[sl])
         # tau v v^T - v gn^T - gn v^T = v c^T + c v^T, c = tau v / 2 - gn
         vc = vals[:, :, None] * (0.5 * tau[:, None] * vals - gn)[:, None, :]
@@ -374,10 +365,10 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     return A, b, staged
 
 
-def assemble_serial(space: StdSpace, dofs, constraints, elements):
-    """Assemble (A, b) over the free DOFs from the element arrays
-    ``elements = (matrices, vectors)`` of every active cell: the kernel on
-    one process.
+def assemble_serial(space, dofs, constraints, elements):
+    """Assemble (A, b) of the serial ``StdSpace`` ``space`` over the free
+    DOFs from the element arrays ``elements = (matrices, vectors)`` of
+    every active cell: the kernel on one process.
 
     With constraints the system lives on the interior rows and constrained
     entries land on their masters weighted by the extrapolation

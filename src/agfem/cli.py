@@ -26,7 +26,7 @@ _NUMERICAL_ERRORS = (
     AggregationStalledError, AggregateValidationError, AssemblyError,
     TauUnboundedError, ImportProtocolError, PathReconstructionError,
     MissingImportError, ClassificationError, RuntimeProtocolError,
-    GridError, PartitionError, NotPositiveDefiniteError,
+    GridError, NotPositiveDefiniteError,
 )
 
 
@@ -77,7 +77,7 @@ def _parse_list(raw, cast):
 def _dispatch(fn):
     try:
         fn()
-    except ex.ConfigError as exc:
+    except (ex.ConfigError, PartitionError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(ex.EXIT_CONFIG)
     except ex.EquivalenceError as exc:

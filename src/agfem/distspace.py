@@ -1,23 +1,23 @@
 """Distributed DOF numbering and aggregation constraints.
 
-Every step runs on arrays over the view's cells, with each node named by
-one int64 code of its lattice key (``fespace.encode_node_keys``).  The
-nodes of one set of cells, the interior cells for the aggregated space
-and every active cell for the standard space, receive contiguous,
-sequentially increasing global ids: a node is owned by the smallest
-subdomain id among the numbered cells touching it (one
-``np.minimum.at`` over the relevant numbered cells), every subdomain
-numbers the nodes it owns in first-touch order over its local numbered
-cells, and an exclusive scan turns the owned counts into ranges.  The
-ids a subdomain knows live in one table of (code, global id) pairs
-sorted by code and read with ``searchsorted``.  Cell-wise id arrays are
-completed through halo exchanges of ``(n_cells, m)`` id rows, merged
-into the table with one lexsort per round.  Two rounds are needed: after
-the first, a ghost cell's owner knows the whole cell-wise array
-including ids owned by third parties; the second round relays those to
-everyone holding the cell as a ghost.  Rows of cut cells keep -1 where a
-node has no id known here (it touches no numbered cell, or none that is
-locally relevant); nothing reads those entries.
+Every step runs on arrays over the view's cells, with each Q1 node, a
+cell vertex, named by one int64 code of its lattice key
+(``fespace.encode_node_keys``).  The nodes of one set of cells, the
+interior cells for the aggregated space and every active cell for the
+standard space, receive contiguous, sequentially increasing global ids:
+a node is owned by the smallest subdomain id among the numbered cells
+touching it (one ``np.minimum.at`` over the relevant numbered cells),
+every subdomain numbers the nodes it owns in first-touch order over its
+local numbered cells, and an exclusive scan turns the owned counts into
+ranges.  The ids a subdomain knows live in one table of (code, global
+id) pairs sorted by code and read with ``searchsorted``.  Cell-wise id
+arrays are completed through halo exchanges of ``(n_cells, m)`` id rows,
+merged into the table with one lexsort per round.  Two rounds are
+needed: after the first, a ghost cell's owner knows the whole cell-wise
+array including ids owned by third parties; the second round relays
+those to everyone holding the cell as a ghost.  Rows of cut cells keep
+-1 where a node has no id known here (it touches no numbered cell, or
+none that is locally relevant); nothing reads those entries.
 
 Constrained DOFs never get global ids; each subdomain expresses them by
 local id against global master ids, importing root-cell data when the
@@ -42,7 +42,7 @@ import numpy as np
 from .aggregation import DistRootMap
 from .distagg import RootDataBuffer
 from .fespace import (AgConstraints, _first_touch_ids, encode_node_keys,
-                      extension_operator, node_offsets, shape_values)
+                      extension_operator, shape_values)
 from .geometry import INTERIOR
 from .partition import SubdomainMesh, _lookup
 from .runtime import RuntimeProtocolError
@@ -58,7 +58,6 @@ class DistSpacePiece:
 
     s: int
     mesh: SubdomainMesh
-    q: int
     node_keys: np.ndarray        # (n_j, d) lattice keys of local-cell nodes
     node_codes: np.ndarray       # (n_j,) their int64 codes
     node_coords: np.ndarray      # (n_j, d)
@@ -125,21 +124,19 @@ def _merge_ids(s: int, codes, gids, new_codes, new_gids):
     return codes[keep], gids[keep]
 
 
-def _numbering_body(proc, mesh: SubdomainMesh, q: int, interior_only: bool):
+def _numbering_body(proc, mesh: SubdomainMesh, interior_only: bool):
     s = proc.rank
     grid = mesh.classification.grid
-    offs = node_offsets(q, grid.d)
-    m = offs.shape[0]
+    m = 2 ** grid.d
     n_local = mesh.n_local
-    keys = (mesh.classification.id_to_lattice[mesh.global_ids - 1][:, None, :]
-            * q + offs)                                   # (n_relevant, m, d)
-    codes = encode_node_keys(keys, q, grid.n_per_axis)   # (n_relevant, m)
+    keys = mesh.classification.vertex_keys(mesh.global_ids)  # (n_rel, m, d)
+    codes = encode_node_keys(keys, grid.n_per_axis)          # (n_rel, m)
 
     # local DOF numbering: first touch over local cells ascending global id
     flat_j, n_j, first = _first_touch_ids(codes[:n_local].ravel())
     cell_j = flat_j.reshape(n_local, m)
     node_keys = keys[:n_local].reshape(-1, grid.d)[first]
-    node_coords = grid.origin + node_keys * (grid.h / q)
+    node_coords = grid.origin + node_keys * grid.h
     j_codes = codes[:n_local].ravel()[first]
     by_j = np.argsort(j_codes)
     j_of = np.concatenate([cell_j, _lookup(j_codes[by_j], by_j + 1,
@@ -204,7 +201,7 @@ def _numbering_body(proc, mesh: SubdomainMesh, q: int, interior_only: bool):
 
     total = yield proc.sum_ordered(np.array([float(n_owned)]))
     piece = DistSpacePiece(
-        s=s, mesh=mesh, q=q, node_keys=node_keys, node_codes=j_codes,
+        s=s, mesh=mesh, node_keys=node_keys, node_codes=j_codes,
         node_coords=node_coords, cell_j=cell_j, cell_g=cell_g,
         j_interior=j_interior, own_local_cell=own_local_cell,
         owned_start=owned_start, n_owned=n_owned, gid_codes=gid_codes,
@@ -212,14 +209,13 @@ def _numbering_body(proc, mesh: SubdomainMesh, q: int, interior_only: bool):
     return piece, int(total)
 
 
-def number_dofs_distributed(runtime, meshes, q: int = 1,
-                            phase: str = "numbering",
+def number_dofs_distributed(runtime, meshes, phase: str = "numbering",
                             interior_only: bool = True) -> DistNumbering:
     """Assign global ids to the DOFs of the interior cells across all
     subdomains, or of every active cell with ``interior_only=False``."""
     neighbor_sets = [set(int(x) for x in m.neighbors) for m in meshes]
     results = runtime.run(
-        _numbering_body, args=[(m, q, interior_only) for m in meshes],
+        _numbering_body, args=[(m, interior_only) for m in meshes],
         phase=phase, neighbor_sets=neighbor_sets)
     return DistNumbering(pieces=[r[0] for r in results],
                          n_global=results[0][1])
@@ -279,7 +275,7 @@ def build_constraints_distributed(piece: DistSpacePiece,
             f"subdomain {s}: root cell {int(roots[i])} carries unresolved "
             f"master ids")
     xi = (piece.node_coords[out_js - 1] - lo) / h
-    coeffs = shape_values(piece.q, grid.d, xi)
+    coeffs = shape_values(xi)
     return AgConstraints(constrained=out_js, masters=masters, coeffs=coeffs)
 
 

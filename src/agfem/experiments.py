@@ -22,9 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import svg
-# aggregate_serial, assemble_serial, build_constraints_serial and
-# classify_dofs are not called here; they stay importable from this
-# module for perfbench, which wraps the pipeline's layers by name
+# aggregate_serial, assemble_serial, build_constraints_serial,
+# build_std_space, classify_dofs and face_is_active are not called here;
+# they stay importable from this module for perfbench, which wraps the
+# pipeline's layers by name
 from .aggregation import (aggregate_parallel, aggregate_serial, aggregates,
                           compare_with_serial, gather_root_map)
 from .assembly import (DistributedSystem, assemble_distributed,
@@ -34,7 +35,8 @@ from .distagg import build_direct_plan, build_inverse_plan, import_root_data
 from .distspace import (build_constraints_distributed, nodal_values,
                         number_dofs_distributed, numbering_permutation,
                         root_cell_data_provider)
-from .fespace import build_constraints_serial, build_std_space, classify_dofs
+from .fespace import (build_constraints_serial, build_std_space,
+                      classify_dofs, encode_node_keys)
 from .geometry import classify_cells, cut_quadrature, face_is_active
 from .grid import unit_box_grid
 from .levelset import HalfPlane, Popcorn, Sphere
@@ -56,6 +58,9 @@ SOLUTIONS = ("linear", "sine")
 DUMPS = ("aggregates", "constraints", "matrix")
 
 OFFSET_CIRCLE_CENTER = (0.531, 0.472, 0.515)
+
+# polynomial degree the cut and box rules integrate exactly
+QUAD_ORDER = 4
 
 
 class ConfigError(ValueError):
@@ -80,7 +85,6 @@ class ExperimentConfig:
     threads: int = 1
     dump: tuple = ()
     solution: str = "linear"
-    quad_order: int = 4
     trace: int = 0
     radius: float = 0.3
     center: tuple = (0.5, 0.5)
@@ -103,7 +107,7 @@ class ExperimentConfig:
         for name in ("beta", "rtol", "radius"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("maxit", "procs", "threads", "quad_order"):
+        for name in ("maxit", "procs", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for d in self.dump:
@@ -235,7 +239,6 @@ class SolveOutputs:
     grid: object
     levelset: object
     classification: object
-    space: object
     quadrature: object
     taus: np.ndarray
     system: DistributedSystem
@@ -254,10 +257,11 @@ class SolveOutputs:
 
     @property
     def n_interior_dofs(self) -> int:
-        """The DOFs of interior cells: for the aggregated space, its free
-        DOFs."""
+        """The DOFs of interior cells: the distinct vertices of the
+        interior cells (for the aggregated space, its free DOFs)."""
         cls = self.classification
-        return int(np.unique(self.space.cell_dofs[cls.interior_ids - 1]).size)
+        return int(np.unique(encode_node_keys(
+            cls.vertex_keys(cls.interior_ids), cls.grid.n_per_axis)).size)
 
 
 def geometry_setup(cfg: ExperimentConfig, level=None):
@@ -268,7 +272,7 @@ def geometry_setup(cfg: ExperimentConfig, level=None):
     return grid, ls, cls, functools.partial(face_is_active, cls)
 
 
-def penalty_per_cell(cfg, space, cls, quad):
+def penalty_per_cell(cfg, cls, quad):
     """Per-cell Nitsche penalty: beta/h for agg, eigenproblem for std."""
     h = float(np.min(cls.grid.h))
     taus = np.zeros(cls.n_active)
@@ -276,7 +280,7 @@ def penalty_per_cell(cfg, space, cls, quad):
         taus[:] = nitsche_tau_agg(h, cfg.beta)
         return taus
     for k in np.flatnonzero(np.diff(quad.boundary_offsets)) + 1:
-        taus[k - 1] = nitsche_tau_std(space, int(k), quad, cfg.beta)
+        taus[k - 1] = nitsche_tau_std(cls, int(k), quad, cfg.beta)
     return taus
 
 
@@ -294,7 +298,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
     with timer.time("classify"):
         grid, ls, cls, _ = geometry_setup(cfg, level)
     with timer.time("quadrature"):
-        quad = cut_quadrature(grid, ls, cls, cfg.quad_order)
+        quad = cut_quadrature(grid, ls, cls, QUAD_ORDER)
     if runtime is None:
         runtime = VirtualRuntime(cfg.procs, threads=cfg.threads,
                                  trace=bool(cfg.trace))
@@ -312,7 +316,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
             direct = [build_direct_plan(m, dist_map) for m in meshes]
             inverse = build_inverse_plan(runtime, meshes, dist_map)
     with timer.time("numbering"):
-        numbering = number_dofs_distributed(runtime, meshes, 1,
+        numbering = number_dofs_distributed(runtime, meshes,
                                             interior_only=agg)
     constraints = [None] * cfg.procs
     if agg:
@@ -323,11 +327,10 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
             constraints = [build_constraints_distributed(p, dist_map, bf)
                            for p, bf in zip(numbering.pieces, buffers)]
     with timer.time("space"):
-        space = build_std_space(cls, 1)
-        taus = penalty_per_cell(cfg, space, cls, quad)
+        taus = penalty_per_cell(cfg, cls, quad)
     u, grad_u, f = manufactured_solution(cfg)
     with timer.time("assemble"):
-        elements = poisson_elements(space, quad, taus, f, u)
+        elements = poisson_elements(cls, quad, taus, f, u)
         system = assemble_distributed(runtime, numbering, constraints,
                                       elements)
     with timer.time("solve"):
@@ -335,9 +338,9 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
                                runtime=runtime)
     with timer.time("norms"):
         nodal = nodal_values(numbering, constraints, x, cls.n_active)
-        norms = error_norms(space, quad, nodal, u, grad_u)
+        norms = error_norms(cls, quad, nodal, u, grad_u)
     return SolveOutputs(cfg=cfg, grid=grid, levelset=ls, classification=cls,
-                        space=space, quadrature=quad, taus=taus,
+                        quadrature=quad, taus=taus,
                         system=system, solution=x, report=report, norms=norms,
                         timings=timer.timings, runtime=runtime,
                         meshes=meshes, numbering=numbering,

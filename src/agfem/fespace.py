@@ -1,19 +1,19 @@
-"""Conforming Lagrangian spaces on the active mesh and the aggregation
-constraints.
+"""The aggregated Q1 space: shape functions, node codes, the extension
+operator and the serial reference space.
 
-Global node ids are assigned first-touch while scanning active cells in
-ascending id order (x-fastest within each cell), so shared faces reuse
-ids and the numbering is reproducible.  Exterior DOFs (touched only by
-cut cells) are constrained to the full DOF set of their root cell with
-extrapolation coefficients; interior DOFs stay free and index the rows
-of the reduced linear system.
+Q1 is the only space.  Its nodes are the vertices of the active cells,
+in corner order (``grid.corner_offsets``, x fastest), and every node is
+named by one int64 code of its vertex lattice key.  Exterior DOFs
+(touched only by cut cells) are constrained to the full DOF set of their
+root cell with extrapolation coefficients; interior DOFs stay free and
+index the rows of the reduced linear system.
 
 The solve pipeline numbers both spaces, and constrains the aggregated
-one, through ``distspace`` for every process count; on one subdomain
-the standard space's global ids are the node ids built here.
+one, through ``distspace`` for every process count; elements, penalties
+and norms read the cells of the ``CellClassification``.  ``StdSpace``
+(global node ids first-touch over active cells in ascending id order),
 ``classify_dofs`` and ``build_constraints_serial`` are the independent
-serial reference that the tests check it against.  The shape functions,
-node codes and the extension operator here serve both.
+serial reference that the tests check it against.
 """
 
 from __future__ import annotations
@@ -27,78 +27,49 @@ from .aggregation import RootMap
 from .geometry import CellClassification
 
 
-def node_offsets(q: int, d: int) -> np.ndarray:
-    """Cell-local node lattice offsets, x varying fastest: ((q+1)**d, d)."""
-    m = (q + 1) ** d
-    out = np.zeros((m, d), dtype=np.int64)
-    for a in range(m):
-        rest = a
-        for axis in range(d):
-            out[a, axis] = rest % (q + 1)
-            rest //= q + 1
+def _axis_factors(xi) -> np.ndarray:
+    """The factors (1 - xi, xi) of each axis at reference points xi (n, d),
+    points last: (d, 2, n).  1 - xi is formed as -(xi - 1), so a value
+    that vanishes at xi = 1 is -0.0, as the constraint dumps print it."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64)).T
+    return np.stack([-(xi - 1.0), xi], axis=1)
+
+
+def _tensor_products(factors: np.ndarray) -> np.ndarray:
+    """Products (2**d, n) of per-axis factors (d, 2, n), one per cell
+    corner in corner order, multiplied in axis order."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = (f[:, None, :] * out[None, :, :]).reshape(2 * len(out), -1)
     return out
 
 
-def _lagrange_1d(q: int, xi: np.ndarray) -> np.ndarray:
-    """Values of the q+1 equispaced 1D Lagrange polynomials: (..., q+1)."""
-    xi = np.asarray(xi, dtype=np.float64)
-    nodes = np.arange(q + 1) / q
-    out = np.ones(xi.shape + (q + 1,))
-    for a in range(q + 1):
-        for m in range(q + 1):
-            if m != a:
-                out[..., a] *= (xi - nodes[m]) / (nodes[a] - nodes[m])
-    return out
+def shape_values(xi: np.ndarray) -> np.ndarray:
+    """Q1 shape values at reference points xi (n, d): (n, 2**d), the
+    tensor products of (1 - xi, xi) in corner order.
 
-
-def _lagrange_1d_deriv(q: int, xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, dtype=np.float64)
-    nodes = np.arange(q + 1) / q
-    out = np.zeros(xi.shape + (q + 1,))
-    for a in range(q + 1):
-        for m in range(q + 1):
-            if m == a:
-                continue
-            term = np.ones_like(xi) / (nodes[a] - nodes[m])
-            for r in range(q + 1):
-                if r != a and r != m:
-                    term *= (xi - nodes[r]) / (nodes[a] - nodes[r])
-            out[..., a] += term
-    return out
-
-
-def shape_values(q: int, d: int, xi: np.ndarray) -> np.ndarray:
-    """Tensor Lagrange shape values at reference points xi: (n, (q+1)**d).
-
-    Reference coordinates may lie outside [0, 1]^d; the polynomials
+    Reference coordinates may lie outside [0, 1]^d; the functions
     extrapolate, which is exactly what the aggregation constraints use.
     """
-    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
-    per_axis = [_lagrange_1d(q, xi[:, axis]) for axis in range(d)]
-    offs = node_offsets(q, d)
-    out = np.ones((xi.shape[0], offs.shape[0]))
-    for axis in range(d):
-        out *= per_axis[axis][:, offs[:, axis]]
+    return np.ascontiguousarray(_tensor_products(_axis_factors(xi)).T)
+
+
+def shape_gradients(xi: np.ndarray) -> np.ndarray:
+    """Reference-coordinate gradients (n, 2**d, d): component c takes the
+    factor (-1, 1) on axis c in place of (1 - xi, xi)."""
+    factors = _axis_factors(xi)
+    d, _, n = factors.shape
+    out = np.empty((n, 2 ** d, d))
+    for c in range(d):
+        comp = factors.copy()
+        comp[c] = [[-1.0], [1.0]]
+        out[:, :, c] = _tensor_products(comp).T
     return out
 
 
-def shape_gradients(q: int, d: int, xi: np.ndarray) -> np.ndarray:
-    """Reference-coordinate gradients: (n, (q+1)**d, d)."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
-    vals = [_lagrange_1d(q, xi[:, axis]) for axis in range(d)]
-    ders = [_lagrange_1d_deriv(q, xi[:, axis]) for axis in range(d)]
-    offs = node_offsets(q, d)
-    out = np.ones((xi.shape[0], offs.shape[0], d))
-    for comp in range(d):
-        for axis in range(d):
-            factor = ders[axis] if axis == comp else vals[axis]
-            out[:, :, comp] *= factor[:, offs[:, axis]]
-    return out
-
-
-def encode_node_keys(keys: np.ndarray, q: int, n_per_axis: int) -> np.ndarray:
-    """One int64 per node lattice key: (..., d) keys of spacing h/q to (...)."""
-    span = q * n_per_axis + 1
+def encode_node_keys(keys: np.ndarray, n_per_axis: int) -> np.ndarray:
+    """One int64 per vertex lattice key: (..., d) keys to (...)."""
+    span = n_per_axis + 1
     enc = keys[..., 0].astype(np.int64)
     for axis in range(1, keys.shape[-1]):
         enc = enc * span + keys[..., axis]
@@ -120,45 +91,34 @@ def _first_touch_ids(encoded: np.ndarray):
 
 @dataclass
 class StdSpace:
-    """Standard conforming space over the active mesh."""
+    """Standard conforming Q1 space over the active mesh, numbered
+    serially: the reference the distributed numbering is tested against."""
 
-    q: int
     classification: CellClassification
-    node_keys: np.ndarray     # (n_nodes, d) node lattice, spacing h/q
+    node_keys: np.ndarray     # (n_nodes, d) vertex lattice keys
     node_coords: np.ndarray   # (n_nodes, d)
-    cell_dofs: np.ndarray     # (n_active, (q+1)**d) 1-based node ids
+    cell_dofs: np.ndarray     # (n_active, 2**d) 1-based node ids
 
     @property
     def n_dofs(self) -> int:
         return self.node_keys.shape[0]
 
-    @property
-    def nodes_per_cell(self) -> int:
-        return self.cell_dofs.shape[1]
-
-    def reference_coords(self, cell_id, points: np.ndarray) -> np.ndarray:
-        """Coordinates of ``points`` in the unit box of ``cell_id``: one
-        cell id, or one per point."""
-        grid = self.classification.grid
-        lo = grid.cell_origin(self.classification.lattice_of(cell_id))
-        return (np.atleast_2d(points) - lo) / grid.h
-
 
 def build_std_space(classification: CellClassification, q: int = 1) -> StdSpace:
-    """Build the nodal space of per-axis degree q on the active cells."""
-    if q < 1:
-        raise ValueError("polynomial order must be >= 1")
+    """Number the vertices of the active cells first-touch.  ``q``, the
+    degree, is accepted for callers that pass it; only 1 is valid."""
+    if q != 1:
+        raise ValueError("only Q1")
     grid = classification.grid
-    offs = node_offsets(q, grid.d)
-    cell_keys = (classification.id_to_lattice[:, None, :] * q
-                 + offs[None, :, :])                      # (n_act, m, d)
-    enc = encode_node_keys(cell_keys, q, grid.n_per_axis)
+    cell_keys = classification.vertex_keys(
+        np.arange(1, classification.n_active + 1))     # (n_act, 2**d, d)
+    enc = encode_node_keys(cell_keys, grid.n_per_axis)
     flat_ids, n_nodes, first_pos = _first_touch_ids(enc.ravel())
     cell_dofs = flat_ids.reshape(cell_keys.shape[:2])
     flat_keys = cell_keys.reshape(-1, grid.d)
     node_keys = flat_keys[first_pos]
-    node_coords = grid.origin + node_keys * (grid.h / q)
-    return StdSpace(q=q, classification=classification, node_keys=node_keys,
+    node_coords = grid.origin + node_keys * grid.h
+    return StdSpace(classification=classification, node_keys=node_keys,
                     node_coords=node_coords, cell_dofs=cell_dofs)
 
 
@@ -170,7 +130,6 @@ class DofClassification:
     cells; those rows index the reduced system.
     """
 
-    space: StdSpace
     interior_mask: np.ndarray   # (n_nodes,) bool
     row_of: np.ndarray          # (n_nodes,) 1-based row or 0
     interior_ids: np.ndarray    # (n_in,) node ids in row order
@@ -204,7 +163,7 @@ def classify_dofs(space: StdSpace,
     else:
         interior_ids = np.zeros(0, dtype=np.int64)
     exterior_ids = np.flatnonzero(~interior_mask).astype(np.int64) + 1
-    return DofClassification(space=space, interior_mask=interior_mask,
+    return DofClassification(interior_mask=interior_mask,
                              row_of=row_of, interior_ids=interior_ids,
                              exterior_ids=exterior_ids, own_cell=own_cell)
 
@@ -219,8 +178,8 @@ class AgConstraints:
     """
 
     constrained: np.ndarray   # (n_c,)
-    masters: np.ndarray       # (n_c, (q+1)**d)
-    coeffs: np.ndarray        # (n_c, (q+1)**d)
+    masters: np.ndarray       # (n_c, 2**d)
+    coeffs: np.ndarray        # (n_c, 2**d)
 
     @property
     def n_constrained(self) -> int:
@@ -243,10 +202,10 @@ def build_constraints_serial(space: StdSpace, dofs: DofClassification,
         raise RuntimeError(
             f"root cell {int(roots[bad[0]])} carries a non-interior DOF; the "
             f"root map must point at interior cells")
-    xi = space.reference_coords(roots, space.node_coords[out_ids - 1])
-    coeffs = shape_values(space.q, space.classification.grid.d, xi)
+    xi = space.classification.reference_coords(
+        roots, space.node_coords[out_ids - 1])
     return AgConstraints(constrained=out_ids.copy(), masters=masters,
-                         coeffs=coeffs)
+                         coeffs=shape_values(xi))
 
 
 def extension_operator(row_of: np.ndarray, constraints: AgConstraints | None,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FACE_STEPS, BackgroundGrid, _corner_offsets, morton_encode
+from .grid import FACE_STEPS, BackgroundGrid, corner_offsets, morton_encode
 from .levelset import LevelSet
 
 EXTERIOR, INTERIOR, CUT = 0, 1, 2
@@ -150,7 +150,7 @@ _CASES = {
 def _sub_simplices(grid: BackgroundGrid, lattices, corners, centers):
     """Sub-simplices of a batch of cells, cell by cell, and their level-set
     values: (n * s, d+1, d) and (n * s, d+1); ``centers`` is unused in 3D."""
-    points = grid.cell_origin(lattices)[:, None, :] + _corner_offsets(grid.d) * grid.h
+    points = grid.cell_origin(lattices)[:, None, :] + corner_offsets(grid.d) * grid.h
     if grid.d == 2:
         points = np.concatenate(
             [points, grid.cell_barycenter(lattices)[:, None]], axis=1)
@@ -401,6 +401,18 @@ class CellClassification:
     def lattice_of(self, cell_id: int) -> np.ndarray:
         return self.id_to_lattice[cell_id - 1]
 
+    def vertex_keys(self, cell_ids) -> np.ndarray:
+        """Lattice keys (n, 2**d, d) of the vertices of ``cell_ids``, in
+        corner order: the nodes of their Q1 shape functions."""
+        return (self.id_to_lattice[cell_ids - 1][:, None, :]
+                + corner_offsets(self.grid.d))
+
+    def reference_coords(self, cell_id, points: np.ndarray) -> np.ndarray:
+        """Coordinates of ``points`` in the unit box of ``cell_id``: one
+        cell id, or one per point."""
+        lo = self.grid.cell_origin(self.lattice_of(cell_id))
+        return (np.atleast_2d(points) - lo) / self.grid.h
+
     def id_at(self, lattice) -> int:
         return int(self.active_id[tuple(np.asarray(lattice, dtype=np.int64))])
 
@@ -457,7 +469,7 @@ def _corner_values(vvals: np.ndarray, d: int) -> np.ndarray:
     """Per-cell corner values, shape lattice + (2**d,), x-fastest corners."""
     n = vvals.shape[0] - 1
     return np.stack([vvals[tuple(slice(b, b + n) for b in bits)]
-                     for bits in _corner_offsets(d).astype(np.intp)], axis=-1)
+                     for bits in corner_offsets(d)], axis=-1)
 
 
 def classify_cells(grid: BackgroundGrid, ls: LevelSet,

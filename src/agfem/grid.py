@@ -87,7 +87,7 @@ class BackgroundGrid:
     def cell_vertices(self, lattice) -> np.ndarray:
         """Vertices of one cell, x varying fastest: (2**d, d) array."""
         lo = self.cell_origin(lattice)
-        corners = _corner_offsets(self.d)
+        corners = corner_offsets(self.d)
         return lo + corners * self.h
 
     def contains_lattice(self, lattice) -> bool:
@@ -99,12 +99,10 @@ class BackgroundGrid:
         return float(np.prod(self.h))
 
 
-def _corner_offsets(d: int) -> np.ndarray:
-    out = np.zeros((1 << d, d), dtype=np.float64)
-    for c in range(1 << d):
-        for axis in range(d):
-            out[c, axis] = (c >> axis) & 1
-    return out
+def corner_offsets(d: int) -> np.ndarray:
+    """Lattice offsets (2**d, d) of a cell's corners, x varying fastest:
+    the vertex order of every cell and of its Q1 shape functions."""
+    return (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
 
 
 def build_grid(bbox, level: int, d: int) -> BackgroundGrid:

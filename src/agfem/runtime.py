@@ -103,12 +103,14 @@ class VirtualRuntime:
         self.threads = threads
         self.trace_enabled = trace
         self.payload_filter = payload_filter
-        self.step_order = list(step_order) if step_order is not None else None
+        # ranks in the order they are stepped serially; results must not
+        # depend on it
+        self.step_order = (list(step_order) if step_order is not None
+                           else list(range(n_procs)))
         self.trace: list[TraceRecord] = []
         self._superstep = 0
 
-    def run(self, body, args=None, phase: str = "", neighbor_sets=None,
-            order=None):
+    def run(self, body, args=None, phase: str = "", neighbor_sets=None):
         """Drive one SPMD program to completion; returns per-rank results.
 
         Parameters
@@ -118,15 +120,10 @@ class VirtualRuntime:
         phase : label recorded on trace rows.
         neighbor_sets : per-rank sets of neighbor ids; required to
             validate nearest-neighbor exchanges.
-        order : optional permutation of ranks used when stepping
-            serially; results must not depend on it.
         """
         P = self.n_procs
         if args is None:
             args = [() for _ in range(P)]
-        if order is None:
-            order = self.step_order if self.step_order is not None \
-                else list(range(P))
         gens = [body(ProcessContext(s + 1, P), *args[s]) for s in range(P)]
         inbox = [None] * P
         results = [None] * P
@@ -148,7 +145,7 @@ class VirtualRuntime:
                         errors.append((i + 1, exc))
                         alive[i] = False
 
-                live = [i for i in order if alive[i]]
+                live = [i for i in self.step_order if alive[i]]
                 if pool is not None:
                     list(pool.map(step, live))
                 else:

@@ -16,10 +16,10 @@ is the condition number of the Jacobi-preconditioned operator, read off
 the extreme Ritz values of the CG recurrence: a lower bound that
 tightens as the iteration resolves both ends of the spectrum.
 ``condition_estimate`` gives the exact kappa(A) of a small matrix.
-Error norms take the nodal values of every active cell, however the
-space produced them, and run in one batched pass over the bulk points
-of the flat quadrature store, interior cells through one reference
-element.
+Error norms take the Q1 nodal values of every active cell, however the
+space produced them, and read the cells of the ``CellClassification``
+in one batched pass over the bulk points of the flat quadrature store,
+interior cells through one reference element.
 """
 
 from __future__ import annotations
@@ -205,13 +205,12 @@ def condition_estimate(system) -> float:
     return float(eig[-1] / eig[0])
 
 
-def _solution_chunks(space, quad, nodal):
+def _solution_chunks(cls, quad, nodal):
     """Points, weights, u_h and grad(u_h) over the bulk rows of ``quad``
     in chunks: interior cells from their nodal values and the reference
     tables, cut cells point by point."""
-    cls = space.classification
     d, h = cls.grid.d, cls.grid.h
-    vals_ref, grads_ref = reference_tables(space, quad)
+    vals_ref, grads_ref = reference_tables(cls, quad)
     for cells, rows in quad.interior_chunks(cls.interior_ids):
         values = nodal[cells - 1]
         rows = rows.ravel()
@@ -221,11 +220,10 @@ def _solution_chunks(space, quad, nodal):
     for cells, rows in quad.cut_chunks(cls.cut_ids):
         values = nodal[cells - 1]
         pts = quad.points[rows]
-        xi = space.reference_coords(cells, pts)
+        xi = cls.reference_coords(cells, pts)
         yield (pts, quad.weights[rows],
-               np.einsum("na,na->n", shape_values(space.q, d, xi), values),
-               np.einsum("nad,na->nd",
-                         shape_gradients(space.q, d, xi) / h, values))
+               np.einsum("na,na->n", shape_values(xi), values),
+               np.einsum("nad,na->nd", shape_gradients(xi) / h, values))
 
 
 @dataclass
@@ -235,9 +233,10 @@ class ErrorNorms:
     absolute: bool = False   # set when the exact norm vanishes
 
 
-def error_norms(space, quad, nodal, u_exact, grad_exact) -> ErrorNorms:
+def error_norms(cls, quad, nodal, u_exact, grad_exact) -> ErrorNorms:
     """Relative L2 and H1-semi errors of a discrete solution given by the
-    nodal values of every active cell, ``nodal`` of shape (n_active, m).
+    nodal values of every active cell of the ``CellClassification``
+    ``cls``, ``nodal`` of shape (n_active, 2**d).
 
     For either space these come from each subdomain's extension operator
     (``distspace.nodal_values``); without constraints, as for the standard
@@ -249,11 +248,12 @@ def error_norms(space, quad, nodal, u_exact, grad_exact) -> ErrorNorms:
     points evaluate the shape functions one by one.
     """
     nodal = np.asarray(nodal, dtype=np.float64)
-    if nodal.shape != space.cell_dofs.shape:
-        raise ValueError(f"expected nodal values of shape "
-                         f"{space.cell_dofs.shape}, got {nodal.shape}")
+    shape = (cls.n_active, 2 ** cls.grid.d)
+    if nodal.shape != shape:
+        raise ValueError(f"expected nodal values of shape {shape}, got "
+                         f"{nodal.shape}")
     err2 = errg2 = base2 = baseg2 = 0.0
-    for pts, w, uh, gh in _solution_chunks(space, quad, nodal):
+    for pts, w, uh, gh in _solution_chunks(cls, quad, nodal):
         ue = np.asarray(u_exact(pts))
         ge = np.asarray(grad_exact(pts))
         err2 += float(w @ (ue - uh) ** 2)

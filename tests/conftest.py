@@ -260,30 +260,28 @@ def clip_cells_oracle(grid, lattices, corners, centers, tol):
             np.array(f_cell, dtype=np.intp))
 
 
-def all_points_elements(space, quad, taus, f=None, g=None):
-    """Element matrices and vectors integrated point by point over every
+def all_points_elements(cls, quad, taus, f=None, g=None):
+    """Q1 element matrices and vectors integrated point by point over every
     bulk and interface point of the store, interior cells included: the
     oracle for the reference-element path of ``poisson_elements``."""
-    cls = space.classification
-    d, q, h = cls.grid.d, space.q, cls.grid.h
-    m = space.nodes_per_cell
+    h, m = cls.grid.h, 2 ** cls.grid.d
     mats = np.zeros((cls.n_active, m, m))
     vecs = np.zeros((cls.n_active, m))
     for sl in point_chunks(quad.weights.size):
         cells, pts, w = quad.bulk_cells(sl), quad.points[sl], quad.weights[sl]
-        xi = space.reference_coords(cells, pts)
-        grads = shape_gradients(q, d, xi) / h
+        xi = cls.reference_coords(cells, pts)
+        grads = shape_gradients(xi) / h
         np.add.at(mats, cells - 1, w[:, None, None] * np.einsum(
             "nad,nbd->nab", grads, grads))
         if f is not None:
             np.add.at(vecs, cells - 1,
-                      (w * f(pts))[:, None] * shape_values(q, d, xi))
+                      (w * f(pts))[:, None] * shape_values(xi))
     for sl in point_chunks(quad.boundary_weights.size):
         cells, pts = quad.boundary_cells(sl), quad.boundary_points[sl]
         w, tau = quad.boundary_weights[sl], taus[cells - 1]
-        xi = space.reference_coords(cells, pts)
-        vals = shape_values(q, d, xi)
-        gn = np.einsum("nad,nd->na", shape_gradients(q, d, xi) / h,
+        xi = cls.reference_coords(cells, pts)
+        vals = shape_values(xi)
+        gn = np.einsum("nad,nd->na", shape_gradients(xi) / h,
                        quad.boundary_normals[sl])
         np.add.at(mats, cells - 1, w[:, None, None] * (
             tau[:, None, None] * vals[:, :, None] * vals[:, None, :]
@@ -296,18 +294,18 @@ def all_points_elements(space, quad, taus, f=None, g=None):
 
 
 def all_points_norms(space, quad, full, u_exact, grad_exact):
-    """(L2, H1-semi) error norms of the nodal vector ``full``, relative,
-    or absolute when the exact norms vanish, with u_h evaluated point by
-    point at every bulk point: the oracle for ``error_norms``."""
-    grid = space.classification.grid
+    """(L2, H1-semi) error norms of the nodal vector ``full`` of the serial
+    Q1 space, relative, or absolute when the exact norms vanish, with u_h
+    evaluated point by point at every bulk point: the oracle for
+    ``error_norms``."""
+    cls = space.classification
     err2 = errg2 = base2 = baseg2 = 0.0
     for sl in point_chunks(quad.weights.size):
         cells, pts, w = quad.bulk_cells(sl), quad.points[sl], quad.weights[sl]
         nodal = full[space.cell_dofs[cells - 1] - 1]
-        xi = space.reference_coords(cells, pts)
-        uh = np.einsum("na,na->n", shape_values(space.q, grid.d, xi), nodal)
-        gh = np.einsum("nad,na->nd",
-                       shape_gradients(space.q, grid.d, xi) / grid.h, nodal)
+        xi = cls.reference_coords(cells, pts)
+        uh = np.einsum("na,na->n", shape_values(xi), nodal)
+        gh = np.einsum("nad,na->nd", shape_gradients(xi) / cls.grid.h, nodal)
         ue, ge = np.asarray(u_exact(pts)), np.asarray(grad_exact(pts))
         err2 += float(w @ (ue - uh) ** 2)
         errg2 += float(w @ np.sum((ge - gh) ** 2, axis=1))
@@ -401,7 +399,7 @@ def prolongate(dofs, constraints, interior_values):
 def distributed_row_permutation(numbering, space, dofs):
     """Map distributed global ids to the rows of the serial reference
     space via node keys: ``perm[gid - 1] = serial row - 1``."""
-    serial = encode_node_keys(space.node_keys[dofs.interior_ids - 1], space.q,
+    serial = encode_node_keys(space.node_keys[dofs.interior_ids - 1],
                               space.classification.grid.n_per_axis)
     by_code = np.argsort(serial)
     rows_by_code = dofs.row_of[dofs.interior_ids - 1][by_code]

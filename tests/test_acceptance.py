@@ -68,13 +68,13 @@ def equivalence_data():
             agg_seconds += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            space = build_std_space(cls, 1)
+            space = build_std_space(cls)
             dofs = classify_dofs(space, cls)
             cons = build_constraints_serial(space, dofs, serial)
             quad = cut_quadrature(grid, ls, cls, 4)
             taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
             u = lambda p: p[:, 0] + p[:, 1]
-            elements = poisson_elements(space, quad, taus, None, u)
+            elements = poisson_elements(cls, quad, taus, None, u)
             A_s, b_s = assemble_serial(space, dofs, cons, elements)
             sys_seconds += time.perf_counter() - t0
 
@@ -91,7 +91,7 @@ def equivalence_data():
                 agg_seconds += time.perf_counter() - t0
 
                 t0 = time.perf_counter()
-                numbering = number_dofs_distributed(rt, meshes, 1)
+                numbering = number_dofs_distributed(rt, meshes)
                 buffers = import_root_data(rt, meshes, direct, inverse,
                                            root_cell_data_provider(numbering))
                 dcons = [build_constraints_distributed(p, dist, bf)
@@ -205,7 +205,7 @@ def test_criterion_6_constraint_correctness():
         if cls.interior_ids.size == 0 or cls.cut_ids.size == 0:
             continue
         rm = aggregate_serial(cls)
-        space = build_std_space(cls, 1)
+        space = build_std_space(cls)
         dofs = classify_dofs(space, cls)
         cons = build_constraints_serial(space, dofs, rm)
         if cons.n_constrained:
@@ -269,7 +269,7 @@ def test_criterion_8_plan_duality_and_traffic(equivalence_data):
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     rcv, snd = check_plan_duality(direct, inverse)
-    numbering = number_dofs_distributed(rt, meshes, 1)
+    numbering = number_dofs_distributed(rt, meshes)
     import_root_data(rt, meshes, direct, inverse,
                      root_cell_data_provider(numbering))
     nbr = [set(int(x) for x in m.neighbors) for m in meshes]

@@ -34,12 +34,11 @@ def test_tau_agg_values():
 def test_tau_std_grows_as_cut_shrinks():
     grid = unit_box_grid(0, 2)
     cls = classify_cells(grid, HalfPlane((1, 0), 0.5))
-    space = build_std_space(cls, 1)
     taus = []
     for frac in (0.5, 0.1, 0.01, 0.001):
         ls = HalfPlane((1, 0), frac)
         quad = cut_quadrature(grid, ls, classify_cells(grid, ls), 4)
-        taus.append(nitsche_tau_std(space, 1, quad, 10.0))
+        taus.append(nitsche_tau_std(cls, 1, quad, 10.0))
     assert all(taus[i] < taus[i + 1] for i in range(3)), taus
     assert taus[0] >= nitsche_tau_agg(1.0, 10.0)
 
@@ -47,11 +46,10 @@ def test_tau_std_grows_as_cut_shrinks():
 def test_tau_std_needs_boundary_and_floors_degenerate_rules():
     grid = unit_box_grid(0, 2)
     cls = classify_cells(grid, HalfPlane((1, 0), 0.5))
-    space = build_std_space(cls, 1)
     interior = HalfPlane((1, 0), 5.0)
     quad = cut_quadrature(grid, interior, classify_cells(grid, interior), 2)
     with pytest.raises(ValueError, match="no boundary rule"):
-        nitsche_tau_std(space, 1, quad, 10.0)
+        nitsche_tau_std(cls, 1, quad, 10.0)
     # degenerate boundary rule with zero weight: B = 0, floored at beta/h
     base = cut_quadrature(grid, HalfPlane((1, 0), 0.5), cls, 2)
     degenerate = replace(
@@ -59,7 +57,7 @@ def test_tau_std_needs_boundary_and_floors_degenerate_rules():
         boundary_weights=np.zeros(1),
         boundary_normals=base.boundary_normals[:1],
         boundary_offsets=np.array([0, 1]))
-    assert nitsche_tau_std(space, 1, degenerate, 10.0) == \
+    assert nitsche_tau_std(cls, 1, degenerate, 10.0) == \
         nitsche_tau_agg(1.0, 10.0)
 
 
@@ -67,9 +65,8 @@ def test_interior_stiffness_stencil():
     # bilinear Laplace matrix on the unit cell: diagonal 2/3, edge
     # neighbors -1/6, opposite corner -1/3, zero row sums
     grid, cls, _ = classified(0, HalfPlane((1, 0), 5.0))
-    space = build_std_space(cls, 1)
     quad = cut_quadrature(grid, HalfPlane((1, 0), 5.0), cls, 4)
-    mats, vecs = poisson_elements(space, quad, np.zeros(1))
+    mats, vecs = poisson_elements(cls, quad, np.zeros(1))
     A = mats[0]
     expected = np.array([
         [2 / 3, -1 / 6, -1 / 6, -1 / 3],
@@ -81,21 +78,20 @@ def test_interior_stiffness_stencil():
     assert np.allclose(vecs[0], 0.0)
 
 
-def _cell_element(space, quad, k, tau, f, g):
+def _cell_element(cls, quad, k, tau, f, g):
     """Element matrix and vector of one cell, integrated over its own run
     of the store: the per-cell reference for the batched pass."""
-    grid = space.classification.grid
-    d, q = grid.d, space.q
+    grid = cls.grid
     bulk = slice(*quad.offsets[k - 1:k + 1])
     bnd = slice(*quad.boundary_offsets[k - 1:k + 1])
-    xi = space.reference_coords(k, quad.points[bulk])
-    grads = shape_gradients(q, d, xi) / grid.h
+    xi = cls.reference_coords(k, quad.points[bulk])
+    grads = shape_gradients(xi) / grid.h
     w = quad.weights[bulk]
     A = np.einsum("nad,nbd,n->ab", grads, grads, w)
-    b = shape_values(q, d, xi).T @ (w * f(quad.points[bulk]))
-    xib = space.reference_coords(k, quad.boundary_points[bnd])
-    vals = shape_values(q, d, xib)
-    gn = np.einsum("nad,nd->na", shape_gradients(q, d, xib) / grid.h,
+    b = shape_values(xi).T @ (w * f(quad.points[bulk]))
+    xib = cls.reference_coords(k, quad.boundary_points[bnd])
+    vals = shape_values(xib)
+    gn = np.einsum("nad,nd->na", shape_gradients(xib) / grid.h,
                    quad.boundary_normals[bnd])
     w = quad.boundary_weights[bnd]
     A += tau * np.einsum("na,nb,n->ab", vals, vals, w)
@@ -109,14 +105,13 @@ def test_elements_match_per_cell_integration():
     # popcorn L3 spans many point chunks, so cells straddle chunk ends
     ls = Popcorn()
     grid, cls, _ = classified(3, ls, 3)
-    space = build_std_space(cls, 1)
     quad = cut_quadrature(grid, ls, cls, 4)
     f = lambda p: np.sin(p[:, 0]) + p[:, 1]
     g = lambda p: p[:, 2] ** 2
     taus = 10.0 + np.arange(cls.n_active) % 7
-    mats, vecs = poisson_elements(space, quad, taus, f, g)
+    mats, vecs = poisson_elements(cls, quad, taus, f, g)
     for k in range(1, cls.n_active + 1):
-        A, b = _cell_element(space, quad, k, taus[k - 1], f, g)
+        A, b = _cell_element(cls, quad, k, taus[k - 1], f, g)
         assert np.allclose(mats[k - 1], A, rtol=0, atol=1e-13 * np.abs(A).max())
         assert np.allclose(vecs[k - 1], b, rtol=0,
                            atol=1e-13 * max(np.abs(b).max(), 1e-300))
@@ -129,13 +124,12 @@ def test_reference_element_matches_all_points_oracle(level, ls, d):
     # interior cells take one reference element; every cell must match
     # point-by-point integration over its whole run of the store
     grid, cls, _ = classified(level, ls, d)
-    space = build_std_space(cls, 1)
     quad = cut_quadrature(grid, ls, cls, 4)
     f = lambda p: np.sin(p[:, 0]) + p[:, 1]
     g = lambda p: p[:, -1] ** 2
     taus = 10.0 + np.arange(cls.n_active) % 7
-    got = poisson_elements(space, quad, taus, f, g)
-    want = all_points_elements(space, quad, taus, f, g)
+    got = poisson_elements(cls, quad, taus, f, g)
+    want = all_points_elements(cls, quad, taus, f, g)
     assert cls.interior_ids.size and cls.cut_ids.size
     for ids in (cls.interior_ids, cls.cut_ids):
         for a, b in zip(got, want):
@@ -147,10 +141,9 @@ def test_reference_element_matches_all_points_oracle(level, ls, d):
 
 def test_homogeneous_data_gives_zero_vector():
     grid, cls, fa = classified(1, HalfPlane((1, 0), 0.75))
-    space = build_std_space(cls, 1)
     k = int(cls.cut_ids[0])
     quad = cut_quadrature(grid, HalfPlane((1, 0), 0.75), cls, 4)
-    mats, vecs = poisson_elements(space, quad, np.full(cls.n_active, 10.0),
+    mats, vecs = poisson_elements(cls, quad, np.full(cls.n_active, 10.0),
                                   f=lambda p: np.zeros(p.shape[0]),
                                   g=lambda p: np.zeros(p.shape[0]))
     assert np.allclose(vecs[k - 1], 0.0)
@@ -190,7 +183,7 @@ def test_patch_consistency_for_harmonic_solution():
     # 2x2 fully active patch with Nitsche data on the outer boundary and
     # the exact harmonic solution u = x + y: the assembled residual vanishes
     grid, cls, _ = classified(1, HalfPlane((1, 0), 5.0))
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     u = lambda p: p[:, 0] + p[:, 1]
     tau = nitsche_tau_agg(0.5, 10.0)
     base = cut_quadrature(grid, HalfPlane((1, 0), 5.0), cls, 4)
@@ -201,7 +194,7 @@ def test_patch_consistency_for_harmonic_solution():
         boundary_weights=np.concatenate([r[1] for r in rules]),
         boundary_normals=np.vstack([r[2] for r in rules]),
         boundary_offsets=np.cumsum([0] + [r[1].size for r in rules]))
-    elements = poisson_elements(space, quad, np.full(cls.n_active, tau), None, u)
+    elements = poisson_elements(cls, quad, np.full(cls.n_active, tau), None, u)
     A, b = assemble_serial(space, None, None, elements)
     nodal = u(space.node_coords)
     assert np.max(np.abs(A @ nodal - b)) < 1e-12
@@ -210,12 +203,12 @@ def test_patch_consistency_for_harmonic_solution():
 def _serial_agg_system(level, ls, beta=10.0, f=None, g=None, d=2):
     grid, cls, fa = classified(level, ls, d)
     rm = aggregate_serial(cls)
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     dofs = classify_dofs(space, cls)
     cons = build_constraints_serial(space, dofs, rm)
     quad = cut_quadrature(grid, ls, cls, 4)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), beta))
-    elements = poisson_elements(space, quad, taus, f, g)
+    elements = poisson_elements(cls, quad, taus, f, g)
     A, b = assemble_serial(space, dofs, cons, elements)
     return grid, cls, space, dofs, cons, quad, taus, elements, A, b
 
@@ -238,19 +231,18 @@ def test_matrix_symmetry():
 
 def _direct_energy(space, dofs, cons, quad, taus, full):
     """a(v, v) integrated directly from the prolongated nodal function."""
-    grid = space.classification.grid
+    cls = space.classification
+    grid = cls.grid
     cells = quad.bulk_cells()
     nodal = full[space.cell_dofs[cells - 1] - 1]
-    xi = space.reference_coords(cells, quad.points)
-    gv = np.einsum("nad,na->nd",
-                   shape_gradients(space.q, grid.d, xi) / grid.h, nodal)
+    xi = cls.reference_coords(cells, quad.points)
+    gv = np.einsum("nad,na->nd", shape_gradients(xi) / grid.h, nodal)
     total = float(quad.weights @ np.sum(gv * gv, axis=1))
     cells = quad.boundary_cells()
     nodal = full[space.cell_dofs[cells - 1] - 1]
-    xib = space.reference_coords(cells, quad.boundary_points)
-    vv = np.einsum("na,na->n", shape_values(space.q, grid.d, xib), nodal)
-    gb = np.einsum("nad,na->nd",
-                   shape_gradients(space.q, grid.d, xib) / grid.h, nodal)
+    xib = cls.reference_coords(cells, quad.boundary_points)
+    vv = np.einsum("na,na->n", shape_values(xib), nodal)
+    gb = np.einsum("nad,na->nd", shape_gradients(xib) / grid.h, nodal)
     gn = np.einsum("nd,nd->n", gb, quad.boundary_normals)
     w = quad.boundary_weights
     return total + float(w @ (taus[cells - 1] * vv * vv - 2.0 * vv * gn))
@@ -302,7 +294,7 @@ def _distributed_system(level, ls, n_parts, elements, space, dofs):
     dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
-    numbering = number_dofs_distributed(rt, meshes, 1)
+    numbering = number_dofs_distributed(rt, meshes)
     buffers = import_root_data(rt, meshes, direct, inverse,
                                root_cell_data_provider(numbering))
     dcons = [build_constraints_distributed(p, dist, bf)
@@ -380,10 +372,10 @@ def test_standard_space_matches_per_cell_oracle(level, ls, d):
     # every DOF of the standard space is free, so its cut cells take the
     # free path too; zeros of either sign are dropped as in the oracle
     grid, cls, _ = classified(level, ls, d)
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     quad = cut_quadrature(grid, ls, cls, 4)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
-    mats, vecs = poisson_elements(space, quad, taus, None, lambda p: p[:, 0])
+    mats, vecs = poisson_elements(cls, quad, taus, None, lambda p: p[:, 0])
     mats[::3, 0, 1] = -0.0
     vecs[cls.cut_ids[::2] - 1] = -0.0
     assert cls.cut_ids.size

@@ -39,7 +39,7 @@ def test_single_process_matches_serial():
     assert direct.peers.size == 0 and direct.roots.size == 0
     inverse = build_inverse_plan(rt, meshes, dist)
     assert inverse[0].peers.size == 0 and inverse[0].roots.size == 0
-    numbering = number_dofs_distributed(rt, meshes, 1)
+    numbering = number_dofs_distributed(rt, meshes)
     buffers = import_root_data(rt, meshes, [direct], inverse,
                                root_cell_data_provider(numbering))
     assert buffers[0].roots.size == 0
@@ -202,7 +202,7 @@ def test_import_round_trips_owner_data():
     dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
-    numbering = number_dofs_distributed(rt, meshes, 1)
+    numbering = number_dofs_distributed(rt, meshes)
     provider = root_cell_data_provider(numbering)
     buffers = import_root_data(rt, meshes, direct, inverse, provider)
     assert buffers[0].roots.size == 0
@@ -237,7 +237,7 @@ def test_import_buffers_hold_their_roots_ascending():
     dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
-    numbering = number_dofs_distributed(rt, meshes, 1)
+    numbering = number_dofs_distributed(rt, meshes)
     provider = root_cell_data_provider(numbering)
     buffers = import_root_data(rt, meshes, direct, inverse, provider)
     assert any(np.any(np.diff(p.roots) < 0) for p in direct)
@@ -284,7 +284,7 @@ def test_traffic_discipline():
     dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
-    numbering = number_dofs_distributed(rt, meshes, 1)
+    numbering = number_dofs_distributed(rt, meshes)
     import_root_data(rt, meshes, direct, inverse,
                      root_cell_data_provider(numbering))
     for rec in rt.trace:

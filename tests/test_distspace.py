@@ -8,9 +8,9 @@ from agfem.distagg import (RootDataBuffer, build_direct_plan,
 from agfem.distspace import (MissingImportError, build_constraints_distributed,
                              number_dofs_distributed, root_cell_data_provider)
 from agfem.fespace import (build_constraints_serial, build_std_space,
-                           classify_dofs, encode_node_keys, node_offsets)
+                           classify_dofs, encode_node_keys)
 from agfem.geometry import INTERIOR, classify_cells
-from agfem.grid import unit_box_grid
+from agfem.grid import corner_offsets, unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import RuntimeProtocolError, VirtualRuntime
@@ -21,19 +21,19 @@ from conftest import classified, distributed_row_permutation
 def _setup(level, ls, n_parts):
     grid, cls, fa = classified(level, ls)
     serial_rm = aggregate_serial(cls)
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     dofs = classify_dofs(space, cls)
     part = partition_weighted_sfc(cls, n_subdomains=n_parts)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(n_parts)
     dist = aggregate_parallel(rt, meshes)
-    numbering = number_dofs_distributed(rt, meshes, 1)
+    numbering = number_dofs_distributed(rt, meshes)
     return grid, cls, fa, space, dofs, serial_rm, meshes, rt, dist, numbering
 
 
 def _gid_of_key(piece, space):
     """{node key: global id} of the ids one piece knows."""
-    codes = encode_node_keys(space.node_keys, space.q,
+    codes = encode_node_keys(space.node_keys,
                              space.classification.grid.n_per_axis)
     key_of = dict(zip(codes.tolist(), map(tuple, space.node_keys.tolist())))
     return {key_of[c]: g
@@ -183,24 +183,24 @@ def test_missing_import_reported():
     assert hit
 
 
-def _cell_keys(mesh, l, q, offs):
+def _cell_keys(mesh, l):
+    """Vertex lattice keys of local cell ``l``, in corner order."""
     lattice = mesh.classification.lattice_of(int(mesh.global_ids[l - 1]))
-    return lattice * q + offs
+    return lattice + corner_offsets(mesh.classification.grid.d)
 
 
-def _oracle_numbering_body(proc, mesh, q):
-    """The per-node numbering over tuple keys and dicts, kept as the
+def _oracle_numbering_body(proc, mesh):
+    """The per-node Q1 numbering over tuple keys and dicts, kept as the
     oracle of the array steps: same supersteps, same payloads."""
     s = proc.rank
     cls = mesh.classification
-    offs = node_offsets(q, cls.grid.d)
-    m = offs.shape[0]
+    m = 2 ** cls.grid.d
 
     j_of_key: dict = {}
     keys_in_order: list = []
     cell_j: dict = {}
     for l in range(1, mesh.n_local + 1):
-        keys = _cell_keys(mesh, l, q, offs)
+        keys = _cell_keys(mesh, l)
         row = np.empty(m, dtype=np.int64)
         for a in range(m):
             key = tuple(int(v) for v in keys[a])
@@ -213,14 +213,14 @@ def _oracle_numbering_body(proc, mesh, q):
         cell_j[l] = row
     n_j = len(keys_in_order)
     node_keys = np.asarray(keys_in_order, dtype=np.int64)
-    node_coords = cls.grid.origin + node_keys * (cls.grid.h / q)
+    node_coords = cls.grid.origin + node_keys * cls.grid.h
 
     interior_cells = mesh.relevant_interior()
     j_interior = np.zeros(n_j, dtype=bool)
     owner_of_key: dict = {}
     for l in interior_cells:
         cell_owner = int(mesh.owner_of_relevant[l - 1])
-        for kk in _cell_keys(mesh, l, q, offs):
+        for kk in _cell_keys(mesh, l):
             key = tuple(int(v) for v in kk)
             prev = owner_of_key.get(key)
             if prev is None or cell_owner < prev:
@@ -233,7 +233,7 @@ def _oracle_numbering_body(proc, mesh, q):
     owned_keys: list = []
     seen: set = set()
     for l in local_interior:
-        for kk in _cell_keys(mesh, l, q, offs):
+        for kk in _cell_keys(mesh, l):
             key = tuple(int(v) for v in kk)
             if key not in seen and owner_of_key[key] == s:
                 seen.add(key)
@@ -255,7 +255,7 @@ def _oracle_numbering_body(proc, mesh, q):
         for sp, cells in interior_send.items():
             rows = np.full((len(cells), m), -1, dtype=np.int64)
             for i, l in enumerate(cells):
-                for a, kk in enumerate(_cell_keys(mesh, l, q, offs)):
+                for a, kk in enumerate(_cell_keys(mesh, l)):
                     rows[i, a] = gid_of_key.get(tuple(int(v) for v in kk), -1)
             payloads[sp] = rows
         received = yield proc.neighbor_exchange(payloads)
@@ -263,7 +263,7 @@ def _oracle_numbering_body(proc, mesh, q):
             cells = interior_recv[sp]
             assert rows.shape[0] == len(cells)
             for l, row in zip(cells, rows):
-                keys = _cell_keys(mesh, l, q, offs)
+                keys = _cell_keys(mesh, l)
                 for a in range(m):
                     gid = int(row[a])
                     if gid == -1:
@@ -274,14 +274,14 @@ def _oracle_numbering_body(proc, mesh, q):
 
     cell_g: dict = {}
     for l in range(1, mesh.n_relevant + 1):
-        keys = _cell_keys(mesh, l, q, offs)
+        keys = _cell_keys(mesh, l)
         cell_g[l] = np.asarray(
             [gid_of_key.get(tuple(int(v) for v in kk), -1) for kk in keys],
             dtype=np.int64)
 
     own_local_cell = np.zeros(n_j, dtype=np.int64)
     for l in np.argsort(mesh.global_ids) + 1:
-        for kk in _cell_keys(mesh, l, q, offs):
+        for kk in _cell_keys(mesh, l):
             j = j_of_key.get(tuple(int(v) for v in kk))
             if j is not None and own_local_cell[j - 1] == 0:
                 own_local_cell[j - 1] = l
@@ -306,10 +306,10 @@ def _views(geometry, d, level, n_parts):
 def test_numbering_matches_the_per_node_oracle(geometry, d, level, n_parts):
     meshes = _views(geometry, d, level, n_parts)
     traced = VirtualRuntime(n_parts, trace=True)
-    numbering = number_dofs_distributed(traced, meshes, 1)
+    numbering = number_dofs_distributed(traced, meshes)
     oracle_rt = VirtualRuntime(n_parts, trace=True)
     oracle = oracle_rt.run(
-        _oracle_numbering_body, args=[(m, 1) for m in meshes],
+        _oracle_numbering_body, args=[(m,) for m in meshes],
         phase="numbering",
         neighbor_sets=[set(m.neighbors.tolist()) for m in meshes])
     assert traced.trace == oracle_rt.trace
@@ -329,7 +329,7 @@ def test_numbering_matches_the_per_node_oracle(geometry, d, level, n_parts):
             [want["cell_g"][l] for l in range(1, mesh.n_relevant + 1)]
         ).reshape(piece.cell_g.shape))
         keys = np.array(list(want["gid_of_key"]), dtype=np.int64)
-        codes = encode_node_keys(keys.reshape(-1, d), 1, grid.n_per_axis)
+        codes = encode_node_keys(keys.reshape(-1, d), grid.n_per_axis)
         order = np.argsort(codes)
         assert np.array_equal(piece.gid_codes, codes[order])
         assert np.array_equal(piece.gids, np.array(
@@ -339,7 +339,7 @@ def test_numbering_matches_the_per_node_oracle(geometry, d, level, n_parts):
 def _faulty_numbering(payload_filter):
     meshes = _views("circle", 2, 5, 4)
     rt = VirtualRuntime(4, payload_filter=payload_filter)
-    return number_dofs_distributed(rt, meshes, 1)
+    return number_dofs_distributed(rt, meshes)
 
 
 def test_numbering_rejects_a_changed_global_id():

@@ -18,7 +18,8 @@ from agfem.experiments import (RECORD_FIELDS, RECORD_SCHEMA_VERSION,
                                manufactured_solution, run_cut_sweep,
                                run_parallel_check, run_solve_pipeline,
                                run_weight_study)
-from agfem.fespace import build_constraints_serial, classify_dofs
+from agfem.fespace import (build_constraints_serial, build_std_space,
+                           classify_dofs)
 from agfem.runtime import VirtualRuntime
 
 
@@ -43,9 +44,11 @@ def test_load_config_file_and_overrides(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path):
-    # weight and seed were keys of schema 1 that nothing read
+    # weight and seed were keys of schema 1 that nothing read; the
+    # quadrature order is a constant of the Q1 pipeline
     path = tmp_path / "run.cfg"
-    for line in ("mesh_size = 4", "weight = 10.0", "seed = 0"):
+    for line in ("mesh_size = 4", "weight = 10.0", "seed = 0",
+                 "quad_order = 4"):
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(str(path))
@@ -164,12 +167,13 @@ def test_one_subdomain_run_equals_the_serial_reference(params):
     # constraints and system are those of the serial builders, bitwise
     cfg = ExperimentConfig(procs=1, solution="sine", **params).validate()
     out = run_solve_pipeline(cfg)
-    space, cls = out.space, out.classification
+    cls = out.classification
+    space = build_std_space(cls)
     dofs = classify_dofs(space, cls)
     cons = build_constraints_serial(space, dofs, aggregate_serial(cls))
     u, _, f = manufactured_solution(cfg)
     A, b = assemble_serial(space, dofs, cons, poisson_elements(
-        space, out.quadrature, out.taus, f, u))
+        cls, out.quadrature, out.taus, f, u))
 
     [piece], [dcons] = out.numbering.pieces, out.constraints
     assert np.array_equal(piece.cell_j, space.cell_dofs)
@@ -282,7 +286,7 @@ def test_distributed_run_builds_no_serial_system(monkeypatch):
             raise AssertionError(f"a solve run called {name}")
         return refuse
 
-    for name in ("aggregate_serial", "classify_dofs",
+    for name in ("aggregate_serial", "build_std_space", "classify_dofs",
                  "build_constraints_serial", "assemble_serial"):
         monkeypatch.setattr(ex, name, serial(name))
     monkeypatch.setattr(DistributedSystem, "one_block", serial("one_block"))
@@ -335,11 +339,12 @@ def test_std_one_subdomain_run_equals_the_serial_assembly(params):
     cfg = ExperimentConfig(space="std", solution="sine", **params).validate()
     out = run_solve_pipeline(cfg)
     [piece] = out.numbering.pieces
+    space = build_std_space(out.classification)
     assert np.array_equal(piece.gid_of(piece.node_codes),
-                          np.arange(1, out.space.n_dofs + 1))
+                          np.arange(1, space.n_dofs + 1))
     u, _, f = manufactured_solution(cfg)
-    A, b = assemble_serial(out.space, None, None, poisson_elements(
-        out.space, out.quadrature, out.taus, f, u))
+    A, b = assemble_serial(space, None, None, poisson_elements(
+        out.classification, out.quadrature, out.taus, f, u))
     A_d, b_d = out.system.gather()
     assert np.array_equal(A_d.indptr, A.indptr)
     assert np.array_equal(A_d.indices, A.indices)
@@ -476,6 +481,14 @@ def test_cli_exit_codes(tmp_path):
                      "--out", str(tmp_path / "num"))
     assert numerical.returncode == 3
     assert "numerical failure" in numerical.stderr
+
+    # a partition request the mesh cannot meet is a configuration error
+    for args in (("solve", "--level", "1", "--procs", "8"),
+                 ("weight-study", "--level", "3", "--procs", "2",
+                  "--weights", "0,1")):
+        bad_part = _cli(*args, "--out", str(tmp_path / "part"))
+        assert bad_part.returncode == 2, bad_part.stderr
+        assert "config error" in bad_part.stderr
 
 
 @pytest.mark.parametrize("exc", [TypeError("bug"), ValueError("bug")],

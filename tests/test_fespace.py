@@ -8,6 +8,7 @@ from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs, shape_gradients, shape_values)
 from agfem.distspace import nodal_values
 from agfem.experiments import ExperimentConfig, run_solve_pipeline
+from agfem.grid import corner_offsets
 from agfem.levelset import HalfPlane, Sphere
 
 from conftest import classified, prolongate, random_geometry
@@ -16,7 +17,7 @@ from conftest import classified, prolongate, random_geometry
 def _agg_pipeline(level, ls):
     grid, cls, fa = classified(level, ls)
     rm = aggregate_serial(cls)
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     dofs = classify_dofs(space, cls)
     cons = build_constraints_serial(space, dofs, rm)
     return grid, cls, space, dofs, cons
@@ -24,16 +25,33 @@ def _agg_pipeline(level, ls):
 
 def test_single_cell_counts_and_nodal_basis():
     grid, cls, _ = classified(0, HalfPlane((1, 0), 5.0))
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     assert space.n_dofs == 4
-    xi = space.reference_coords(1, space.node_coords)
-    vals = shape_values(1, 2, xi)
+    xi = cls.reference_coords(1, space.node_coords)
+    vals = shape_values(xi)
     assert np.allclose(vals, np.eye(4), atol=1e-14)
+
+
+def test_3d_corner_values_are_the_identity():
+    # the corners in corner order, x fastest, are the nodes of the basis
+    grid, cls, _ = classified(0, HalfPlane((1, 0, 0), 5.0), 3)
+    space = build_std_space(cls)
+    assert np.array_equal(space.node_keys, corner_offsets(3))
+    xi = cls.reference_coords(1, space.node_coords)
+    assert np.array_equal(shape_values(xi), np.eye(8))
+
+
+def test_build_std_space_is_q1_only():
+    grid, cls, _ = classified(1, HalfPlane((1, 0), 5.0))
+    assert build_std_space(cls, 1).n_dofs == 9
+    for q in (0, 2):
+        with pytest.raises(ValueError, match="only Q1"):
+            build_std_space(cls, q)
 
 
 def test_two_cells_share_a_face():
     grid, cls, _ = classified(1, HalfPlane((1, 0), 5.0))
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     assert cls.n_active == 4
     assert space.n_dofs == 9
     # restrict to the bottom two cells: 6 DOFs with 2 shared
@@ -43,18 +61,29 @@ def test_two_cells_share_a_face():
 
 def test_partition_of_unity_and_gradient_consistency(rng):
     pts = rng.random((20, 2)) * 3.0 - 1.0  # includes extrapolation range
-    vals = shape_values(1, 2, pts)
+    vals = shape_values(pts)
     assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-13)
-    grads = shape_gradients(1, 2, pts)
+    grads = shape_gradients(pts)
     assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-12)
-    # quadratic order too
-    vals2 = shape_values(2, 2, pts)
-    assert np.allclose(vals2.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gradients_are_central_differences_of_the_values(rng, d):
+    # the shape functions are multilinear, so a central difference along
+    # one axis is exact up to rounding, at any step
+    pts = rng.random((50, d)) * 3.0 - 1.0
+    grads = shape_gradients(pts)
+    assert grads.shape == (50, 2**d, d)
+    for axis in range(d):
+        step = np.zeros(d)
+        step[axis] = 0.25
+        diff = (shape_values(pts + step) - shape_values(pts - step)) / 0.5
+        assert np.allclose(grads[:, :, axis], diff, rtol=0, atol=1e-13)
 
 
 def test_classify_dofs_all_interior():
     grid, cls, _ = classified(1, HalfPlane((1, 0), 5.0))
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     dofs = classify_dofs(space, cls)
     assert dofs.exterior_ids.size == 0
     assert dofs.n_interior == space.n_dofs
@@ -82,9 +111,8 @@ def test_owner_cell_is_smallest_id():
 def test_extrapolation_coefficients_by_hand():
     # root cell [0, 0.25]^2, constrained node at (0.5, 0)
     grid, cls, fa = classified(2, HalfPlane((1, 0) , 0.6))
-    space = build_std_space(cls, 1)
-    xi = space.reference_coords(1, np.array([[0.5, 0.0]]))
-    coeffs = shape_values(1, 2, xi)[0]
+    xi = cls.reference_coords(1, np.array([[0.5, 0.0]]))
+    coeffs = shape_values(xi)[0]
     assert np.allclose(coeffs, [-1.0, 2.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -95,7 +123,7 @@ def test_constraints_reproduce_polynomials(rng):
         if cls.interior_ids.size == 0:
             continue
         rm = aggregate_serial(cls)
-        space = build_std_space(cls, 1)
+        space = build_std_space(cls)
         dofs = classify_dofs(space, cls)
         cons = build_constraints_serial(space, dofs, rm)
         assert np.allclose(cons.coeffs.sum(axis=1), 1.0, atol=1e-13)
@@ -123,7 +151,8 @@ def test_pipeline_constraints_reproduce_polynomials(params, procs):
         gid = piece.gid_of(piece.node_codes)
         coords[gid[gid > 0] - 1] = piece.node_coords[gid > 0]
     assert not np.isnan(coords).any()
-    cell_coords = out.space.node_coords[out.space.cell_dofs - 1]
+    space = build_std_space(out.classification)
+    cell_coords = space.node_coords[space.cell_dofs - 1]
     n_constrained = 0
     for powers in itertools.product((0, 1), repeat=d):
         def poly(p):
@@ -145,10 +174,10 @@ def test_constraints_equal_the_per_dof_loop():
     rm = aggregate_serial(cls)
     for i, dof in enumerate(cons.constrained):
         root = rm.root_of(int(dofs.own_cell[dof - 1]))
-        xi = space.reference_coords(root, space.node_coords[dof - 1])
+        xi = cls.reference_coords(root, space.node_coords[dof - 1])
         assert np.array_equal(cons.masters[i],
                               dofs.row_of[space.cell_dofs[root - 1] - 1])
-        assert np.array_equal(cons.coeffs[i], shape_values(1, 2, xi)[0])
+        assert np.array_equal(cons.coeffs[i], shape_values(xi)[0])
 
 
 def test_constrained_node_on_root_node_is_unit_vector():
@@ -157,14 +186,14 @@ def test_constrained_node_on_root_node_is_unit_vector():
     grid, cls, space, dofs, cons = _agg_pipeline(2, HalfPlane((1, 0), 0.6))
     root = int(cls.interior_ids[0])
     corner = space.node_coords[space.cell_dofs[root - 1][0] - 1]
-    xi = space.reference_coords(root, corner[None, :])
-    coeffs = shape_values(1, 2, xi)[0]
+    xi = cls.reference_coords(root, corner[None, :])
+    coeffs = shape_values(xi)[0]
     assert np.allclose(coeffs, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_prolongate_identity_and_constants():
     grid, cls, _ = classified(1, HalfPlane((1, 0), 5.0))
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     dofs = classify_dofs(space, cls)
     v = np.arange(1.0, space.n_dofs + 1)
     full = prolongate(dofs, None, v[np.argsort(dofs.interior_ids)])
@@ -186,7 +215,7 @@ def test_root_map_onto_a_cut_cell_is_rejected():
     rm = aggregate_serial(cls)
     own_roots = RootMap(root=np.arange(1, cls.n_active + 1), next=rm.next,
                         rounds=rm.rounds)
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     dofs = classify_dofs(space, cls)
     with pytest.raises(RuntimeError, match="carries a non-interior DOF"):
         build_constraints_serial(space, dofs, own_roots)

@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 from agfem.aggregation import (AggregationStalledError, aggregate_parallel,
                                gather_root_map)
 from agfem.distspace import number_dofs_distributed
-from agfem.fespace import node_offsets
 from agfem.geometry import _clip, classify_cells
-from agfem.grid import unit_box_grid
+from agfem.grid import corner_offsets, unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
@@ -92,9 +91,9 @@ def _check_numbering(cls, owner, meshes):
     replicated, and lie in the range of the smallest subdomain among the
     interior cells touching the node."""
     n_parts = len(meshes)
-    numbering = number_dofs_distributed(VirtualRuntime(n_parts), meshes, 1)
+    numbering = number_dofs_distributed(VirtualRuntime(n_parts), meshes)
     ranges = numbering.owned_ranges()
-    offs = node_offsets(1, cls.grid.d)
+    offs = corner_offsets(cls.grid.d)
     lowest = {}
     for k in cls.interior_ids:
         for key in map(tuple, (cls.id_to_lattice[k - 1] + offs).tolist()):

@@ -71,12 +71,12 @@ def _circle_system(level, rtol=1e-6, g=None, f=None):
     ls = Sphere((0.5, 0.5), 0.3)
     grid, cls, fa = classified(level, ls)
     rm = aggregate_serial(cls)
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     dofs = classify_dofs(space, cls)
     cons = build_constraints_serial(space, dofs, rm)
     quad = cut_quadrature(grid, ls, cls, 4)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
-    elements = poisson_elements(space, quad, taus, f, g)
+    elements = poisson_elements(cls, quad, taus, f, g)
     A, b = assemble_serial(space, dofs, cons, elements)
     return space, dofs, cons, quad, A, b
 
@@ -84,7 +84,7 @@ def _circle_system(level, rtol=1e-6, g=None, f=None):
 def _norms(space, dofs, cons, quad, x, u, gu):
     """Error norms of a reduced vector of the serial reference space."""
     nodal = prolongate(dofs, cons, x)[space.cell_dofs - 1]
-    return error_norms(space, quad, nodal, u, gu)
+    return error_norms(space.classification, quad, nodal, u, gu)
 
 
 def test_interpolant_has_zero_error():
@@ -160,7 +160,7 @@ def test_error_norms_match_all_points_oracle(level, ls, d):
     # with the cut-cell weights zeroed, the interior sums alone must
     # match point-by-point evaluation at every bulk point
     grid, cls, _ = classified(level, ls, d)
-    space = build_std_space(cls, 1)
+    space = build_std_space(cls)
     quad = cut_quadrature(grid, ls, cls, 4)
     u, gu, _ = manufactured_solution(ExperimentConfig(dimension=d,
                                                       solution="sine"))
@@ -170,7 +170,7 @@ def test_error_norms_match_all_points_oracle(level, ls, d):
     zero, zero_grad = (lambda p: np.zeros(len(p))), np.zeros_like
     for q in (quad, replace(quad, weights=np.where(interior, quad.weights, 0.0))):
         for exact in ((u, gu), (zero, zero_grad)):
-            got = error_norms(space, q, full[space.cell_dofs - 1], *exact)
+            got = error_norms(cls, q, full[space.cell_dofs - 1], *exact)
             want = all_points_norms(space, q, full, *exact)
             assert got.absolute == (exact[0] is zero)
             assert got.l2 == pytest.approx(want[0], rel=1e-13, abs=0)
