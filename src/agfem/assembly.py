@@ -9,20 +9,21 @@ cell (standard spaces, which blows up as the kept volume shrinks).
 Elements come as two arrays, matrices (n_active, m, m) and vectors
 (n_active, m), m = 2**d.  Interior cells share one reference element:
 their common box rule gives one stiffness matrix and one table of shape
-values for the load vectors.  Cut cells and the interface are integrated
-point by point in fixed-size chunks of the flat quadrature store; each
-cell sums its points in store order.  Assembly is one kernel run per
-subdomain on the virtual runtime, serial being the one-process case.  It
-forms A = C^T A_e C, C the extension operator, as per-cell sums: a cell
-whose DOFs are all free has unit rows in C, so its element entries are
-its sums as they stand; the other cells are expanded through C in
-batches of about ``CHUNK_PRODUCTS`` products and summed per (cell, row,
-col) on one int64 key.  The sums form one stream in global-cell order,
-and after one routed exchange each row owner runs one stable sort on the
-key row * (n + 1) + col + 1, so every (row, col) sums its cells in
-global-cell order.  That order depends on neither the partition nor the
-numbering, so serial and distributed systems are bitwise equal; entries
-summing to zero are not stored.
+values for the load vectors.  Cut cells and the interface are read point
+by point in chunks of the flat quadrature store through ``bulk_rows``
+and ``interface_rows``, which also feed the batched std penalty and the
+error norms; each cell sums its points in store order.  Assembly is one
+kernel run per subdomain on the virtual runtime, serial being the
+one-process case.  It forms A = C^T A_e C, C the extension operator, as
+per-cell sums: a cell whose DOFs are all free has unit rows in C, so its
+element entries are its sums as they stand; the other cells are expanded
+through C in batches of about ``CHUNK_PRODUCTS`` products and summed per
+(cell, row, col) on one int64 key.  The sums form one stream in
+global-cell order, and after one routed exchange each row owner runs one
+stable sort on the key row * (n + 1) + col + 1, so every (row, col) sums
+its cells in global-cell order.  That order depends on neither the
+partition nor the numbering, so serial and distributed systems are
+bitwise equal; entries summing to zero are not stored.
 """
 
 from __future__ import annotations
@@ -53,43 +54,6 @@ def nitsche_tau_agg(h: float, beta: float) -> float:
     return beta / h
 
 
-def nitsche_tau_std(cls: CellClassification, cell_id: int,
-                    quad: QuadratureStore, beta: float) -> float:
-    """Cell-wise penalty for the standard space from the local eigenproblem.
-
-    Assembles the volume form V (gradient products over the kept region)
-    and the boundary form B (normal-derivative products over the
-    interface) from the cell's run of the store, deflates the constant
-    kernel of V, and returns beta times the largest eigenvalue of
-    B x = lambda V x, floored at beta/h.
-    """
-    bulk = slice(*quad.offsets[cell_id - 1:cell_id + 1])
-    bnd = slice(*quad.boundary_offsets[cell_id - 1:cell_id + 1])
-    if bnd.start == bnd.stop:
-        raise ValueError(f"cell {cell_id} has no boundary rule")
-    grid = cls.grid
-    xi = cls.reference_coords(cell_id, quad.points[bulk])
-    grads = shape_gradients(xi) / grid.h
-    V = np.einsum("nad,nbd,n->ab", grads, grads, quad.weights[bulk])
-    xib = cls.reference_coords(cell_id, quad.boundary_points[bnd])
-    gradsb = shape_gradients(xib) / grid.h
-    gn = np.einsum("nad,nd->na", gradsb, quad.boundary_normals[bnd])
-    B = np.einsum("na,nb,n->ab", gn, gn, quad.boundary_weights[bnd])
-
-    Z = scipy.linalg.null_space(np.ones((1, V.shape[0])))
-    Vh = Z.T @ V @ Z
-    Bh = Z.T @ B @ Z
-    floor = nitsche_tau_agg(float(np.min(grid.h)), beta)
-    try:
-        lam = scipy.linalg.eigh(Bh, Vh, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise TauUnboundedError(
-            f"cell {cell_id}: volume form singular beyond its constant "
-            f"kernel; the optimal penalty is unbounded") from exc
-    lam_max = float(lam[-1])
-    return max(beta * lam_max, floor)
-
-
 def _add_weighted_runs(out, cells, w, vals):
     """``out[k - 1] += sum of w * vals`` over the points of each cell k;
     ``cells`` is nondecreasing, so a cell's points form one run and sum
@@ -109,6 +73,29 @@ def reference_tables(cls: CellClassification, quad: QuadratureStore):
             shape_gradients(quad.box_points) / cls.grid.h)
 
 
+def bulk_rows(cls: CellClassification, quad: QuadratureStore, cell_ids):
+    """The bulk points of the cells ``cell_ids`` (ascending) in chunks of
+    ``CHUNK_POINTS``, in store order: (cell of each point, points,
+    weights, shape values (n, m), physical gradients (n, m, d))."""
+    for cells, rows in quad.cut_chunks(cell_ids):
+        pts = quad.points[rows]
+        xi = cls.reference_coords(cells, pts)
+        yield (cells, pts, quad.weights[rows], shape_values(xi),
+               shape_gradients(xi) / cls.grid.h)
+
+
+def interface_rows(cls: CellClassification, quad: QuadratureStore):
+    """The interface points of the store in chunks of ``CHUNK_POINTS``:
+    (cell of each point, points, weights, shape values (n, m), normal
+    derivatives of the shape functions (n, m))."""
+    for sl in point_chunks(quad.boundary_weights.size):
+        cells, pts = quad.boundary_cells(sl), quad.boundary_points[sl]
+        xi = cls.reference_coords(cells, pts)
+        yield (cells, pts, quad.boundary_weights[sl], shape_values(xi),
+               np.einsum("nad,nd->na", shape_gradients(xi) / cls.grid.h,
+                         quad.boundary_normals[sl]))
+
+
 def poisson_elements(cls: CellClassification, quad: QuadratureStore, taus,
                      f=None, g=None):
     """Element matrices (n_active, m, m) and vectors (n_active, m) of the
@@ -124,7 +111,7 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, taus,
     shape values.  Cut cells and interface points are integrated point
     by point, in chunks of ``CHUNK_POINTS`` points.
     """
-    h, m = cls.grid.h, 2 ** cls.grid.d
+    m = 2 ** cls.grid.d
     taus = np.asarray(taus, dtype=np.float64)
     mats = np.zeros((cls.n_active, m, m))
     vecs = np.zeros((cls.n_active, m))
@@ -135,22 +122,13 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, taus,
         for cells, rows in quad.interior_chunks(cls.interior_ids):
             fw = np.asarray(f(quad.points[rows.ravel()])).reshape(rows.shape)
             vecs[cells - 1] = (fw * quad.box_weights) @ vals_ref
-    for cells, rows in quad.cut_chunks(cls.cut_ids):
-        pts, w = quad.points[rows], quad.weights[rows]
-        xi = cls.reference_coords(cells, pts)
-        grads = shape_gradients(xi) / h
+    for cells, pts, w, vals, grads in bulk_rows(cls, quad, cls.cut_ids):
         _add_weighted_runs(mats, cells, w,
                            grads @ np.ascontiguousarray(grads.transpose(0, 2, 1)))
         if f is not None:
-            _add_weighted_runs(vecs, cells, w * np.asarray(f(pts)),
-                               shape_values(xi))
-    for sl in point_chunks(quad.boundary_weights.size):
-        cells, pts = quad.boundary_cells(sl), quad.boundary_points[sl]
-        w, tau = quad.boundary_weights[sl], taus[cells - 1]
-        xi = cls.reference_coords(cells, pts)
-        vals = shape_values(xi)
-        gn = np.einsum("nad,nd->na", shape_gradients(xi) / h,
-                       quad.boundary_normals[sl])
+            _add_weighted_runs(vecs, cells, w * np.asarray(f(pts)), vals)
+    for cells, pts, w, vals, gn in interface_rows(cls, quad):
+        tau = taus[cells - 1]
         # tau v v^T - v gn^T - gn v^T = v c^T + c v^T, c = tau v / 2 - gn
         vc = vals[:, :, None] * (0.5 * tau[:, None] * vals - gn)[:, None, :]
         _add_weighted_runs(mats, cells, w, vc + vc.transpose(0, 2, 1))
@@ -158,6 +136,51 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, taus,
             _add_weighted_runs(vecs, cells, w * np.asarray(g(pts)),
                                tau[:, None] * vals - gn)
     return mats, vecs
+
+
+def _cholesky(A):
+    """Lower Cholesky factors of a batch of symmetric matrices, column by
+    column, and per matrix whether every pivot was positive."""
+    L, ok = np.zeros_like(A), np.ones(len(A), dtype=bool)
+    for j in range(A.shape[-1]):
+        col = A[:, j:, j] - np.einsum("cik,ck->ci", L[:, j:, :j], L[:, j, :j])
+        ok &= col[:, 0] > 0
+        L[:, j:, j] = col / np.sqrt(np.where(ok, col[:, 0], 1.0))[:, None]
+    return L, ok
+
+
+def nitsche_tau_std(cls: CellClassification, quad: QuadratureStore,
+                    beta: float) -> np.ndarray:
+    """Penalties (n_active,) of the standard space from the local
+    eigenproblems: for each cell with interface points, the volume form V
+    (gradient products over its bulk points) and the boundary form B
+    (normal-derivative products over its interface points) are deflated
+    by the constant kernel of V, and beta times the largest eigenvalue of
+    B x = lambda V x, floored at beta/h, is its penalty; other cells get
+    0, which no term reads.  Raises ``TauUnboundedError`` naming the first
+    cell whose deflated V is not positive definite."""
+    m = 2 ** cls.grid.d
+    cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
+    V = np.zeros((cells.size, m, m))
+    B = np.zeros_like(V)
+    for c, _, w, _, grads in bulk_rows(cls, quad, cells):
+        _add_weighted_runs(V, np.searchsorted(cells, c) + 1, w,
+                           grads @ np.ascontiguousarray(grads.transpose(0, 2, 1)))
+    for c, _, w, _, gn in interface_rows(cls, quad):
+        _add_weighted_runs(B, np.searchsorted(cells, c) + 1, w,
+                           gn[:, :, None] * gn[:, None, :])
+    Z = scipy.linalg.null_space(np.ones((1, m)))
+    L, ok = _cholesky(Z.T @ V @ Z)
+    if not np.all(ok):
+        raise TauUnboundedError(
+            f"cell {cells[~ok][0]}: volume form singular beyond its constant "
+            f"kernel; the optimal penalty is unbounded")
+    Li = np.linalg.inv(L)
+    lam = np.linalg.eigvalsh(Li @ (Z.T @ B @ Z) @ Li.transpose(0, 2, 1))
+    taus = np.zeros(cls.n_active)
+    taus[cells - 1] = np.maximum(
+        beta * lam[:, -1], nitsche_tau_agg(float(np.min(cls.grid.h)), beta))
+    return taus
 
 
 # ---------------------------------------------------------------------------

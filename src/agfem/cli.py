@@ -56,15 +56,10 @@ def _common_options(fn):
     return fn
 
 
-def _build_config(config_path, **overrides):
-    cleaned = {}
-    for key, val in overrides.items():
-        if val is None or (key == "trace" and val is False):
-            continue
-        if val is True:
-            val = 1
-        cleaned[key] = ex._parse_value(key, val) if isinstance(val, str) else val
-    return ex.load_config(config_path, cleaned)
+def _build_config(config_path, trace=False, **overrides):
+    # unset flags are None, which leaves the file's value or the default
+    return ex.load_config(config_path,
+                          dict(overrides, trace=1 if trace else None))
 
 
 def _parse_list(raw, cast):
@@ -163,6 +158,8 @@ def convergence(config_path, levels, **overrides):
                        f"rel H1 {row['rel_h1']}")
         if orders["solver_floor"]:
             click.echo("errors at solver-tolerance floor; order not meaningful")
+        elif len(rows) < 2:
+            click.echo("one level: no order fitted")
         else:
             click.echo(f"fitted orders: L2 {orders['l2_order']} "
                        f"H1 {orders['h1_order']}")

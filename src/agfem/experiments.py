@@ -272,21 +272,9 @@ def geometry_setup(cfg: ExperimentConfig, level=None):
     return grid, ls, cls, functools.partial(face_is_active, cls)
 
 
-def penalty_per_cell(cfg, cls, quad):
-    """Per-cell Nitsche penalty: beta/h for agg, eigenproblem for std."""
-    h = float(np.min(cls.grid.h))
-    taus = np.zeros(cls.n_active)
-    if cfg.space == "agg":
-        taus[:] = nitsche_tau_agg(h, cfg.beta)
-        return taus
-    for k in np.flatnonzero(np.diff(quad.boundary_offsets)) + 1:
-        taus[k - 1] = nitsche_tau_std(cls, int(k), quad, cfg.beta)
-    return taus
-
-
 def run_solve_pipeline(cfg: ExperimentConfig, level=None,
                        runtime=None) -> SolveOutputs:
-    """classify -> aggregate -> space/constraints -> assemble -> solve -> norms.
+    """classify -> aggregate -> constraints, penalty -> assemble -> solve -> norms.
 
     Both spaces run one sequence for every process count, on ``procs``
     subdomains of ``runtime``: partition, DOF numbering, distributed
@@ -326,8 +314,12 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
         with timer.time("constraints"):
             constraints = [build_constraints_distributed(p, dist_map, bf)
                            for p, bf in zip(numbering.pieces, buffers)]
-    with timer.time("space"):
-        taus = penalty_per_cell(cfg, cls, quad)
+    with timer.time("penalty"):
+        if agg:
+            taus = np.full(cls.n_active,
+                           nitsche_tau_agg(float(np.min(grid.h)), cfg.beta))
+        else:
+            taus = nitsche_tau_std(cls, quad, cfg.beta)
     u, grad_u, f = manufactured_solution(cfg)
     with timer.time("assemble"):
         elements = poisson_elements(cls, quad, taus, f, u)
@@ -675,6 +667,8 @@ def fit_order(hs, errs):
 
 
 def run_convergence(cfg: ExperimentConfig, levels):
+    if not levels or len(set(levels)) < len(levels):
+        raise ConfigError(f"need distinct levels, got {list(levels)}")
     rows = []
     for level in levels:
         out = run_solve_pipeline(replace(cfg, level=level))

@@ -17,10 +17,11 @@ where the Jacobi weights absorb the Jacobian of the collapse (Stroud's
 conical product rules; 27 points are exact to degree 5).  Interface
 facets come from the linear zero crossing, their normals along the
 gradient of the simplex's linear interpolant; this is exact for
-half-plane geometries and first-order convergent for smooth ones.  Clipping is one array pass over all sub-simplices of a batch of
-cells, read off case tables by the number of inside vertices; the same
-pass gives classification its cut volumes and quadrature its simplices
-and facets.  All rules live in one flat store in cell-id order: interior
+half-plane geometries and first-order convergent for smooth ones.
+Clipping is one array pass over all sub-simplices of a batch of cells,
+read off case tables by the number of inside vertices; the same pass
+gives classification its cut volumes and quadrature its simplices and
+facets.  All rules live in one flat store in cell-id order: interior
 cells share one box rule, which the store also keeps in unit-box
 coordinates for reference-element integration, and cut-cell rules are
 mapped in batches.

@@ -18,12 +18,6 @@ class LevelSet:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def translated(self, shift) -> "Transformed":
-        return Transformed(self, shift=shift)
-
-    def scaled(self, factor: float) -> "Transformed":
-        return Transformed(self, scale=factor)
-
 
 class HalfPlane(LevelSet):
     """psi(x) = a . x - c; the domain is the half-space a . x < c."""
@@ -94,23 +88,6 @@ class Popcorn(LevelSet):
             val = val - self.amplitude * np.exp(-d2 / self.sigma**2)
         # scaling the geometry scales the (distance-like) field too
         return val * self.scale
-
-
-class Transformed(LevelSet):
-    """Translate and/or scale another level set about the origin."""
-
-    name = "transformed"
-
-    def __init__(self, base: LevelSet, shift=0.0, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.base = base
-        self.shift = np.asarray(shift, dtype=np.float64)
-        self.scale = float(scale)
-
-    def __call__(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        return self.base((points - self.shift) / self.scale) * self.scale
 
 
 class CallableLevelSet(LevelSet):

@@ -139,9 +139,12 @@ def _repair_boundaries(weights: np.ndarray, prefix: np.ndarray,
 def _split(weights: np.ndarray, n_parts: int) -> np.ndarray:
     """Owner (1-based) per position for Morton-ordered weighted cells."""
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
+    seeds = [_adaptive_boundaries(prefix[1:], n_parts)]
+    # equal weights get adaptive sizes within one, which no split beats
+    if np.any(weights != weights[0]):
+        seeds.append(_balanced_boundaries(prefix[1:], n_parts))
     best = None
-    for seed_bounds in (_adaptive_boundaries(prefix[1:], n_parts),
-                        _balanced_boundaries(prefix[1:], n_parts)):
+    for seed_bounds in seeds:
         bounds = _repair_boundaries(weights, prefix, seed_bounds)
         sums = np.diff(prefix[bounds])
         score = (float(sums.max() - sums.min()), float(np.sum(sums**2)))

@@ -30,8 +30,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import DistributedSystem, reference_tables
-from .fespace import shape_gradients, shape_values
+from .assembly import DistributedSystem, bulk_rows, reference_tables
 from .runtime import VirtualRuntime
 
 
@@ -49,27 +48,21 @@ class SolveReport:
     iterations: int
     residual_history: list
     converged: bool
-    ritz_min: float | None
-    ritz_max: float | None
     kappa: float | None   # Ritz kappa of D^-1 A from the recurrence, None
-                          # before the first step or if ritz_min <= 0
-    rtol: float
-    maxit: int
+                          # before the first step or if a Ritz value <= 0
     reason: str           # converged, maxit, breakdown or nonfinite
 
 
 def _ritz_from_recurrence(alphas, betas):
     k = len(alphas)
     if k == 0:
-        return None, None, None
+        return None
     alphas, betas = np.asarray(alphas), np.asarray(betas[:k - 1])
     diag = 1.0 / alphas
     diag[1:] += betas / alphas[:-1]
     off = np.sqrt(betas) / alphas[:-1]
     eig = diag if k == 1 else scipy.linalg.eigvalsh_tridiagonal(diag, off)
-    lo, hi = float(eig[0]), float(eig[-1])
-    kappa = hi / lo if lo > 0 else None
-    return lo, hi, kappa
+    return float(eig[-1] / eig[0]) if eig[0] > 0 else None
 
 
 def _dot_terms(out, r, z):
@@ -181,10 +174,9 @@ def pcg_jacobi(system, rtol: float = 1e-6, maxit: int = 500,
         phase=phase)
     x = np.concatenate([r[0] for r in results])
     iterations, history, alphas, betas, reason = results[0][1]
-    lo, hi, kappa = _ritz_from_recurrence(alphas, betas)
     return x, SolveReport(iterations=iterations, residual_history=history,
-                          converged=reason == "converged", ritz_min=lo,
-                          ritz_max=hi, kappa=kappa, rtol=rtol, maxit=maxit,
+                          converged=reason == "converged",
+                          kappa=_ritz_from_recurrence(alphas, betas),
                           reason=reason)
 
 
@@ -209,7 +201,7 @@ def _solution_chunks(cls, quad, nodal):
     """Points, weights, u_h and grad(u_h) over the bulk rows of ``quad``
     in chunks: interior cells from their nodal values and the reference
     tables, cut cells point by point."""
-    d, h = cls.grid.d, cls.grid.h
+    d = cls.grid.d
     vals_ref, grads_ref = reference_tables(cls, quad)
     for cells, rows in quad.interior_chunks(cls.interior_ids):
         values = nodal[cells - 1]
@@ -217,13 +209,10 @@ def _solution_chunks(cls, quad, nodal):
         yield (quad.points[rows], quad.weights[rows],
                (values @ vals_ref.T).ravel(),
                np.einsum("ca,nad->cnd", values, grads_ref).reshape(-1, d))
-    for cells, rows in quad.cut_chunks(cls.cut_ids):
+    for cells, pts, w, vals, grads in bulk_rows(cls, quad, cls.cut_ids):
         values = nodal[cells - 1]
-        pts = quad.points[rows]
-        xi = cls.reference_coords(cells, pts)
-        yield (pts, quad.weights[rows],
-               np.einsum("na,na->n", shape_values(xi), values),
-               np.einsum("nad,na->nd", shape_gradients(xi) / h, values))
+        yield (pts, w, np.einsum("na,na->n", vals, values),
+               np.einsum("nad,na->nd", grads, values))
 
 
 @dataclass

@@ -7,8 +7,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
+from agfem.assembly import TauUnboundedError, nitsche_tau_agg
 from agfem.partition import _lookup
 from agfem.fespace import (encode_node_keys, extension_operator,
                            shape_gradients, shape_values)
@@ -291,6 +293,29 @@ def all_points_elements(cls, quad, taus, f=None, g=None):
             np.add.at(vecs, cells - 1, (w * g(pts))[:, None]
                       * (tau[:, None] * vals - gn))
     return mats, vecs
+
+
+def tau_std_oracle(cls, cell_id, quad, beta):
+    """Penalty of one cell with interface points for the standard space,
+    from its own volume and boundary forms and one dense generalized
+    eigenproblem: the oracle for the batched ``nitsche_tau_std``."""
+    bulk = slice(*quad.offsets[cell_id - 1:cell_id + 1])
+    bnd = slice(*quad.boundary_offsets[cell_id - 1:cell_id + 1])
+    grid = cls.grid
+    xi = cls.reference_coords(cell_id, quad.points[bulk])
+    grads = shape_gradients(xi) / grid.h
+    V = np.einsum("nad,nbd,n->ab", grads, grads, quad.weights[bulk])
+    xib = cls.reference_coords(cell_id, quad.boundary_points[bnd])
+    gn = np.einsum("nad,nd->na", shape_gradients(xib) / grid.h,
+                   quad.boundary_normals[bnd])
+    B = np.einsum("na,nb,n->ab", gn, gn, quad.boundary_weights[bnd])
+    Z = scipy.linalg.null_space(np.ones((1, V.shape[0])))
+    try:
+        lam = scipy.linalg.eigh(Z.T @ B @ Z, Z.T @ V @ Z, eigvals_only=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise TauUnboundedError(f"cell {cell_id}") from exc
+    return max(beta * float(lam[-1]),
+               nitsche_tau_agg(float(np.min(grid.h)), beta))
 
 
 def all_points_norms(space, quad, full, u_exact, grad_exact):

@@ -5,7 +5,8 @@ import scipy.sparse as sp
 from agfem.aggregation import aggregate_parallel, aggregate_serial
 from dataclasses import replace
 
-from agfem.assembly import (AssemblyError, assemble_distributed, assemble_serial,
+from agfem.assembly import (AssemblyError, TauUnboundedError,
+                            assemble_distributed, assemble_serial,
                             export_matrix_coo, nitsche_tau_agg, nitsche_tau_std,
                             poisson_elements)
 from agfem.distagg import build_direct_plan, build_inverse_plan, import_root_data
@@ -20,7 +21,8 @@ from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
 from conftest import (all_points_elements, classified,
-                      distributed_row_permutation, oracle_assembly, prolongate)
+                      distributed_row_permutation, oracle_assembly, prolongate,
+                      tau_std_oracle)
 
 
 def test_tau_agg_values():
@@ -33,12 +35,12 @@ def test_tau_agg_values():
 
 def test_tau_std_grows_as_cut_shrinks():
     grid = unit_box_grid(0, 2)
-    cls = classify_cells(grid, HalfPlane((1, 0), 0.5))
     taus = []
     for frac in (0.5, 0.1, 0.01, 0.001):
         ls = HalfPlane((1, 0), frac)
-        quad = cut_quadrature(grid, ls, classify_cells(grid, ls), 4)
-        taus.append(nitsche_tau_std(cls, 1, quad, 10.0))
+        cls = classify_cells(grid, ls)
+        taus.append(nitsche_tau_std(cls, cut_quadrature(grid, ls, cls, 4),
+                                    10.0)[0])
     assert all(taus[i] < taus[i + 1] for i in range(3)), taus
     assert taus[0] >= nitsche_tau_agg(1.0, 10.0)
 
@@ -46,10 +48,11 @@ def test_tau_std_grows_as_cut_shrinks():
 def test_tau_std_needs_boundary_and_floors_degenerate_rules():
     grid = unit_box_grid(0, 2)
     cls = classify_cells(grid, HalfPlane((1, 0), 0.5))
+    # a cell without interface points gets no penalty: no term reads it
     interior = HalfPlane((1, 0), 5.0)
     quad = cut_quadrature(grid, interior, classify_cells(grid, interior), 2)
-    with pytest.raises(ValueError, match="no boundary rule"):
-        nitsche_tau_std(cls, 1, quad, 10.0)
+    assert np.array_equal(
+        nitsche_tau_std(classify_cells(grid, interior), quad, 10.0), [0.0])
     # degenerate boundary rule with zero weight: B = 0, floored at beta/h
     base = cut_quadrature(grid, HalfPlane((1, 0), 0.5), cls, 2)
     degenerate = replace(
@@ -57,8 +60,39 @@ def test_tau_std_needs_boundary_and_floors_degenerate_rules():
         boundary_weights=np.zeros(1),
         boundary_normals=base.boundary_normals[:1],
         boundary_offsets=np.array([0, 1]))
-    assert nitsche_tau_std(cls, 1, degenerate, 10.0) == \
+    assert nitsche_tau_std(cls, degenerate, 10.0)[0] == \
         nitsche_tau_agg(1.0, 10.0)
+
+
+@pytest.mark.parametrize("ls, d, level", [
+    (Sphere((0.5, 0.5), 0.3), 2, 6),
+    (Sphere((0.531, 0.472), 0.3), 2, 7),
+    (Popcorn(), 3, 3),
+], ids=["circle-L6", "offset-circle-L7", "popcorn-L3"])
+def test_batched_tau_std_matches_the_per_cell_eigenproblems(ls, d, level):
+    grid, cls, _ = classified(level, ls, d)
+    quad = cut_quadrature(grid, ls, cls, 4)
+    taus = nitsche_tau_std(cls, quad, 10.0)
+    cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
+    want = [tau_std_oracle(cls, int(k), quad, 10.0) for k in cells]
+    assert cells.size > 100
+    assert taus[cells - 1] == pytest.approx(want, rel=1e-8, abs=0)
+    assert not np.any(np.delete(taus, cells - 1))
+
+
+def test_tau_std_names_the_cell_with_a_singular_volume_form():
+    ls = Sphere((0.5, 0.5), 0.3)
+    grid, cls, _ = classified(4, ls)
+    quad = cut_quadrature(grid, ls, cls, 4)
+    cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
+    k = int(cells[3])
+    weights = quad.weights.copy()
+    for j in (k, int(cells[8])):   # the error names the first
+        weights[quad.offsets[j - 1]:quad.offsets[j]] = 0.0
+    with pytest.raises(TauUnboundedError, match=f"^cell {k}: "):
+        nitsche_tau_std(cls, replace(quad, weights=weights), 10.0)
+    with pytest.raises(TauUnboundedError, match=f"^cell {k}$"):
+        tau_std_oracle(cls, k, replace(quad, weights=weights), 10.0)
 
 
 def test_interior_stiffness_stencil():

@@ -41,6 +41,16 @@ def test_load_config_file_and_overrides(tmp_path):
     assert cfg.level == 5
     assert cfg.beta == 100.0
     assert cfg.dump == ("aggregates", "matrix")
+    # the command line's string options are parsed once, by load_config;
+    # unset options leave the file's values
+    from agfem.cli import _build_config
+
+    path.write_text("trace = 1\nlevel = 3\n")
+    cfg = _build_config(str(path), dump="matrix", beta=None, trace=False)
+    assert (cfg.trace, cfg.level, cfg.dump) == (1, 3, ("matrix",))
+    assert cfg.beta == 10.0
+    assert _build_config(None, trace=True).trace == 1
+    assert _build_config(None, trace=False).trace == 0
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -81,6 +91,7 @@ def test_cmd_solve_writes_record_and_dumps(tmp_path):
         phases = [row["phase"] for row in csv.DictReader(fh)]
     assert phases[:2] == ["classify", "quadrature"]
     assert phases[-1] == "record" and phases.count("record") == 1
+    assert "penalty" in phases and "space" not in phases
 
 
 def test_runs_csv_header_is_the_record_schema(tmp_path):
@@ -118,6 +129,30 @@ def test_solve_runs_one_cg_and_records_its_ritz_kappa(monkeypatch, tmp_path):
     assert make_run_record(cfg, out)["kappa_est"] == repr(out.report.kappa)
     out.report = replace(out.report, kappa=None)
     assert make_run_record(cfg, out)["kappa_est"] == "nan"
+
+
+def test_std_penalty_is_one_batched_call_without_dense_eigh(monkeypatch,
+                                                            tmp_path):
+    import scipy.linalg
+
+    import agfem.experiments as ex
+
+    calls = []
+    batched = ex.nitsche_tau_std
+
+    def counting(*args):
+        calls.append(1)
+        return batched(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve run called scipy.linalg.eigh")
+
+    monkeypatch.setattr(ex, "nitsche_tau_std", counting)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    record = cmd_solve(ExperimentConfig(geometry="offset-circle", level=5,
+                                        space="std",
+                                        out=str(tmp_path)).validate())
+    assert record["converged"] is True and calls == [1]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -490,6 +525,14 @@ def test_cli_exit_codes(tmp_path):
         assert bad_part.returncode == 2, bad_part.stderr
         assert "config error" in bad_part.stderr
 
+    # an order needs distinct levels: two copies of one h fit nothing
+    for levels in ("3,3", ","):
+        repeated = _cli("convergence", "--levels", levels, "--out",
+                        str(tmp_path / "conv"))
+        assert repeated.returncode == 2, repeated.stderr
+        assert "need distinct levels" in repeated.stderr
+    assert not (tmp_path / "conv" / "convergence.csv").exists()
+
 
 @pytest.mark.parametrize("exc", [TypeError("bug"), ValueError("bug")],
                          ids=["TypeError", "ValueError"])
@@ -529,3 +572,6 @@ def test_cli_weight_study_and_convergence_smoke(tmp_path):
                "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert "fitted orders" in res.stdout
+    res = _cli("convergence", "--levels", "3", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert "no order fitted" in res.stdout and "fitted orders" not in res.stdout

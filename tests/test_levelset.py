@@ -1,7 +1,6 @@
 import numpy as np
 
-from agfem.levelset import (CallableLevelSet, HalfPlane, Popcorn, Sphere,
-                            Transformed)
+from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
 
 from conftest import gradient
 
@@ -23,15 +22,6 @@ def test_evaluation_is_pure():
     ls = Sphere((0.4, 0.6), 0.25)
     pts = np.random.default_rng(0).random((50, 2))
     assert np.array_equal(ls(pts), ls(pts))
-
-
-def test_transformed_translate_scale():
-    base = Sphere((0.0, 0.0), 1.0)
-    moved = Transformed(base, shift=(0.5, 0.5), scale=0.25)
-    # zero set is now the circle of radius 0.25 around (0.5, 0.5)
-    assert abs(moved(np.array([[0.75, 0.5]]))[0]) < 1e-15
-    assert moved(np.array([[0.5, 0.5]]))[0] < 0
-    assert base.translated((1.0, 0.0))(np.array([[1.0, 0.0]]))[0] == -1.0
 
 
 def test_popcorn_fits_unit_cube():

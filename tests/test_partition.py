@@ -4,8 +4,9 @@ import pytest
 from agfem.geometry import classify_cells
 from agfem.grid import unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
-from agfem.partition import (Partition, PartitionError, build_subdomain_meshes,
-                             partition_weighted_sfc)
+from agfem.partition import (Partition, PartitionError, _adaptive_boundaries,
+                             _balanced_boundaries, _repair_boundaries, _split,
+                             build_subdomain_meshes, partition_weighted_sfc)
 
 from conftest import classified, random_geometry
 
@@ -72,6 +73,39 @@ def test_balance_random_weights(rng):
             assert sums.max() - sums.min() <= w_max + 1e-12
             assert np.all(np.abs(sums - weights.sum() / n_parts)
                           <= w_max + 1e-12)
+
+
+def _two_seed_owners(weights, n_parts):
+    """Owners from the repaired adaptive and bisection seeds, the better
+    split kept and the adaptive one on ties: the full search of ``_split``."""
+    prefix = np.concatenate([[0.0], np.cumsum(weights)])
+    best = None
+    for seed in (_adaptive_boundaries(prefix[1:], n_parts),
+                 _balanced_boundaries(prefix[1:], n_parts)):
+        bounds = _repair_boundaries(weights, prefix, seed)
+        sums = np.diff(prefix[bounds])
+        score = (float(sums.max() - sums.min()), float(np.sum(sums**2)))
+        if best is None or score < best[0]:
+            best = (score, bounds)
+    return np.repeat(np.arange(1, n_parts + 1), np.diff(best[1]))
+
+
+def test_equal_weights_split_as_the_two_seed_search(rng):
+    # unequal weights keep the search over both seeds
+    for n, p in ((40, 3), (200, 7), (1000, 16)):
+        weights = rng.uniform(0.5, 3.0, size=n)
+        assert np.array_equal(_split(weights, p), _two_seed_owners(weights, p))
+    pairs = [(n, p) for n in range(1, 70) for p in range(1, min(n, 9) + 1)]
+    pairs += [(n, p) for n in (1000, 4099, 18513) for p in (2, 7, 32, 64)]
+    for n, p in pairs:
+        for w in (1.0, 2.5):
+            weights = np.full(n, w)
+            assert np.array_equal(_split(weights, p),
+                                  _two_seed_owners(weights, p)), (n, p, w)
+        # prefix sums that round leave the full search to pick among equal
+        # splits by rounding noise; sizes still differ by at most one
+        sizes = np.bincount(_split(np.full(n, 0.1), p))[1:]
+        assert sizes.max() - sizes.min() <= 1, (n, p)
 
 
 def test_halves_ghost_layers():
