@@ -415,8 +415,9 @@ def assemble_distributed(runtime: VirtualRuntime, numbering, constraints_per_s,
 
     ``elements = (matrices, vectors)`` covers every active cell; each
     subdomain runs the kernel on the rows of its owned cells, and one
-    routed exchange moves off-owner rows to their owners.  The gathered
-    system equals the serial one bitwise, up to the row numbering.
+    routed exchange moves off-owner rows to their owners.  On a
+    ``partition_weighted_sfc`` partition the global ids are the serial
+    rows, so the gathered system equals the serial one bitwise.
     """
     row_starts = numbering.owned_ranges()
     args = [(*piece.owned_cells(), cons, *elements, numbering.n_global,

@@ -31,6 +31,13 @@ the one-subdomain case: there the local ids are the serial node ids and
 the global ids the serial rows.  Assembly and the nodal values behind
 the error norms read a subdomain's owned cells through
 ``DistSpacePiece.owned_cells``.
+
+Global ids do not depend on the process count when subdomains own
+ascending contiguous ranges of cell ids, as ``partition_weighted_sfc``
+gives: each node's owner holds its smallest-id numbered cell, so the
+owned ranges list the nodes in serial first-touch order.  Other
+partitions, such as hand-built ones, get a valid numbering, not the
+serial one.
 """
 
 from __future__ import annotations
@@ -291,25 +298,3 @@ def nodal_values(numbering: DistNumbering, constraints_per_s, x: np.ndarray,
         nodal[cell_ids - 1] = (C @ x)[cell_dofs - 1]
     return nodal
 
-
-def numbering_permutation(numbering: DistNumbering,
-                          reference: DistNumbering) -> np.ndarray:
-    """Map the global ids of one numbering to another's via node codes.
-
-    Returns ``perm`` with ``perm[gid - 1] = reference id - 1``; used to
-    compare runs on different process counts.
-    """
-    codes = np.concatenate([p.gid_codes for p in reference.pieces])
-    ids = np.concatenate([p.gids for p in reference.pieces])
-    by_code = np.argsort(codes)
-    perm = np.full(numbering.n_global, -1, dtype=np.int64)
-    for piece in numbering.pieces:
-        ref = _lookup(codes[by_code], ids[by_code], piece.gid_codes)
-        if np.any(ref == -1):
-            gid = int(piece.gids[np.argmax(ref == -1)])
-            raise KeyError(f"global id {gid} names a node the reference "
-                           f"does not number")
-        perm[piece.gids - 1] = ref - 1
-    if np.any(perm < 0):
-        raise KeyError("some global ids were never defined")
-    return perm

@@ -16,10 +16,9 @@ import csv
 import functools
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import svg
 # aggregate_serial, assemble_serial, build_constraints_serial,
@@ -33,8 +32,7 @@ from .assembly import (DistributedSystem, assemble_distributed,
                        nitsche_tau_std, poisson_elements)
 from .distagg import build_direct_plan, build_inverse_plan, import_root_data
 from .distspace import (build_constraints_distributed, nodal_values,
-                        number_dofs_distributed, numbering_permutation,
-                        root_cell_data_provider)
+                        number_dofs_distributed, root_cell_data_provider)
 from .fespace import (build_constraints_serial, build_std_space,
                       classify_dofs, encode_node_keys)
 from .geometry import classify_cells, cut_quadrature, face_is_active
@@ -232,8 +230,9 @@ class SolveOutputs:
     """Everything a solve run produced, for records, dumps, and checks.
 
     The system and the solution are in the global-id numbering of
-    ``numbering``.  The standard space has no aggregates, and None for
-    the constraints of each subdomain."""
+    ``numbering``, which is the same for every process count, so both
+    are bitwise equal at every P.  The standard space has no aggregates,
+    and None for the constraints of each subdomain."""
 
     cfg: ExperimentConfig
     grid: object
@@ -264,16 +263,14 @@ class SolveOutputs:
             cls.vertex_keys(cls.interior_ids), cls.grid.n_per_axis)).size)
 
 
-def geometry_setup(cfg: ExperimentConfig, level=None):
-    grid = unit_box_grid(level if level is not None else cfg.level,
-                         cfg.dimension)
+def geometry_setup(cfg: ExperimentConfig):
+    grid = unit_box_grid(cfg.level, cfg.dimension)
     ls = make_levelset(cfg)
     cls = classify_cells(grid, ls)
     return grid, ls, cls, functools.partial(face_is_active, cls)
 
 
-def run_solve_pipeline(cfg: ExperimentConfig, level=None,
-                       runtime=None) -> SolveOutputs:
+def run_solve_pipeline(cfg: ExperimentConfig, runtime=None) -> SolveOutputs:
     """classify -> aggregate -> constraints, penalty -> assemble -> solve -> norms.
 
     Both spaces run one sequence for every process count, on ``procs``
@@ -284,7 +281,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, level=None,
     standard space numbers every node and has no constraints."""
     timer = PhaseTimer()
     with timer.time("classify"):
-        grid, ls, cls, _ = geometry_setup(cfg, level)
+        grid, ls, cls, _ = geometry_setup(cfg)
     with timer.time("quadrature"):
         quad = cut_quadrature(grid, ls, cls, QUAD_ORDER)
     if runtime is None:
@@ -546,11 +543,11 @@ def cmd_cut_sweep(cfg: ExperimentConfig, offsets=DEFAULT_SWEEP):
 # parallel check
 
 
-def _constraint_mismatch(serial: SolveOutputs, out: SolveOutputs, perm):
+def _constraint_mismatch(serial: SolveOutputs, out: SolveOutputs):
     """First difference between the constraints of the one-subdomain run
-    ``serial`` and every subdomain's in ``out``, compared exactly by node
-    code with masters mapped to serial ids through ``perm``; None when
-    they agree."""
+    ``serial`` and every subdomain's in ``out``, compared exactly; the
+    constrained DOFs have local ids only and are matched by node code.
+    None when they agree."""
     [ref], [ref_cons] = serial.numbering.pieces, serial.constraints
     codes = ref.node_codes[ref_cons.constrained - 1]
     by_code = np.argsort(codes)
@@ -564,7 +561,7 @@ def _constraint_mismatch(serial: SolveOutputs, out: SolveOutputs, perm):
             return f"node {key} is constrained in subdomain {piece.s} only"
         seen[i] = True
         for what, want, got in (
-                ("master sets", ref_cons.masters[i], perm[cons.masters - 1] + 1),
+                ("master sets", ref_cons.masters[i], cons.masters),
                 ("constraint coefficients", ref_cons.coeffs[i], cons.coeffs)):
             bad = np.flatnonzero(np.any(want != got, axis=1))
             if bad.size:
@@ -579,16 +576,12 @@ def _constraint_mismatch(serial: SolveOutputs, out: SolveOutputs, perm):
 def run_parallel_check(cfg: ExperimentConfig, procs_list,
                        runtime_factory=None) -> dict:
     """Assert that runs of ``cfg.space`` on every P in ``procs_list`` equal
-    the P = 1 run in aggregates and constraints (the aggregated space
-    only), systems and solver histories; raises EquivalenceError with the
-    first difference.
-
-    Global ids are matched to the serial ones by node code.  Constraints
-    and systems must agree exactly; residual histories to 1e-10, as
-    distributed inner products sum in another row order."""
+    the P = 1 run bitwise, as they stand, since global ids do not depend
+    on P: aggregates and constraints (``agg`` only), the gathered A and b,
+    iterations, residual history, solution and error norms.  Raises
+    EquivalenceError with the first difference."""
     serial = run_solve_pipeline(replace(cfg, procs=1))
     A_s, b_s = serial.system.gather()
-    n_s = serial.numbering.n_global
     checked = {"procs": [], "aggregate_cells": 0, "constrained_dofs": 0}
     for P in procs_list:
         if P == 1:
@@ -597,11 +590,6 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
         out = run_solve_pipeline(
             replace(cfg, procs=P),
             runtime=runtime_factory(P) if runtime_factory else None)
-        if out.numbering.n_global != n_s:
-            raise EquivalenceError(
-                f"P={P}: {out.numbering.n_global} global DOF ids, {n_s} "
-                f"serially")
-        perm = numbering_permutation(out.numbering, serial.numbering)
         if cfg.space == "agg":
             mismatch = compare_with_serial(out.meshes, out.dist_map,
                                            serial.root_map)
@@ -611,32 +599,33 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
                     f"P={P}: aggregation differs at cell {g} (subdomain "
                     f"{s}): serial root {want}, parallel root {got}")
             checked["aggregate_cells"] += serial.classification.n_active
-            mismatch = _constraint_mismatch(serial, out, perm)
+            mismatch = _constraint_mismatch(serial, out)
             if mismatch is not None:
                 raise EquivalenceError(f"P={P}: {mismatch}")
             checked["constrained_dofs"] += serial.constraints[0].n_constrained
 
         A_d, b_d = out.system.gather()
-        inv = np.argsort(perm)   # id at P of each serial id
-        A_cmp = sp.csr_matrix(A_d[inv][:, inv])
-        rows = (A_cmp != A_s).tocoo().row
-        if rows.size:
-            dev = abs(A_cmp - A_s).max()
-            raise EquivalenceError(
-                f"P={P}: assembled matrices differ by {dev:.3e} at row "
-                f"{rows.min() + 1}")
-        rows = np.flatnonzero(b_d[inv] != b_s)
-        if rows.size:
-            raise EquivalenceError(
-                f"P={P}: assembled vectors differ at row {rows[0] + 1}")
-
-        h_s = np.asarray(serial.report.residual_history)
-        h_d = np.asarray(out.report.residual_history)
-        if serial.report.iterations != out.report.iterations or \
-                not np.allclose(h_s, h_d, rtol=0.0, atol=1e-10):
-            raise EquivalenceError(
-                f"P={P}: solver histories differ "
-                f"({serial.report.iterations} vs {out.report.iterations} iterations)")
+        for what, want, got in (
+                ("global DOF counts", [serial.numbering.n_global],
+                 [out.numbering.n_global]),
+                ("assembled matrix row starts", A_s.indptr, A_d.indptr),
+                ("assembled matrix columns", A_s.indices, A_d.indices),
+                ("assembled matrix values", A_s.data, A_d.data),
+                ("assembled vectors", b_s, b_d),
+                ("solver iterations", [serial.report.iterations],
+                 [out.report.iterations]),
+                ("residual histories", serial.report.residual_history,
+                 out.report.residual_history),
+                ("solutions", serial.solution, out.solution),
+                ("error norms", astuple(serial.norms), astuple(out.norms))):
+            want = np.asarray(want)
+            got = np.asarray(got, dtype=want.dtype)
+            bad = np.flatnonzero(want.view(np.uint8) != got.view(np.uint8))
+            if bad.size:
+                k = bad[0] // want.itemsize
+                raise EquivalenceError(
+                    f"P={P}: {what} differ at entry {k + 1}: {want[k]} "
+                    f"serially, {got[k]}")
         checked["procs"].append(P)
     return checked
 

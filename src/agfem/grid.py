@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_INT64_MAX = np.iinfo(np.int64).max
-
 # deterministic neighbor order: -x, +x, -y, +y, [-z, +z]
 FACE_STEPS = {
     2: np.array([[-1, 0], [1, 0], [0, -1], [0, 1]], dtype=np.int64),

@@ -43,9 +43,10 @@ def _greedy_bounds(prefix: np.ndarray, n_parts: int, lo: float) -> np.ndarray:
 def _balanced_boundaries(prefix: np.ndarray, n_parts: int) -> np.ndarray:
     """Bisect the greedy threshold so the leftover range is no lighter.
 
-    With threshold lo every closed range weighs in [lo, lo + w_max); the
-    largest lo whose leftover still reaches lo puts all sums in a window
-    of one maximum cell weight.
+    With threshold lo a closed range weighs in [lo, lo + w_max) unless cut
+    short to leave a cell per later range; the leftover weighs at least lo.
+    No spread bound follows: weights [2, 3, 1, 3] on three ranges give
+    sums [5, 1, 3].  ``_repair_boundaries`` is what bounds the spread.
     """
     total = float(prefix[-1])
     lo_ok, lo_bad = 0.0, total

@@ -11,9 +11,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from agfem.assembly import TauUnboundedError, nitsche_tau_agg
-from agfem.partition import _lookup
-from agfem.fespace import (encode_node_keys, extension_operator,
-                           shape_gradients, shape_values)
+from agfem.fespace import extension_operator, shape_gradients, shape_values
 from agfem.geometry import classify_cells, point_chunks
 from agfem.grid import face_neighbors, unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
@@ -419,27 +417,6 @@ def prolongate(dofs, constraints, interior_values):
             f"got {interior_values.shape}")
     return extension_operator(dofs.row_of, constraints,
                               dofs.n_interior) @ interior_values
-
-
-def distributed_row_permutation(numbering, space, dofs):
-    """Map distributed global ids to the rows of the serial reference
-    space via node keys: ``perm[gid - 1] = serial row - 1``."""
-    serial = encode_node_keys(space.node_keys[dofs.interior_ids - 1],
-                              space.classification.grid.n_per_axis)
-    by_code = np.argsort(serial)
-    rows_by_code = dofs.row_of[dofs.interior_ids - 1][by_code]
-    perm = np.zeros(numbering.n_global, dtype=np.int64)
-    seen = np.zeros(numbering.n_global, dtype=bool)
-    for piece in numbering.pieces:
-        rows = _lookup(serial[by_code], rows_by_code, piece.gid_codes)
-        if np.any(rows == -1):
-            gid = int(piece.gids[np.argmax(rows == -1)])
-            raise KeyError(f"distributed id {gid} maps to no serial row")
-        perm[piece.gids - 1] = rows - 1
-        seen[piece.gids - 1] = True
-    if not np.all(seen):
-        raise KeyError("some distributed ids were never defined")
-    return perm
 
 
 @pytest.fixture

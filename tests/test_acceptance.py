@@ -28,8 +28,8 @@ from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 from agfem.assembly import assemble_distributed
 
-from conftest import (bfs_aggregation_oracle, classified,
-                      distributed_row_permutation, prolongate, random_geometry)
+from conftest import (bfs_aggregation_oracle, classified, prolongate,
+                      random_geometry)
 
 GEOMETRIES = {
     "halfplane": lambda: HalfPlane((1.0, 0.0), 0.6180339887),
@@ -97,14 +97,15 @@ def equivalence_data():
                 dcons = [build_constraints_distributed(p, dist, bf)
                          for p, bf in zip(numbering.pieces, buffers)]
                 system = assemble_distributed(rt, numbering, dcons, elements)
+                # global ids are the serial rows at every P
                 A_d, b_d = system.gather()
-                perm = distributed_row_permutation(numbering, space, dofs)
-                pm = sp.csr_matrix(
-                    (np.ones(perm.size), (perm, np.arange(perm.size))),
-                    shape=(perm.size, perm.size))
-                diff = sp.csr_matrix(pm @ A_d @ pm.T - A_s)
+                diff = sp.csr_matrix(A_d - A_s)
                 a_dev = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-                b_dev = float(np.max(np.abs(pm @ b_d - b_s)))
+                b_dev = float(np.max(np.abs(b_d - b_s)))
+                bitwise = (np.array_equal(A_d.indptr, A_s.indptr)
+                           and np.array_equal(A_d.indices, A_s.indices)
+                           and A_d.data.tobytes() == A_s.data.tobytes()
+                           and b_d.tobytes() == b_s.tobytes())
                 sys_seconds += time.perf_counter() - t0
 
                 nbr = [set(int(x) for x in m.neighbors) for m in meshes]
@@ -116,7 +117,7 @@ def equivalence_data():
                     "geometry": geom_name, "level": level, "procs": n_parts,
                     "agg_match": mismatch is None, "mismatch": mismatch,
                     "duality": rcv == snd, "rounds": dist.rounds,
-                    "a_dev": a_dev, "b_dev": b_dev,
+                    "a_dev": a_dev, "b_dev": b_dev, "bitwise": bitwise,
                     "discipline": discipline,
                     "max_aggregate": stats.max_size,
                 })
@@ -138,11 +139,13 @@ def test_criterion_2_distributed_system_equality(equivalence_data):
     rows = equivalence_data["rows"]
     worst_a = max(r["a_dev"] for r in rows)
     worst_b = max(r["b_dev"] for r in rows)
+    bitwise = sum(r["bitwise"] for r in rows)
     elapsed = equivalence_data["sys_seconds"]
-    _report(2, worst_a <= 1e-12 and worst_b <= 1e-12 and elapsed <= 120.0,
+    _report(2, worst_a <= 1e-12 and worst_b <= 1e-12
+            and bitwise == len(rows) and elapsed <= 120.0,
             f"gathered systems match serial entrywise: max |dA| = {worst_a:.2e}, "
-            f"max |db| = {worst_b:.2e} (tolerance 1e-12, {elapsed:.1f}s, "
-            f"limit 120s)")
+            f"max |db| = {worst_b:.2e} (tolerance 1e-12), bitwise equal in "
+            f"{bitwise}/{len(rows)} configurations ({elapsed:.1f}s, limit 120s)")
 
 
 def test_criterion_3_conditioning_robustness():

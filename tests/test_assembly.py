@@ -20,9 +20,8 @@ from agfem.levelset import HalfPlane, Popcorn, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import (all_points_elements, classified,
-                      distributed_row_permutation, oracle_assembly, prolongate,
-                      tau_std_oracle)
+from conftest import (all_points_elements, classified, oracle_assembly,
+                      prolongate, tau_std_oracle)
 
 
 def test_tau_agg_values():
@@ -320,8 +319,7 @@ def test_unknown_dof_rejected():
         assemble_serial(space, replace(dofs, row_of=row_of), cons, elements)
 
 
-def _distributed_system(level, ls, n_parts, elements, space, dofs):
-    cls = space.classification
+def _distributed_system(cls, n_parts, elements):
     part = partition_weighted_sfc(cls, n_subdomains=n_parts)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(n_parts)
@@ -334,15 +332,14 @@ def _distributed_system(level, ls, n_parts, elements, space, dofs):
     dcons = [build_constraints_distributed(p, dist, bf)
              for p, bf in zip(numbering.pieces, buffers)]
     system = assemble_distributed(rt, numbering, dcons, elements)
-    perm = distributed_row_permutation(numbering, space, dofs)
-    return system, perm, numbering, dcons
+    return system, numbering, dcons
 
 
 def test_distributed_assembly_single_process_exact():
     ls = Sphere((0.5, 0.5), 0.3)
     grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(3, ls, g=lambda p: p[:, 0])
-    system, *_ = _distributed_system(3, ls, 1, elements, space, dofs)
+    system, *_ = _distributed_system(cls, 1, elements)
     assert sum(system.staged_counts) == 0
     A_d, b_d = system.gather()
     assert abs(A_d - A).max() == 0.0
@@ -354,19 +351,13 @@ def test_distributed_assembly_single_process_exact():
     (3, 3, Popcorn(), 8),
 ], ids=["circle-2d-L5-P4", "popcorn-3d-L3-P8"])
 def test_distributed_assembly_matches_serial(d, level, ls, n_parts):
-    # the canonical summation order makes the systems bitwise equal
+    # the canonical summation order makes the systems bitwise equal, and
+    # the global ids are the serial rows
     grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(level, ls, g=lambda p: np.sum(p, axis=1), d=d)
-    system, perm, *_ = _distributed_system(level, ls, n_parts, elements,
-                                           space, dofs)
+    system, *_ = _distributed_system(cls, n_parts, elements)
     A_d, b_d = system.gather()
-    inv = np.argsort(perm)      # serial row -> distributed id
-    A_cmp = A_d[inv][:, inv]
-    A_cmp.sort_indices()
-    assert np.array_equal(A_cmp.indptr, A.indptr)
-    assert np.array_equal(A_cmp.indices, A.indices)
-    assert np.array_equal(A_cmp.data, A.data)
-    assert np.array_equal(b_d[inv], b)
+    _assert_bitwise(A_d, b_d, A, b)
     assert (A.data == 0).sum() == 0
     assert sum(system.staged_counts) > 0
 
@@ -392,8 +383,7 @@ def test_kernel_matches_per_cell_oracle(d, level, ls, n_parts):
     _assert_bitwise(A, b, *oracle_assembly(
         [(space.cell_dofs, np.arange(1, cls.n_active + 1), dofs.row_of)],
         [cons], elements, dofs.n_interior))
-    system, _, numbering, dcons = _distributed_system(
-        level, ls, n_parts, elements, space, dofs)
+    system, numbering, dcons = _distributed_system(cls, n_parts, elements)
     _assert_bitwise(*system.gather(), *oracle_assembly(
         [piece.owned_cells() for piece in numbering.pieces], dcons, elements,
         numbering.n_global))

@@ -15,7 +15,7 @@ from agfem.levelset import HalfPlane, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import RuntimeProtocolError, VirtualRuntime
 
-from conftest import classified, distributed_row_permutation
+from conftest import classified
 
 
 def _setup(level, ls, n_parts):
@@ -86,11 +86,20 @@ def test_interface_dofs_owned_by_smaller_subdomain():
         assert ranges[0] <= gid < ranges[1]  # subdomain 1 owns the interface
 
 
-def test_distributed_row_permutation_is_bijective():
-    grid, cls, fa, space, dofs, rm, meshes, rt, dist, numbering = _setup(
-        4, Sphere((0.5, 0.5), 0.3), 4)
-    perm = distributed_row_permutation(numbering, space, dofs)
-    assert np.array_equal(np.sort(perm), np.arange(dofs.n_interior))
+def test_distributed_ids_are_the_serial_rows():
+    # subdomains of a partition_weighted_sfc partition own ascending cell
+    # ranges, so every id a subdomain knows is the node's serial row
+    for n_parts in (2, 4, 16):
+        grid, cls, fa, space, dofs, rm, meshes, rt, dist, numbering = _setup(
+            4, Sphere((0.531, 0.472), 0.3), n_parts)
+        codes = encode_node_keys(space.node_keys[dofs.interior_ids - 1],
+                                 grid.n_per_axis)
+        order = np.argsort(codes)
+        rows = dofs.row_of[dofs.interior_ids - 1][order]
+        for piece in numbering.pieces:
+            at = np.searchsorted(codes[order], piece.gid_codes)
+            assert np.array_equal(codes[order][at], piece.gid_codes)
+            assert np.array_equal(piece.gids, rows[at])
 
 
 @pytest.mark.parametrize("n_parts", [1, 2, 4, 16])

@@ -6,11 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from agfem.aggregation import aggregate_serial
 from agfem.assembly import assemble_serial, poisson_elements
-from agfem.distspace import numbering_permutation
 from agfem.experiments import (RECORD_FIELDS, RECORD_SCHEMA_VERSION,
                                ConfigError, EquivalenceError, ExperimentConfig,
                                cmd_convergence, cmd_parallel_check, cmd_solve,
@@ -280,6 +278,41 @@ def test_parallel_check_detects_a_rounding_level_assembly_fault():
         assert nudged
 
 
+def test_parallel_check_detects_a_relabelled_numbering(monkeypatch, tmp_path):
+    # global ids must not depend on P: swapping two ids owned by the last
+    # subdomain, consistently in every piece, gives a valid numbering
+    # that is not the serial one, and the check must fail with exit 4
+    from click.testing import CliRunner
+
+    import agfem.experiments as ex
+    from agfem import cli
+
+    number = ex.number_dofs_distributed
+
+    def relabelled(*args, **kwargs):
+        numbering = number(*args, **kwargs)
+        last = numbering.pieces[-1]
+        if len(numbering.pieces) > 1 and last.n_owned >= 2:
+            a, b = last.owned_start, last.owned_start + 1
+            for piece in numbering.pieces:
+                for ids in (piece.gids, piece.cell_g):
+                    hit = (ids == a) | (ids == b)
+                    ids[hit] = a + b - ids[hit]
+        return numbering
+
+    monkeypatch.setattr(ex, "number_dofs_distributed", relabelled)
+    for space in ("agg", "std"):
+        cfg = ExperimentConfig(geometry="offset-circle", level=4,
+                               space=space).validate()
+        with pytest.raises(EquivalenceError, match="P=4: .* differ"):
+            run_parallel_check(cfg, [4])
+    res = CliRunner().invoke(cli.main, [
+        "parallel-check", "--level", "4", "--procs-list", "1,4",
+        "--out", str(tmp_path)])
+    assert res.exit_code == 4
+    assert "equivalence check failed" in res.output
+
+
 def test_parallel_check_passes_clean():
     for space in ("agg", "std"):
         cfg = ExperimentConfig(level=3, space=space).validate()
@@ -333,13 +366,9 @@ def test_distributed_run_builds_no_serial_system(monkeypatch):
         assert len(out.constraints) == procs
 
 
-def _gathered_bytes(out, perm=None):
-    """The gathered (A, b) as bytes, rows and columns mapped through the
-    inverse of ``perm`` when given."""
+def _gathered_bytes(out):
+    """The gathered (A, b) as bytes."""
     A, b = out.system.gather()
-    if perm is not None:
-        inv = np.argsort(perm)
-        A, b = sp.csr_matrix(A[inv][:, inv]), b[inv]
     return (A.shape, A.indptr.tobytes(), A.indices.tobytes(),
             A.data.tobytes(), b.tobytes())
 
@@ -351,13 +380,13 @@ def _gathered_bytes(out, perm=None):
 ], ids=["offset-circle-P2", "offset-circle-P4", "popcorn-P8"])
 def test_std_space_gathers_bitwise_to_the_serial_system(params, procs):
     # the standard space numbers every node of the active cells and
-    # assembles without constraints on any number of subdomains
+    # assembles without constraints on any number of subdomains, with
+    # the serial global ids
     cfg = ExperimentConfig(space="std", solution="sine", **params).validate()
     serial = run_solve_pipeline(cfg)
     out = run_solve_pipeline(replace(cfg, procs=procs))
     assert out.numbering.n_global == serial.numbering.n_global
-    perm = numbering_permutation(out.numbering, serial.numbering)
-    assert _gathered_bytes(out, perm) == _gathered_bytes(serial)
+    assert _gathered_bytes(out) == _gathered_bytes(serial)
     assert out.report.iterations == serial.report.iterations
     assert out.report.residual_history == serial.report.residual_history
     assert out.norms == serial.norms

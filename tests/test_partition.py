@@ -62,17 +62,23 @@ def test_invalid_requests():
 
 def test_balance_random_weights(rng):
     cls = _all_active(4)
-    n = cls.n_active
-    for n_parts in (2, 3, 4, 7, 16):
-        for _ in range(4):
-            weights = rng.uniform(0.5, 3.0, size=n)
-            part = partition_weighted_sfc(cls, weights=weights,
-                                          n_subdomains=n_parts)
-            sums = part.subdomain_weights()
-            w_max = weights.max()
-            assert sums.max() - sums.min() <= w_max + 1e-12
-            assert np.all(np.abs(sums - weights.sum() / n_parts)
-                          <= w_max + 1e-12)
+    cases = [(cls, rng.uniform(0.5, 3.0, size=cls.n_active), n_parts)
+             for n_parts in (2, 3, 4, 7, 16) for _ in range(4)]
+    # the bisection seed alone gives sums [5, 1, 3], a spread of 4 against
+    # w_max = 3; the repair brings them to [2, 4, 3]
+    weights = np.array([2.0, 3.0, 1.0, 3.0])
+    bounds = _balanced_boundaries(np.cumsum(weights), 3)
+    assert np.array_equal(np.diff(np.cumsum([0.0, *weights])[bounds]),
+                          [5.0, 1.0, 3.0])
+    cases.append((_all_active(1), weights, 3))
+    for case_cls, weights, n_parts in cases:
+        part = partition_weighted_sfc(case_cls, weights=weights,
+                                      n_subdomains=n_parts)
+        sums = part.subdomain_weights()
+        w_max = weights.max()
+        assert sums.max() - sums.min() <= w_max + 1e-12
+        assert np.all(np.abs(sums - weights.sum() / n_parts)
+                      <= w_max + 1e-12)
 
 
 def _two_seed_owners(weights, n_parts):

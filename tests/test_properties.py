@@ -1,7 +1,7 @@
 """Property tests on random geometries: the case-table clipper against the
 per-simplex oracle, subdomain views against brute-force oracles, the
-distributed DOF numbering against its ownership rule, and the aggregation
-sweep against the BFS oracle."""
+distributed DOF numbering against its ownership rule and against the
+serial numbering, and the aggregation sweep against the BFS oracle."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,12 @@ from agfem.aggregation import (AggregationStalledError, aggregate_parallel,
 from agfem.distspace import number_dofs_distributed
 from agfem.geometry import _clip, classify_cells
 from agfem.grid import corner_offsets, unit_box_grid
-from agfem.levelset import HalfPlane, Sphere
+from agfem.levelset import HalfPlane, Popcorn, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import bfs_aggregation_oracle, clip_simplices, face_rule
+from conftest import (bfs_aggregation_oracle, clip_simplices, face_rule,
+                      random_geometry)
 
 
 TOL = 1e-12
@@ -108,6 +109,37 @@ def _check_numbering(cls, owner, meshes):
                 assert ranges[lowest[key] - 1] <= gid < ranges[lowest[key]]
     assert sorted(gid_of.values()) == list(range(1, numbering.n_global + 1))
     assert numbering.n_global == len(lowest)
+
+
+def _numbering(cls, n_parts, space):
+    part = partition_weighted_sfc(cls, n_subdomains=n_parts)
+    return number_dofs_distributed(
+        VirtualRuntime(n_parts), build_subdomain_meshes(cls, part),
+        interior_only=space == "agg")
+
+
+def _check_serial_ids(cls, n_parts, space):
+    """Every subdomain's (code, global id) table agrees with the table of
+    the one-subdomain run: global ids do not depend on P."""
+    [ref] = _numbering(cls, 1, space).pieces
+    numbering = _numbering(cls, n_parts, space)
+    assert numbering.n_global == ref.n_owned
+    for piece in numbering.pieces:
+        assert np.array_equal(ref.gid_of(piece.gid_codes), piece.gids)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9),
+       st.sampled_from(["agg", "std"]))
+def test_global_ids_do_not_depend_on_the_process_count(seed, n_parts, space):
+    level, ls = random_geometry(np.random.default_rng(seed))
+    cls = classify_cells(unit_box_grid(level, 2), ls)
+    _check_serial_ids(cls, min(n_parts, cls.n_active), space)
+
+
+@pytest.mark.parametrize("space", ["agg", "std"])
+def test_popcorn_global_ids_do_not_depend_on_the_process_count(space):
+    _check_serial_ids(classify_cells(unit_box_grid(3, 3), Popcorn()), 8, space)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
