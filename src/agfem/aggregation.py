@@ -164,8 +164,7 @@ def gather_root_map(meshes, dist_map: DistRootMap) -> RootMap:
 
 def aggregate_serial(classification: CellClassification) -> RootMap:
     """The sweep on one subdomain that owns every active cell."""
-    n = classification.n_active
-    part = Partition(1, np.ones(n, dtype=np.int64), np.ones(n))
+    part = Partition(1, np.ones(classification.n_active, dtype=np.int64))
     meshes = build_subdomain_meshes(classification, part)
     return gather_root_map(meshes, aggregate_parallel(VirtualRuntime(1), meshes))
 

@@ -48,7 +48,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_EQUIVALENCE = 4
 
-RECORD_SCHEMA_VERSION = 2
+RECORD_SCHEMA_VERSION = 3
 
 GEOMETRIES = ("circle", "offset-circle", "halfplane", "popcorn")
 SPACES = ("agg", "std")
@@ -345,8 +345,8 @@ RECORD_FIELDS = [
     "schema_version", "command", "geometry", "dimension", "level", "space",
     "beta", "rtol", "maxit", "procs", "threads", "solution", "n_cells",
     "n_active", "n_cut", "n_interior_dofs", "agg_rounds", "max_aggregate",
-    "assembly_checksum", "iterations", "converged", "kappa_est", "rel_l2",
-    "rel_h1",
+    "assembly_checksum", "iterations", "converged", "stop_reason",
+    "final_rel_residual", "kappa_est", "rel_l2", "rel_h1",
 ]
 
 
@@ -355,6 +355,7 @@ def make_run_record(cfg: ExperimentConfig, out: SolveOutputs,
     A, b = out.system.gather()
     checksum = float(np.sum(A.data**2) + np.sum(b**2))
     kappa = out.report.kappa   # Ritz kappa of the operator PCG saw, or None
+    history = out.report.residual_history
     return {
         "schema_version": RECORD_SCHEMA_VERSION,
         "command": command,
@@ -378,6 +379,9 @@ def make_run_record(cfg: ExperimentConfig, out: SolveOutputs,
         "assembly_checksum": repr(checksum),
         "iterations": out.report.iterations,
         "converged": out.report.converged,
+        "stop_reason": out.report.reason,
+        "final_rel_residual": (repr(float(history[-1])) if history
+                               else "nan"),
         "kappa_est": "nan" if kappa is None else repr(kappa),
         "rel_l2": repr(float(out.norms.l2)),
         "rel_h1": repr(float(out.norms.h1_semi)),

@@ -1,7 +1,10 @@
 """Space-filling-curve mesh partitioning and per-subdomain views.
 
-Subdomains own contiguous ranges of Morton-ordered cells; range
-boundaries balance per-subdomain weight sums.  Each subdomain view keeps
+Subdomains own contiguous ranges of Morton-ordered cells.  The split
+minimises the heaviest range sum exactly and keeps every range within
+one max weight of it; among such splits each boundary sits at the
+prefix nearest the remaining average, the later one on a tie, which
+with equal weights gives sizes within one.  Each subdomain view keeps
 its owned cells plus a ghost layer of every foreign active cell that
 shares a vertex, edge, or face with an owned cell, which guarantees all
 cells incident to any locally owned node are locally relevant.  All
@@ -25,137 +28,61 @@ class PartitionError(ValueError):
     """Invalid partition request."""
 
 
-def _greedy_bounds(prefix: np.ndarray, n_parts: int, lo: float) -> np.ndarray:
-    """Close each range at the first cell where its sum reaches `lo`."""
-    n = prefix.size
-    bounds = np.zeros(n_parts + 1, dtype=np.int64)
-    bounds[n_parts] = n
-    start = 0.0
-    for s in range(1, n_parts):
-        b = int(np.searchsorted(prefix, start + lo, side="left")) + 1
-        b = max(b, int(bounds[s - 1]) + 1)
-        b = min(b, n - (n_parts - s))
-        bounds[s] = b
-        start = float(prefix[b - 1])
-    return bounds
-
-
-def _balanced_boundaries(prefix: np.ndarray, n_parts: int) -> np.ndarray:
-    """Bisect the greedy threshold so the leftover range is no lighter.
-
-    With threshold lo a closed range weighs in [lo, lo + w_max) unless cut
-    short to leave a cell per later range; the leftover weighs at least lo.
-    No spread bound follows: weights [2, 3, 1, 3] on three ranges give
-    sums [5, 1, 3].  ``_repair_boundaries`` is what bounds the spread.
-    """
-    total = float(prefix[-1])
-    lo_ok, lo_bad = 0.0, total
-    for _ in range(100):
-        mid = 0.5 * (lo_ok + lo_bad)
-        bounds = _greedy_bounds(prefix, n_parts, mid)
-        leftover = total - float(prefix[bounds[n_parts - 1] - 1])
-        if leftover >= mid:
-            lo_ok = mid
-        else:
-            lo_bad = mid
-    return _greedy_bounds(prefix, n_parts, lo_ok)
-
-
-def _adaptive_boundaries(prefix: np.ndarray, n_parts: int) -> np.ndarray:
-    """Close each range at the prefix nearest the remaining average."""
-    n = prefix.size
-    total = float(prefix[-1])
-    bounds = np.zeros(n_parts + 1, dtype=np.int64)
-    bounds[n_parts] = n
-    start = 0.0
-    for s in range(1, n_parts):
-        target = start + (total - start) / (n_parts - s + 1)
-        c = int(np.searchsorted(prefix, target, side="left"))
-        if c >= n:
-            b = n
-        elif c == 0 or prefix[c] - target <= target - prefix[c - 1]:
-            b = c + 1
-        else:
-            b = c
-        b = max(b, int(bounds[s - 1]) + 1)
-        b = min(b, n - (n_parts - s))
-        bounds[s] = b
-        start = float(prefix[b - 1])
-    return bounds
-
-
-def _repair_boundaries(weights: np.ndarray, prefix: np.ndarray,
-                       bounds: np.ndarray) -> np.ndarray:
-    """Shrink the max-min spread of range sums by boundary moves.
-
-    Candidate moves shift one cell across a single boundary, or cascade
-    one cell across every boundary between the heaviest and lightest
-    range; the best strictly improving move is applied until the spread
-    is within one max weight or no move helps.  Range sums are
-    differences of the zero-led ``prefix`` sums of ``weights``.
-    """
-    n_parts = bounds.size - 1
-    if n_parts == 1:
-        return bounds
-    sums = np.diff(prefix[bounds])
-    w_max = float(weights.max())
-    mean = sums.sum() / n_parts
-
-    def objective(ns):
-        # spread first; ties broken by total imbalance so moves that pull
-        # one of several extremal ranges off the extreme still count
-        return (ns.max() - ns.min(), float(np.sum((ns - mean) ** 2)))
-
-    current = objective(sums)
-    for _ in range(4 * weights.size):
-        if current[0] <= w_max:
-            break
-        # shifting boundary t by -1 moves one cell (and its weight) from
-        # range t-1 into range t; by +1 the other way
-        candidates = [([t], d) for t in range(1, n_parts) for d in (-1, 1)]
-        heavy = np.argsort(sums)[-3:]
-        light = np.argsort(sums)[:3]
-        for i in heavy:
-            for j in light:
-                if i < j:
-                    candidates.append((list(range(i + 1, j + 1)), -1))
-                elif j < i:
-                    candidates.append((list(range(j + 1, i + 1)), +1))
-        best = None
-        for move, delta in candidates:
-            trial = bounds.copy()
-            trial[move] += delta
-            if np.any(np.diff(trial) < 1):
-                continue
-            ns = np.diff(prefix[trial])
-            cand = objective(ns)
-            if cand < current and (best is None or cand < best[0]):
-                best = (cand, trial, ns)
-        if best is None:
-            break
-        current, bounds, sums = best
-    return bounds
-
-
 def _split(weights: np.ndarray, n_parts: int) -> np.ndarray:
-    """Owner (1-based) per position for Morton-ordered weighted cells."""
+    """Owner (1-based) per position for Morton-ordered weighted cells.
+
+    The heaviest range is minimised exactly.  Its least value B is
+    bisected in ``[max(w_max, W/P), W/P + w_max]`` over greedy probes
+    (Nicol 1994; Pinar & Aykanat 2004): a feasible probe lowers the
+    bracket to its heaviest range, an infeasible one raises it to its
+    lightest range plus the next cell.  Some split at B keeps every
+    range in ``[B - w_max, B]``, or closing each range as soon as it
+    reaches B - w_max would leave every range lighter than B.  Each
+    boundary goes at the prefix nearest the remaining average, the later
+    one on a tie, clamped to keep its range and every later one in that
+    window.
+    """
+    n = weights.size
+    w_max = float(weights.max())
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
-    seeds = [_adaptive_boundaries(prefix[1:], n_parts)]
-    # equal weights get adaptive sizes within one, which no split beats
-    if np.any(weights != weights[0]):
-        seeds.append(_balanced_boundaries(prefix[1:], n_parts))
-    best = None
-    for seed_bounds in seeds:
-        bounds = _repair_boundaries(weights, prefix, seed_bounds)
-        sums = np.diff(prefix[bounds])
-        score = (float(sums.max() - sums.min()), float(np.sum(sums**2)))
-        if best is None or score < best[0]:
-            best = (score, bounds)
-    bounds = best[1]
-    owner = np.empty(weights.size, dtype=np.int64)
-    for s in range(n_parts):
-        owner[bounds[s]:bounds[s + 1]] = s + 1
-    return owner
+    total = float(prefix[-1])
+    ends = np.zeros(n_parts + 1, dtype=np.int64)
+    lo, hi = max(w_max, total / n_parts), total / n_parts + w_max
+    while lo < hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # rounded prefixes: the bracket is exhausted
+            break
+        for s in range(1, n_parts + 1):   # each range as long as it fits
+            ends[s] = np.searchsorted(prefix, prefix[ends[s - 1]] + mid,
+                                      side="right") - 1
+        if ends[-1] == n:
+            hi = min(mid, float(np.max(np.diff(prefix[ends]))))
+        else:
+            lo = max(mid, float(np.min(prefix[ends[1:] + 1]
+                                       - prefix[ends[:-1]])))
+    # a few ulps of the total absorb the rounding of prefix-space tests
+    cap = hi + 4 * np.spacing(total)
+    floor = hi - w_max - 4 * np.spacing(total)
+    # boundary s in [first[s], last[s]] lets every later range weigh in
+    # [floor, cap]; a window of width w_max makes each set an interval
+    first = np.full(n_parts + 1, n, dtype=np.int64)
+    last = first.copy()
+    for s in range(n_parts, 1, -1):
+        first[s - 1] = np.searchsorted(prefix, prefix[first[s]] - cap)
+        last[s - 1] = min(last[s] - 1, np.searchsorted(
+            prefix, prefix[last[s]] - floor, side="right") - 1)
+    bounds = np.zeros(n_parts + 1, dtype=np.int64)
+    bounds[n_parts] = n
+    for s in range(1, n_parts):
+        start = float(prefix[bounds[s - 1]])
+        target = start + (total - start) / (n_parts - s + 1)
+        c = min(int(np.searchsorted(prefix, target)), n)
+        b = c if prefix[c] - target <= target - prefix[c - 1] else c - 1
+        b = max(b, first[s], bounds[s - 1] + 1,
+                np.searchsorted(prefix, start + floor))
+        bounds[s] = min(b, last[s], np.searchsorted(
+            prefix, start + cap, side="right") - 1)
+    return np.repeat(np.arange(1, n_parts + 1), np.diff(bounds))
 
 
 @dataclass
@@ -164,13 +91,7 @@ class Partition:
 
     n_subdomains: int
     owner_of_active: np.ndarray
-    weights: np.ndarray
     owner_of_background: np.ndarray | None = None  # flat, Morton-code indexed
-
-    def subdomain_weights(self) -> np.ndarray:
-        out = np.zeros(self.n_subdomains)
-        np.add.at(out, self.owner_of_active - 1, self.weights)
-        return out
 
 
 def partition_weighted_sfc(classification: CellClassification, weights=None,
@@ -178,7 +99,10 @@ def partition_weighted_sfc(classification: CellClassification, weights=None,
                            exterior_weight: float = 1.0) -> Partition:
     """Split Morton-ordered cells into weight-balanced contiguous ranges.
 
-    By default only active cells are partitioned.  With
+    The heaviest range sum is the least any split into ``n_subdomains``
+    nonempty ranges reaches, every range is within one max weight of it,
+    and ties go to the boundary nearest the remaining average, the later
+    prefix when two are equally near.  By default only active cells are partitioned.  With
     ``include_exterior`` the whole background grid is split (exterior
     cells carrying ``exterior_weight``) and active owners are read off
     the background ranges, which is what the partition weighting study
@@ -206,10 +130,10 @@ def partition_weighted_sfc(classification: CellClassification, weights=None,
         full[codes] = weights
         owner_bg = _split(full, n_subdomains)
         owner_active = owner_bg[codes]
-        return Partition(n_subdomains, owner_active, weights, owner_bg)
+        return Partition(n_subdomains, owner_active, owner_bg)
     # active ids are assigned in Morton order, so id order is curve order
     owner_active = _split(weights, n_subdomains)
-    return Partition(n_subdomains, owner_active, weights)
+    return Partition(n_subdomains, owner_active)
 
 
 def _lookup(table: np.ndarray, values: np.ndarray, query: np.ndarray,

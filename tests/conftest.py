@@ -419,6 +419,44 @@ def prolongate(dofs, constraints, interior_values):
                               dofs.n_interior) @ interior_values
 
 
+def adaptive_owners(weights, n_parts):
+    """Owners from closing each range at the prefix nearest the remaining
+    average, the later prefix on a tie: the split equal weights keep."""
+    prefix = np.cumsum(weights)
+    n, total = prefix.size, float(prefix[-1])
+    bounds = np.zeros(n_parts + 1, dtype=np.int64)
+    bounds[n_parts] = n
+    start = 0.0
+    for s in range(1, n_parts):
+        target = start + (total - start) / (n_parts - s + 1)
+        c = int(np.searchsorted(prefix, target, side="left"))
+        if c >= n:
+            b = n
+        elif c == 0 or prefix[c] - target <= target - prefix[c - 1]:
+            b = c + 1
+        else:
+            b = c
+        b = max(b, int(bounds[s - 1]) + 1)
+        b = min(b, n - (n_parts - s))
+        bounds[s] = b
+        start = float(prefix[b - 1])
+    return np.repeat(np.arange(1, n_parts + 1), np.diff(bounds))
+
+
+def heaviest_range_oracle(weights, n_parts):
+    """Least heaviest range sum over all splits into ``n_parts`` nonempty
+    contiguous ranges: an O(n^2 P) dynamic program over range ends."""
+    prefix = np.concatenate([[0.0], np.cumsum(weights)])
+    n = len(weights)
+    best = prefix.copy()   # best[j]: least heaviest of k ranges over [0, j)
+    best[0] = np.inf
+    for k in range(2, n_parts + 1):
+        best = np.array([np.inf] * k + [
+            min(max(best[i], prefix[j] - prefix[i]) for i in range(k - 1, j))
+            for j in range(k, n + 1)])
+    return float(best[n])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -19,7 +19,7 @@ def _left_right_setup():
     """4x4 grid, psi = x - 0.6, manual left/right halves at x = 0.5."""
     grid, cls, fa = classified(2, HalfPlane((1, 0), 0.6))
     owner = np.where(cls.id_to_lattice[:, 0] < 2, 1, 2).astype(np.int64)
-    part = Partition(2, owner, np.ones(cls.n_active))
+    part = Partition(2, owner)
     meshes = build_subdomain_meshes(cls, part)
     return grid, cls, fa, meshes
 
@@ -116,8 +116,7 @@ def test_stall_lists_every_orphan_across_subdomains():
     assert speck and all(cls.is_cut[k - 1] for k in speck)
     halves = np.where(cls.id_to_lattice[:, 0] < 8, 1, 2).astype(np.int64)
     assert len({int(halves[k - 1]) for k in speck}) == 2  # straddles the cut
-    for part in (Partition(1, np.ones_like(halves), np.ones(cls.n_active)),
-                 Partition(2, halves, np.ones(cls.n_active))):
+    for part in (Partition(1, np.ones_like(halves)), Partition(2, halves)):
         meshes = build_subdomain_meshes(cls, part)
         with pytest.raises(AggregationStalledError) as err:
             aggregate_parallel(VirtualRuntime(part.n_subdomains), meshes)
@@ -231,7 +230,7 @@ def test_import_buffers_hold_their_roots_ascending():
     # cell ids, so the buffer must sort what arrives
     grid, cls, fa = classified(5, Sphere((0.531, 0.472), 0.3))
     sfc = partition_weighted_sfc(cls, n_subdomains=8)
-    part = Partition(8, 9 - sfc.owner_of_active, sfc.weights)
+    part = Partition(8, 9 - sfc.owner_of_active)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(8)
     dist = aggregate_parallel(rt, meshes)

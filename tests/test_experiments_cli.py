@@ -98,7 +98,20 @@ def test_runs_csv_header_is_the_record_schema(tmp_path):
         header = next(csv.reader(fh))
     assert header == RECORD_FIELDS == list(record)
     assert "weight" not in header and "seed" not in header
-    assert record["schema_version"] == RECORD_SCHEMA_VERSION == 2
+    assert record["schema_version"] == RECORD_SCHEMA_VERSION == 3
+
+
+def test_runs_csv_records_how_the_solver_ended(tmp_path):
+    cfg = ExperimentConfig(level=4, maxit=3, out=str(tmp_path)).validate()
+    record = cmd_solve(cfg)
+    with open(tmp_path / "runs.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["stop_reason"] == record["stop_reason"] == "maxit"
+    assert row["converged"] == "False" and record["iterations"] == 3
+    assert float(row["final_rel_residual"]) > cfg.rtol
+    out = run_solve_pipeline(cfg)
+    out.report = replace(out.report, residual_history=[])
+    assert make_run_record(cfg, out)["final_rel_residual"] == "nan"
 
 
 def test_solve_runs_one_cg_and_records_its_ritz_kappa(monkeypatch, tmp_path):
@@ -507,13 +520,17 @@ def test_convergence_single_level_and_linear_flag(tmp_path):
 def test_weight_study_balance_and_saturation(tmp_path):
     cfg = ExperimentConfig(geometry="offset-circle", level=5, procs=4,
                            out=str(tmp_path)).validate()
-    rows = run_weight_study(cfg, [1.0, 10.0, 1000.0, 10000.0])
+    rows = run_weight_study(cfg, [1.0, 10.0, 100.0, 1000.0, 10000.0])
+    # the README's example, w = 1, 10, 100
+    assert [(r["max_active"], r["min_active"], r["max_total"], r["min_total"])
+            for r in rows[:3]] == [(104, 64, 256, 256), (90, 78, 301, 194),
+                                   (84, 82, 298, 158)]
     total_spread_1 = rows[0]["max_total"] - rows[0]["min_total"]
     assert total_spread_1 <= 1  # unweighted splits balance total cells
     active_1 = rows[0]["max_active"] - rows[0]["min_active"]
     active_10 = rows[1]["max_active"] - rows[1]["min_active"]
-    active_1k = rows[2]["max_active"] - rows[2]["min_active"]
-    active_10k = rows[3]["max_active"] - rows[3]["min_active"]
+    active_1k = rows[3]["max_active"] - rows[3]["min_active"]
+    active_10k = rows[4]["max_active"] - rows[4]["min_active"]
     assert active_10 < active_1        # weighting improves active balance
     assert active_10k >= active_1k - 1  # and saturates at large weights
     with pytest.raises(ConfigError, match="procs"):

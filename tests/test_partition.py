@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agfem.geometry import classify_cells
 from agfem.grid import unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
-from agfem.partition import (Partition, PartitionError, _adaptive_boundaries,
-                             _balanced_boundaries, _repair_boundaries, _split,
+from agfem.partition import (Partition, PartitionError, _split,
                              build_subdomain_meshes, partition_weighted_sfc)
 
-from conftest import classified, random_geometry
+from conftest import (adaptive_owners, classified, heaviest_range_oracle,
+                      random_geometry)
 
 
 def _all_active(level):
@@ -26,16 +27,11 @@ def test_uniform_sixteen_cells_four_parts():
 
 
 def test_prefix_sum_split_by_hand():
-    cls = _all_active(1)  # 4 cells; pattern below needs 8, use level
-    cls = _all_active(2)
-    weights = np.ones(16)
-    weights[:8] = [10, 10, 1, 1, 10, 10, 1, 1]
-    part = partition_weighted_sfc(cls, weights=weights[:16], n_subdomains=2)
-    # restrict to the stated 8-cell pattern: split lands after cell 4
+    # the stated 8-cell pattern padded to 16 cells: split lands after cell 4
     w8 = np.array([10.0, 10, 1, 1, 10, 10, 1, 1])
-    cls8 = _all_active(2)
     part8 = partition_weighted_sfc(
-        cls8, weights=np.concatenate([w8, np.full(8, 1e-9)]), n_subdomains=2)
+        _all_active(2), weights=np.concatenate([w8, np.full(8, 1e-9)]),
+        n_subdomains=2)
     owners = part8.owner_of_active[:8]
     assert np.array_equal(owners[:4], [1, 1, 1, 1])
     assert np.array_equal(owners[4:], [2, 2, 2, 2])
@@ -64,61 +60,68 @@ def test_balance_random_weights(rng):
     cls = _all_active(4)
     cases = [(cls, rng.uniform(0.5, 3.0, size=cls.n_active), n_parts)
              for n_parts in (2, 3, 4, 7, 16) for _ in range(4)]
-    # the bisection seed alone gives sums [5, 1, 3], a spread of 4 against
-    # w_max = 3; the repair brings them to [2, 4, 3]
-    weights = np.array([2.0, 3.0, 1.0, 3.0])
-    bounds = _balanced_boundaries(np.cumsum(weights), 3)
-    assert np.array_equal(np.diff(np.cumsum([0.0, *weights])[bounds]),
-                          [5.0, 1.0, 3.0])
-    cases.append((_all_active(1), weights, 3))
+    # a greedy threshold split gives sums [5, 1, 3] here, a spread of 4
+    # against w_max = 3
+    cases.append((_all_active(1), np.array([2.0, 3.0, 1.0, 3.0]), 3))
     for case_cls, weights, n_parts in cases:
         part = partition_weighted_sfc(case_cls, weights=weights,
                                       n_subdomains=n_parts)
-        sums = part.subdomain_weights()
+        sums = np.bincount(part.owner_of_active - 1, weights=weights)
         w_max = weights.max()
         assert sums.max() - sums.min() <= w_max + 1e-12
         assert np.all(np.abs(sums - weights.sum() / n_parts)
                       <= w_max + 1e-12)
 
 
-def _two_seed_owners(weights, n_parts):
-    """Owners from the repaired adaptive and bisection seeds, the better
-    split kept and the adaptive one on ties: the full search of ``_split``."""
-    prefix = np.concatenate([[0.0], np.cumsum(weights)])
-    best = None
-    for seed in (_adaptive_boundaries(prefix[1:], n_parts),
-                 _balanced_boundaries(prefix[1:], n_parts)):
-        bounds = _repair_boundaries(weights, prefix, seed)
-        sums = np.diff(prefix[bounds])
-        score = (float(sums.max() - sums.min()), float(np.sum(sums**2)))
-        if best is None or score < best[0]:
-            best = (score, bounds)
-    return np.repeat(np.arange(1, n_parts + 1), np.diff(best[1]))
-
-
-def test_equal_weights_split_as_the_two_seed_search(rng):
-    # unequal weights keep the search over both seeds
-    for n, p in ((40, 3), (200, 7), (1000, 16)):
-        weights = rng.uniform(0.5, 3.0, size=n)
-        assert np.array_equal(_split(weights, p), _two_seed_owners(weights, p))
+def test_equal_weights_split_as_the_adaptive_rule():
     pairs = [(n, p) for n in range(1, 70) for p in range(1, min(n, 9) + 1)]
     pairs += [(n, p) for n in (1000, 4099, 18513) for p in (2, 7, 32, 64)]
     for n, p in pairs:
         for w in (1.0, 2.5):
             weights = np.full(n, w)
             assert np.array_equal(_split(weights, p),
-                                  _two_seed_owners(weights, p)), (n, p, w)
-        # prefix sums that round leave the full search to pick among equal
-        # splits by rounding noise; sizes still differ by at most one
+                                  adaptive_owners(weights, p)), (n, p, w)
+        # prefix sums that round may move a boundary by a cell among
+        # equally heavy splits; sizes still differ by at most one
         sizes = np.bincount(_split(np.full(n, 0.1), p))[1:]
         assert sizes.max() - sizes.min() <= 1, (n, p)
+
+
+@st.composite
+def weighted_chains(draw):
+    """Small positive weights, integer, uniform or bimodal, and a part
+    count no larger than the chain."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(("integer", "uniform", "bimodal")))
+    if kind == "integer":
+        elems = st.integers(1, 9).map(float)
+    elif kind == "uniform":
+        elems = st.floats(0.1, 3.0)
+    else:
+        elems = st.sampled_from((1.0, 100.0))
+    weights = np.array(draw(st.lists(elems, min_size=n, max_size=n)))
+    return weights, draw(st.integers(1, min(n, 6)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(weighted_chains())
+def test_split_minimises_the_heaviest_range(case):
+    weights, n_parts = case
+    owner = _split(weights, n_parts)
+    assert np.all(np.diff(owner) >= 0)
+    assert owner[0] == 1 and owner[-1] == n_parts
+    assert np.all(np.diff(owner) <= 1)   # every part nonempty
+    sums = np.bincount(owner - 1, weights=weights)
+    tol = 1e-12 * weights.sum()
+    assert abs(sums.max() - heaviest_range_oracle(weights, n_parts)) <= tol
+    assert sums.max() - sums.min() <= weights.max() + tol
 
 
 def test_halves_ghost_layers():
     # manual left/right split of a fully active 4x4 grid
     cls = _all_active(2)
     owner = np.where(cls.id_to_lattice[:, 0] < 2, 1, 2).astype(np.int64)
-    part = Partition(2, owner, np.ones(16))
+    part = Partition(2, owner)
     meshes = build_subdomain_meshes(cls, part)
     for mesh in meshes:
         assert mesh.n_local == 8
