@@ -11,10 +11,10 @@ Elements come as two arrays, matrices (n_active, m, m) and vectors
 their common box rule gives one stiffness matrix and one table of shape
 values for the load vectors.  Cut cells and the interface are read point
 by point in chunks of the flat quadrature store through ``bulk_rows``
-and ``interface_rows``, which also feed the batched std penalty and the
-error norms; each cell sums its points in store order.  Assembly is one
-kernel run per subdomain on the virtual runtime, serial being the
-one-process case.  It forms A = C^T A_e C, C the extension operator, as
+and ``interface_rows``, which also feed the error norms; each cell sums
+its points in store order, and the penalty reads the bulk stiffness this
+pass sums.  Assembly is one kernel run per subdomain on the virtual
+runtime, serial being the one-process case.  It forms A = C^T A_e C, C the extension operator, as
 per-cell sums: a cell whose DOFs are all free has unit rows in C, so its
 element entries are its sums as they stand; the other cells are expanded
 through C in batches of about ``CHUNK_PRODUCTS`` products and summed per
@@ -96,7 +96,7 @@ def interface_rows(cls: CellClassification, quad: QuadratureStore):
                          quad.boundary_normals[sl]))
 
 
-def poisson_elements(cls: CellClassification, quad: QuadratureStore, taus,
+def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
                      f=None, g=None):
     """Element matrices (n_active, m, m) and vectors (n_active, m) of the
     weak-Dirichlet Poisson form, for every active cell in id order:
@@ -105,14 +105,14 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, taus,
          + int (tau phi_a phi_b - phi_a n.grad(phi_b) - phi_b n.grad(phi_a)) dGamma
     b_a  = int phi_a f dOmega + int (tau phi_a - n.grad(phi_a)) g dGamma
 
-    over each cell's run of the store, with the cell's ``taus`` entry.
+    over each cell's run of the store, tau being ``penalty(V)`` of the
+    bulk stiffness V, the first term of A: one value or one per cell.
     Interior cells share one reference element: one stiffness matrix,
     and load vectors from f at their points times the fixed table of
     shape values.  Cut cells and interface points are integrated point
     by point, in chunks of ``CHUNK_POINTS`` points.
     """
     m = 2 ** cls.grid.d
-    taus = np.asarray(taus, dtype=np.float64)
     mats = np.zeros((cls.n_active, m, m))
     vecs = np.zeros((cls.n_active, m))
     vals_ref, grads_ref = reference_tables(cls, quad)
@@ -127,6 +127,7 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, taus,
                            grads @ np.ascontiguousarray(grads.transpose(0, 2, 1)))
         if f is not None:
             _add_weighted_runs(vecs, cells, w * np.asarray(f(pts)), vals)
+    taus = np.broadcast_to(penalty(mats), cls.n_active)
     for cells, pts, w, vals, gn in interface_rows(cls, quad):
         tau = taus[cells - 1]
         # tau v v^T - v gn^T - gn v^T = v c^T + c v^T, c = tau v / 2 - gn
@@ -150,26 +151,23 @@ def _cholesky(A):
 
 
 def nitsche_tau_std(cls: CellClassification, quad: QuadratureStore,
-                    beta: float) -> np.ndarray:
+                    beta: float, V: np.ndarray) -> np.ndarray:
     """Penalties (n_active,) of the standard space from the local
-    eigenproblems: for each cell with interface points, the volume form V
-    (gradient products over its bulk points) and the boundary form B
-    (normal-derivative products over its interface points) are deflated
-    by the constant kernel of V, and beta times the largest eigenvalue of
-    B x = lambda V x, floored at beta/h, is its penalty; other cells get
-    0, which no term reads.  Raises ``TauUnboundedError`` naming the first
-    cell whose deflated V is not positive definite."""
-    m = 2 ** cls.grid.d
+    eigenproblems: for each cell with interface points, its row of the
+    bulk stiffness V (n_active, m, m), as ``poisson_elements`` passes
+    it, and its boundary form B (normal-derivative products over its
+    interface points) are deflated by the constant kernel of V, and beta
+    times the largest eigenvalue of B x = lambda V x, floored at beta/h,
+    is its penalty; other cells get 0, which no term reads.  Raises
+    ``TauUnboundedError`` naming the first cell whose deflated V is not
+    positive definite."""
     cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
-    V = np.zeros((cells.size, m, m))
+    V = V[cells - 1]
     B = np.zeros_like(V)
-    for c, _, w, _, grads in bulk_rows(cls, quad, cells):
-        _add_weighted_runs(V, np.searchsorted(cells, c) + 1, w,
-                           grads @ np.ascontiguousarray(grads.transpose(0, 2, 1)))
     for c, _, w, _, gn in interface_rows(cls, quad):
         _add_weighted_runs(B, np.searchsorted(cells, c) + 1, w,
                            gn[:, :, None] * gn[:, None, :])
-    Z = scipy.linalg.null_space(np.ones((1, m)))
+    Z = scipy.linalg.null_space(np.ones((1, V.shape[-1])))
     L, ok = _cholesky(Z.T @ V @ Z)
     if not np.all(ok):
         raise TauUnboundedError(

@@ -239,7 +239,6 @@ class SolveOutputs:
     levelset: object
     classification: object
     quadrature: object
-    taus: np.ndarray
     system: DistributedSystem
     solution: np.ndarray
     report: object
@@ -271,14 +270,15 @@ def geometry_setup(cfg: ExperimentConfig):
 
 
 def run_solve_pipeline(cfg: ExperimentConfig, runtime=None) -> SolveOutputs:
-    """classify -> aggregate -> constraints, penalty -> assemble -> solve -> norms.
+    """classify -> aggregate -> constraints -> assemble -> solve -> norms.
 
     Both spaces run one sequence for every process count, on ``procs``
     subdomains of ``runtime``: partition, DOF numbering, distributed
     assembly, PCG and norms, a serial run being the one-subdomain case.
     The aggregated space numbers the nodes of interior cells and adds
     aggregation, path plans, root-data import and constraints; the
-    standard space numbers every node and has no constraints."""
+    standard space numbers every node and has no constraints.  Elements
+    take their Nitsche penalty from their own bulk stiffness."""
     timer = PhaseTimer()
     with timer.time("classify"):
         grid, ls, cls, _ = geometry_setup(cfg)
@@ -311,15 +311,12 @@ def run_solve_pipeline(cfg: ExperimentConfig, runtime=None) -> SolveOutputs:
         with timer.time("constraints"):
             constraints = [build_constraints_distributed(p, dist_map, bf)
                            for p, bf in zip(numbering.pieces, buffers)]
-    with timer.time("penalty"):
-        if agg:
-            taus = np.full(cls.n_active,
-                           nitsche_tau_agg(float(np.min(grid.h)), cfg.beta))
-        else:
-            taus = nitsche_tau_std(cls, quad, cfg.beta)
+    h = float(np.min(grid.h))
+    penalty = ((lambda V: nitsche_tau_agg(h, cfg.beta)) if agg else
+               functools.partial(nitsche_tau_std, cls, quad, cfg.beta))
     u, grad_u, f = manufactured_solution(cfg)
     with timer.time("assemble"):
-        elements = poisson_elements(cls, quad, taus, f, u)
+        elements = poisson_elements(cls, quad, penalty, f, u)
         system = assemble_distributed(runtime, numbering, constraints,
                                       elements)
     with timer.time("solve"):
@@ -329,7 +326,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, runtime=None) -> SolveOutputs:
         nodal = nodal_values(numbering, constraints, x, cls.n_active)
         norms = error_norms(cls, quad, nodal, u, grad_u)
     return SolveOutputs(cfg=cfg, grid=grid, levelset=ls, classification=cls,
-                        quadrature=quad, taus=taus,
+                        quadrature=quad,
                         system=system, solution=x, report=report, norms=norms,
                         timings=timer.timings, runtime=runtime,
                         meshes=meshes, numbering=numbering,
@@ -583,7 +580,9 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
     the P = 1 run bitwise, as they stand, since global ids do not depend
     on P: aggregates and constraints (``agg`` only), the gathered A and b,
     iterations, residual history, solution and error norms.  Raises
-    EquivalenceError with the first difference."""
+    EquivalenceError with the first difference; ConfigError if no P > 1."""
+    if not any(P > 1 for P in procs_list):
+        raise ConfigError(f"no P > 1 in {list(procs_list)} to compare")
     serial = run_solve_pipeline(replace(cfg, procs=1))
     A_s, b_s = serial.system.gather()
     checked = {"procs": [], "aggregate_cells": 0, "constrained_dofs": 0}

@@ -19,12 +19,13 @@ facets come from the linear zero crossing, their normals along the
 gradient of the simplex's linear interpolant; this is exact for
 half-plane geometries and first-order convergent for smooth ones.
 Clipping is one array pass over all sub-simplices of a batch of cells,
-read off case tables by the number of inside vertices; the same pass
-gives classification its cut volumes and quadrature its simplices and
-facets.  All rules live in one flat store in cell-id order: interior
-cells share one box rule, which the store also keeps in unit-box
-coordinates for reference-element integration, and cut-cell rules are
-mapped in batches.
+read off case tables by the number of inside vertices: classification
+clips every candidate cell for its cut volume, and quadrature clips the
+cut cells again for their simplices and facets (keeping the first clip
+gives the same store, holds it in memory and saves no measurable time).
+All rules live in one flat store in cell-id order: interior cells share
+one box rule, which the store also keeps in unit-box coordinates for
+reference-element integration, and cut-cell rules are mapped in batches.
 """
 
 from __future__ import annotations

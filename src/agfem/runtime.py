@@ -116,14 +116,15 @@ class VirtualRuntime:
         Parameters
         ----------
         body : generator function ``body(proc, *args_for_rank)``.
-        args : per-rank argument tuples (defaults to no extra arguments).
+        args : one argument tuple per rank (defaults to no extra arguments).
         phase : label recorded on trace rows.
         neighbor_sets : per-rank sets of neighbor ids; required to
             validate nearest-neighbor exchanges.
         """
         P = self.n_procs
-        if args is None:
-            args = [() for _ in range(P)]
+        args = [()] * P if args is None else args
+        if len(args) != P:
+            raise ValueError(f"{len(args)} argument tuples for {P} processes")
         gens = [body(ProcessContext(s + 1, P), *args[s]) for s in range(P)]
         inbox = [None] * P
         results = [None] * P

@@ -10,7 +10,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from agfem.assembly import TauUnboundedError, nitsche_tau_agg
+from agfem.assembly import (TauUnboundedError, nitsche_tau_agg,
+                            nitsche_tau_std, poisson_elements)
 from agfem.fespace import extension_operator, shape_gradients, shape_values
 from agfem.geometry import classify_cells, point_chunks
 from agfem.grid import face_neighbors, unit_box_grid
@@ -291,6 +292,20 @@ def all_points_elements(cls, quad, taus, f=None, g=None):
             np.add.at(vecs, cells - 1, (w * g(pts))[:, None]
                       * (tau[:, None] * vals - gn))
     return mats, vecs
+
+
+def std_taus(cls, quad, beta):
+    """The std penalties of every active cell as the element pass computes
+    them: ``nitsche_tau_std`` on the bulk stiffness ``poisson_elements``
+    hands its penalty rule."""
+    taus = []
+
+    def penalty(V):
+        taus.append(nitsche_tau_std(cls, quad, beta, V))
+        return taus[0]
+
+    poisson_elements(cls, quad, penalty)
+    return taus[0]
 
 
 def tau_std_oracle(cls, cell_id, quad, beta):

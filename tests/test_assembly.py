@@ -7,7 +7,7 @@ from dataclasses import replace
 
 from agfem.assembly import (AssemblyError, TauUnboundedError,
                             assemble_distributed, assemble_serial,
-                            export_matrix_coo, nitsche_tau_agg, nitsche_tau_std,
+                            export_matrix_coo, nitsche_tau_agg,
                             poisson_elements)
 from agfem.distagg import build_direct_plan, build_inverse_plan, import_root_data
 from agfem.distspace import (build_constraints_distributed,
@@ -21,7 +21,7 @@ from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
 from conftest import (all_points_elements, classified, oracle_assembly,
-                      prolongate, tau_std_oracle)
+                      prolongate, std_taus, tau_std_oracle)
 
 
 def test_tau_agg_values():
@@ -38,8 +38,8 @@ def test_tau_std_grows_as_cut_shrinks():
     for frac in (0.5, 0.1, 0.01, 0.001):
         ls = HalfPlane((1, 0), frac)
         cls = classify_cells(grid, ls)
-        taus.append(nitsche_tau_std(cls, cut_quadrature(grid, ls, cls, 4),
-                                    10.0)[0])
+        taus.append(std_taus(cls, cut_quadrature(grid, ls, cls, 4),
+                             10.0)[0])
     assert all(taus[i] < taus[i + 1] for i in range(3)), taus
     assert taus[0] >= nitsche_tau_agg(1.0, 10.0)
 
@@ -51,7 +51,7 @@ def test_tau_std_needs_boundary_and_floors_degenerate_rules():
     interior = HalfPlane((1, 0), 5.0)
     quad = cut_quadrature(grid, interior, classify_cells(grid, interior), 2)
     assert np.array_equal(
-        nitsche_tau_std(classify_cells(grid, interior), quad, 10.0), [0.0])
+        std_taus(classify_cells(grid, interior), quad, 10.0), [0.0])
     # degenerate boundary rule with zero weight: B = 0, floored at beta/h
     base = cut_quadrature(grid, HalfPlane((1, 0), 0.5), cls, 2)
     degenerate = replace(
@@ -59,7 +59,7 @@ def test_tau_std_needs_boundary_and_floors_degenerate_rules():
         boundary_weights=np.zeros(1),
         boundary_normals=base.boundary_normals[:1],
         boundary_offsets=np.array([0, 1]))
-    assert nitsche_tau_std(cls, degenerate, 10.0)[0] == \
+    assert std_taus(cls, degenerate, 10.0)[0] == \
         nitsche_tau_agg(1.0, 10.0)
 
 
@@ -71,7 +71,7 @@ def test_tau_std_needs_boundary_and_floors_degenerate_rules():
 def test_batched_tau_std_matches_the_per_cell_eigenproblems(ls, d, level):
     grid, cls, _ = classified(level, ls, d)
     quad = cut_quadrature(grid, ls, cls, 4)
-    taus = nitsche_tau_std(cls, quad, 10.0)
+    taus = std_taus(cls, quad, 10.0)
     cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
     want = [tau_std_oracle(cls, int(k), quad, 10.0) for k in cells]
     assert cells.size > 100
@@ -89,7 +89,7 @@ def test_tau_std_names_the_cell_with_a_singular_volume_form():
     for j in (k, int(cells[8])):   # the error names the first
         weights[quad.offsets[j - 1]:quad.offsets[j]] = 0.0
     with pytest.raises(TauUnboundedError, match=f"^cell {k}: "):
-        nitsche_tau_std(cls, replace(quad, weights=weights), 10.0)
+        std_taus(cls, replace(quad, weights=weights), 10.0)
     with pytest.raises(TauUnboundedError, match=f"^cell {k}$"):
         tau_std_oracle(cls, k, replace(quad, weights=weights), 10.0)
 
@@ -99,7 +99,7 @@ def test_interior_stiffness_stencil():
     # neighbors -1/6, opposite corner -1/3, zero row sums
     grid, cls, _ = classified(0, HalfPlane((1, 0), 5.0))
     quad = cut_quadrature(grid, HalfPlane((1, 0), 5.0), cls, 4)
-    mats, vecs = poisson_elements(cls, quad, np.zeros(1))
+    mats, vecs = poisson_elements(cls, quad, lambda V: 0.0)
     A = mats[0]
     expected = np.array([
         [2 / 3, -1 / 6, -1 / 6, -1 / 3],
@@ -142,7 +142,7 @@ def test_elements_match_per_cell_integration():
     f = lambda p: np.sin(p[:, 0]) + p[:, 1]
     g = lambda p: p[:, 2] ** 2
     taus = 10.0 + np.arange(cls.n_active) % 7
-    mats, vecs = poisson_elements(cls, quad, taus, f, g)
+    mats, vecs = poisson_elements(cls, quad, lambda V: taus, f, g)
     for k in range(1, cls.n_active + 1):
         A, b = _cell_element(cls, quad, k, taus[k - 1], f, g)
         assert np.allclose(mats[k - 1], A, rtol=0, atol=1e-13 * np.abs(A).max())
@@ -161,7 +161,7 @@ def test_reference_element_matches_all_points_oracle(level, ls, d):
     f = lambda p: np.sin(p[:, 0]) + p[:, 1]
     g = lambda p: p[:, -1] ** 2
     taus = 10.0 + np.arange(cls.n_active) % 7
-    got = poisson_elements(cls, quad, taus, f, g)
+    got = poisson_elements(cls, quad, lambda V: taus, f, g)
     want = all_points_elements(cls, quad, taus, f, g)
     assert cls.interior_ids.size and cls.cut_ids.size
     for ids in (cls.interior_ids, cls.cut_ids):
@@ -176,7 +176,7 @@ def test_homogeneous_data_gives_zero_vector():
     grid, cls, fa = classified(1, HalfPlane((1, 0), 0.75))
     k = int(cls.cut_ids[0])
     quad = cut_quadrature(grid, HalfPlane((1, 0), 0.75), cls, 4)
-    mats, vecs = poisson_elements(cls, quad, np.full(cls.n_active, 10.0),
+    mats, vecs = poisson_elements(cls, quad, lambda V: 10.0,
                                   f=lambda p: np.zeros(p.shape[0]),
                                   g=lambda p: np.zeros(p.shape[0]))
     assert np.allclose(vecs[k - 1], 0.0)
@@ -227,7 +227,7 @@ def test_patch_consistency_for_harmonic_solution():
         boundary_weights=np.concatenate([r[1] for r in rules]),
         boundary_normals=np.vstack([r[2] for r in rules]),
         boundary_offsets=np.cumsum([0] + [r[1].size for r in rules]))
-    elements = poisson_elements(cls, quad, np.full(cls.n_active, tau), None, u)
+    elements = poisson_elements(cls, quad, lambda V: tau, None, u)
     A, b = assemble_serial(space, None, None, elements)
     nodal = u(space.node_coords)
     assert np.max(np.abs(A @ nodal - b)) < 1e-12
@@ -241,7 +241,7 @@ def _serial_agg_system(level, ls, beta=10.0, f=None, g=None, d=2):
     cons = build_constraints_serial(space, dofs, rm)
     quad = cut_quadrature(grid, ls, cls, 4)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), beta))
-    elements = poisson_elements(cls, quad, taus, f, g)
+    elements = poisson_elements(cls, quad, lambda V: taus, f, g)
     A, b = assemble_serial(space, dofs, cons, elements)
     return grid, cls, space, dofs, cons, quad, taus, elements, A, b
 
@@ -399,7 +399,8 @@ def test_standard_space_matches_per_cell_oracle(level, ls, d):
     space = build_std_space(cls)
     quad = cut_quadrature(grid, ls, cls, 4)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
-    mats, vecs = poisson_elements(cls, quad, taus, None, lambda p: p[:, 0])
+    mats, vecs = poisson_elements(cls, quad, lambda V: taus, None,
+                                  lambda p: p[:, 0])
     mats[::3, 0, 1] = -0.0
     vecs[cls.cut_ids[::2] - 1] = -0.0
     assert cls.cut_ids.size

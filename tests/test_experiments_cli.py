@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from agfem.aggregation import aggregate_serial
-from agfem.assembly import assemble_serial, poisson_elements
+from agfem.assembly import (assemble_serial, nitsche_tau_agg, nitsche_tau_std,
+                            poisson_elements)
 from agfem.experiments import (RECORD_FIELDS, RECORD_SCHEMA_VERSION,
                                ConfigError, EquivalenceError, ExperimentConfig,
                                cmd_convergence, cmd_parallel_check, cmd_solve,
@@ -87,9 +88,10 @@ def test_cmd_solve_writes_record_and_dumps(tmp_path):
         assert (tmp_path / name).exists(), name
     with open(tmp_path / "timings.csv") as fh:
         phases = [row["phase"] for row in csv.DictReader(fh)]
-    assert phases[:2] == ["classify", "quadrature"]
-    assert phases[-1] == "record" and phases.count("record") == 1
-    assert "penalty" in phases and "space" not in phases
+    # the Nitsche penalty is part of the element pass, timed in `assemble`
+    assert phases == ["classify", "quadrature", "partition", "aggregate",
+                      "plans", "numbering", "import", "constraints",
+                      "assemble", "solve", "norms", "record"]
 
 
 def test_runs_csv_header_is_the_record_schema(tmp_path):
@@ -151,9 +153,11 @@ def test_std_penalty_is_one_batched_call_without_dense_eigh(monkeypatch,
     calls = []
     batched = ex.nitsche_tau_std
 
-    def counting(*args):
-        calls.append(1)
-        return batched(*args)
+    def counting(cls, quad, beta, V):
+        # called by the element pass with its bulk stiffness of every cell
+        m = 2 ** cls.grid.d
+        calls.append(V.shape == (cls.n_active, m, m))
+        return batched(cls, quad, beta, V)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a solve run called scipy.linalg.eigh")
@@ -163,7 +167,30 @@ def test_std_penalty_is_one_batched_call_without_dense_eigh(monkeypatch,
     record = cmd_solve(ExperimentConfig(geometry="offset-circle", level=5,
                                         space="std",
                                         out=str(tmp_path)).validate())
-    assert record["converged"] is True and calls == [1]
+    assert record["converged"] is True and calls == [True]
+
+
+@pytest.mark.parametrize("space", ["agg", "std"])
+def test_a_solve_walks_the_cut_cells_bulk_rows_twice(monkeypatch, space):
+    # once for the elements, whose bulk stiffness also gives the std
+    # penalty its volume forms, and once for the error norms
+    import agfem.assembly as assembly
+    import agfem.solve as solve
+
+    walks = []
+    rows = assembly.bulk_rows
+
+    def counting(cls, quad, cell_ids):
+        walks.append(cell_ids)
+        return rows(cls, quad, cell_ids)
+
+    monkeypatch.setattr(assembly, "bulk_rows", counting)
+    monkeypatch.setattr(solve, "bulk_rows", counting)
+    out = run_solve_pipeline(ExperimentConfig(
+        geometry="popcorn", dimension=3, level=3, space=space).validate())
+    cut = out.classification.cut_ids
+    assert len(walks) == 2
+    assert all(np.array_equal(cells, cut) for cells in walks)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -218,8 +245,9 @@ def test_one_subdomain_run_equals_the_serial_reference(params):
     dofs = classify_dofs(space, cls)
     cons = build_constraints_serial(space, dofs, aggregate_serial(cls))
     u, _, f = manufactured_solution(cfg)
+    tau = nitsche_tau_agg(float(np.min(cls.grid.h)), cfg.beta)
     A, b = assemble_serial(space, dofs, cons, poisson_elements(
-        cls, out.quadrature, out.taus, f, u))
+        cls, out.quadrature, lambda V: tau, f, u))
 
     [piece], [dcons] = out.numbering.pieces, out.constraints
     assert np.array_equal(piece.cell_j, space.cell_dofs)
@@ -334,6 +362,17 @@ def test_parallel_check_passes_clean():
         assert (result["constrained_dofs"] > 0) == (space == "agg")
 
 
+@pytest.mark.parametrize("procs_list", [",", "1"])
+def test_parallel_check_that_compares_nothing_is_a_config_error(procs_list,
+                                                                tmp_path):
+    res = _cli("parallel-check", "--level", "3", "--procs-list", procs_list,
+               "--out", str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "no P > 1 in" in res.stderr
+    assert "passed" not in res.stdout
+    assert not (tmp_path / "parallel_check.csv").exists()
+
+
 def test_parallel_check_checks_and_records_the_configured_space(monkeypatch,
                                                                 tmp_path):
     import agfem.experiments as ex
@@ -421,7 +460,9 @@ def test_std_one_subdomain_run_equals_the_serial_assembly(params):
                           np.arange(1, space.n_dofs + 1))
     u, _, f = manufactured_solution(cfg)
     A, b = assemble_serial(space, None, None, poisson_elements(
-        out.classification, out.quadrature, out.taus, f, u))
+        out.classification, out.quadrature,
+        lambda V: nitsche_tau_std(out.classification, out.quadrature,
+                                  cfg.beta, V), f, u))
     A_d, b_d = out.system.gather()
     assert np.array_equal(A_d.indptr, A.indptr)
     assert np.array_equal(A_d.indices, A.indices)

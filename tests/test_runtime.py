@@ -261,3 +261,31 @@ def test_read_only_delivery_keeps_the_distributed_trace(monkeypatch):
     assert rt.trace == rt_ref.trace
     assert out.report.iterations == out_ref.report.iterations
     assert np.array_equal(out.solution, out_ref.solution)
+
+
+def test_run_needs_one_argument_tuple_per_process():
+    # a tuple without a process must not be dropped: four blocks on two
+    # processes would give a four-entry solution, "converged" at once
+    import scipy.sparse as sp
+
+    from agfem.assembly import DistributedSystem
+    from agfem.solve import pcg_jacobi
+
+    def body(proc, value):
+        return value
+        yield
+
+    rt = VirtualRuntime(2)
+    assert rt.run(body, args=[(1,), (2,)]) == [1, 2]
+    for args in ([(1,)], [(1,), (2,), (3,)]):
+        with pytest.raises(ValueError, match=f"^{len(args)} argument tuples "
+                                             f"for 2 processes$"):
+            rt.run(body, args=args)
+    A = sp.csr_matrix(sp.diags(np.arange(1.0, 9.0)))
+    starts = np.array([1, 3, 5, 7, 9])
+    split = DistributedSystem(
+        n_global=8, row_starts=starts,
+        blocks=[A[i - 1:j - 1] for i, j in zip(starts[:-1], starts[1:])],
+        rhs=[np.ones(2)] * 4, staged_counts=[0] * 4)
+    with pytest.raises(ValueError, match="^4 argument tuples for 2 processes$"):
+        pcg_jacobi(split, runtime=VirtualRuntime(2))

@@ -76,7 +76,7 @@ def _circle_system(level, rtol=1e-6, g=None, f=None):
     cons = build_constraints_serial(space, dofs, rm)
     quad = cut_quadrature(grid, ls, cls, 4)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
-    elements = poisson_elements(cls, quad, taus, f, g)
+    elements = poisson_elements(cls, quad, lambda V: taus, f, g)
     A, b = assemble_serial(space, dofs, cons, elements)
     return space, dofs, cons, quad, A, b
 
