@@ -9,21 +9,23 @@ cell (standard spaces, which blows up as the kept volume shrinks).
 Elements come as two arrays, matrices (n_active, m, m) and vectors
 (n_active, m), m = 2**d.  Interior cells share one reference element:
 their common box rule gives one stiffness matrix and one table of shape
-values for the load vectors.  Cut cells and the interface are read point
-by point in chunks of the flat quadrature store through ``bulk_rows``
-and ``interface_rows``, which also feed the error norms; each cell sums
-its points in store order, and the penalty reads the bulk stiffness this
-pass sums.  Assembly is one kernel run per subdomain on the virtual
-runtime, serial being the one-process case.  It forms A = C^T A_e C, C the extension operator, as
-per-cell sums: a cell whose DOFs are all free has unit rows in C, so its
-element entries are its sums as they stand; the other cells are expanded
-through C in batches of about ``CHUNK_PRODUCTS`` products and summed per
-(cell, row, col) on one int64 key.  The sums form one stream in
-global-cell order, and after one routed exchange each row owner runs one
-stable sort on the key row * (n + 1) + col + 1, so every (row, col) sums
-its cells in global-cell order.  That order depends on neither the
-partition nor the numbering, so serial and distributed systems are
-bitwise equal; entries summing to zero are not stored.
+values for the load vectors, whose points ``interior_rows`` rebuilds a
+batch of cells at a time.  The cut-cell and interface rules, the only
+rows of the flat quadrature store, are read point by point in chunks
+through ``bulk_rows`` and ``interface_rows``, which also feed the error
+norms; each cell sums its points in store order, and the penalty reads
+the bulk stiffness this pass sums.  Assembly is one kernel run per
+subdomain on the virtual runtime, serial being the one-process case.  It
+forms A = C^T A_e C, C the extension operator, as per-cell sums: a cell
+whose DOFs are all free has unit rows in C, so its element entries are
+its sums as they stand; the other cells are expanded through C in
+batches of about ``CHUNK_PRODUCTS`` products and summed per (cell, row,
+col) on one int64 key.  The sums form one stream in global-cell order,
+and after one routed exchange each row owner runs one stable sort on the
+key row * (n + 1) + col + 1, so every (row, col) sums its cells in
+global-cell order.  That order depends on neither the partition nor the
+numbering, so serial and distributed systems are bitwise equal; entries
+summing to zero are not stored.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import scipy.sparse as sp
 import scipy.linalg
 
 from .fespace import extension_operator, shape_gradients, shape_values
-from .geometry import CellClassification, QuadratureStore, point_chunks
+from .geometry import (CHUNK_POINTS, CellClassification, QuadratureStore,
+                       point_chunks)
 from .runtime import VirtualRuntime
 
 
@@ -68,19 +71,30 @@ def _add_weighted_runs(out, cells, w, vals):
 
 def reference_tables(cls: CellClassification, quad: QuadratureStore):
     """Shape values (n_box, m) and physical gradients (n_box, m, d) at the
-    box rule that every interior cell of ``quad`` holds."""
+    box rule of every interior cell of ``quad``."""
     return (shape_values(quad.box_points),
             shape_gradients(quad.box_points) / cls.grid.h)
 
 
-def bulk_rows(cls: CellClassification, quad: QuadratureStore, cell_ids):
-    """The bulk points of the cells ``cell_ids`` (ascending) in chunks of
-    ``CHUNK_POINTS``, in store order: (cell of each point, points,
-    weights, shape values (n, m), physical gradients (n, m, d))."""
-    for cells, rows in quad.cut_chunks(cell_ids):
-        pts = quad.points[rows]
+def interior_rows(cls: CellClassification, quad: QuadratureStore):
+    """The interior cells in batches of about ``CHUNK_POINTS`` points:
+    (cells, their box-rule points (n_cells, n_box, d)); every cell's
+    weights are ``quad.box_weights``."""
+    per = max(1, CHUNK_POINTS // quad.box_weights.size)
+    for s in range(0, cls.interior_ids.size, per):
+        cells = cls.interior_ids[s:s + per]
+        lo = cls.grid.cell_origin(cls.id_to_lattice[cells - 1])
+        yield cells, lo[:, None, :] + quad.box_points * cls.grid.h
+
+
+def bulk_rows(cls: CellClassification, quad: QuadratureStore):
+    """The bulk points of the store, the cut cells' rules, in chunks of
+    ``CHUNK_POINTS``: (cell of each point, points, weights, shape values
+    (n, m), physical gradients (n, m, d))."""
+    for sl in point_chunks(quad.weights.size):
+        cells, pts = quad.bulk_cells(sl), quad.points[sl]
         xi = cls.reference_coords(cells, pts)
-        yield (cells, pts, quad.weights[rows], shape_values(xi),
+        yield (cells, pts, quad.weights[sl], shape_values(xi),
                shape_gradients(xi) / cls.grid.h)
 
 
@@ -105,12 +119,12 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
          + int (tau phi_a phi_b - phi_a n.grad(phi_b) - phi_b n.grad(phi_a)) dGamma
     b_a  = int phi_a f dOmega + int (tau phi_a - n.grad(phi_a)) g dGamma
 
-    over each cell's run of the store, tau being ``penalty(V)`` of the
-    bulk stiffness V, the first term of A: one value or one per cell.
-    Interior cells share one reference element: one stiffness matrix,
-    and load vectors from f at their points times the fixed table of
-    shape values.  Cut cells and interface points are integrated point
-    by point, in chunks of ``CHUNK_POINTS`` points.
+    over each cut cell's run of the store and each interior cell's box
+    rule, tau being ``penalty(V)`` of the bulk stiffness V, the first
+    term of A: one value or one per cell.  Interior cells share one
+    reference element: one stiffness matrix, and load vectors from f at
+    their points times the fixed table of shape values.  Cut cells and
+    interface points are integrated point by point, in chunks.
     """
     m = 2 ** cls.grid.d
     mats = np.zeros((cls.n_active, m, m))
@@ -119,10 +133,11 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
     mats[cls.interior_ids - 1] = np.einsum("nad,nbd,n->ab", grads_ref,
                                            grads_ref, quad.box_weights)
     if f is not None:
-        for cells, rows in quad.interior_chunks(cls.interior_ids):
-            fw = np.asarray(f(quad.points[rows.ravel()])).reshape(rows.shape)
+        for cells, pts in interior_rows(cls, quad):
+            fw = np.asarray(f(pts.reshape(-1, pts.shape[2]))).reshape(
+                pts.shape[:2])
             vecs[cells - 1] = (fw * quad.box_weights) @ vals_ref
-    for cells, pts, w, vals, grads in bulk_rows(cls, quad, cls.cut_ids):
+    for cells, pts, w, vals, grads in bulk_rows(cls, quad):
         _add_weighted_runs(mats, cells, w,
                            grads @ np.ascontiguousarray(grads.transpose(0, 2, 1)))
         if f is not None:

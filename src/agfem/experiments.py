@@ -491,9 +491,13 @@ def run_cut_sweep(cfg: ExperimentConfig, offsets=DEFAULT_SWEEP):
 
     The half-plane boundary sits at ``offset + delta * h`` for each delta
     in ``offsets``, so the cut cells keep a volume fraction of delta.
+    Every delta must be finite and positive.
     """
     if cfg.geometry not in ("halfplane", "circle"):
         raise ConfigError("cut sweep needs the halfplane or circle geometry")
+    if not all(0.0 < delta < np.inf for delta in offsets):
+        raise ConfigError(f"cut offsets must be finite and positive, got "
+                          f"{list(offsets)}")
     h = 0.5**cfg.level
     rows = []
     for delta in offsets:
@@ -580,7 +584,10 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
     the P = 1 run bitwise, as they stand, since global ids do not depend
     on P: aggregates and constraints (``agg`` only), the gathered A and b,
     iterations, residual history, solution and error norms.  Raises
-    EquivalenceError with the first difference; ConfigError if no P > 1."""
+    EquivalenceError with the first difference; ConfigError, before any
+    run, if some P is not a valid process count or no P > 1."""
+    for P in procs_list:
+        replace(cfg, procs=P).validate()
     if not any(P > 1 for P in procs_list):
         raise ConfigError(f"no P > 1 in {list(procs_list)} to compare")
     serial = run_solve_pipeline(replace(cfg, procs=1))
@@ -661,6 +668,8 @@ def fit_order(hs, errs):
 def run_convergence(cfg: ExperimentConfig, levels):
     if not levels or len(set(levels)) < len(levels):
         raise ConfigError(f"need distinct levels, got {list(levels)}")
+    for level in levels:
+        replace(cfg, level=level).validate()
     rows = []
     for level in levels:
         out = run_solve_pipeline(replace(cfg, level=level))

@@ -23,9 +23,10 @@ read off case tables by the number of inside vertices: classification
 clips every candidate cell for its cut volume, and quadrature clips the
 cut cells again for their simplices and facets (keeping the first clip
 gives the same store, holds it in memory and saves no measurable time).
-All rules live in one flat store in cell-id order: interior cells share
-one box rule, which the store also keeps in unit-box coordinates for
-reference-element integration, and cut-cell rules are mapped in batches.
+The flat store in cell-id order holds the cut cells' rules only, mapped
+in batches.  Interior cells are one reference element: their box rule
+is kept once, in unit-box coordinates, and their points are rebuilt a
+chunk at a time where they are needed.
 """
 
 from __future__ import annotations
@@ -200,15 +201,16 @@ def _clip(simplices, values, tol):
 
 @dataclass
 class QuadratureStore:
-    """Bulk and interface rules of every active cell, flat, in cell-id order.
+    """Bulk rules of the cut cells and interface rules, flat, in cell-id
+    order, and the one box rule of every interior cell.
 
     Active cell k owns rows ``offsets[k-1]:offsets[k]`` of the bulk arrays
     and ``boundary_offsets[k-1]:boundary_offsets[k]`` of the interface
-    arrays.  Interface normals are unit vectors pointing out of the
-    domain.  Every interior cell holds the same box rule, its points at
-    the cell origin plus ``box_points * h`` and its weights
-    ``box_weights``, so integrals over interior cells can use one
-    reference element.
+    arrays; an interior cell owns no rows of either.  Interface normals
+    are unit vectors pointing out of the domain.  An interior cell's rule
+    is the box rule, its points at the cell origin plus ``box_points * h``
+    and its weights ``box_weights``, so integrals over interior cells use
+    one reference element.
     """
 
     points: np.ndarray            # (n, d)
@@ -219,31 +221,11 @@ class QuadratureStore:
     boundary_normals: np.ndarray  # (nb, d)
     boundary_offsets: np.ndarray  # (n_active + 1,), from 0
     box_points: np.ndarray        # (n_box, d) interior rule, unit-box coords
-    box_weights: np.ndarray       # (n_box,) its weights, as stored
+    box_weights: np.ndarray       # (n_box,) its weights
 
     def bulk_cells(self, rows: slice = slice(None)) -> np.ndarray:
         """Cell id of each bulk point in ``rows``."""
         return _cells_of(self.offsets, rows)
-
-    def interior_chunks(self, cell_ids):
-        """Batches of about ``CHUNK_POINTS`` points of the interior cells
-        ``cell_ids``: (cells, their bulk rows (n_cells, n_box))."""
-        n_box = self.box_weights.size
-        per = max(1, CHUNK_POINTS // n_box)
-        for s in range(0, cell_ids.size, per):
-            cells = cell_ids[s:s + per]
-            yield cells, self.offsets[cells - 1][:, None] + np.arange(n_box)
-
-    def cut_chunks(self, cell_ids):
-        """Batches of ``CHUNK_POINTS`` bulk rows of the cells ``cell_ids``
-        (ascending), in store order: (cell of each row, rows)."""
-        start = self.offsets[cell_ids - 1]
-        counts = self.offsets[cell_ids] - start
-        cells = np.repeat(cell_ids, counts)
-        rows = np.arange(cells.size) + np.repeat(
-            start - (np.cumsum(counts) - counts), counts)
-        for sl in point_chunks(rows.size):
-            yield cells[sl], rows[sl]
 
     def boundary_cells(self, rows: slice = slice(None)) -> np.ndarray:
         """Cell id of each interface point in ``rows``."""
@@ -265,39 +247,27 @@ def _map_rule(simplices, ref_pts):
     return simplices[:, :1] + ref_pts @ (simplices[:, 1:] - simplices[:, :1])
 
 
-def _bulk_rules(grid, cls, simplices, s_cell, order):
-    """Points, weights and offsets of the bulk rules of all active cells,
-    and the box rule in unit-box coordinates with its weights: the box
-    rule moved to every interior cell, and the simplex rule mapped onto
-    the kept sub-simplices of the cut cells."""
+def _bulk_rules(grid, n_active, simplices, s_cell, order):
+    """Points, weights and offsets of the cut cells' bulk rules: the
+    simplex rule mapped onto their kept sub-simplices."""
     d = grid.d
-    box_pts, box_w = _box_rule(grid.h, order)
     ref_pts, ref_w = (_triangle_rule if d == 2 else _tet_rule)(order)
     jac = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1]))
     volume = jac / (2.0 if d == 2 else 6.0)
     keep = ~(volume < MIN_VOLUME_FRACTION * grid.cell_volume)
     simplices, s_cell, jac = simplices[keep], s_cell[keep], jac[keep]
     n_ref = len(ref_w)
-    counts = np.bincount(s_cell - 1, minlength=cls.n_active) * n_ref
-    counts[cls.interior_ids - 1] = len(box_w)
-    offsets = _offsets(counts)
+    offsets = _offsets(np.bincount(s_cell - 1, minlength=n_active) * n_ref)
     points = np.empty((offsets[-1], d))
     weights = np.empty(offsets[-1])
-    interior = cls.interior_ids - 1
-    rows = (offsets[interior][:, None] + np.arange(len(box_w))).ravel()
-    lo = grid.cell_origin(cls.id_to_lattice[interior])
-    points[rows] = (lo[:, None, :] + box_pts).reshape(-1, d)
-    weights[rows] = np.tile(box_w, interior.size)
-    # first row of each simplex: its cell's offset plus the simplices
-    # before it in the same cell
-    first = offsets[s_cell - 1] + n_ref * (
-        np.arange(s_cell.size) - np.searchsorted(s_cell, s_cell))
+    # the simplices come in cell order, so simplex i owns the rows
+    # i * n_ref:(i + 1) * n_ref
     per = max(1, CHUNK_POINTS // n_ref)
     for s in range(0, len(simplices), per):
-        rows = (first[s:s + per, None] + np.arange(n_ref)).ravel()
+        rows = slice(s * n_ref, (s + per) * n_ref)
         points[rows] = _map_rule(simplices[s:s + per], ref_pts).reshape(-1, d)
         weights[rows] = (jac[s:s + per, None] * ref_w).ravel()
-    return points, weights, offsets, _box_rule(np.ones(d), order)[0], box_w
+    return points, weights, offsets
 
 
 def _interface_rules(grid, n_active, facets, anchors, f_cell, order):
@@ -333,12 +303,12 @@ def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
                    cls: CellClassification, order: int) -> QuadratureStore:
     """Quadrature of every active cell of ``cls``, classified against ``ls``.
 
-    Interior cells get the tensor-product Gauss rule of their box and no
-    interface rule.  Cut cells get rules on the linearized inside region
-    and interface; sub-simplices below ``MIN_VOLUME_FRACTION`` of the cell
-    and facets of negligible measure are dropped.  Corner values come
-    from the classification; ``ls`` is sampled only at 2D cut-cell
-    centers.
+    Interior cells keep empty ranges: their rule is the store's box rule,
+    the tensor-product Gauss rule of the box.  Cut cells get rules on the
+    linearized inside region and interface; sub-simplices below
+    ``MIN_VOLUME_FRACTION`` of the cell and facets of negligible measure
+    are dropped.  Corner values come from the classification; ``ls`` is
+    sampled only at 2D cut-cell centers.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
@@ -352,15 +322,16 @@ def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
         *_sub_simplices(grid, lattices, corners, centers), cls.tol)
     n_sub = len(_SUBDIVISION[grid.d])
     s_cell, f_cell = cut[s_src // n_sub], cut[f_src // n_sub]
-    points, weights, offsets, box_points, box_weights = _bulk_rules(
-        grid, cls, simplices, s_cell, order)
+    points, weights, offsets = _bulk_rules(grid, cls.n_active, simplices,
+                                           s_cell, order)
     b_points, b_weights, b_normals, b_offsets = _interface_rules(
         grid, cls.n_active, facets, anchors, f_cell, order)
     return QuadratureStore(
         points=points, weights=weights, offsets=offsets,
         boundary_points=b_points, boundary_weights=b_weights,
         boundary_normals=b_normals, boundary_offsets=b_offsets,
-        box_points=box_points, box_weights=box_weights)
+        box_points=_box_rule(np.ones(grid.d), order)[0],
+        box_weights=_box_rule(grid.h, order)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def partition_weighted_sfc(classification: CellClassification, weights=None,
     ``include_exterior`` the whole background grid is split (exterior
     cells carrying ``exterior_weight``) and active owners are read off
     the background ranges, which is what the partition weighting study
-    exercises.
+    exercises.  Every weight must be finite and positive.
     """
     n_active = classification.n_active
     if n_subdomains < 1:
@@ -120,8 +120,9 @@ def partition_weighted_sfc(classification: CellClassification, weights=None,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n_active,):
             raise PartitionError("need one weight per active cell")
-    if np.any(weights <= 0) or exterior_weight <= 0:
-        raise PartitionError("weights must be positive")
+    if not (np.all(np.isfinite(weights) & (weights > 0))
+            and 0.0 < exterior_weight < np.inf):
+        raise PartitionError("weights must be finite and positive")
 
     grid = classification.grid
     codes = morton_encode(classification.id_to_lattice, grid.level)

@@ -18,8 +18,9 @@ tightens as the iteration resolves both ends of the spectrum.
 ``condition_estimate`` gives the exact kappa(A) of a small matrix.
 Error norms take the Q1 nodal values of every active cell, however the
 space produced them, and read the cells of the ``CellClassification``
-in one batched pass over the bulk points of the flat quadrature store,
-interior cells through one reference element.
+in one batched pass: interior cells through one reference element, its
+points rebuilt a batch of cells at a time, and cut cells over the bulk
+points of the flat quadrature store.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import DistributedSystem, bulk_rows, reference_tables
+from .assembly import (DistributedSystem, bulk_rows, interior_rows,
+                       reference_tables)
 from .runtime import VirtualRuntime
 
 
@@ -198,18 +200,17 @@ def condition_estimate(system) -> float:
 
 
 def _solution_chunks(cls, quad, nodal):
-    """Points, weights, u_h and grad(u_h) over the bulk rows of ``quad``
-    in chunks: interior cells from their nodal values and the reference
-    tables, cut cells point by point."""
+    """Points, weights, u_h and grad(u_h) over the bulk points in chunks:
+    interior cells from their nodal values and the reference tables, cut
+    cells point by point from the store."""
     d = cls.grid.d
     vals_ref, grads_ref = reference_tables(cls, quad)
-    for cells, rows in quad.interior_chunks(cls.interior_ids):
+    for cells, pts in interior_rows(cls, quad):
         values = nodal[cells - 1]
-        rows = rows.ravel()
-        yield (quad.points[rows], quad.weights[rows],
+        yield (pts.reshape(-1, d), np.tile(quad.box_weights, cells.size),
                (values @ vals_ref.T).ravel(),
                np.einsum("ca,nad->cnd", values, grads_ref).reshape(-1, d))
-    for cells, pts, w, vals, grads in bulk_rows(cls, quad, cls.cut_ids):
+    for cells, pts, w, vals, grads in bulk_rows(cls, quad):
         values = nodal[cells - 1]
         yield (pts, w, np.einsum("na,na->n", vals, values),
                np.einsum("nad,na->nd", grads, values))
@@ -230,11 +231,12 @@ def error_norms(cls, quad, nodal, u_exact, grad_exact) -> ErrorNorms:
     For either space these come from each subdomain's extension operator
     (``distspace.nodal_values``); without constraints, as for the standard
     space, that reads ``x`` at the global ids of the cell's nodes.  The
-    integrals run over the bulk points of the quadrature store, in chunks
-    of about ``CHUNK_POINTS``, so only the physical domain contributes.
-    At interior points u_h and its gradient come from the cell's nodal
-    values and the fixed reference tables of the shared box rule; cut-cell
-    points evaluate the shape functions one by one.
+    integrals run over the box rule of every interior cell and the bulk
+    points of the quadrature store, in chunks of about ``CHUNK_POINTS``,
+    so only the physical domain contributes.  At interior points u_h and
+    its gradient come from the cell's nodal values and the fixed reference
+    tables of the shared box rule; cut-cell points evaluate the shape
+    functions one by one.
     """
     nodal = np.asarray(nodal, dtype=np.float64)
     shape = (cls.n_active, 2 ** cls.grid.d)

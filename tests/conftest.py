@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import scipy.sparse as sp
 from agfem.assembly import (TauUnboundedError, nitsche_tau_agg,
                             nitsche_tau_std, poisson_elements)
 from agfem.fespace import extension_operator, shape_gradients, shape_values
-from agfem.geometry import classify_cells, point_chunks
+from agfem.geometry import _box_rule, classify_cells, point_chunks
 from agfem.grid import face_neighbors, unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
 
@@ -261,11 +262,37 @@ def clip_cells_oracle(grid, lattices, corners, centers, tol):
             np.array(f_cell, dtype=np.intp))
 
 
+def full_bulk_rule(cls, quad, order=4):
+    """``quad`` with the bulk rule of every active cell in its flat arrays,
+    in cell order: the box rule of order ``order`` at each interior cell's
+    origin, rebuilt here, merged with the store's rows of the cut cells.
+    The box weights must be the store's, so ``order`` is the store's."""
+    grid = cls.grid
+    box_points, box_weights = _box_rule(grid.h, order)
+    assert np.array_equal(box_weights, quad.box_weights)
+    counts = np.diff(quad.offsets)
+    assert not np.any(counts[cls.interior_ids - 1])
+    counts[cls.interior_ids - 1] = box_weights.size
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    interior = np.zeros(offsets[-1], dtype=bool)
+    interior[(offsets[cls.interior_ids - 1][:, None]
+              + np.arange(box_weights.size)).ravel()] = True
+    points = np.empty((offsets[-1], grid.d))
+    weights = np.empty(offsets[-1])
+    lo = grid.cell_origin(cls.id_to_lattice[cls.interior_ids - 1])
+    points[interior] = (lo[:, None, :] + box_points).reshape(-1, grid.d)
+    weights[interior] = np.tile(box_weights, cls.interior_ids.size)
+    points[~interior], weights[~interior] = quad.points, quad.weights
+    return replace(quad, points=points, weights=weights, offsets=offsets)
+
+
 def all_points_elements(cls, quad, taus, f=None, g=None):
     """Q1 element matrices and vectors integrated point by point over every
-    bulk and interface point of the store, interior cells included: the
-    oracle for the reference-element path of ``poisson_elements``."""
+    bulk point of every active cell, interior cells included, and every
+    interface point: the oracle for the reference-element path of
+    ``poisson_elements``."""
     h, m = cls.grid.h, 2 ** cls.grid.d
+    quad = full_bulk_rule(cls, quad)
     mats = np.zeros((cls.n_active, m, m))
     vecs = np.zeros((cls.n_active, m))
     for sl in point_chunks(quad.weights.size):
@@ -334,9 +361,10 @@ def tau_std_oracle(cls, cell_id, quad, beta):
 def all_points_norms(space, quad, full, u_exact, grad_exact):
     """(L2, H1-semi) error norms of the nodal vector ``full`` of the serial
     Q1 space, relative, or absolute when the exact norms vanish, with u_h
-    evaluated point by point at every bulk point: the oracle for
-    ``error_norms``."""
+    evaluated point by point at every bulk point of every active cell:
+    the oracle for ``error_norms``."""
     cls = space.classification
+    quad = full_bulk_rule(cls, quad)
     err2 = errg2 = base2 = baseg2 = 0.0
     for sl in point_chunks(quad.weights.size):
         cells, pts, w = quad.bulk_cells(sl), quad.points[sl], quad.weights[sl]

@@ -28,8 +28,8 @@ from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 from agfem.assembly import assemble_distributed
 
-from conftest import (bfs_aggregation_oracle, classified, prolongate,
-                      random_geometry)
+from conftest import (bfs_aggregation_oracle, classified, full_bulk_rule,
+                      prolongate, random_geometry)
 
 GEOMETRIES = {
     "halfplane": lambda: HalfPlane((1.0, 0.0), 0.6180339887),
@@ -298,14 +298,16 @@ def test_criterion_9_cut_geometry_quadrature():
     worst = 0.0
     for offset in (0.3, 0.5, 0.7251):
         ls = HalfPlane((1.0, 0.0), offset)
-        q = cut_quadrature(grid, ls, classify_cells(grid, ls), 2)
+        cls = classify_cells(grid, ls)
+        q = full_bulk_rule(cls, cut_quadrature(grid, ls, cls, 2), 2)
         area, boundary = q.weights.sum(), q.boundary_weights.sum()
         worst = max(worst, abs(area - offset), abs(boundary - 1.0))
     ls = Sphere((0.5, 0.5), 0.3)
     errs = []
     for level in (4, 5, 6, 7):
         g = unit_box_grid(level, 2)
-        q = cut_quadrature(g, ls, classify_cells(g, ls), 2)
+        cls = classify_cells(g, ls)
+        q = full_bulk_rule(cls, cut_quadrature(g, ls, cls, 2), 2)
         area, perim = q.weights.sum(), q.boundary_weights.sum()
         errs.append((abs(area - np.pi * 0.09), abs(perim - 2 * np.pi * 0.3)))
     rates = [min(np.log2(errs[i][j] / errs[i + 1][j]) for j in (0, 1))

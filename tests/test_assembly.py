@@ -20,8 +20,8 @@ from agfem.levelset import HalfPlane, Popcorn, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import (all_points_elements, classified, oracle_assembly,
-                      prolongate, std_taus, tau_std_oracle)
+from conftest import (all_points_elements, classified, full_bulk_rule,
+                      oracle_assembly, prolongate, std_taus, tau_std_oracle)
 
 
 def test_tau_agg_values():
@@ -113,7 +113,8 @@ def test_interior_stiffness_stencil():
 
 def _cell_element(cls, quad, k, tau, f, g):
     """Element matrix and vector of one cell, integrated over its own run
-    of the store: the per-cell reference for the batched pass."""
+    of ``quad``, which holds every cell's bulk rule: the per-cell
+    reference for the batched pass."""
     grid = cls.grid
     bulk = slice(*quad.offsets[k - 1:k + 1])
     bnd = slice(*quad.boundary_offsets[k - 1:k + 1])
@@ -143,8 +144,9 @@ def test_elements_match_per_cell_integration():
     g = lambda p: p[:, 2] ** 2
     taus = 10.0 + np.arange(cls.n_active) % 7
     mats, vecs = poisson_elements(cls, quad, lambda V: taus, f, g)
+    full = full_bulk_rule(cls, quad)
     for k in range(1, cls.n_active + 1):
-        A, b = _cell_element(cls, quad, k, taus[k - 1], f, g)
+        A, b = _cell_element(cls, full, k, taus[k - 1], f, g)
         assert np.allclose(mats[k - 1], A, rtol=0, atol=1e-13 * np.abs(A).max())
         assert np.allclose(vecs[k - 1], b, rtol=0,
                            atol=1e-13 * max(np.abs(b).max(), 1e-300))
@@ -263,9 +265,11 @@ def test_matrix_symmetry():
 
 
 def _direct_energy(space, dofs, cons, quad, taus, full):
-    """a(v, v) integrated directly from the prolongated nodal function."""
+    """a(v, v) integrated directly from the prolongated nodal function, at
+    every bulk point of every active cell."""
     cls = space.classification
     grid = cls.grid
+    quad = full_bulk_rule(cls, quad)
     cells = quad.bulk_cells()
     nodal = full[space.cell_dofs[cells - 1] - 1]
     xi = cls.reference_coords(cells, quad.points)

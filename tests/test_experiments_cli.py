@@ -173,16 +173,17 @@ def test_std_penalty_is_one_batched_call_without_dense_eigh(monkeypatch,
 @pytest.mark.parametrize("space", ["agg", "std"])
 def test_a_solve_walks_the_cut_cells_bulk_rows_twice(monkeypatch, space):
     # once for the elements, whose bulk stiffness also gives the std
-    # penalty its volume forms, and once for the error norms
+    # penalty its volume forms, and once for the error norms; the store
+    # holds the cut cells' rows only
     import agfem.assembly as assembly
     import agfem.solve as solve
 
     walks = []
     rows = assembly.bulk_rows
 
-    def counting(cls, quad, cell_ids):
-        walks.append(cell_ids)
-        return rows(cls, quad, cell_ids)
+    def counting(cls, quad):
+        walks.append(np.unique(quad.bulk_cells()))
+        return rows(cls, quad)
 
     monkeypatch.setattr(assembly, "bulk_rows", counting)
     monkeypatch.setattr(solve, "bulk_rows", counting)
@@ -662,3 +663,40 @@ def test_cli_weight_study_and_convergence_smoke(tmp_path):
     res = _cli("convergence", "--levels", "3", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert "no order fitted" in res.stdout and "fitted orders" not in res.stdout
+
+
+@pytest.mark.parametrize("args, result", [
+    (["parallel-check", "--level", "3", "--procs-list", "0,2"],
+     "parallel_check.csv"),
+    (["convergence", "--levels", "0,3"], "convergence.csv"),
+    (["convergence", "--levels", "3,-1"], "convergence.csv"),
+    (["cut-sweep", "--level", "3", "--offsets", "1e-2,0"], "cut_sweep.csv"),
+    (["cut-sweep", "--level", "3", "--offsets", "1e-2,nan"], "cut_sweep.csv"),
+    (["weight-study", "--level", "3", "--procs", "2", "--weights", "nan"],
+     "weight_study.csv"),
+    (["weight-study", "--level", "3", "--procs", "2", "--weights", "1,inf"],
+     "weight_study.csv"),
+], ids=["procs-0", "level-0", "level-negative", "delta-0", "delta-nan",
+        "weight-nan", "weight-inf"])
+def test_cli_rejects_bad_list_entries_before_any_run(monkeypatch, tmp_path,
+                                                     args, result):
+    # a bad entry anywhere in a list flag is a config error found before
+    # the first solve, so nothing runs and no result file is written
+    from click.testing import CliRunner
+
+    import agfem.experiments as ex
+    from agfem import cli
+
+    solves = []
+    pipeline = ex.run_solve_pipeline
+
+    def counting(*a, **kw):
+        solves.append(a)
+        return pipeline(*a, **kw)
+
+    monkeypatch.setattr(ex, "run_solve_pipeline", counting)
+    res = CliRunner().invoke(cli.main, args + ["--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output
+    assert solves == []
+    assert not (tmp_path / result).exists()

@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from agfem.geometry import (CUT, EXTERIOR, INTERIOR, MIN_VOLUME_FRACTION,
-                            ClassificationError, _box_rule, _clip,
-                            _corner_values, _segment_rule, _sub_simplices,
-                            _tet_rule, _triangle_rule, classify_cells,
-                            cut_quadrature, face_is_active)
+from agfem.assembly import interior_rows
+from agfem.geometry import (CHUNK_POINTS, CUT, EXTERIOR, INTERIOR,
+                            MIN_VOLUME_FRACTION, ClassificationError,
+                            _box_rule, _clip, _corner_values, _segment_rule,
+                            _sub_simplices, _tet_rule, _triangle_rule,
+                            classify_cells, cut_quadrature, face_is_active)
 from agfem.grid import unit_box_grid
 from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
 
-from conftest import clip_cells_oracle, cut_volume, face_rule, gradient
+from conftest import (clip_cells_oracle, cut_volume, face_rule,
+                      full_bulk_rule, gradient)
 
 
 def test_classify_all_interior():
@@ -78,13 +80,19 @@ def _per_cell(cls, cells, values):
     return np.bincount(cells - 1, values, minlength=cls.n_active)
 
 
+def _volume(cls, quad, order):
+    """Measure of the discrete domain, summed over the bulk rule of every
+    active cell in cell order."""
+    return full_bulk_rule(cls, quad, order).weights.sum()
+
+
 def test_interior_cell_uses_tensor_rule():
     grid, cls, quad = _store(1, HalfPlane((1, 0), 5.0), 2)
     assert cls.n_active == 4 and cls.cut_ids.size == 0
-    cell = slice(*quad.offsets[:2])
-    assert quad.weights[cell].sum() == pytest.approx(0.25, abs=1e-15)
+    assert quad.weights.size == 0 and not np.any(quad.offsets)
+    assert quad.box_weights.sum() == pytest.approx(0.25, abs=1e-15)
     assert quad.boundary_weights.size == 0
-    assert np.all(quad.weights > 0)
+    assert np.all(quad.box_weights > 0)
 
 
 def _simplex_moment(powers):
@@ -127,7 +135,7 @@ def test_tet_rule_has_27_points_at_order_4():
 
 def test_halfplane_cut_is_exact():
     grid, cls, quad = _store(0, HalfPlane((1, 0), 0.5), 2)
-    assert abs(quad.weights.sum() - 0.5) < 1e-12
+    assert abs(_volume(cls, quad, 2) - 0.5) < 1e-12
     assert abs(quad.boundary_weights.sum() - 1.0) < 1e-12
     assert np.allclose(quad.boundary_normals, [1.0, 0.0])
 
@@ -138,19 +146,19 @@ def test_halfplane_cut_is_exact():
         # {x + 2y < c} with c = 0.31*sqrt(5) < 1 clips a triangle of area
         # c^2/4 = 0.31^2 * 5 / 4 off the unit square
         exact = 0.31**2 * 5.0 / 4.0
-        assert abs(quad.weights.sum() - exact) < 1e-12
+        assert abs(_volume(cls, quad, 2) - exact) < 1e-12
 
 
 def test_halfplane_exact_3d():
     grid, cls, quad = _store(0, HalfPlane((1, 0, 0), 0.5), 2, d=3)
-    assert abs(quad.weights.sum() - 0.5) < 1e-12
+    assert abs(_volume(cls, quad, 2) - 0.5) < 1e-12
     assert abs(quad.boundary_weights.sum() - 1.0) < 1e-12
     assert np.allclose(quad.boundary_normals, [1.0, 0.0, 0.0])
 
 
 def test_circle_measures_level_six():
     grid, cls, quad = _store(6, Sphere((0.5, 0.5), 0.3), 2)
-    assert abs(quad.weights.sum() - np.pi * 0.09) < 1e-3
+    assert abs(_volume(cls, quad, 2) - np.pi * 0.09) < 1e-3
     assert abs(quad.boundary_weights.sum() - 2 * np.pi * 0.3) < 1e-2
 
 
@@ -159,7 +167,7 @@ def test_circle_measures_converge_first_order():
     errs_area, errs_perim = [], []
     for level in (4, 5, 6, 7):
         grid, cls, quad = _store(level, ls, 2)
-        errs_area.append(abs(quad.weights.sum() - np.pi * 0.09))
+        errs_area.append(abs(_volume(cls, quad, 2) - np.pi * 0.09))
         errs_perim.append(abs(quad.boundary_weights.sum() - 2 * np.pi * 0.3))
     for errs in (errs_area, errs_perim):
         rates = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
@@ -194,7 +202,7 @@ def test_normals_point_out_of_the_discrete_domain(level, ls, d):
     # fields: d |Omega_h| = int_Gamma_h (x - c).n for any c; a facet
     # whose normal points inward breaks it
     grid, cls, quad = _store(level, ls, 2, d)
-    volume = d * quad.weights.sum()
+    volume = d * _volume(cls, quad, 2)
     for c in (np.full(d, 0.5), np.array([0.3, 0.6, 0.45])[:d]):
         flux = quad.boundary_weights @ np.einsum(
             "nd,nd->n", quad.boundary_points - c, quad.boundary_normals)
@@ -226,19 +234,30 @@ def test_store_files_points_under_their_cells(level, ls, d):
                              float(centers[k - 1]), cls.tol)
         assert abs(volumes[k - 1] - clipped) <= 1e-14 * clipped
     assert np.array_equal(np.unique(quad.boundary_cells()), cls.cut_ids)
-    # every interior cell holds the box rule the store keeps for it
-    for cells, rows in quad.interior_chunks(cls.interior_ids):
+    assert np.array_equal(np.unique(quad.bulk_cells()), cls.cut_ids)
+
+
+@pytest.mark.parametrize("level, ls, d", [
+    (5, Sphere((0.5, 0.5), 0.3), 2),
+    (3, Popcorn(), 3),
+], ids=["circle-2d-L5", "popcorn-3d-L3"])
+def test_interior_cells_are_one_reference_element(level, ls, d):
+    # no interior cell owns a row of the store; interior_rows rebuilds
+    # their box-rule points a batch of cells at a time, bitwise equal to
+    # the box rule moved to each cell origin
+    grid, cls, quad = _store(level, ls, 4, d)
+    assert cls.interior_ids.size
+    assert not np.any(np.diff(quad.offsets)[cls.interior_ids - 1])
+    box_points, box_weights = _box_rule(grid.h, 4)
+    assert np.array_equal(quad.box_weights, box_weights)
+    batches = list(interior_rows(cls, quad))
+    assert np.array_equal(np.concatenate([c for c, _ in batches]),
+                          cls.interior_ids)
+    for cells, pts in batches:
+        assert pts.shape == (cells.size, box_weights.size, d)
+        assert pts[:, :, 0].size <= CHUNK_POINTS
         lo = grid.cell_origin(cls.id_to_lattice[cells - 1])
-        assert np.array_equal(quad.points[rows],
-                              lo[:, None, :] + quad.box_points * grid.h)
-        assert np.array_equal(quad.weights[rows],
-                              np.broadcast_to(quad.box_weights, rows.shape))
-    rows = np.concatenate([r for _, r in quad.cut_chunks(cls.cut_ids)])
-    cells = np.concatenate([c for c, _ in quad.cut_chunks(cls.cut_ids)])
-    assert np.array_equal(cells, quad.bulk_cells()[rows])
-    assert np.array_equal(np.sort(np.concatenate([rows, np.concatenate(
-        [r.ravel() for _, r in quad.interior_chunks(cls.interior_ids)])])),
-        np.arange(quad.weights.size))
+        assert np.array_equal(pts, lo[:, None, :] + box_points)
 
 
 @pytest.mark.parametrize("level, ls, d", [

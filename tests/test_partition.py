@@ -54,6 +54,14 @@ def test_invalid_requests():
         partition_weighted_sfc(cls, weights=np.zeros(4), n_subdomains=2)
     with pytest.raises(PartitionError):
         partition_weighted_sfc(cls, n_subdomains=0)
+    # NaN passes a "<= 0" test, and an infinite weight empties a range
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(PartitionError, match="finite and positive"):
+            partition_weighted_sfc(cls, weights=[1.0, 1.0, bad, 1.0],
+                                   n_subdomains=2)
+        with pytest.raises(PartitionError, match="finite and positive"):
+            partition_weighted_sfc(cls, n_subdomains=2, include_exterior=True,
+                                   exterior_weight=bad)
 
 
 def test_balance_random_weights(rng):
