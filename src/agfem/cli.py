@@ -42,7 +42,6 @@ def _common_options(fn):
         click.option("--rtol", type=float, default=None),
         click.option("--maxit", type=int, default=None),
         click.option("--out", type=str, default=None),
-        click.option("--threads", type=int, default=None),
         click.option("--dump", type=str, default=None,
                      help="comma list: aggregates,constraints,matrix"),
         click.option("--solution", type=click.Choice(ex.SOLUTIONS),
@@ -56,10 +55,10 @@ def _common_options(fn):
     return fn
 
 
-def _build_config(config_path, trace=False, **overrides):
+def _build_config(config_path, trace=False, command=None, **overrides):
     # unset flags are None, which leaves the file's value or the default
     return ex.load_config(config_path,
-                          dict(overrides, trace=1 if trace else None))
+                          dict(overrides, trace=1 if trace else None), command)
 
 
 def _parse_list(raw, cast):
@@ -115,10 +114,7 @@ def cut_sweep(config_path, offsets, **overrides):
     """Sweep a cut across a cell face and record conditioning."""
 
     def body():
-        cfg = _build_config(config_path, **overrides)
-        if cfg.geometry == "circle" and overrides.get("geometry") is None \
-                and config_path is None:
-            cfg = ex.replace(cfg, geometry="halfplane", offset=0.5)
+        cfg = _build_config(config_path, command="cut-sweep", **overrides)
         rows = ex.cmd_cut_sweep(cfg, _parse_list(offsets, float))
         for row in rows:
             click.echo(f"delta={row['delta']}: kappa_agg={row['kappa_agg']} "
@@ -148,10 +144,7 @@ def convergence(config_path, levels, **overrides):
     """Error versus cell size with fitted orders."""
 
     def body():
-        cfg = _build_config(config_path, **overrides)
-        if cfg.solution == "linear" and overrides.get("solution") is None \
-                and config_path is None:
-            cfg = ex.replace(cfg, solution="sine")
+        cfg = _build_config(config_path, command="convergence", **overrides)
         rows, orders = ex.cmd_convergence(cfg, _parse_list(levels, int))
         for row in rows:
             click.echo(f"level {row['level']}: rel L2 {row['rel_l2']} "

@@ -6,7 +6,7 @@ case and the standard space the case without constraints, and keeps one
 system and one solution in global-id numbering.  Each command appends
 deterministic rows to CSV files under the output directory; wall-clock
 timings go to a separate timings.csv so the result files are
-byte-identical across repeated runs and thread counts.
+byte-identical across repeated runs and rank step orders.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_EQUIVALENCE = 4
 
-RECORD_SCHEMA_VERSION = 3
+RECORD_SCHEMA_VERSION = 4
 
 GEOMETRIES = ("circle", "offset-circle", "halfplane", "popcorn")
 SPACES = ("agg", "std")
@@ -80,7 +80,6 @@ class ExperimentConfig:
     maxit: int = 500
     procs: int = 1
     out: str = "."
-    threads: int = 1
     dump: tuple = ()
     solution: str = "linear"
     trace: int = 0
@@ -102,10 +101,17 @@ class ExperimentConfig:
             raise ConfigError("the popcorn geometry is three-dimensional")
         if self.level < 1:
             raise ConfigError("level must be >= 1")
+        for name in ("beta", "rtol", "radius", "offset", "center", "normal"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)!r}")
         for name in ("beta", "rtol", "radius"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("maxit", "procs", "threads"):
+        if not any(self.normal[:self.dimension]):
+            raise ConfigError(f"normal {self.normal!r} has no nonzero entry "
+                              f"in {self.dimension}D")
+        for name in ("maxit", "procs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for d in self.dump:
@@ -132,9 +138,19 @@ def _parse_value(name: str, raw: str):
         raise ConfigError(f"bad value {raw!r} for {name}") from None
 
 
-def load_config(path=None, overrides=None) -> ExperimentConfig:
-    """Flat ``key = value`` file plus command-line overrides."""
-    values = {}
+# defaults a command sets under the config file and the flags: the cut
+# sweep starts from a lattice line, so each delta is the volume fraction
+# its cut cells keep, and a convergence study needs a solution outside Q1
+COMMAND_DEFAULTS = {
+    "cut-sweep": {"geometry": "halfplane", "offset": 0.5},
+    "convergence": {"solution": "sine"},
+}
+
+
+def load_config(path=None, overrides=None, command=None) -> ExperimentConfig:
+    """Flat ``key = value`` file plus command-line overrides, over the
+    ``COMMAND_DEFAULTS`` of ``command`` and the ExperimentConfig defaults."""
+    settings = []
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -144,9 +160,16 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, raw = line.split("=", 1)
-                values[key.strip()] = _parse_value(key.strip(), raw)
-    for key, raw in (overrides or {}).items():
-        if raw is None:
+                settings.append((key.strip(), raw))
+    settings += [kv for kv in (overrides or {}).items() if kv[1] is not None]
+    values = dict(COMMAND_DEFAULTS.get(command, {}))
+    for key, raw in settings:
+        # benchmark configs still say threads = 1, how every run steps; the
+        # key leaves with the benchmark revision of ROADMAP item 1
+        if key == "threads":
+            if str(raw).strip() != "1":
+                raise ConfigError(f"threads = {str(raw).strip()}: ranks step "
+                                  f"on one thread")
             continue
         values[key] = raw if not isinstance(raw, str) else _parse_value(key, raw)
     try:
@@ -285,8 +308,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, runtime=None) -> SolveOutputs:
     with timer.time("quadrature"):
         quad = cut_quadrature(grid, ls, cls, QUAD_ORDER)
     if runtime is None:
-        runtime = VirtualRuntime(cfg.procs, threads=cfg.threads,
-                                 trace=bool(cfg.trace))
+        runtime = VirtualRuntime(cfg.procs, trace=bool(cfg.trace))
     agg = cfg.space == "agg"
     dist_map = root_map = agg_stats = None
     with timer.time("partition"):
@@ -340,7 +362,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, runtime=None) -> SolveOutputs:
 
 RECORD_FIELDS = [
     "schema_version", "command", "geometry", "dimension", "level", "space",
-    "beta", "rtol", "maxit", "procs", "threads", "solution", "n_cells",
+    "beta", "rtol", "maxit", "procs", "solution", "n_cells",
     "n_active", "n_cut", "n_interior_dofs", "agg_rounds", "max_aggregate",
     "assembly_checksum", "iterations", "converged", "stop_reason",
     "final_rel_residual", "kappa_est", "rel_l2", "rel_h1",
@@ -364,7 +386,6 @@ def make_run_record(cfg: ExperimentConfig, out: SolveOutputs,
         "rtol": repr(cfg.rtol),
         "maxit": cfg.maxit,
         "procs": cfg.procs,
-        "threads": cfg.threads,
         "solution": cfg.solution,
         "n_cells": out.grid.n_cells,
         "n_active": out.classification.n_active,
@@ -479,6 +500,13 @@ def cmd_solve(cfg: ExperimentConfig) -> dict:
     return record
 
 
+def _check_distinct(what, values):
+    """ConfigError unless ``values``, a study list, is non-empty and holds
+    no entry twice; each study command checks this before its first run."""
+    if not values or len(set(values)) < len(values):
+        raise ConfigError(f"need distinct {what}, got {list(values)}")
+
+
 # ---------------------------------------------------------------------------
 # cut sweep
 
@@ -498,6 +526,7 @@ def run_cut_sweep(cfg: ExperimentConfig, offsets=DEFAULT_SWEEP):
     if not all(0.0 < delta < np.inf for delta in offsets):
         raise ConfigError(f"cut offsets must be finite and positive, got "
                           f"{list(offsets)}")
+    _check_distinct("offsets", offsets)
     h = 0.5**cfg.level
     rows = []
     for delta in offsets:
@@ -529,8 +558,8 @@ def run_cut_sweep(cfg: ExperimentConfig, offsets=DEFAULT_SWEEP):
 
 
 def cmd_cut_sweep(cfg: ExperimentConfig, offsets=DEFAULT_SWEEP):
-    os.makedirs(cfg.out, exist_ok=True)
     rows = run_cut_sweep(cfg, offsets)
+    os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "cut_sweep.csv")
     append_csv(path, ["delta", "kappa_agg", "kappa_std", "iters_agg",
                       "iters_std", "converged_std"], rows)
@@ -590,6 +619,7 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
         replace(cfg, procs=P).validate()
     if not any(P > 1 for P in procs_list):
         raise ConfigError(f"no P > 1 in {list(procs_list)} to compare")
+    _check_distinct("process counts", procs_list)
     serial = run_solve_pipeline(replace(cfg, procs=1))
     A_s, b_s = serial.system.gather()
     checked = {"procs": [], "aggregate_cells": 0, "constrained_dofs": 0}
@@ -641,8 +671,8 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
 
 
 def cmd_parallel_check(cfg: ExperimentConfig, procs_list) -> dict:
-    os.makedirs(cfg.out, exist_ok=True)
     result = run_parallel_check(cfg, procs_list)
+    os.makedirs(cfg.out, exist_ok=True)
     rows = [{"geometry": cfg.geometry, "level": cfg.level, "space": cfg.space,
              "procs": ",".join(str(p) for p in result["procs"]),
              "status": "pass"}]
@@ -666,8 +696,7 @@ def fit_order(hs, errs):
 
 
 def run_convergence(cfg: ExperimentConfig, levels):
-    if not levels or len(set(levels)) < len(levels):
-        raise ConfigError(f"need distinct levels, got {list(levels)}")
+    _check_distinct("levels", levels)
     for level in levels:
         replace(cfg, level=level).validate()
     rows = []
@@ -694,8 +723,8 @@ def run_convergence(cfg: ExperimentConfig, levels):
 
 
 def cmd_convergence(cfg: ExperimentConfig, levels):
-    os.makedirs(cfg.out, exist_ok=True)
     rows, orders = run_convergence(cfg, levels)
+    os.makedirs(cfg.out, exist_ok=True)
     for row in rows:
         row.update(orders)
     fieldnames = ["level", "h", "n_interior_dofs", "iterations", "rel_l2",
@@ -718,6 +747,7 @@ def cmd_convergence(cfg: ExperimentConfig, levels):
 def run_weight_study(cfg: ExperimentConfig, weights):
     if cfg.procs < 2:
         raise ConfigError("the weight study needs procs >= 2")
+    _check_distinct("weights", weights)
     grid, ls, cls, _ = geometry_setup(cfg)
     rows = []
     for w in weights:
@@ -739,8 +769,8 @@ def run_weight_study(cfg: ExperimentConfig, weights):
 
 
 def cmd_weight_study(cfg: ExperimentConfig, weights):
-    os.makedirs(cfg.out, exist_ok=True)
     rows = run_weight_study(cfg, weights)
+    os.makedirs(cfg.out, exist_ok=True)
     append_csv(os.path.join(cfg.out, "weight_study.csv"),
                ["weight", "max_active", "min_active", "max_total", "min_total"],
                rows)

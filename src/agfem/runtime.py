@@ -4,8 +4,8 @@ Process bodies are generator functions: they yield communication
 requests built through their :class:`ProcessContext` and receive the
 result at the next superstep.  Messages posted in one superstep are
 visible only in the next; reductions and scans are evaluated in
-subdomain-id order, so every public result is independent of how the
-processes are scheduled (serial in any order, or on a thread pool).
+subdomain-id order, so every public result is independent of the order
+in which the processes are stepped within a superstep.
 Every delivered payload is a private copy whose arrays are read-only,
 so no process can change what another one sent or received.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import copy
 import pickle
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,22 +90,18 @@ class ProcessContext:
 class VirtualRuntime:
     """Schedules virtual processes and transports superstep messages."""
 
-    def __init__(self, n_procs: int, threads: int = 1, trace: bool = False,
+    def __init__(self, n_procs: int, trace: bool = False,
                  payload_filter=None, step_order=None):
         if n_procs < 1:
             raise ValueError("need at least one process")
-        if threads < 1:
-            raise ValueError("need at least one thread")
-        if step_order is not None and sorted(step_order) != list(range(n_procs)):
+        # ranks in the order they are stepped; results must not depend on it
+        order = list(range(n_procs)) if step_order is None else list(step_order)
+        if sorted(order) != list(range(n_procs)):
             raise ValueError("step_order must permute 0..n_procs-1")
         self.n_procs = n_procs
-        self.threads = threads
         self.trace_enabled = trace
         self.payload_filter = payload_filter
-        # ranks in the order they are stepped serially; results must not
-        # depend on it
-        self.step_order = (list(step_order) if step_order is not None
-                           else list(range(n_procs)))
+        self.step_order = order
         self.trace: list[TraceRecord] = []
         self._superstep = 0
 
@@ -129,45 +124,31 @@ class VirtualRuntime:
         inbox = [None] * P
         results = [None] * P
         alive = [True] * P
-
-        pool = ThreadPoolExecutor(max_workers=self.threads) if self.threads > 1 else None
-        try:
-            while any(alive):
-                requests: list = [None] * P
-                errors: list = []
-
-                def step(i):
-                    try:
-                        requests[i] = gens[i].send(inbox[i])
-                    except StopIteration as stop:
-                        results[i] = stop.value
-                        alive[i] = False
-                    except Exception as exc:  # propagated after the sweep
-                        errors.append((i + 1, exc))
-                        alive[i] = False
-
-                live = [i for i in self.step_order if alive[i]]
-                if pool is not None:
-                    list(pool.map(step, live))
-                else:
-                    for i in live:
-                        step(i)
-                if errors:
-                    self._raise_collected(errors)
-                live = [i for i in range(P) if alive[i]]
-                if not live:
-                    break
-                if len(live) != P:
-                    done = [i + 1 for i in range(P) if not alive[i]]
-                    raise RuntimeProtocolError(
-                        f"mismatched participation in superstep "
-                        f"{self._superstep}: processes {done} already finished "
-                        f"while {[i + 1 for i in live]} are communicating")
-                inbox = self._fulfill(requests, phase, neighbor_sets)
-                self._superstep += 1
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
+        while True:
+            requests: list = [None] * P
+            errors: list = []
+            for i in self.step_order:      # every rank is alive here
+                try:
+                    requests[i] = gens[i].send(inbox[i])
+                except StopIteration as stop:
+                    results[i] = stop.value
+                    alive[i] = False
+                except Exception as exc:  # propagated after the sweep
+                    errors.append((i + 1, exc))
+                    alive[i] = False
+            if errors:
+                self._raise_collected(errors)
+            live = [i for i in range(P) if alive[i]]
+            if not live:
+                break
+            if len(live) != P:
+                done = [i + 1 for i in range(P) if not alive[i]]
+                raise RuntimeProtocolError(
+                    f"mismatched participation in superstep "
+                    f"{self._superstep}: processes {done} already finished "
+                    f"while {[i + 1 for i in live]} are communicating")
+            inbox = self._fulfill(requests, phase, neighbor_sets)
+            self._superstep += 1
         return results
 
     @staticmethod

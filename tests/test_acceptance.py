@@ -17,8 +17,9 @@ from agfem.distagg import (build_direct_plan, build_inverse_plan,
                            check_plan_duality, import_root_data)
 from agfem.distspace import (build_constraints_distributed,
                              number_dofs_distributed, root_cell_data_provider)
-from agfem.experiments import (ExperimentConfig, cmd_solve, run_convergence,
-                               run_cut_sweep, run_solve_pipeline)
+from agfem.experiments import (ExperimentConfig, cmd_solve, make_run_record,
+                               run_convergence, run_cut_sweep,
+                               run_solve_pipeline)
 from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs)
 from agfem.geometry import classify_cells, cut_quadrature
@@ -329,24 +330,19 @@ def test_criterion_10_determinism(tmp_path):
     ]
     identical = True
     for i, params in enumerate(configs):
-        baseline = None
-        for repeat, threads in ((0, 1), (1, 1), (2, 2)):
+        rows = []
+        for repeat in range(2):
             out = tmp_path / f"cfg{i}_{repeat}"
-            cfg = ExperimentConfig(out=str(out), threads=threads,
-                                   **params).validate()
-            cmd_solve(cfg)
-            rows = (out / "runs.csv").read_text().splitlines()
-            # drop the echoed thread count, byte-compare the rest
-            header = rows[0].split(",")
-            t_idx = header.index("threads")
-            stripped = [",".join(v for j, v in enumerate(r.split(","))
-                                 if j != t_idx) for r in rows]
-            if baseline is None:
-                baseline = stripped
-            elif stripped != baseline:
-                identical = False
+            cfg = ExperimentConfig(out=str(out), **params).validate()
+            record = cmd_solve(cfg)
+            rows.append((out / "runs.csv").read_bytes())
+        # every superstep steps the ranks last to first
+        reordered = run_solve_pipeline(cfg, runtime=VirtualRuntime(
+            cfg.procs, step_order=reversed(range(cfg.procs))))
+        identical &= (rows[0] == rows[1]
+                      and make_run_record(cfg, reordered) == record)
     elapsed = time.perf_counter() - t0
     _report(10, identical and elapsed <= 300.0,
-            f"repeated runs and thread-count variations produced "
+            f"repeated runs and reversed rank step orders produced "
             f"byte-identical result rows for {len(configs)} configurations "
             f"({elapsed:.1f}s)")

@@ -99,8 +99,8 @@ def test_runs_csv_header_is_the_record_schema(tmp_path):
     with open(tmp_path / "runs.csv") as fh:
         header = next(csv.reader(fh))
     assert header == RECORD_FIELDS == list(record)
-    assert "weight" not in header and "seed" not in header
-    assert record["schema_version"] == RECORD_SCHEMA_VERSION == 3
+    assert not {"weight", "seed", "threads"} & set(header)
+    assert record["schema_version"] == RECORD_SCHEMA_VERSION == 4
 
 
 def test_runs_csv_records_how_the_solver_ended(tmp_path):
@@ -266,14 +266,15 @@ def test_one_subdomain_run_equals_the_serial_reference(params):
 
 def test_runs_csv_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        cfg = ExperimentConfig(level=3, procs=4, out=str(out),
-                               threads=1 if out is out1 else 2)
-        cmd_solve(cfg.validate())
-    rows1 = (out1 / "runs.csv").read_text().splitlines()
-    rows2 = (out2 / "runs.csv").read_text().splitlines()
-    # identical except the echoed thread count
-    assert rows1[1].replace(",1,linear", ",2,linear") == rows2[1]
+    records = [cmd_solve(ExperimentConfig(level=3, procs=4,
+                                          out=str(out)).validate())
+               for out in (out1, out2)]
+    assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
+    # the record does not depend on the order the ranks are stepped in
+    cfg = ExperimentConfig(level=3, procs=4).validate()
+    reordered = run_solve_pipeline(
+        cfg, runtime=VirtualRuntime(4, step_order=reversed(range(4))))
+    assert make_run_record(cfg, reordered) == records[0]
 
 
 def test_parallel_check_detects_injected_fault():
@@ -665,23 +666,30 @@ def test_cli_weight_study_and_convergence_smoke(tmp_path):
     assert "no order fitted" in res.stdout and "fitted orders" not in res.stdout
 
 
-@pytest.mark.parametrize("args, result", [
-    (["parallel-check", "--level", "3", "--procs-list", "0,2"],
-     "parallel_check.csv"),
-    (["convergence", "--levels", "0,3"], "convergence.csv"),
-    (["convergence", "--levels", "3,-1"], "convergence.csv"),
-    (["cut-sweep", "--level", "3", "--offsets", "1e-2,0"], "cut_sweep.csv"),
-    (["cut-sweep", "--level", "3", "--offsets", "1e-2,nan"], "cut_sweep.csv"),
-    (["weight-study", "--level", "3", "--procs", "2", "--weights", "nan"],
-     "weight_study.csv"),
-    (["weight-study", "--level", "3", "--procs", "2", "--weights", "1,inf"],
-     "weight_study.csv"),
+@pytest.mark.parametrize("args", [
+    ["parallel-check", "--level", "3", "--procs-list", "0,2"],
+    ["convergence", "--levels", "0,3"],
+    ["convergence", "--levels", "3,-1"],
+    ["cut-sweep", "--level", "3", "--offsets", "1e-2,0"],
+    ["cut-sweep", "--level", "3", "--offsets", "1e-2,nan"],
+    ["weight-study", "--level", "3", "--procs", "2", "--weights", "nan"],
+    ["weight-study", "--level", "3", "--procs", "2", "--weights", "1,inf"],
+    ["cut-sweep", "--level", "3", "--offsets", ","],
+    ["cut-sweep", "--level", "3", "--offsets", "1e-2,1e-2"],
+    ["parallel-check", "--level", "3", "--procs-list", "2,2"],
+    ["convergence", "--levels", ","],
+    ["convergence", "--levels", "3,3"],
+    ["weight-study", "--level", "3", "--procs", "2", "--weights", ","],
+    ["weight-study", "--level", "3", "--procs", "2", "--weights", "1,1"],
 ], ids=["procs-0", "level-0", "level-negative", "delta-0", "delta-nan",
-        "weight-nan", "weight-inf"])
+        "weight-nan", "weight-inf", "offsets-empty", "offsets-repeated",
+        "procs-repeated", "levels-empty", "levels-repeated", "weights-empty",
+        "weights-repeated"])
 def test_cli_rejects_bad_list_entries_before_any_run(monkeypatch, tmp_path,
-                                                     args, result):
-    # a bad entry anywhere in a list flag is a config error found before
-    # the first solve, so nothing runs and no result file is written
+                                                     args):
+    # a bad entry anywhere in a list flag, an empty list or a repeated
+    # entry is a config error found before the first solve, so nothing
+    # runs and no file is written
     from click.testing import CliRunner
 
     import agfem.experiments as ex
@@ -699,4 +707,78 @@ def test_cli_rejects_bad_list_entries_before_any_run(monkeypatch, tmp_path,
     assert res.exit_code == 2, res.output
     assert "config error" in res.output
     assert solves == []
-    assert not (tmp_path / result).exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line", [
+    "beta = nan", "rtol = nan", "radius = inf", "offset = nan",
+    "center = nan,0.5", "normal = 0,inf", "normal = 0,0", "normal = 0,0,1",
+])
+def test_non_finite_settings_and_a_zero_normal_are_config_errors(tmp_path,
+                                                                line):
+    # each of these once ran to exit 0 on a meaningless solve, or died
+    # in classification with exit 3
+    from click.testing import CliRunner
+
+    from agfem import cli
+
+    path = tmp_path / "run.cfg"
+    path.write_text(f"level = 3\ngeometry = halfplane\n{line}\n")
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli.main, ["solve", "--config", str(path),
+                                        "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"config error: {line.split()[0]}" in res.output
+    assert not out.exists()
+
+
+def test_threads_is_accepted_only_as_one(tmp_path):
+    # ranks step on one thread; benchmark configs still say threads = 1
+    from click.testing import CliRunner
+
+    from agfem import cli
+
+    path = tmp_path / "run.cfg"
+    path.write_text("threads = 1\nlevel = 3\n")
+    assert load_config(str(path)) == load_config(None, {"level": 3})
+    assert load_config(None, {"threads": 1}) == ExperimentConfig()
+    path.write_text("threads = 2\n")
+    out = tmp_path / "out"
+    for args in (["--config", str(path)], ["--threads", "2"]):
+        res = CliRunner().invoke(cli.main, ["solve", *args, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="threads = 2"):
+        load_config(None, {"threads": 2})
+
+
+def test_command_defaults_lie_under_the_file_and_the_flags(tmp_path):
+    cfg = load_config(None, None, "cut-sweep")
+    assert (cfg.geometry, cfg.offset) == ("halfplane", 0.5)
+    assert load_config(None, {"offset": "0.6"}, "cut-sweep").offset == 0.6
+    path = tmp_path / "run.cfg"
+    path.write_text("geometry = circle\n")
+    cfg = load_config(str(path), None, "cut-sweep")
+    assert (cfg.geometry, cfg.offset) == ("circle", 0.5)
+    assert load_config(None, None, "convergence").solution == "sine"
+    assert load_config(None, {"solution": "linear"},
+                       "convergence").solution == "linear"
+    assert load_config(str(path)) == replace(ExperimentConfig(),
+                                             geometry="circle")
+
+
+def test_cut_sweep_on_an_explicit_halfplane_starts_from_a_lattice_line(
+        tmp_path):
+    # with the old offset 0.503 the cut cells kept 0.048 + delta of their
+    # volume at L4 and kappa_std stayed near 1e4 for every delta
+    from click.testing import CliRunner
+
+    from agfem import cli
+
+    res = CliRunner().invoke(cli.main, [
+        "cut-sweep", "--geometry", "halfplane", "--level", "4",
+        "--offsets", "1e-2,1e-8", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    with open(tmp_path / "cut_sweep.csv") as fh:
+        kappa = [float(row["kappa_std"]) for row in csv.DictReader(fh)]
+    assert kappa[1] / kappa[0] > 1e6
