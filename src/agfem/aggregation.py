@@ -135,14 +135,14 @@ def _aggregate_body(proc, mesh: SubdomainMesh, barycenters):
     return agg[0], agg[1], agg[2], rounds
 
 
-def aggregate_parallel(runtime, meshes, phase: str = "aggregate") -> DistRootMap:
+def aggregate_parallel(runtime, meshes) -> DistRootMap:
     """Run the aggregation sweep on the virtual runtime, one process per
     subdomain view.  Ghost values are current on return."""
     barycenters = meshes[0].classification.barycenters()
     neighbor_sets = [set(m.neighbors.tolist()) for m in meshes]
     results = runtime.run(
         _aggregate_body, args=[(m, barycenters) for m in meshes],
-        phase=phase, neighbor_sets=neighbor_sets)
+        phase="aggregate", neighbor_sets=neighbor_sets)
     return DistRootMap(
         roots=[r[0] for r in results],
         root_owners=[r[1] for r in results],

@@ -423,7 +423,7 @@ def assemble_serial(space, dofs, constraints, elements):
 
 
 def assemble_distributed(runtime: VirtualRuntime, numbering, constraints_per_s,
-                         elements, phase: str = "assembly") -> DistributedSystem:
+                         elements) -> DistributedSystem:
     """Assemble the row-wise partitioned system over all subdomains.
 
     ``elements = (matrices, vectors)`` covers every active cell; each
@@ -436,7 +436,7 @@ def assemble_distributed(runtime: VirtualRuntime, numbering, constraints_per_s,
     args = [(*piece.owned_cells(), cons, *elements, numbering.n_global,
              row_starts)
             for piece, cons in zip(numbering.pieces, constraints_per_s)]
-    results = runtime.run(_assembly_body, args=args, phase=phase)
+    results = runtime.run(_assembly_body, args=args, phase="assembly")
     return DistributedSystem(
         n_global=numbering.n_global, row_starts=row_starts,
         blocks=[r[0] for r in results], rhs=[r[1] for r in results],

@@ -116,8 +116,7 @@ def _inverse_body(proc, mesh: SubdomainMesh, owners, nexts, n_cells):
     return PathPlan.from_pairs(s, rests[2], rests[1], n_cells)
 
 
-def build_inverse_plan(runtime, meshes, dist_map: DistRootMap,
-                       phase: str = "inverse-plan"):
+def build_inverse_plan(runtime, meshes, dist_map: DistRootMap):
     """Forward path rows to the root owners; nearest-neighbor traffic only."""
     n_cells = meshes[0].classification.n_active
     neighbor_sets = [set(int(x) for x in m.neighbors) for m in meshes]
@@ -125,7 +124,7 @@ def build_inverse_plan(runtime, meshes, dist_map: DistRootMap,
         _inverse_body,
         args=[(m, dist_map.root_owners[m.s - 1], dist_map.nexts[m.s - 1],
                n_cells) for m in meshes],
-        phase=phase, neighbor_sets=neighbor_sets)
+        phase="inverse-plan", neighbor_sets=neighbor_sets)
 
 
 def check_plan_duality(direct_plans, inverse_plans):
@@ -183,8 +182,7 @@ def _import_body(proc, direct: PathPlan, inverse: PathPlan, cell_data):
         dofs=np.concatenate([g for _, g in parts])[by_root])
 
 
-def import_root_data(runtime, meshes, direct_plans, inverse_plans, cell_data,
-                     phase: str = "import"):
+def import_root_data(runtime, meshes, direct_plans, inverse_plans, cell_data):
     """Deliver root-cell nodal data to every requesting subdomain.
 
     ``cell_data(s, root_ids)`` must return the owner-side nodal
@@ -196,4 +194,4 @@ def import_root_data(runtime, meshes, direct_plans, inverse_plans, cell_data,
     return runtime.run(
         _import_body,
         args=[(d, i, cell_data) for d, i in zip(direct_plans, inverse_plans)],
-        phase=phase)
+        phase="import")

@@ -10,21 +10,21 @@ touching it (one ``np.minimum.at`` over the relevant numbered cells),
 every subdomain numbers the nodes it owns in first-touch order over its
 local numbered cells, and an exclusive scan turns the owned counts into
 ranges.  The ids a subdomain knows live in one table of (code, global
-id) pairs sorted by code and read with ``searchsorted``.  Cell-wise id
-arrays are completed through halo exchanges of ``(n_cells, m)`` id rows,
-merged into the table with one lexsort per round.  Two rounds are
-needed: after the first, a ghost cell's owner knows the whole cell-wise
-array including ids owned by third parties; the second round relays
-those to everyone holding the cell as a ghost.  Rows of cut cells keep
--1 where a node has no id known here (it touches no numbered cell, or
-none that is locally relevant); nothing reads those entries.
+id) pairs sorted by code and read with ``searchsorted``.  The id rows
+of the local cells are completed by one halo exchange of ``(n_cells,
+m)`` id rows, merged into the table with one lexsort.  One round is
+enough: a node of a local numbered cell is owned by the smallest
+subdomain with a numbered cell on that node, and that cell shares a
+vertex with the local cell, so its owner is a neighbour and sends the
+id.  Rows of local cut cells keep -1 where a node touches no numbered
+cell; nothing reads those entries.
 
 Constrained DOFs never get global ids; each subdomain expresses them by
-local id against global master ids, importing root-cell data when the
-root is not locally relevant.  The roots of all exterior DOFs are looked
-up at once, in the view (``SubdomainMesh.local_ids``) and else in the
-import buffer (``RootDataBuffer.rows_of``), and the owner side answers
-the import for a whole batch of root cells.
+local id against global master ids.  The roots of all exterior DOFs are
+read at once: a root the subdomain owns from its own piece, the data it
+also serves to others (``DistSpacePiece.cell_data``), and every other
+root from the import buffer (``RootDataBuffer.rows_of``).  The owner
+side answers the import for a whole batch of root cells.
 
 This is the space setup of every run of either space, serial runs being
 the one-subdomain case: there the local ids are the serial node ids and
@@ -56,7 +56,7 @@ from .runtime import RuntimeProtocolError
 
 
 class MissingImportError(RuntimeError):
-    """A constraint needed a root cell that was neither local nor imported."""
+    """A constraint needed a root cell that was neither owned nor imported."""
 
 
 @dataclass
@@ -69,7 +69,7 @@ class DistSpacePiece:
     node_codes: np.ndarray       # (n_j,) their int64 codes
     node_coords: np.ndarray      # (n_j, d)
     cell_j: np.ndarray           # (n_local, m) local DOF ids
-    cell_g: np.ndarray           # (n_relevant, m) global ids, -1 holes
+    cell_g: np.ndarray           # (n_local, m) global ids, -1 holes
     j_interior: np.ndarray       # (n_j,) bool: touches a numbered cell
     own_local_cell: np.ndarray   # (n_j,) local cell with smallest global id
     owned_start: int             # first owned global id (1-based)
@@ -84,6 +84,11 @@ class DistSpacePiece:
     def exterior_js(self) -> np.ndarray:
         return np.flatnonzero(~self.j_interior).astype(np.int64) + 1
 
+    def cell_data(self, l: np.ndarray):
+        """Nodal coordinates (n, m, d) and global ids (n, m) of the local
+        cells ``l``."""
+        return self.node_coords[self.cell_j[l - 1] - 1], self.cell_g[l - 1]
+
     def gid_of(self, codes: np.ndarray) -> np.ndarray:
         """Global ids of node codes; -1 where unknown here."""
         return _lookup(self.gid_codes, self.gids, codes)
@@ -95,7 +100,7 @@ class DistSpacePiece:
         cell_dofs = self.cell_j
         free = self.j_interior[cell_dofs - 1]
         row_of = np.zeros(self.n_local_dofs, dtype=np.int64)
-        row_of[cell_dofs[free] - 1] = self.cell_g[:self.mesh.n_local][free]
+        row_of[cell_dofs[free] - 1] = self.cell_g[free]
         return cell_dofs, self.mesh.global_ids[:self.mesh.n_local], row_of
 
 
@@ -171,33 +176,34 @@ def _numbering_body(proc, mesh: SubdomainMesh, interior_only: bool):
     by_code = np.argsort(owned)
     gid_codes, gids = owned[by_code], owned_start + by_code.astype(np.int64)
 
-    # complete cell-wise arrays on locally relevant numbered cells; the
-    # second round relays third-party ids resolved at ghost owners
+    # a node of a local numbered cell is owned here or by a neighbour
+    # with a numbered cell on it, so one round of owned ids completes the
+    # local rows
     send = {sp: ls[numbered[ls - 1]] for sp, ls in mesh.send_halo.items()}
     recv = {sp: ls[numbered[ls - 1]] for sp, ls in mesh.recv_halo.items()}
-    for _ in range(2):
-        received = yield proc.neighbor_exchange(
-            {sp: _lookup(gid_codes, gids, codes[ls - 1])
-             for sp, ls in send.items()})
-        empty = np.zeros(0, dtype=np.int64)
-        new_codes, new_gids = [empty], [empty]
-        for sp, rows in received.items():
-            if rows.shape[0] != recv[sp].size:
-                raise RuntimeProtocolError(
-                    f"subdomain {s}: numbering payload from {sp} has "
-                    f"{rows.shape[0]} cells, expected {recv[sp].size}")
-            new_codes.append(codes[recv[sp] - 1].ravel())
-            new_gids.append(rows.ravel())
-        gid_codes, gids = _merge_ids(s, gid_codes, gids,
-                                     np.concatenate(new_codes),
-                                     np.concatenate(new_gids))
+    received = yield proc.neighbor_exchange(
+        {sp: _lookup(gid_codes, gids, codes[ls - 1])
+         for sp, ls in send.items()})
+    empty = np.zeros(0, dtype=np.int64)
+    new_codes, new_gids = [empty], [empty]
+    for sp, rows in received.items():
+        if rows.shape[0] != recv[sp].size:
+            raise RuntimeProtocolError(
+                f"subdomain {s}: numbering payload from {sp} has "
+                f"{rows.shape[0]} cells, expected {recv[sp].size}")
+        new_codes.append(codes[recv[sp] - 1].ravel())
+        new_gids.append(rows.ravel())
+    gid_codes, gids = _merge_ids(s, gid_codes, gids,
+                                 np.concatenate(new_codes),
+                                 np.concatenate(new_gids))
 
-    cell_g = _lookup(gid_codes, gids, codes)
-    unresolved = np.flatnonzero(numbered & np.any(cell_g == -1, axis=1))
+    cell_g = _lookup(gid_codes, gids, codes[:n_local])
+    unresolved = np.flatnonzero(numbered[:n_local]
+                                & np.any(cell_g == -1, axis=1))
     if unresolved.size:
         raise RuntimeProtocolError(
             f"subdomain {s}: cell {mesh.global_ids[unresolved[0]]} "
-            f"has unresolved global DOF ids after the exchange rounds")
+            f"has unresolved global DOF ids after the exchange")
 
     # owner cell per local DOF: smallest global id among relevant cells
     hit = j_of > 0
@@ -216,14 +222,14 @@ def _numbering_body(proc, mesh: SubdomainMesh, interior_only: bool):
     return piece, int(total)
 
 
-def number_dofs_distributed(runtime, meshes, phase: str = "numbering",
+def number_dofs_distributed(runtime, meshes,
                             interior_only: bool = True) -> DistNumbering:
     """Assign global ids to the DOFs of the interior cells across all
     subdomains, or of every active cell with ``interior_only=False``."""
     neighbor_sets = [set(int(x) for x in m.neighbors) for m in meshes]
     results = runtime.run(
         _numbering_body, args=[(m, interior_only) for m in meshes],
-        phase=phase, neighbor_sets=neighbor_sets)
+        phase="numbering", neighbor_sets=neighbor_sets)
     return DistNumbering(pieces=[r[0] for r in results],
                          n_global=results[0][1])
 
@@ -238,7 +244,7 @@ def root_cell_data_provider(numbering: DistNumbering):
         l = piece.mesh.local_ids(global_ids)
         if np.any((l == 0) | (l > piece.mesh.n_local)):
             raise KeyError(f"subdomain {s} does not own every requested cell")
-        return piece.node_coords[piece.cell_j[l - 1] - 1], piece.cell_g[l - 1]
+        return piece.cell_data(l)
 
     return cell_data
 
@@ -248,40 +254,34 @@ def build_constraints_distributed(piece: DistSpacePiece,
                                   buffer: RootDataBuffer) -> AgConstraints:
     """Masters and coefficients for this subdomain's exterior DOFs.
 
-    Local root cells are evaluated from lattice data; non-relevant roots
-    use the imported nodal coordinates, reconstructing the cell box from
-    the buffered payload itself.
+    A root cell owned here is read from this piece, every other root from
+    the import buffer; the cell box is the one its nodal coordinates span.
     """
-    mesh = piece.mesh
-    grid = mesh.classification.grid
     s = piece.s
     out_js = piece.exterior_js()
     roots = dist_map.roots[s - 1][piece.own_local_cell[out_js - 1] - 1]
-    l_root = mesh.local_ids(roots)
-    here = np.flatnonzero(l_root > 0)
-    masters = np.zeros((out_js.size, piece.cell_g.shape[1]), dtype=np.int64)
-    masters[here] = piece.cell_g[l_root[here] - 1]
-    lo = grid.cell_origin(mesh.classification.id_to_lattice[roots - 1])
-    h = np.tile(grid.h, (out_js.size, 1))
+    l_root = piece.mesh.local_ids(roots)
+    mine = (l_root > 0) & (l_root <= piece.mesh.n_local)
     rows = buffer.rows_of(roots)
-    missing = (l_root == 0) & (rows < 0)
-    imported = np.flatnonzero((l_root == 0) & (rows >= 0))
-    coords = buffer.coords[rows[imported]]
-    masters[imported] = buffer.dofs[rows[imported]]
-    lo[imported] = coords[:, 0]
-    h[imported] = coords[:, -1] - coords[:, 0]
-    bad = np.flatnonzero(missing | np.any(masters == -1, axis=1))
-    if bad.size:
-        i = bad[0]
-        if missing[i]:
-            raise MissingImportError(
-                f"subdomain {s}: DOF {int(out_js[i])} needs root cell "
-                f"{int(roots[i])}, which is neither locally relevant nor "
-                f"imported")
+    missing = np.flatnonzero(~mine & (rows < 0))
+    if missing.size:
+        i = missing[0]
         raise MissingImportError(
-            f"subdomain {s}: root cell {int(roots[i])} carries unresolved "
-            f"master ids")
-    xi = (piece.node_coords[out_js - 1] - lo) / h
+            f"subdomain {s}: DOF {int(out_js[i])} needs root cell "
+            f"{int(roots[i])}, which is neither locally owned nor imported")
+    m, d = piece.cell_j.shape[1], piece.node_coords.shape[1]
+    coords = np.empty((out_js.size, m, d))
+    masters = np.empty((out_js.size, m), dtype=np.int64)
+    coords[mine], masters[mine] = piece.cell_data(l_root[mine])
+    coords[~mine] = buffer.coords[rows[~mine]]
+    masters[~mine] = buffer.dofs[rows[~mine]]
+    unresolved = np.flatnonzero(np.any(masters == -1, axis=1))
+    if unresolved.size:
+        raise MissingImportError(
+            f"subdomain {s}: root cell {int(roots[unresolved[0]])} carries "
+            f"unresolved master ids")
+    lo = coords[:, 0]
+    xi = (piece.node_coords[out_js - 1] - lo) / (coords[:, -1] - lo)
     coeffs = shape_values(xi)
     return AgConstraints(constrained=out_js, masters=masters, coeffs=coeffs)
 

@@ -753,7 +753,7 @@ def run_weight_study(cfg: ExperimentConfig, weights):
     for w in weights:
         part = partition_weighted_sfc(
             cls, weights=np.full(cls.n_active, float(w)),
-            n_subdomains=cfg.procs, include_exterior=True, exterior_weight=1.0)
+            n_subdomains=cfg.procs, include_exterior=True)
         active_counts = np.bincount(part.owner_of_active,
                                     minlength=cfg.procs + 1)[1:]
         total_counts = np.bincount(part.owner_of_background,

@@ -95,17 +95,17 @@ class Partition:
 
 
 def partition_weighted_sfc(classification: CellClassification, weights=None,
-                           n_subdomains: int = 1, include_exterior: bool = False,
-                           exterior_weight: float = 1.0) -> Partition:
+                           n_subdomains: int = 1,
+                           include_exterior: bool = False) -> Partition:
     """Split Morton-ordered cells into weight-balanced contiguous ranges.
 
     The heaviest range sum is the least any split into ``n_subdomains``
     nonempty ranges reaches, every range is within one max weight of it,
     and ties go to the boundary nearest the remaining average, the later
-    prefix when two are equally near.  By default only active cells are partitioned.  With
-    ``include_exterior`` the whole background grid is split (exterior
-    cells carrying ``exterior_weight``) and active owners are read off
-    the background ranges, which is what the partition weighting study
+    prefix when two are equally near.  By default only active cells are
+    partitioned.  With ``include_exterior`` the whole background grid is
+    split, exterior cells weighing 1, and active owners are read off the
+    background ranges, which is what the partition weighting study
     exercises.  Every weight must be finite and positive.
     """
     n_active = classification.n_active
@@ -120,14 +120,13 @@ def partition_weighted_sfc(classification: CellClassification, weights=None,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n_active,):
             raise PartitionError("need one weight per active cell")
-    if not (np.all(np.isfinite(weights) & (weights > 0))
-            and 0.0 < exterior_weight < np.inf):
+    if not np.all(np.isfinite(weights) & (weights > 0)):
         raise PartitionError("weights must be finite and positive")
 
     grid = classification.grid
     codes = morton_encode(classification.id_to_lattice, grid.level)
     if include_exterior:
-        full = np.full(grid.n_cells, exterior_weight, dtype=np.float64)
+        full = np.ones(grid.n_cells)
         full[codes] = weights
         owner_bg = _split(full, n_subdomains)
         owner_active = owner_bg[codes]

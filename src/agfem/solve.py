@@ -159,7 +159,7 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
 
 
 def pcg_jacobi(system, rtol: float = 1e-6, maxit: int = 500,
-               runtime: VirtualRuntime | None = None, phase: str = "solve"):
+               runtime: VirtualRuntime | None = None):
     """Solve the SPD system; returns the global solution and a report.
 
     ``system`` is a ``DistributedSystem`` (give the runtime that owns its
@@ -173,7 +173,7 @@ def pcg_jacobi(system, rtol: float = 1e-6, maxit: int = 500,
         _pcg_body,
         args=[(dist.blocks[i], dist.rhs[i], dist.row_starts, rtol, maxit)
               for i in range(dist.n_subdomains)],
-        phase=phase)
+        phase="solve")
     x = np.concatenate([r[0] for r in results])
     iterations, history, alphas, betas, reason = results[0][1]
     return x, SolveReport(iterations=iterations, residual_history=history,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -503,3 +504,22 @@ def heaviest_range_oracle(weights, n_parts):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+TEST_TIME_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail any test that runs longer than ``TEST_TIME_LIMIT_S``, so that a
+    hang ends in a traceback instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"test exceeded {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

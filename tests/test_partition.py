@@ -59,9 +59,6 @@ def test_invalid_requests():
         with pytest.raises(PartitionError, match="finite and positive"):
             partition_weighted_sfc(cls, weights=[1.0, 1.0, bad, 1.0],
                                    n_subdomains=2)
-        with pytest.raises(PartitionError, match="finite and positive"):
-            partition_weighted_sfc(cls, n_subdomains=2, include_exterior=True,
-                                   exterior_weight=bad)
 
 
 def test_balance_random_weights(rng):

@@ -101,7 +101,8 @@ def _check_numbering(cls, owner, meshes):
             lowest[key] = min(lowest.get(key, n_parts), int(owner[k - 1]))
     gid_of = {}
     for piece, mesh in zip(numbering.pieces, meshes):
-        for l in mesh.relevant_interior():
+        interior = mesh.relevant_interior()
+        for l in interior[interior <= mesh.n_local]:
             keys = cls.id_to_lattice[mesh.global_ids[l - 1] - 1] + offs
             for key, gid in zip(map(tuple, keys.tolist()),
                                 piece.cell_g[l - 1].tolist()):

@@ -224,6 +224,20 @@ def test_scheduling_independence():
             _pipeline_program, args=[(11,)] * 4) == baseline
 
 
+def test_ranks_step_in_step_order():
+    # scheduling independence is only shown if ranks are stepped in the
+    # order given
+    stepped = []
+
+    def body(proc):
+        stepped.append(proc.rank)
+        yield proc.reduce_logical_and(True)
+        stepped.append(proc.rank)
+
+    VirtualRuntime(3, step_order=[2, 0, 1]).run(body)
+    assert stepped == [3, 1, 2, 3, 1, 2]
+
+
 def test_trace_records_traffic():
     rt = VirtualRuntime(2, trace=True)
 

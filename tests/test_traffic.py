@@ -13,7 +13,7 @@ from agfem.runtime import VirtualRuntime
 
 # phase -> (supersteps, messages); the solve takes 41 iterations
 EXPECTED = {"aggregate": (5, 42), "inverse-plan": (6, 22),
-            "numbering": (4, 80), "import": (1, 19), "assembly": (1, 20),
+            "numbering": (3, 40), "import": (1, 19), "assembly": (1, 20),
             "solve": (125, 1596)}
 
 
