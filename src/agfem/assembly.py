@@ -20,12 +20,15 @@ forms A = C^T A_e C, C the extension operator, as per-cell sums: a cell
 whose DOFs are all free has unit rows in C, so its element entries are
 its sums as they stand; the other cells are expanded through C in
 batches of about ``CHUNK_PRODUCTS`` products and summed per (cell, row,
-col) on one int64 key.  The sums form one stream in global-cell order,
-and after one routed exchange each row owner runs one stable sort on the
-key row * (n + 1) + col + 1, so every (row, col) sums its cells in
-global-cell order.  That order depends on neither the partition nor the
-numbering, so serial and distributed systems are bitwise equal; entries
-summing to zero are not stored.
+col) on one int64 key.  The sums form one stream in global-cell order;
+off-owner sums leave as (key, value) pairs in one routed exchange, and
+each row owner joins the streams in rank order, its own at its rank.
+``partition_weighted_sfc`` gives ranks ascending ranges of cell ids, so
+rank order is global-cell order, the invariant the numbering's
+independence of P rests on too.  One stable sort on the key row * (n +
+1) + col + 1 then sums every (row, col) over its cells in global-cell
+order, the same for every P, so serial and distributed systems are
+bitwise equal; entries summing to zero are not stored.
 """
 
 from __future__ import annotations
@@ -212,7 +215,7 @@ class DistributedSystem:
     row_starts: np.ndarray    # (P+1,) 1-based owned-range starts
     blocks: list              # per s: csr of shape (n_owned, n_global)
     rhs: list                 # per s: (n_owned,)
-    staged_counts: list       # per s: off-owner triplets shipped at finalize
+    staged_counts: list       # per s: off-owner sums shipped at finalize
 
     @classmethod
     def one_block(cls, A, b) -> "DistributedSystem":
@@ -325,10 +328,9 @@ def _constrained_sums(C, dofs, mats, vecs, n):
 
 
 def _cell_stream(C, cell_dofs, cell_ids, row_of, mats, vecs, n):
-    """The cell sums of every cell as one stream in the order of
-    ``cell_ids``: cells whose DOFs are all free straight from their
-    elements, the others expanded through C.  Returns keys, values and
-    the number of sums of each cell."""
+    """The cell sums of every cell as one stream of keys and values in
+    the order of ``cell_ids``: cells whose DOFs are all free straight
+    from their elements, the others expanded through C."""
     rows = row_of[cell_dofs - 1]
     free = np.all(rows > 0, axis=1)
     fc, cc = np.flatnonzero(free), np.flatnonzero(~free)
@@ -346,7 +348,7 @@ def _cell_stream(C, cell_dofs, cell_ids, row_of, mats, vecs, n):
     for idx, k, v, lens in parts:
         dest = _ranges(offsets[idx], lens)
         key[dest], val[dest] = k, v
-    return key, val, counts
+    return key, val
 
 
 def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
@@ -362,17 +364,16 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
         raise AssemblyError(
             f"subdomain {s}: DOF {int(cell_dofs[empty][0])} has neither a "
             f"system row nor a constraint")
-    key, val, counts = _cell_stream(C, cell_dofs, cell_ids, row_of, mats,
-                                    vecs, n_global)
+    key, val = _cell_stream(C, cell_dofs, cell_ids, row_of, mats, vecs,
+                            n_global)
 
-    # off-owner sums leave with their cell ids, and received streams are
-    # merged back into global-cell order
+    # off-owner sums leave in stream order; joined in rank order, the
+    # streams stay in global-cell order
     stride = n_global + 1
     first = int(row_starts[s - 1]) - 1
     n_owned = int(row_starts[s]) - 1 - first
     payloads = {}
     if proc.size > 1:
-        cell = np.repeat(cell_ids, counts)
         off = (key < first * stride) | (key >= (first + n_owned) * stride)
         if np.any(off):
             at = np.flatnonzero(off)
@@ -380,16 +381,14 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
                                     side="right")
             for dst in np.unique(owner):
                 sel = at[owner == dst]
-                payloads[int(dst)] = (key[sel], cell[sel], val[sel])
-            key, cell, val = key[~off], cell[~off], val[~off]
+                payloads[int(dst)] = (key[sel], val[sel])
+            key, val = key[~off], val[~off]
     staged = sum(p[0].size for p in payloads.values())
     received = yield proc.routed_exchange(payloads)
     if received:
-        key, cell, val = (np.concatenate([x] + [received[src][i]
-                                                for src in sorted(received)])
-                          for i, x in enumerate((key, cell, val)))
-        order = np.argsort(cell, kind="stable")
-        key, val = key[order], val[order]
+        streams = {**received, s: (key, val)}
+        key, val = (np.concatenate([streams[r][i] for r in sorted(streams)])
+                    for i in (0, 1))
     key, val = _sum_runs(key, val)
     row, col = np.divmod(key, stride)
     col -= 1

@@ -102,6 +102,8 @@ def _inverse_body(proc, mesh: SubdomainMesh, owners, nexts, n_cells):
         # to send; the others move on to the owner of their current cell
         here = l <= mesh.n_local
         rests.append(rows[:, here])
+        if (yield proc.reduce_logical_and(here.all())):
+            break
         ahead = rows[:, ~here]
         ahead[3] += 1
         to = mesh.owner_of_relevant[l[~here] - 1]
@@ -109,9 +111,6 @@ def _inverse_body(proc, mesh: SubdomainMesh, owners, nexts, n_cells):
             {int(p): ahead[:, to == p] for p in np.unique(to)})
         rows = np.concatenate(
             [rows[:, :0]] + [received[src] for src in sorted(received)], axis=1)
-        all_empty = yield proc.reduce_logical_and(rows.shape[1] == 0)
-        if all_empty:
-            break
     rests = np.concatenate(rests, axis=1)
     return PathPlan.from_pairs(s, rests[2], rests[1], n_cells)
 
@@ -142,12 +141,12 @@ def check_plan_duality(direct_plans, inverse_plans):
 
 @dataclass
 class RootDataBuffer:
-    """Imported nodal coordinates and global DOF ids, one row per root,
-    roots ascending."""
+    """Imported box corners and global DOF ids, one row per root, roots
+    ascending."""
 
     s: int
     roots: np.ndarray    # (n,) global root ids
-    coords: np.ndarray   # (n, m, d) nodal coordinates
+    coords: np.ndarray   # (n, 2, d) box corners, nodes 0 and m - 1
     dofs: np.ndarray     # (n, m) global DOF ids
 
     def rows_of(self, root_ids) -> np.ndarray:
@@ -170,9 +169,9 @@ def _import_body(proc, direct: PathPlan, inverse: PathPlan, cell_data):
             raise ImportProtocolError(
                 f"subdomain {s} expected a root-data buffer from {sp}")
         x, g = received[sp]
-        if x.shape[0] != n or x.shape[:2] != g.shape:
+        if x.shape[:2] != (n, 2) or g.shape[0] != n:
             raise ImportProtocolError(
-                f"buffer from {sp} to {s} holds coordinates {x.shape} and "
+                f"buffer from {sp} to {s} holds corners {x.shape} and "
                 f"ids {g.shape}, plan expects {n} cells")
         parts.append((x, g))
     by_root = np.argsort(direct.roots)
@@ -185,10 +184,11 @@ def _import_body(proc, direct: PathPlan, inverse: PathPlan, cell_data):
 def import_root_data(runtime, meshes, direct_plans, inverse_plans, cell_data):
     """Deliver root-cell nodal data to every requesting subdomain.
 
-    ``cell_data(s, root_ids)`` must return the owner-side nodal
-    coordinates (n, m, d) and cell-wise global DOF ids (n, m) of local
-    cells ``root_ids``; payloads are forwarded untouched so coordinates
-    round-trip bit-exactly.  Destinations need not be nearest neighbors,
+    ``cell_data(s, root_ids)`` must return the owner-side box corners
+    (n, 2, d), nodes 0 and m - 1, and cell-wise global DOF ids (n, m) of
+    local cells ``root_ids``: the constraints read nothing else of a
+    root.  Payloads are forwarded untouched so corners round-trip
+    bit-exactly.  Destinations need not be nearest neighbors,
     so this step uses routed exchange.
     """
     return runtime.run(

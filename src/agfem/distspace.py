@@ -11,13 +11,16 @@ every subdomain numbers the nodes it owns in first-touch order over its
 local numbered cells, and an exclusive scan turns the owned counts into
 ranges.  The ids a subdomain knows live in one table of (code, global
 id) pairs sorted by code and read with ``searchsorted``.  The id rows
-of the local cells are completed by one halo exchange of ``(n_cells,
-m)`` id rows, merged into the table with one lexsort.  One round is
-enough: a node of a local numbered cell is owned by the smallest
-subdomain with a numbered cell on that node, and that cell shares a
-vertex with the local cell, so its owner is a neighbour and sends the
-id.  Rows of local cut cells keep -1 where a node touches no numbered
-cell; nothing reads those entries.
+of the local cells are completed by one halo exchange: each subdomain
+sends each neighbour one ``(2, k)`` array of the (code, global id)
+pairs it owns on the numbered cells of that neighbour's halo, sorted by
+code, and the receiver joins them into its table with one sort.  One
+round is enough: a node of a local numbered cell is owned by the
+smallest subdomain with a numbered cell on that node, and that cell
+shares a vertex with the local cell, so its owner is a neighbour and
+sends the id.  Only the owner sends a node, so a code that arrives
+twice is a protocol error.  Rows of local cut cells keep -1 where a
+node touches no numbered cell; nothing reads those entries.
 
 Constrained DOFs never get global ids; each subdomain expresses them by
 local id against global master ids.  The roots of all exterior DOFs are
@@ -85,9 +88,10 @@ class DistSpacePiece:
         return np.flatnonzero(~self.j_interior).astype(np.int64) + 1
 
     def cell_data(self, l: np.ndarray):
-        """Nodal coordinates (n, m, d) and global ids (n, m) of the local
-        cells ``l``."""
-        return self.node_coords[self.cell_j[l - 1] - 1], self.cell_g[l - 1]
+        """Box corners (n, 2, d), nodes 0 and m - 1, and global ids (n, m)
+        of the local cells ``l``."""
+        corners = self.cell_j[l - 1][:, [0, -1]]
+        return self.node_coords[corners - 1], self.cell_g[l - 1]
 
     def gid_of(self, codes: np.ndarray) -> np.ndarray:
         """Global ids of node codes; -1 where unknown here."""
@@ -107,7 +111,12 @@ class DistSpacePiece:
 @dataclass
 class DistNumbering:
     pieces: list
-    n_global: int
+
+    @property
+    def n_global(self) -> int:
+        """The end of the last owned range."""
+        last = self.pieces[-1]
+        return last.owned_start + last.n_owned - 1
 
     def owned_ranges(self) -> np.ndarray:
         """Row range starts per subdomain plus the terminating bound."""
@@ -115,25 +124,21 @@ class DistNumbering:
         return np.asarray(starts + [self.n_global + 1], dtype=np.int64)
 
 
-def _merge_ids(s: int, codes, gids, new_codes, new_gids):
-    """The sorted (code, gid) table extended by received pairs; -1 skipped."""
-    known = new_gids != -1
-    if not known.any():
+def _merge_ids(s: int, codes, gids, pairs):
+    """The sorted (code, gid) table joined with received ``(2, k)`` pair
+    arrays; a node has one owner, which alone sends it, so a code must
+    not arrive twice."""
+    table = np.concatenate([np.stack([codes, gids])] + pairs, axis=1)
+    if table.shape[1] == codes.size:
         return codes, gids
-    codes = np.concatenate([codes, new_codes[known]])
-    gids = np.concatenate([gids, new_gids[known]])
-    order = np.lexsort((gids, codes))
-    codes, gids = codes[order], gids[order]
-    same = codes[1:] == codes[:-1]
-    clash = np.flatnonzero(same & (gids[1:] != gids[:-1]))
+    codes, gids = table[:, np.argsort(table[0])]
+    clash = np.flatnonzero(codes[1:] == codes[:-1])
     if clash.size:
         i = clash[0]
         raise RuntimeProtocolError(
             f"subdomain {s}: conflicting global ids {gids[i]} and "
             f"{gids[i + 1]} for one node")
-    keep = np.ones(codes.size, dtype=bool)
-    keep[1:] = ~same
-    return codes[keep], gids[keep]
+    return codes, gids
 
 
 def _numbering_body(proc, mesh: SubdomainMesh, interior_only: bool):
@@ -177,25 +182,21 @@ def _numbering_body(proc, mesh: SubdomainMesh, interior_only: bool):
     gid_codes, gids = owned[by_code], owned_start + by_code.astype(np.int64)
 
     # a node of a local numbered cell is owned here or by a neighbour
-    # with a numbered cell on it, so one round of owned ids completes the
-    # local rows
-    send = {sp: ls[numbered[ls - 1]] for sp, ls in mesh.send_halo.items()}
-    recv = {sp: ls[numbered[ls - 1]] for sp, ls in mesh.recv_halo.items()}
-    received = yield proc.neighbor_exchange(
-        {sp: _lookup(gid_codes, gids, codes[ls - 1])
-         for sp, ls in send.items()})
-    empty = np.zeros(0, dtype=np.int64)
-    new_codes, new_gids = [empty], [empty]
-    for sp, rows in received.items():
-        if rows.shape[0] != recv[sp].size:
+    # with a numbered cell on it, so one round of owned (code, id) pairs
+    # completes the local rows
+    payloads = {}
+    for sp, ls in mesh.send_halo.items():
+        hit = np.isin(gid_codes, codes[ls[numbered[ls - 1]] - 1],
+                      kind="table")
+        payloads[sp] = np.stack([gid_codes[hit], gids[hit]])
+    received = yield proc.neighbor_exchange(payloads)
+    for sp, pairs in received.items():
+        if np.ndim(pairs) != 2 or len(pairs) != 2:
             raise RuntimeProtocolError(
-                f"subdomain {s}: numbering payload from {sp} has "
-                f"{rows.shape[0]} cells, expected {recv[sp].size}")
-        new_codes.append(codes[recv[sp] - 1].ravel())
-        new_gids.append(rows.ravel())
+                f"subdomain {s}: numbering payload from {sp} has shape "
+                f"{np.shape(pairs)}, expected (2, k)")
     gid_codes, gids = _merge_ids(s, gid_codes, gids,
-                                 np.concatenate(new_codes),
-                                 np.concatenate(new_gids))
+                                 [received[sp] for sp in sorted(received)])
 
     cell_g = _lookup(gid_codes, gids, codes[:n_local])
     unresolved = np.flatnonzero(numbered[:n_local]
@@ -212,14 +213,12 @@ def _numbering_body(proc, mesh: SubdomainMesh, interior_only: bool):
                   np.broadcast_to(mesh.global_ids[:, None], j_of.shape)[hit])
     own_local_cell = mesh.local_ids(smallest)
 
-    total = yield proc.sum_ordered(np.array([float(n_owned)]))
-    piece = DistSpacePiece(
+    return DistSpacePiece(
         s=s, mesh=mesh, node_keys=node_keys, node_codes=j_codes,
         node_coords=node_coords, cell_j=cell_j, cell_g=cell_g,
         j_interior=j_interior, own_local_cell=own_local_cell,
         owned_start=owned_start, n_owned=n_owned, gid_codes=gid_codes,
         gids=gids)
-    return piece, int(total)
 
 
 def number_dofs_distributed(runtime, meshes,
@@ -227,16 +226,14 @@ def number_dofs_distributed(runtime, meshes,
     """Assign global ids to the DOFs of the interior cells across all
     subdomains, or of every active cell with ``interior_only=False``."""
     neighbor_sets = [set(int(x) for x in m.neighbors) for m in meshes]
-    results = runtime.run(
+    return DistNumbering(pieces=runtime.run(
         _numbering_body, args=[(m, interior_only) for m in meshes],
-        phase="numbering", neighbor_sets=neighbor_sets)
-    return DistNumbering(pieces=[r[0] for r in results],
-                         n_global=results[0][1])
+        phase="numbering", neighbor_sets=neighbor_sets))
 
 
 def root_cell_data_provider(numbering: DistNumbering):
-    """Owner-side nodal coordinates (n, m, d) and global ids (n, m) of a
-    batch of owned cells, for root-cell import."""
+    """Owner-side box corners (n, 2, d) and global ids (n, m) of a batch
+    of owned cells, for root-cell import."""
     by_rank = {p.s: p for p in numbering.pieces}
 
     def cell_data(s: int, global_ids: np.ndarray):
@@ -255,7 +252,7 @@ def build_constraints_distributed(piece: DistSpacePiece,
     """Masters and coefficients for this subdomain's exterior DOFs.
 
     A root cell owned here is read from this piece, every other root from
-    the import buffer; the cell box is the one its nodal coordinates span.
+    the import buffer; both give the cell's box corners.
     """
     s = piece.s
     out_js = piece.exterior_js()
@@ -270,7 +267,7 @@ def build_constraints_distributed(piece: DistSpacePiece,
             f"subdomain {s}: DOF {int(out_js[i])} needs root cell "
             f"{int(roots[i])}, which is neither locally owned nor imported")
     m, d = piece.cell_j.shape[1], piece.node_coords.shape[1]
-    coords = np.empty((out_js.size, m, d))
+    coords = np.empty((out_js.size, 2, d))
     masters = np.empty((out_js.size, m), dtype=np.int64)
     coords[mine], masters[mine] = piece.cell_data(l_root[mine])
     coords[~mine] = buffer.coords[rows[~mine]]
@@ -281,7 +278,7 @@ def build_constraints_distributed(piece: DistSpacePiece,
             f"subdomain {s}: root cell {int(roots[unresolved[0]])} carries "
             f"unresolved master ids")
     lo = coords[:, 0]
-    xi = (piece.node_coords[out_js - 1] - lo) / (coords[:, -1] - lo)
+    xi = (piece.node_coords[out_js - 1] - lo) / (coords[:, 1] - lo)
     coeffs = shape_values(xi)
     return AgConstraints(constrained=out_js, masters=masters, coeffs=coeffs)
 

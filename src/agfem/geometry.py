@@ -445,19 +445,16 @@ def _corner_values(vvals: np.ndarray, d: int) -> np.ndarray:
                      for bits in corner_offsets(d)], axis=-1)
 
 
-def classify_cells(grid: BackgroundGrid, ls: LevelSet,
-                   tol: float | None = None) -> CellClassification:
+def classify_cells(grid: BackgroundGrid, ls: LevelSet) -> CellClassification:
     """Classify every background cell as interior, cut, or exterior.
 
-    A cell is interior iff psi < -tol at all its vertices.  Every other
-    cell with an inside vertex (or, in 2D, an inside center) is clipped,
-    all in one pass; it is cut iff its clipped volume reaches
-    ``MIN_VOLUME_FRACTION`` of the cell, else exterior.
+    A cell is interior iff psi < -tol at all its vertices, tol being
+    ``default_tolerance(grid)``.  Every other cell with an inside vertex
+    (or, in 2D, an inside center) is clipped, all in one pass; it is cut
+    iff its clipped volume reaches ``MIN_VOLUME_FRACTION`` of the cell,
+    else exterior.
     """
-    if tol is None:
-        tol = default_tolerance(grid)
-    if tol < 0:
-        raise ValueError("classification tolerance must be >= 0")
+    tol = default_tolerance(grid)
     vvals = _vertex_values(grid, ls)
     if not np.all(np.isfinite(vvals)):
         bad = np.argwhere(~np.isfinite(vvals))[0]

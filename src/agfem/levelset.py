@@ -52,19 +52,18 @@ class Popcorn(LevelSet):
 
     The classic benchmark body (radius 0.6, bump amplitude 4, width 0.2),
     here scaled by 0.5 and shifted by 0.5 per axis so it fits the unit
-    cube.  Pass ``scale=1.0, shift=0.0`` for the raw shape.
+    cube.
     """
 
     name = "popcorn"
+    r0 = 0.6
+    amplitude = 4.0
+    sigma = 0.2
+    scale = 0.5
+    shift = 0.5
 
-    def __init__(self, r0: float = 0.6, amplitude: float = 4.0, sigma: float = 0.2,
-                 scale: float = 0.5, shift: float = 0.5):
-        self.r0 = r0
-        self.amplitude = amplitude
-        self.sigma = sigma
-        self.scale = scale
-        self.shift = shift
-        self.bumps = self._bump_centers(r0)
+    def __init__(self):
+        self.bumps = self._bump_centers(self.r0)
 
     @staticmethod
     def _bump_centers(r0: float) -> np.ndarray:

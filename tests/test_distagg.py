@@ -43,7 +43,7 @@ def test_single_process_matches_serial():
     buffers = import_root_data(rt, meshes, [direct], inverse,
                                root_cell_data_provider(numbering))
     assert buffers[0].roots.size == 0
-    assert buffers[0].coords.shape == (0, 4, 2)
+    assert buffers[0].coords.shape == (0, 2, 2)
     assert buffers[0].dofs.shape == (0, 4)
 
 
@@ -209,7 +209,7 @@ def test_import_round_trips_owner_data():
     # one row per imported root, roots ascending
     col2 = sorted(int(cls.id_at((1, r))) for r in range(4))
     assert right.roots.tolist() == col2
-    assert right.coords.shape == (4, 4, 2) and right.dofs.shape == (4, 4)
+    assert right.coords.shape == (4, 2, 2) and right.dofs.shape == (4, 4)
     assert right.rows_of(right.roots[::-1]).tolist() == [3, 2, 1, 0]
     left_only = int(cls.id_at((0, 0)))
     assert right.rows_of([left_only]).tolist() == [-1]
@@ -218,11 +218,11 @@ def test_import_round_trips_owner_data():
         provider(2, right.roots)                      # ghosts there
     assert right.coords.tolist() == x_owner.tolist()  # bit exact
     assert np.array_equal(right.dofs, g_owner)
+    # the box corners, nodes 0 and m - 1 of each root
     for k, x in zip(col2, right.coords):
-        lo = grid.cell_origin(cls.lattice_of(k))
-        hi = lo + grid.h
-        assert np.all(x >= lo - 1e-15)
-        assert np.all(x <= hi + 1e-15)
+        lattice = cls.lattice_of(k)
+        assert np.array_equal(x, [grid.cell_origin(lattice),
+                                  grid.cell_origin(lattice + 1)])
 
 
 def test_import_buffers_hold_their_roots_ascending():
@@ -307,6 +307,30 @@ def test_cycle_guard():
                       nexts=bad_nexts, rounds=dist.rounds)
     with pytest.raises(PathReconstructionError, match="cycle"):
         build_inverse_plan(rt, meshes, bad)
+
+
+def test_cycle_across_subdomains_counts_every_hop():
+    # bottom and top halves of the 4x4 grid: cut cells (2, 1) and (2, 2)
+    # lie on different subdomains, and pointing each at the other makes
+    # a path row bounce between them, one walk step and one forward per
+    # round; with every hop counted the guard fires within 14 supersteps
+    grid, cls, fa = classified(2, HalfPlane((1, 0), 0.6))
+    owner = np.where(cls.id_to_lattice[:, 1] < 2, 1, 2).astype(np.int64)
+    meshes = build_subdomain_meshes(cls, Partition(2, owner))
+    rt = VirtualRuntime(2)
+    dist = aggregate_parallel(rt, meshes)
+    a, b = int(cls.id_at((2, 1))), int(cls.id_at((2, 2)))
+    assert (owner[a - 1], owner[b - 1]) == (1, 2)
+    bad_nexts = [n.copy() for n in dist.nexts]
+    for mesh, nexts in zip(meshes, bad_nexts):
+        la, lb = mesh.local_ids([a, b])
+        nexts[la - 1], nexts[lb - 1] = b, a
+    bad = DistRootMap(roots=dist.roots, root_owners=dist.root_owners,
+                      nexts=bad_nexts, rounds=dist.rounds)
+    start = rt._superstep
+    with pytest.raises(PathReconstructionError, match="cycle"):
+        build_inverse_plan(rt, meshes, bad)
+    assert rt._superstep - start <= 14
 
 
 def test_path_leaving_the_view_is_reported():

@@ -274,32 +274,29 @@ def _oracle_numbering_body(proc, mesh):
     owned_start = offset + 1
     gid_of_key = {key: owned_start + i for i, key in enumerate(owned_keys)}
 
-    interior_send = {
-        sp: [l for l in ids if mesh.labels[l - 1] == INTERIOR]
-        for sp, ids in mesh.send_halo.items()}
-    interior_recv = {
-        sp: [l for l in ids if mesh.labels[l - 1] == INTERIOR]
-        for sp, ids in mesh.recv_halo.items()}
+    # one (2, k) array per neighbour: the owned (code, id) pairs on the
+    # interior cells of its halo, sorted by code
+    n_per_axis = cls.grid.n_per_axis
     payloads = {}
-    for sp, cells in interior_send.items():
-        rows = np.full((len(cells), m), -1, dtype=np.int64)
-        for i, l in enumerate(cells):
-            for a, kk in enumerate(_cell_keys(mesh, l)):
-                rows[i, a] = gid_of_key.get(tuple(int(v) for v in kk), -1)
-        payloads[sp] = rows
+    for sp, ids in mesh.send_halo.items():
+        keys = {tuple(int(v) for v in kk) for l in ids
+                if mesh.labels[l - 1] == INTERIOR
+                for kk in _cell_keys(mesh, l)}
+        pairs = sorted((int(encode_node_keys(np.array(key), n_per_axis)),
+                        gid_of_key[key]) for key in keys if key in gid_of_key)
+        payloads[sp] = np.array([[c for c, _ in pairs], [g for _, g in pairs]],
+                                dtype=np.int64).reshape(2, -1)
+    key_of_code = {}
+    for l in range(1, mesh.n_relevant + 1):
+        for kk in _cell_keys(mesh, l):
+            key = tuple(int(v) for v in kk)
+            key_of_code[int(encode_node_keys(np.array(key), n_per_axis))] = key
     received = yield proc.neighbor_exchange(payloads)
-    for sp, rows in received.items():
-        cells = interior_recv[sp]
-        assert rows.shape[0] == len(cells)
-        for l, row in zip(cells, rows):
-            keys = _cell_keys(mesh, l)
-            for a in range(m):
-                gid = int(row[a])
-                if gid == -1:
-                    continue
-                key = tuple(int(v) for v in keys[a])
-                assert gid_of_key.get(key, gid) == gid
-                gid_of_key[key] = gid
+    for sp in sorted(received):
+        for code, gid in received[sp].T.tolist():
+            key = key_of_code[code]
+            assert key not in gid_of_key     # only the owner sends a node
+            gid_of_key[key] = gid
 
     cell_g: dict = {}
     for l in range(1, mesh.n_local + 1):
@@ -315,11 +312,10 @@ def _oracle_numbering_body(proc, mesh):
             if j is not None and own_local_cell[j - 1] == 0:
                 own_local_cell[j - 1] = l
 
-    total = yield proc.sum_ordered(np.array([float(n_owned)]))
     return dict(node_keys=node_keys, node_coords=node_coords, cell_j=cell_j,
                 cell_g=cell_g, j_interior=j_interior,
                 own_local_cell=own_local_cell, owned_start=owned_start,
-                n_owned=n_owned, gid_of_key=gid_of_key), int(total)
+                n_owned=n_owned, gid_of_key=gid_of_key)
 
 
 def _views(geometry, d, level, n_parts):
@@ -343,9 +339,9 @@ def test_numbering_matches_the_per_node_oracle(geometry, d, level, n_parts):
         neighbor_sets=[set(m.neighbors.tolist()) for m in meshes])
     assert traced.trace == oracle_rt.trace
     grid = meshes[0].classification.grid
-    for piece, (want, total) in zip(numbering.pieces, oracle):
+    assert numbering.n_global == sum(want["n_owned"] for want in oracle)
+    for piece, want in zip(numbering.pieces, oracle):
         mesh = piece.mesh
-        assert numbering.n_global == total
         assert (piece.owned_start, piece.n_owned) == (want["owned_start"],
                                                       want["n_owned"])
         for name in ("node_keys", "node_coords", "j_interior",
@@ -372,36 +368,36 @@ def _faulty_numbering(payload_filter):
 
 
 def test_numbering_rejects_a_changed_global_id():
+    clean = _faulty_numbering(None)
     changed = []
 
-    def change_one(phase, step, src, dst, rows):
-        # one copy of an id the payload carries on two cells gets another
-        # value, so the receiver holds two ids for one node
-        ids, counts = np.unique(rows[rows != -1], return_counts=True)
-        twice = ids[counts > 1]
-        if phase != "numbering" or changed or not twice.size:
-            return rows
+    def inject(phase, step, src, dst, pairs):
+        # a pair whose code the receiver owns, with another id: only the
+        # owner sends a node, so the receiver holds two ids for one node
+        if phase != "numbering" or changed:
+            return pairs
+        piece = clean.pieces[dst - 1]
+        i = np.flatnonzero(piece.gids == piece.owned_start)[0]
         changed.append((src, dst))
-        rows = rows.copy()
-        rows[tuple(np.argwhere(rows == twice[0])[0])] += 1
-        return rows
+        return np.concatenate(
+            [pairs, [[piece.gid_codes[i]], [piece.gids[i] + 1]]], axis=1)
 
     with pytest.raises(RuntimeProtocolError, match="conflicting global ids"):
-        _faulty_numbering(change_one)
+        _faulty_numbering(inject)
     assert changed
 
 
 def test_numbering_rejects_a_dropped_row():
-    def drop_one(phase, step, src, dst, rows):
-        return rows[1:] if phase == "numbering" and len(rows) else rows
+    def drop_one(phase, step, src, dst, pairs):
+        return pairs[1:] if phase == "numbering" else pairs
 
     with pytest.raises(RuntimeProtocolError, match="numbering payload"):
         _faulty_numbering(drop_one)
 
 
 def test_numbering_rejects_unresolved_ghost_ids():
-    def blank(phase, step, src, dst, rows):
-        return np.full_like(rows, -1) if phase == "numbering" else rows
+    def blank(phase, step, src, dst, pairs):
+        return pairs[:, :0] if phase == "numbering" else pairs
 
     with pytest.raises(RuntimeProtocolError,
                        match="unresolved global DOF ids"):

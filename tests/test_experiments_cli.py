@@ -305,12 +305,12 @@ def test_parallel_check_detects_a_rounding_level_assembly_fault():
 
         def nudge(phase, superstep, src, dst, payload):
             if phase == "assembly" and not nudged:
-                key, cell, val = payload
+                key, val = payload
                 k = int(np.flatnonzero(val)[0])
                 val = val.copy()
                 val[k] *= 1.0 + 1e-14
                 nudged.append((src, dst, k))
-                payload = (key, cell, val)
+                payload = (key, val)
             return payload
 
         def factory(n_parts):
