@@ -11,12 +11,11 @@ what aggregation paths may cross.
 
 Cut integration linearizes the level set on a simplex subdivision of the
 cell (four fan triangles around the center in 2D, the six-tetrahedron
-Kuhn split in 3D) and places a collapsed tensor rule on each inside
-sub-simplex: Gauss-Legendre on triangles, Gauss-Jacobi on tetrahedra,
-where the Jacobi weights absorb the Jacobian of the collapse (Stroud's
-conical product rules; 27 points are exact to degree 5).  Interface
-facets come from the linear zero crossing, their normals along the
-gradient of the simplex's linear interpolant; this is exact for
+Kuhn split in 3D) and places a reference rule on each inside sub-simplex:
+a collapsed Gauss-Legendre rule on triangles, and on tetrahedra the fully
+symmetric 14-point rule, exact to degree 5 with positive weights.
+Interface facets come from the linear zero crossing, their normals along
+the gradient of the simplex's linear interpolant; this is exact for
 half-plane geometries and first-order convergent for smooth ones.
 Clipping is one array pass over all sub-simplices of a batch of cells,
 read off case tables by the number of inside vertices: classification
@@ -67,16 +66,10 @@ def point_chunks(n: int) -> list:
 # reference rules
 
 
-def _gauss01(n: int, alpha: int = 0):
-    """n-point Gauss-Jacobi rule on [0, 1] for the weight (1 - x)**alpha;
-    alpha = 0 is Gauss-Legendre."""
-    if alpha == 0:
-        x, w = np.polynomial.legendre.leggauss(n)
-    else:
-        # imported here: only 3D runs need it, and it costs 2D runs memory
-        import scipy.special
-        x, w = scipy.special.roots_jacobi(n, alpha, 0.0)
-    return 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)
+def _gauss01(n: int):
+    """n-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), w / 2.0
 
 
 def _box_rule(h: np.ndarray, order: int):
@@ -107,21 +100,26 @@ def _triangle_rule(order: int):
     return np.stack([x, y], axis=1), w
 
 
+# The fully symmetric 14-point rule on the unit tetrahedron, exact to total
+# degree 5 with positive weights (Jaśkowiec & Sukumar, IJNME 121, 2020):
+# barycentric orbit generators and the weight of each orbit point.
+_TET_ORBITS = (((0.09273525031089122,) * 3 + (0.7217942490673264,),
+                0.012248840519393659),
+               ((0.3108859192633006,) * 3 + (0.06734224221009817,),
+                0.018781320953002643),
+               ((0.45449629587435036,) * 2 + (0.04550370412564965,) * 2,
+                0.007091003462846911))
+
+
 def _tet_rule(order: int):
-    """Collapsed Gauss-Jacobi (Stroud conical product) rule on the unit
-    tetrahedron: the Jacobian (1-u)**2 (1-v) of the collapse is the
-    Jacobi weight of the first two axes, so m = (order+2)//2 points per
-    axis are exact to total degree 2m - 1 with positive weights."""
-    m = max(1, (order + 2) // 2)
-    u, wu = _gauss01(m, 2)
-    v, wv = _gauss01(m, 1)
-    t, wt = _gauss01(m)
-    uu, vv, tt = np.meshgrid(u, v, t, indexing="ij")
-    x = uu.ravel()
-    y = (vv * (1.0 - uu)).ravel()
-    z = (tt * (1.0 - uu) * (1.0 - vv)).ravel()
-    w = np.einsum("i,j,k->ijk", wu, wv, wt).ravel()
-    return np.stack([x, y, z], axis=1), w
+    """The 14-point rule on the unit tetrahedron for every order from 1 to
+    5: two (a, a, a, 1-3a) orbits and one (b, b, 1/2-b, 1/2-b) orbit of
+    barycentric points, with weights summing to 1/6."""
+    if not 1 <= order <= 5:
+        raise ValueError("tetrahedron rules cover orders 1 to 5")
+    orbits = [(sorted(set(itertools.permutations(g))), w) for g, w in _TET_ORBITS]
+    lam = np.array([p for orbit, _ in orbits for p in orbit])
+    return lam[:, 1:], np.concatenate([np.full(len(o), w) for o, w in orbits])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,8 @@ def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
     linearized inside region and interface; sub-simplices below
     ``MIN_VOLUME_FRACTION`` of the cell and facets of negligible measure
     are dropped.  Corner values come from the classification; ``ls`` is
-    sampled only at 2D cut-cell centers.
+    sampled only at 2D cut-cell centers.  ``order`` is at least 1, and in
+    3D at most 5, the degree of the tetrahedron rule.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")

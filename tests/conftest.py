@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.special
 
 from agfem.assembly import (TauUnboundedError, nitsche_tau_agg,
                             nitsche_tau_std, poisson_elements)
@@ -185,6 +186,25 @@ def clip_tet(verts, vals, tol):
     facets = [np.array([quad[0], quad[1], quad[2]]),
               np.array([quad[0], quad[2], quad[3]])]
     return tets, facets, verts[a]
+
+
+def conical_tet_rule(order):
+    """Stroud's conical product rule on the unit tetrahedron, the oracle
+    for the 14-point rule: Gauss-Jacobi points on the first two collapsed
+    axes absorb the Jacobian (1-u)**2 (1-v) of the collapse, so m =
+    (order+2)//2 points per axis are exact to total degree 2m - 1."""
+    m = max(1, (order + 2) // 2)
+    axes = []
+    for alpha in (2, 1, 0):
+        x, w = scipy.special.roots_jacobi(m, alpha, 0.0)
+        axes.append((0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)))
+    (u, wu), (v, wv), (t, wt) = axes
+    uu, vv, tt = np.meshgrid(u, v, t, indexing="ij")
+    x = uu.ravel()
+    y = (vv * (1.0 - uu)).ravel()
+    z = (tt * (1.0 - uu) * (1.0 - vv)).ravel()
+    w = np.einsum("i,j,k->ijk", wu, wv, wt).ravel()
+    return np.stack([x, y, z], axis=1), w
 
 
 def cell_simplices(grid, lattice, corner_vals, center_val):

@@ -591,6 +591,19 @@ def test_std_space_near_degenerate_cut_records_instead_of_crashing(tmp_path):
     assert record["kappa_est"]  # a number or nan, never empty
 
 
+def test_solve_3d_leaves_scipy_special_unimported(tmp_path):
+    # a fresh interpreter: the test oracles import scipy.special here
+    run = (f"import sys; from agfem.cli import main; main(['solve', "
+           f"'--geometry', 'popcorn', '--dimension', '3', '--level', '2', "
+           f"'--out', {str(tmp_path)!r}], standalone_mode=False); "
+           f"print('scipy.special' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", run], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("solved popcorn level 2 ")
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_exit_codes(tmp_path):
     ok = _cli("solve", "--level", "3", "--out", str(tmp_path / "ok"))
     assert ok.returncode == 0, ok.stderr

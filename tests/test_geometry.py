@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from agfem.assembly import interior_rows
+from agfem import geometry
+from agfem.assembly import interior_rows, poisson_elements
 from agfem.geometry import (CHUNK_POINTS, CUT, EXTERIOR, INTERIOR,
                             MIN_VOLUME_FRACTION, ClassificationError,
                             _box_rule, _clip, _corner_values, _segment_rule,
@@ -13,8 +14,8 @@ from agfem.geometry import (CHUNK_POINTS, CUT, EXTERIOR, INTERIOR,
 from agfem.grid import unit_box_grid
 from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
 
-from conftest import (clip_cells_oracle, cut_volume, face_rule,
-                      full_bulk_rule, gradient)
+from conftest import (clip_cells_oracle, conical_tet_rule, cut_volume,
+                      face_rule, full_bulk_rule, gradient)
 
 
 def test_classify_all_interior():
@@ -109,6 +110,7 @@ RULES = {
     "segment": (_segment_rule, 1, _simplex_moment),
     "triangle": (_triangle_rule, 2, _simplex_moment),
     "tet": (_tet_rule, 3, _simplex_moment),
+    "tet-conical": (conical_tet_rule, 3, _simplex_moment),
     "box-2d": (lambda order: _box_rule(np.ones(2), order), 2, _box_moment),
     "box-3d": (lambda order: _box_rule(np.ones(3), order), 3, _box_moment),
 }
@@ -118,9 +120,16 @@ RULES = {
 @pytest.mark.parametrize("name", RULES)
 def test_reference_rules_integrate_monomials(name, order):
     rule, d, moment = RULES[name]
+    if name == "tet" and order > 5:
+        with pytest.raises(ValueError, match="orders 1 to 5"):
+            rule(order)
+        return
     points, weights = rule(order)
     assert points.shape == (weights.size, d)
     assert np.all(weights > 0)
+    if moment is _simplex_moment:
+        # every barycentric coordinate is positive: strictly inside
+        assert np.all(points > 0) and np.all(points.sum(axis=1) < 1)
     for powers in itertools.product(range(order + 1), repeat=d):
         if sum(powers) > order:
             continue
@@ -128,9 +137,36 @@ def test_reference_rules_integrate_monomials(name, order):
         assert abs(got - moment(powers)) <= 1e-14 * moment(powers), powers
 
 
-def test_tet_rule_has_27_points_at_order_4():
-    # 3 Gauss-Jacobi points per collapsed axis, exact to degree 5
-    assert _tet_rule(4)[1].size == _tet_rule(5)[1].size == 27
+def test_tet_rule_is_one_14_point_rule():
+    # the symmetric degree-5 rule serves every order up to 5
+    points, weights = _tet_rule(5)
+    assert weights.size == 14
+    for order in range(1, 5):
+        p, w = _tet_rule(order)
+        assert np.array_equal(p, points) and np.array_equal(w, weights)
+
+
+@pytest.mark.parametrize("level, ls", [
+    (3, Popcorn()),
+    (4, Sphere((0.5, 0.5, 0.5), 0.3)),
+], ids=["popcorn-L3", "sphere-L4"])
+def test_tet_rule_matches_conical_product_oracle(monkeypatch, level, ls):
+    # both rules are exact to degree 5, and a Q1 bulk stiffness has
+    # degree 4, so cut cells integrate alike at a fraction of the points
+    grid, cls, quad = _store(level, ls, 4, d=3)
+    monkeypatch.setattr(geometry, "_tet_rule", conical_tet_rule)
+    oracle = cut_quadrature(grid, ls, cls, 4)
+    assert quad.weights.size * 27 == oracle.weights.size * 14
+    for name in ("boundary_points", "boundary_weights", "boundary_offsets"):
+        assert np.array_equal(getattr(quad, name), getattr(oracle, name))
+    volumes = _per_cell(cls, quad.bulk_cells(), quad.weights)
+    expected = _per_cell(cls, oracle.bulk_cells(), oracle.weights)
+    assert np.all(np.abs(volumes - expected) <= 1e-15)
+    cut = cls.cut_ids - 1
+    got = poisson_elements(cls, quad, lambda V: 0.0)[0][cut]
+    want = poisson_elements(cls, oracle, lambda V: 0.0)[0][cut]
+    scale = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale)
 
 
 def test_halfplane_cut_is_exact():
