@@ -50,12 +50,6 @@ class RootMap:
     next: np.ndarray      # N(k), the face neighbor chosen on the path
     rounds: int
 
-    def root_of(self, cell_id: int) -> int:
-        return int(self.root[cell_id - 1])
-
-    def next_of(self, cell_id: int) -> int:
-        return int(self.next[cell_id - 1])
-
     @property
     def n_cells(self) -> int:
         return self.root.size
@@ -167,17 +161,6 @@ def aggregate_serial(classification: CellClassification) -> RootMap:
     part = Partition(1, np.ones(classification.n_active, dtype=np.int64))
     meshes = build_subdomain_meshes(classification, part)
     return gather_root_map(meshes, aggregate_parallel(VirtualRuntime(1), meshes))
-
-
-def compare_with_serial(meshes, dist_map: DistRootMap, serial: RootMap):
-    """First (subdomain, global id, serial root, parallel root) mismatch."""
-    for mesh, roots in zip(meshes, dist_map.roots):
-        own = mesh.global_ids[:mesh.n_local]
-        bad = np.flatnonzero(roots[:mesh.n_local] != serial.root[own - 1])
-        if bad.size:
-            g = int(own[bad[0]])
-            return (mesh.s, g, serial.root_of(g), int(roots[bad[0]]))
-    return None
 
 
 @dataclass

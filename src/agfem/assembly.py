@@ -215,7 +215,6 @@ class DistributedSystem:
     row_starts: np.ndarray    # (P+1,) 1-based owned-range starts
     blocks: list              # per s: csr of shape (n_owned, n_global)
     rhs: list                 # per s: (n_owned,)
-    staged_counts: list       # per s: off-owner sums shipped at finalize
 
     @classmethod
     def one_block(cls, A, b) -> "DistributedSystem":
@@ -223,8 +222,7 @@ class DistributedSystem:
         A = sp.csr_matrix(A)
         n = A.shape[0]
         return cls(n_global=n, row_starts=np.array([1, n + 1], dtype=np.int64),
-                   blocks=[A], rhs=[np.asarray(b, dtype=np.float64)],
-                   staged_counts=[0])
+                   blocks=[A], rhs=[np.asarray(b, dtype=np.float64)])
 
     @property
     def n_subdomains(self) -> int:
@@ -383,7 +381,6 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
                 sel = at[owner == dst]
                 payloads[int(dst)] = (key[sel], val[sel])
             key, val = key[~off], val[~off]
-    staged = sum(p[0].size for p in payloads.values())
     received = yield proc.routed_exchange(payloads)
     if received:
         streams = {**received, s: (key, val)}
@@ -397,7 +394,7 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     nz = (col >= 0) & (val != 0.0)
     A = sp.csr_matrix((val[nz], (row[nz] - first, col[nz])),
                       shape=(n_owned, n_global))
-    return A, b, staged
+    return A, b
 
 
 def assemble_serial(space, dofs, constraints, elements):
@@ -413,7 +410,7 @@ def assemble_serial(space, dofs, constraints, elements):
     n = space.n_dofs if constraints is None else dofs.n_interior
     row_of = np.arange(1, n + 1) if constraints is None else dofs.row_of
     cell_ids = np.arange(1, space.classification.n_active + 1)
-    [(A, b, _)] = VirtualRuntime(1).run(
+    [(A, b)] = VirtualRuntime(1).run(
         _assembly_body,
         args=[(space.cell_dofs, cell_ids, row_of, constraints, *elements, n,
                np.array([1, n + 1]))],
@@ -438,8 +435,7 @@ def assemble_distributed(runtime: VirtualRuntime, numbering, constraints_per_s,
     results = runtime.run(_assembly_body, args=args, phase="assembly")
     return DistributedSystem(
         n_global=numbering.n_global, row_starts=row_starts,
-        blocks=[r[0] for r in results], rhs=[r[1] for r in results],
-        staged_counts=[r[2] for r in results])
+        blocks=[r[0] for r in results], rhs=[r[1] for r in results])
 
 
 def export_matrix_coo(A, path):

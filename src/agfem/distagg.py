@@ -155,9 +155,15 @@ class RootDataBuffer:
                        np.asarray(root_ids))
 
 
-def _import_body(proc, direct: PathPlan, inverse: PathPlan, cell_data):
+def _import_body(proc, direct: PathPlan, inverse: PathPlan, piece):
     s = proc.rank
-    coords, dofs = cell_data(s, inverse.roots)
+    l = piece.mesh.local_ids(inverse.roots)
+    foreign = np.flatnonzero((l == 0) | (l > piece.mesh.n_local))
+    if foreign.size:
+        raise ImportProtocolError(
+            f"subdomain {s} does not own root cell "
+            f"{int(inverse.roots[foreign[0]])}, which its send plan names")
+    coords, dofs = piece.cell_data(l)
     to = inverse.peers
     received = yield proc.routed_exchange(
         {int(p): (coords[to == p], dofs[to == p]) for p in np.unique(to)})
@@ -181,17 +187,17 @@ def _import_body(proc, direct: PathPlan, inverse: PathPlan, cell_data):
         dofs=np.concatenate([g for _, g in parts])[by_root])
 
 
-def import_root_data(runtime, meshes, direct_plans, inverse_plans, cell_data):
+def import_root_data(runtime, numbering, direct_plans, inverse_plans):
     """Deliver root-cell nodal data to every requesting subdomain.
 
-    ``cell_data(s, root_ids)`` must return the owner-side box corners
-    (n, 2, d), nodes 0 and m - 1, and cell-wise global DOF ids (n, m) of
-    local cells ``root_ids``: the constraints read nothing else of a
-    root.  Payloads are forwarded untouched so corners round-trip
-    bit-exactly.  Destinations need not be nearest neighbors,
-    so this step uses routed exchange.
+    Each subdomain serves the roots its send plan names from its own
+    piece of ``numbering`` (``DistSpacePiece.cell_data``): their box
+    corners (n, 2, d), nodes 0 and m - 1, and cell-wise global DOF ids
+    (n, m), which is all the constraints read of a root.  Payloads are
+    forwarded untouched so corners round-trip bit-exactly.  Destinations
+    need not be nearest neighbors, so this step uses routed exchange.
     """
     return runtime.run(
         _import_body,
-        args=[(d, i, cell_data) for d, i in zip(direct_plans, inverse_plans)],
+        args=list(zip(direct_plans, inverse_plans, numbering.pieces)),
         phase="import")

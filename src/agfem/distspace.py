@@ -231,21 +231,6 @@ def number_dofs_distributed(runtime, meshes,
         phase="numbering", neighbor_sets=neighbor_sets))
 
 
-def root_cell_data_provider(numbering: DistNumbering):
-    """Owner-side box corners (n, 2, d) and global ids (n, m) of a batch
-    of owned cells, for root-cell import."""
-    by_rank = {p.s: p for p in numbering.pieces}
-
-    def cell_data(s: int, global_ids: np.ndarray):
-        piece = by_rank[s]
-        l = piece.mesh.local_ids(global_ids)
-        if np.any((l == 0) | (l > piece.mesh.n_local)):
-            raise KeyError(f"subdomain {s} does not own every requested cell")
-        return piece.cell_data(l)
-
-    return cell_data
-
-
 def build_constraints_distributed(piece: DistSpacePiece,
                                   dist_map: DistRootMap,
                                   buffer: RootDataBuffer) -> AgConstraints:

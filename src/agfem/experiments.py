@@ -26,19 +26,19 @@ from . import svg
 # they stay importable from this module for perfbench, which wraps the
 # pipeline's layers by name
 from .aggregation import (aggregate_parallel, aggregate_serial, aggregates,
-                          compare_with_serial, gather_root_map)
+                          gather_root_map)
 from .assembly import (DistributedSystem, assemble_distributed,
                        assemble_serial, export_matrix_coo, nitsche_tau_agg,
                        nitsche_tau_std, poisson_elements)
 from .distagg import build_direct_plan, build_inverse_plan, import_root_data
 from .distspace import (build_constraints_distributed, nodal_values,
-                        number_dofs_distributed, root_cell_data_provider)
+                        number_dofs_distributed)
 from .fespace import (build_constraints_serial, build_std_space,
                       classify_dofs, encode_node_keys)
 from .geometry import classify_cells, cut_quadrature, face_is_active
 from .grid import unit_box_grid
 from .levelset import HalfPlane, Popcorn, Sphere
-from .partition import _lookup, build_subdomain_meshes, partition_weighted_sfc
+from .partition import build_subdomain_meshes, partition_weighted_sfc
 from .runtime import VirtualRuntime
 from .solve import (DENSE_LIMIT, NotPositiveDefiniteError,
                     condition_estimate, error_norms, pcg_jacobi)
@@ -56,9 +56,6 @@ SOLUTIONS = ("linear", "sine")
 DUMPS = ("aggregates", "constraints", "matrix")
 
 OFFSET_CIRCLE_CENTER = (0.531, 0.472, 0.515)
-
-# polynomial degree the cut and box rules integrate exactly
-QUAD_ORDER = 4
 
 
 class ConfigError(ValueError):
@@ -306,7 +303,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, runtime=None) -> SolveOutputs:
     with timer.time("classify"):
         grid, ls, cls, _ = geometry_setup(cfg)
     with timer.time("quadrature"):
-        quad = cut_quadrature(grid, ls, cls, QUAD_ORDER)
+        quad = cut_quadrature(grid, ls, cls)
     if runtime is None:
         runtime = VirtualRuntime(cfg.procs, trace=bool(cfg.trace))
     agg = cfg.space == "agg"
@@ -328,8 +325,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, runtime=None) -> SolveOutputs:
     constraints = [None] * cfg.procs
     if agg:
         with timer.time("import"):
-            buffers = import_root_data(runtime, meshes, direct, inverse,
-                                       root_cell_data_provider(numbering))
+            buffers = import_root_data(runtime, numbering, direct, inverse)
         with timer.time("constraints"):
             constraints = [build_constraints_distributed(p, dist_map, bf)
                            for p, bf in zip(numbering.pieces, buffers)]
@@ -446,20 +442,16 @@ def _write_dumps(cfg, out: SolveOutputs, out_dir):
             append_csv(os.path.join(out_dir, "partition.csv"),
                        ["cell_id", "owner"], prows)
     if "constraints" in cfg.dump and cfg.space == "agg":
-        # on one subdomain the local ids are the node ids of the space
-        serial = cfg.procs == 1
-        head = ["constrained"] if serial else ["subdomain", "local_id"]
-        rows = []
-        for s, cons in enumerate(out.constraints, 1):
-            for j, masters, coeffs in zip(cons.constrained, cons.masters,
-                                          cons.coeffs):
-                row = {head[-1]: int(j),
-                       "masters": ";".join(str(int(m)) for m in masters),
-                       "coeffs": ";".join(repr(float(c)) for c in coeffs)}
-                rows.append(row if serial else dict(row, subdomain=s))
-        append_csv(os.path.join(out_dir, "constraints.csv" if serial
-                                else "constraints_dist.csv"),
-                   head + ["masters", "coeffs"], rows)
+        d = out.grid.d
+        keys, masters, bits = np.split(_constraint_table(out)[:, 1:],
+                                       [d, d + 2 ** d], axis=1)
+        rows = [{"node": ";".join(map(str, k)),
+                 "masters": ";".join(map(str, ms)),
+                 "coeffs": ";".join(map(repr, cs))}
+                for k, ms, cs in zip(keys.tolist(), masters.tolist(),
+                                     bits.view(np.float64).tolist())]
+        append_csv(os.path.join(out_dir, "constraints.csv"),
+                   ["node", "masters", "coeffs"], rows)
     if "matrix" in cfg.dump:
         export_matrix_coo(out.system.gather()[0],
                           os.path.join(out_dir, "matrix.txt"))
@@ -577,41 +569,28 @@ def cmd_cut_sweep(cfg: ExperimentConfig, offsets=DEFAULT_SWEEP):
 # parallel check
 
 
-def _constraint_mismatch(serial: SolveOutputs, out: SolveOutputs):
-    """First difference between the constraints of the one-subdomain run
-    ``serial`` and every subdomain's in ``out``, compared exactly; the
-    constrained DOFs have local ids only and are matched by node code.
-    None when they agree."""
-    [ref], [ref_cons] = serial.numbering.pieces, serial.constraints
-    codes = ref.node_codes[ref_cons.constrained - 1]
-    by_code = np.argsort(codes)
-    seen = np.zeros(codes.size, dtype=bool)
+def _constraint_table(out: SolveOutputs) -> np.ndarray:
+    """The constraints of every subdomain in global terms: int64 rows of
+    (node code, node lattice key, masters, coefficient bits), sorted and
+    without repeats.  Subdomains that agree on a shared node give it one
+    row, so the table is the same at every P; two that disagree give it
+    two.  Empty for the standard space."""
+    d = out.grid.d
+    parts = [np.empty((0, 1 + d + 2 * 2 ** d), dtype=np.int64)]
     for piece, cons in zip(out.numbering.pieces, out.constraints):
-        js = cons.constrained
-        i = _lookup(codes[by_code], by_code, piece.node_codes[js - 1])
-        bad = np.flatnonzero(i < 0)
-        if bad.size:
-            key = tuple(piece.node_keys[js[bad[0]] - 1].tolist())
-            return f"node {key} is constrained in subdomain {piece.s} only"
-        seen[i] = True
-        for what, want, got in (
-                ("master sets", ref_cons.masters[i], cons.masters),
-                ("constraint coefficients", ref_cons.coeffs[i], cons.coeffs)):
-            bad = np.flatnonzero(np.any(want != got, axis=1))
-            if bad.size:
-                key = tuple(piece.node_keys[js[bad[0]] - 1].tolist())
-                return f"{what} differ for node {key} (subdomain {piece.s})"
-    if not np.all(seen):
-        key = tuple(ref.node_keys[ref_cons.constrained[~seen][0] - 1].tolist())
-        return f"node {key} is constrained serially only"
-    return None
+        if cons is not None:
+            j = cons.constrained - 1
+            parts.append(np.column_stack([
+                piece.node_codes[j], piece.node_keys[j], cons.masters,
+                cons.coeffs.view(np.int64)]))
+    return np.unique(np.concatenate(parts), axis=0)
 
 
 def run_parallel_check(cfg: ExperimentConfig, procs_list,
                        runtime_factory=None) -> dict:
     """Assert that runs of ``cfg.space`` on every P in ``procs_list`` equal
     the P = 1 run bitwise, as they stand, since global ids do not depend
-    on P: aggregates and constraints (``agg`` only), the gathered A and b,
+    on P: the root map, the constraint table, the gathered A and b,
     iterations, residual history, solution and error norms.  Raises
     EquivalenceError with the first difference; ConfigError, before any
     run, if some P is not a valid process count or no P > 1."""
@@ -620,54 +599,46 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
     if not any(P > 1 for P in procs_list):
         raise ConfigError(f"no P > 1 in {list(procs_list)} to compare")
     _check_distinct("process counts", procs_list)
-    serial = run_solve_pipeline(replace(cfg, procs=1))
-    A_s, b_s = serial.system.gather()
-    checked = {"procs": [], "aggregate_cells": 0, "constrained_dofs": 0}
+
+    def gathered(out):
+        A, b = out.system.gather()
+        rm, none = out.root_map, np.empty(0, dtype=np.int64)
+        return [
+            ("aggregate roots", none if rm is None else rm.root),
+            ("aggregate next cells", none if rm is None else rm.next),
+            ("constraints by node code", _constraint_table(out)),
+            ("global DOF counts", [out.numbering.n_global]),
+            ("assembled matrix row starts", A.indptr),
+            ("assembled matrix columns", A.indices),
+            ("assembled matrix values", A.data),
+            ("assembled vectors", b),
+            ("solver iterations", [out.report.iterations]),
+            ("residual histories", out.report.residual_history),
+            ("solutions", out.solution),
+            ("error norms", astuple(out.norms))]
+
+    reference = gathered(run_solve_pipeline(replace(cfg, procs=1)))
     for P in procs_list:
         if P == 1:
-            checked["procs"].append(1)
             continue
         out = run_solve_pipeline(
             replace(cfg, procs=P),
             runtime=runtime_factory(P) if runtime_factory else None)
-        if cfg.space == "agg":
-            mismatch = compare_with_serial(out.meshes, out.dist_map,
-                                           serial.root_map)
-            if mismatch is not None:
-                s, g, want, got = mismatch
-                raise EquivalenceError(
-                    f"P={P}: aggregation differs at cell {g} (subdomain "
-                    f"{s}): serial root {want}, parallel root {got}")
-            checked["aggregate_cells"] += serial.classification.n_active
-            mismatch = _constraint_mismatch(serial, out)
-            if mismatch is not None:
-                raise EquivalenceError(f"P={P}: {mismatch}")
-            checked["constrained_dofs"] += serial.constraints[0].n_constrained
-
-        A_d, b_d = out.system.gather()
-        for what, want, got in (
-                ("global DOF counts", [serial.numbering.n_global],
-                 [out.numbering.n_global]),
-                ("assembled matrix row starts", A_s.indptr, A_d.indptr),
-                ("assembled matrix columns", A_s.indices, A_d.indices),
-                ("assembled matrix values", A_s.data, A_d.data),
-                ("assembled vectors", b_s, b_d),
-                ("solver iterations", [serial.report.iterations],
-                 [out.report.iterations]),
-                ("residual histories", serial.report.residual_history,
-                 out.report.residual_history),
-                ("solutions", serial.solution, out.solution),
-                ("error norms", astuple(serial.norms), astuple(out.norms))):
+        for (what, want), (_, got) in zip(reference, gathered(out)):
             want = np.asarray(want)
             got = np.asarray(got, dtype=want.dtype)
-            bad = np.flatnonzero(want.view(np.uint8) != got.view(np.uint8))
+            if got.shape != want.shape:
+                raise EquivalenceError(
+                    f"P={P}: {what} differ in shape: {want.shape} "
+                    f"serially, {got.shape}")
+            bad = np.flatnonzero(want.ravel().view(np.uint8)
+                                 != got.ravel().view(np.uint8))
             if bad.size:
-                k = bad[0] // want.itemsize
+                k = np.unravel_index(bad[0] // want.itemsize, want.shape)[0]
                 raise EquivalenceError(
                     f"P={P}: {what} differ at entry {k + 1}: {want[k]} "
                     f"serially, {got[k]}")
-        checked["procs"].append(P)
-    return checked
+    return {"procs": list(procs_list)}
 
 
 def cmd_parallel_check(cfg: ExperimentConfig, procs_list) -> dict:

@@ -47,6 +47,9 @@ MIN_VOLUME_FRACTION = 1e-14
 # quadrature points mapped, integrated or evaluated at once
 CHUNK_POINTS = 8192
 
+# total degree every rule integrates exactly (the tetrahedron rule: 5)
+QUAD_DEGREE = 4
+
 
 class ClassificationError(ValueError):
     """Level set produced unusable values during classification."""
@@ -72,9 +75,10 @@ def _gauss01(n: int):
     return 0.5 * (x + 1.0), w / 2.0
 
 
-def _box_rule(h: np.ndarray, order: int):
-    """Tensor-product Gauss rule on the box [0, h], exact to `order`."""
-    x, w = _gauss01(max(1, (order + 2) // 2))
+def _box_rule(h: np.ndarray):
+    """Tensor-product Gauss rule on the box [0, h], exact to QUAD_DEGREE;
+    in 1D, the rule of the 2D interface segments."""
+    x, w = _gauss01((QUAD_DEGREE + 2) // 2)
     grids = np.meshgrid(*[x * ha for ha in h], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
     weights = np.ones(points.shape[0])
@@ -83,14 +87,9 @@ def _box_rule(h: np.ndarray, order: int):
     return points, weights
 
 
-def _segment_rule(order: int):
-    x, w = _gauss01(max(1, (order + 2) // 2))
-    return x[:, None], w
-
-
-def _triangle_rule(order: int):
+def _triangle_rule():
     # collapsed (Duffy) tensor rule; the Jacobian raises the u-degree by one
-    m = max(1, (order + 3) // 2)
+    m = (QUAD_DEGREE + 3) // 2
     u, wu = _gauss01(m)
     v, wv = _gauss01(m)
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -111,12 +110,10 @@ _TET_ORBITS = (((0.09273525031089122,) * 3 + (0.7217942490673264,),
                 0.007091003462846911))
 
 
-def _tet_rule(order: int):
-    """The 14-point rule on the unit tetrahedron for every order from 1 to
-    5: two (a, a, a, 1-3a) orbits and one (b, b, 1/2-b, 1/2-b) orbit of
-    barycentric points, with weights summing to 1/6."""
-    if not 1 <= order <= 5:
-        raise ValueError("tetrahedron rules cover orders 1 to 5")
+def _tet_rule():
+    """The 14-point rule on the unit tetrahedron: two (a, a, a, 1-3a)
+    orbits and one (b, b, 1/2-b, 1/2-b) orbit of barycentric points, with
+    weights summing to 1/6."""
     orbits = [(sorted(set(itertools.permutations(g))), w) for g, w in _TET_ORBITS]
     lam = np.array([p for orbit, _ in orbits for p in orbit])
     return lam[:, 1:], np.concatenate([np.full(len(o), w) for o, w in orbits])
@@ -245,11 +242,11 @@ def _map_rule(simplices, ref_pts):
     return simplices[:, :1] + ref_pts @ (simplices[:, 1:] - simplices[:, :1])
 
 
-def _bulk_rules(grid, n_active, simplices, s_cell, order):
+def _bulk_rules(grid, n_active, simplices, s_cell):
     """Points, weights and offsets of the cut cells' bulk rules: the
     simplex rule mapped onto their kept sub-simplices."""
     d = grid.d
-    ref_pts, ref_w = (_triangle_rule if d == 2 else _tet_rule)(order)
+    ref_pts, ref_w = (_triangle_rule if d == 2 else _tet_rule)()
     jac = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1]))
     volume = jac / (2.0 if d == 2 else 6.0)
     keep = ~(volume < MIN_VOLUME_FRACTION * grid.cell_volume)
@@ -268,13 +265,13 @@ def _bulk_rules(grid, n_active, simplices, s_cell, order):
     return points, weights, offsets
 
 
-def _interface_rules(grid, n_active, facets, anchors, f_cell, order):
+def _interface_rules(grid, n_active, facets, anchors, f_cell):
     """Points, weights, unit normals and offsets of the interface rules.
 
     Each normal points away from the inside vertex ``anchors`` of its
     simplex, along the gradient of the simplex's linear interpolant."""
     d = grid.d
-    f_pts, f_w = (_segment_rule if d == 2 else _triangle_rule)(order)
+    f_pts, f_w = _box_rule(np.ones(1)) if d == 2 else _triangle_rule()
     edges = facets[:, 1:] - facets[:, :1]
     if d == 2:
         scale = np.hypot(edges[:, 0, 0], edges[:, 0, 1])
@@ -298,7 +295,7 @@ def _interface_rules(grid, n_active, facets, anchors, f_cell, order):
 
 
 def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
-                   cls: CellClassification, order: int) -> QuadratureStore:
+                   cls: CellClassification) -> QuadratureStore:
     """Quadrature of every active cell of ``cls``, classified against ``ls``.
 
     Interior cells keep empty ranges: their rule is the store's box rule,
@@ -306,11 +303,9 @@ def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
     linearized inside region and interface; sub-simplices below
     ``MIN_VOLUME_FRACTION`` of the cell and facets of negligible measure
     are dropped.  Corner values come from the classification; ``ls`` is
-    sampled only at 2D cut-cell centers.  ``order`` is at least 1, and in
-    3D at most 5, the degree of the tetrahedron rule.
+    sampled only at 2D cut-cell centers.  Every rule is exact to
+    ``QUAD_DEGREE``.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
     cut = cls.cut_ids
     lattices = cls.id_to_lattice[cut - 1]
     corners = _corner_values(cls.vertex_values, grid.d)[tuple(lattices.T)]
@@ -322,15 +317,15 @@ def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
     n_sub = len(_SUBDIVISION[grid.d])
     s_cell, f_cell = cut[s_src // n_sub], cut[f_src // n_sub]
     points, weights, offsets = _bulk_rules(grid, cls.n_active, simplices,
-                                           s_cell, order)
+                                           s_cell)
     b_points, b_weights, b_normals, b_offsets = _interface_rules(
-        grid, cls.n_active, facets, anchors, f_cell, order)
+        grid, cls.n_active, facets, anchors, f_cell)
     return QuadratureStore(
         points=points, weights=weights, offsets=offsets,
         boundary_points=b_points, boundary_weights=b_weights,
         boundary_normals=b_normals, boundary_offsets=b_offsets,
-        box_points=_box_rule(np.ones(grid.d), order)[0],
-        box_weights=_box_rule(grid.h, order)[1])
+        box_points=_box_rule(np.ones(grid.d))[0],
+        box_weights=_box_rule(grid.h)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,12 @@ def bfs_aggregation_oracle(classification, face_active):
     return assigned
 
 
+def root_next_pairs(root_map):
+    """{cell id: (root id, next id)} of a root map, the oracle's format."""
+    return dict(enumerate(zip(root_map.root.tolist(), root_map.next.tolist()),
+                          start=1))
+
+
 def face_rule(classification, ka, kb):
     """Scalar face-activity rule, the oracle for the face table.
 
@@ -283,13 +289,12 @@ def clip_cells_oracle(grid, lattices, corners, centers, tol):
             np.array(f_cell, dtype=np.intp))
 
 
-def full_bulk_rule(cls, quad, order=4):
+def full_bulk_rule(cls, quad):
     """``quad`` with the bulk rule of every active cell in its flat arrays,
-    in cell order: the box rule of order ``order`` at each interior cell's
-    origin, rebuilt here, merged with the store's rows of the cut cells.
-    The box weights must be the store's, so ``order`` is the store's."""
+    in cell order: the box rule at each interior cell's origin, rebuilt
+    here, merged with the store's rows of the cut cells."""
     grid = cls.grid
-    box_points, box_weights = _box_rule(grid.h, order)
+    box_points, box_weights = _box_rule(grid.h)
     assert np.array_equal(box_weights, quad.box_weights)
     counts = np.diff(quad.offsets)
     assert not np.any(counts[cls.interior_ids - 1])

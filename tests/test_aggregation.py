@@ -5,7 +5,8 @@ from agfem.aggregation import (AggregateValidationError, AggregationStalledError
                                RootMap, aggregate_serial, aggregates)
 from agfem.levelset import HalfPlane, Sphere
 
-from conftest import bfs_aggregation_oracle, classified, random_geometry
+from conftest import (bfs_aggregation_oracle, classified, random_geometry,
+                      root_next_pairs)
 
 
 def test_all_interior_is_identity():
@@ -24,14 +25,13 @@ def test_column_aggregation_matches_oracle_and_geometry():
     grid, cls, fa = classified(2, HalfPlane((1, 0), 0.6))
     rm = aggregate_serial(cls)
     oracle = bfs_aggregation_oracle(cls, fa)
-    for k in range(1, cls.n_active + 1):
-        assert (rm.root_of(k), rm.next_of(k)) == oracle[k]
+    assert root_next_pairs(rm) == oracle
     # each col-3 cut cell aggregates to its row's col-2 cell
     for k in cls.cut_ids:
         k = int(k)
         lat = cls.lattice_of(k)
         assert lat[0] == 2
-        root_lat = cls.lattice_of(rm.root_of(k))
+        root_lat = cls.lattice_of(rm.root[k - 1])
         assert root_lat[0] == 1 and root_lat[1] == lat[1]
     agg = aggregates(cls, rm)
     assert agg.n_aggregates == 8
@@ -46,8 +46,8 @@ def test_single_candidate_assignment():
     for k in cls.cut_ids:
         k = int(k)
         left = cls.id_at(cls.lattice_of(k) - (1, 0))
-        assert rm.root_of(k) == left
-        assert rm.next_of(k) == left
+        assert rm.root[k - 1] == left
+        assert rm.next[k - 1] == left
 
 
 def test_matches_bfs_oracle_randomized(rng):
@@ -58,8 +58,7 @@ def test_matches_bfs_oracle_randomized(rng):
             continue
         rm = aggregate_serial(cls)
         oracle = bfs_aggregation_oracle(cls, fa)
-        for k in range(1, cls.n_active + 1):
-            assert (rm.root_of(k), rm.next_of(k)) == oracle[k]
+        assert root_next_pairs(rm) == oracle
 
 
 def test_deterministic():

@@ -11,7 +11,7 @@ from agfem.assembly import (AssemblyError, TauUnboundedError,
                             poisson_elements)
 from agfem.distagg import build_direct_plan, build_inverse_plan, import_root_data
 from agfem.distspace import (build_constraints_distributed,
-                             number_dofs_distributed, root_cell_data_provider)
+                             number_dofs_distributed)
 from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs, shape_gradients, shape_values)
 from agfem.geometry import classify_cells, cut_quadrature
@@ -38,7 +38,7 @@ def test_tau_std_grows_as_cut_shrinks():
     for frac in (0.5, 0.1, 0.01, 0.001):
         ls = HalfPlane((1, 0), frac)
         cls = classify_cells(grid, ls)
-        taus.append(std_taus(cls, cut_quadrature(grid, ls, cls, 4),
+        taus.append(std_taus(cls, cut_quadrature(grid, ls, cls),
                              10.0)[0])
     assert all(taus[i] < taus[i + 1] for i in range(3)), taus
     assert taus[0] >= nitsche_tau_agg(1.0, 10.0)
@@ -49,11 +49,11 @@ def test_tau_std_needs_boundary_and_floors_degenerate_rules():
     cls = classify_cells(grid, HalfPlane((1, 0), 0.5))
     # a cell without interface points gets no penalty: no term reads it
     interior = HalfPlane((1, 0), 5.0)
-    quad = cut_quadrature(grid, interior, classify_cells(grid, interior), 2)
+    quad = cut_quadrature(grid, interior, classify_cells(grid, interior))
     assert np.array_equal(
         std_taus(classify_cells(grid, interior), quad, 10.0), [0.0])
     # degenerate boundary rule with zero weight: B = 0, floored at beta/h
-    base = cut_quadrature(grid, HalfPlane((1, 0), 0.5), cls, 2)
+    base = cut_quadrature(grid, HalfPlane((1, 0), 0.5), cls)
     degenerate = replace(
         base, boundary_points=base.boundary_points[:1],
         boundary_weights=np.zeros(1),
@@ -70,7 +70,7 @@ def test_tau_std_needs_boundary_and_floors_degenerate_rules():
 ], ids=["circle-L6", "offset-circle-L7", "popcorn-L3"])
 def test_batched_tau_std_matches_the_per_cell_eigenproblems(ls, d, level):
     grid, cls, _ = classified(level, ls, d)
-    quad = cut_quadrature(grid, ls, cls, 4)
+    quad = cut_quadrature(grid, ls, cls)
     taus = std_taus(cls, quad, 10.0)
     cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
     want = [tau_std_oracle(cls, int(k), quad, 10.0) for k in cells]
@@ -82,7 +82,7 @@ def test_batched_tau_std_matches_the_per_cell_eigenproblems(ls, d, level):
 def test_tau_std_names_the_cell_with_a_singular_volume_form():
     ls = Sphere((0.5, 0.5), 0.3)
     grid, cls, _ = classified(4, ls)
-    quad = cut_quadrature(grid, ls, cls, 4)
+    quad = cut_quadrature(grid, ls, cls)
     cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
     k = int(cells[3])
     weights = quad.weights.copy()
@@ -98,7 +98,7 @@ def test_interior_stiffness_stencil():
     # bilinear Laplace matrix on the unit cell: diagonal 2/3, edge
     # neighbors -1/6, opposite corner -1/3, zero row sums
     grid, cls, _ = classified(0, HalfPlane((1, 0), 5.0))
-    quad = cut_quadrature(grid, HalfPlane((1, 0), 5.0), cls, 4)
+    quad = cut_quadrature(grid, HalfPlane((1, 0), 5.0), cls)
     mats, vecs = poisson_elements(cls, quad, lambda V: 0.0)
     A = mats[0]
     expected = np.array([
@@ -139,7 +139,7 @@ def test_elements_match_per_cell_integration():
     # popcorn L3 spans many point chunks, so cells straddle chunk ends
     ls = Popcorn()
     grid, cls, _ = classified(3, ls, 3)
-    quad = cut_quadrature(grid, ls, cls, 4)
+    quad = cut_quadrature(grid, ls, cls)
     f = lambda p: np.sin(p[:, 0]) + p[:, 1]
     g = lambda p: p[:, 2] ** 2
     taus = 10.0 + np.arange(cls.n_active) % 7
@@ -159,7 +159,7 @@ def test_reference_element_matches_all_points_oracle(level, ls, d):
     # interior cells take one reference element; every cell must match
     # point-by-point integration over its whole run of the store
     grid, cls, _ = classified(level, ls, d)
-    quad = cut_quadrature(grid, ls, cls, 4)
+    quad = cut_quadrature(grid, ls, cls)
     f = lambda p: np.sin(p[:, 0]) + p[:, 1]
     g = lambda p: p[:, -1] ** 2
     taus = 10.0 + np.arange(cls.n_active) % 7
@@ -177,7 +177,7 @@ def test_reference_element_matches_all_points_oracle(level, ls, d):
 def test_homogeneous_data_gives_zero_vector():
     grid, cls, fa = classified(1, HalfPlane((1, 0), 0.75))
     k = int(cls.cut_ids[0])
-    quad = cut_quadrature(grid, HalfPlane((1, 0), 0.75), cls, 4)
+    quad = cut_quadrature(grid, HalfPlane((1, 0), 0.75), cls)
     mats, vecs = poisson_elements(cls, quad, lambda V: 10.0,
                                   f=lambda p: np.zeros(p.shape[0]),
                                   g=lambda p: np.zeros(p.shape[0]))
@@ -221,7 +221,7 @@ def test_patch_consistency_for_harmonic_solution():
     space = build_std_space(cls)
     u = lambda p: p[:, 0] + p[:, 1]
     tau = nitsche_tau_agg(0.5, 10.0)
-    base = cut_quadrature(grid, HalfPlane((1, 0), 5.0), cls, 4)
+    base = cut_quadrature(grid, HalfPlane((1, 0), 5.0), cls)
     rules = [_synthetic_boundary(grid, cls.lattice_of(k))
              for k in range(1, cls.n_active + 1)]
     quad = replace(
@@ -241,7 +241,7 @@ def _serial_agg_system(level, ls, beta=10.0, f=None, g=None, d=2):
     space = build_std_space(cls)
     dofs = classify_dofs(space, cls)
     cons = build_constraints_serial(space, dofs, rm)
-    quad = cut_quadrature(grid, ls, cls, 4)
+    quad = cut_quadrature(grid, ls, cls)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), beta))
     elements = poisson_elements(cls, quad, lambda V: taus, f, g)
     A, b = assemble_serial(space, dofs, cons, elements)
@@ -331,8 +331,7 @@ def _distributed_system(cls, n_parts, elements):
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     numbering = number_dofs_distributed(rt, meshes)
-    buffers = import_root_data(rt, meshes, direct, inverse,
-                               root_cell_data_provider(numbering))
+    buffers = import_root_data(rt, numbering, direct, inverse)
     dcons = [build_constraints_distributed(p, dist, bf)
              for p, bf in zip(numbering.pieces, buffers)]
     system = assemble_distributed(rt, numbering, dcons, elements)
@@ -344,7 +343,6 @@ def test_distributed_assembly_single_process_exact():
     grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(3, ls, g=lambda p: p[:, 0])
     system, *_ = _distributed_system(cls, 1, elements)
-    assert sum(system.staged_counts) == 0
     A_d, b_d = system.gather()
     assert abs(A_d - A).max() == 0.0
     assert np.array_equal(b_d, b)
@@ -363,7 +361,6 @@ def test_distributed_assembly_matches_serial(d, level, ls, n_parts):
     A_d, b_d = system.gather()
     _assert_bitwise(A_d, b_d, A, b)
     assert (A.data == 0).sum() == 0
-    assert sum(system.staged_counts) > 0
 
 
 def _assert_bitwise(A, b, A_ref, b_ref):
@@ -401,7 +398,7 @@ def test_standard_space_matches_per_cell_oracle(level, ls, d):
     # free path too; zeros of either sign are dropped as in the oracle
     grid, cls, _ = classified(level, ls, d)
     space = build_std_space(cls)
-    quad = cut_quadrature(grid, ls, cls, 4)
+    quad = cut_quadrature(grid, ls, cls)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
     mats, vecs = poisson_elements(cls, quad, lambda V: taus, None,
                                   lambda p: p[:, 0])

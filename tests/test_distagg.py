@@ -3,16 +3,18 @@ import pytest
 
 from agfem.aggregation import (AggregationStalledError, DistRootMap,
                                aggregate_parallel, aggregate_serial,
-                               compare_with_serial)
-from agfem.distagg import (PathReconstructionError, build_direct_plan,
+                               gather_root_map)
+from agfem.distagg import (ImportProtocolError, PathPlan,
+                           PathReconstructionError, build_direct_plan,
                            build_inverse_plan, check_plan_duality,
                            import_root_data)
-from agfem.distspace import number_dofs_distributed, root_cell_data_provider
+from agfem.distspace import number_dofs_distributed
 from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
 from agfem.partition import Partition, build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import bfs_aggregation_oracle, classified, random_geometry
+from conftest import (bfs_aggregation_oracle, classified, random_geometry,
+                      root_next_pairs)
 
 
 def _left_right_setup():
@@ -31,7 +33,7 @@ def test_single_process_matches_serial():
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(1)
     dist = aggregate_parallel(rt, meshes)
-    assert compare_with_serial(meshes, dist, serial) is None
+    assert np.array_equal(gather_root_map(meshes, dist).root, serial.root)
     assert np.array_equal(dist.roots[0], serial.root)
     assert np.array_equal(dist.nexts[0], serial.next)
     # degenerate partition: all plans and buffers are empty
@@ -40,8 +42,7 @@ def test_single_process_matches_serial():
     inverse = build_inverse_plan(rt, meshes, dist)
     assert inverse[0].peers.size == 0 and inverse[0].roots.size == 0
     numbering = number_dofs_distributed(rt, meshes)
-    buffers = import_root_data(rt, meshes, [direct], inverse,
-                               root_cell_data_provider(numbering))
+    buffers = import_root_data(rt, numbering, [direct], inverse)
     assert buffers[0].roots.size == 0
     assert buffers[0].coords.shape == (0, 2, 2)
     assert buffers[0].dofs.shape == (0, 4)
@@ -52,14 +53,14 @@ def test_left_right_roots_cross_subdomains():
     serial = aggregate_serial(cls)
     rt = VirtualRuntime(2)
     dist = aggregate_parallel(rt, meshes)
-    assert compare_with_serial(meshes, dist, serial) is None
+    assert np.array_equal(gather_root_map(meshes, dist).root, serial.root)
     right = meshes[1]
     for l in right.locals_cut():
         g = int(right.global_ids[l - 1])
         root = int(dist.roots[1][l - 1])
         assert cls.lattice_of(root)[0] == 1      # col-2 root
         assert dist.root_owners[1][l - 1] == 1   # owned by the left half
-        assert root == serial.root_of(g)
+        assert root == serial.root[g - 1]
 
 
 @pytest.mark.parametrize("level, ls, d, n_parts", [
@@ -73,13 +74,12 @@ def test_circle_matches_serial_many_subdomains(level, ls, d, n_parts):
     grid, cls, fa = classified(level, ls, d)
     serial = aggregate_serial(cls)
     oracle = bfs_aggregation_oracle(cls, fa)
-    assert all((serial.root_of(k), serial.next_of(k)) == oracle[k]
-               for k in range(1, cls.n_active + 1))
+    assert root_next_pairs(serial) == oracle
     part = partition_weighted_sfc(cls, n_subdomains=n_parts)
     meshes = build_subdomain_meshes(cls, part)
     rt = VirtualRuntime(n_parts, trace=True)
     dist = aggregate_parallel(rt, meshes)
-    assert compare_with_serial(meshes, dist, serial) is None
+    assert np.array_equal(gather_root_map(meshes, dist).root, serial.root)
     assert dist.rounds == serial.rounds
     for mesh, roots, nexts in zip(meshes, dist.roots, dist.nexts):
         # ghosts included: the final refresh leaves every copy current
@@ -156,7 +156,7 @@ def _inverse_oracle(meshes, serial):
     out = set()
     for mesh in meshes:
         for l in mesh.relevant_cut():
-            root = serial.root_of(int(mesh.global_ids[l - 1]))
+            root = int(serial.root[mesh.global_ids[l - 1] - 1])
             if owner_of[root] != mesh.s:
                 out.add((owner_of[root], mesh.s, root))
     return out
@@ -202,8 +202,7 @@ def test_import_round_trips_owner_data():
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     numbering = number_dofs_distributed(rt, meshes)
-    provider = root_cell_data_provider(numbering)
-    buffers = import_root_data(rt, meshes, direct, inverse, provider)
+    buffers = import_root_data(rt, numbering, direct, inverse)
     assert buffers[0].roots.size == 0
     right = buffers[1]
     # one row per imported root, roots ascending
@@ -213,11 +212,17 @@ def test_import_round_trips_owner_data():
     assert right.rows_of(right.roots[::-1]).tolist() == [3, 2, 1, 0]
     left_only = int(cls.id_at((0, 0)))
     assert right.rows_of([left_only]).tolist() == [-1]
-    x_owner, g_owner = provider(1, right.roots)
-    with pytest.raises(KeyError, match="does not own"):
-        provider(2, right.roots)                      # ghosts there
+    left = numbering.pieces[0]
+    x_owner, g_owner = left.cell_data(left.mesh.local_ids(right.roots))
     assert right.coords.tolist() == x_owner.tolist()  # bit exact
     assert np.array_equal(right.dofs, g_owner)
+    # subdomain 2 only ghosts the column-2 roots, so it cannot serve one
+    root = right.roots[:1]
+    assert meshes[1].local_ids(root)[0] > meshes[1].n_local
+    ghosted = [inverse[0], PathPlan(2, np.array([1]), root)]
+    with pytest.raises(ImportProtocolError,
+                       match=f"subdomain 2 does not own root cell {root[0]}"):
+        import_root_data(VirtualRuntime(2), numbering, direct, ghosted)
     # the box corners, nodes 0 and m - 1 of each root
     for k, x in zip(col2, right.coords):
         lattice = cls.lattice_of(k)
@@ -237,14 +242,14 @@ def test_import_buffers_hold_their_roots_ascending():
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     numbering = number_dofs_distributed(rt, meshes)
-    provider = root_cell_data_provider(numbering)
-    buffers = import_root_data(rt, meshes, direct, inverse, provider)
+    buffers = import_root_data(rt, numbering, direct, inverse)
     assert any(np.any(np.diff(p.roots) < 0) for p in direct)
     for plan, buf in zip(direct, buffers):
         assert np.array_equal(buf.roots, np.sort(plan.roots))
         for peer in np.unique(plan.peers).tolist():
             roots = plan.roots[plan.peers == peer]
-            x, g = provider(peer, roots)
+            owner = numbering.pieces[peer - 1]
+            x, g = owner.cell_data(owner.mesh.local_ids(roots))
             rows = buf.rows_of(roots)
             assert np.array_equal(buf.coords[rows], x)
             assert np.array_equal(buf.dofs[rows], g)
@@ -283,8 +288,7 @@ def test_traffic_discipline():
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     numbering = number_dofs_distributed(rt, meshes)
-    import_root_data(rt, meshes, direct, inverse,
-                     root_cell_data_provider(numbering))
+    import_root_data(rt, numbering, direct, inverse)
     for rec in rt.trace:
         if rec.phase in ("aggregate", "inverse-plan", "numbering"):
             assert rec.kind == "neighbor"

@@ -6,7 +6,7 @@ from agfem.experiments import ExperimentConfig, make_levelset
 from agfem.distagg import (RootDataBuffer, build_direct_plan,
                            build_inverse_plan, import_root_data)
 from agfem.distspace import (MissingImportError, build_constraints_distributed,
-                             number_dofs_distributed, root_cell_data_provider)
+                             number_dofs_distributed)
 from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs, encode_node_keys)
 from agfem.geometry import INTERIOR, classify_cells
@@ -109,8 +109,7 @@ def test_constraints_match_serial(n_parts):
     serial_cons = build_constraints_serial(space, dofs, rm)
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
-    buffers = import_root_data(rt, meshes, direct, inverse,
-                               root_cell_data_provider(numbering))
+    buffers = import_root_data(rt, numbering, direct, inverse)
     gid_to_key = {}
     for piece in numbering.pieces:
         for key, gid in _gid_of_key(piece, space).items():
@@ -150,9 +149,8 @@ def test_constraints_read_no_global_cell_data(n_parts):
     grid, cls, fa, space, dofs, rm, meshes, rt, dist, numbering = _setup(
         4, Sphere((0.531, 0.472), 0.3), n_parts)
     direct = [build_direct_plan(m, dist) for m in meshes]
-    buffers = import_root_data(rt, meshes, direct,
-                               build_inverse_plan(rt, meshes, dist),
-                               root_cell_data_provider(numbering))
+    buffers = import_root_data(rt, numbering, direct,
+                               build_inverse_plan(rt, meshes, dist))
     want = [build_constraints_distributed(p, dist, b)
             for p, b in zip(numbering.pieces, buffers)]
     cls.id_to_lattice[:] = cls.id_to_lattice[::-1].copy()
@@ -192,9 +190,8 @@ def test_missing_import_reported():
     grid, cls, fa, space, dofs, rm, meshes, rt, dist, numbering = _setup(
         5, CallableLevelSet(bulb, "bulb"), 8)
     direct = [build_direct_plan(m, dist) for m in meshes]
-    buffers = import_root_data(rt, meshes, direct,
-                               build_inverse_plan(rt, meshes, dist),
-                               root_cell_data_provider(numbering))
+    buffers = import_root_data(rt, numbering, direct,
+                               build_inverse_plan(rt, meshes, dist))
     hit = False
     for piece, mesh, plan, buf in zip(numbering.pieces, meshes, direct,
                                       buffers):

@@ -215,13 +215,16 @@ def test_distributed_dumps_name_the_matrix_rows(tmp_path):
     cfg = ExperimentConfig(level=4, procs=2, out=str(tmp_path),
                            dump=("constraints", "matrix"))
     cmd_solve(cfg.validate())
-    assert not (tmp_path / "constraints.csv").exists()
+    assert not (tmp_path / "constraints_dist.csv").exists()
     entries = {tuple(int(v) for v in line.split()[:2])
                for line in (tmp_path / "matrix.txt").read_text().splitlines()}
     rows = {r for r, _ in entries}
-    with open(tmp_path / "constraints_dist.csv") as fh:
+    with open(tmp_path / "constraints.csv") as fh:
         cons = list(csv.DictReader(fh))
-    assert cons and {r["subdomain"] for r in cons} == {"1", "2"}
+    # one row per constrained node, named by its lattice key
+    assert cons and list(cons[0]) == ["node", "masters", "coeffs"]
+    nodes = [tuple(int(v) for v in r["node"].split(";")) for r in cons]
+    assert len(set(nodes)) == len(nodes) and {len(k) for k in nodes} == {2}
     for r in cons:
         masters = [int(m) for m in r["masters"].split(";")]
         assert set(masters) <= rows
@@ -292,7 +295,8 @@ def test_parallel_check_detects_injected_fault():
     def factory(n_parts):
         return VirtualRuntime(n_parts, payload_filter=corrupt)
 
-    with pytest.raises(EquivalenceError, match="differs at cell"):
+    with pytest.raises(EquivalenceError,
+                       match="P=4: aggregate roots differ at entry"):
         run_parallel_check(cfg, [4], runtime_factory=factory)
 
 
@@ -360,8 +364,80 @@ def test_parallel_check_passes_clean():
     for space in ("agg", "std"):
         cfg = ExperimentConfig(level=3, space=space).validate()
         result = run_parallel_check(cfg, [1, 2, 4])
-        assert result["procs"] == [1, 2, 4]
-        assert (result["constrained_dofs"] > 0) == (space == "agg")
+        assert result == {"procs": [1, 2, 4]}
+
+
+def test_parallel_check_detects_a_one_ulp_root_corner():
+    # a root's box corner imported one ulp off moves the coefficients of
+    # the nodes extrapolated from it, and nothing before them
+    cfg = ExperimentConfig(geometry="offset-circle", level=4).validate()
+    nudged = []
+
+    def nudge(phase, superstep, src, dst, payload):
+        if phase == "import" and not nudged:
+            corners, dofs = payload
+            corners = corners.copy()
+            corners[0, 1, 0] = np.nextafter(corners[0, 1, 0], np.inf)
+            nudged.append((src, dst))
+            payload = (corners, dofs)
+        return payload
+
+    with pytest.raises(EquivalenceError,
+                       match="P=4: constraints by node code differ"):
+        run_parallel_check(cfg, [4], runtime_factory=lambda n: VirtualRuntime(
+            n, payload_filter=nudge))
+    assert nudged
+
+
+def test_parallel_check_reports_subdomains_that_disagree(monkeypatch,
+                                                         tmp_path):
+    # subdomain 2 doctors one coefficient of a node subdomain 1 also
+    # constrains: the node gets two rows, so the tables differ in shape,
+    # which is an equivalence failure (exit 4), not a traceback
+    from click.testing import CliRunner
+
+    import agfem.experiments as ex
+    from agfem import cli
+
+    build = ex.build_constraints_distributed
+    codes, doctored = {}, []
+
+    def doctor(piece, *args):
+        cons = build(piece, *args)
+        codes[piece.s] = piece.node_codes[cons.constrained - 1]
+        if piece.s == 2:
+            [i, *_] = np.flatnonzero(np.isin(codes[2], codes[1]))
+            cons.coeffs[i, 0] = np.nextafter(cons.coeffs[i, 0], np.inf)
+            doctored.append(i)
+        return cons
+
+    monkeypatch.setattr(ex, "build_constraints_distributed", doctor)
+    with pytest.raises(EquivalenceError, match=r"P=4: constraints by node "
+                                               r"code differ in shape"):
+        run_parallel_check(ExperimentConfig(
+            geometry="offset-circle", level=4).validate(), [4])
+    assert doctored
+    res = CliRunner().invoke(cli.main, [
+        "parallel-check", "--geometry", "offset-circle", "--level", "4",
+        "--procs-list", "1,4", "--out", str(tmp_path)])
+    assert res.exit_code == 4, res.output
+    assert "constraints by node code differ in shape" in res.output
+
+
+@pytest.mark.parametrize("params, procs_list", [
+    (dict(geometry="offset-circle", level=6), (1, 2, 5)),
+    (dict(geometry="popcorn", dimension=3, level=3), (1, 8)),
+], ids=["offset-circle-L6", "popcorn-L3"])
+def test_constraints_dump_is_one_file_at_every_p(tmp_path, params,
+                                                 procs_list):
+    dumps = set()
+    for procs in procs_list:
+        out = tmp_path / str(procs)
+        cmd_solve(ExperimentConfig(procs=procs, out=str(out),
+                                   dump=("constraints",), **params).validate())
+        assert not (out / "constraints_dist.csv").exists()
+        dumps.add((out / "constraints.csv").read_bytes())
+    assert len(dumps) == 1
 
 
 @pytest.mark.parametrize("procs_list", [",", "1"])

@@ -173,7 +173,7 @@ def test_constraints_equal_the_per_dof_loop():
     grid, cls, space, dofs, cons = _agg_pipeline(4, Sphere((0.531, 0.472), 0.3))
     rm = aggregate_serial(cls)
     for i, dof in enumerate(cons.constrained):
-        root = rm.root_of(int(dofs.own_cell[dof - 1]))
+        root = int(rm.root[dofs.own_cell[dof - 1] - 1])
         xi = cls.reference_coords(root, space.node_coords[dof - 1])
         assert np.array_equal(cons.masters[i],
                               dofs.row_of[space.cell_dofs[root - 1] - 1])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -7,9 +8,10 @@ import pytest
 from agfem import geometry
 from agfem.assembly import interior_rows, poisson_elements
 from agfem.geometry import (CHUNK_POINTS, CUT, EXTERIOR, INTERIOR,
-                            MIN_VOLUME_FRACTION, ClassificationError,
-                            _box_rule, _clip, _corner_values, _segment_rule,
-                            _sub_simplices, _tet_rule, _triangle_rule,
+                            MIN_VOLUME_FRACTION, QUAD_DEGREE,
+                            ClassificationError,
+                            _box_rule, _clip, _corner_values, _sub_simplices,
+                            _tet_rule, _triangle_rule,
                             classify_cells, cut_quadrature, face_is_active)
 from agfem.grid import unit_box_grid
 from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
@@ -71,24 +73,24 @@ def test_nonfinite_level_set_reports_cell():
         classify_cells(grid, CallableLevelSet(bad, "bad"))
 
 
-def _store(level, ls, order, d=2):
+def _store(level, ls, d=2):
     grid = unit_box_grid(level, d)
     cls = classify_cells(grid, ls)
-    return grid, cls, cut_quadrature(grid, ls, cls, order)
+    return grid, cls, cut_quadrature(grid, ls, cls)
 
 
 def _per_cell(cls, cells, values):
     return np.bincount(cells - 1, values, minlength=cls.n_active)
 
 
-def _volume(cls, quad, order):
+def _volume(cls, quad):
     """Measure of the discrete domain, summed over the bulk rule of every
     active cell in cell order."""
-    return full_bulk_rule(cls, quad, order).weights.sum()
+    return full_bulk_rule(cls, quad).weights.sum()
 
 
 def test_interior_cell_uses_tensor_rule():
-    grid, cls, quad = _store(1, HalfPlane((1, 0), 5.0), 2)
+    grid, cls, quad = _store(1, HalfPlane((1, 0), 5.0))
     assert cls.n_active == 4 and cls.cut_ids.size == 0
     assert quad.weights.size == 0 and not np.any(quad.offsets)
     assert quad.box_weights.sum() == pytest.approx(0.25, abs=1e-15)
@@ -106,44 +108,52 @@ def _box_moment(powers):
     return math.prod(1.0 / (p + 1) for p in powers)
 
 
+# rule, dimension, moment, the total degree it integrates exactly; the
+# conical oracle is built for the degree a case checks
 RULES = {
-    "segment": (_segment_rule, 1, _simplex_moment),
-    "triangle": (_triangle_rule, 2, _simplex_moment),
-    "tet": (_tet_rule, 3, _simplex_moment),
-    "tet-conical": (conical_tet_rule, 3, _simplex_moment),
-    "box-2d": (lambda order: _box_rule(np.ones(2), order), 2, _box_moment),
-    "box-3d": (lambda order: _box_rule(np.ones(3), order), 3, _box_moment),
+    "segment": (lambda: _box_rule(np.ones(1)), 1, _simplex_moment, 5),
+    "triangle": (_triangle_rule, 2, _simplex_moment, QUAD_DEGREE),
+    "tet": (_tet_rule, 3, _simplex_moment, 5),
+    "tet-conical": (conical_tet_rule, 3, _simplex_moment, None),
+    "box-2d": (lambda: _box_rule(np.ones(2)), 2, _box_moment, 5),
+    "box-3d": (lambda: _box_rule(np.ones(3)), 3, _box_moment, 5),
 }
 
 
-@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("degree", range(1, 7))
 @pytest.mark.parametrize("name", RULES)
-def test_reference_rules_integrate_monomials(name, order):
-    rule, d, moment = RULES[name]
-    if name == "tet" and order > 5:
-        with pytest.raises(ValueError, match="orders 1 to 5"):
-            rule(order)
-        return
-    points, weights = rule(order)
+def test_reference_rules_integrate_monomials(name, degree):
+    # each fixed rule is exact to its degree, at least QUAD_DEGREE, and
+    # misses some monomial of every degree above it
+    rule, d, moment, exact = RULES[name]
+    points, weights = rule() if exact else rule(degree)
+    assert exact is None or exact >= QUAD_DEGREE
     assert points.shape == (weights.size, d)
     assert np.all(weights > 0)
     if moment is _simplex_moment:
         # every barycentric coordinate is positive: strictly inside
         assert np.all(points > 0) and np.all(points.sum(axis=1) < 1)
-    for powers in itertools.product(range(order + 1), repeat=d):
-        if sum(powers) > order:
-            continue
-        got = weights @ np.prod(points ** np.array(powers), axis=1)
-        assert abs(got - moment(powers)) <= 1e-14 * moment(powers), powers
+    errors = {}
+    for powers in itertools.product(range(degree + 1), repeat=d):
+        if sum(powers) <= degree:
+            got = weights @ np.prod(points ** np.array(powers), axis=1)
+            errors[powers] = abs(got - moment(powers)) / moment(powers)
+    if exact is None or degree <= exact:
+        assert max(errors.values()) <= 1e-14, errors
+    else:
+        assert max(v for p, v in errors.items() if sum(p) == degree) > 1e-10
 
 
 def test_tet_rule_is_one_14_point_rule():
-    # the symmetric degree-5 rule serves every order up to 5
-    points, weights = _tet_rule(5)
+    # three orbits of barycentric points: the point set, with the fourth
+    # coordinate, is closed under every permutation of the coordinates
+    points, weights = _tet_rule()
     assert weights.size == 14
-    for order in range(1, 5):
-        p, w = _tet_rule(order)
-        assert np.array_equal(p, points) and np.array_equal(w, weights)
+    assert weights.sum() == pytest.approx(1 / 6, rel=1e-15)
+    lam = np.column_stack([1 - points.sum(axis=1), points])
+    rows = {tuple(np.round(r, 15)) for r in lam.tolist()}
+    for perm in itertools.permutations(range(4)):
+        assert {tuple(np.round(r, 15)) for r in lam[:, perm].tolist()} == rows
 
 
 @pytest.mark.parametrize("level, ls", [
@@ -153,9 +163,10 @@ def test_tet_rule_is_one_14_point_rule():
 def test_tet_rule_matches_conical_product_oracle(monkeypatch, level, ls):
     # both rules are exact to degree 5, and a Q1 bulk stiffness has
     # degree 4, so cut cells integrate alike at a fraction of the points
-    grid, cls, quad = _store(level, ls, 4, d=3)
-    monkeypatch.setattr(geometry, "_tet_rule", conical_tet_rule)
-    oracle = cut_quadrature(grid, ls, cls, 4)
+    grid, cls, quad = _store(level, ls, d=3)
+    monkeypatch.setattr(geometry, "_tet_rule",
+                        functools.partial(conical_tet_rule, 4))
+    oracle = cut_quadrature(grid, ls, cls)
     assert quad.weights.size * 27 == oracle.weights.size * 14
     for name in ("boundary_points", "boundary_weights", "boundary_offsets"):
         assert np.array_equal(getattr(quad, name), getattr(oracle, name))
@@ -170,31 +181,31 @@ def test_tet_rule_matches_conical_product_oracle(monkeypatch, level, ls):
 
 
 def test_halfplane_cut_is_exact():
-    grid, cls, quad = _store(0, HalfPlane((1, 0), 0.5), 2)
-    assert abs(_volume(cls, quad, 2) - 0.5) < 1e-12
+    grid, cls, quad = _store(0, HalfPlane((1, 0), 0.5))
+    assert abs(_volume(cls, quad) - 0.5) < 1e-12
     assert abs(quad.boundary_weights.sum() - 1.0) < 1e-12
     assert np.allclose(quad.boundary_normals, [1.0, 0.0])
 
     # oblique cuts stay exact at finer levels
     for level in (2, 4):
         ls = HalfPlane(np.array([1.0, 2.0]) / np.sqrt(5.0), 0.31)
-        grid, cls, quad = _store(level, ls, 2)
+        grid, cls, quad = _store(level, ls)
         # {x + 2y < c} with c = 0.31*sqrt(5) < 1 clips a triangle of area
         # c^2/4 = 0.31^2 * 5 / 4 off the unit square
         exact = 0.31**2 * 5.0 / 4.0
-        assert abs(_volume(cls, quad, 2) - exact) < 1e-12
+        assert abs(_volume(cls, quad) - exact) < 1e-12
 
 
 def test_halfplane_exact_3d():
-    grid, cls, quad = _store(0, HalfPlane((1, 0, 0), 0.5), 2, d=3)
-    assert abs(_volume(cls, quad, 2) - 0.5) < 1e-12
+    grid, cls, quad = _store(0, HalfPlane((1, 0, 0), 0.5), d=3)
+    assert abs(_volume(cls, quad) - 0.5) < 1e-12
     assert abs(quad.boundary_weights.sum() - 1.0) < 1e-12
     assert np.allclose(quad.boundary_normals, [1.0, 0.0, 0.0])
 
 
 def test_circle_measures_level_six():
-    grid, cls, quad = _store(6, Sphere((0.5, 0.5), 0.3), 2)
-    assert abs(_volume(cls, quad, 2) - np.pi * 0.09) < 1e-3
+    grid, cls, quad = _store(6, Sphere((0.5, 0.5), 0.3))
+    assert abs(_volume(cls, quad) - np.pi * 0.09) < 1e-3
     assert abs(quad.boundary_weights.sum() - 2 * np.pi * 0.3) < 1e-2
 
 
@@ -202,8 +213,8 @@ def test_circle_measures_converge_first_order():
     ls = Sphere((0.5, 0.5), 0.3)
     errs_area, errs_perim = [], []
     for level in (4, 5, 6, 7):
-        grid, cls, quad = _store(level, ls, 2)
-        errs_area.append(abs(_volume(cls, quad, 2) - np.pi * 0.09))
+        grid, cls, quad = _store(level, ls)
+        errs_area.append(abs(_volume(cls, quad) - np.pi * 0.09))
         errs_perim.append(abs(quad.boundary_weights.sum() - 2 * np.pi * 0.3))
     for errs in (errs_area, errs_perim):
         rates = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
@@ -211,7 +222,7 @@ def test_circle_measures_converge_first_order():
 
 
 def test_weights_positive_and_bounded():
-    grid, cls, quad = _store(3, Sphere((0.45, 0.55), 0.27), 3)
+    grid, cls, quad = _store(3, Sphere((0.45, 0.55), 0.27))
     assert np.all(quad.weights >= -1e-15)
     volumes = _per_cell(cls, quad.bulk_cells(), quad.weights)
     assert np.all(volumes <= grid.cell_volume * (1 + 1e-12))
@@ -223,7 +234,7 @@ def test_normals_align_with_gradient():
     # holds where the mesh resolves the level set; on popcorn L3 a few
     # facets of the linearized surface face against the true gradient
     for level, ls, d in ((5, Sphere((0.5, 0.5), 0.3), 2), (4, Popcorn(), 3)):
-        grid, cls, quad = _store(level, ls, 2, d)
+        grid, cls, quad = _store(level, ls, d)
         assert quad.boundary_weights.size > 0
         grads = gradient(ls, quad.boundary_points, 1e-7)
         assert np.all(np.einsum("nd,nd->n", grads, quad.boundary_normals) > 0)
@@ -237,8 +248,8 @@ def test_normals_point_out_of_the_discrete_domain(level, ls, d):
     # divergence theorem on the linearized domain, exact for linear
     # fields: d |Omega_h| = int_Gamma_h (x - c).n for any c; a facet
     # whose normal points inward breaks it
-    grid, cls, quad = _store(level, ls, 2, d)
-    volume = d * _volume(cls, quad, 2)
+    grid, cls, quad = _store(level, ls, d)
+    volume = d * _volume(cls, quad)
     for c in (np.full(d, 0.5), np.array([0.3, 0.6, 0.45])[:d]):
         flux = quad.boundary_weights @ np.einsum(
             "nd,nd->n", quad.boundary_points - c, quad.boundary_normals)
@@ -250,7 +261,7 @@ def test_normals_point_out_of_the_discrete_domain(level, ls, d):
     (3, Popcorn(), 3),
 ], ids=["circle-2d-L5", "popcorn-3d-L3"])
 def test_store_files_points_under_their_cells(level, ls, d):
-    grid, cls, quad = _store(level, ls, 4, d)
+    grid, cls, quad = _store(level, ls, d)
     for offsets, cells, pts in (
             (quad.offsets, quad.bulk_cells(), quad.points),
             (quad.boundary_offsets, quad.boundary_cells(), quad.boundary_points)):
@@ -281,10 +292,10 @@ def test_interior_cells_are_one_reference_element(level, ls, d):
     # no interior cell owns a row of the store; interior_rows rebuilds
     # their box-rule points a batch of cells at a time, bitwise equal to
     # the box rule moved to each cell origin
-    grid, cls, quad = _store(level, ls, 4, d)
+    grid, cls, quad = _store(level, ls, d)
     assert cls.interior_ids.size
     assert not np.any(np.diff(quad.offsets)[cls.interior_ids - 1])
-    box_points, box_weights = _box_rule(grid.h, 4)
+    box_points, box_weights = _box_rule(grid.h)
     assert np.array_equal(quad.box_weights, box_weights)
     batches = list(interior_rows(cls, quad))
     assert np.array_equal(np.concatenate([c for c, _ in batches]),
@@ -331,7 +342,7 @@ def test_zero_measure_cut_demoted():
     ls = HalfPlane((-1.0, 0.0), -(1.0 - 1e-16))
     cls = classify_cells(grid, ls)
     assert np.all(cls.labels[1, :] == EXTERIOR)
-    quad = cut_quadrature(grid, ls, cls, 2)
+    quad = cut_quadrature(grid, ls, cls)
     assert quad.weights.size == 0 and quad.boundary_weights.size == 0
 
 

@@ -17,7 +17,7 @@ from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
 from conftest import (bfs_aggregation_oracle, clip_simplices, face_rule,
-                      random_geometry)
+                      random_geometry, root_next_pairs)
 
 
 TOL = 1e-12
@@ -188,6 +188,4 @@ def test_views_and_sweep_match_oracles(case):
         return
     dist = aggregate_parallel(VirtualRuntime(n_parts), meshes)
     root_map = gather_root_map(meshes, dist)
-    assert [(root_map.root_of(k), root_map.next_of(k))
-            for k in range(1, cls.n_active + 1)] == \
-        [oracle[k] for k in range(1, cls.n_active + 1)]
+    assert root_next_pairs(root_map) == oracle

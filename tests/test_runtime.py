@@ -297,6 +297,6 @@ def test_run_needs_one_argument_tuple_per_process():
     split = DistributedSystem(
         n_global=8, row_starts=starts,
         blocks=[A[i - 1:j - 1] for i, j in zip(starts[:-1], starts[1:])],
-        rhs=[np.ones(2)] * 4, staged_counts=[0] * 4)
+        rhs=[np.ones(2)] * 4)
     with pytest.raises(ValueError, match="^4 argument tuples for 2 processes$"):
         pcg_jacobi(split, runtime=VirtualRuntime(2))

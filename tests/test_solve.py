@@ -74,7 +74,7 @@ def _circle_system(level, rtol=1e-6, g=None, f=None):
     space = build_std_space(cls)
     dofs = classify_dofs(space, cls)
     cons = build_constraints_serial(space, dofs, rm)
-    quad = cut_quadrature(grid, ls, cls, 4)
+    quad = cut_quadrature(grid, ls, cls)
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
     elements = poisson_elements(cls, quad, lambda V: taus, f, g)
     A, b = assemble_serial(space, dofs, cons, elements)
@@ -161,7 +161,7 @@ def test_error_norms_match_all_points_oracle(level, ls, d):
     # must match point-by-point evaluation at every bulk point
     grid, cls, _ = classified(level, ls, d)
     space = build_std_space(cls)
-    quad = cut_quadrature(grid, ls, cls, 4)
+    quad = cut_quadrature(grid, ls, cls)
     u, gu, _ = manufactured_solution(ExperimentConfig(dimension=d,
                                                       solution="sine"))
     full = u(space.node_coords) + 0.01 * np.random.default_rng(5).standard_normal(
@@ -190,8 +190,7 @@ def test_ritz_values_come_from_one_recurrence_per_solve(monkeypatch):
     split = DistributedSystem(
         n_global=24, row_starts=starts,
         blocks=[A[i - 1:j - 1] for i, j in zip(starts[:-1], starts[1:])],
-        rhs=[b[i - 1:j - 1] for i, j in zip(starts[:-1], starts[1:])],
-        staged_counts=[0] * 4)
+        rhs=[b[i - 1:j - 1] for i, j in zip(starts[:-1], starts[1:])])
     calls = []
     ritz = solve._ritz_from_recurrence
     monkeypatch.setattr(solve, "_ritz_from_recurrence",

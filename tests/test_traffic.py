@@ -31,9 +31,10 @@ def _entries(payload):
     return 0
 
 
-def test_supersteps_and_messages_per_phase(monkeypatch, tmp_path):
+def _run_counting(monkeypatch, procs, payload_filter=None):
+    """(supersteps, messages) per phase of the offset circle at level 5
+    on ``procs`` subdomains, and the run's outputs."""
     counts = collections.defaultdict(lambda: (0, 0))
-    entries = collections.Counter()
     run = VirtualRuntime.run
 
     def counting(self, body, args=None, phase="", *rest, **kwargs):
@@ -44,6 +45,17 @@ def test_supersteps_and_messages_per_phase(monkeypatch, tmp_path):
                          messages + len(self.trace) - n)
         return out
 
+    monkeypatch.setattr(VirtualRuntime, "run", counting)
+    cfg = ExperimentConfig(geometry="offset-circle", level=5, procs=procs,
+                           trace=1).validate()
+    out = ex.run_solve_pipeline(cfg, runtime=VirtualRuntime(
+        procs, trace=True, payload_filter=payload_filter))
+    return dict(counts), out
+
+
+def test_supersteps_and_messages_per_phase(monkeypatch):
+    entries = collections.Counter()
+
     def tally(phase, superstep, src, dst, payload):
         entries[phase] += _entries(payload)
         if phase == "numbering":
@@ -53,11 +65,13 @@ def test_supersteps_and_messages_per_phase(monkeypatch, tmp_path):
             assert np.all(payload[1] >= 1)
         return payload
 
-    monkeypatch.setattr(VirtualRuntime, "run", counting)
-    cfg = ExperimentConfig(geometry="offset-circle", level=5, procs=8,
-                           trace=1, out=str(tmp_path)).validate()
-    out = ex.run_solve_pipeline(
-        cfg, runtime=VirtualRuntime(8, trace=True, payload_filter=tally))
+    counts, out = _run_counting(monkeypatch, 8, tally)
     assert out.report.iterations == 41
-    assert dict(counts) == EXPECTED
+    assert counts == EXPECTED
     assert dict(entries) == ENTRIES
+
+
+def test_one_subdomain_assembly_posts_no_message(monkeypatch):
+    # every sum of a one-subdomain assembly is owned at home
+    counts, _ = _run_counting(monkeypatch, 1)
+    assert counts["assembly"] == (1, 0)
