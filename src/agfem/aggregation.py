@@ -5,14 +5,15 @@ rounds over the untouched cut cells: a cut cell joins the aggregate of a
 face neighbor that was touched by the end of the previous round and
 whose shared face is open (intersects the domain).  Among candidates
 the one whose root-cell barycenter is closest to the cell wins; ties go
-to the smaller neighbor id.  Each round reads a frozen snapshot, so the
-result does not depend on the order in which cells or subdomains are
-visited, and the sweep runs unchanged on any partition: every subdomain
-assigns its owned cut cells from its view's face table, and a
-nearest-neighbor exchange refreshes the ghost copies between rounds.
-The sweep stops when no owned cell anywhere is untouched, so its round
-count does not depend on the partition.  Serial aggregation is the run
-on one subdomain.
+to the smaller neighbor id.  That distance is the lattice offset to the
+root's key times h, and every cell carries its root's key.  Each round
+reads a frozen snapshot, so the result does not depend on the order in
+which cells or subdomains are visited, and the sweep runs unchanged on
+any partition: every subdomain assigns its owned cut cells from its
+view's face table, and a nearest-neighbor exchange refreshes the ghost
+copies between rounds.  The sweep stops when no owned cell anywhere is
+untouched, so its round count does not depend on the partition.  Serial
+aggregation is the run on one subdomain.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CUT, INTERIOR, CellClassification
-from .partition import (Partition, SubdomainMesh, build_subdomain_meshes,
-                        group_sorted)
+from .partition import Partition, SubdomainMesh, build_subdomain_meshes
 from .runtime import VirtualRuntime
 
 
@@ -57,29 +57,30 @@ class RootMap:
 
 @dataclass
 class DistRootMap:
-    """Per-subdomain root maps over local ids; values are global ids."""
+    """Per-subdomain root maps over local ids: global ids and root keys."""
 
     roots: list        # per s: (n_relevant,) global root id
     root_owners: list  # per s: (n_relevant,) subdomain owning the root
     nexts: list        # per s: (n_relevant,) global id of the next cell
+    root_keys: list    # per s: (n_relevant, d) lattice key of the root
     rounds: int
 
 
-def assign_round(cells, face_ids, face_open, root, global_ids, barycenters):
+def assign_round(cells, face_ids, face_open, root, root_keys, lattice,
+                 global_ids, h):
     """One round of the sweep for the untouched cells ``cells`` (local ids).
 
     Candidates are open-face neighbors touched in the frozen snapshot
     ``root`` (-1 where untouched); each cell takes the candidate whose
-    root barycenter is closest, ties going to the smaller global id.
-    Returns the cells that found a candidate and the local id of the
-    neighbor each one chose.
+    root barycenter is closest, measured as ``(root_key - key) * h``
+    from the lattice keys, ties going to the smaller global id.  Returns
+    the cells that found a candidate and the local id of the neighbor
+    each one chose.
     """
     nb = face_ids[cells - 1]
     # face_open is False where there is no neighbor (nb == 0)
     ok = face_open[cells - 1] & (root[nb - 1] != -1)
-    cand_root = np.where(ok, root[nb - 1], 1)
-    diff = (barycenters[cand_root - 1]
-            - barycenters[global_ids[cells - 1] - 1][:, None, :])
+    diff = (root_keys[nb - 1] - lattice[cells - 1][:, None, :]) * h
     dist = np.where(ok, np.sum(diff ** 2, axis=-1), np.inf)
     best = dist.min(axis=1)
     tie_ids = np.where(dist == best[:, None], global_ids[nb - 1],
@@ -96,13 +97,15 @@ def _refresh_ghosts(proc, agg, send, recv):
         agg[:, recv[sp] - 1] = vals
 
 
-def _aggregate_body(proc, mesh: SubdomainMesh, barycenters):
+def _aggregate_body(proc, mesh: SubdomainMesh):
     g_ids = mesh.global_ids
     interior = mesh.labels == INTERIOR
-    # rows: root, root owner, next cell; interior ghosts are known locally
-    agg = np.full((3, mesh.n_relevant), -1, dtype=np.int64)
-    agg[:, interior] = (g_ids[interior], mesh.owner_of_relevant[interior],
-                        g_ids[interior])
+    # rows: root, root owner, next cell, root key (d rows); interior
+    # ghosts are known locally
+    agg = np.full((3 + mesh.grid.d, mesh.n_relevant), -1, dtype=np.int64)
+    agg[:3, interior] = (g_ids[interior], mesh.owner_of_relevant[interior],
+                         g_ids[interior])
+    agg[3:, interior] = mesh.lattice[interior].T
     cut = mesh.labels == CUT
     send = {sp: ids[cut[ids - 1]] for sp, ids in mesh.send_halo.items()}
     recv = {sp: ids[cut[ids - 1]] for sp, ids in mesh.recv_halo.items()}
@@ -120,33 +123,34 @@ def _aggregate_body(proc, mesh: SubdomainMesh, barycenters):
         if rounds:
             yield from _refresh_ghosts(proc, agg, send, recv)
         cells, chosen = assign_round(untouched, mesh.face_ids, mesh.face_open,
-                                     agg[0], g_ids, barycenters)
+                                     agg[0], agg[3:].T, mesh.lattice, g_ids,
+                                     mesh.grid.h)
         agg[:, cells - 1] = agg[:, chosen - 1]
         agg[2, cells - 1] = g_ids[chosen - 1]
         rounds += 1
     if rounds:
         yield from _refresh_ghosts(proc, agg, send, recv)
-    return agg[0], agg[1], agg[2], rounds
+    return agg, rounds
 
 
 def aggregate_parallel(runtime, meshes) -> DistRootMap:
     """Run the aggregation sweep on the virtual runtime, one process per
     subdomain view.  Ghost values are current on return."""
-    barycenters = meshes[0].classification.barycenters()
     neighbor_sets = [set(m.neighbors.tolist()) for m in meshes]
     results = runtime.run(
-        _aggregate_body, args=[(m, barycenters) for m in meshes],
+        _aggregate_body, args=[(m,) for m in meshes],
         phase="aggregate", neighbor_sets=neighbor_sets)
     return DistRootMap(
-        roots=[r[0] for r in results],
-        root_owners=[r[1] for r in results],
-        nexts=[r[2] for r in results],
-        rounds=max(r[3] for r in results))
+        roots=[agg[0] for agg, _ in results],
+        root_owners=[agg[1] for agg, _ in results],
+        nexts=[agg[2] for agg, _ in results],
+        root_keys=[agg[3:].T for agg, _ in results],
+        rounds=max(rounds for _, rounds in results))
 
 
 def gather_root_map(meshes, dist_map: DistRootMap) -> RootMap:
     """The global root map, read off each subdomain's owned cells."""
-    n = meshes[0].classification.n_active
+    n = meshes[0].n_cells
     root = np.empty(n, dtype=np.int64)
     nxt = np.empty(n, dtype=np.int64)
     for mesh, roots, nexts in zip(meshes, dist_map.roots, dist_map.nexts):
@@ -171,12 +175,6 @@ class AggregateSet:
     n_aggregates: int
     max_size: int
     max_path_length: int
-
-    @property
-    def members(self) -> dict:
-        """Root id -> ascending member cell ids."""
-        order = np.argsort(self.root, kind="stable")
-        return group_sorted(self.root[order], order + 1)
 
 
 def _first(mask, message):

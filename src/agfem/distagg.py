@@ -6,8 +6,8 @@ locally relevant cells.  Path plans are reconstructed from these in
 both directions: the receive side is a communication-free scan, the
 send side forwards path rows (first cell, current cell, origin, hops)
 along the aggregation paths using only nearest-neighbor traffic.  Only
-the final data import may route messages between non-neighbor
-subdomains.
+the final data import, which carries each root's global DOF ids alone,
+may route messages between non-neighbor subdomains.
 
 Every plan and buffer is a set of aligned arrays: a plan lists its
 (peer, root) pairs sorted by peer and then root, and each phase runs as
@@ -61,11 +61,10 @@ def build_direct_plan(mesh: SubdomainMesh, dist_map: DistRootMap) -> PathPlan:
     owners = dist_map.root_owners[s - 1][cut]
     roots = dist_map.roots[s - 1][cut]
     away = owners != s
-    return PathPlan.from_pairs(s, owners[away], roots[away],
-                               mesh.classification.n_active)
+    return PathPlan.from_pairs(s, owners[away], roots[away], mesh.n_cells)
 
 
-def _inverse_body(proc, mesh: SubdomainMesh, owners, nexts, n_cells):
+def _inverse_body(proc, mesh: SubdomainMesh, owners, nexts):
     s = proc.rank
     # by local id: the local id of the next cell of an owned cut cell (0
     # if that is not relevant here), else -1, where a path row stops
@@ -86,12 +85,13 @@ def _inverse_body(proc, mesh: SubdomainMesh, owners, nexts, n_cells):
         while step.any():
             rows[1, step] = nexts[l[step] - 1]
             rows[3, step] += 1
-            over = np.flatnonzero(step & (rows[3] > n_cells))
+            over = np.flatnonzero(step & (rows[3] > mesh.n_cells))
             if over.size:
                 k, z = rows[0, over[0]], rows[2, over[0]]
                 raise PathReconstructionError(
                     f"path row from cell {k} (origin {z}) exceeded "
-                    f"{n_cells} hops; the next-cell map must contain a cycle")
+                    f"{mesh.n_cells} hops; the next-cell map must contain "
+                    f"a cycle")
             l[step] = walk[l[step]]
             step = walk[l] >= 0
         if np.any(l == 0):
@@ -112,27 +112,17 @@ def _inverse_body(proc, mesh: SubdomainMesh, owners, nexts, n_cells):
         rows = np.concatenate(
             [rows[:, :0]] + [received[src] for src in sorted(received)], axis=1)
     rests = np.concatenate(rests, axis=1)
-    return PathPlan.from_pairs(s, rests[2], rests[1], n_cells)
+    return PathPlan.from_pairs(s, rests[2], rests[1], mesh.n_cells)
 
 
 def build_inverse_plan(runtime, meshes, dist_map: DistRootMap):
     """Forward path rows to the root owners; nearest-neighbor traffic only."""
-    n_cells = meshes[0].classification.n_active
     neighbor_sets = [set(int(x) for x in m.neighbors) for m in meshes]
     return runtime.run(
         _inverse_body,
-        args=[(m, dist_map.root_owners[m.s - 1], dist_map.nexts[m.s - 1],
-               n_cells) for m in meshes],
+        args=[(m, dist_map.root_owners[m.s - 1], dist_map.nexts[m.s - 1])
+              for m in meshes],
         phase="inverse-plan", neighbor_sets=neighbor_sets)
-
-
-def check_plan_duality(direct_plans, inverse_plans):
-    """Send and receive plans must name the same (dst, src, cell) triples."""
-    recv_triples = {(p.s, sp, k) for p in direct_plans
-                    for sp, k in zip(p.peers.tolist(), p.roots.tolist())}
-    send_triples = {(z, p.s, k) for p in inverse_plans
-                    for z, k in zip(p.peers.tolist(), p.roots.tolist())}
-    return recv_triples, send_triples
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +131,10 @@ def check_plan_duality(direct_plans, inverse_plans):
 
 @dataclass
 class RootDataBuffer:
-    """Imported box corners and global DOF ids, one row per root, roots
-    ascending."""
+    """Imported global DOF ids, one row per root, roots ascending."""
 
     s: int
     roots: np.ndarray    # (n,) global root ids
-    coords: np.ndarray   # (n, 2, d) box corners, nodes 0 and m - 1
     dofs: np.ndarray     # (n, m) global DOF ids
 
     def rows_of(self, root_ids) -> np.ndarray:
@@ -163,39 +151,36 @@ def _import_body(proc, direct: PathPlan, inverse: PathPlan, piece):
         raise ImportProtocolError(
             f"subdomain {s} does not own root cell "
             f"{int(inverse.roots[foreign[0]])}, which its send plan names")
-    coords, dofs = piece.cell_data(l)
+    dofs = piece.cell_g[l - 1]
     to = inverse.peers
     received = yield proc.routed_exchange(
-        {int(p): (coords[to == p], dofs[to == p]) for p in np.unique(to)})
+        {int(p): dofs[to == p] for p in np.unique(to)})
 
-    parts = [(coords[:0], dofs[:0])]  # shapes for when nothing arrives
+    parts = [dofs[:0]]  # the shape for when nothing arrives
     peers, counts = np.unique(direct.peers, return_counts=True)
     for sp, n in zip(peers.tolist(), counts.tolist()):
         if sp not in received:
             raise ImportProtocolError(
                 f"subdomain {s} expected a root-data buffer from {sp}")
-        x, g = received[sp]
-        if x.shape[:2] != (n, 2) or g.shape[0] != n:
+        g = received[sp]
+        if np.shape(g) != (n, dofs.shape[1]):
             raise ImportProtocolError(
-                f"buffer from {sp} to {s} holds corners {x.shape} and "
-                f"ids {g.shape}, plan expects {n} cells")
-        parts.append((x, g))
+                f"buffer from {sp} to {s} holds ids {np.shape(g)}, plan "
+                f"expects ({n}, {dofs.shape[1]})")
+        parts.append(g)
     by_root = np.argsort(direct.roots)
-    return RootDataBuffer(
-        s=s, roots=direct.roots[by_root],
-        coords=np.concatenate([x for x, _ in parts])[by_root],
-        dofs=np.concatenate([g for _, g in parts])[by_root])
+    return RootDataBuffer(s=s, roots=direct.roots[by_root],
+                          dofs=np.concatenate(parts)[by_root])
 
 
 def import_root_data(runtime, numbering, direct_plans, inverse_plans):
     """Deliver root-cell nodal data to every requesting subdomain.
 
     Each subdomain serves the roots its send plan names from its own
-    piece of ``numbering`` (``DistSpacePiece.cell_data``): their box
-    corners (n, 2, d), nodes 0 and m - 1, and cell-wise global DOF ids
-    (n, m), which is all the constraints read of a root.  Payloads are
-    forwarded untouched so corners round-trip bit-exactly.  Destinations
-    need not be nearest neighbors, so this step uses routed exchange.
+    piece of ``numbering``: their global DOF ids (n, m), rows of
+    ``DistSpacePiece.cell_g``.  With the root keys of the root map, that
+    is all the constraints read of a root.  Destinations need not be
+    nearest neighbors, so this step uses routed exchange.
     """
     return runtime.run(
         _import_body,

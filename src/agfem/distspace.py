@@ -24,10 +24,11 @@ node touches no numbered cell; nothing reads those entries.
 
 Constrained DOFs never get global ids; each subdomain expresses them by
 local id against global master ids.  The roots of all exterior DOFs are
-read at once: a root the subdomain owns from its own piece, the data it
-also serves to others (``DistSpacePiece.cell_data``), and every other
-root from the import buffer (``RootDataBuffer.rows_of``).  The owner
-side answers the import for a whole batch of root cells.
+read at once: the master ids of a root the subdomain owns from its
+``cell_g``, the rows it also serves to others, of every other root from
+the import buffer (``RootDataBuffer.rows_of``).  Reference coordinates
+are the integer offsets of node keys from the root keys of the root
+map.  The owner side answers the import for a whole batch of roots.
 
 This is the space setup of every run of either space, serial runs being
 the one-subdomain case: there the local ids are the serial node ids and
@@ -54,6 +55,7 @@ from .distagg import RootDataBuffer
 from .fespace import (AgConstraints, _first_touch_ids, encode_node_keys,
                       extension_operator, shape_values)
 from .geometry import INTERIOR
+from .grid import corner_offsets
 from .partition import SubdomainMesh, _lookup
 from .runtime import RuntimeProtocolError
 
@@ -70,7 +72,6 @@ class DistSpacePiece:
     mesh: SubdomainMesh
     node_keys: np.ndarray        # (n_j, d) lattice keys of local-cell nodes
     node_codes: np.ndarray       # (n_j,) their int64 codes
-    node_coords: np.ndarray      # (n_j, d)
     cell_j: np.ndarray           # (n_local, m) local DOF ids
     cell_g: np.ndarray           # (n_local, m) global ids, -1 holes
     j_interior: np.ndarray       # (n_j,) bool: touches a numbered cell
@@ -86,16 +87,6 @@ class DistSpacePiece:
 
     def exterior_js(self) -> np.ndarray:
         return np.flatnonzero(~self.j_interior).astype(np.int64) + 1
-
-    def cell_data(self, l: np.ndarray):
-        """Box corners (n, 2, d), nodes 0 and m - 1, and global ids (n, m)
-        of the local cells ``l``."""
-        corners = self.cell_j[l - 1][:, [0, -1]]
-        return self.node_coords[corners - 1], self.cell_g[l - 1]
-
-    def gid_of(self, codes: np.ndarray) -> np.ndarray:
-        """Global ids of node codes; -1 where unknown here."""
-        return _lookup(self.gid_codes, self.gids, codes)
 
     def owned_cells(self):
         """Local DOFs (n_local, m), global ids and the global row of each
@@ -143,17 +134,16 @@ def _merge_ids(s: int, codes, gids, pairs):
 
 def _numbering_body(proc, mesh: SubdomainMesh, interior_only: bool):
     s = proc.rank
-    grid = mesh.classification.grid
+    grid = mesh.grid
     m = 2 ** grid.d
     n_local = mesh.n_local
-    keys = mesh.classification.vertex_keys(mesh.global_ids)  # (n_rel, m, d)
-    codes = encode_node_keys(keys, grid.n_per_axis)          # (n_rel, m)
+    keys = mesh.lattice[:, None, :] + corner_offsets(grid.d)  # (n_rel, m, d)
+    codes = encode_node_keys(keys, grid.n_per_axis)           # (n_rel, m)
 
     # local DOF numbering: first touch over local cells ascending global id
     flat_j, n_j, first = _first_touch_ids(codes[:n_local].ravel())
     cell_j = flat_j.reshape(n_local, m)
     node_keys = keys[:n_local].reshape(-1, grid.d)[first]
-    node_coords = grid.origin + node_keys * grid.h
     j_codes = codes[:n_local].ravel()[first]
     by_j = np.argsort(j_codes)
     j_of = np.concatenate([cell_j, _lookup(j_codes[by_j], by_j + 1,
@@ -215,10 +205,9 @@ def _numbering_body(proc, mesh: SubdomainMesh, interior_only: bool):
 
     return DistSpacePiece(
         s=s, mesh=mesh, node_keys=node_keys, node_codes=j_codes,
-        node_coords=node_coords, cell_j=cell_j, cell_g=cell_g,
-        j_interior=j_interior, own_local_cell=own_local_cell,
-        owned_start=owned_start, n_owned=n_owned, gid_codes=gid_codes,
-        gids=gids)
+        cell_j=cell_j, cell_g=cell_g, j_interior=j_interior,
+        own_local_cell=own_local_cell, owned_start=owned_start,
+        n_owned=n_owned, gid_codes=gid_codes, gids=gids)
 
 
 def number_dofs_distributed(runtime, meshes,
@@ -236,12 +225,14 @@ def build_constraints_distributed(piece: DistSpacePiece,
                                   buffer: RootDataBuffer) -> AgConstraints:
     """Masters and coefficients for this subdomain's exterior DOFs.
 
-    A root cell owned here is read from this piece, every other root from
-    the import buffer; both give the cell's box corners.
+    The master ids of a root cell owned here are read from this piece,
+    of every other root from the import buffer.  Reference coordinates
+    are the lattice offsets ``node_keys - root_keys``, exact integers.
     """
     s = piece.s
     out_js = piece.exterior_js()
-    roots = dist_map.roots[s - 1][piece.own_local_cell[out_js - 1] - 1]
+    cells = piece.own_local_cell[out_js - 1] - 1
+    roots = dist_map.roots[s - 1][cells]
     l_root = piece.mesh.local_ids(roots)
     mine = (l_root > 0) & (l_root <= piece.mesh.n_local)
     rows = buffer.rows_of(roots)
@@ -251,20 +242,16 @@ def build_constraints_distributed(piece: DistSpacePiece,
         raise MissingImportError(
             f"subdomain {s}: DOF {int(out_js[i])} needs root cell "
             f"{int(roots[i])}, which is neither locally owned nor imported")
-    m, d = piece.cell_j.shape[1], piece.node_coords.shape[1]
-    coords = np.empty((out_js.size, 2, d))
-    masters = np.empty((out_js.size, m), dtype=np.int64)
-    coords[mine], masters[mine] = piece.cell_data(l_root[mine])
-    coords[~mine] = buffer.coords[rows[~mine]]
+    masters = np.empty((out_js.size, piece.cell_j.shape[1]), dtype=np.int64)
+    masters[mine] = piece.cell_g[l_root[mine] - 1]
     masters[~mine] = buffer.dofs[rows[~mine]]
     unresolved = np.flatnonzero(np.any(masters == -1, axis=1))
     if unresolved.size:
         raise MissingImportError(
             f"subdomain {s}: root cell {int(roots[unresolved[0]])} carries "
             f"unresolved master ids")
-    lo = coords[:, 0]
-    xi = (piece.node_coords[out_js - 1] - lo) / (coords[:, 1] - lo)
-    coeffs = shape_values(xi)
+    xi = piece.node_keys[out_js - 1] - dist_map.root_keys[s - 1][cells]
+    coeffs = shape_values(xi.astype(np.float64))
     return AgConstraints(constrained=out_js, masters=masters, coeffs=coeffs)
 
 

@@ -256,7 +256,6 @@ class SolveOutputs:
 
     cfg: ExperimentConfig
     grid: object
-    levelset: object
     classification: object
     quadrature: object
     system: DistributedSystem
@@ -343,11 +342,10 @@ def run_solve_pipeline(cfg: ExperimentConfig, runtime=None) -> SolveOutputs:
     with timer.time("norms"):
         nodal = nodal_values(numbering, constraints, x, cls.n_active)
         norms = error_norms(cls, quad, nodal, u, grad_u)
-    return SolveOutputs(cfg=cfg, grid=grid, levelset=ls, classification=cls,
-                        quadrature=quad,
-                        system=system, solution=x, report=report, norms=norms,
-                        timings=timer.timings, runtime=runtime,
-                        meshes=meshes, numbering=numbering,
+    return SolveOutputs(cfg=cfg, grid=grid, classification=cls,
+                        quadrature=quad, system=system, solution=x,
+                        report=report, norms=norms, timings=timer.timings,
+                        runtime=runtime, meshes=meshes, numbering=numbering,
                         constraints=constraints, root_map=root_map,
                         aggregate_stats=agg_stats, dist_map=dist_map)
 
@@ -586,6 +584,18 @@ def _constraint_table(out: SolveOutputs) -> np.ndarray:
     return np.unique(np.concatenate(parts), axis=0)
 
 
+def _lone_row(want, got, P, d) -> str:
+    """The node lattice key of the first row that only one of two
+    constraint tables has; empty for arrays that are not such tables."""
+    if want.ndim != 2 or got.shape[1:] != want.shape[1:]:
+        return ""
+    rows, first, counts = np.unique(np.concatenate([want, got]), axis=0,
+                                    return_index=True, return_counts=True)
+    i = np.flatnonzero(counts == 1)[0]
+    side = "serially" if first[i] < len(want) else f"at P={P}"
+    return f"; node {tuple(rows[i, 1:1 + d].tolist())} has a row only {side}"
+
+
 def run_parallel_check(cfg: ExperimentConfig, procs_list,
                        runtime_factory=None) -> dict:
     """Assert that runs of ``cfg.space`` on every P in ``procs_list`` equal
@@ -630,7 +640,8 @@ def run_parallel_check(cfg: ExperimentConfig, procs_list,
             if got.shape != want.shape:
                 raise EquivalenceError(
                     f"P={P}: {what} differ in shape: {want.shape} "
-                    f"serially, {got.shape}")
+                    f"serially, {got.shape}"
+                    + _lone_row(want, got, P, cfg.dimension))
             bad = np.flatnonzero(want.ravel().view(np.uint8)
                                  != got.ravel().view(np.uint8))
             if bad.size:

@@ -380,9 +380,6 @@ class CellClassification:
         lo = self.grid.cell_origin(self.lattice_of(cell_id))
         return (np.atleast_2d(points) - lo) / self.grid.h
 
-    def id_at(self, lattice) -> int:
-        return int(self.active_id[tuple(np.asarray(lattice, dtype=np.int64))])
-
     def barycenters(self) -> np.ndarray:
         return self.grid.origin + (self.id_to_lattice + 0.5) * self.grid.h
 

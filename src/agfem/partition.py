@@ -9,8 +9,9 @@ its owned cells plus a ghost layer of every foreign active cell that
 shares a vertex, edge, or face with an owned cell, which guarantees all
 cells incident to any locally owned node are locally relevant.  All
 views are built in array steps from one vertex-adjacency table: ghost
-layers, matched halo lists, labels, and each view's own face table in
-local ids.
+layers, matched halo lists, labels, lattice rows, and each view's own
+face table in local ids.  A view holds no reference to the global
+classification: a subdomain reads only the rows of its own cells.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CellClassification, INTERIOR, CUT
-from .grid import morton_encode
+from .grid import BackgroundGrid, morton_encode
 
 
 class PartitionError(ValueError):
@@ -157,12 +158,15 @@ class SubdomainMesh:
     ascending global id, so positional payloads line up without further
     negotiation.  The face table is the global one restricted to the
     view, in local ids: 0 where the neighbor does not exist or is not
-    locally relevant.
+    locally relevant.  ``lattice`` is each cell's integer lattice key,
+    the one representation of where a cell sits.
     """
 
     s: int
-    classification: CellClassification
+    grid: BackgroundGrid
+    n_cells: int                      # active cells of the whole mesh
     global_ids: np.ndarray            # (n_relevant,)
+    lattice: np.ndarray               # (n_relevant, d) lattice keys
     n_local: int
     owner_of_relevant: np.ndarray     # (n_relevant,)
     neighbors: np.ndarray             # sorted subdomain ids
@@ -196,9 +200,6 @@ class SubdomainMesh:
 
     def relevant_cut(self) -> np.ndarray:
         return np.flatnonzero(self.labels == CUT) + 1
-
-    def relevant_interior(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == INTERIOR) + 1
 
 
 def group_sorted(keys: np.ndarray, values: np.ndarray) -> dict:
@@ -251,7 +252,8 @@ def build_subdomain_meshes(classification: CellClassification,
         face_ids = to_local[cls.face_ids[global_ids - 1]]
         to_local[global_ids] = 0
         meshes.append(SubdomainMesh(
-            s=s, classification=cls, global_ids=global_ids,
+            s=s, grid=cls.grid, n_cells=n, global_ids=global_ids,
+            lattice=cls.id_to_lattice[global_ids - 1],
             n_local=own.size, owner_of_relevant=owner[global_ids - 1],
             neighbors=np.asarray(list(recv_halo), dtype=np.int64),
             send_halo=send_halo, recv_halo=recv_halo,

@@ -64,6 +64,16 @@ def root_next_pairs(root_map):
                           start=1))
 
 
+def check_plan_duality(direct_plans, inverse_plans):
+    """The (dst, src, root) triples the receive plans name and those the
+    send plans name; dual plans give equal sets."""
+    recv_triples = {(p.s, sp, k) for p in direct_plans
+                    for sp, k in zip(p.peers.tolist(), p.roots.tolist())}
+    send_triples = {(z, p.s, k) for p in inverse_plans
+                    for z, k in zip(p.peers.tolist(), p.roots.tolist())}
+    return recv_triples, send_triples
+
+
 def face_rule(classification, ka, kb):
     """Scalar face-activity rule, the oracle for the face table.
 

@@ -14,7 +14,7 @@ from agfem.aggregation import (aggregate_parallel, aggregate_serial,
                                aggregates, gather_root_map)
 from agfem.assembly import assemble_serial, nitsche_tau_agg, poisson_elements
 from agfem.distagg import (build_direct_plan, build_inverse_plan,
-                           check_plan_duality, import_root_data)
+                           import_root_data)
 from agfem.distspace import (build_constraints_distributed,
                              number_dofs_distributed)
 from agfem.experiments import (ExperimentConfig, cmd_solve, make_run_record,
@@ -29,8 +29,9 @@ from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 from agfem.assembly import assemble_distributed
 
-from conftest import (bfs_aggregation_oracle, classified, full_bulk_rule,
-                      prolongate, random_geometry, root_next_pairs)
+from conftest import (bfs_aggregation_oracle, check_plan_duality,
+                      classified, full_bulk_rule, prolongate, random_geometry,
+                      root_next_pairs)
 
 GEOMETRIES = {
     "halfplane": lambda: HalfPlane((1.0, 0.0), 0.6180339887),

@@ -35,7 +35,7 @@ def test_column_aggregation_matches_oracle_and_geometry():
         assert root_lat[0] == 1 and root_lat[1] == lat[1]
     agg = aggregates(cls, rm)
     assert agg.n_aggregates == 8
-    sizes = sorted(len(m) for m in agg.members.values())
+    sizes = sorted(np.unique(agg.root, return_counts=True)[1].tolist())
     assert sizes == [1, 1, 1, 1, 2, 2, 2, 2]
     assert rm.rounds == 1
 
@@ -45,7 +45,7 @@ def test_single_candidate_assignment():
     rm = aggregate_serial(cls)
     for k in cls.cut_ids:
         k = int(k)
-        left = cls.id_at(cls.lattice_of(k) - (1, 0))
+        left = cls.active_id[tuple(cls.lattice_of(k) - (1, 0))]
         assert rm.root[k - 1] == left
         assert rm.next[k - 1] == left
 
@@ -116,10 +116,10 @@ def test_validation_rejects_broken_paths(case, message):
     # column 3 of the 4x4 grid is cut and hangs on column 2
     grid, cls, fa = classified(2, HalfPlane((1, 0), 0.6))
     rm = aggregate_serial(cls)
-    k, above = cls.id_at((2, 0)), cls.id_at((2, 1))
+    k, above = cls.active_id[2, 0], cls.active_id[2, 1]
     root, nxt = rm.root.copy(), rm.next.copy()
     if case == "far":
-        nxt[k - 1] = cls.id_at((0, 0))
+        nxt[k - 1] = cls.active_id[0, 0]
     elif case == "closed":
         row = np.flatnonzero(cls.face_ids[k - 1] == nxt[k - 1])
         cls.face_open[k - 1, row] = False

@@ -6,15 +6,14 @@ from agfem.aggregation import (AggregationStalledError, DistRootMap,
                                gather_root_map)
 from agfem.distagg import (ImportProtocolError, PathPlan,
                            PathReconstructionError, build_direct_plan,
-                           build_inverse_plan, check_plan_duality,
-                           import_root_data)
+                           build_inverse_plan, import_root_data)
 from agfem.distspace import number_dofs_distributed
 from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
 from agfem.partition import Partition, build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import (bfs_aggregation_oracle, classified, random_geometry,
-                      root_next_pairs)
+from conftest import (bfs_aggregation_oracle, check_plan_duality, classified,
+                      random_geometry, root_next_pairs)
 
 
 def _left_right_setup():
@@ -44,7 +43,6 @@ def test_single_process_matches_serial():
     numbering = number_dofs_distributed(rt, meshes)
     buffers = import_root_data(rt, numbering, [direct], inverse)
     assert buffers[0].roots.size == 0
-    assert buffers[0].coords.shape == (0, 2, 2)
     assert buffers[0].dofs.shape == (0, 4)
 
 
@@ -81,10 +79,13 @@ def test_circle_matches_serial_many_subdomains(level, ls, d, n_parts):
     dist = aggregate_parallel(rt, meshes)
     assert np.array_equal(gather_root_map(meshes, dist).root, serial.root)
     assert dist.rounds == serial.rounds
-    for mesh, roots, nexts in zip(meshes, dist.roots, dist.nexts):
+    for mesh, roots, nexts, keys in zip(meshes, dist.roots, dist.nexts,
+                                        dist.root_keys):
         # ghosts included: the final refresh leaves every copy current
         assert [(int(r), int(x)) for r, x in zip(roots, nexts)] == \
             [oracle[int(g)] for g in mesh.global_ids]
+        # and every cell carries its root's lattice key
+        assert np.array_equal(keys, cls.id_to_lattice[roots - 1])
     direct = [build_direct_plan(m, dist) for m in meshes]
     inverse = build_inverse_plan(rt, meshes, dist)
     rcv, snd = check_plan_duality(direct, inverse)
@@ -130,7 +131,7 @@ def test_direct_plan_left_right():
     left_plan = build_direct_plan(meshes[0], dist)
     right_plan = build_direct_plan(meshes[1], dist)
     assert left_plan.peers.size == 0 and left_plan.roots.size == 0
-    col2 = sorted(int(cls.id_at((1, r))) for r in range(4))
+    col2 = sorted(int(cls.active_id[1, r]) for r in range(4))
     assert right_plan.peers.tolist() == [1] * 4
     assert right_plan.roots.tolist() == col2
 
@@ -206,16 +207,15 @@ def test_import_round_trips_owner_data():
     assert buffers[0].roots.size == 0
     right = buffers[1]
     # one row per imported root, roots ascending
-    col2 = sorted(int(cls.id_at((1, r))) for r in range(4))
+    col2 = sorted(int(cls.active_id[1, r]) for r in range(4))
     assert right.roots.tolist() == col2
-    assert right.coords.shape == (4, 2, 2) and right.dofs.shape == (4, 4)
+    assert right.dofs.shape == (4, 4)
     assert right.rows_of(right.roots[::-1]).tolist() == [3, 2, 1, 0]
-    left_only = int(cls.id_at((0, 0)))
+    left_only = int(cls.active_id[0, 0])
     assert right.rows_of([left_only]).tolist() == [-1]
     left = numbering.pieces[0]
-    x_owner, g_owner = left.cell_data(left.mesh.local_ids(right.roots))
-    assert right.coords.tolist() == x_owner.tolist()  # bit exact
-    assert np.array_equal(right.dofs, g_owner)
+    assert np.array_equal(
+        right.dofs, left.cell_g[left.mesh.local_ids(right.roots) - 1])
     # subdomain 2 only ghosts the column-2 roots, so it cannot serve one
     root = right.roots[:1]
     assert meshes[1].local_ids(root)[0] > meshes[1].n_local
@@ -223,11 +223,15 @@ def test_import_round_trips_owner_data():
     with pytest.raises(ImportProtocolError,
                        match=f"subdomain 2 does not own root cell {root[0]}"):
         import_root_data(VirtualRuntime(2), numbering, direct, ghosted)
-    # the box corners, nodes 0 and m - 1 of each root
-    for k, x in zip(col2, right.coords):
-        lattice = cls.lattice_of(k)
-        assert np.array_equal(x, [grid.cell_origin(lattice),
-                                  grid.cell_origin(lattice + 1)])
+    # a buffer that is not one row of m ids per planned root is refused
+    def drop_column(phase, superstep, src, dst, payload):
+        return payload[:, 1:] if phase == "import" else payload
+
+    with pytest.raises(ImportProtocolError,
+                       match=r"from 1 to 2 holds ids \(4, 3\), plan "
+                             r"expects \(4, 4\)"):
+        import_root_data(VirtualRuntime(2, payload_filter=drop_column),
+                         numbering, direct, inverse)
 
 
 def test_import_buffers_hold_their_roots_ascending():
@@ -249,10 +253,8 @@ def test_import_buffers_hold_their_roots_ascending():
         for peer in np.unique(plan.peers).tolist():
             roots = plan.roots[plan.peers == peer]
             owner = numbering.pieces[peer - 1]
-            x, g = owner.cell_data(owner.mesh.local_ids(roots))
-            rows = buf.rows_of(roots)
-            assert np.array_equal(buf.coords[rows], x)
-            assert np.array_equal(buf.dofs[rows], g)
+            g = owner.cell_g[owner.mesh.local_ids(roots) - 1]
+            assert np.array_equal(buf.dofs[buf.rows_of(roots)], g)
 
 
 def test_scheduling_independence_of_module_outputs():
@@ -308,7 +310,8 @@ def test_cycle_guard():
     bad_nexts[1][a - 1] = right.global_ids[b - 1]
     bad_nexts[1][b - 1] = right.global_ids[a - 1]
     bad = DistRootMap(roots=dist.roots, root_owners=dist.root_owners,
-                      nexts=bad_nexts, rounds=dist.rounds)
+                      nexts=bad_nexts, root_keys=dist.root_keys,
+                      rounds=dist.rounds)
     with pytest.raises(PathReconstructionError, match="cycle"):
         build_inverse_plan(rt, meshes, bad)
 
@@ -323,14 +326,15 @@ def test_cycle_across_subdomains_counts_every_hop():
     meshes = build_subdomain_meshes(cls, Partition(2, owner))
     rt = VirtualRuntime(2)
     dist = aggregate_parallel(rt, meshes)
-    a, b = int(cls.id_at((2, 1))), int(cls.id_at((2, 2)))
+    a, b = int(cls.active_id[2, 1]), int(cls.active_id[2, 2])
     assert (owner[a - 1], owner[b - 1]) == (1, 2)
     bad_nexts = [n.copy() for n in dist.nexts]
     for mesh, nexts in zip(meshes, bad_nexts):
         la, lb = mesh.local_ids([a, b])
         nexts[la - 1], nexts[lb - 1] = b, a
     bad = DistRootMap(roots=dist.roots, root_owners=dist.root_owners,
-                      nexts=bad_nexts, rounds=dist.rounds)
+                      nexts=bad_nexts, root_keys=dist.root_keys,
+                      rounds=dist.rounds)
     start = rt._superstep
     with pytest.raises(PathReconstructionError, match="cycle"):
         build_inverse_plan(rt, meshes, bad)
@@ -344,11 +348,12 @@ def test_path_leaving_the_view_is_reported():
     # point a cut cell of the right half at a column-0 cell, which the
     # right view does not hold
     right = meshes[1]
-    far = int(cls.id_at((0, 0)))
+    far = int(cls.active_id[0, 0])
     assert right.local_ids([far]).tolist() == [0]
     bad_nexts = [n.copy() for n in dist.nexts]
     bad_nexts[1][right.locals_cut()[0] - 1] = far
     bad = DistRootMap(roots=dist.roots, root_owners=dist.root_owners,
-                      nexts=bad_nexts, rounds=dist.rounds)
+                      nexts=bad_nexts, root_keys=dist.root_keys,
+                      rounds=dist.rounds)
     with pytest.raises(PathReconstructionError, match="left the cells"):
         build_inverse_plan(rt, meshes, bad)

@@ -9,7 +9,7 @@ from agfem.distspace import (MissingImportError, build_constraints_distributed,
                              number_dofs_distributed)
 from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs, encode_node_keys)
-from agfem.geometry import INTERIOR, classify_cells
+from agfem.geometry import INTERIOR, CellClassification, classify_cells
 from agfem.grid import corner_offsets, unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
@@ -141,24 +141,46 @@ def test_constraints_match_serial(n_parts):
     assert n_checked >= len(serial_view)
 
 
-@pytest.mark.parametrize("n_parts", [1, 4])
-def test_constraints_read_no_global_cell_data(n_parts):
-    # after numbering and import the constraints read only the pieces,
-    # the root map and the buffers, so a scrambled global lattice table
-    # leaves them bitwise unchanged
-    grid, cls, fa, space, dofs, rm, meshes, rt, dist, numbering = _setup(
-        4, Sphere((0.531, 0.472), 0.3), n_parts)
+def _run_views(meshes):
+    """Aggregation, both plans, numbering, import and constraints on the
+    views ``meshes``."""
+    rt = VirtualRuntime(len(meshes))
+    dist = aggregate_parallel(rt, meshes)
     direct = [build_direct_plan(m, dist) for m in meshes]
-    buffers = import_root_data(rt, numbering, direct,
-                               build_inverse_plan(rt, meshes, dist))
-    want = [build_constraints_distributed(p, dist, b)
-            for p, b in zip(numbering.pieces, buffers)]
-    cls.id_to_lattice[:] = cls.id_to_lattice[::-1].copy()
-    for piece, buf, cons in zip(numbering.pieces, buffers, want):
-        got = build_constraints_distributed(piece, dist, buf)
-        assert np.array_equal(got.constrained, cons.constrained)
-        assert np.array_equal(got.masters, cons.masters)
-        assert got.coeffs.tobytes() == cons.coeffs.tobytes()
+    inverse = build_inverse_plan(rt, meshes, dist)
+    numbering = number_dofs_distributed(rt, meshes)
+    buffers = import_root_data(rt, numbering, direct, inverse)
+    return dist, numbering, [build_constraints_distributed(p, dist, b)
+                             for p, b in zip(numbering.pieces, buffers)]
+
+
+@pytest.mark.parametrize("geometry,d,level,n_parts", [
+    ("offset-circle", 2, 5, 4), ("popcorn", 3, 3, 8)])
+def test_subdomains_read_only_their_views(geometry, d, level, n_parts):
+    # once the views are built, no body from the sweep to the constraints
+    # reads the global classification: with its lattice and face tables
+    # reversed, the run gives the clean run's results bitwise
+    runs = []
+    for scramble in (False, True):
+        meshes, cls = _views(geometry, d, level, n_parts)
+        if scramble:
+            cls.id_to_lattice[:] = cls.id_to_lattice[::-1].copy()
+            cls.face_ids[:] = cls.face_ids[::-1].copy()
+        runs.append(_run_views(meshes))
+    (dist, numbering, cons), (dist2, numbering2, cons2) = runs
+    for s in range(n_parts):
+        assert np.array_equal(dist.roots[s], dist2.roots[s])
+        assert np.array_equal(dist.root_keys[s], dist2.root_keys[s])
+        assert np.array_equal(numbering.pieces[s].cell_g,
+                              numbering2.pieces[s].cell_g)
+        assert np.array_equal(cons[s].constrained, cons2[s].constrained)
+        assert np.array_equal(cons[s].masters, cons2[s].masters)
+        assert cons[s].coeffs.tobytes() == cons2[s].coeffs.tobytes()
+    assert sum(c.constrained.size for c in cons) > 0
+    for part in [*meshes, *numbering2.pieces, dist2]:
+        for value in vars(part).values():
+            items = value if isinstance(value, list) else [value]
+            assert not any(isinstance(v, CellClassification) for v in items)
 
 
 def test_owner_consistency_with_serial():
@@ -197,11 +219,10 @@ def test_missing_import_reported():
                                       buffers):
         if np.any(mesh.local_ids(plan.roots) == 0):
             empty = RootDataBuffer(s=piece.s, roots=buf.roots[:0],
-                                   coords=buf.coords[:0], dofs=buf.dofs[:0])
+                                   dofs=buf.dofs[:0])
             with pytest.raises(MissingImportError, match="neither locally"):
                 build_constraints_distributed(piece, dist, empty)
             blank = RootDataBuffer(s=piece.s, roots=buf.roots,
-                                   coords=buf.coords,
                                    dofs=np.full_like(buf.dofs, -1))
             with pytest.raises(MissingImportError,
                                match="carries unresolved master ids"):
@@ -212,16 +233,14 @@ def test_missing_import_reported():
 
 def _cell_keys(mesh, l):
     """Vertex lattice keys of local cell ``l``, in corner order."""
-    lattice = mesh.classification.lattice_of(int(mesh.global_ids[l - 1]))
-    return lattice + corner_offsets(mesh.classification.grid.d)
+    return mesh.lattice[l - 1] + corner_offsets(mesh.grid.d)
 
 
 def _oracle_numbering_body(proc, mesh):
     """The per-node Q1 numbering over tuple keys and dicts, kept as the
     oracle of the array steps: same supersteps, same payloads."""
     s = proc.rank
-    cls = mesh.classification
-    m = 2 ** cls.grid.d
+    m = 2 ** mesh.grid.d
 
     j_of_key: dict = {}
     keys_in_order: list = []
@@ -240,9 +259,8 @@ def _oracle_numbering_body(proc, mesh):
         cell_j[l] = row
     n_j = len(keys_in_order)
     node_keys = np.asarray(keys_in_order, dtype=np.int64)
-    node_coords = cls.grid.origin + node_keys * cls.grid.h
 
-    interior_cells = mesh.relevant_interior()
+    interior_cells = np.flatnonzero(mesh.labels == INTERIOR) + 1
     j_interior = np.zeros(n_j, dtype=bool)
     owner_of_key: dict = {}
     for l in interior_cells:
@@ -273,7 +291,7 @@ def _oracle_numbering_body(proc, mesh):
 
     # one (2, k) array per neighbour: the owned (code, id) pairs on the
     # interior cells of its halo, sorted by code
-    n_per_axis = cls.grid.n_per_axis
+    n_per_axis = mesh.grid.n_per_axis
     payloads = {}
     for sp, ids in mesh.send_halo.items():
         keys = {tuple(int(v) for v in kk) for l in ids
@@ -309,7 +327,7 @@ def _oracle_numbering_body(proc, mesh):
             if j is not None and own_local_cell[j - 1] == 0:
                 own_local_cell[j - 1] = l
 
-    return dict(node_keys=node_keys, node_coords=node_coords, cell_j=cell_j,
+    return dict(node_keys=node_keys, cell_j=cell_j,
                 cell_g=cell_g, j_interior=j_interior,
                 own_local_cell=own_local_cell, owned_start=owned_start,
                 n_owned=n_owned, gid_of_key=gid_of_key)
@@ -319,14 +337,14 @@ def _views(geometry, d, level, n_parts):
     cfg = ExperimentConfig(geometry=geometry, dimension=d, level=level)
     cls = classify_cells(unit_box_grid(level, d), make_levelset(cfg))
     part = partition_weighted_sfc(cls, n_subdomains=n_parts)
-    return build_subdomain_meshes(cls, part)
+    return build_subdomain_meshes(cls, part), cls
 
 
 @pytest.mark.parametrize("geometry,d,level,n_parts", [
     ("circle", 2, 5, 1), ("circle", 2, 5, 4), ("offset-circle", 2, 6, 16),
     ("popcorn", 3, 3, 8), ("circle", 3, 4, 8)])
 def test_numbering_matches_the_per_node_oracle(geometry, d, level, n_parts):
-    meshes = _views(geometry, d, level, n_parts)
+    meshes, _ = _views(geometry, d, level, n_parts)
     traced = VirtualRuntime(n_parts, trace=True)
     numbering = number_dofs_distributed(traced, meshes)
     oracle_rt = VirtualRuntime(n_parts, trace=True)
@@ -335,14 +353,13 @@ def test_numbering_matches_the_per_node_oracle(geometry, d, level, n_parts):
         phase="numbering",
         neighbor_sets=[set(m.neighbors.tolist()) for m in meshes])
     assert traced.trace == oracle_rt.trace
-    grid = meshes[0].classification.grid
+    grid = meshes[0].grid
     assert numbering.n_global == sum(want["n_owned"] for want in oracle)
     for piece, want in zip(numbering.pieces, oracle):
         mesh = piece.mesh
         assert (piece.owned_start, piece.n_owned) == (want["owned_start"],
                                                       want["n_owned"])
-        for name in ("node_keys", "node_coords", "j_interior",
-                     "own_local_cell"):
+        for name in ("node_keys", "j_interior", "own_local_cell"):
             assert np.array_equal(getattr(piece, name), want[name]), name
         assert np.array_equal(piece.cell_j, np.array(
             [want["cell_j"][l] for l in range(1, mesh.n_local + 1)]
@@ -359,7 +376,7 @@ def test_numbering_matches_the_per_node_oracle(geometry, d, level, n_parts):
 
 
 def _faulty_numbering(payload_filter):
-    meshes = _views("circle", 2, 5, 4)
+    meshes, _ = _views("circle", 2, 5, 4)
     rt = VirtualRuntime(4, payload_filter=payload_filter)
     return number_dofs_distributed(rt, meshes)
 

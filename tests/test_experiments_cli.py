@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +13,7 @@ from agfem.assembly import (assemble_serial, nitsche_tau_agg, nitsche_tau_std,
                             poisson_elements)
 from agfem.experiments import (RECORD_FIELDS, RECORD_SCHEMA_VERSION,
                                ConfigError, EquivalenceError, ExperimentConfig,
+                               _constraint_table,
                                cmd_convergence, cmd_parallel_check, cmd_solve,
                                fit_order, load_config, make_run_record,
                                manufactured_solution, run_cut_sweep,
@@ -19,6 +21,7 @@ from agfem.experiments import (RECORD_FIELDS, RECORD_SCHEMA_VERSION,
                                run_weight_study)
 from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs)
+from agfem.partition import _lookup
 from agfem.runtime import VirtualRuntime
 
 
@@ -255,7 +258,8 @@ def test_one_subdomain_run_equals_the_serial_reference(params):
 
     [piece], [dcons] = out.numbering.pieces, out.constraints
     assert np.array_equal(piece.cell_j, space.cell_dofs)
-    assert np.array_equal(piece.gid_of(piece.node_codes),
+    assert np.array_equal(_lookup(piece.gid_codes, piece.gids,
+                                  piece.node_codes),
                           np.where(dofs.row_of > 0, dofs.row_of, -1))
     assert np.array_equal(dcons.constrained, cons.constrained)
     assert np.array_equal(dcons.masters, cons.masters)
@@ -367,26 +371,50 @@ def test_parallel_check_passes_clean():
         assert result == {"procs": [1, 2, 4]}
 
 
-def test_parallel_check_detects_a_one_ulp_root_corner():
-    # a root's box corner imported one ulp off moves the coefficients of
-    # the nodes extrapolated from it, and nothing before them
-    cfg = ExperimentConfig(geometry="offset-circle", level=4).validate()
-    nudged = []
+def _named_node(message):
+    """The node key a failed check names as having a row only at P = 4."""
+    found = re.search(r"node \((\d+), (\d+)\) has a row only at P=4",
+                      message)
+    assert found, message
+    return tuple(int(x) for x in found.groups())
 
-    def nudge(phase, superstep, src, dst, payload):
-        if phase == "import" and not nudged:
-            corners, dofs = payload
-            corners = corners.copy()
-            corners[0, 1, 0] = np.nextafter(corners[0, 1, 0], np.inf)
-            nudged.append((src, dst))
-            payload = (corners, dofs)
+
+def test_parallel_check_detects_a_fault_in_the_root_data():
+    # what a root's importers read travels as its master ids in the import
+    # and as its lattice key in the sweep; a fault in either moves the
+    # constraints of the nodes extrapolated from that root, and nothing
+    # before them, and the check names such a node
+    cfg = ExperimentConfig(geometry="offset-circle", level=4).validate()
+    serial = _constraint_table(run_solve_pipeline(cfg))
+    masters_of = {tuple(row[1:3]): sorted(row[3:7])
+                  for row in serial.tolist()}
+    swapped = []
+
+    def swap(phase, superstep, src, dst, payload):
+        # two master ids of one imported root trade places
+        if phase == "import" and not swapped:
+            swapped.append(sorted(payload[0].tolist()))
+            payload = payload.copy()
+            payload[0, [0, 1]] = payload[0, [1, 0]]
         return payload
 
-    with pytest.raises(EquivalenceError,
-                       match="P=4: constraints by node code differ"):
-        run_parallel_check(cfg, [4], runtime_factory=lambda n: VirtualRuntime(
-            n, payload_filter=nudge))
-    assert nudged
+    def shift(phase, superstep, src, dst, payload):
+        # every ghost root key the sweep sends moves one step along x
+        if phase == "aggregate":
+            payload = payload.copy()
+            payload[3] += 1
+        return payload
+
+    for fault in (swap, shift):
+        with pytest.raises(EquivalenceError,
+                           match="P=4: constraints by node code differ") as err:
+            run_parallel_check(cfg, [4], runtime_factory=lambda n:
+                               VirtualRuntime(n, payload_filter=fault))
+        node = _named_node(str(err.value))
+        assert node in masters_of
+        if fault is swap:
+            # the named node hangs on the root whose ids were swapped
+            assert masters_of[node] == swapped[0]
 
 
 def test_parallel_check_reports_subdomains_that_disagree(monkeypatch,
@@ -408,20 +436,22 @@ def test_parallel_check_reports_subdomains_that_disagree(monkeypatch,
         if piece.s == 2:
             [i, *_] = np.flatnonzero(np.isin(codes[2], codes[1]))
             cons.coeffs[i, 0] = np.nextafter(cons.coeffs[i, 0], np.inf)
-            doctored.append(i)
+            doctored.append(tuple(
+                piece.node_keys[cons.constrained[i] - 1].tolist()))
         return cons
 
     monkeypatch.setattr(ex, "build_constraints_distributed", doctor)
     with pytest.raises(EquivalenceError, match=r"P=4: constraints by node "
-                                               r"code differ in shape"):
+                                               r"code differ in shape") as err:
         run_parallel_check(ExperimentConfig(
             geometry="offset-circle", level=4).validate(), [4])
-    assert doctored
+    assert _named_node(str(err.value)) == doctored[0]
     res = CliRunner().invoke(cli.main, [
         "parallel-check", "--geometry", "offset-circle", "--level", "4",
         "--procs-list", "1,4", "--out", str(tmp_path)])
     assert res.exit_code == 4, res.output
     assert "constraints by node code differ in shape" in res.output
+    assert _named_node(res.output) == doctored[-1]
 
 
 @pytest.mark.parametrize("params, procs_list", [
@@ -534,7 +564,8 @@ def test_std_one_subdomain_run_equals_the_serial_assembly(params):
     out = run_solve_pipeline(cfg)
     [piece] = out.numbering.pieces
     space = build_std_space(out.classification)
-    assert np.array_equal(piece.gid_of(piece.node_codes),
+    assert np.array_equal(_lookup(piece.gid_codes, piece.gids,
+                                  piece.node_codes),
                           np.arange(1, space.n_dofs + 1))
     u, _, f = manufactured_solution(cfg)
     A, b = assemble_serial(space, None, None, poisson_elements(

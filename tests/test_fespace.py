@@ -10,6 +10,7 @@ from agfem.distspace import nodal_values
 from agfem.experiments import ExperimentConfig, run_solve_pipeline
 from agfem.grid import corner_offsets
 from agfem.levelset import HalfPlane, Sphere
+from agfem.partition import _lookup
 
 from conftest import classified, prolongate, random_geometry
 
@@ -146,10 +147,12 @@ def test_pipeline_constraints_reproduce_polynomials(params, procs):
     out = run_solve_pipeline(ExperimentConfig(procs=procs, **params).validate())
     numbering, constraints = out.numbering, out.constraints
     d = out.grid.d
+    grid = out.grid
     coords = np.full((numbering.n_global, d), np.nan)
     for piece in numbering.pieces:
-        gid = piece.gid_of(piece.node_codes)
-        coords[gid[gid > 0] - 1] = piece.node_coords[gid > 0]
+        gid = _lookup(piece.gid_codes, piece.gids, piece.node_codes)
+        coords[gid[gid > 0] - 1] = (grid.origin
+                                    + piece.node_keys[gid > 0] * grid.h)
     assert not np.isnan(coords).any()
     space = build_std_space(out.classification)
     cell_coords = space.node_coords[space.cell_dofs - 1]
@@ -160,7 +163,8 @@ def test_pipeline_constraints_reproduce_polynomials(params, procs):
 
         for piece, cons in zip(numbering.pieces, constraints):
             got = np.sum(cons.coeffs * poly(coords[cons.masters - 1]), axis=1)
-            want = poly(piece.node_coords[cons.constrained - 1])
+            want = poly(grid.origin
+                        + piece.node_keys[cons.constrained - 1] * grid.h)
             assert np.max(np.abs(got - want), initial=0.0) < 1e-12
             n_constrained += cons.n_constrained
         nodal = nodal_values(numbering, constraints, poly(coords),

@@ -58,7 +58,7 @@ def test_classification_partition_and_morton_ids():
 
     codes = morton_encode(cls.id_to_lattice, grid.level)
     assert np.all(np.diff(codes) > 0)
-    assert cls.id_at(cls.lattice_of(17)) == 17
+    assert cls.active_id[tuple(cls.lattice_of(17))] == 17
 
 
 def test_nonfinite_level_set_reports_cell():
@@ -349,7 +349,7 @@ def test_zero_measure_cut_demoted():
 def _face_open(cls, a, b):
     """Face-table entry of the face between the cells at lattices a and b,
     read from both sides."""
-    ka, kb = cls.id_at(a), cls.id_at(b)
+    ka, kb = cls.active_id[tuple(a)], cls.active_id[tuple(b)]
     assert ka and kb
     [col_a] = np.flatnonzero(cls.face_ids[ka - 1] == kb)
     [col_b] = np.flatnonzero(cls.face_ids[kb - 1] == ka)
@@ -367,8 +367,8 @@ def test_face_table_matches_face_rule(level, ls, d):
     n_open = 0
     for k in range(1, cls.n_active + 1):
         lattice = cls.lattice_of(k)
-        expected = [cls.id_at(nb) if grid.contains_lattice(nb) else 0
-                    for nb in lattice + _steps(d)]
+        expected = [cls.active_id[tuple(nb)] if grid.contains_lattice(nb)
+                    else 0 for nb in lattice + _steps(d)]
         assert cls.face_ids[k - 1].tolist() == expected
         for nb, is_open in zip(cls.face_ids[k - 1], cls.face_open[k - 1]):
             if nb == 0:

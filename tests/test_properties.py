@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from agfem.aggregation import (AggregationStalledError, aggregate_parallel,
                                gather_root_map)
 from agfem.distspace import number_dofs_distributed
-from agfem.geometry import _clip, classify_cells
+from agfem.geometry import INTERIOR, _clip, classify_cells
 from agfem.grid import corner_offsets, unit_box_grid
 from agfem.levelset import HalfPlane, Popcorn, Sphere
-from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
+from agfem.partition import (_lookup, build_subdomain_meshes,
+                             partition_weighted_sfc)
 from agfem.runtime import VirtualRuntime
 
 from conftest import (bfs_aggregation_oracle, clip_simplices, face_rule,
@@ -101,7 +102,7 @@ def _check_numbering(cls, owner, meshes):
             lowest[key] = min(lowest.get(key, n_parts), int(owner[k - 1]))
     gid_of = {}
     for piece, mesh in zip(numbering.pieces, meshes):
-        interior = mesh.relevant_interior()
+        interior = np.flatnonzero(mesh.labels == INTERIOR) + 1
         for l in interior[interior <= mesh.n_local]:
             keys = cls.id_to_lattice[mesh.global_ids[l - 1] - 1] + offs
             for key, gid in zip(map(tuple, keys.tolist()),
@@ -126,7 +127,8 @@ def _check_serial_ids(cls, n_parts, space):
     numbering = _numbering(cls, n_parts, space)
     assert numbering.n_global == ref.n_owned
     for piece in numbering.pieces:
-        assert np.array_equal(ref.gid_of(piece.gid_codes), piece.gids)
+        assert np.array_equal(_lookup(ref.gid_codes, ref.gids,
+                                      piece.gid_codes), piece.gids)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

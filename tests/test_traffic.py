@@ -2,8 +2,9 @@
 
 A change to how a phase packs its data must not change how often it
 talks, and a change to what it sends must show: the counts below are
-those of an offset circle at level 5 on 8 subdomains, and any change
-to them is a change of the protocol.
+those of an offset circle at level 5 and of the popcorn at level 3,
+each on 8 subdomains, and any change to them is a change of the
+protocol.
 """
 
 import collections
@@ -14,13 +15,23 @@ from agfem import experiments as ex
 from agfem.experiments import ExperimentConfig
 from agfem.runtime import VirtualRuntime
 
+OFFSET_CIRCLE = dict(geometry="offset-circle", level=5)
+POPCORN = dict(geometry="popcorn", dimension=3, level=3)
 # phase -> (supersteps, messages); the solve takes 41 iterations
 EXPECTED = {"aggregate": (5, 42), "inverse-plan": (5, 22),
             "numbering": (2, 40), "import": (1, 19), "assembly": (1, 20),
             "solve": (125, 1596)}
-# phase -> array entries over all its messages
-ENTRIES = {"aggregate": 192, "inverse-plan": 148, "numbering": 642,
-           "import": 208, "assembly": 2180, "solve": 9072}
+# phase -> array entries over all its messages; the sweep carries each
+# root's lattice key (d rows beside root, owner and next), so the import
+# carries (n, m) DOF ids alone
+ENTRIES = {"aggregate": 320, "inverse-plan": 148, "numbering": 642,
+           "import": 104, "assembly": 2180, "solve": 9072}
+# the same for the popcorn; the solve takes 46 iterations
+EXPECTED_3D = {"aggregate": (7, 144), "inverse-plan": (5, 50),
+               "numbering": (2, 54), "import": (1, 48), "assembly": (1, 24),
+               "solve": (140, 2538)}
+ENTRIES_3D = {"aggregate": 4968, "inverse-plan": 1120, "numbering": 796,
+              "import": 808, "assembly": 13498, "solve": 12596}
 
 
 def _entries(payload):
@@ -31,9 +42,10 @@ def _entries(payload):
     return 0
 
 
-def _run_counting(monkeypatch, procs, payload_filter=None):
-    """(supersteps, messages) per phase of the offset circle at level 5
-    on ``procs`` subdomains, and the run's outputs."""
+def _run_counting(monkeypatch, procs, payload_filter=None,
+                  params=OFFSET_CIRCLE):
+    """(supersteps, messages) per phase of the config ``params`` on
+    ``procs`` subdomains, and the run's outputs."""
     counts = collections.defaultdict(lambda: (0, 0))
     run = VirtualRuntime.run
 
@@ -46,14 +58,14 @@ def _run_counting(monkeypatch, procs, payload_filter=None):
         return out
 
     monkeypatch.setattr(VirtualRuntime, "run", counting)
-    cfg = ExperimentConfig(geometry="offset-circle", level=5, procs=procs,
-                           trace=1).validate()
+    cfg = ExperimentConfig(procs=procs, trace=1, **params).validate()
     out = ex.run_solve_pipeline(cfg, runtime=VirtualRuntime(
         procs, trace=True, payload_filter=payload_filter))
     return dict(counts), out
 
 
-def test_supersteps_and_messages_per_phase(monkeypatch):
+def _check_traffic(monkeypatch, params, iterations, expected,
+                   expected_entries):
     entries = collections.Counter()
 
     def tally(phase, superstep, src, dst, payload):
@@ -65,10 +77,18 @@ def test_supersteps_and_messages_per_phase(monkeypatch):
             assert np.all(payload[1] >= 1)
         return payload
 
-    counts, out = _run_counting(monkeypatch, 8, tally)
-    assert out.report.iterations == 41
-    assert counts == EXPECTED
-    assert dict(entries) == ENTRIES
+    counts, out = _run_counting(monkeypatch, 8, tally, params)
+    assert out.report.iterations == iterations
+    assert counts == expected
+    assert dict(entries) == expected_entries
+
+
+def test_supersteps_and_messages_per_phase(monkeypatch):
+    _check_traffic(monkeypatch, OFFSET_CIRCLE, 41, EXPECTED, ENTRIES)
+
+
+def test_supersteps_and_messages_per_phase_in_3d(monkeypatch):
+    _check_traffic(monkeypatch, POPCORN, 46, EXPECTED_3D, ENTRIES_3D)
 
 
 def test_one_subdomain_assembly_posts_no_message(monkeypatch):
