@@ -14,15 +14,19 @@ batch of cells at a time.  The cut-cell and interface rules, the only
 rows of the flat quadrature store, are read point by point in chunks
 through ``bulk_rows`` and ``interface_rows``, which also feed the error
 norms; each cell sums its points in store order, and the penalty reads
-the bulk stiffness this pass sums.  Assembly is one kernel run per
-subdomain on the virtual runtime, serial being the one-process case.  It
-forms A = C^T A_e C, C the extension operator, as per-cell sums: a cell
-whose DOFs are all free has unit rows in C, so its element entries are
-its sums as they stand; the other cells are expanded through C in
-batches of about ``CHUNK_PRODUCTS`` products and summed per (cell, row,
-col) on one int64 key.  The sums form one stream in global-cell order;
-off-owner sums leave as (key, value) pairs in one routed exchange, and
-each row owner joins the streams in rank order, its own at its rank.
+the bulk stiffness this pass sums.  A Q1 function is a product of one
+factor (1 - x, x) per axis, so a cut cell's stiffness takes d * 3**(d-1)
+weighted sums of factor pairs, not m * m gradient products, and its
+interface matrix is one sum S of w v c^T, added as S + S^T.  Assembly is
+one kernel run per subdomain on the virtual runtime, serial being the
+one-process case.  It forms A = C^T A_e C, C the extension operator, as
+per-cell sums: a cell whose DOFs are all free has unit rows in C, so its
+element entries are its sums as they stand; any other cell sums the
+dense local product C_c^T [b_e, A_e C_c], C_c its rows of C over the
+ascending union of the system rows they touch, each sum over the nodes
+in order.  The sums form one stream in global-cell order; off-owner sums
+leave as (key, value) pairs in one routed exchange, and each row owner
+joins the streams in rank order, its own at its rank.
 ``partition_weighted_sfc`` gives ranks ascending ranges of cell ids, so
 rank order is global-cell order, the invariant the numbering's
 independence of P rests on too.  One stable sort on the key row * (n +
@@ -37,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.linalg
 
-from .fespace import extension_operator, shape_gradients, shape_values
+from .fespace import (axis_factors, extension_operator, q1_tables,
+                      shape_gradients, shape_values, tensor_products)
 from .geometry import (CHUNK_POINTS, CellClassification, QuadratureStore,
                        point_chunks)
 from .runtime import VirtualRuntime
@@ -61,15 +65,12 @@ def nitsche_tau_agg(h: float, beta: float) -> float:
 
 
 def _add_weighted_runs(out, cells, w, vals):
-    """``out[k - 1] += sum of w * vals`` over the points of each cell k;
-    ``cells`` is nondecreasing, so a cell's points form one run and sum
-    in point order."""
-    n = len(cells)
+    """``out[k - 1] += sum of w * vals`` over the points of each cell k,
+    ``vals`` points last; ``cells`` is nondecreasing, so a cell's points
+    form one run, summed in one reduction."""
     starts = np.flatnonzero(np.diff(cells, prepend=0))
-    runs = sp.csr_matrix((w, np.arange(n), np.append(starts, n)),
-                         shape=(len(starts), n))
-    out[cells[starts] - 1] += (runs @ vals.reshape(n, -1)).reshape(
-        (-1,) + out.shape[1:])
+    out[cells[starts] - 1] += np.moveaxis(
+        np.add.reduceat(vals * w, starts, axis=-1), -1, 0)
 
 
 def reference_tables(cls: CellClassification, quad: QuadratureStore):
@@ -92,25 +93,50 @@ def interior_rows(cls: CellClassification, quad: QuadratureStore):
 
 def bulk_rows(cls: CellClassification, quad: QuadratureStore):
     """The bulk points of the store, the cut cells' rules, in chunks of
-    ``CHUNK_POINTS``: (cell of each point, points, weights, shape values
-    (n, m), physical gradients (n, m, d))."""
+    ``CHUNK_POINTS``: (cell of each point, points, weights, the per-axis
+    factors (d, 2, n) of the Q1 shape functions, as ``axis_factors``)."""
     for sl in point_chunks(quad.weights.size):
         cells, pts = quad.bulk_cells(sl), quad.points[sl]
-        xi = cls.reference_coords(cells, pts)
-        yield (cells, pts, quad.weights[sl], shape_values(xi),
-               shape_gradients(xi) / cls.grid.h)
+        yield (cells, pts, quad.weights[sl],
+               axis_factors(cls.reference_coords(cells, pts)))
 
 
 def interface_rows(cls: CellClassification, quad: QuadratureStore):
     """The interface points of the store in chunks of ``CHUNK_POINTS``:
-    (cell of each point, points, weights, shape values (n, m), normal
-    derivatives of the shape functions (n, m))."""
+    (cell of each point, points, weights, and, points last, the shape
+    values (m, n) and normal derivatives (m, n) of the shape functions)."""
     for sl in point_chunks(quad.boundary_weights.size):
         cells, pts = quad.boundary_cells(sl), quad.boundary_points[sl]
-        xi = cls.reference_coords(cells, pts)
-        yield (cells, pts, quad.boundary_weights[sl], shape_values(xi),
-               np.einsum("nad,nd->na", shape_gradients(xi) / cls.grid.h,
-                         quad.boundary_normals[sl]))
+        vals, grads = q1_tables(axis_factors(cls.reference_coords(cells, pts)))
+        yield (cells, pts, quad.boundary_weights[sl], vals,
+               np.einsum("dan,nd->an", grads,
+                         quad.boundary_normals[sl] / cls.grid.h))
+
+
+def _stiffness_integrands(factors):
+    """The d * 3**(d-1) integrands of the factor-form Q1 stiffness, points
+    last: for each axis c, the products over the other axes of one factor
+    pair each, (1 - x)**2, (1 - x) x or x**2, in ``tensor_products`` order."""
+    f0, f1 = factors[:, 0], factors[:, 1]
+    pairs = np.stack([f0 * f0, f0 * f1, f1 * f1], axis=1)
+    return np.concatenate([tensor_products(np.delete(pairs, c, axis=0))
+                           for c in range(len(factors))])
+
+
+def _factor_stiffness(sums, h):
+    """Stiffness matrices (nc, m, m) from the weighted sums (nc, d *
+    3**(d-1)) of ``_stiffness_integrands``: entry (a, b) adds, over the
+    axes c in order, the sum at the factor pairs (a_e, b_e) of the other
+    axes times 1 / h_c**2, negated where a_c != b_c."""
+    d = len(h)
+    bits = np.arange(2 ** d)[:, None] >> np.arange(d) & 1
+    pair = bits[:, None, :] + bits[None, :, :]    # (m, m, d): 0, 1 or 2
+    terms = []
+    for c in range(d):
+        col = c * 3 ** (d - 1) + np.delete(pair, c, axis=2) @ 3 ** np.arange(d - 1)
+        sign = np.where(pair[:, :, c] == 1, -1.0, 1.0)
+        terms.append(sums[:, col] * (sign / h[c] ** 2))
+    return sum(terms[1:], terms[0])
 
 
 def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
@@ -127,7 +153,8 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
     term of A: one value or one per cell.  Interior cells share one
     reference element: one stiffness matrix, and load vectors from f at
     their points times the fixed table of shape values.  Cut cells and
-    interface points are integrated point by point, in chunks.
+    interface points are integrated point by point, in chunks: the bulk
+    stiffness in factor form, the interface matrix as S + S^T.
     """
     m = 2 ** cls.grid.d
     mats = np.zeros((cls.n_active, m, m))
@@ -140,20 +167,27 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
             fw = np.asarray(f(pts.reshape(-1, pts.shape[2]))).reshape(
                 pts.shape[:2])
             vecs[cells - 1] = (fw * quad.box_weights) @ vals_ref
-    for cells, pts, w, vals, grads in bulk_rows(cls, quad):
-        _add_weighted_runs(mats, cells, w,
-                           grads @ np.ascontiguousarray(grads.transpose(0, 2, 1)))
+    held = np.flatnonzero(np.diff(quad.offsets)) + 1    # 1-based in sums
+    sums = np.zeros((held.size, cls.grid.d * 3 ** (cls.grid.d - 1)))
+    for cells, pts, w, factors in bulk_rows(cls, quad):
+        _add_weighted_runs(sums, np.searchsorted(held, cells) + 1, w,
+                           _stiffness_integrands(factors))
         if f is not None:
-            _add_weighted_runs(vecs, cells, w * np.asarray(f(pts)), vals)
+            _add_weighted_runs(vecs, cells, w * np.asarray(f(pts)),
+                               tensor_products(factors))
+    mats[held - 1] = _factor_stiffness(sums, cls.grid.h)
     taus = np.broadcast_to(penalty(mats), cls.n_active)
+    held = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
+    S = np.zeros((held.size, m, m))
     for cells, pts, w, vals, gn in interface_rows(cls, quad):
         tau = taus[cells - 1]
         # tau v v^T - v gn^T - gn v^T = v c^T + c v^T, c = tau v / 2 - gn
-        vc = vals[:, :, None] * (0.5 * tau[:, None] * vals - gn)[:, None, :]
-        _add_weighted_runs(mats, cells, w, vc + vc.transpose(0, 2, 1))
+        _add_weighted_runs(S, np.searchsorted(held, cells) + 1, w,
+                           vals[:, None] * (0.5 * tau * vals - gn)[None])
         if g is not None:
             _add_weighted_runs(vecs, cells, w * np.asarray(g(pts)),
-                               tau[:, None] * vals - gn)
+                               tau * vals - gn)
+    mats[held - 1] += S + S.transpose(0, 2, 1)
     return mats, vecs
 
 
@@ -184,8 +218,8 @@ def nitsche_tau_std(cls: CellClassification, quad: QuadratureStore,
     B = np.zeros_like(V)
     for c, _, w, _, gn in interface_rows(cls, quad):
         _add_weighted_runs(B, np.searchsorted(cells, c) + 1, w,
-                           gn[:, :, None] * gn[:, None, :])
-    Z = scipy.linalg.null_space(np.ones((1, V.shape[-1])))
+                           gn[:, None] * gn[None])
+    Z = np.linalg.svd(np.ones((1, V.shape[-1])))[2][1:].T    # V's range
     L, ok = _cholesky(Z.T @ V @ Z)
     if not np.all(ok):
         raise TauUnboundedError(
@@ -201,10 +235,6 @@ def nitsche_tau_std(cls: CellClassification, quad: QuadratureStore,
 
 # ---------------------------------------------------------------------------
 # constrained assembly
-
-# products expanded through C at once, n_ent * (n_ent + 1) per cell of
-# n_ent entries of C; a fully constrained 3D Q1 cell alone makes 8**4
-CHUNK_PRODUCTS = 2**16
 
 
 @dataclass
@@ -252,91 +282,78 @@ def _sum_runs(key, val):
     return key[starts], np.add.reduceat(val[order], starts)
 
 
-def _free_sums(rows, mats, vecs, n):
-    """Nonzero (key, value) entries of cells whose DOFs are all free, 0-based
-    global rows ``rows`` (nc, m), cell by cell, and their number per cell.
-
-    A key is row * (n + 1) + col + 1, col -1 standing for the right-hand
-    side.  The rows of C of these cells are unit rows, so each (row, col)
-    of a cell is one element entry times 1.0: its cell sum.
-    """
-    nc, m = rows.shape
-    key = np.empty((nc, m, m + 1), dtype=np.int64)
-    key[:, :, m] = rows * (n + 1)
-    key[:, :, :m] = key[:, :, m:] + rows[:, None, :] + 1
-    val = np.empty((nc, m, m + 1))
-    val[:, :, :m] = mats
-    val[:, :, m] = vecs
-    keep = val != 0.0
+def _keyed(rows, val, n, keep=True):
+    """Nonzero (key, value) entries, where ``keep`` holds, of cell sums
+    ``val`` (nc, k, k + 1), load first, at 0-based rows ``rows`` (nc, k),
+    and their count per cell; key row * (n + 1) + col + 1, col -1: load."""
+    key = np.empty(val.shape, dtype=np.int64)
+    key[:, :, 0] = rows * (n + 1)
+    key[:, :, 1:] = key[:, :, :1] + rows[:, None, :] + 1
+    keep = keep & (val != 0.0)
     return key[keep], val[keep], keep.sum(axis=(1, 2))
 
 
-def _cell_sums(C, dofs, mats, vecs, n):
-    """Element entries of a batch of cells (0-based DOFs ``dofs``, (nc, m))
-    expanded through C; returns the nonzero (key, value) sums of each cell,
-    keyed as in ``_free_sums``, cell by cell, and their number per cell.
+def _dense_sums(C, dofs, mats, vecs, n):
+    """``_keyed`` sums of cells with constrained DOFs (0-based DOFs
+    ``dofs``, (nc, m)), one part (cells, keys, values, counts) per batch.
 
-    A cell's products come in (a, p, b, q) order, node a times entry p of
-    its row of C.  A (row, col) gets at most one product per node pair
-    (a, b), so each cell sums in node-pair order whatever the numbering.
-    The sort runs on one key (cell, row, col); the caller keeps nc * n *
-    (n + 1) within int64.
-    """
+    A cell's rows of C over the ascending union of the k system rows they
+    touch form C_c (m, k); its sums are [C_c^T b_e, C_c^T T], T = A_e C_c,
+    each entry of T summed over the nodes b in order and each of the
+    product over the nodes a.  Cells go by ascending k in batches of about
+    8 * ``CHUNK_POINTS`` sums, each padded to its widest cell: padding
+    adds no term to any sum, and its entries are dropped."""
     nc, m = dofs.shape
-    span = n * (n + 1)    # keys of one cell
-    lens = np.diff(C.indptr)[dofs].ravel()
-    pos = _ranges(C.indptr[dofs.ravel()], lens)
-    ent_row, ent_w = C.indices[pos].astype(np.int64), C.data[pos]
-    ent_node = np.repeat(np.arange(nc * m), lens)    # flat (cell, a)
-    n_ent = lens.reshape(nc, m).sum(axis=1)
-    cell = np.repeat(np.arange(nc), n_ent * n_ent)
-    k = _ranges(np.zeros(nc, dtype=np.int64), n_ent * n_ent)
-    first = (np.cumsum(n_ent) - n_ent)[cell]
-    e1, e2 = np.divmod(k, n_ent[cell])
-    e1 += first
-    e2 += first
-    val = np.concatenate([
-        vecs.ravel()[ent_node] * ent_w,
-        mats.ravel()[ent_node[e1] * m + ent_node[e2] % m]
-        * (ent_w[e1] * ent_w[e2])])
-    key = np.concatenate([
-        ent_node // m * span + ent_row * (n + 1),
-        cell * span + ent_row[e1] * (n + 1) + ent_row[e2] + 1])
-    keep = val != 0.0
-    key, val = _sum_runs(key[keep], val[keep])
-    cell, key = np.divmod(key, span)
-    return key, val, np.bincount(cell, minlength=nc)
-
-
-def _constrained_sums(C, dofs, mats, vecs, n):
-    """``_cell_sums`` over batches of consecutive cells: a batch holds the
-    cells whose products start in one window of ``CHUNK_PRODUCTS``."""
-    n_ent = np.diff(C.indptr)[dofs].sum(axis=1)
-    products = n_ent * (n_ent + 1)
-    # every cell has at least two products, so a batch has at most
-    # `window` cells, and its keys stay within int64
-    window = min(CHUNK_PRODUCTS, np.iinfo(np.int64).max // (n * (n + 1)))
-    batch = (np.cumsum(products) - products) // window
-    bounds = np.flatnonzero(np.diff(batch, prepend=-1))
-    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0),
-              np.zeros(0, dtype=np.int64))]
-    for lo, hi in zip(bounds, np.append(bounds[1:], len(dofs))):
-        parts.append(_cell_sums(C, dofs[lo:hi], mats[lo:hi], vecs[lo:hi], n))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    if nc == 0:
+        return
+    lens = np.diff(C.indptr)[dofs]
+    pos = _ranges(C.indptr[dofs.ravel()], lens.ravel())
+    n_ent = lens.sum(axis=1)
+    ent_first = np.cumsum(n_ent) - n_ent
+    ent_node = np.repeat(np.tile(np.arange(m), nc), lens.ravel())
+    ent_cell = np.repeat(np.arange(nc), n_ent)
+    union, col = np.unique(ent_cell * n + C.indices[pos], return_inverse=True)
+    width = np.bincount(union // n, minlength=nc)
+    first = np.cumsum(width) - width
+    col = col - first[ent_cell]
+    order = np.argsort(width, kind="stable")
+    batch = np.cumsum(width[order] * (width[order] + 1)) // (8 * CHUNK_POINTS)
+    for cells in np.split(order, np.flatnonzero(np.diff(batch)) + 1):
+        nb, k = cells.size, int(width[cells[-1]])
+        at = _ranges(ent_first[cells], n_ent[cells])
+        Cc = np.zeros((nb, m, k))
+        Cc[np.repeat(np.arange(nb), n_ent[cells]), ent_node[at],
+           col[at]] = C.data[pos[at]]
+        A = mats[cells]
+        Tb = np.empty((nb, m, k + 1))
+        Tb[:, :, 0] = vecs[cells]
+        T = Tb[:, :, 1:]
+        np.multiply(A[:, :, :1], Cc[:, None, 0], out=T)
+        for b in range(1, m):
+            T += A[:, :, b, None] * Cc[:, None, b]
+        val = Cc[:, 0, :, None] * Tb[:, 0, None, :]
+        for a in range(1, m):
+            val += Cc[:, a, :, None] * Tb[:, a, None, :]
+        real = np.arange(-1, k) < width[cells, None]
+        rows = union[np.where(real[:, 1:], first[cells, None] + np.arange(k), 0)] % n
+        yield (cells, *_keyed(rows, val, n,
+                              real[:, 1:, None] & real[:, None, :]))
 
 
 def _cell_stream(C, cell_dofs, cell_ids, row_of, mats, vecs, n):
     """The cell sums of every cell as one stream of keys and values in
-    the order of ``cell_ids``: cells whose DOFs are all free straight
-    from their elements, the others expanded through C."""
+    the order of ``cell_ids``.  A cell whose DOFs are all free has unit
+    rows in C, so each of its (row, col) is one element entry times 1.0:
+    its entries are its sums.  The others are dense local products."""
     rows = row_of[cell_dofs - 1]
     free = np.all(rows > 0, axis=1)
     fc, cc = np.flatnonzero(free), np.flatnonzero(~free)
-    parts = [(fc, *_free_sums(rows[fc] - 1, mats[cell_ids[fc] - 1],
-                              vecs[cell_ids[fc] - 1], n)),
-             (cc, *_constrained_sums(C, cell_dofs[cc] - 1,
-                                     mats[cell_ids[cc] - 1],
-                                     vecs[cell_ids[cc] - 1], n))]
+    ids = cell_ids[fc] - 1
+    parts = [(fc, *_keyed(rows[fc] - 1, np.concatenate(
+        [vecs[ids, :, None], mats[ids]], axis=2), n))]
+    parts += [(cc[idx], *rest) for idx, *rest in _dense_sums(
+        C, cell_dofs[cc] - 1, mats[cell_ids[cc] - 1], vecs[cell_ids[cc] - 1],
+        n)]
     counts = np.zeros(len(cell_ids), dtype=np.int64)
     for idx, _, _, lens in parts:
         counts[idx] = lens

@@ -27,21 +27,37 @@ from .aggregation import RootMap
 from .geometry import CellClassification
 
 
-def _axis_factors(xi) -> np.ndarray:
+def axis_factors(xi) -> np.ndarray:
     """The factors (1 - xi, xi) of each axis at reference points xi (n, d),
     points last: (d, 2, n).  1 - xi is formed as -(xi - 1), so a value
     that vanishes at xi = 1 is -0.0, as the constraint dumps print it."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64)).T
+    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64)).T.copy()
     return np.stack([-(xi - 1.0), xi], axis=1)
 
 
-def _tensor_products(factors: np.ndarray) -> np.ndarray:
-    """Products (2**d, n) of per-axis factors (d, 2, n), one per cell
-    corner in corner order, multiplied in axis order."""
+def tensor_products(factors: np.ndarray) -> np.ndarray:
+    """Products (k**d, n) of per-axis factors (d, k, n) in axis order, the
+    first axis fastest: with k = 2, one per cell corner in corner order."""
     out = factors[0]
     for f in factors[1:]:
-        out = (f[:, None, :] * out[None, :, :]).reshape(2 * len(out), -1)
+        out = (f[:, None, :] * out[None, :, :]).reshape(
+            len(f) * len(out), out.shape[1])
     return out
+
+
+def q1_tables(factors: np.ndarray):
+    """Q1 shape values (2**d, n) and reference gradients (d, 2**d, n) from
+    the factors (d, 2, n) of ``axis_factors``: a corner's value is the
+    product of its factors in axis order, and gradient component c the
+    product over the other axes, negated where the corner's c-bit is 0."""
+    d, _, n = factors.shape
+    corners = np.arange(2 ** d)
+    grads = np.empty((d, 2 ** d, n))
+    for c in range(d):
+        rest = (corners >> (c + 1) << c) | (corners & ((1 << c) - 1))
+        np.multiply(tensor_products(np.delete(factors, c, axis=0))[rest],
+                    (2.0 * (corners >> c & 1) - 1.0)[:, None], out=grads[c])
+    return tensor_products(factors), grads
 
 
 def shape_values(xi: np.ndarray) -> np.ndarray:
@@ -51,20 +67,12 @@ def shape_values(xi: np.ndarray) -> np.ndarray:
     Reference coordinates may lie outside [0, 1]^d; the functions
     extrapolate, which is exactly what the aggregation constraints use.
     """
-    return np.ascontiguousarray(_tensor_products(_axis_factors(xi)).T)
+    return np.ascontiguousarray(tensor_products(axis_factors(xi)).T)
 
 
 def shape_gradients(xi: np.ndarray) -> np.ndarray:
-    """Reference-coordinate gradients (n, 2**d, d): component c takes the
-    factor (-1, 1) on axis c in place of (1 - xi, xi)."""
-    factors = _axis_factors(xi)
-    d, _, n = factors.shape
-    out = np.empty((n, 2 ** d, d))
-    for c in range(d):
-        comp = factors.copy()
-        comp[c] = [[-1.0], [1.0]]
-        out[:, :, c] = _tensor_products(comp).T
-    return out
+    """Reference-coordinate gradients (n, 2**d, d) at points xi (n, d)."""
+    return np.ascontiguousarray(q1_tables(axis_factors(xi))[1].T)
 
 
 def encode_node_keys(keys: np.ndarray, n_per_axis: int) -> np.ndarray:

@@ -14,9 +14,11 @@ cell (four fan triangles around the center in 2D, the six-tetrahedron
 Kuhn split in 3D) and places a reference rule on each inside sub-simplex:
 a collapsed Gauss-Legendre rule on triangles, and on tetrahedra the fully
 symmetric 14-point rule, exact to degree 5 with positive weights.
-Interface facets come from the linear zero crossing, their normals along
-the gradient of the simplex's linear interpolant; this is exact for
-half-plane geometries and first-order convergent for smooth ones.
+Interface facets come from the linear zero crossing (3D triangles take
+the symmetric 6-point rule, exact to degree 4 with positive weights),
+their normals along the gradient of the simplex's linear interpolant;
+this is exact for half-plane geometries and first-order convergent for
+smooth ones.
 Clipping is one array pass over all sub-simplices of a batch of cells,
 read off case tables by the number of inside vertices: classification
 clips every candidate cell for its cut volume, and quadrature clips the
@@ -30,6 +32,7 @@ chunk at a time where they are needed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -99,24 +102,34 @@ def _triangle_rule():
     return np.stack([x, y], axis=1), w
 
 
-# The fully symmetric 14-point rule on the unit tetrahedron, exact to total
-# degree 5 with positive weights (Jaśkowiec & Sukumar, IJNME 121, 2020):
-# barycentric orbit generators and the weight of each orbit point.
+# Fully symmetric rules with positive weights, as barycentric orbit
+# generators and the weight of each orbit point: the 14-point rule on the
+# unit tetrahedron, exact to degree 5 (Jaśkowiec & Sukumar, IJNME 121,
+# 2020), and for 3D interface facets the 6-point rule on the unit
+# triangle, exact to degree 4 (Dunavant, IJNME 21, 1985), solved to
+# double precision.  Their weights sum to 1/6 and 1/2.
 _TET_ORBITS = (((0.09273525031089122,) * 3 + (0.7217942490673264,),
                 0.012248840519393659),
                ((0.3108859192633006,) * 3 + (0.06734224221009817,),
                 0.018781320953002643),
                ((0.45449629587435036,) * 2 + (0.04550370412564965,) * 2,
                 0.007091003462846911))
+_FACET_ORBITS = (((0.4459484909159649,) * 2 + (0.10810301816807023,),
+                  0.11169079483900574),
+                 ((0.09157621350977074,) * 2 + (0.8168475729804585,),
+                  0.054975871827660935))
 
 
-def _tet_rule():
-    """The 14-point rule on the unit tetrahedron: two (a, a, a, 1-3a)
-    orbits and one (b, b, 1/2-b, 1/2-b) orbit of barycentric points, with
-    weights summing to 1/6."""
-    orbits = [(sorted(set(itertools.permutations(g))), w) for g, w in _TET_ORBITS]
+def _orbit_rule(orbits):
+    """Each orbit's distinct permutations, sorted, without their first
+    barycentric coordinate, and their weights."""
+    orbits = [(sorted(set(itertools.permutations(g))), w) for g, w in orbits]
     lam = np.array([p for orbit, _ in orbits for p in orbit])
     return lam[:, 1:], np.concatenate([np.full(len(o), w) for o, w in orbits])
+
+
+_tet_rule = functools.partial(_orbit_rule, _TET_ORBITS)
+_facet_rule = functools.partial(_orbit_rule, _FACET_ORBITS)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +284,7 @@ def _interface_rules(grid, n_active, facets, anchors, f_cell):
     Each normal points away from the inside vertex ``anchors`` of its
     simplex, along the gradient of the simplex's linear interpolant."""
     d = grid.d
-    f_pts, f_w = _box_rule(np.ones(1)) if d == 2 else _triangle_rule()
+    f_pts, f_w = _box_rule(np.ones(1)) if d == 2 else _facet_rule()
     edges = facets[:, 1:] - facets[:, :1]
     if d == 2:
         scale = np.hypot(edges[:, 0, 0], edges[:, 0, 1])

@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import (DistributedSystem, bulk_rows, interior_rows,
                        reference_tables)
+from .fespace import q1_tables
 from .runtime import VirtualRuntime
 
 
@@ -63,7 +63,7 @@ def _ritz_from_recurrence(alphas, betas):
     diag = 1.0 / alphas
     diag[1:] += betas / alphas[:-1]
     off = np.sqrt(betas) / alphas[:-1]
-    eig = diag if k == 1 else scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    eig = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return float(eig[-1] / eig[0]) if eig[0] > 0 else None
 
 
@@ -191,6 +191,7 @@ def condition_estimate(system) -> float:
     if n > DENSE_LIMIT:
         raise ValueError(f"dense estimate limited to n <= {DENSE_LIMIT}, "
                          f"got {n}")
+    import scipy.linalg    # here: no solve needs it
     eig = scipy.linalg.eigvalsh(sp.csr_matrix(A).toarray())
     if not eig[0] > 0.0:
         raise NotPositiveDefiniteError(
@@ -210,10 +211,11 @@ def _solution_chunks(cls, quad, nodal):
         yield (pts.reshape(-1, d), np.tile(quad.box_weights, cells.size),
                (values @ vals_ref.T).ravel(),
                np.einsum("ca,nad->cnd", values, grads_ref).reshape(-1, d))
-    for cells, pts, w, vals, grads in bulk_rows(cls, quad):
+    for cells, pts, w, factors in bulk_rows(cls, quad):
+        vals, grads = q1_tables(factors)
         values = nodal[cells - 1]
-        yield (pts, w, np.einsum("na,na->n", vals, values),
-               np.einsum("nad,na->nd", grads, values))
+        yield (pts, w, np.einsum("an,na->n", vals, values),
+               np.einsum("dan,na->nd", grads, values) / cls.grid.h)
 
 
 @dataclass

@@ -418,11 +418,6 @@ def all_points_norms(space, quad, full, u_exact, grad_exact):
     return np.sqrt(err2), np.sqrt(errg2)
 
 
-def _oracle_ranges(starts, lens):
-    offsets = np.cumsum(lens) - lens
-    return np.arange(int(np.sum(lens))) + np.repeat(starts - offsets, lens)
-
-
 def _oracle_sum_runs(keys, vals, n_group):
     """Stably lexsort by ``keys`` (most significant first) and sum ``vals``
     over runs equal in the first ``n_group`` keys."""
@@ -434,52 +429,55 @@ def _oracle_sum_runs(keys, vals, n_group):
     return [k[starts] for k in group], np.add.reduceat(vals[order], starts)
 
 
-def _oracle_cell_sums(C, dofs, mats, vecs):
-    """Every entry of a chunk of cells expanded through C, products in
-    (a, p, b, q) order, summed per (cell, row, col); col -1 is the
-    right-hand side."""
-    nc, m = dofs.shape
-    lens = np.diff(C.indptr)[dofs].ravel()
-    pos = _oracle_ranges(C.indptr[dofs.ravel()], lens)
-    ent_row, ent_w = C.indices[pos], C.data[pos]
-    ent_node = np.repeat(np.arange(nc * m), lens)
-    n_ent = lens.reshape(nc, m).sum(axis=1)
-    cell = np.repeat(np.arange(nc), n_ent * n_ent)
-    k = _oracle_ranges(np.zeros(nc, dtype=np.int64), n_ent * n_ent)
-    first = (np.cumsum(n_ent) - n_ent)[cell]
-    e1 = first + k // n_ent[cell]
-    e2 = first + k % n_ent[cell]
-    val = np.concatenate([
-        vecs.ravel()[ent_node] * ent_w,
-        mats[cell, ent_node[e1] % m, ent_node[e2] % m] * (ent_w[e1] * ent_w[e2])])
-    keep = val != 0.0
-    (cell, row, col), val = _oracle_sum_runs(
-        [np.concatenate([ent_node // m, cell])[keep],
-         np.concatenate([ent_row, ent_row[e1]])[keep],
-         np.concatenate([np.full(ent_row.size, -1), ent_row[e2]])[keep]],
-        val[keep], 3)
-    return row, col, cell, val
+def _oracle_cell_sums(C, dofs, mat, vec):
+    """The nonzero (row, col, value) sums of one cell, col -1 being the
+    right-hand side: C_c^T [b_e, A_e C_c] in plain floats, C_c the cell's
+    rows of C over the ascending union of the system rows they touch,
+    each entry of A_e C_c summed over the nodes b in order and each
+    entry of the product over the nodes a in order."""
+    rows = [dict(zip(C.indices[C.indptr[j]:C.indptr[j + 1]].tolist(),
+                     C.data[C.indptr[j]:C.indptr[j + 1]].tolist()))
+            for j in dofs]
+    union = sorted(set().union(*rows))
+    Cc = [[r.get(u, 0.0) for u in union] for r in rows]
+    m, mat = len(dofs), mat.tolist()
+    Tb = []
+    for a in range(m):
+        Tb.append([float(vec[a])])
+        for j in range(len(union)):
+            t = mat[a][0] * Cc[0][j]
+            for b in range(1, m):
+                t += mat[a][b] * Cc[b][j]
+            Tb[a].append(t)
+    out = []
+    for i, row in enumerate(union):
+        for c, col in enumerate([-1] + union):
+            s = Cc[0][i] * Tb[0][c]
+            for a in range(1, m):
+                s += Cc[a][i] * Tb[a][c]
+            if s != 0.0:
+                out.append((row, col, s))
+    return out
 
 
 def oracle_assembly(subdomains, constraints, elements, n):
-    """Global (A, b) over ``n`` rows, summed in the canonical order by
-    expanding every cell through C: each cell summed on its own, in
-    chunks of 64 cells, then every (row, col) over its cells in
+    """Global (A, b) over ``n`` rows, summed in the canonical order: every
+    cell, free or not, on its own as the dense local product of
+    ``_oracle_cell_sums``, then every (row, col) over its cells in
     global-cell order.  ``subdomains`` holds (cell_dofs, cell_ids,
     row_of) per subdomain, with one ``constraints`` entry each; this is
     the oracle for the assembly kernel at any process count."""
     mats, vecs = elements
-    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
+    trip = []
     for (cell_dofs, cell_ids, row_of), cons in zip(subdomains, constraints):
         C = extension_operator(row_of, cons, n)
-        for start in range(0, len(cell_ids), 64):
-            ids = cell_ids[start:start + 64]
-            row, col, cell, val = _oracle_cell_sums(
-                C, cell_dofs[start:start + 64] - 1, mats[ids - 1],
-                vecs[ids - 1])
-            parts.append((row, col, ids[cell], val))
-    trip = [np.concatenate(x) for x in zip(*parts)]
-    (row, col), val = _oracle_sum_runs(trip[:3], trip[3], 2)
+        for dofs, k in zip(cell_dofs, cell_ids):
+            trip += [(row, col, k, v) for row, col, v in _oracle_cell_sums(
+                C, dofs - 1, mats[k - 1], vecs[k - 1])]
+    row, col, cell = (np.array([t[i] for t in trip], dtype=np.int64)
+                      for i in range(3))
+    (row, col), val = _oracle_sum_runs(
+        [row, col, cell], np.array([t[3] for t in trip]), 2)
     b = np.zeros(n)
     b[row[col < 0]] = val[col < 0]
     nz = (col >= 0) & (val != 0.0)

@@ -376,8 +376,8 @@ def _assert_bitwise(A, b, A_ref, b_ref):
     (3, 3, Sphere((0.5, 0.5, 0.5), 0.35))],
     ids=["circle-2d-L5", "popcorn-3d-L3", "sphere-3d-L3"])
 def test_kernel_matches_per_cell_oracle(d, level, ls, n_parts):
-    # free cells skip C and constrained ones go in batches of products,
-    # yet every entry sums in the order of the per-cell expansion; with
+    # free cells skip C and constrained ones go in padded batches, yet
+    # every entry sums in the order of the per-cell dense product; with
     # f = None the interior load vectors are zeros that must be dropped
     grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(level, ls, g=lambda p: np.sum(p, axis=1), d=d)

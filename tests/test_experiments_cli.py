@@ -711,6 +711,22 @@ def test_solve_3d_leaves_scipy_special_unimported(tmp_path):
     assert res.stdout.splitlines()[-1] == "False"
 
 
+def test_import_and_solve_leave_scipy_linalg_unimported(tmp_path):
+    # a fresh interpreter: the test oracles import scipy.linalg here; the
+    # Ritz values and the std penalty come from numpy, and only the dense
+    # condition estimate imports it, when it runs
+    run = ("import sys; import agfem.experiments as ex; "
+           "print('scipy.linalg' in sys.modules); "
+           "cfg = ex.ExperimentConfig(geometry='popcorn', dimension=3, "
+           f"level=3, space='agg', out={str(tmp_path)!r}).validate(); "
+           "record = ex.cmd_solve(cfg); "
+           "print(record['converged'], 'scipy.linalg' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", run], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True", "False"]
+
+
 def test_cli_exit_codes(tmp_path):
     ok = _cli("solve", "--level", "3", "--out", str(tmp_path / "ok"))
     assert ok.returncode == 0, ok.stderr

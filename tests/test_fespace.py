@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agfem.aggregation import RootMap, aggregate_serial
-from agfem.fespace import (build_constraints_serial, build_std_space,
-                           classify_dofs, shape_gradients, shape_values)
+from agfem.fespace import (axis_factors, build_constraints_serial,
+                           build_std_space, classify_dofs, q1_tables,
+                           shape_gradients, shape_values)
 from agfem.distspace import nodal_values
 from agfem.experiments import ExperimentConfig, run_solve_pipeline
 from agfem.grid import corner_offsets
@@ -66,6 +68,56 @@ def test_partition_of_unity_and_gradient_consistency(rng):
     assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-13)
     grads = shape_gradients(pts)
     assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-12)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def reference_points(draw):
+    """Points in 2D or 3D with coordinates inside and outside [0, 1],
+    exact 0.0 and 1.0 among them."""
+    d = draw(st.sampled_from([2, 3]))
+    coord = st.one_of(st.floats(-3.0, 4.0, allow_nan=False),
+                      st.sampled_from([0.0, 1.0, -0.0]))
+    n = draw(st.integers(1, 8))
+    return np.array(draw(st.lists(coord, min_size=n * d,
+                                  max_size=n * d))).reshape(n, d)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(reference_points())
+def test_factor_tables_are_per_corner_products(xi):
+    # each entry against a product over the corner's own factors, taken
+    # in axis order from 1.0: bit for bit, signed zeros included
+    vals, grads = q1_tables(axis_factors(xi))
+    n, d = xi.shape
+    for p in range(n):
+        for a in range(2 ** d):
+            bits = [a >> e & 1 for e in range(d)]
+            factor = [xi[p, e] if bits[e] else -(xi[p, e] - 1.0)
+                      for e in range(d)]
+            v = 1.0
+            for e in range(d):
+                v *= factor[e]
+            assert _bits(vals[a, p]) == _bits(v)
+            for c in range(d):
+                g = 1.0
+                for e in range(d):
+                    g *= (1.0 if bits[e] else -1.0) if e == c else factor[e]
+                assert _bits(grads[c, a, p]) == _bits(g)
+    assert np.array_equal(_bits(shape_values(xi)), _bits(vals.T))
+    assert np.array_equal(_bits(shape_gradients(xi)), _bits(grads.T))
+
+
+def test_factor_tables_keep_negative_zeros_at_one():
+    # 1 - xi is formed as -(xi - 1), -0.0 at xi = 1: a corner's value is
+    # -0.0 where an odd number of its factors are 1 - xi
+    vals, _ = q1_tables(axis_factors(np.ones((1, 3))))
+    zeros = np.array([3 - bin(a).count("1") for a in range(8)])
+    assert np.array_equal(vals[:, 0], zeros == 0)
+    assert np.array_equal(np.signbit(vals[:, 0]), zeros % 2 == 1)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -10,8 +10,8 @@ from agfem.assembly import interior_rows, poisson_elements
 from agfem.geometry import (CHUNK_POINTS, CUT, EXTERIOR, INTERIOR,
                             MIN_VOLUME_FRACTION, QUAD_DEGREE,
                             ClassificationError,
-                            _box_rule, _clip, _corner_values, _sub_simplices,
-                            _tet_rule, _triangle_rule,
+                            _box_rule, _clip, _corner_values, _facet_rule,
+                            _sub_simplices, _tet_rule, _triangle_rule,
                             classify_cells, cut_quadrature, face_is_active)
 from agfem.grid import unit_box_grid
 from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
@@ -113,6 +113,7 @@ def _box_moment(powers):
 RULES = {
     "segment": (lambda: _box_rule(np.ones(1)), 1, _simplex_moment, 5),
     "triangle": (_triangle_rule, 2, _simplex_moment, QUAD_DEGREE),
+    "facet": (_facet_rule, 2, _simplex_moment, 4),
     "tet": (_tet_rule, 3, _simplex_moment, 5),
     "tet-conical": (conical_tet_rule, 3, _simplex_moment, None),
     "box-2d": (lambda: _box_rule(np.ones(2)), 2, _box_moment, 5),
@@ -154,6 +155,40 @@ def test_tet_rule_is_one_14_point_rule():
     rows = {tuple(np.round(r, 15)) for r in lam.tolist()}
     for perm in itertools.permutations(range(4)):
         assert {tuple(np.round(r, 15)) for r in lam[:, perm].tolist()} == rows
+
+
+def test_facet_rule_is_one_6_point_rule():
+    # two orbits of barycentric points, closed under every permutation of
+    # the three coordinates
+    points, weights = _facet_rule()
+    assert weights.size == 6 and np.all(weights > 0)
+    assert weights.sum() == pytest.approx(1 / 2, rel=1e-15)
+    lam = np.column_stack([1 - points.sum(axis=1), points])
+    rows = {tuple(np.round(r, 15)) for r in lam.tolist()}
+    for perm in itertools.permutations(range(3)):
+        assert {tuple(np.round(r, 15)) for r in lam[:, perm].tolist()} == rows
+
+
+def _rule_runs(weights, rule_weights):
+    """``weights`` cut into runs of one mapped rule each: (runs, n_rule),
+    after checking that each run is the rule's weights times a measure."""
+    runs = weights.reshape(-1, rule_weights.size)
+    assert np.allclose(runs / runs.sum(axis=1, keepdims=True),
+                       rule_weights / rule_weights.sum(), rtol=1e-13, atol=0)
+    return runs
+
+
+def test_3d_facets_take_the_facet_rule_and_2d_triangles_theirs():
+    # a 3D store maps the 6-point rule onto every interface triangle; a
+    # 2D store keeps the collapsed rule on every bulk triangle
+    grid, cls, quad = _store(3, Sphere((0.5, 0.5, 0.5), 0.3), d=3)
+    runs = _rule_runs(quad.boundary_weights, _facet_rule()[1])
+    assert np.all(np.diff(quad.boundary_offsets) % 6 == 0)
+    assert runs.sum() == pytest.approx(4 * np.pi * 0.3 ** 2, rel=0.05)
+    grid, cls, quad = _store(4, Sphere((0.5, 0.5), 0.3))
+    n_tri = len(_triangle_rule()[1])
+    assert np.all(np.diff(quad.offsets) % n_tri == 0)
+    _rule_runs(quad.weights, _triangle_rule()[1])
 
 
 @pytest.mark.parametrize("level, ls", [
