@@ -6,37 +6,52 @@ gradient term plus the weak-Dirichlet boundary terms; the penalty is
 either beta/h (aggregated spaces, robust for any cut) or beta times the
 largest generalized eigenvalue of the boundary/volume pencil per cut
 cell (standard spaces, which blows up as the kept volume shrinks).
-Elements come as two arrays, matrices (n_active, m, m) and vectors
-(n_active, m), m = 2**d.  Interior cells share one reference element:
-their common box rule gives one stiffness matrix and one table of shape
-values for the load vectors, whose points ``interior_rows`` rebuilds a
-batch of cells at a time.  The cut-cell and interface rules, the only
-rows of the flat quadrature store, are read point by point in chunks
-through ``bulk_rows`` and ``interface_rows``, which also feed the error
-norms; each cell sums its points in store order, and the penalty reads
-the bulk stiffness this pass sums.  A Q1 function is a product of one
-factor (1 - x, x) per axis, so a cut cell's stiffness takes d * 3**(d-1)
+Element matrices come as ``CellMatrices``: interior cells share one
+reference matrix, the one their common box rule gives, and only cut
+cells, and any cell with interface points, store their own.  Vectors
+(n_active, m), m = 2**d, are per cell; interior ones are f at the
+points ``interior_rows`` rebuilds a batch of cells at a time times one
+table of shape values.  The cut-cell and interface rules, the only rows
+of the flat quadrature store, are read point by point in chunks through
+``bulk_rows`` and ``interface_rows``, which also feed the error norms;
+each cell sums its points in store order, and the penalty reads the bulk
+stiffness this pass sums.  A Q1 function is a product of one factor
+(1 - x, x) per axis, so a cut cell's stiffness takes d * 3**(d-1)
 weighted sums of factor pairs, not m * m gradient products, and its
-interface matrix is one sum S of w v c^T, added as S + S^T.  Assembly is
-one kernel run per subdomain on the virtual runtime, serial being the
-one-process case.  It forms A = C^T A_e C, C the extension operator, as
-per-cell sums: a cell whose DOFs are all free has unit rows in C, so its
-element entries are its sums as they stand; any other cell sums the
-dense local product C_c^T [b_e, A_e C_c], C_c its rows of C over the
-ascending union of the system rows they touch, each sum over the nodes
-in order.  The sums form one stream in global-cell order; off-owner sums
-leave as (key, value) pairs in one routed exchange, and each row owner
-joins the streams in rank order, its own at its rank.
+interface matrix is one sum S of w v c^T, added as S + S^T and summed
+one row of S at a time.
+
+Assembly is one kernel run per subdomain on the virtual runtime, serial
+being the one-process case.  It forms A = C^T A_e C, C the extension
+operator, as per-cell sums keyed row * (n + 1) + col + 1, col -1 being
+the load.  A cell whose rows are all free and owned has unit rows in C,
+so its element entries are its sums as they stand: its load at a and
+its entry (a, b) go to fixed slots of the row of corner a, the load's
+and that of the lattice offset of corner b from corner a, one of 3**d.
+Any other cell gives its sums as (key, value) pairs: a cell with a
+constrained DOF sums the dense local product C_c^T [b_e, A_e C_c], C_c
+its rows of C over the ascending union of the system rows they touch,
+each sum over the nodes in order.  Off-owner pairs leave in global-cell
+order in one routed exchange.  Each owner then builds the sorted keys of
+its rows once, from its rows' slots joined with the keys of its own and
+the received pairs, a block of rows at a time, with no sort over the
+stream of sums; pairs find their positions by binary search.  Values go
+straight into one array over those keys by ``np.add.at``, which adds in
+index order: the pairs of lower ranks, this subdomain's cells a window
+at a time, each window in cell order, then the pairs of higher ranks.
 ``partition_weighted_sfc`` gives ranks ascending ranges of cell ids, so
 rank order is global-cell order, the invariant the numbering's
-independence of P rests on too.  One stable sort on the key row * (n +
-1) + col + 1 then sums every (row, col) over its cells in global-cell
-order, the same for every P, so serial and distributed systems are
-bitwise equal; entries summing to zero are not stored.
+independence of P rests on too.  So every (row, col) is a left-to-right
+sum of its cells' sums in global-cell order, the same for every P, and
+serial and distributed systems are bitwise equal.  The loads and the CSR
+matrix are then cut out of that array in place; entries summing to zero
+are not stored.  Beyond the keys and the pairs, scratch is bounded by
+the window.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +117,13 @@ def bulk_rows(cls: CellClassification, quad: QuadratureStore):
 
 
 def interface_rows(cls: CellClassification, quad: QuadratureStore):
-    """The interface points of the store in chunks of ``CHUNK_POINTS``:
-    (cell of each point, points, weights, and, points last, the shape
-    values (m, n) and normal derivatives (m, n) of the shape functions)."""
-    for sl in point_chunks(quad.boundary_weights.size):
+    """The interface points of the store in chunks of 4 * ``CHUNK_POINTS``
+    / m points, m = 2**d, so that each (m, n) table holds 4 *
+    ``CHUNK_POINTS`` values: (cell of each point, points, weights, and,
+    points last, the shape values (m, n) and normal derivatives (m, n)
+    of the shape functions)."""
+    for sl in point_chunks(quad.boundary_weights.size,
+                           4 * CHUNK_POINTS >> cls.grid.d):
         cells, pts = quad.boundary_cells(sl), quad.boundary_points[sl]
         vals, grads = q1_tables(axis_factors(cls.reference_coords(cells, pts)))
         yield (cells, pts, quad.boundary_weights[sl], vals,
@@ -139,10 +157,41 @@ def _factor_stiffness(sums, h):
     return sum(terms[1:], terms[0])
 
 
+@dataclass
+class CellMatrices:
+    """The element matrices (n, m, m) of the active cells, stored where
+    they differ: every cell but ``ids`` has the ``reference`` matrix.
+    Indexed by 0-based cell positions, as the full array would be, it
+    returns the matrices as an array."""
+
+    reference: np.ndarray     # (m, m)
+    ids: np.ndarray           # ascending 1-based cells with their own matrix
+    own: np.ndarray           # (ids.size, m, m)
+    n: int                    # active cells
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n, *self.reference.shape)
+
+    def __getitem__(self, key):
+        return self.take(np.arange(1, self.n + 1)[key])
+
+    def take(self, cells):
+        """The matrices of the 1-based cells ``cells``, shape cells.shape +
+        (m, m)."""
+        cells = np.asarray(cells)
+        out = np.empty(cells.shape + self.reference.shape)
+        out[...] = self.reference
+        at = np.searchsorted(self.ids, cells)
+        hit = np.append(self.ids, 0)[at] == cells
+        out[hit] = self.own[at[hit]]
+        return out
+
+
 def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
                      f=None, g=None):
-    """Element matrices (n_active, m, m) and vectors (n_active, m) of the
-    weak-Dirichlet Poisson form, for every active cell in id order:
+    """Element matrices, as ``CellMatrices``, and vectors (n_active, m) of
+    the weak-Dirichlet Poisson form, for every active cell in id order:
 
     A_ab = int grad(phi_a).grad(phi_b) dOmega
          + int (tau phi_a phi_b - phi_a n.grad(phi_b) - phi_b n.grad(phi_a)) dGamma
@@ -150,44 +199,49 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
 
     over each cut cell's run of the store and each interior cell's box
     rule, tau being ``penalty(V)`` of the bulk stiffness V, the first
-    term of A: one value or one per cell.  Interior cells share one
-    reference element: one stiffness matrix, and load vectors from f at
-    their points times the fixed table of shape values.  Cut cells and
-    interface points are integrated point by point, in chunks: the bulk
-    stiffness in factor form, the interface matrix as S + S^T.
+    term of A, as ``CellMatrices``: one value or one per cell.  Interior
+    cells share one reference element: they store no matrix, and their
+    load vectors are f at their points times the fixed table of shape
+    values.  Only cut cells, and any cell with interface points, store a
+    matrix.  Their points are integrated in chunks: the bulk stiffness
+    in factor form, the interface matrix as S + S^T, S summed one row at
+    a time, so that no chunk holds an (m, m, n) product.
     """
     m = 2 ** cls.grid.d
-    mats = np.zeros((cls.n_active, m, m))
+    cut = cls.cut_ids
+    held = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
+    ids = np.union1d(cut, held)      # the cells with a matrix of their own
     vecs = np.zeros((cls.n_active, m))
     vals_ref, grads_ref = reference_tables(cls, quad)
-    mats[cls.interior_ids - 1] = np.einsum("nad,nbd,n->ab", grads_ref,
-                                           grads_ref, quad.box_weights)
+    ref = np.einsum("nad,nbd,n->ab", grads_ref, grads_ref, quad.box_weights)
+    mats = CellMatrices(ref, ids, np.tile(ref, (ids.size, 1, 1)),
+                        cls.n_active)
     if f is not None:
         for cells, pts in interior_rows(cls, quad):
             fw = np.asarray(f(pts.reshape(-1, pts.shape[2]))).reshape(
                 pts.shape[:2])
             vecs[cells - 1] = (fw * quad.box_weights) @ vals_ref
-    held = np.flatnonzero(np.diff(quad.offsets)) + 1    # 1-based in sums
-    sums = np.zeros((held.size, cls.grid.d * 3 ** (cls.grid.d - 1)))
+    sums = np.zeros((cut.size, cls.grid.d * 3 ** (cls.grid.d - 1)))
     for cells, pts, w, factors in bulk_rows(cls, quad):
-        _add_weighted_runs(sums, np.searchsorted(held, cells) + 1, w,
+        _add_weighted_runs(sums, np.searchsorted(cut, cells) + 1, w,
                            _stiffness_integrands(factors))
         if f is not None:
             _add_weighted_runs(vecs, cells, w * np.asarray(f(pts)),
                                tensor_products(factors))
-    mats[held - 1] = _factor_stiffness(sums, cls.grid.h)
+    mats.own[np.searchsorted(ids, cut)] = _factor_stiffness(sums, cls.grid.h)
     taus = np.broadcast_to(penalty(mats), cls.n_active)
-    held = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
     S = np.zeros((held.size, m, m))
     for cells, pts, w, vals, gn in interface_rows(cls, quad):
         tau = taus[cells - 1]
+        at = np.searchsorted(held, cells) + 1
         # tau v v^T - v gn^T - gn v^T = v c^T + c v^T, c = tau v / 2 - gn
-        _add_weighted_runs(S, np.searchsorted(held, cells) + 1, w,
-                           vals[:, None] * (0.5 * tau * vals - gn)[None])
+        c = 0.5 * tau * vals - gn
+        for a in range(m):
+            _add_weighted_runs(S[:, a], at, w, vals[a] * c)
         if g is not None:
             _add_weighted_runs(vecs, cells, w * np.asarray(g(pts)),
                                tau * vals - gn)
-    mats[held - 1] += S + S.transpose(0, 2, 1)
+    mats.own[np.searchsorted(ids, held)] += S + S.transpose(0, 2, 1)
     return mats, vecs
 
 
@@ -203,18 +257,18 @@ def _cholesky(A):
 
 
 def nitsche_tau_std(cls: CellClassification, quad: QuadratureStore,
-                    beta: float, V: np.ndarray) -> np.ndarray:
+                    beta: float, V: CellMatrices) -> np.ndarray:
     """Penalties (n_active,) of the standard space from the local
-    eigenproblems: for each cell with interface points, its row of the
-    bulk stiffness V (n_active, m, m), as ``poisson_elements`` passes
-    it, and its boundary form B (normal-derivative products over its
+    eigenproblems: for each cell with interface points, its matrix of the
+    bulk stiffness V, the ``CellMatrices`` ``poisson_elements`` passes,
+    and its boundary form B (normal-derivative products over its
     interface points) are deflated by the constant kernel of V, and beta
     times the largest eigenvalue of B x = lambda V x, floored at beta/h,
     is its penalty; other cells get 0, which no term reads.  Raises
     ``TauUnboundedError`` naming the first cell whose deflated V is not
     positive definite."""
     cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
-    V = V[cells - 1]
+    V = V.take(cells)
     B = np.zeros_like(V)
     for c, _, w, _, gn in interface_rows(cls, quad):
         _add_weighted_runs(B, np.searchsorted(cells, c) + 1, w,
@@ -271,17 +325,6 @@ def _ranges(starts, lens):
     return np.arange(int(np.sum(lens))) + np.repeat(starts - offsets, lens)
 
 
-def _sum_runs(key, val):
-    """Stably sort by ``key`` and sum ``val`` over runs of equal keys, each
-    in input order.  Returns the keys, ascending, and the sums."""
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.ones(key.size, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    return key[starts], np.add.reduceat(val[order], starts)
-
-
 def _keyed(rows, val, n, keep=True):
     """Nonzero (key, value) entries, where ``keep`` holds, of cell sums
     ``val`` (nc, k, k + 1), load first, at 0-based rows ``rows`` (nc, k),
@@ -301,7 +344,7 @@ def _dense_sums(C, dofs, mats, vecs, n):
     touch form C_c (m, k); its sums are [C_c^T b_e, C_c^T T], T = A_e C_c,
     each entry of T summed over the nodes b in order and each of the
     product over the nodes a.  Cells go by ascending k in batches of about
-    8 * ``CHUNK_POINTS`` sums, each padded to its widest cell: padding
+    2 * ``CHUNK_POINTS`` sums, each padded to its widest cell: padding
     adds no term to any sum, and its entries are dropped."""
     nc, m = dofs.shape
     if nc == 0:
@@ -317,7 +360,7 @@ def _dense_sums(C, dofs, mats, vecs, n):
     first = np.cumsum(width) - width
     col = col - first[ent_cell]
     order = np.argsort(width, kind="stable")
-    batch = np.cumsum(width[order] * (width[order] + 1)) // (8 * CHUNK_POINTS)
+    batch = np.cumsum(width[order] * (width[order] + 1)) // (2 * CHUNK_POINTS)
     for cells in np.split(order, np.flatnonzero(np.diff(batch)) + 1):
         nb, k = cells.size, int(width[cells[-1]])
         at = _ranges(ent_first[cells], n_ent[cells])
@@ -340,30 +383,98 @@ def _dense_sums(C, dofs, mats, vecs, n):
                               real[:, 1:, None] & real[:, None, :]))
 
 
-def _cell_stream(C, cell_dofs, cell_ids, row_of, mats, vecs, n):
-    """The cell sums of every cell as one stream of keys and values in
-    the order of ``cell_ids``.  A cell whose DOFs are all free has unit
-    rows in C, so each of its (row, col) is one element entry times 1.0:
-    its entries are its sums.  The others are dense local products."""
-    rows = row_of[cell_dofs - 1]
-    free = np.all(rows > 0, axis=1)
-    fc, cc = np.flatnonzero(free), np.flatnonzero(~free)
-    ids = cell_ids[fc] - 1
-    parts = [(fc, *_keyed(rows[fc] - 1, np.concatenate(
-        [vecs[ids, :, None], mats[ids]], axis=2), n))]
-    parts += [(cc[idx], *rest) for idx, *rest in _dense_sums(
-        C, cell_dofs[cc] - 1, mats[cell_ids[cc] - 1], vecs[cell_ids[cc] - 1],
-        n)]
-    counts = np.zeros(len(cell_ids), dtype=np.int64)
-    for idx, _, _, lens in parts:
-        counts[idx] = lens
+def _in_cell_order(parts, n_cells):
+    """One stream of the entries of ``parts``, (cells, *arrays, counts)
+    with ``counts`` entries per listed cell, each cell's entries after
+    those of the cells before it: (count per cell, *arrays)."""
+    counts = np.zeros(n_cells, dtype=np.int64)
+    for cells, *_, lens in parts:
+        counts[cells] = lens
     offsets = np.cumsum(counts) - counts
-    key = np.empty(int(counts.sum()), dtype=np.int64)
-    val = np.empty(key.size)
-    for idx, k, v, lens in parts:
-        dest = _ranges(offsets[idx], lens)
-        key[dest], val[dest] = k, v
-    return key, val
+    out = [np.empty(int(counts.sum()), dtype=a.dtype)
+           for a in parts[0][1:-1]]
+    for cells, *arrays, lens in parts:
+        dest = _ranges(offsets[cells], lens)
+        for o, a in zip(out, arrays):
+            o[dest] = a
+    return counts, *out
+
+
+@functools.cache
+def _slot_table(d):
+    """(m, m + 1) slots of a cell's sums in the rows of its corners, in
+    the layout of ``_keyed``: slot 3**d of row a holds the load, and
+    column b the base-3 code of the lattice offset of corner b from
+    corner a, one digit 0, 1 or 2 per axis.  Read-only, as every caller
+    shares it."""
+    bits = np.arange(2 ** d)[:, None] >> np.arange(d) & 1
+    code = (bits[None, :, :] - bits[:, None, :] + 1) @ 3 ** np.arange(d)
+    table = np.concatenate([np.full((2 ** d, 1), 3 ** d), code], axis=1)
+    table.setflags(write=False)
+    return table
+
+
+def _sorted_distinct(keys):
+    """The distinct ``keys``, ascending."""
+    keys = np.sort(keys)
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
+def _distinct(parts):
+    """The distinct keys of the arrays ``parts``, ascending.  Each part
+    goes in chunks, each deduplicated on its own first, so that no whole
+    part is copied."""
+    return _sorted_distinct(np.concatenate([parts[0][:0]] + [
+        _sorted_distinct(part[sl]) for part in parts
+        for sl in point_chunks(part.size, 8 * CHUNK_POINTS)]))
+
+
+def _compact(keep, *arrays):
+    """Move the entries of ``arrays`` where ``keep`` holds to their fronts,
+    in order and in place, a chunk at a time; returns their number."""
+    n = 0
+    for sl in point_chunks(keep.size, 8 * CHUNK_POINTS):
+        at = np.flatnonzero(keep[sl]) + sl.start
+        for a in arrays:
+            a[n:n + at.size] = a[at]
+        n += at.size
+    return n
+
+
+def _pattern(rows, table, extra, first, n_owned, stride):
+    """Sorted keys (row - first) * stride + col + 1 of the owned rows,
+    col -1 for the load, and the position in them of each slot of
+    ``table`` in each row (n_owned * (3**d + 1), flat; -1 where a row
+    has no such key).  The slots are those of the 1-based rows ``rows``
+    (n_cells, m) of cells whose rows are all free and owned, joined with
+    the ascending keys ``extra``, a block of about ``CHUNK_POINTS`` slots
+    at a time, each block sorting its own keys."""
+    k = table.max() + 1
+    cols = np.full(n_owned * k, stride, dtype=np.int64)
+    per = max(1, CHUNK_POINTS // table.size)
+    for c0 in range(0, len(rows), per):
+        r = rows[c0:c0 + per]
+        cols[((r - 1 - first) * k)[:, :, None] + table] = np.concatenate(
+            [np.zeros((len(r), 1), dtype=np.int64), r], axis=1)[:, None, :]
+    cols = cols.reshape(n_owned, k)      # each block becomes its slots
+    keys = np.empty(np.count_nonzero(cols < stride) + extra.size,
+                    dtype=np.int64)
+    per, nnz = max(1, CHUNK_POINTS // k), 0
+    for r0 in range(0, n_owned, per):
+        block = cols[r0:r0 + per]
+        r1 = r0 + len(block)
+        held = block < stride
+        stencil = (block + np.arange(r0, r1)[:, None] * stride)[held]
+        uniq = _sorted_distinct(np.concatenate([stencil, extra[
+            np.searchsorted(extra, r0 * stride):
+            np.searchsorted(extra, r1 * stride)]]))
+        keys[nnz:nnz + uniq.size] = uniq
+        block[held] = nnz + np.searchsorted(uniq, stencil)
+        block[~held] = -1
+        nnz += uniq.size
+    return keys[:nnz], cols.ravel()
 
 
 def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
@@ -379,39 +490,83 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
         raise AssemblyError(
             f"subdomain {s}: DOF {int(cell_dofs[empty][0])} has neither a "
             f"system row nor a constraint")
-    key, val = _cell_stream(C, cell_dofs, cell_ids, row_of, mats, vecs,
-                            n_global)
-
-    # off-owner sums leave in stream order; joined in rank order, the
-    # streams stay in global-cell order
+    n_cells, m = cell_dofs.shape
     stride = n_global + 1
     first = int(row_starts[s - 1]) - 1
     n_owned = int(row_starts[s]) - 1 - first
-    payloads = {}
-    if proc.size > 1:
-        off = (key < first * stride) | (key >= (first + n_owned) * stride)
-        if np.any(off):
-            at = np.flatnonzero(off)
-            owner = np.searchsorted(row_starts, key[at] // stride + 1,
-                                    side="right")
-            for dst in np.unique(owner):
-                sel = at[owner == dst]
-                payloads[int(dst)] = (key[sel], val[sel])
-            key, val = key[~off], val[~off]
-    received = yield proc.routed_exchange(payloads)
-    if received:
-        streams = {**received, s: (key, val)}
-        key, val = (np.concatenate([streams[r][i] for r in sorted(streams)])
-                    for i in (0, 1))
-    key, val = _sum_runs(key, val)
-    row, col = np.divmod(key, stride)
-    col -= 1
+    rows = row_of[cell_dofs - 1]
+    free = np.all(rows > 0, axis=1)
+    # a cell whose rows are all free and owned adds its element entries at
+    # the slots of its rows; any other cell gives its sums as pairs
+    keyed = ~free | np.any((rows <= first) | (rows > first + n_owned), axis=1)
+    kc = np.flatnonzero(keyed)
+    fk, ck = np.flatnonzero(free[kc]), np.flatnonzero(~free[kc])
+    ids = cell_ids[kc[fk]]
+    parts = [(fk, *_keyed(rows[kc[fk]] - 1, np.concatenate(
+        [vecs[ids - 1, :, None], mats.take(ids)], axis=2), n_global))]
+    ids = cell_ids[kc[ck]]
+    parts += [(ck[idx], *rest) for idx, *rest in _dense_sums(
+        C, cell_dofs[kc[ck]] - 1, mats.take(ids), vecs[ids - 1], n_global)]
+    kcount, kkey, kval = _in_cell_order(parts, kc.size)
+
+    # off-owner sums leave in cell order; joined in rank order, every
+    # owner adds them in global-cell order
+    base = first * stride      # owned keys less base: the pattern's keys
+    mine = (kkey >= base) & (kkey < base + n_owned * stride)
+    key, val = kkey[~mine], kval[~mine]
+    owner = np.searchsorted(row_starts, key // stride + 1, side="right")
+    received = yield proc.routed_exchange(
+        {int(dst): (key[owner == dst], val[owner == dst])
+         for dst in np.unique(owner)})
+    received = {r: (pk - base, pv) for r, (pk, pv) in received.items()}
+    kcount = np.bincount(np.repeat(np.arange(kc.size), kcount)[mine],
+                         minlength=kc.size)
+    kkey, kval = kkey[mine] - base, kval[mine]
+
+    table = _slot_table(m.bit_length() - 1)
+    k = table.max() + 1
+    keys, slots = _pattern(rows[~keyed], table, _distinct(
+        [kkey, *(pk for pk, _ in received.values())]), first, n_owned, stride)
+
+    # every key adds its sums in global-cell order: the lower ranks'
+    # sums, this rank's cells a window at a time, the higher ranks'
+    buf = np.zeros(keys.size)
+    for r in sorted(received):
+        if r < s:
+            np.add.at(buf, np.searchsorted(keys, received[r][0]),
+                      received[r][1])
+    kstart = np.cumsum(kcount) - kcount
+    per = max(1, 4 * CHUNK_POINTS // table.size)
+    for w0 in range(0, n_cells, per):
+        fc = np.flatnonzero(~keyed[w0:w0 + per]) + w0
+        pos = np.take(slots, ((rows[fc] - 1 - first) * k)[:, :, None] + table)
+        val = np.concatenate([vecs[cell_ids[fc] - 1, :, None],
+                              mats.take(cell_ids[fc])], axis=2)
+        i0, i1 = np.searchsorted(kc, [w0, w0 + per])
+        if i1 > i0:
+            e = slice(kstart[i0], kstart[i1 - 1] + kcount[i1 - 1])
+            _, pos, val = _in_cell_order(
+                [(fc - w0, pos.ravel(), val.ravel(),
+                  np.full(fc.size, table.size)),
+                 (kc[i0:i1] - w0, np.searchsorted(keys, kkey[e]), kval[e],
+                  kcount[i0:i1])],
+                min(per, n_cells - w0))
+        np.add.at(buf, pos.ravel(), val.ravel())
+    for r in sorted(received):
+        if r > s:
+            np.add.at(buf, np.searchsorted(keys, received[r][0]),
+                      received[r][1])
+
+    del slots, kkey, kval    # freed before the CSR is cut out of buf
+    load = keys % stride == 0
     b = np.zeros(n_owned)
-    b[row[col < 0] - first] = val[col < 0]
-    nz = (col >= 0) & (val != 0.0)
-    A = sp.csr_matrix((val[nz], (row[nz] - first, col[nz])),
-                      shape=(n_owned, n_global))
-    return A, b
+    b[keys[load] // stride] = buf[load]
+    nnz = _compact(~load & (buf != 0.0), keys, buf)
+    keys, data = keys[:nnz], buf[:nnz]
+    indptr = np.searchsorted(keys, np.arange(n_owned + 1) * stride)
+    keys %= stride
+    keys -= 1
+    return sp.csr_matrix((data, keys, indptr), shape=(n_owned, n_global)), b
 
 
 def assemble_serial(space, dofs, constraints, elements):

@@ -15,6 +15,7 @@ import contextlib
 import csv
 import functools
 import os
+import resource
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
 
@@ -233,7 +234,10 @@ def manufactured_solution(cfg: ExperimentConfig):
 
 @dataclass
 class PhaseTimer:
+    """Wall time per phase, and the process's peak RSS (MB) after it."""
+
     timings: dict = field(default_factory=dict)
+    maxrss_mb: dict = field(default_factory=dict)
 
     @contextlib.contextmanager
     def time(self, name):
@@ -243,6 +247,8 @@ class PhaseTimer:
         finally:
             self.timings[name] = self.timings.get(name, 0.0) + \
                 time.perf_counter() - t0
+            self.maxrss_mb[name] = resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 @dataclass
@@ -263,6 +269,7 @@ class SolveOutputs:
     report: object
     norms: object
     timings: dict
+    maxrss_mb: dict                   # peak RSS after each phase
     runtime: VirtualRuntime
     meshes: list
     numbering: object
@@ -345,6 +352,7 @@ def run_solve_pipeline(cfg: ExperimentConfig, runtime=None) -> SolveOutputs:
     return SolveOutputs(cfg=cfg, grid=grid, classification=cls,
                         quadrature=quad, system=system, solution=x,
                         report=report, norms=norms, timings=timer.timings,
+                        maxrss_mb=timer.maxrss_mb,
                         runtime=runtime, meshes=meshes, numbering=numbering,
                         constraints=constraints, root_map=root_map,
                         aggregate_stats=agg_stats, dist_map=dist_map)
@@ -365,8 +373,10 @@ RECORD_FIELDS = [
 
 def make_run_record(cfg: ExperimentConfig, out: SolveOutputs,
                     command: str = "solve") -> dict:
-    A, b = out.system.gather()
-    checksum = float(np.sum(A.data**2) + np.sum(b**2))
+    # the gathered A.data and b are the blocks' arrays in order
+    data = np.concatenate([A.data for A in out.system.blocks])
+    b = np.concatenate(out.system.rhs)
+    checksum = float(np.sum(data**2) + np.sum(b**2))
     kappa = out.report.kappa   # Ritz kappa of the operator PCG saw, or None
     history = out.report.residual_history
     return {
@@ -409,13 +419,14 @@ def append_csv(path, fieldnames, rows):
         writer.writerows(rows)
 
 
-def write_timings(out_dir, command, cfg, timings):
+def write_timings(out_dir, command, cfg, timings, maxrss_mb):
     rows = [{"command": command, "geometry": cfg.geometry, "level": cfg.level,
-             "procs": cfg.procs, "phase": k, "seconds": f"{v:.6f}"}
+             "procs": cfg.procs, "phase": k, "seconds": f"{v:.6f}",
+             "maxrss_mb": f"{maxrss_mb[k]:.1f}"}
             for k, v in timings.items()]
     append_csv(os.path.join(out_dir, "timings.csv"),
-               ["command", "geometry", "level", "procs", "phase", "seconds"],
-               rows)
+               ["command", "geometry", "level", "procs", "phase", "seconds",
+                "maxrss_mb"], rows)
 
 
 def _write_dumps(cfg, out: SolveOutputs, out_dir):
@@ -476,10 +487,10 @@ def cmd_solve(cfg: ExperimentConfig) -> dict:
     out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
     outputs = run_solve_pipeline(cfg)
-    with PhaseTimer(outputs.timings).time("record"):
+    with PhaseTimer(outputs.timings, outputs.maxrss_mb).time("record"):
         record = make_run_record(cfg, outputs)
     append_csv(os.path.join(out_dir, "runs.csv"), RECORD_FIELDS, [record])
-    write_timings(out_dir, "solve", cfg, outputs.timings)
+    write_timings(out_dir, "solve", cfg, outputs.timings, outputs.maxrss_mb)
     _write_dumps(cfg, outputs, out_dir)
     if cfg.trace and outputs.runtime.trace:
         rows = [{"phase": t.phase, "superstep": t.superstep, "kind": t.kind,

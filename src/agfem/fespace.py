@@ -224,16 +224,23 @@ def extension_operator(row_of: np.ndarray, constraints: AgConstraints | None,
     not free).  Row j of C is the unit vector of that row for a free DOF
     and the extrapolation coefficients on the masters for a constrained
     one, so an aggregated function with free values x has nodal values
-    C @ x.  A DOF that is neither gets an empty row.
+    C @ x.  A DOF that is neither gets an empty row.  Each row holds its
+    columns in ascending order, as a canonical CSR matrix does.
     """
     free = np.flatnonzero(row_of > 0)
-    rows, cols, vals = [free], [row_of[free] - 1], [np.ones(free.size)]
+    lens = np.zeros(row_of.size, dtype=np.int64)
+    lens[free] = 1
     if constraints is not None:
-        m = constraints.masters.shape[1]
-        rows.append(np.repeat(constraints.constrained - 1, m))
-        cols.append(constraints.masters.ravel() - 1)
-        vals.append(constraints.coeffs.ravel())
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row_of.size, n_free))
+        lens[constraints.constrained - 1] = constraints.masters.shape[1]
+    indptr = np.concatenate([[0], np.cumsum(lens)])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.ones(indptr[-1])
+    indices[indptr[free]] = row_of[free] - 1
+    if constraints is not None:
+        order = np.argsort(constraints.masters, axis=1)
+        at = (indptr[constraints.constrained - 1, None]
+              + np.arange(order.shape[1]))
+        indices[at] = np.take_along_axis(constraints.masters, order, 1) - 1
+        data[at] = np.take_along_axis(constraints.coeffs, order, 1)
+    return sp.csr_matrix((data, indices, indptr), shape=(row_of.size, n_free))
 

@@ -62,10 +62,9 @@ def default_tolerance(grid: BackgroundGrid) -> float:
     return 1e-12 * float(np.min(grid.h))
 
 
-def point_chunks(n: int) -> list:
-    """Slices covering ``range(n)`` in batches of ``CHUNK_POINTS``."""
-    return [slice(s, min(s + CHUNK_POINTS, n))
-            for s in range(0, n, CHUNK_POINTS)]
+def point_chunks(n: int, size: int = CHUNK_POINTS) -> list:
+    """Slices covering ``range(n)`` in batches of ``size``."""
+    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
 # ---------------------------------------------------------------------------

@@ -418,17 +418,6 @@ def all_points_norms(space, quad, full, u_exact, grad_exact):
     return np.sqrt(err2), np.sqrt(errg2)
 
 
-def _oracle_sum_runs(keys, vals, n_group):
-    """Stably lexsort by ``keys`` (most significant first) and sum ``vals``
-    over runs equal in the first ``n_group`` keys."""
-    order = np.lexsort(keys[::-1])
-    group = [k[order] for k in keys[:n_group]]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = np.any([k[1:] != k[:-1] for k in group], axis=0)
-    starts = np.flatnonzero(new)
-    return [k[starts] for k in group], np.add.reduceat(vals[order], starts)
-
-
 def _oracle_cell_sums(C, dofs, mat, vec):
     """The nonzero (row, col, value) sums of one cell, col -1 being the
     right-hand side: C_c^T [b_e, A_e C_c] in plain floats, C_c the cell's
@@ -460,28 +449,42 @@ def _oracle_cell_sums(C, dofs, mat, vec):
     return out
 
 
-def oracle_assembly(subdomains, constraints, elements, n):
-    """Global (A, b) over ``n`` rows, summed in the canonical order: every
-    cell, free or not, on its own as the dense local product of
-    ``_oracle_cell_sums``, then every (row, col) over its cells in
-    global-cell order.  ``subdomains`` holds (cell_dofs, cell_ids,
-    row_of) per subdomain, with one ``constraints`` entry each; this is
-    the oracle for the assembly kernel at any process count."""
+def oracle_cell_sums(subdomains, constraints, elements, n):
+    """(row, col, cell, value) of every nonzero cell sum, col -1 being the
+    right-hand side: every cell, free or not, on its own as the dense
+    local product of ``_oracle_cell_sums``.  ``subdomains`` holds
+    (cell_dofs, cell_ids, row_of) per subdomain, with one ``constraints``
+    entry each."""
     mats, vecs = elements
-    trip = []
+    sums = []
     for (cell_dofs, cell_ids, row_of), cons in zip(subdomains, constraints):
         C = extension_operator(row_of, cons, n)
         for dofs, k in zip(cell_dofs, cell_ids):
-            trip += [(row, col, k, v) for row, col, v in _oracle_cell_sums(
-                C, dofs - 1, mats[k - 1], vecs[k - 1])]
-    row, col, cell = (np.array([t[i] for t in trip], dtype=np.int64)
-                      for i in range(3))
-    (row, col), val = _oracle_sum_runs(
-        [row, col, cell], np.array([t[3] for t in trip]), 2)
+            sums += [(row, col, int(k), v) for row, col, v in
+                     _oracle_cell_sums(C, dofs - 1, mats[k - 1], vecs[k - 1])]
+    return sums
+
+
+def oracle_assembly(subdomains, constraints, elements, n):
+    """Global (A, b) over ``n`` rows, summed in the canonical order: every
+    (row, col) of ``oracle_cell_sums`` as a left fold of its cells' sums
+    in global-cell order, one Python float addition at a time.  This is
+    the oracle for the assembly kernel at any process count."""
+    total = {}
+    for row, col, _, v in sorted(oracle_cell_sums(subdomains, constraints,
+                                                  elements, n),
+                                 key=lambda t: t[:3]):
+        total[row, col] = total[row, col] + v if (row, col) in total else v
     b = np.zeros(n)
-    b[row[col < 0]] = val[col < 0]
-    nz = (col >= 0) & (val != 0.0)
-    return sp.csr_matrix((val[nz], (row[nz], col[nz])), shape=(n, n)), b
+    rows, cols, vals = [], [], []
+    for (row, col), v in total.items():
+        if col < 0:
+            b[row] = v
+        elif v != 0.0:
+            rows.append(row)
+            cols.append(col)
+            vals.append(v)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), b
 
 
 def prolongate(dofs, constraints, interior_values):

@@ -1,11 +1,16 @@
+import collections
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from agfem import experiments as ex
 from agfem.aggregation import aggregate_parallel, aggregate_serial
 from dataclasses import replace
 
-from agfem.assembly import (AssemblyError, TauUnboundedError,
+from agfem.assembly import (AssemblyError, CellMatrices, TauUnboundedError,
                             assemble_distributed, assemble_serial,
                             export_matrix_coo, nitsche_tau_agg,
                             poisson_elements)
@@ -21,7 +26,8 @@ from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
 from conftest import (all_points_elements, classified, full_bulk_rule,
-                      oracle_assembly, prolongate, std_taus, tau_std_oracle)
+                      oracle_assembly, oracle_cell_sums, prolongate, std_taus,
+                      tau_std_oracle)
 
 
 def test_tau_agg_values():
@@ -390,6 +396,48 @@ def test_kernel_matches_per_cell_oracle(d, level, ls, n_parts):
         numbering.n_global))
 
 
+@pytest.mark.parametrize("n_parts", [1, 8])
+def test_long_sums_add_left_to_right_in_cell_order(n_parts):
+    # popcorn L3 has entries with 8 or more cell sums, where a pairwise or
+    # unrolled reduction rounds unlike the left fold in global-cell order
+    grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
+        _serial_agg_system(3, Popcorn(), g=lambda p: np.sum(p, axis=1), d=3)
+    system, numbering, dcons = _distributed_system(cls, n_parts, elements)
+    subdomains = [piece.owned_cells() for piece in numbering.pieces]
+    terms = collections.Counter(
+        (row, col) for row, col, _, _ in oracle_cell_sums(
+            subdomains, dcons, elements, numbering.n_global))
+    assert sum(n >= 8 for n in terms.values()) > 100
+    _assert_bitwise(*system.gather(), *oracle_assembly(
+        subdomains, dcons, elements, numbering.n_global))
+
+
+def test_assembly_scratch_follows_the_live_data(monkeypatch):
+    # circle L8 streams 379k cell sums; the assemble phase may hold at
+    # most 1.75 times the larger of the data live before and after it,
+    # which a key per cell sum would exceed
+    live = {}
+    timer = ex.PhaseTimer.time
+
+    @contextlib.contextmanager
+    def tracing(self, name):
+        if name == "assemble":
+            live["before"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        with timer(self, name):
+            yield
+        if name == "assemble":
+            live["after"], live["peak"] = tracemalloc.get_traced_memory()
+
+    monkeypatch.setattr(ex.PhaseTimer, "time", tracing)
+    tracemalloc.start()
+    try:
+        ex.run_solve_pipeline(ex.ExperimentConfig(level=8).validate())
+    finally:
+        tracemalloc.stop()
+    assert live["peak"] <= 1.75 * max(live["before"], live["after"]), live
+
+
 @pytest.mark.parametrize("level, ls, d", [
     (4, Sphere((0.5, 0.5), 0.3), 2), (3, Popcorn(), 3)],
     ids=["circle-2d-L4", "popcorn-3d-L3"])
@@ -402,7 +450,10 @@ def test_standard_space_matches_per_cell_oracle(level, ls, d):
     taus = np.full(cls.n_active, nitsche_tau_agg(float(grid.h[0]), 10.0))
     mats, vecs = poisson_elements(cls, quad, lambda V: taus, None,
                                   lambda p: p[:, 0])
-    mats[::3, 0, 1] = -0.0
+    full = mats[:]
+    full[::3, 0, 1] = -0.0
+    mats = CellMatrices(mats.reference, np.arange(1, cls.n_active + 1), full,
+                        cls.n_active)
     vecs[cls.cut_ids[::2] - 1] = -0.0
     assert cls.cut_ids.size
     n = space.n_dofs

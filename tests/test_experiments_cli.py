@@ -90,11 +90,15 @@ def test_cmd_solve_writes_record_and_dumps(tmp_path):
                  "solve_report.csv", "timings.csv"):
         assert (tmp_path / name).exists(), name
     with open(tmp_path / "timings.csv") as fh:
-        phases = [row["phase"] for row in csv.DictReader(fh)]
+        timings = list(csv.DictReader(fh))
+    phases = [row["phase"] for row in timings]
     # the Nitsche penalty is part of the element pass, timed in `assemble`
     assert phases == ["classify", "quadrature", "partition", "aggregate",
                       "plans", "numbering", "import", "constraints",
                       "assemble", "solve", "norms", "record"]
+    # the peak RSS after each phase: a running maximum, so never falling
+    peaks = [float(row["maxrss_mb"]) for row in timings]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
 
 
 def test_runs_csv_header_is_the_record_schema(tmp_path):
@@ -104,6 +108,25 @@ def test_runs_csv_header_is_the_record_schema(tmp_path):
     assert header == RECORD_FIELDS == list(record)
     assert not {"weight", "seed", "threads"} & set(header)
     assert record["schema_version"] == RECORD_SCHEMA_VERSION == 4
+
+
+@pytest.mark.parametrize("procs", [1, 3])
+def test_record_checksum_reads_the_blocks_without_a_gather(monkeypatch,
+                                                           procs):
+    # the blocks' data and loads, concatenated, are the gathered arrays,
+    # so the checksum has the bytes a gathered system gives
+    import agfem.experiments as ex
+
+    cfg = ExperimentConfig(level=4, procs=procs).validate()
+    out = run_solve_pipeline(cfg)
+    A, b = out.system.gather()
+    want = repr(float(np.sum(A.data**2) + np.sum(b**2)))
+
+    def refuse(self):
+        raise AssertionError("the run record gathered the system")
+
+    monkeypatch.setattr(ex.DistributedSystem, "gather", refuse)
+    assert make_run_record(cfg, out)["assembly_checksum"] == want
 
 
 def test_runs_csv_records_how_the_solver_ended(tmp_path):

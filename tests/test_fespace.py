@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from agfem.aggregation import RootMap, aggregate_serial
 from agfem.fespace import (axis_factors, build_constraints_serial,
-                           build_std_space, classify_dofs, q1_tables,
-                           shape_gradients, shape_values)
+                           build_std_space, classify_dofs, extension_operator,
+                           q1_tables, shape_gradients, shape_values)
 from agfem.distspace import nodal_values
 from agfem.experiments import ExperimentConfig, run_solve_pipeline
 from agfem.grid import corner_offsets
@@ -234,6 +235,29 @@ def test_constraints_equal_the_per_dof_loop():
         assert np.array_equal(cons.masters[i],
                               dofs.row_of[space.cell_dofs[root - 1] - 1])
         assert np.array_equal(cons.coeffs[i], shape_values(xi)[0])
+
+
+@pytest.mark.parametrize("params", [
+    dict(geometry="offset-circle", level=5),
+    dict(geometry="popcorn", dimension=3, level=3),
+], ids=["2d", "3d"])
+def test_extension_operator_is_the_canonical_csr_of_its_entries(params):
+    # built row by row, C must equal scipy's canonical CSR of its (row,
+    # col, value) entries: its column order is the order C @ x sums in
+    out = run_solve_pipeline(ExperimentConfig(procs=3, **params).validate())
+    for piece, cons in zip(out.numbering.pieces, out.constraints):
+        _, _, row_of = piece.owned_cells()
+        free = np.flatnonzero(row_of > 0)
+        m = cons.masters.shape[1]
+        want = sp.csr_matrix((
+            np.concatenate([np.ones(free.size), cons.coeffs.ravel()]),
+            (np.concatenate([free, np.repeat(cons.constrained - 1, m)]),
+             np.concatenate([row_of[free] - 1, cons.masters.ravel() - 1]))),
+            shape=(row_of.size, out.numbering.n_global))
+        got = extension_operator(row_of, cons, out.numbering.n_global)
+        assert cons.n_constrained and got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_constrained_node_on_root_node_is_unit_vector():
