@@ -24,18 +24,19 @@ one row of S at a time.
 Assembly is one kernel run per subdomain on the virtual runtime, serial
 being the one-process case.  It forms A = C^T A_e C, C the extension
 operator, as per-cell sums keyed row * (n + 1) + col + 1, col -1 being
-the load.  A cell whose rows are all free and owned has unit rows in C,
-so its element entries are its sums as they stand: its load at a and
-its entry (a, b) go to fixed slots of the row of corner a, the load's
-and that of the lattice offset of corner b from corner a, one of 3**d.
-Any other cell gives its sums as (key, value) pairs: a cell with a
-constrained DOF sums the dense local product C_c^T [b_e, A_e C_c], C_c
-its rows of C over the ascending union of the system rows they touch,
-each sum over the nodes in order.  Off-owner pairs leave in global-cell
-order in one routed exchange.  Each owner then builds the sorted keys of
-its rows once, from its rows' slots joined with the keys of its own and
-the received pairs, a block of rows at a time, with no sort over the
-stream of sums; pairs find their positions by binary search.  Values go
+the load.  A stencil cell, one whose rows are all free and owned, has
+unit rows in C, so its element entries are its sums as they stand: its
+load at a and its entry (a, b) go to fixed slots of the row of corner
+a, the load's and that of the lattice offset of corner b from corner a,
+one of 3**d.  Every other cell gives (key, value) pairs of the dense
+local product C_c^T [b_e, A_e C_c], C_c its rows of C over the
+ascending union of the system rows they touch, each sum over the nodes
+in order; where C_c only picks out rows, every product is exact, so a
+nonzero pair is an element entry bit for bit.  Off-owner pairs leave in
+global-cell order in one routed exchange.  Each owner then builds the
+sorted keys of its rows once, a block of rows at a time, from its rows'
+slots and the sorted keys of its own and the received pairs; pairs
+find their positions by binary search.  Values go
 straight into one array over those keys by ``np.add.at``, which adds in
 index order: the pairs of lower ranks, this subdomain's cells a window
 at a time, each window in cell order, then the pairs of higher ranks.
@@ -61,6 +62,7 @@ from .fespace import (axis_factors, extension_operator, q1_tables,
                       shape_gradients, shape_values, tensor_products)
 from .geometry import (CHUNK_POINTS, CellClassification, QuadratureStore,
                        point_chunks)
+from .partition import _sorted_distinct
 from .runtime import VirtualRuntime
 
 
@@ -325,7 +327,7 @@ def _ranges(starts, lens):
     return np.arange(int(np.sum(lens))) + np.repeat(starts - offsets, lens)
 
 
-def _keyed(rows, val, n, keep=True):
+def _keyed(rows, val, n, keep):
     """Nonzero (key, value) entries, where ``keep`` holds, of cell sums
     ``val`` (nc, k, k + 1), load first, at 0-based rows ``rows`` (nc, k),
     and their count per cell; key row * (n + 1) + col + 1, col -1: load."""
@@ -337,8 +339,8 @@ def _keyed(rows, val, n, keep=True):
 
 
 def _dense_sums(C, dofs, mats, vecs, n):
-    """``_keyed`` sums of cells with constrained DOFs (0-based DOFs
-    ``dofs``, (nc, m)), one part (cells, keys, values, counts) per batch.
+    """The nonzero sums of cells with 0-based DOFs ``dofs`` (nc, m), as
+    (count per cell, keys, values) in cell order, keyed as ``_keyed``.
 
     A cell's rows of C over the ascending union of the k system rows they
     touch form C_c (m, k); its sums are [C_c^T b_e, C_c^T T], T = A_e C_c,
@@ -347,8 +349,6 @@ def _dense_sums(C, dofs, mats, vecs, n):
     2 * ``CHUNK_POINTS`` sums, each padded to its widest cell: padding
     adds no term to any sum, and its entries are dropped."""
     nc, m = dofs.shape
-    if nc == 0:
-        return
     lens = np.diff(C.indptr)[dofs]
     pos = _ranges(C.indptr[dofs.ravel()], lens.ravel())
     n_ent = lens.sum(axis=1)
@@ -361,8 +361,9 @@ def _dense_sums(C, dofs, mats, vecs, n):
     col = col - first[ent_cell]
     order = np.argsort(width, kind="stable")
     batch = np.cumsum(width[order] * (width[order] + 1)) // (2 * CHUNK_POINTS)
+    parts = []
     for cells in np.split(order, np.flatnonzero(np.diff(batch)) + 1):
-        nb, k = cells.size, int(width[cells[-1]])
+        nb, k = cells.size, int(width[cells].max(initial=0))
         at = _ranges(ent_first[cells], n_ent[cells])
         Cc = np.zeros((nb, m, k))
         Cc[np.repeat(np.arange(nb), n_ent[cells]), ent_node[at],
@@ -379,8 +380,9 @@ def _dense_sums(C, dofs, mats, vecs, n):
             val += Cc[:, a, :, None] * Tb[:, a, None, :]
         real = np.arange(-1, k) < width[cells, None]
         rows = union[np.where(real[:, 1:], first[cells, None] + np.arange(k), 0)] % n
-        yield (cells, *_keyed(rows, val, n,
-                              real[:, 1:, None] & real[:, None, :]))
+        parts.append((cells, *_keyed(rows, val, n,
+                                     real[:, 1:, None] & real[:, None, :])))
+    return _in_cell_order(parts, nc)
 
 
 def _in_cell_order(parts, n_cells):
@@ -414,23 +416,6 @@ def _slot_table(d):
     return table
 
 
-def _sorted_distinct(keys):
-    """The distinct ``keys``, ascending."""
-    keys = np.sort(keys)
-    new = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    return keys[new]
-
-
-def _distinct(parts):
-    """The distinct keys of the arrays ``parts``, ascending.  Each part
-    goes in chunks, each deduplicated on its own first, so that no whole
-    part is copied."""
-    return _sorted_distinct(np.concatenate([parts[0][:0]] + [
-        _sorted_distinct(part[sl]) for part in parts
-        for sl in point_chunks(part.size, 8 * CHUNK_POINTS)]))
-
-
 def _compact(keep, *arrays):
     """Move the entries of ``arrays`` where ``keep`` holds to their fronts,
     in order and in place, a chunk at a time; returns their number."""
@@ -449,8 +434,8 @@ def _pattern(rows, table, extra, first, n_owned, stride):
     ``table`` in each row (n_owned * (3**d + 1), flat; -1 where a row
     has no such key).  The slots are those of the 1-based rows ``rows``
     (n_cells, m) of cells whose rows are all free and owned, joined with
-    the ascending keys ``extra``, a block of about ``CHUNK_POINTS`` slots
-    at a time, each block sorting its own keys."""
+    the ascending keys ``extra``, repeats allowed, a block of about
+    ``CHUNK_POINTS`` slots at a time, each block sorting its own keys."""
     k = table.max() + 1
     cols = np.full(n_owned * k, stride, dtype=np.int64)
     per = max(1, CHUNK_POINTS // table.size)
@@ -495,19 +480,13 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     first = int(row_starts[s - 1]) - 1
     n_owned = int(row_starts[s]) - 1 - first
     rows = row_of[cell_dofs - 1]
-    free = np.all(rows > 0, axis=1)
-    # a cell whose rows are all free and owned adds its element entries at
-    # the slots of its rows; any other cell gives its sums as pairs
-    keyed = ~free | np.any((rows <= first) | (rows > first + n_owned), axis=1)
+    # stencil cells (rows all free and owned) add at their rows' slots;
+    # every other cell, one with a constrained DOF (row 0) too, gives pairs
+    keyed = np.any((rows <= first) | (rows > first + n_owned), axis=1)
     kc = np.flatnonzero(keyed)
-    fk, ck = np.flatnonzero(free[kc]), np.flatnonzero(~free[kc])
-    ids = cell_ids[kc[fk]]
-    parts = [(fk, *_keyed(rows[kc[fk]] - 1, np.concatenate(
-        [vecs[ids - 1, :, None], mats.take(ids)], axis=2), n_global))]
-    ids = cell_ids[kc[ck]]
-    parts += [(ck[idx], *rest) for idx, *rest in _dense_sums(
-        C, cell_dofs[kc[ck]] - 1, mats.take(ids), vecs[ids - 1], n_global)]
-    kcount, kkey, kval = _in_cell_order(parts, kc.size)
+    ids = cell_ids[kc]
+    kcount, kkey, kval = _dense_sums(C, cell_dofs[kc] - 1, mats.take(ids),
+                                     vecs[ids - 1], n_global)
 
     # off-owner sums leave in cell order; joined in rank order, every
     # owner adds them in global-cell order
@@ -517,24 +496,23 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     owner = np.searchsorted(row_starts, key // stride + 1, side="right")
     received = yield proc.routed_exchange(
         {int(dst): (key[owner == dst], val[owner == dst])
-         for dst in np.unique(owner)})
-    received = {r: (pk - base, pv) for r, (pk, pv) in received.items()}
+         for dst in _sorted_distinct(owner)})
+    pairs = [(r, pk - base, pv) for r, (pk, pv) in sorted(received.items())]
     kcount = np.bincount(np.repeat(np.arange(kc.size), kcount)[mine],
                          minlength=kc.size)
     kkey, kval = kkey[mine] - base, kval[mine]
 
     table = _slot_table(m.bit_length() - 1)
     k = table.max() + 1
-    keys, slots = _pattern(rows[~keyed], table, _distinct(
-        [kkey, *(pk for pk, _ in received.values())]), first, n_owned, stride)
+    keys, slots = _pattern(rows[~keyed], table, np.sort(np.concatenate(
+        [kkey, *(pk for _, pk, _ in pairs)])), first, n_owned, stride)
 
     # every key adds its sums in global-cell order: the lower ranks'
     # sums, this rank's cells a window at a time, the higher ranks'
     buf = np.zeros(keys.size)
-    for r in sorted(received):
+    for r, pk, pv in pairs:
         if r < s:
-            np.add.at(buf, np.searchsorted(keys, received[r][0]),
-                      received[r][1])
+            np.add.at(buf, np.searchsorted(keys, pk), pv)
     kstart = np.cumsum(kcount) - kcount
     per = max(1, 4 * CHUNK_POINTS // table.size)
     for w0 in range(0, n_cells, per):
@@ -552,10 +530,9 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
                   kcount[i0:i1])],
                 min(per, n_cells - w0))
         np.add.at(buf, pos.ravel(), val.ravel())
-    for r in sorted(received):
+    for r, pk, pv in pairs:
         if r > s:
-            np.add.at(buf, np.searchsorted(keys, received[r][0]),
-                      received[r][1])
+            np.add.at(buf, np.searchsorted(keys, pk), pv)
 
     del slots, kkey, kval    # freed before the CSR is cut out of buf
     load = keys % stride == 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import DistRootMap
-from .partition import SubdomainMesh, _lookup
+from .partition import SubdomainMesh, _lookup, _sorted_distinct
 
 
 class PathReconstructionError(RuntimeError):
@@ -49,8 +49,8 @@ class PathPlan:
 
     @classmethod
     def from_pairs(cls, s: int, peers, roots, n_cells: int):
-        key = np.unique(np.asarray(peers, dtype=np.int64) * (n_cells + 1)
-                        + roots)
+        key = _sorted_distinct(np.asarray(peers, dtype=np.int64)
+                               * (n_cells + 1) + roots)
         return cls(s, *np.divmod(key, n_cells + 1))
 
 
@@ -108,7 +108,7 @@ def _inverse_body(proc, mesh: SubdomainMesh, owners, nexts):
         ahead[3] += 1
         to = mesh.owner_of_relevant[l[~here] - 1]
         received = yield proc.neighbor_exchange(
-            {int(p): ahead[:, to == p] for p in np.unique(to)})
+            {int(p): ahead[:, to == p] for p in _sorted_distinct(to)})
         rows = np.concatenate(
             [rows[:, :0]] + [received[src] for src in sorted(received)], axis=1)
     rests = np.concatenate(rests, axis=1)
@@ -154,7 +154,7 @@ def _import_body(proc, direct: PathPlan, inverse: PathPlan, piece):
     dofs = piece.cell_g[l - 1]
     to = inverse.peers
     received = yield proc.routed_exchange(
-        {int(p): dofs[to == p] for p in np.unique(to)})
+        {int(p): dofs[to == p] for p in _sorted_distinct(to)})
 
     parts = [dofs[:0]]  # the shape for when nothing arrives
     peers, counts = np.unique(direct.peers, return_counts=True)

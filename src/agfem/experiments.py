@@ -36,10 +36,12 @@ from .distspace import (build_constraints_distributed, nodal_values,
                         number_dofs_distributed)
 from .fespace import (build_constraints_serial, build_std_space,
                       classify_dofs, encode_node_keys)
-from .geometry import classify_cells, cut_quadrature, face_is_active
+from .geometry import (classify_cells, cut_quadrature, default_tolerance,
+                       face_is_active)
 from .grid import unit_box_grid
 from .levelset import HalfPlane, Popcorn, Sphere
-from .partition import build_subdomain_meshes, partition_weighted_sfc
+from .partition import (_sorted_distinct, build_subdomain_meshes,
+                        partition_weighted_sfc)
 from .runtime import VirtualRuntime
 from .solve import (DENSE_LIMIT, NotPositiveDefiniteError,
                     condition_estimate, error_norms, pcg_jacobi)
@@ -284,8 +286,8 @@ class SolveOutputs:
         """The DOFs of interior cells: the distinct vertices of the
         interior cells (for the aggregated space, its free DOFs)."""
         cls = self.classification
-        return int(np.unique(encode_node_keys(
-            cls.vertex_keys(cls.interior_ids), cls.grid.n_per_axis)).size)
+        return int(_sorted_distinct(encode_node_keys(cls.vertex_keys(
+            cls.interior_ids), cls.grid.n_per_axis).ravel()).size)
 
 
 def geometry_setup(cfg: ExperimentConfig):
@@ -690,8 +692,20 @@ def fit_order(hs, errs):
 
 def run_convergence(cfg: ExperimentConfig, levels):
     _check_distinct("levels", levels)
+    ls = make_levelset(cfg)
     for level in levels:
         replace(cfg, level=level).validate()
+        # box faces keep the natural zero-flux condition, which the sine
+        # and linear solutions break wherever a face vertex is inside
+        grid = unit_box_grid(level, cfg.dimension)
+        n, d = grid.n_per_axis, grid.d
+        face = np.indices((n + 1,) * (d - 1)).reshape(d - 1, -1).T
+        if any(np.any(ls(np.insert(face, a, end, axis=1) * grid.h)
+                      < -default_tolerance(grid))
+               for a in range(d) for end in (0, n)):
+            raise ConfigError(
+                f"the {cfg.geometry} domain reaches the faces of the unit "
+                f"box at level {level}: its norms would not be errors")
     rows = []
     for level in levels:
         out = run_solve_pipeline(replace(cfg, level=level))

@@ -147,6 +147,14 @@ def _lookup(table: np.ndarray, values: np.ndarray, query: np.ndarray,
     return np.where(table[pos] == query, values[pos], absent)
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys``, ascending, by one sort and a mask."""
+    keys = np.sort(keys)
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
 @dataclass
 class SubdomainMesh:
     """Locally relevant cells of one subdomain: owned first, then ghosts.
@@ -224,7 +232,7 @@ def build_subdomain_meshes(classification: CellClassification,
     # ghost pairs (s, g), sorted by s, then by g
     host = np.broadcast_to(owner[:, None], adj.shape)
     foreign = (adj > 0) & (owner[adj - 1] != host)
-    pairs = np.unique(host[foreign] * (n + 1) + adj[foreign])
+    pairs = _sorted_distinct(host[foreign] * (n + 1) + adj[foreign])
     ghost_s, ghost_g = np.divmod(pairs, n + 1)
     ghost_owner = owner[ghost_g - 1]
     ghost_bounds = np.searchsorted(ghost_s, np.arange(1, n_parts + 2))

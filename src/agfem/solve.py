@@ -33,6 +33,7 @@ import scipy.sparse as sp
 from .assembly import (DistributedSystem, bulk_rows, interior_rows,
                        reference_tables)
 from .fespace import q1_tables
+from .partition import _sorted_distinct
 from .runtime import VirtualRuntime
 
 
@@ -80,13 +81,11 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
     n_owned = my_end - my_start
 
     # scatter setup: ask each owner for the off-owned columns we touch
-    cols = np.unique(A.indices) + 1 if A.nnz else np.zeros(0, dtype=np.int64)
+    cols = _sorted_distinct(A.indices) + 1
     ext = cols[(cols < my_start) | (cols >= my_end)]
     owners = np.searchsorted(row_starts, ext, side="right")
-    requests = {}
-    for sp_ in np.unique(owners):
-        requests[int(sp_)] = ext[owners == sp_]  # ascending gids
-    incoming = yield proc.routed_exchange(requests)
+    incoming = yield proc.routed_exchange(   # ascending gids per owner
+        {int(p): ext[owners == p] for p in _sorted_distinct(owners)})
     push_plan = {int(src): np.asarray(gids, dtype=np.int64) - my_start
                  for src, gids in incoming.items()}
 

@@ -438,12 +438,15 @@ def test_assembly_scratch_follows_the_live_data(monkeypatch):
     assert live["peak"] <= 1.75 * max(live["before"], live["after"]), live
 
 
-@pytest.mark.parametrize("level, ls, d", [
-    (4, Sphere((0.5, 0.5), 0.3), 2), (3, Popcorn(), 3)],
-    ids=["circle-2d-L4", "popcorn-3d-L3"])
-def test_standard_space_matches_per_cell_oracle(level, ls, d):
-    # every DOF of the standard space is free, so its cut cells take the
-    # free path too; zeros of either sign are dropped as in the oracle
+@pytest.mark.parametrize("level, ls, d, n_parts", [
+    (4, Sphere((0.5, 0.5), 0.3), 2, 1), (3, Popcorn(), 3, 1),
+    (4, Sphere((0.5, 0.5), 0.3), 2, 3), (3, Popcorn(), 3, 3)],
+    ids=["circle-2d-L4", "popcorn-3d-L3", "circle-2d-L4-P3",
+         "popcorn-3d-L3-P3"])
+def test_standard_space_matches_per_cell_oracle(level, ls, d, n_parts):
+    # every DOF of the standard space is free: at P = 1 every cell is a
+    # stencil cell, at P = 3 the cells with a row owned elsewhere take the
+    # dense product; zeros of either sign are dropped as in the oracle
     grid, cls, _ = classified(level, ls, d)
     space = build_std_space(cls)
     quad = cut_quadrature(grid, ls, cls)
@@ -462,6 +465,15 @@ def test_standard_space_matches_per_cell_oracle(level, ls, d):
                                        np.arange(1, cls.n_active + 1),
                                        np.arange(1, n + 1))],
                                      [None], (mats, vecs), n))
+    rt = VirtualRuntime(n_parts)
+    numbering = number_dofs_distributed(rt, build_subdomain_meshes(
+        cls, partition_weighted_sfc(cls, n_subdomains=n_parts)),
+        interior_only=False)
+    system = assemble_distributed(rt, numbering, [None] * n_parts,
+                                  (mats, vecs))
+    _assert_bitwise(*system.gather(), *oracle_assembly(
+        [piece.owned_cells() for piece in numbering.pieces],
+        [None] * n_parts, (mats, vecs), numbering.n_global))
 
 
 def test_matrix_export_format(tmp_path):

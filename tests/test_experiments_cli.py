@@ -294,6 +294,21 @@ def test_one_subdomain_run_equals_the_serial_reference(params):
     assert b_d.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("params", [
+    dict(level=5), dict(level=5, procs=4),
+    dict(geometry="popcorn", dimension=3, level=3),
+    dict(level=5, procs=4, space="std"),
+], ids=["circle-L5-P1", "circle-L5-P4", "popcorn-L3-P1", "std-circle-L5-P4"])
+def test_interior_dof_count_matches_an_independent_count(params):
+    # the free DOFs of the aggregated space are the vertices of the
+    # interior cells, which the serial DOF classification counts too
+    out = run_solve_pipeline(ExperimentConfig(**params).validate())
+    cls = out.classification
+    want = (out.numbering.n_global if out.cfg.space == "agg" else
+            classify_dofs(build_std_space(cls), cls).n_interior)
+    assert out.n_interior_dofs == want
+
+
 def test_runs_csv_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     records = [cmd_solve(ExperimentConfig(level=3, procs=4,
@@ -690,6 +705,18 @@ def test_convergence_single_level_and_linear_flag(tmp_path):
     assert (tmp_path / "convergence.svg").exists()
 
 
+def test_convergence_refuses_a_domain_that_reaches_the_box_faces(tmp_path):
+    # the box faces keep the natural zero-flux condition, which the
+    # manufactured solutions break there, so the norms would not be
+    # errors; a circle that only touches the faces (psi = 0) is accepted
+    cfg = ExperimentConfig(radius=0.55, out=str(tmp_path)).validate()
+    with pytest.raises(ConfigError, match="faces of the unit box at level 3"):
+        cmd_convergence(cfg, [3, 4])
+    assert list(tmp_path.iterdir()) == []
+    rows, _ = cmd_convergence(replace(cfg, radius=0.5), [3])
+    assert len(rows) == 1
+
+
 def test_weight_study_balance_and_saturation(tmp_path):
     cfg = ExperimentConfig(geometry="offset-circle", level=5, procs=4,
                            out=str(tmp_path)).validate()
@@ -840,10 +867,11 @@ def test_cli_weight_study_and_convergence_smoke(tmp_path):
     ["convergence", "--levels", "3,3"],
     ["weight-study", "--level", "3", "--procs", "2", "--weights", ","],
     ["weight-study", "--level", "3", "--procs", "2", "--weights", "1,1"],
+    ["convergence", "--geometry", "halfplane", "--levels", "4,5,6"],
 ], ids=["procs-0", "level-0", "level-negative", "delta-0", "delta-nan",
         "weight-nan", "weight-inf", "offsets-empty", "offsets-repeated",
         "procs-repeated", "levels-empty", "levels-repeated", "weights-empty",
-        "weights-repeated"])
+        "weights-repeated", "domain-reaches-box"])
 def test_cli_rejects_bad_list_entries_before_any_run(monkeypatch, tmp_path,
                                                      args):
     # a bad entry anywhere in a list flag, an empty list or a repeated
