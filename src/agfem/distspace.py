@@ -4,23 +4,23 @@ Every step runs on arrays over the view's cells, with each Q1 node, a
 cell vertex, named by one int64 code of its lattice key
 (``fespace.encode_node_keys``).  The nodes of one set of cells, the
 interior cells for the aggregated space and every active cell for the
-standard space, receive contiguous, sequentially increasing global ids:
-a node is owned by the smallest subdomain id among the numbered cells
-touching it (one ``np.minimum.at`` over the relevant numbered cells),
-every subdomain numbers the nodes it owns in first-touch order over its
-local numbered cells, and an exclusive scan turns the owned counts into
-ranges.  The ids a subdomain knows live in one table of (code, global
-id) pairs sorted by code and read with ``searchsorted``.  The id rows
-of the local cells are completed by one halo exchange: each subdomain
-sends each neighbour one ``(2, k)`` array of the (code, global id)
-pairs it owns on the numbered cells of that neighbour's halo, sorted by
-code, and the receiver joins them into its table with one sort.  One
-round is enough: a node of a local numbered cell is owned by the
-smallest subdomain with a numbered cell on that node, and that cell
-shares a vertex with the local cell, so its owner is a neighbour and
-sends the id.  Only the owner sends a node, so a code that arrives
-twice is a protocol error.  Rows of local cut cells keep -1 where a
-node touches no numbered cell; nothing reads those entries.
+standard space, receive contiguous, sequentially increasing global ids.
+A view numbers them from one node table: a stable argsort of its
+cell-major corner codes, local cells first, puts each node's corners in
+one run in cell order.  A node's first corner gives the local
+first-touch order, its least owner over numbered cells the subdomain
+that owns it, and its first numbered corner the order of the owned ids;
+an exclusive scan turns the owned counts into ranges.  One halo
+exchange completes the ids: each subdomain sends each neighbour one
+``(2, k)`` array of the (code, id) pairs it owns on the numbered cells
+of that neighbour's halo, ascending by code, and the receiver places
+them by ``searchsorted`` in its node codes.  One round is enough: the
+owner of a node of a local numbered cell has a numbered cell on it,
+which shares a vertex with the local cell, so it is a neighbour.  Only
+the owner sends a node, once, so a code that is no node of the view,
+repeats, or names a node with a known id is a protocol error.  Rows of
+local cut cells keep -1 where a node touches no numbered cell; nothing
+reads those entries.
 
 Constrained DOFs never get global ids; each subdomain expresses them by
 local id against global master ids.  The roots of all exterior DOFs are
@@ -52,11 +52,11 @@ import numpy as np
 
 from .aggregation import DistRootMap
 from .distagg import RootDataBuffer
-from .fespace import (AgConstraints, _first_touch_ids, encode_node_keys,
-                      extension_operator, shape_values)
+from .fespace import (AgConstraints, encode_node_keys, extension_operator,
+                      shape_values)
 from .geometry import INTERIOR
 from .grid import corner_offsets
-from .partition import SubdomainMesh, _lookup
+from .partition import SubdomainMesh
 from .runtime import RuntimeProtocolError
 
 
@@ -115,99 +115,97 @@ class DistNumbering:
         return np.asarray(starts + [self.n_global + 1], dtype=np.int64)
 
 
-def _merge_ids(s: int, codes, gids, pairs):
-    """The sorted (code, gid) table joined with received ``(2, k)`` pair
-    arrays; a node has one owner, which alone sends it, so a code must
-    not arrive twice."""
-    table = np.concatenate([np.stack([codes, gids])] + pairs, axis=1)
-    if table.shape[1] == codes.size:
-        return codes, gids
-    codes, gids = table[:, np.argsort(table[0])]
-    clash = np.flatnonzero(codes[1:] == codes[:-1])
-    if clash.size:
-        i = clash[0]
-        raise RuntimeProtocolError(
-            f"subdomain {s}: conflicting global ids {gids[i]} and "
-            f"{gids[i + 1]} for one node")
-    return codes, gids
-
-
 def _numbering_body(proc, mesh: SubdomainMesh, interior_only: bool):
     s = proc.rank
     grid = mesh.grid
     m = 2 ** grid.d
-    n_local = mesh.n_local
-    keys = mesh.lattice[:, None, :] + corner_offsets(grid.d)  # (n_rel, m, d)
-    codes = encode_node_keys(keys, grid.n_per_axis)           # (n_rel, m)
+    n_loc = mesh.n_local * m                  # corners of the local cells
+    offsets = corner_offsets(grid.d)
+    codes = encode_node_keys(mesh.lattice[:, None, :] + offsets,
+                             grid.n_per_axis).ravel()         # cell-major
 
-    # local DOF numbering: first touch over local cells ascending global id
-    flat_j, n_j, first = _first_touch_ids(codes[:n_local].ravel())
-    cell_j = flat_j.reshape(n_local, m)
-    node_keys = keys[:n_local].reshape(-1, grid.d)[first]
-    j_codes = codes[:n_local].ravel()[first]
-    by_j = np.argsort(j_codes)
-    j_of = np.concatenate([cell_j, _lookup(j_codes[by_j], by_j + 1,
-                                           codes[n_local:])])  # -1: not local
+    # the node table: each node's corners form one run, in corner order
+    order = np.argsort(codes, kind="stable")
+    run = np.r_[True, np.diff(codes[order]) != 0]
+    starts = np.flatnonzero(run)
+    node_codes = codes[order[starts]]
+    node = np.empty(codes.size, dtype=np.int64)   # node of every corner
+    node[order] = np.cumsum(run) - 1
 
-    # owner per numbered node: smallest subdomain among its numbered cells
+    # least owner and first corner over numbered cells, least global id
     numbered = (mesh.labels == INTERIOR if interior_only
                 else np.ones(mesh.n_relevant, dtype=bool))
-    num_codes = codes[numbered].ravel()
-    uniq, inv = np.unique(num_codes, return_inverse=True)
-    owner = np.full(uniq.size, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(owner, inv,
-                  np.repeat(mesh.owner_of_relevant[numbered], m))
-    j_interior = np.isin(j_codes, uniq)
+    cell = order // m
+    num = numbered[cell]
+    big = np.iinfo(np.int64).max
+    owner = np.minimum.reduceat(
+        np.where(num, mesh.owner_of_relevant[cell], big), starts)
+    first_num = np.minimum.reduceat(np.where(num, order, big), starts)
+    smallest = np.minimum.reduceat(mesh.global_ids[cell], starts)
+    del cell, num             # corner-sized scratch, freed before the ids
 
-    # owned nodes in first-touch order over the local numbered cells,
-    # which lead the numbered rows since local cells come first
-    local_num = num_codes[:m * np.count_nonzero(numbered[:n_local])]
-    mine = local_num[owner[inv[:local_num.size]] == s]
-    owned = mine[np.sort(np.unique(mine, return_index=True)[1])]
-    n_owned = owned.size
+    # local DOFs: the first corners of local nodes, read in corner order
+    touched = np.zeros(codes.size, dtype=bool)
+    touched[order[starts]] = True
+    first_touch = np.flatnonzero(touched[:n_loc])
+    j_nodes = node[first_touch]
+    j_of_node = np.zeros(node_codes.size, dtype=np.int64)
+    j_of_node[j_nodes] = np.arange(1, j_nodes.size + 1)
 
-    offset = yield proc.exclusive_scan_sum(n_owned)
-    owned_start = offset + 1
-    by_code = np.argsort(owned)
-    gid_codes, gids = owned[by_code], owned_start + by_code.astype(np.int64)
+    # owned nodes by first numbered corner, local as local cells lead
+    mine = np.zeros(n_loc, dtype=bool)
+    mine[first_num[owner == s]] = True
+    owned = node[np.flatnonzero(mine)]
 
-    # a node of a local numbered cell is owned here or by a neighbour
-    # with a numbered cell on it, so one round of owned (code, id) pairs
-    # completes the local rows
+    owned_start = (yield proc.exclusive_scan_sum(owned.size)) + 1
+    gid = np.full(node_codes.size, -1, dtype=np.int64)
+    gid[owned] = owned_start + np.arange(owned.size)
+
     payloads = {}
     for sp, ls in mesh.send_halo.items():
-        hit = np.isin(gid_codes, codes[ls[numbered[ls - 1]] - 1],
-                      kind="table")
-        payloads[sp] = np.stack([gid_codes[hit], gids[hit]])
+        on_halo = np.zeros(node_codes.size, dtype=bool)
+        on_halo[node.reshape(-1, m)[ls[numbered[ls - 1]] - 1]] = True
+        at = np.flatnonzero(on_halo & (gid > 0))
+        payloads[sp] = np.stack([node_codes[at], gid[at]])
     received = yield proc.neighbor_exchange(payloads)
-    for sp, pairs in received.items():
+    for sp, pairs in sorted(received.items()):
         if np.ndim(pairs) != 2 or len(pairs) != 2:
             raise RuntimeProtocolError(
                 f"subdomain {s}: numbering payload from {sp} has shape "
                 f"{np.shape(pairs)}, expected (2, k)")
-    gid_codes, gids = _merge_ids(s, gid_codes, gids,
-                                 [received[sp] for sp in sorted(received)])
+        at = np.minimum(np.searchsorted(node_codes, pairs[0]),
+                        node_codes.size - 1)
+        if np.any(node_codes[at] != pairs[0]):
+            raise RuntimeProtocolError(
+                f"subdomain {s}: numbering payload from {sp} names a code "
+                f"that is no node of this view")
+        known = np.flatnonzero(gid[at] > 0)   # only the owner sends a node
+        if known.size:
+            i = known[0]
+            raise RuntimeProtocolError(
+                f"subdomain {s}: conflicting global ids {gid[at[i]]} and "
+                f"{pairs[1, i]} for one node")
+        if np.any(np.diff(at) <= 0):
+            raise RuntimeProtocolError(
+                f"subdomain {s}: numbering payload from {sp} has codes "
+                f"that are not strictly ascending")
+        gid[at] = pairs[1]
 
-    cell_g = _lookup(gid_codes, gids, codes[:n_local])
-    unresolved = np.flatnonzero(numbered[:n_local]
+    cell_g = gid[node[:n_loc]].reshape(mesh.n_local, m)
+    unresolved = np.flatnonzero(numbered[:mesh.n_local]
                                 & np.any(cell_g == -1, axis=1))
     if unresolved.size:
         raise RuntimeProtocolError(
             f"subdomain {s}: cell {mesh.global_ids[unresolved[0]]} "
             f"has unresolved global DOF ids after the exchange")
-
-    # owner cell per local DOF: smallest global id among relevant cells
-    hit = j_of > 0
-    smallest = np.full(n_j, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(smallest, j_of[hit] - 1,
-                  np.broadcast_to(mesh.global_ids[:, None], j_of.shape)[hit])
-    own_local_cell = mesh.local_ids(smallest)
-
     return DistSpacePiece(
-        s=s, mesh=mesh, node_keys=node_keys, node_codes=j_codes,
-        cell_j=cell_j, cell_g=cell_g, j_interior=j_interior,
-        own_local_cell=own_local_cell, owned_start=owned_start,
-        n_owned=n_owned, gid_codes=gid_codes, gids=gids)
+        s=s, mesh=mesh, node_codes=codes[first_touch],
+        node_keys=mesh.lattice[first_touch // m] + offsets[first_touch % m],
+        cell_j=j_of_node[node[:n_loc]].reshape(mesh.n_local, m),
+        cell_g=cell_g, j_interior=owner[j_nodes] < big,
+        own_local_cell=mesh.local_ids(smallest[j_nodes]),
+        owned_start=owned_start, n_owned=owned.size,
+        gid_codes=node_codes[gid > 0], gids=gid[gid > 0])
 
 
 def number_dofs_distributed(runtime, meshes,

@@ -236,11 +236,15 @@ def _cell_keys(mesh, l):
     return mesh.lattice[l - 1] + corner_offsets(mesh.grid.d)
 
 
-def _oracle_numbering_body(proc, mesh):
+def _oracle_numbering_body(proc, mesh, interior_only):
     """The per-node Q1 numbering over tuple keys and dicts, kept as the
-    oracle of the array steps: same supersteps, same payloads."""
+    oracle of the array steps: same supersteps, same payloads.  It numbers
+    the nodes of the interior cells, or of every cell with
+    ``interior_only=False``."""
     s = proc.rank
     m = 2 ** mesh.grid.d
+    numbered = (mesh.labels == INTERIOR if interior_only
+                else np.ones(mesh.n_relevant, dtype=bool))
 
     j_of_key: dict = {}
     keys_in_order: list = []
@@ -260,10 +264,10 @@ def _oracle_numbering_body(proc, mesh):
     n_j = len(keys_in_order)
     node_keys = np.asarray(keys_in_order, dtype=np.int64)
 
-    interior_cells = np.flatnonzero(mesh.labels == INTERIOR) + 1
+    numbered_cells = np.flatnonzero(numbered) + 1
     j_interior = np.zeros(n_j, dtype=bool)
     owner_of_key: dict = {}
-    for l in interior_cells:
+    for l in numbered_cells:
         cell_owner = int(mesh.owner_of_relevant[l - 1])
         for kk in _cell_keys(mesh, l):
             key = tuple(int(v) for v in kk)
@@ -274,10 +278,10 @@ def _oracle_numbering_body(proc, mesh):
             if j is not None:
                 j_interior[j - 1] = True
 
-    local_interior = [l for l in interior_cells if l <= mesh.n_local]
+    local_numbered = [l for l in numbered_cells if l <= mesh.n_local]
     owned_keys: list = []
     seen: set = set()
-    for l in local_interior:
+    for l in local_numbered:
         for kk in _cell_keys(mesh, l):
             key = tuple(int(v) for v in kk)
             if key not in seen and owner_of_key[key] == s:
@@ -290,12 +294,11 @@ def _oracle_numbering_body(proc, mesh):
     gid_of_key = {key: owned_start + i for i, key in enumerate(owned_keys)}
 
     # one (2, k) array per neighbour: the owned (code, id) pairs on the
-    # interior cells of its halo, sorted by code
+    # numbered cells of its halo, sorted by code
     n_per_axis = mesh.grid.n_per_axis
     payloads = {}
     for sp, ids in mesh.send_halo.items():
-        keys = {tuple(int(v) for v in kk) for l in ids
-                if mesh.labels[l - 1] == INTERIOR
+        keys = {tuple(int(v) for v in kk) for l in ids if numbered[l - 1]
                 for kk in _cell_keys(mesh, l)}
         pairs = sorted((int(encode_node_keys(np.array(key), n_per_axis)),
                         gid_of_key[key]) for key in keys if key in gid_of_key)
@@ -340,16 +343,23 @@ def _views(geometry, d, level, n_parts):
     return build_subdomain_meshes(cls, part), cls
 
 
-@pytest.mark.parametrize("geometry,d,level,n_parts", [
-    ("circle", 2, 5, 1), ("circle", 2, 5, 4), ("offset-circle", 2, 6, 16),
-    ("popcorn", 3, 3, 8), ("circle", 3, 4, 8)])
-def test_numbering_matches_the_per_node_oracle(geometry, d, level, n_parts):
+_ORACLE_CONFIGS = [("circle", 2, 5, 1), ("circle", 2, 5, 4),
+                   ("offset-circle", 2, 6, 16), ("popcorn", 3, 3, 8),
+                   ("circle", 3, 4, 8)]
+
+
+@pytest.mark.parametrize("geometry,d,level,n_parts,interior_only", [
+    pytest.param(*config, interior_only, id="-".join(map(str, config))
+                 + ("" if interior_only else "-every-cell"))
+    for interior_only in (True, False) for config in _ORACLE_CONFIGS])
+def test_numbering_matches_the_per_node_oracle(geometry, d, level, n_parts,
+                                               interior_only):
     meshes, _ = _views(geometry, d, level, n_parts)
     traced = VirtualRuntime(n_parts, trace=True)
-    numbering = number_dofs_distributed(traced, meshes)
+    numbering = number_dofs_distributed(traced, meshes, interior_only)
     oracle_rt = VirtualRuntime(n_parts, trace=True)
     oracle = oracle_rt.run(
-        _oracle_numbering_body, args=[(m,) for m in meshes],
+        _oracle_numbering_body, args=[(m, interior_only) for m in meshes],
         phase="numbering",
         neighbor_sets=[set(m.neighbors.tolist()) for m in meshes])
     assert traced.trace == oracle_rt.trace
@@ -416,3 +426,37 @@ def test_numbering_rejects_unresolved_ghost_ids():
     with pytest.raises(RuntimeProtocolError,
                        match="unresolved global DOF ids"):
         _faulty_numbering(blank)
+
+
+def test_numbering_rejects_a_repeated_code():
+    def repeat(phase, step, src, dst, pairs):
+        # senders send each owned code once, ascending
+        if phase != "numbering" or pairs.shape[1] == 0:
+            return pairs
+        return np.concatenate([pairs[:, :1], pairs], axis=1)
+
+    with pytest.raises(RuntimeProtocolError, match="not strictly ascending"):
+        _faulty_numbering(repeat)
+
+
+def test_numbering_rejects_a_code_outside_the_view():
+    meshes, _ = _views("circle", 2, 5, 4)
+    view_codes = [np.unique(encode_node_keys(
+        m.lattice[:, None, :] + corner_offsets(m.grid.d), m.grid.n_per_axis))
+        for m in meshes]
+    strays = []
+
+    def inject(phase, step, src, dst, pairs):
+        # a node of the sender's view that the receiver does not see,
+        # placed in code order with a fresh id
+        if phase != "numbering" or strays:
+            return pairs
+        stray = np.setdiff1d(view_codes[src - 1], view_codes[dst - 1])[0]
+        strays.append(stray)
+        out = np.concatenate([pairs, [[stray], [10 ** 6]]], axis=1)
+        return out[:, np.argsort(out[0])]
+
+    with pytest.raises(RuntimeProtocolError,
+                       match="names a code that is no node of this view"):
+        _faulty_numbering(inject)
+    assert strays

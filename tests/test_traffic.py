@@ -10,6 +10,7 @@ protocol.
 import collections
 
 import numpy as np
+import pytest
 
 from agfem import experiments as ex
 from agfem.experiments import ExperimentConfig
@@ -32,6 +33,16 @@ EXPECTED_3D = {"aggregate": (7, 144), "inverse-plan": (5, 50),
                "solve": (140, 2538)}
 ENTRIES_3D = {"aggregate": 4968, "inverse-plan": 1120, "numbering": 796,
               "import": 808, "assembly": 13498, "solve": 12596}
+
+# the standard space on the same two configs: it numbers the nodes of
+# every active cell and has no aggregation, plans or import; the solves
+# take 47 and 42 iterations
+EXPECTED_STD = {"numbering": (2, 40), "assembly": (1, 18),
+                "solve": (143, 1920)}
+ENTRIES_STD = {"numbering": 728, "assembly": 1636, "solve": 11328}
+EXPECTED_STD_3D = {"numbering": (2, 54), "assembly": (1, 23),
+                   "solve": (128, 2322)}
+ENTRIES_STD_3D = {"numbering": 1848, "assembly": 10458, "solve": 24080}
 
 
 def _entries(payload):
@@ -95,3 +106,14 @@ def test_one_subdomain_assembly_posts_no_message(monkeypatch):
     # every sum of a one-subdomain assembly is owned at home
     counts, _ = _run_counting(monkeypatch, 1)
     assert counts["assembly"] == (1, 0)
+
+
+@pytest.mark.parametrize("params,iterations,expected,expected_entries", [
+    pytest.param(OFFSET_CIRCLE, 47, EXPECTED_STD, ENTRIES_STD,
+                 id="offset-circle"),
+    pytest.param(POPCORN, 42, EXPECTED_STD_3D, ENTRIES_STD_3D,
+                 id="popcorn-3d")])
+def test_supersteps_and_messages_per_phase_of_the_standard_space(
+        monkeypatch, params, iterations, expected, expected_entries):
+    _check_traffic(monkeypatch, dict(params, space="std"), iterations,
+                   expected, expected_entries)
