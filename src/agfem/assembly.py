@@ -44,10 +44,10 @@ at a time, each window in cell order, then the pairs of higher ranks.
 rank order is global-cell order, the invariant the numbering's
 independence of P rests on too.  So every (row, col) is a left-to-right
 sum of its cells' sums in global-cell order, the same for every P, and
-serial and distributed systems are bitwise equal.  The loads and the CSR
-matrix are then cut out of that array in place; entries summing to zero
-are not stored.  Beyond the keys and the pairs, scratch is bounded by
-the window.
+serial and distributed systems are bitwise equal.  The loads and the
+``CSR`` block are then cut out of that array in place; entries summing
+to zero are not stored.  Beyond the keys and the pairs, scratch is
+bounded by the window.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fespace import (axis_factors, extension_operator, q1_tables,
                       shape_gradients, shape_values, tensor_products)
@@ -64,6 +63,7 @@ from .geometry import (CHUNK_POINTS, CellClassification, QuadratureStore,
                        point_chunks)
 from .partition import _sorted_distinct
 from .runtime import VirtualRuntime
+from .sparse import CSR
 
 
 class AssemblyError(RuntimeError):
@@ -84,10 +84,13 @@ def nitsche_tau_agg(h: float, beta: float) -> float:
 def _add_weighted_runs(out, cells, w, vals):
     """``out[k - 1] += sum of w * vals`` over the points of each cell k,
     ``vals`` points last; ``cells`` is nondecreasing, so a cell's points
-    form one run, summed in one reduction."""
+    form one run, summed in one reduction.  ``vals`` is a scratch array
+    of the caller's, scaled by w in place: a chunk's largest array, which
+    would otherwise come fresh from the system for every chunk."""
     starts = np.flatnonzero(np.diff(cells, prepend=0))
+    vals *= w
     out[cells[starts] - 1] += np.moveaxis(
-        np.add.reduceat(vals * w, starts, axis=-1), -1, 0)
+        np.add.reduceat(vals, starts, axis=-1), -1, 0)
 
 
 def reference_tables(cls: CellClassification, quad: QuadratureStore):
@@ -212,7 +215,9 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
     m = 2 ** cls.grid.d
     cut = cls.cut_ids
     held = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
-    ids = np.union1d(cut, held)      # the cells with a matrix of their own
+    # the cells with a matrix of their own; not np.union1d, whose hash
+    # path takes about 9 ms on its first call in a process
+    ids = _sorted_distinct(np.concatenate([cut, held]))
     vecs = np.zeros((cls.n_active, m))
     vals_ref, grads_ref = reference_tables(cls, quad)
     ref = np.einsum("nad,nbd,n->ab", grads_ref, grads_ref, quad.box_weights)
@@ -299,13 +304,14 @@ class DistributedSystem:
 
     n_global: int
     row_starts: np.ndarray    # (P+1,) 1-based owned-range starts
-    blocks: list              # per s: csr of shape (n_owned, n_global)
+    blocks: list              # per s: CSR of shape (n_owned, n_global)
     rhs: list                 # per s: (n_owned,)
 
     @classmethod
     def one_block(cls, A, b) -> "DistributedSystem":
-        """A serial system ``(A, b)`` as the one-subdomain partition."""
-        A = sp.csr_matrix(A)
+        """A serial system ``(A, b)`` as the one-subdomain partition; ``A``
+        is a ``CSR`` or any matrix ``CSR.of`` takes."""
+        A = CSR.of(A)
         n = A.shape[0]
         return cls(n_global=n, row_starts=np.array([1, n + 1], dtype=np.int64),
                    blocks=[A], rhs=[np.asarray(b, dtype=np.float64)])
@@ -315,8 +321,8 @@ class DistributedSystem:
         return len(self.blocks)
 
     def gather(self):
-        """Full (A, b) with globally ordered rows."""
-        A = sp.vstack(self.blocks).tocsr()
+        """Full (A, b) with globally ordered rows, A a ``CSR``."""
+        A = CSR.vstack(self.blocks)
         b = np.concatenate(self.rhs)
         return A, b
 
@@ -543,7 +549,7 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     indptr = np.searchsorted(keys, np.arange(n_owned + 1) * stride)
     keys %= stride
     keys -= 1
-    return sp.csr_matrix((data, keys, indptr), shape=(n_owned, n_global)), b
+    return CSR(data, keys, indptr, (n_owned, n_global)), b
 
 
 def assemble_serial(space, dofs, constraints, elements):
@@ -587,9 +593,10 @@ def assemble_distributed(runtime: VirtualRuntime, numbering, constraints_per_s,
         blocks=[r[0] for r in results], rhs=[r[1] for r in results])
 
 
-def export_matrix_coo(A, path):
-    """Write a sparse matrix as 1-based 'row col value' text lines."""
-    coo = sp.coo_matrix(A)
+def export_matrix_coo(A: CSR, path):
+    """Write a CSR matrix as 1-based 'row col value' text lines, one per
+    stored entry in stored order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
+        for r, c, v in zip(A.rows().tolist(), A.indices.tolist(),
+                           A.data.tolist()):
+            fh.write(f"{r + 1} {c + 1} {v!r}\n")

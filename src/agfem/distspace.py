@@ -18,9 +18,11 @@ them by ``searchsorted`` in its node codes.  One round is enough: the
 owner of a node of a local numbered cell has a numbered cell on it,
 which shares a vertex with the local cell, so it is a neighbour.  Only
 the owner sends a node, once, so a code that is no node of the view,
-repeats, or names a node with a known id is a protocol error.  Rows of
-local cut cells keep -1 where a node touches no numbered cell; nothing
-reads those entries.
+repeats, or names a node with a known id is a protocol error, and so is
+an id the sender cannot own: ranges ascend from 1 with the rank, so a
+lower rank's ids lie below the receiver's range and a higher rank's
+above it.  Rows of local cut cells keep -1 where a node touches no
+numbered cell; nothing reads those entries.
 
 Constrained DOFs never get global ids; each subdomain expresses them by
 local id against global master ids.  The roots of all exterior DOFs are
@@ -189,7 +191,17 @@ def _numbering_body(proc, mesh: SubdomainMesh, interior_only: bool):
             raise RuntimeProtocolError(
                 f"subdomain {s}: numbering payload from {sp} has codes "
                 f"that are not strictly ascending")
-        gid[at] = pairs[1]
+        # ranks own ascending ranges from 1: a lower rank's ids lie below
+        # this rank's range, a higher rank's above it
+        ids = pairs[1]
+        lo, hi = (1, owned_start - 1) if sp < s else \
+            (owned_start + owned.size, big)
+        if ids.size and (ids.min() < lo or ids.max() > hi):
+            raise RuntimeProtocolError(
+                f"subdomain {s}: numbering payload from {sp} carries global "
+                f"id {ids[(ids < lo) | (ids > hi)][0]}, outside the "
+                f"sender's ids {lo}..{hi if sp < s else ''}")
+        gid[at] = ids
 
     cell_g = gid[node[:n_loc]].reshape(mesh.n_local, m)
     unresolved = np.flatnonzero(numbered[:mesh.n_local]

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .aggregation import RootMap
 from .geometry import CellClassification
+from .sparse import CSR
 
 
 def axis_factors(xi) -> np.ndarray:
@@ -217,7 +217,7 @@ def build_constraints_serial(space: StdSpace, dofs: DofClassification,
 
 
 def extension_operator(row_of: np.ndarray, constraints: AgConstraints | None,
-                       n_free: int) -> sp.csr_matrix:
+                       n_free: int) -> CSR:
     """The aggregation extension operator C, one CSR row per DOF.
 
     ``row_of[j - 1]`` is the 1-based system row of free DOF j (0 if it is
@@ -242,5 +242,5 @@ def extension_operator(row_of: np.ndarray, constraints: AgConstraints | None,
               + np.arange(order.shape[1]))
         indices[at] = np.take_along_axis(constraints.masters, order, 1) - 1
         data[at] = np.take_along_axis(constraints.coeffs, order, 1)
-    return sp.csr_matrix((data, indices, indptr), shape=(row_of.size, n_free))
+    return CSR(data, indices, indptr, (row_of.size, n_free))
 

@@ -71,16 +71,25 @@ def point_chunks(n: int, size: int = CHUNK_POINTS) -> list:
 # reference rules
 
 
-def _gauss01(n: int):
-    """n-point Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+# The 3-point Gauss-Legendre rule on [-1, 1], exact to degree 5, as
+# numpy's leggauss(3) gives it bit for bit: the box rule needs
+# (QUAD_DEGREE + 2) // 2 points per axis and the collapsed triangle rule
+# (QUAD_DEGREE + 3) // 2, both 3.  A table keeps numpy.polynomial, and
+# the numpy.ma it imports, out of a solve.
+_GAUSS3 = ((-0.7745966692414834, 0.0, 0.7745966692414834),
+           (0.5555555555555557, 0.8888888888888888, 0.5555555555555557))
+
+
+def _gauss01():
+    """The 3-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.array(_GAUSS3)
     return 0.5 * (x + 1.0), w / 2.0
 
 
 def _box_rule(h: np.ndarray):
     """Tensor-product Gauss rule on the box [0, h], exact to QUAD_DEGREE;
     in 1D, the rule of the 2D interface segments."""
-    x, w = _gauss01((QUAD_DEGREE + 2) // 2)
+    x, w = _gauss01()
     grids = np.meshgrid(*[x * ha for ha in h], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
     weights = np.ones(points.shape[0])
@@ -91,9 +100,8 @@ def _box_rule(h: np.ndarray):
 
 def _triangle_rule():
     # collapsed (Duffy) tensor rule; the Jacobian raises the u-degree by one
-    m = (QUAD_DEGREE + 3) // 2
-    u, wu = _gauss01(m)
-    v, wv = _gauss01(m)
+    u, wu = _gauss01()
+    v, wv = _gauss01()
     uu, vv = np.meshgrid(u, v, indexing="ij")
     x = uu.ravel()
     y = (vv * (1.0 - uu)).ravel()

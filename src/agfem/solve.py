@@ -2,7 +2,9 @@
 and discretization error norms.
 
 The solver runs the same code path serially and distributed: a serial
-system is wrapped as a one-process distributed system.  All inner
+system is wrapped as a one-process distributed system.  Each process
+holds its rows as a ``CSR`` record, renumbered once to the columns it
+touches, and multiplies with scipy's compiled ``csr_matvec``.  All inner
 products reduce the concatenated per-process arrays in subdomain order
 in a single summation, so iteration histories are bitwise identical for
 every process count and scheduling choice.  r'r and r'z reduce in one
@@ -28,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (DistributedSystem, bulk_rows, interior_rows,
                        reference_tables)
 from .fespace import q1_tables
 from .partition import _sorted_distinct
-from .runtime import VirtualRuntime
+from .runtime import RuntimeProtocolError, VirtualRuntime
+from .sparse import CSR
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -86,8 +88,16 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
     owners = np.searchsorted(row_starts, ext, side="right")
     incoming = yield proc.routed_exchange(   # ascending gids per owner
         {int(p): ext[owners == p] for p in _sorted_distinct(owners)})
-    push_plan = {int(src): np.asarray(gids, dtype=np.int64) - my_start
-                 for src, gids in incoming.items()}
+    push_plan = {}
+    for src, gids in incoming.items():
+        gids = np.asarray(gids, dtype=np.int64)
+        if gids.size and (gids.min() < my_start or gids.max() >= my_end):
+            bad = gids[(gids < my_start) | (gids >= my_end)][0]
+            raise RuntimeProtocolError(
+                f"subdomain {s}: solve setup request from {src} names "
+                f"global id {bad} outside the owned rows "
+                f"{my_start}..{my_end - 1}")
+        push_plan[int(src)] = gids - my_start
 
     diag = A.diagonal(k=my_start - 1) if n_owned else np.zeros(0)
     # columns renumbered by rank among the touched ones: ghosts owned by
@@ -95,13 +105,15 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
     # entry order is kept, so every row sums as before
     touched = np.concatenate([ext[ext < my_start],
                               np.arange(my_start, my_end), ext[ext >= my_end]])
-    A = sp.csr_matrix((A.data, np.searchsorted(touched, A.indices + 1),
-                       A.indptr), shape=(n_owned, touched.size))
+    A = CSR(A.data, np.searchsorted(touched, A.indices + 1), A.indptr,
+            (n_owned, touched.size))
 
     def run_matvec(x_own):
         # one exchange of off-owned entries per application
         payloads = {dst: x_own[idx] for dst, idx in push_plan.items()}
         received = yield proc.routed_exchange(payloads)
+        if not ext.size:       # no ghosts: the owned range is every column
+            return A @ x_own
         return A @ np.concatenate(
             [received[src] for src in sorted(received) if src < s] + [x_own]
             + [received[src] for src in sorted(received) if src > s])
@@ -112,11 +124,14 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
     inv_diag = 1.0 / diag
 
     # r'r and r'z share a superstep: z is formed before the convergence
-    # test, so the last r'z is computed and not used
+    # test, so the last r'z is computed and not used.  x, r, z and p are
+    # updated in place, each entry from the same operands in the same
+    # order as x + alpha p, r - alpha Ap, D^-1 r and z + beta p
     x = np.zeros(n_owned)
     r = b.copy()
     z = inv_diag * r
     terms = np.empty((2, n_owned))
+    work = np.empty(n_owned)
     bb, rz = yield proc.sum_ordered(_dot_terms(terms, r, z))
     bnorm = np.sqrt(bb)
     history: list = []
@@ -130,7 +145,7 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
         p = z.copy()
         for it in range(1, maxit + 1):
             Ap = yield from run_matvec(p)
-            pAp = yield proc.sum_ordered(p * Ap)
+            pAp = yield proc.sum_ordered(np.multiply(p, Ap, out=work))
             if not np.isfinite(pAp):
                 reason = "nonfinite"
                 break
@@ -139,9 +154,10 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
                 break
             alpha = rz / pAp
             alphas.append(alpha)
-            x = x + alpha * p
-            r = r - alpha * Ap
-            z = inv_diag * r
+            x += np.multiply(alpha, p, out=work)
+            Ap *= alpha
+            r -= Ap
+            np.multiply(inv_diag, r, out=z)
             rr, rz_new = yield proc.sum_ordered(_dot_terms(terms, r, z))
             rel = np.sqrt(rr) / bnorm
             history.append(rel)
@@ -151,7 +167,8 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
                 break
             beta = rz_new / rz
             betas.append(beta)
-            p = z + beta * p
+            p *= beta
+            p += z
             rz = rz_new
     # every rank holds the same recurrence; the caller reads one
     return x, (iterations, history, alphas, betas, reason)
@@ -162,7 +179,8 @@ def pcg_jacobi(system, rtol: float = 1e-6, maxit: int = 500,
     """Solve the SPD system; returns the global solution and a report.
 
     ``system`` is a ``DistributedSystem`` (give the runtime that owns its
-    processes) or a serial ``(A, b)`` pair.
+    processes) or a serial ``(A, b)`` pair, ``A`` a ``CSR`` or any matrix
+    ``CSR.of`` takes, such as scipy's ``csr_matrix``.
     """
     dist = system if isinstance(system, DistributedSystem) else \
         DistributedSystem.one_block(*system)
@@ -183,15 +201,18 @@ def pcg_jacobi(system, rtol: float = 1e-6, maxit: int = 500,
 
 def condition_estimate(system) -> float:
     """Exact spectral condition number of an SPD matrix of order at most
-    ``DENSE_LIMIT``, from its extreme eigenvalues; raises
+    ``DENSE_LIMIT``, a ``DistributedSystem`` or a CSR matrix as
+    ``CSR.of`` takes it, from the extreme eigenvalues of its dense copy;
+    raises
     ``NotPositiveDefiniteError`` when the smallest is not positive."""
-    A = system.gather()[0] if isinstance(system, DistributedSystem) else system
+    A = system.gather()[0] if isinstance(system, DistributedSystem) else \
+        CSR.of(system)
     n = A.shape[0]
     if n > DENSE_LIMIT:
         raise ValueError(f"dense estimate limited to n <= {DENSE_LIMIT}, "
                          f"got {n}")
     import scipy.linalg    # here: no solve needs it
-    eig = scipy.linalg.eigvalsh(sp.csr_matrix(A).toarray())
+    eig = scipy.linalg.eigvalsh(A.toarray())
     if not eig[0] > 0.0:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: smallest eigenvalue "

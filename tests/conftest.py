@@ -487,6 +487,12 @@ def oracle_assembly(subdomains, constraints, elements, n):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), b
 
 
+def to_scipy(A):
+    """The ``CSR`` record ``A`` as scipy's ``csr_matrix`` on the same
+    arrays, for the checks that need scipy's sparse operations."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
 def prolongate(dofs, constraints, interior_values):
     """Expand a reduced vector of the serial reference space to all nodes
     through its constraints."""

@@ -8,7 +8,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from agfem.aggregation import (aggregate_parallel, aggregate_serial,
                                aggregates, gather_root_map)
@@ -31,7 +30,7 @@ from agfem.assembly import assemble_distributed
 
 from conftest import (bfs_aggregation_oracle, check_plan_duality,
                       classified, full_bulk_rule, prolongate, random_geometry,
-                      root_next_pairs)
+                      root_next_pairs, to_scipy)
 
 GEOMETRIES = {
     "halfplane": lambda: HalfPlane((1.0, 0.0), 0.6180339887),
@@ -101,7 +100,7 @@ def equivalence_data():
                 system = assemble_distributed(rt, numbering, dcons, elements)
                 # global ids are the serial rows at every P
                 A_d, b_d = system.gather()
-                diff = sp.csr_matrix(A_d - A_s)
+                diff = to_scipy(A_d) - to_scipy(A_s)
                 a_dev = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
                 b_dev = float(np.max(np.abs(b_d - b_s)))
                 bitwise = (np.array_equal(A_d.indptr, A_s.indptr)

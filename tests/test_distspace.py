@@ -460,3 +460,46 @@ def test_numbering_rejects_a_code_outside_the_view():
                        match="names a code that is no node of this view"):
         _faulty_numbering(inject)
     assert strays
+
+
+def test_numbering_rejects_a_global_id_outside_the_senders_range(
+        monkeypatch, tmp_path):
+    # ranks own ascending id ranges from 1: an id below 1, or one inside
+    # the receiver's own range from a higher rank, names no DOF the
+    # sender owns; before the check, an id of 0 read as "constrained"
+    clean = _faulty_numbering(None)
+
+    def zero(phase, step, src, dst, pairs):
+        if phase != "numbering" or pairs.shape[1] == 0:
+            return pairs
+        pairs = pairs.copy()
+        pairs[1, 0] = 0
+        return pairs
+
+    def theirs(phase, step, src, dst, pairs):
+        if phase != "numbering" or pairs.shape[1] == 0 or src < dst:
+            return pairs
+        pairs = pairs.copy()
+        pairs[1, 0] = clean.pieces[dst - 1].owned_start
+        return pairs
+
+    with pytest.raises(RuntimeProtocolError, match="carries global id 0, "
+                                                   "outside the sender's ids"):
+        _faulty_numbering(zero)
+    with pytest.raises(RuntimeProtocolError, match="outside the sender's ids"):
+        _faulty_numbering(theirs)
+
+    # through the CLI, a typed error exits with code 3
+    from click.testing import CliRunner
+
+    import agfem.experiments as ex
+    from agfem import cli
+
+    monkeypatch.setattr(ex, "VirtualRuntime", lambda n, trace=False:
+                        VirtualRuntime(n, trace=trace, payload_filter=zero))
+    res = CliRunner().invoke(cli.main, [
+        "solve", "--geometry", "circle", "--level", "5", "--procs", "4",
+        "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    assert "numerical failure" in res.output
+    assert "carries global id 0" in res.output

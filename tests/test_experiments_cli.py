@@ -777,6 +777,32 @@ def test_import_and_solve_leave_scipy_linalg_unimported(tmp_path):
     assert res.stdout.split() == ["False", "True", "False"]
 
 
+def test_import_and_solve_leave_scipy_sparse_unimported(tmp_path):
+    # a fresh interpreter: the test oracles import scipy.sparse here; the
+    # CSR blocks run scipy's compiled kernels, loaded without the package,
+    # whose import clones numpy through scipy._lib.array_api_compat
+    run = ("import sys; import agfem.experiments as ex; "
+           "cfg = ex.ExperimentConfig(geometry='offset-circle', level=4, "
+           f"procs=4, dump=('matrix',), out={str(tmp_path)!r}).validate(); "
+           "record = ex.cmd_solve(cfg); "
+           "print(record['converged'], *(name in sys.modules for name in "
+           "('scipy.sparse', 'scipy._lib.array_api_compat', "
+           "'scipy.sparse._sparsetools')))")
+    res = subprocess.run([sys.executable, "-c", run], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "False", "False", "True"]
+    assert (tmp_path / "matrix.txt").stat().st_size > 0
+    # and no module of the package names it
+    import agfem
+    src = os.path.dirname(agfem.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                assert not re.search(r"^\s*(import|from)\s+scipy\.sparse\b",
+                                     fh.read(), re.M), name
+
+
 def test_cli_exit_codes(tmp_path):
     ok = _cli("solve", "--level", "3", "--out", str(tmp_path / "ok"))
     assert ok.returncode == 0, ok.stderr

@@ -15,7 +15,7 @@ from agfem.grid import corner_offsets
 from agfem.levelset import HalfPlane, Sphere
 from agfem.partition import _lookup
 
-from conftest import classified, prolongate, random_geometry
+from conftest import classified, prolongate, random_geometry, to_scipy
 
 
 def _agg_pipeline(level, ls):
@@ -254,7 +254,8 @@ def test_extension_operator_is_the_canonical_csr_of_its_entries(params):
             (np.concatenate([free, np.repeat(cons.constrained - 1, m)]),
              np.concatenate([row_of[free] - 1, cons.masters.ravel() - 1]))),
             shape=(row_of.size, out.numbering.n_global))
-        got = extension_operator(row_of, cons, out.numbering.n_global)
+        got = to_scipy(extension_operator(row_of, cons,
+                                          out.numbering.n_global))
         assert cons.n_constrained and got.has_canonical_format
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name))

@@ -145,6 +145,14 @@ def test_reference_rules_integrate_monomials(name, degree):
         assert max(v for p, v in errors.items() if sum(p) == degree) > 1e-10
 
 
+def test_gauss_table_is_numpys_three_point_rule():
+    # the box and triangle rules read one 3-point table: it must be the
+    # rule numpy computes, bit for bit, and the one QUAD_DEGREE asks for
+    x, w = np.polynomial.legendre.leggauss(3)
+    assert np.array(geometry._GAUSS3).tobytes() == np.stack([x, w]).tobytes()
+    assert (QUAD_DEGREE + 2) // 2 == (QUAD_DEGREE + 3) // 2 == len(x)
+
+
 def test_tet_rule_is_one_14_point_rule():
     # three orbits of barycentric points: the point set, with the fourth
     # coordinate, is closed under every permutation of the coordinates

@@ -7,9 +7,11 @@ import scipy.sparse as sp
 from agfem.aggregation import aggregate_serial
 from agfem.assembly import assemble_serial, nitsche_tau_agg, poisson_elements
 from agfem.fespace import build_constraints_serial, build_std_space, classify_dofs
-from agfem.experiments import ExperimentConfig, manufactured_solution
+from agfem.experiments import (ExperimentConfig, manufactured_solution,
+                               run_solve_pipeline)
 from agfem.geometry import cut_quadrature
 from agfem.levelset import Popcorn, Sphere
+from agfem.runtime import RuntimeProtocolError, VirtualRuntime
 from agfem.solve import (NotPositiveDefiniteError, condition_estimate,
                          error_norms, pcg_jacobi)
 
@@ -206,3 +208,29 @@ def test_a_non_positive_diagonal_is_not_positive_definite():
     A = sp.diags([1.0, 0.0, 2.0]).tocsr()
     with pytest.raises(NotPositiveDefiniteError, match="positive diagonal"):
         pcg_jacobi((A, np.ones(3)))
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_solve_setup_rejects_a_request_outside_the_owners_rows(bad):
+    # the owner indexes its vector with each requested id: numpy wraps a
+    # negative index, so 0 or -1 would read a valid entry silently
+    cfg = ExperimentConfig(geometry="offset-circle", level=5,
+                           procs=4).validate()
+    corrupted = []
+
+    def corrupt(phase, step, src, dst, payload):
+        # the setup superstep carries integer ids, the matvecs floats
+        if phase != "solve" or payload.dtype.kind != "i" or corrupted:
+            return payload
+        corrupted.append((src, dst))
+        payload = payload.copy()
+        payload[0] = bad
+        return payload
+
+    with pytest.raises(RuntimeProtocolError) as err:
+        run_solve_pipeline(cfg, runtime=VirtualRuntime(
+            4, payload_filter=corrupt))
+    (src, dst), = corrupted
+    assert str(err.value).startswith(
+        f"subdomain {dst}: solve setup request from {src} names global id "
+        f"{bad} outside the owned rows ")
