@@ -62,7 +62,7 @@ from .fespace import (axis_factors, extension_operator, q1_tables,
 from .geometry import (CHUNK_POINTS, CellClassification, QuadratureStore,
                        point_chunks)
 from .partition import _sorted_distinct
-from .runtime import VirtualRuntime
+from .runtime import RuntimeProtocolError, VirtualRuntime
 from .sparse import CSR
 
 
@@ -468,6 +468,29 @@ def _pattern(rows, table, extra, first, n_owned, stride):
     return keys[:nnz], cols.ravel()
 
 
+def _owned_pairs(s, src, payload, first, n_owned, stride):
+    """The (keys less the owned base, values) that subdomain ``s`` got from
+    ``src``, checked: a pair of vectors, as many integer keys as values,
+    each key in an owned row (1-based ``first + 1..first + n_owned``), so
+    that its column code, key mod ``stride``, lies in 0..n_global."""
+    keys, values = payload if isinstance(payload, tuple) and \
+        len(payload) == 2 else (None, None)
+    if (not isinstance(keys, np.ndarray) or keys.dtype.kind not in "iu"
+            or keys.ndim != 1 or np.shape(values) != keys.shape):
+        raise RuntimeProtocolError(
+            f"subdomain {s}: assembly payload from {src} is not a pair of "
+            f"integer keys and as many values")
+    keys = keys - first * stride
+    end = n_owned * stride
+    if keys.size and (keys.min() < 0 or keys.max() >= end):
+        row = int(keys[(keys < 0) | (keys >= end)][0] // stride) + first + 1
+        raise RuntimeProtocolError(
+            f"subdomain {s}: assembly payload from {src} carries a key of "
+            f"row {row}, outside the owned rows "
+            f"{first + 1}..{first + n_owned}")
+    return keys, values
+
+
 def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
                    n_global, row_starts):
     """Owned rows of one subdomain from its owned cells: their local DOFs
@@ -503,7 +526,8 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     received = yield proc.routed_exchange(
         {int(dst): (key[owner == dst], val[owner == dst])
          for dst in _sorted_distinct(owner)})
-    pairs = [(r, pk - base, pv) for r, (pk, pv) in sorted(received.items())]
+    pairs = [(r, *_owned_pairs(s, r, payload, first, n_owned, stride))
+             for r, payload in sorted(received.items())]
     kcount = np.bincount(np.repeat(np.arange(kc.size), kcount)[mine],
                          minlength=kc.size)
     kkey, kval = kkey[mine] - base, kval[mine]

@@ -8,6 +8,16 @@ subdomain-id order, so every public result is independent of the order
 in which the processes are stepped within a superstep.
 Every delivered payload is a private copy whose arrays are read-only,
 so no process can change what another one sent or received.
+
+A halo exchange is planned once, as MPI-4's ``MPI_Neighbor_alltoallv_init``:
+its setup superstep is a routed exchange of the ids each process asks of
+each owner, from which the runtime records where every owner's packed
+send buffer lands in each requester's ghost block.  Each exchange then
+posts one buffer per process, and one gather fills every ghost block:
+the entries asked for, owners ascending, in a read-only array of the
+runtime's own.  With a trace or a payload filter set, each (owner,
+requester) segment still passes the filter and gets its trace row, as a
+routed message would.
 """
 
 from __future__ import annotations
@@ -27,6 +37,81 @@ class RuntimeProtocolError(RuntimeError):
 class _Exchange:
     payloads: dict
     routed: bool
+
+
+class _HaloSetup(_Exchange):
+    """A routed exchange of requested ids that also plans the halo."""
+
+
+class _HaloPlan:
+    """Where each sender's packed buffer lands in every ghost block.
+
+    ``sends[i]`` lists (requester, start, end) of each segment of the
+    buffer of process i + 1, requesters ascending, and ``shapes[i]`` is
+    that buffer's shape; ``perm`` gathers the joined send buffers into
+    the joined ghost blocks, requesters ascending, each block's owners
+    ascending.  A halo carries float64 values."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, requests, deliveries, phase):
+        self.sends, self.shapes = [], []
+        # (requester, owner, start in the joined buffers, count)
+        segments, start = [], 0
+        for owner, asked in enumerate(deliveries, start=1):
+            sends, end = [], 0
+            for dst in sorted(asked):
+                n = np.size(asked[dst])
+                wanted = np.size(requests[dst - 1].payloads[owner])
+                if n != wanted:
+                    raise RuntimeProtocolError(
+                        f"{phase}: halo from {owner} to {dst} plans {n} "
+                        f"ghost entries where {dst} requested {wanted}")
+                sends.append((dst, end, end + n))
+                segments.append((dst, owner, start + end, n))
+                end += n
+            self.sends.append(sends)
+            self.shapes.append((end,))
+            start += end
+        segments.sort()
+        self.perm = np.concatenate(
+            [np.arange(first, first + n, dtype=np.intp)
+             for _, _, first, n in segments] + [np.zeros(0, dtype=np.intp)])
+        ends = [0] * (len(deliveries) + 1)
+        for dst, _, _, n in segments:
+            ends[dst] += n
+        ends = np.cumsum(ends).tolist()
+        self.blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
+@dataclass
+class Halo:
+    """One process's end of a planned halo exchange.
+
+    ``requests`` maps each subdomain that asked this one for entries to
+    the ids it asked for, as delivered.  ``exchange(buffer)`` posts the
+    packed buffer: the entries each requester asked for, requesters
+    ascending; the next superstep returns this process's ghost block."""
+
+    plan: _HaloPlan
+    rank: int
+    requests: dict
+
+    def exchange(self, buffer) -> "_HaloPost":
+        return _HaloPost(np.asarray(buffer), self.plan, self.rank)
+
+
+@dataclass
+class _HaloPost:
+    buffer: np.ndarray
+    plan: _HaloPlan
+    rank: int
+
+    @property
+    def payloads(self) -> dict:
+        """The buffer's per-requester segments, built on access."""
+        return {dst: self.buffer[a:b]
+                for dst, a, b in self.plan.sends[self.rank - 1]}
 
 
 @dataclass
@@ -69,6 +154,12 @@ class ProcessContext:
         """Post records to arbitrary subdomains."""
         return _Exchange(dict(payloads), routed=True)
 
+    def halo_setup(self, requests: dict) -> _HaloSetup:
+        """Ask each owner for the ids ``requests[owner]`` and plan the
+        halo exchange of their float64 values; the superstep returns a
+        :class:`Halo`."""
+        return _HaloSetup(dict(requests), routed=True)
+
     def reduce_logical_and(self, flag) -> _ReduceAnd:
         return _ReduceAnd(bool(flag))
 
@@ -84,7 +175,9 @@ class ProcessContext:
         stack gives k sums in one superstep, row i summed over the
         concatenation of every process's row i.
         """
-        return _SumOrdered(np.atleast_1d(np.asarray(values)))
+        if type(values) is not np.ndarray or not values.ndim:
+            values = np.atleast_1d(np.asarray(values))
+        return _SumOrdered(values)
 
 
 class VirtualRuntime:
@@ -168,6 +261,8 @@ class VirtualRuntime:
             raise RuntimeProtocolError(
                 f"mixed collective kinds in superstep {self._superstep}: {names}")
         kind = kinds.pop()
+        if kind is _HaloPost:
+            return self._halo(requests, phase)
         if kind is _ReduceAnd:
             value = all(r.flag for r in requests)
             return [value] * self.n_procs
@@ -185,10 +280,60 @@ class VirtualRuntime:
                     f"{self._superstep}")
             joined = values[0] if len(values) == 1 else \
                 np.concatenate(values, axis=-1)
-            total = float(np.sum(joined)) if joined.ndim == 1 else \
-                tuple(float(np.sum(row)) for row in joined)
+            # np.add.reduce is np.sum without its Python wrapper
+            total = float(np.add.reduce(joined)) if joined.ndim == 1 else \
+                tuple(float(np.add.reduce(row)) for row in joined)
             return [total] * self.n_procs
-        return self._deliver(requests, phase, neighbor_sets)
+        deliveries = self._deliver(requests, phase, neighbor_sets)
+        if kind is _HaloSetup:
+            plan = _HaloPlan(requests, deliveries, phase)
+            return [Halo(plan, i + 1, got) for i, got in enumerate(deliveries)]
+        return deliveries
+
+    def _halo(self, requests, phase):
+        """Every ghost block from one gather over the joined buffers."""
+        plan = requests[0].plan
+        bufs = [r.buffer for r in requests]
+        if ([b.shape for b in bufs] != plan.shapes
+                or any(b.dtype != plan.dtype for b in bufs)):
+            src, b = next((i, b) for i, b in enumerate(bufs, start=1)
+                          if b.shape != plan.shapes[i - 1]
+                          or b.dtype != plan.dtype)
+            dsts = [dst for dst, _, _ in plan.sends[src - 1]]
+            raise RuntimeProtocolError(
+                f"{phase}: process {src} posted a {b.dtype} halo buffer of "
+                f"shape {b.shape} for {dsts}; its plan fixes {plan.dtype} "
+                f"of shape {plan.shapes[src - 1]}")
+        sent = np.concatenate(bufs)
+        if self.payload_filter is not None or self.trace_enabled:
+            self._halo_hooks(plan, sent, phase)
+        ghosts = sent.take(plan.perm)
+        ghosts.flags.writeable = False
+        return [ghosts[block] for block in plan.blocks]
+
+    def _halo_hooks(self, plan, sent, phase):
+        """Each (sender, requester) segment of ``sent`` through the payload
+        filter, written back, and traced as one routed message."""
+        start = 0
+        for src, (sends, (n,)) in enumerate(zip(plan.sends, plan.shapes),
+                                            start=1):
+            for dst, a, b in sends:
+                payload = sent[start + a:start + b]
+                if self.payload_filter is not None:
+                    payload = self.payload_filter(
+                        phase, self._superstep, src, dst, payload)
+                    if not (isinstance(payload, np.ndarray)
+                            and payload.shape == (b - a,)
+                            and payload.dtype == plan.dtype):
+                        raise RuntimeProtocolError(
+                            f"{phase}: halo message from {src} to {dst} is "
+                            f"not the ({b - a},) {plan.dtype} its plan fixes")
+                    sent[start + a:start + b] = payload
+                if self.trace_enabled:
+                    self.trace.append(TraceRecord(
+                        phase, self._superstep, "routed", src, dst,
+                        len(pickle.dumps(payload, protocol=4))))
+            start += n
 
     def _deliver(self, requests, phase, neighbor_sets):
         deliveries: list = [dict() for _ in range(self.n_procs)]

@@ -4,7 +4,11 @@ and discretization error norms.
 The solver runs the same code path serially and distributed: a serial
 system is wrapped as a one-process distributed system.  Each process
 holds its rows as a ``CSR`` record, renumbered once to the columns it
-touches, and multiplies with scipy's compiled ``csr_matvec``.  All inner
+touches, and multiplies with scipy's compiled ``csr_matvec``.  The
+off-owned columns travel in a halo exchange the runtime plans once per
+solve, from the one superstep in which each process asks their owners
+for them: each matvec then posts one packed buffer per process and gets
+back one read-only ghost block, with no message built per owner.  All inner
 products reduce the concatenated per-process arrays in subdomain order
 in a single summation, so iteration histories are bitwise identical for
 every process count and scheduling choice.  r'r and r'z reduce in one
@@ -27,6 +31,7 @@ points of the flat quadrature store.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +87,16 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
     my_start, my_end = int(row_starts[s - 1]), int(row_starts[s])
     n_owned = my_end - my_start
 
-    # scatter setup: ask each owner for the off-owned columns we touch
+    # halo setup: ask each owner for the off-owned columns we touch
     cols = _sorted_distinct(A.indices) + 1
     ext = cols[(cols < my_start) | (cols >= my_end)]
     owners = np.searchsorted(row_starts, ext, side="right")
-    incoming = yield proc.routed_exchange(   # ascending gids per owner
+    halo = yield proc.halo_setup(   # ascending gids per owner
         {int(p): ext[owners == p] for p in _sorted_distinct(owners)})
-    push_plan = {}
-    for src, gids in incoming.items():
+    # the packed send buffer: the entries each requester asked for,
+    # requesters ascending
+    send = [np.zeros(0, dtype=np.int64)]
+    for src, gids in sorted(halo.requests.items()):
         gids = np.asarray(gids, dtype=np.int64)
         if gids.size and (gids.min() < my_start or gids.max() >= my_end):
             bad = gids[(gids < my_start) | (gids >= my_end)][0]
@@ -97,26 +104,19 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
                 f"subdomain {s}: solve setup request from {src} names "
                 f"global id {bad} outside the owned rows "
                 f"{my_start}..{my_end - 1}")
-        push_plan[int(src)] = gids - my_start
+        send.append(gids - my_start)
+    send = np.concatenate(send)
 
     diag = A.diagonal(k=my_start - 1) if n_owned else np.zeros(0)
     # columns renumbered by rank among the touched ones: ghosts owned by
-    # lower ranks, the owned range, ghosts owned by higher ranks; the
-    # entry order is kept, so every row sums as before
+    # lower ranks, the owned range, ghosts owned by higher ranks, as the
+    # ghost block holds them; the entry order is kept, so every row sums
+    # as before
     touched = np.concatenate([ext[ext < my_start],
                               np.arange(my_start, my_end), ext[ext >= my_end]])
+    n_lo = int(np.count_nonzero(ext < my_start))
     A = CSR(A.data, np.searchsorted(touched, A.indices + 1), A.indptr,
             (n_owned, touched.size))
-
-    def run_matvec(x_own):
-        # one exchange of off-owned entries per application
-        payloads = {dst: x_own[idx] for dst, idx in push_plan.items()}
-        received = yield proc.routed_exchange(payloads)
-        if not ext.size:       # no ghosts: the owned range is every column
-            return A @ x_own
-        return A @ np.concatenate(
-            [received[src] for src in sorted(received) if src < s] + [x_own]
-            + [received[src] for src in sorted(received) if src > s])
 
     if np.any(diag <= 0):
         raise NotPositiveDefiniteError(
@@ -144,9 +144,12 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
     elif bnorm > 0.0:
         p = z.copy()
         for it in range(1, maxit + 1):
-            Ap = yield from run_matvec(p)
+            # one halo exchange per application
+            ghosts = yield halo.exchange(p.take(send))
+            Ap = A @ (np.concatenate([ghosts[:n_lo], p, ghosts[n_lo:]])
+                      if ext.size else p)
             pAp = yield proc.sum_ordered(np.multiply(p, Ap, out=work))
-            if not np.isfinite(pAp):
+            if not math.isfinite(pAp):
                 reason = "nonfinite"
                 break
             if not pAp > 0.0:

@@ -486,3 +486,51 @@ def test_matrix_export_format(tmp_path):
     row, col, val = lines[0].split()
     assert int(row) >= 1 and int(col) >= 1
     float(val)
+
+
+def test_an_assembly_key_outside_the_owned_rows_exits_3(monkeypatch,
+                                                        tmp_path):
+    # a pair moved to row 1, which subdomain 1 owns, reaches another owner
+    from click.testing import CliRunner
+
+    from agfem import cli
+
+    moved = []
+
+    def move(phase, step, src, dst, payload):
+        if phase == "assembly" and dst > 1 and not moved:
+            key, val = payload
+            key = key.copy()
+            key[0] = 0
+            moved.append((src, dst))
+            payload = (key, val)
+        return payload
+
+    monkeypatch.setattr(ex, "VirtualRuntime", lambda n, trace=False:
+                        VirtualRuntime(n, trace=trace, payload_filter=move))
+    res = CliRunner().invoke(cli.main, [
+        "solve", "--geometry", "offset-circle", "--level", "5", "--procs",
+        "4", "--out", str(tmp_path)])
+    (src, dst), = moved
+    assert res.exit_code == 3
+    assert (f"subdomain {dst}: assembly payload from {src} carries a key of "
+            f"row 1, outside the owned rows ") in res.output
+
+
+@pytest.mark.parametrize("cut", ["keys", "values"])
+def test_assembly_pairs_of_unequal_length_are_a_protocol_error(cut):
+    from agfem.experiments import ExperimentConfig, run_solve_pipeline
+    from agfem.runtime import RuntimeProtocolError
+
+    def drop(phase, step, src, dst, payload):
+        if phase == "assembly":
+            key, val = payload
+            payload = (key[:-1], val) if cut == "keys" else (key, val[:-1])
+        return payload
+
+    cfg = ExperimentConfig(geometry="offset-circle", level=5,
+                           procs=4).validate()
+    with pytest.raises(RuntimeProtocolError,
+                       match="is not a pair of integer keys and as many"):
+        run_solve_pipeline(cfg, runtime=VirtualRuntime(
+            4, payload_filter=drop))

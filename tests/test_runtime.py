@@ -300,3 +300,76 @@ def test_run_needs_one_argument_tuple_per_process():
         rhs=[np.ones(2)] * 4)
     with pytest.raises(ValueError, match="^4 argument tuples for 2 processes$"):
         pcg_jacobi(split, runtime=VirtualRuntime(2))
+
+
+# ids asked of each owner; rank r owns ids 10r..10r+4, id g valued 90r + g
+HALO_REQUESTS = {1: {2: [21], 3: [30, 32]}, 2: {1: [10, 14]},
+                 3: {1: [11], 2: [20, 23]}}
+HALO_GHOSTS = {1: [201.0, 300.0, 302.0], 2: [100.0, 104.0],
+               3: [101.0, 200.0, 203.0]}
+
+
+def _halo_body(proc, write=False, short=False):
+    own = 100.0 * proc.rank + np.arange(5.0)
+    halo = yield proc.halo_setup(
+        {o: np.array(ids) for o, ids in HALO_REQUESTS[proc.rank].items()})
+    send = np.concatenate([np.asarray(halo.requests[r]) - 10 * proc.rank
+                           for r in sorted(halo.requests)])
+    buf = own[send][:-1] if short else own[send]
+    post = halo.exchange(buf)
+    segments = {dst: seg.tolist() for dst, seg in post.payloads.items()}
+    ghosts = yield post
+    buf[:] = -1.0              # the sender writes after posting
+    yield proc.reduce_logical_and(True)    # every sender has written
+    if write:
+        ghosts[0] = 0.0
+    return ghosts, segments
+
+
+@pytest.mark.parametrize("order", [None, [2, 1, 0], [1, 2, 0]])
+def test_halo_exchange_fills_ghosts_in_owner_order(order):
+    got = VirtualRuntime(3, step_order=order).run(_halo_body)
+    for rank, (ghosts, segments) in enumerate(got, start=1):
+        assert ghosts.tolist() == HALO_GHOSTS[rank]
+        # the lazy per-requester view of the packed buffer
+        assert segments == {dst: [90.0 * rank + gid for gid in asked[rank]]
+                            for dst, asked in HALO_REQUESTS.items()
+                            if rank in asked}
+
+
+def test_halo_ghost_block_is_read_only():
+    ghosts = VirtualRuntime(3).run(_halo_body)[0][0]
+    with pytest.raises(ValueError, match="read-only"):
+        ghosts[0] = 0.0
+    with pytest.raises(ValueError):
+        ghosts.flags.writeable = True
+    with pytest.raises(ValueError, match="read-only"):
+        VirtualRuntime(3).run(_halo_body, args=[(True,)] * 3)
+
+
+def test_halo_exchange_is_traced_per_message():
+    rt = VirtualRuntime(3, trace=True)
+    rt.run(_halo_body, phase="demo")
+    exchange = [(t.src, t.dst) for t in rt.trace if t.superstep == 1]
+    assert exchange == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1)]
+    assert all(t.kind == "routed" and t.n_bytes > 0 for t in rt.trace)
+
+
+def test_halo_buffer_of_another_length_is_a_protocol_error():
+    with pytest.raises(RuntimeProtocolError,
+                       match=r"demo: process 1 posted a float64 halo buffer "
+                             r"of shape \(2,\) for \[2, 3\]; its plan fixes "
+                             r"float64 of shape \(3,\)"):
+        VirtualRuntime(3).run(_halo_body, args=[(False, True), (), ()],
+                              phase="demo")
+
+
+def test_halo_setup_checks_each_ghost_count():
+    def drop(phase, step, src, dst, payload):
+        # subdomain 3 gets one id fewer than 1 asked of it
+        return payload[:-1] if (src, dst) == (1, 3) else payload
+
+    with pytest.raises(RuntimeProtocolError,
+                       match="demo: halo from 3 to 1 plans 1 ghost entries "
+                             "where 1 requested 2"):
+        VirtualRuntime(3, payload_filter=drop).run(_halo_body, phase="demo")

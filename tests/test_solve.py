@@ -234,3 +234,61 @@ def test_solve_setup_rejects_a_request_outside_the_owners_rows(bad):
     assert str(err.value).startswith(
         f"subdomain {dst}: solve setup request from {src} names global id "
         f"{bad} outside the owned rows ")
+
+
+def _solve(params, procs, **runtime):
+    cfg = ExperimentConfig(procs=procs, **params).validate()
+    return run_solve_pipeline(cfg, runtime=VirtualRuntime(procs, **runtime))
+
+
+@pytest.mark.parametrize("params,procs_list", [
+    pytest.param(dict(geometry="offset-circle", level=5), (2, 3, 8, 16),
+                 id="offset-circle"),
+    pytest.param(dict(geometry="popcorn", dimension=3, level=3), (8,),
+                 id="popcorn-3d")])
+def test_halo_solves_are_bitwise_equal_for_every_p_and_step_order(
+        params, procs_list):
+    serial = _solve(params, 1)
+    want = (serial.solution.tobytes(), serial.report.residual_history)
+    for procs in procs_list:
+        for order in (None, reversed(range(procs))):
+            out = _solve(params, procs, step_order=order)
+            assert (out.solution.tobytes(),
+                    out.report.residual_history) == want, (procs, order)
+
+
+def test_a_short_matvec_message_is_a_protocol_error():
+    dropped = []
+
+    def drop(phase, step, src, dst, payload):
+        # the setup superstep carries integer ids, the matvecs floats
+        if phase == "solve" and payload.dtype.kind == "f" and not dropped:
+            dropped.append((src, dst))
+            return payload[:-1]
+        return payload
+
+    with pytest.raises(RuntimeProtocolError) as err:
+        _solve(dict(geometry="offset-circle", level=5), 4,
+               payload_filter=drop)
+    (src, dst), = dropped
+    assert str(err.value).startswith(
+        f"solve: halo message from {src} to {dst} is not the ")
+
+
+def test_payload_filter_reaches_matvec_messages():
+    # one ghost value off by a relative 1e-14 moves the iteration
+    params = dict(geometry="offset-circle", level=5)
+    nudged = []
+
+    def nudge(phase, step, src, dst, payload):
+        if phase == "solve" and payload.dtype.kind == "f" and not nudged:
+            k = int(np.flatnonzero(payload)[0])
+            payload = payload.copy()
+            payload[k] *= 1.0 + 1e-14
+            nudged.append((src, dst, k))
+        return payload
+
+    clean = _solve(params, 4).report.residual_history
+    assert _solve(params, 4, payload_filter=nudge).report.residual_history \
+        != clean
+    assert nudged
