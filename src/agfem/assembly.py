@@ -12,10 +12,13 @@ cells, and any cell with interface points, store their own.  Vectors
 (n_active, m), m = 2**d, are per cell; interior ones are f at the
 points ``interior_rows`` rebuilds a batch of cells at a time times one
 table of shape values.  The cut-cell and interface rules, the only rows
-of the flat quadrature store, are read point by point in chunks through
-``bulk_rows`` and ``interface_rows``, which also feed the error norms;
-each cell sums its points in store order, and the penalty reads the bulk
-stiffness this pass sums.  A Q1 function is a product of one factor
+of the flat quadrature store, are read point by point through
+``bulk_rows`` and ``interface_rows``, which also feed the error norms, in
+chunks that end at cell boundaries and hold at most ``KERNEL_CHUNK``
+points (or one larger cell): each cell sums its points in store order in
+one run, whatever the chunk size, and a chunk's temporaries stay in the
+heap from one chunk to the next.  The penalty reads the bulk stiffness
+this pass sums.  A Q1 function is a product of one factor
 (1 - x, x) per axis, so a cut cell's stiffness takes d * 3**(d-1)
 weighted sums of factor pairs, not m * m gradient products, and its
 interface matrix is one sum S of w v c^T, added as S + S^T and summed
@@ -30,8 +33,9 @@ load at a and its entry (a, b) go to fixed slots of the row of corner
 a, the load's and that of the lattice offset of corner b from corner a,
 one of 3**d.  Every other cell gives (key, value) pairs of the dense
 local product C_c^T [b_e, A_e C_c], C_c its rows of C over the
-ascending union of the system rows they touch, each sum over the nodes
-in order; where C_c only picks out rows, every product is exact, so a
+ascending union of the system rows they touch with a nonzero
+coefficient, a batch of cells at a time, each sum over the nodes in
+order; where C_c only picks out rows, every product is exact, so a
 nonzero pair is an element entry bit for bit.  Off-owner pairs leave in
 global-cell order in one routed exchange.  Each owner then builds the
 sorted keys of its rows once, a block of rows at a time, from its rows'
@@ -47,7 +51,8 @@ sum of its cells' sums in global-cell order, the same for every P, and
 serial and distributed systems are bitwise equal.  The loads and the
 ``CSR`` block are then cut out of that array in place; entries summing
 to zero are not stored.  Beyond the keys and the pairs, scratch is
-bounded by the window.
+bounded by the batch and the window, and arrays that end shorter than
+allotted (the pairs without their zeros, the keys) shrink in place.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ import numpy as np
 
 from .fespace import (axis_factors, extension_operator, q1_tables,
                       shape_gradients, shape_values, tensor_products)
-from .geometry import (CHUNK_POINTS, CellClassification, QuadratureStore,
-                       point_chunks)
+from .geometry import (CHUNK_POINTS, KERNEL_CHUNK, CellClassification,
+                       QuadratureStore, cell_chunks, point_chunks)
 from .partition import _sorted_distinct
 from .runtime import RuntimeProtocolError, VirtualRuntime
 from .sparse import CSR
@@ -81,16 +86,19 @@ def nitsche_tau_agg(h: float, beta: float) -> float:
     return beta / h
 
 
-def _add_weighted_runs(out, cells, w, vals):
-    """``out[k - 1] += sum of w * vals`` over the points of each cell k,
-    ``vals`` points last; ``cells`` is nondecreasing, so a cell's points
-    form one run, summed in one reduction.  ``vals`` is a scratch array
-    of the caller's, scaled by w in place: a chunk's largest array, which
-    would otherwise come fresh from the system for every chunk."""
-    starts = np.flatnonzero(np.diff(cells, prepend=0))
+def _runs(cells):
+    """Where each cell's run of points starts in a chunk, ``cells`` being
+    the cell of each point, 1-based and nondecreasing."""
+    return np.flatnonzero(np.diff(cells, prepend=0))
+
+
+def _add_weighted_runs(out, rows, starts, w, vals):
+    """``out[rows[i]] += sum of w * vals`` over the points of run i, the
+    runs starting at ``starts`` (as ``_runs`` gives them), ``vals`` points
+    last: each run is summed in one reduction.  ``vals`` is a scratch
+    array of the caller's, scaled by w in place."""
     vals *= w
-    out[cells[starts] - 1] += np.moveaxis(
-        np.add.reduceat(vals, starts, axis=-1), -1, 0)
+    out[rows] += np.moveaxis(np.add.reduceat(vals, starts, axis=-1), -1, 0)
 
 
 def reference_tables(cls: CellClassification, quad: QuadratureStore):
@@ -103,32 +111,42 @@ def reference_tables(cls: CellClassification, quad: QuadratureStore):
 def interior_rows(cls: CellClassification, quad: QuadratureStore):
     """The interior cells in batches of about ``CHUNK_POINTS`` points:
     (cells, their box-rule points (n_cells, n_box, d)); every cell's
-    weights are ``quad.box_weights``."""
-    per = max(1, CHUNK_POINTS // quad.box_weights.size)
-    for s in range(0, cls.interior_ids.size, per):
-        cells = cls.interior_ids[s:s + per]
+    weights are ``quad.box_weights``.  No batch is one cell unless there
+    is only one: BLAS takes its matrix-vector path for a one-row product,
+    which rounds unlike the matrix product of any other batch, so a last
+    cell left alone takes one from the batch before it."""
+    n = cls.interior_ids.size
+    per = max(3, CHUNK_POINTS // quad.box_weights.size)
+    bounds = list(range(0, n, per)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        bounds[-2] -= 1
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        cells = cls.interior_ids[s:e]
         lo = cls.grid.cell_origin(cls.id_to_lattice[cells - 1])
         yield cells, lo[:, None, :] + quad.box_points * cls.grid.h
 
 
 def bulk_rows(cls: CellClassification, quad: QuadratureStore):
     """The bulk points of the store, the cut cells' rules, in chunks of
-    ``CHUNK_POINTS``: (cell of each point, points, weights, the per-axis
-    factors (d, 2, n) of the Q1 shape functions, as ``axis_factors``)."""
-    for sl in point_chunks(quad.weights.size):
+    whole cells, at most 8 * ``KERNEL_CHUNK`` / m points each, m = 2**d,
+    unless one cell has more: (cell of each point, points, weights, the
+    per-axis factors (d, 2, n) of the Q1 shape functions, as
+    ``axis_factors``).  A chunk's temporaries grow with m per point."""
+    for sl in cell_chunks(quad.offsets, 8 * KERNEL_CHUNK >> cls.grid.d):
         cells, pts = quad.bulk_cells(sl), quad.points[sl]
         yield (cells, pts, quad.weights[sl],
                axis_factors(cls.reference_coords(cells, pts)))
 
 
 def interface_rows(cls: CellClassification, quad: QuadratureStore):
-    """The interface points of the store in chunks of 4 * ``CHUNK_POINTS``
-    / m points, m = 2**d, so that each (m, n) table holds 4 *
-    ``CHUNK_POINTS`` values: (cell of each point, points, weights, and,
-    points last, the shape values (m, n) and normal derivatives (m, n)
-    of the shape functions)."""
-    for sl in point_chunks(quad.boundary_weights.size,
-                           4 * CHUNK_POINTS >> cls.grid.d):
+    """The interface points of the store in chunks of whole cells, at most
+    4 * ``KERNEL_CHUNK`` / m points each, m = 2**d, unless one cell
+    has more, so that each (m, n) table holds about 4 *
+    ``KERNEL_CHUNK`` values: (cell of each point, points, weights,
+    and, points last, the shape values (m, n) and normal derivatives (m,
+    n) of the shape functions)."""
+    for sl in cell_chunks(quad.boundary_offsets,
+                          4 * KERNEL_CHUNK >> cls.grid.d):
         cells, pts = quad.boundary_cells(sl), quad.boundary_points[sl]
         vals, grads = q1_tables(axis_factors(cls.reference_coords(cells, pts)))
         yield (cells, pts, quad.boundary_weights[sl], vals,
@@ -136,14 +154,18 @@ def interface_rows(cls: CellClassification, quad: QuadratureStore):
                          quad.boundary_normals[sl] / cls.grid.h))
 
 
-def _stiffness_integrands(factors):
+def _stiffness_integrands(factors, out):
     """The d * 3**(d-1) integrands of the factor-form Q1 stiffness, points
-    last: for each axis c, the products over the other axes of one factor
-    pair each, (1 - x)**2, (1 - x) x or x**2, in ``tensor_products`` order."""
-    f0, f1 = factors[:, 0], factors[:, 1]
-    pairs = np.stack([f0 * f0, f0 * f1, f1 * f1], axis=1)
-    return np.concatenate([tensor_products(np.delete(pairs, c, axis=0))
-                           for c in range(len(factors))])
+    last, written into ``out``: for each axis c, the products over the
+    other axes of one factor pair each, (1 - x)**2, (1 - x) x or x**2, in
+    ``tensor_products`` order."""
+    d = len(factors)
+    pairs = factors[:, [0, 0, 1]] * factors[:, [0, 1, 1]]
+    k = 3 ** (d - 1)
+    for c in range(d):
+        out[c * k:(c + 1) * k] = tensor_products(
+            [pairs[a] for a in range(d) if a != c])
+    return out
 
 
 def _factor_stiffness(sums, h):
@@ -228,26 +250,37 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
             fw = np.asarray(f(pts.reshape(-1, pts.shape[2]))).reshape(
                 pts.shape[:2])
             vecs[cells - 1] = (fw * quad.box_weights) @ vals_ref
-    sums = np.zeros((cut.size, cls.grid.d * 3 ** (cls.grid.d - 1)))
+    k = cls.grid.d * 3 ** (cls.grid.d - 1)
+    sums = np.zeros((cut.size, k))
+    buf = np.empty(0)     # the integrands of each chunk, grown as needed
     for cells, pts, w, factors in bulk_rows(cls, quad):
-        _add_weighted_runs(sums, np.searchsorted(cut, cells) + 1, w,
-                           _stiffness_integrands(factors))
+        if buf.size < k * w.size:
+            buf = np.empty(k * w.size)
+        starts = _runs(cells)
+        integrands = _stiffness_integrands(
+            factors, buf[:k * w.size].reshape(k, w.size))
+        _add_weighted_runs(sums, np.searchsorted(cut, cells[starts]), starts,
+                           w, integrands)
         if f is not None:
-            _add_weighted_runs(vecs, cells, w * np.asarray(f(pts)),
+            _add_weighted_runs(vecs, cells[starts] - 1, starts,
+                               w * np.asarray(f(pts)),
                                tensor_products(factors))
     mats.own[np.searchsorted(ids, cut)] = _factor_stiffness(sums, cls.grid.h)
     taus = np.broadcast_to(penalty(mats), cls.n_active)
     S = np.zeros((held.size, m, m))
     for cells, pts, w, vals, gn in interface_rows(cls, quad):
         tau = taus[cells - 1]
-        at = np.searchsorted(held, cells) + 1
+        starts = _runs(cells)
+        rows = np.searchsorted(held, cells[starts])
         # tau v v^T - v gn^T - gn v^T = v c^T + c v^T, c = tau v / 2 - gn
         c = 0.5 * tau * vals - gn
+        row = np.empty_like(c)    # one row of S's integrands at a time
         for a in range(m):
-            _add_weighted_runs(S[:, a], at, w, vals[a] * c)
+            _add_weighted_runs(S[:, a], rows, starts, w,
+                               np.multiply(vals[a], c, out=row))
         if g is not None:
-            _add_weighted_runs(vecs, cells, w * np.asarray(g(pts)),
-                               tau * vals - gn)
+            _add_weighted_runs(vecs, cells[starts] - 1, starts,
+                               w * np.asarray(g(pts)), tau * vals - gn)
     mats.own[np.searchsorted(ids, held)] += S + S.transpose(0, 2, 1)
     return mats, vecs
 
@@ -278,7 +311,8 @@ def nitsche_tau_std(cls: CellClassification, quad: QuadratureStore,
     V = V.take(cells)
     B = np.zeros_like(V)
     for c, _, w, _, gn in interface_rows(cls, quad):
-        _add_weighted_runs(B, np.searchsorted(cells, c) + 1, w,
+        starts = _runs(c)
+        _add_weighted_runs(B, np.searchsorted(cells, c[starts]), starts, w,
                            gn[:, None] * gn[None])
     Z = np.linalg.svd(np.ones((1, V.shape[-1])))[2][1:].T    # V's range
     L, ok = _cholesky(Z.T @ V @ Z)
@@ -333,50 +367,67 @@ def _ranges(starts, lens):
     return np.arange(int(np.sum(lens))) + np.repeat(starts - offsets, lens)
 
 
-def _keyed(rows, val, n, keep):
-    """Nonzero (key, value) entries, where ``keep`` holds, of cell sums
-    ``val`` (nc, k, k + 1), load first, at 0-based rows ``rows`` (nc, k),
-    and their count per cell; key row * (n + 1) + col + 1, col -1: load."""
-    key = np.empty(val.shape, dtype=np.int64)
+def _keys(rows, n):
+    """Keys (nc, k, k + 1) of cell sums, load first, at 0-based rows
+    ``rows`` (nc, k): row * (n + 1) + col + 1, col -1 being the load."""
+    key = np.empty(rows.shape + (rows.shape[1] + 1,), dtype=np.int64)
     key[:, :, 0] = rows * (n + 1)
     key[:, :, 1:] = key[:, :, :1] + rows[:, None, :] + 1
-    keep = keep & (val != 0.0)
-    return key[keep], val[keep], keep.sum(axis=(1, 2))
+    return key
 
 
-def _dense_sums(C, dofs, mats, vecs, n):
-    """The nonzero sums of cells with 0-based DOFs ``dofs`` (nc, m), as
-    (count per cell, keys, values) in cell order, keyed as ``_keyed``.
+def _entries(C, dofs):
+    """The nonzero stored entries of the rows of C at the 0-based DOFs
+    ``dofs`` (nb, m), cell by cell and node by node: their positions in
+    C, their node and their cell (0..nb-1).  A zero coefficient adds a
+    zero term to every sum it enters, so it is left out."""
+    nb, m = dofs.shape
+    lens = (C.indptr[dofs + 1] - C.indptr[dofs]).ravel()
+    pos = _ranges(C.indptr[dofs.ravel()], lens)
+    node = np.repeat(np.arange(nb * m), lens)
+    nonzero = C.data[pos] != 0.0
+    pos, node = pos[nonzero], node[nonzero]
+    return pos, node % m, node // m
+
+
+def _dense_sums(C, dofs, mats, vecs, ids, n):
+    """The nonzero sums of the 1-based cells ``ids`` with 0-based DOFs
+    ``dofs`` (nc, m), as (count per cell, keys, values) in cell order,
+    keyed as ``_keys``; ``mats`` and ``vecs`` hold every active cell.
 
     A cell's rows of C over the ascending union of the k system rows they
     touch form C_c (m, k); its sums are [C_c^T b_e, C_c^T T], T = A_e C_c,
     each entry of T summed over the nodes b in order and each of the
     product over the nodes a.  Cells go by ascending k in batches of about
-    2 * ``CHUNK_POINTS`` sums, each padded to its widest cell: padding
-    adds no term to any sum, and its entries are dropped."""
+    2 * ``KERNEL_CHUNK`` sums, each padded to its widest cell: padding
+    adds no term to any sum, and its entries are dropped.  Each batch
+    builds its own index arrays and writes its k (k + 1) sums per cell at
+    the cell's place in one stream; the zeros then leave it in place."""
     nc, m = dofs.shape
-    lens = np.diff(C.indptr)[dofs]
-    pos = _ranges(C.indptr[dofs.ravel()], lens.ravel())
-    n_ent = lens.sum(axis=1)
-    ent_first = np.cumsum(n_ent) - n_ent
-    ent_node = np.repeat(np.tile(np.arange(m), nc), lens.ravel())
-    ent_cell = np.repeat(np.arange(nc), n_ent)
-    union, col = np.unique(ent_cell * n + C.indices[pos], return_inverse=True)
-    width = np.bincount(union // n, minlength=nc)
-    first = np.cumsum(width) - width
-    col = col - first[ent_cell]
+    width = np.empty(nc, dtype=np.int64)
+    for sl in point_chunks(nc, 2 * KERNEL_CHUNK // m ** 2 + 1):
+        pos, _, ent_cell = _entries(C, dofs[sl])
+        union = _sorted_distinct(ent_cell * n + C.indices[pos])
+        width[sl] = np.bincount(union // n, minlength=sl.stop - sl.start)
+    size = width * (width + 1)
+    start = np.cumsum(size) - size
+    keys = np.empty(int(size.sum()), dtype=np.int64)
+    vals = np.empty(keys.size)
+    keep = np.empty(keys.size, dtype=bool)
+    counts = np.empty(nc, dtype=np.int64)
     order = np.argsort(width, kind="stable")
-    batch = np.cumsum(width[order] * (width[order] + 1)) // (2 * CHUNK_POINTS)
-    parts = []
+    batch = np.cumsum(size[order]) // (2 * KERNEL_CHUNK)
     for cells in np.split(order, np.flatnonzero(np.diff(batch)) + 1):
         nb, k = cells.size, int(width[cells].max(initial=0))
-        at = _ranges(ent_first[cells], n_ent[cells])
+        pos, ent_node, ent_cell = _entries(C, dofs[cells])
+        union, col = np.unique(ent_cell * n + C.indices[pos],
+                               return_inverse=True)
+        first = np.cumsum(width[cells]) - width[cells]
         Cc = np.zeros((nb, m, k))
-        Cc[np.repeat(np.arange(nb), n_ent[cells]), ent_node[at],
-           col[at]] = C.data[pos[at]]
-        A = mats[cells]
+        Cc[ent_cell, ent_node, col - first[ent_cell]] = C.data[pos]
+        A = mats.take(ids[cells])
         Tb = np.empty((nb, m, k + 1))
-        Tb[:, :, 0] = vecs[cells]
+        Tb[:, :, 0] = vecs[ids[cells] - 1]
         T = Tb[:, :, 1:]
         np.multiply(A[:, :, :1], Cc[:, None, 0], out=T)
         for b in range(1, m):
@@ -385,10 +436,15 @@ def _dense_sums(C, dofs, mats, vecs, n):
         for a in range(1, m):
             val += Cc[:, a, :, None] * Tb[:, a, None, :]
         real = np.arange(-1, k) < width[cells, None]
-        rows = union[np.where(real[:, 1:], first[cells, None] + np.arange(k), 0)] % n
-        parts.append((cells, *_keyed(rows, val, n,
-                                     real[:, 1:, None] & real[:, None, :])))
-    return _in_cell_order(parts, nc)
+        rows = union[np.where(real[:, 1:], first[:, None] + np.arange(k), 0)] % n
+        real = real[:, 1:, None] & real[:, None, :]
+        dest = _ranges(start[cells], size[cells])
+        keys[dest] = _keys(rows, n)[real]
+        vals[dest] = val[real]
+        keep[dest] = vals[dest] != 0.0
+        counts[cells] = np.count_nonzero(real & (val != 0.0), axis=(1, 2))
+    _compact(keep, keys, vals)
+    return counts, keys, vals
 
 
 def _in_cell_order(parts, n_cells):
@@ -411,7 +467,7 @@ def _in_cell_order(parts, n_cells):
 @functools.cache
 def _slot_table(d):
     """(m, m + 1) slots of a cell's sums in the rows of its corners, in
-    the layout of ``_keyed``: slot 3**d of row a holds the load, and
+    the layout of ``_keys``: slot 3**d of row a holds the load, and
     column b the base-3 code of the lattice offset of corner b from
     corner a, one digit 0, 1 or 2 per axis.  Read-only, as every caller
     shares it."""
@@ -422,28 +478,40 @@ def _slot_table(d):
     return table
 
 
+def _shrink(a, n):
+    """Cut ``a`` down to its first ``n`` entries in place, handing the rest
+    of its memory back: ``a`` owns its data and no view of it is alive.
+    numpy's reference check is off because a profiler's reference to the
+    bound method would fail it."""
+    a.resize(n, refcheck=False)
+
+
 def _compact(keep, *arrays):
-    """Move the entries of ``arrays`` where ``keep`` holds to their fronts,
-    in order and in place, a chunk at a time; returns their number."""
+    """Keep the entries of ``arrays`` where ``keep`` holds, in order and in
+    place, a chunk at a time, and cut the arrays down to them (as
+    ``_shrink``); returns their number."""
     n = 0
-    for sl in point_chunks(keep.size, 8 * CHUNK_POINTS):
+    for sl in point_chunks(keep.size, 8 * KERNEL_CHUNK):
         at = np.flatnonzero(keep[sl]) + sl.start
         for a in arrays:
             a[n:n + at.size] = a[at]
         n += at.size
+    for a in arrays:
+        _shrink(a, n)
     return n
 
 
-def _pattern(rows, table, extra, first, n_owned, stride):
+def _pattern(rows, table, extra, first, n_owned, stride, index):
     """Sorted keys (row - first) * stride + col + 1 of the owned rows,
-    col -1 for the load, and the position in them of each slot of
-    ``table`` in each row (n_owned * (3**d + 1), flat; -1 where a row
-    has no such key).  The slots are those of the 1-based rows ``rows``
-    (n_cells, m) of cells whose rows are all free and owned, joined with
-    the ascending keys ``extra``, repeats allowed, a block of about
-    ``CHUNK_POINTS`` slots at a time, each block sorting its own keys."""
+    col -1 for the load, the position in them of each slot of ``table``
+    in each row (n_owned * (3**d + 1), flat; -1 where a row has no such
+    key) and that of each key of ``extra``, both of dtype ``index``.  The
+    slots are those of the 1-based rows ``rows`` (n_cells, m) of cells
+    whose rows are all free and owned, joined with the distinct ascending
+    keys ``extra``, a block of about ``CHUNK_POINTS`` slots at a time,
+    each block sorting its own keys."""
     k = table.max() + 1
-    cols = np.full(n_owned * k, stride, dtype=np.int64)
+    cols = np.full(n_owned * k, stride, dtype=index)
     per = max(1, CHUNK_POINTS // table.size)
     for c0 in range(0, len(rows), per):
         r = rows[c0:c0 + per]
@@ -452,20 +520,22 @@ def _pattern(rows, table, extra, first, n_owned, stride):
     cols = cols.reshape(n_owned, k)      # each block becomes its slots
     keys = np.empty(np.count_nonzero(cols < stride) + extra.size,
                     dtype=np.int64)
-    per, nnz = max(1, CHUNK_POINTS // k), 0
+    at = np.empty(extra.size, dtype=index)
+    per, nnz, e0 = max(1, CHUNK_POINTS // k), 0, 0
     for r0 in range(0, n_owned, per):
         block = cols[r0:r0 + per]
         r1 = r0 + len(block)
         held = block < stride
         stencil = (block + np.arange(r0, r1)[:, None] * stride)[held]
-        uniq = _sorted_distinct(np.concatenate([stencil, extra[
-            np.searchsorted(extra, r0 * stride):
-            np.searchsorted(extra, r1 * stride)]]))
+        e1 = np.searchsorted(extra, r1 * stride)
+        uniq = _sorted_distinct(np.concatenate([stencil, extra[e0:e1]]))
         keys[nnz:nnz + uniq.size] = uniq
         block[held] = nnz + np.searchsorted(uniq, stencil)
         block[~held] = -1
-        nnz += uniq.size
-    return keys[:nnz], cols.ravel()
+        at[e0:e1] = nnz + np.searchsorted(uniq, extra[e0:e1])
+        nnz, e0 = nnz + uniq.size, e1
+    _shrink(keys, nnz)    # keys both sources hold were counted twice
+    return keys, cols.ravel(), at
 
 
 def _owned_pairs(s, src, payload, first, n_owned, stride):
@@ -513,29 +583,51 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     # every other cell, one with a constrained DOF (row 0) too, gives pairs
     keyed = np.any((rows <= first) | (rows > first + n_owned), axis=1)
     kc = np.flatnonzero(keyed)
-    ids = cell_ids[kc]
-    kcount, kkey, kval = _dense_sums(C, cell_dofs[kc] - 1, mats.take(ids),
-                                     vecs[ids - 1], n_global)
+    kcount, kkey, kval = _dense_sums(C, cell_dofs[kc] - 1, mats, vecs,
+                                     cell_ids[kc], n_global)
 
     # off-owner sums leave in cell order; joined in rank order, every
     # owner adds them in global-cell order
     base = first * stride      # owned keys less base: the pattern's keys
     mine = (kkey >= base) & (kkey < base + n_owned * stride)
-    key, val = kkey[~mine], kval[~mine]
+    off = np.flatnonzero(~mine)
+    key, val = kkey[off], kval[off]
     owner = np.searchsorted(row_starts, key // stride + 1, side="right")
     received = yield proc.routed_exchange(
         {int(dst): (key[owner == dst], val[owner == dst])
          for dst in _sorted_distinct(owner)})
     pairs = [(r, *_owned_pairs(s, r, payload, first, n_owned, stride))
              for r, payload in sorted(received.items())]
-    kcount = np.bincount(np.repeat(np.arange(kc.size), kcount)[mine],
-                         minlength=kc.size)
-    kkey, kval = kkey[mine] - base, kval[mine]
+    kcount -= np.bincount(np.searchsorted(np.cumsum(kcount), off,
+                                          side="right"), minlength=kc.size)
+    _compact(mine, kkey, kval)
+    del mine, off
+    kkey -= base
 
     table = _slot_table(m.bit_length() - 1)
     k = table.max() + 1
-    keys, slots = _pattern(rows[~keyed], table, np.sort(np.concatenate(
-        [kkey, *(pk for _, pk, _ in pairs)])), first, n_owned, stride)
+    # the distinct pair keys, each chunk's first (the empty array stands
+    # in for no pairs at all)
+    extra = _sorted_distinct(np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [_sorted_distinct(kkey[sl])
+           for sl in point_chunks(kkey.size, 8 * KERNEL_CHUNK)]
+        + [pk for _, pk, _ in pairs]))
+    # positions in the keys fit int32 where the keys' count bound does;
+    # the pairs' keys give way to their positions among the distinct
+    # keys, and those to their positions in the pattern's keys
+    index = np.int32 if max(n_owned * k + extra.size, stride) < 2 ** 31 \
+        else np.int64
+    kpos = np.empty(kkey.size, dtype=index)
+    for sl in point_chunks(kkey.size, 8 * KERNEL_CHUNK):
+        kpos[sl] = np.searchsorted(extra, kkey[sl])
+    del kkey
+    keys, slots, at = _pattern(rows[~keyed], table, extra, first, n_owned,
+                               stride, index)
+    del extra
+    for sl in point_chunks(kpos.size, 8 * KERNEL_CHUNK):
+        kpos[sl] = at[kpos[sl]]
+    del at
 
     # every key adds its sums in global-cell order: the lower ranks'
     # sums, this rank's cells a window at a time, the higher ranks'
@@ -544,7 +636,7 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
         if r < s:
             np.add.at(buf, np.searchsorted(keys, pk), pv)
     kstart = np.cumsum(kcount) - kcount
-    per = max(1, 4 * CHUNK_POINTS // table.size)
+    per = max(1, 4 * KERNEL_CHUNK // table.size)
     for w0 in range(0, n_cells, per):
         fc = np.flatnonzero(~keyed[w0:w0 + per]) + w0
         pos = np.take(slots, ((rows[fc] - 1 - first) * k)[:, :, None] + table)
@@ -556,7 +648,7 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
             _, pos, val = _in_cell_order(
                 [(fc - w0, pos.ravel(), val.ravel(),
                   np.full(fc.size, table.size)),
-                 (kc[i0:i1] - w0, np.searchsorted(keys, kkey[e]), kval[e],
+                 (kc[i0:i1] - w0, kpos[e], kval[e],
                   kcount[i0:i1])],
                 min(per, n_cells - w0))
         np.add.at(buf, pos.ravel(), val.ravel())
@@ -564,16 +656,15 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
         if r > s:
             np.add.at(buf, np.searchsorted(keys, pk), pv)
 
-    del slots, kkey, kval    # freed before the CSR is cut out of buf
+    del slots, kpos, kval    # freed before the CSR is cut out of buf
     load = keys % stride == 0
     b = np.zeros(n_owned)
     b[keys[load] // stride] = buf[load]
-    nnz = _compact(~load & (buf != 0.0), keys, buf)
-    keys, data = keys[:nnz], buf[:nnz]
+    _compact(~load & (buf != 0.0), keys, buf)
     indptr = np.searchsorted(keys, np.arange(n_owned + 1) * stride)
     keys %= stride
     keys -= 1
-    return CSR(data, keys, indptr, (n_owned, n_global)), b
+    return CSR(buf, keys, indptr, (n_owned, n_global)), b
 
 
 def assemble_serial(space, dofs, constraints, elements):

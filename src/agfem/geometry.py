@@ -24,10 +24,14 @@ read off case tables by the number of inside vertices: classification
 clips every candidate cell for its cut volume, and quadrature clips the
 cut cells again for their simplices and facets (keeping the first clip
 gives the same store, holds it in memory and saves no measurable time).
-The flat store in cell-id order holds the cut cells' rules only, mapped
-in batches.  Interior cells are one reference element: their box rule
-is kept once, in unit-box coordinates, and their points are rebuilt a
-chunk at a time where they are needed.
+Classification samples the level set, forms corner values and clips a
+slab of lattice rows at a time, so its scratch follows the slab, not the
+lattice.  The flat store in cell-id order holds the cut cells' rules
+only, mapped in batches; ``cell_chunks`` cuts it into chunks that end at
+cell boundaries for the kernels that integrate over it.  Interior cells
+are one reference element: their box rule is kept once, in unit-box
+coordinates, and their points are rebuilt a chunk at a time where they
+are needed.
 """
 
 from __future__ import annotations
@@ -47,8 +51,15 @@ EXTERIOR, INTERIOR, CUT = 0, 1, 2
 # and the cell is demoted to exterior
 MIN_VOLUME_FRACTION = 1e-14
 
-# quadrature points mapped, integrated or evaluated at once
+# quadrature points mapped or evaluated at once, and cells classified at
+# once
 CHUNK_POINTS = 8192
+
+# points integrated, or assembly sums formed, at once by a kernel whose
+# temporaries take up to about 0.7 KB per point: one chunk's temporaries
+# then stay in the heap from one chunk to the next, not handed back to
+# the system and faulted in again
+KERNEL_CHUNK = 2048
 
 # total degree every rule integrates exactly (the tetrahedron rule: 5)
 QUAD_DEGREE = 4
@@ -65,6 +76,22 @@ def default_tolerance(grid: BackgroundGrid) -> float:
 def point_chunks(n: int, size: int = CHUNK_POINTS) -> list:
     """Slices covering ``range(n)`` in batches of ``size``."""
     return [slice(s, min(s + size, n)) for s in range(0, n, size)]
+
+
+def cell_chunks(offsets: np.ndarray, size: int) -> list:
+    """Slices covering the rows of a store whose cell k owns rows
+    ``offsets[k-1]:offsets[k]``, each ending at a cell boundary: as many
+    whole cells as fit in ``size`` rows, or one cell that holds more.  A
+    cell's rows are then summed in one chunk, whatever ``size`` is."""
+    out, start, end = [], 0, int(offsets[-1])
+    while start < end:
+        stop = int(offsets[np.searchsorted(offsets, start + size,
+                                           side="right") - 1])
+        if stop <= start:
+            stop = int(offsets[np.searchsorted(offsets, start, side="right")])
+        out.append(slice(start, stop))
+        start = stop
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +355,7 @@ def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
     """
     cut = cls.cut_ids
     lattices = cls.id_to_lattice[cut - 1]
-    corners = _corner_values(cls.vertex_values, grid.d)[tuple(lattices.T)]
+    corners = _cell_corners(cls.vertex_values, lattices)
     centers = np.zeros(cut.size)
     if grid.d == 2 and cut.size:
         centers = np.asarray(ls(cls.barycenters()[cut - 1]), dtype=np.float64)
@@ -405,10 +432,22 @@ class CellClassification:
 
     def neighbor_ids(self, steps) -> np.ndarray:
         """Active ids of the cells at ``lattice + step``, one row per active
-        cell and one column per step; 0 outside the grid or exterior."""
-        padded = np.pad(self.active_id, 1)
-        at = self.id_to_lattice[:, None, :] + 1 + np.asarray(steps)
-        return padded[tuple(np.moveaxis(at, -1, 0))]
+        cell and one column per step (entries -1, 0 or 1); 0 outside the
+        grid or exterior.  Cells go a chunk at a time, so scratch stays
+        bounded."""
+        steps = np.asarray(steps)
+        n = self.grid.n_per_axis
+        out = np.empty((self.n_active, len(steps)), dtype=np.int64)
+        for sl in point_chunks(self.n_active, CHUNK_POINTS // len(steps) + 1):
+            lattice = self.id_to_lattice[sl]
+            at = lattice[:, None, :] + steps
+            np.clip(at, 0, n - 1, out=at)
+            out[sl] = self.active_id[tuple(np.moveaxis(at, -1, 0))]
+            # a step out of a boundary cell leaves the grid
+            off = ((lattice == 0) @ (steps < 0).T) | (
+                (lattice == n - 1) @ (steps > 0).T)
+            out[sl][off] = 0
+        return out
 
 
 def _face_table(cls: CellClassification):
@@ -421,17 +460,17 @@ def _face_table(cls: CellClassification):
     of the face inside)."""
     d = cls.grid.d
     ids = cls.neighbor_ids(FACE_STEPS[d])
-    bits = np.array(list(itertools.product((0, 1), repeat=d)))
-    vals = cls.vertex_values[tuple(np.moveaxis(
-        cls.id_to_lattice[:, None, :] + bits, -1, 0))]
-    inside, neg, pos = vals < -cls.tol, vals < 0.0, vals > 0.0
+    bits = corner_offsets(d)
+    # the corners of face 2 * axis + side: those whose bit on axis is side
+    faces = np.array([np.flatnonzero(bits[:, axis] == side)
+                      for axis in range(d) for side in (0, 1)])
     open_ = np.empty(ids.shape, dtype=bool)
-    for axis in range(d):
-        for side in (0, 1):
-            on = bits[:, axis] == side
-            open_[:, 2 * axis + side] = inside[:, on].any(axis=1) | (
-                neg[:, on].any(axis=1) & pos[:, on].any(axis=1))
-    return ids, open_ & (ids > 0)
+    for sl in point_chunks(cls.n_active, CHUNK_POINTS >> d):
+        vals = _cell_corners(cls.vertex_values, cls.id_to_lattice[sl])[:, faces]
+        open_[sl] = (vals < -cls.tol).any(axis=2) | (
+            (vals < 0.0).any(axis=2) & (vals > 0.0).any(axis=2))
+    open_ &= ids > 0
+    return ids, open_
 
 
 def face_is_active(cls: CellClassification, ka: int, kb: int) -> bool:
@@ -440,20 +479,85 @@ def face_is_active(cls: CellClassification, ka: int, kb: int) -> bool:
     return bool(np.any(cls.face_open[ka - 1] & (cls.face_ids[ka - 1] == kb)))
 
 
+def _slabs(n: int, d: int) -> list:
+    """Slices of whole rows (along axis 0) of an n**d lattice, about
+    ``CHUNK_POINTS`` entries each."""
+    return point_chunks(n, max(1, CHUNK_POINTS // n ** (d - 1)))
+
+
 def _vertex_values(grid: BackgroundGrid, ls: LevelSet) -> np.ndarray:
-    n = grid.n_per_axis
-    axes = [grid.origin[a] + grid.h[a] * np.arange(n + 1) for a in range(grid.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = np.asarray(ls(pts), dtype=np.float64)
-    return vals.reshape((n + 1,) * grid.d)
+    """The level set at the grid vertices, (n+1,)*d, sampled a slab of
+    vertex rows at a time."""
+    n, d = grid.n_per_axis + 1, grid.d
+    axes = [grid.origin[a] + grid.h[a] * np.arange(n) for a in range(d)]
+    vals = np.empty((n,) * d)
+    for sl in _slabs(n, d):
+        mesh = np.meshgrid(axes[0][sl], *axes[1:], indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        vals[sl] = np.asarray(ls(pts), dtype=np.float64).reshape(mesh[0].shape)
+    return vals
 
 
 def _corner_values(vvals: np.ndarray, d: int) -> np.ndarray:
-    """Per-cell corner values, shape lattice + (2**d,), x-fastest corners."""
-    n = vvals.shape[0] - 1
-    return np.stack([vvals[tuple(slice(b, b + n) for b in bits)]
+    """Per-cell corner values of the cells between the vertices ``vvals``,
+    shape (vvals.shape - 1) + (2**d,), x-fastest corners."""
+    return np.stack([vvals[tuple(slice(b, b + s - 1)
+                                 for b, s in zip(bits, vvals.shape))]
                      for bits in corner_offsets(d)], axis=-1)
+
+
+def _cell_corners(vvals: np.ndarray, lattices: np.ndarray) -> np.ndarray:
+    """Corner values (n, 2**d) of the cells at ``lattices`` (n, d)."""
+    at = lattices[:, None, :] + corner_offsets(lattices.shape[1])
+    return vvals[tuple(np.moveaxis(at, -1, 0))]
+
+
+def _labels(grid: BackgroundGrid, ls: LevelSet, vvals: np.ndarray,
+            tol: float) -> np.ndarray:
+    """Lattice-shaped labels from the vertex values, a slab of lattice rows
+    at a time: a cell that is not interior but has an inside corner (or,
+    in 2D, center) is cut unless its clipped volume falls below the
+    demotion threshold.  A slab's candidates are clipped ``KERNEL_CHUNK``
+    sub-simplices at a time."""
+    n, d = grid.n_per_axis, grid.d
+    n_sub = len(_SUBDIVISION[d])
+    labels = np.full((n,) * d, EXTERIOR, dtype=np.int8)
+    for sl in _slabs(n, d):
+        corners = _corner_values(vvals[sl.start:sl.stop + 1], d)
+        inner = np.max(corners, axis=-1) < -tol
+        labels[sl][inner] = INTERIOR
+        lattices, cvals = np.argwhere(~inner), corners[~inner]
+        lattices[:, 0] += sl.start
+        touched = np.min(cvals, axis=-1) < -tol
+        centers = np.zeros(len(lattices))
+        if d == 2 and lattices.size:
+            centers = np.asarray(ls(grid.cell_barycenter(lattices)),
+                                 dtype=np.float64)
+            touched |= centers < -tol
+        lattices, cvals, centers = (lattices[touched], cvals[touched],
+                                    centers[touched])
+        for c in point_chunks(len(lattices), KERNEL_CHUNK // n_sub):
+            simplices, src, *_ = _clip(*_sub_simplices(
+                grid, lattices[c], cvals[c], centers[c]), tol)
+            volume = np.abs(np.linalg.det(
+                simplices[:, 1:] - simplices[:, :1])) / (2.0 if d == 2 else 6.0)
+            volume = np.bincount(src // n_sub, volume,
+                                 minlength=c.stop - c.start)
+            cut = lattices[c][volume >= MIN_VOLUME_FRACTION * grid.cell_volume]
+            labels[tuple(cut.T)] = CUT
+    return labels
+
+
+def _active_ids(labels: np.ndarray, level: int):
+    """The active-id table of the lattice and the lattice of each id, ids
+    in Morton order."""
+    active = np.argwhere(labels != EXTERIOR)
+    id_to_lattice = active[np.argsort(morton_encode(active, level),
+                                      kind="stable")]
+    del active
+    active_id = np.zeros(labels.shape, dtype=np.int64)
+    active_id[tuple(id_to_lattice.T)] = np.arange(1, len(id_to_lattice) + 1)
+    return active_id, id_to_lattice
 
 
 def classify_cells(grid: BackgroundGrid, ls: LevelSet) -> CellClassification:
@@ -461,9 +565,11 @@ def classify_cells(grid: BackgroundGrid, ls: LevelSet) -> CellClassification:
 
     A cell is interior iff psi < -tol at all its vertices, tol being
     ``default_tolerance(grid)``.  Every other cell with an inside vertex
-    (or, in 2D, an inside center) is clipped, all in one pass; it is cut
-    iff its clipped volume reaches ``MIN_VOLUME_FRACTION`` of the cell,
-    else exterior.
+    (or, in 2D, an inside center) is clipped; it is cut iff its clipped
+    volume reaches ``MIN_VOLUME_FRACTION`` of the cell, else exterior.
+    Vertex samples and corner values go a slab of about ``CHUNK_POINTS``
+    cells at a time, and clips a smaller batch, so scratch stays bounded
+    by the slab, not the lattice.
     """
     tol = default_tolerance(grid)
     vvals = _vertex_values(grid, ls)
@@ -473,34 +579,8 @@ def classify_cells(grid: BackgroundGrid, ls: LevelSet) -> CellClassification:
         raise ClassificationError(
             f"level set {ls.name!r} returned a non-finite value at a vertex "
             f"of cell {tuple(int(c) for c in cell)}")
-    corners = _corner_values(vvals, grid.d)
-    labels = np.full(corners.shape[:-1], EXTERIOR, dtype=np.int8)
-    labels[np.max(corners, axis=-1) < -tol] = INTERIOR
-
-    # any other cell with an inside corner (or, in 2D, center) is cut
-    # unless its clipped volume falls below the demotion threshold
-    rest = labels != INTERIOR
-    lattices, cvals = np.argwhere(rest), corners[rest]
-    touched = np.min(cvals, axis=-1) < -tol
-    centers = np.zeros(len(lattices))
-    if grid.d == 2 and lattices.size:
-        centers = np.asarray(ls(grid.cell_barycenter(lattices)), dtype=np.float64)
-        touched |= centers < -tol
-    lattices, cvals, centers = lattices[touched], cvals[touched], centers[touched]
-    simplices, src, *_ = _clip(
-        *_sub_simplices(grid, lattices, cvals, centers), tol)
-    volume = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1])) / (
-        2.0 if grid.d == 2 else 6.0)
-    volume = np.bincount(src // len(_SUBDIVISION[grid.d]), volume,
-                         minlength=len(lattices))
-    cut = lattices[volume >= MIN_VOLUME_FRACTION * grid.cell_volume]
-    labels[tuple(cut.T)] = CUT
-
-    active = np.argwhere(labels != EXTERIOR).astype(np.int64)
-    order = np.argsort(morton_encode(active, grid.level), kind="stable")
-    id_to_lattice = active[order]
-    active_id = np.zeros(labels.shape, dtype=np.int64)
-    active_id[tuple(id_to_lattice.T)] = np.arange(1, len(id_to_lattice) + 1)
+    labels = _labels(grid, ls, vvals, tol)
+    active_id, id_to_lattice = _active_ids(labels, grid.level)
     return CellClassification(grid=grid, labels=labels, active_id=active_id,
                               id_to_lattice=id_to_lattice, tol=tol,
                               vertex_values=vvals)

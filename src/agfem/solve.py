@@ -39,6 +39,7 @@ import numpy as np
 from .assembly import (DistributedSystem, bulk_rows, interior_rows,
                        reference_tables)
 from .fespace import q1_tables
+from .geometry import point_chunks
 from .partition import _sorted_distinct
 from .runtime import RuntimeProtocolError, VirtualRuntime
 from .sparse import CSR
@@ -115,8 +116,10 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
     touched = np.concatenate([ext[ext < my_start],
                               np.arange(my_start, my_end), ext[ext >= my_end]])
     n_lo = int(np.count_nonzero(ext < my_start))
-    A = CSR(A.data, np.searchsorted(touched, A.indices + 1), A.indptr,
-            (n_owned, touched.size))
+    local = np.empty_like(A.indices)    # a chunk at a time, in its dtype
+    for sl in point_chunks(local.size):
+        local[sl] = np.searchsorted(touched, A.indices[sl] + 1)
+    A = CSR(A.data, local, A.indptr, (n_owned, touched.size))
 
     if np.any(diag <= 0):
         raise NotPositiveDefiniteError(
@@ -143,11 +146,15 @@ def _pcg_body(proc, A, b, row_starts, rtol, maxit):
         reason = "nonfinite"
     elif bnorm > 0.0:
         p = z.copy()
+        Ap = np.empty(n_owned)
+        # p and its ghosts in column order; p itself where there are none
+        full = np.empty(touched.size) if ext.size else p
         for it in range(1, maxit + 1):
             # one halo exchange per application
             ghosts = yield halo.exchange(p.take(send))
-            Ap = A @ (np.concatenate([ghosts[:n_lo], p, ghosts[n_lo:]])
-                      if ext.size else p)
+            if ext.size:
+                np.concatenate([ghosts[:n_lo], p, ghosts[n_lo:]], out=full)
+            A.matvec(full, Ap)
             pAp = yield proc.sum_ordered(np.multiply(p, Ap, out=work))
             if not math.isfinite(pAp):
                 reason = "nonfinite"
@@ -229,11 +236,13 @@ def _solution_chunks(cls, quad, nodal):
     cells point by point from the store."""
     d = cls.grid.d
     vals_ref, grads_ref = reference_tables(cls, quad)
+    # (m, n_box * d): one product gives every cell's gradients at its points
+    grads_ref = grads_ref.transpose(1, 0, 2).reshape(grads_ref.shape[1], -1)
     for cells, pts in interior_rows(cls, quad):
         values = nodal[cells - 1]
         yield (pts.reshape(-1, d), np.tile(quad.box_weights, cells.size),
                (values @ vals_ref.T).ravel(),
-               np.einsum("ca,nad->cnd", values, grads_ref).reshape(-1, d))
+               (values @ grads_ref).reshape(-1, d))
     for cells, pts, w, factors in bulk_rows(cls, quad):
         vals, grads = q1_tables(factors)
         values = nodal[cells - 1]
@@ -256,9 +265,10 @@ def error_norms(cls, quad, nodal, u_exact, grad_exact) -> ErrorNorms:
     For either space these come from each subdomain's extension operator
     (``distspace.nodal_values``); without constraints, as for the standard
     space, that reads ``x`` at the global ids of the cell's nodes.  The
-    integrals run over the box rule of every interior cell and the bulk
-    points of the quadrature store, in chunks of about ``CHUNK_POINTS``,
-    so only the physical domain contributes.  At interior points u_h and
+    integrals run over the box rule of every interior cell, in batches of
+    about ``CHUNK_POINTS`` points, and the bulk points of the quadrature
+    store, in chunks of whole cells of at most ``KERNEL_CHUNK`` points, so
+    only the physical domain contributes.  At interior points u_h and
     its gradient come from the cell's nodal values and the fixed reference
     tables of the shared box rule; cut-cell points evaluate the shape
     functions one by one.

@@ -2,7 +2,8 @@
 
 ``CSR`` holds the four arrays of a CSR matrix and calls the routines of
 the extension module ``scipy.sparse._sparsetools`` that scipy's own
-``csr_matrix`` calls: ``A @ x`` is ``csr_matvec``, ``A.diagonal(k)``
+``csr_matrix`` calls: ``A @ x`` (or ``A.matvec(x, out)`` into a
+caller's buffer) is ``csr_matvec``, ``A.diagonal(k)``
 ``csr_diagonal`` and ``A.toarray()`` ``csr_todense``, on the same
 arrays, so every result is bitwise scipy's.  The extension is loaded on
 its own, from scipy's ``sparse/`` directory: importing the
@@ -115,10 +116,18 @@ class CSR:
         if x.shape != (self.shape[1],):
             raise ValueError(f"matrix of shape {self.shape} times a vector "
                              f"of shape {x.shape}")
-        y = np.zeros(self.shape[0], dtype=np.result_type(self.data, x))
+        return self.matvec(
+            x, np.empty(self.shape[0], dtype=np.result_type(self.data, x)))
+
+    def matvec(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``self @ x`` written into ``out`` and returned, with no check and
+        no allocation: ``x`` and ``out`` are float64 vectors of the column
+        and row counts.  ``csr_matvec`` adds into ``out``, so it is zeroed
+        first, and every row sums as in ``@``."""
+        out.fill(0.0)
         _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices,
-                                self.data, x, y)
-        return y
+                                self.data, x, out)
+        return out
 
     def diagonal(self, k: int = 0) -> np.ndarray:
         """Entries (i, i + k), duplicates summed."""

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import signal
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -565,3 +567,29 @@ def time_limit():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def phase_memory(monkeypatch, cfg, phases):
+    """{phase: (live before, live after, peak)} in bytes, from tracemalloc,
+    of the named phases of one ``run_solve_pipeline`` run of ``cfg``."""
+    from agfem import experiments as ex
+    live = {}
+    timer = ex.PhaseTimer.time
+
+    @contextlib.contextmanager
+    def tracing(self, name):
+        if name in phases:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        with timer(self, name):
+            yield
+        if name in phases:
+            live[name] = (before, *tracemalloc.get_traced_memory())
+
+    monkeypatch.setattr(ex.PhaseTimer, "time", tracing)
+    tracemalloc.start()
+    try:
+        ex.run_solve_pipeline(cfg.validate())
+    finally:
+        tracemalloc.stop()
+    return live

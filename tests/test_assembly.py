@@ -1,10 +1,9 @@
 import collections
-import contextlib
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from agfem import assembly, geometry
 from agfem import experiments as ex
 from agfem.aggregation import aggregate_parallel, aggregate_serial
 from dataclasses import replace
@@ -25,8 +24,8 @@ from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
 from conftest import (all_points_elements, classified, full_bulk_rule,
-                      oracle_assembly, oracle_cell_sums, prolongate, std_taus,
-                      tau_std_oracle, to_scipy)
+                      oracle_assembly, oracle_cell_sums, phase_memory,
+                      prolongate, std_taus, tau_std_oracle, to_scipy)
 
 
 def test_tau_agg_values():
@@ -416,26 +415,61 @@ def test_assembly_scratch_follows_the_live_data(monkeypatch):
     # circle L8 streams 379k cell sums; the assemble phase may hold at
     # most 1.75 times the larger of the data live before and after it,
     # which a key per cell sum would exceed
-    live = {}
-    timer = ex.PhaseTimer.time
+    before, after, peak = phase_memory(
+        monkeypatch, ex.ExperimentConfig(level=8), {"assemble"})["assemble"]
+    assert peak <= 1.75 * max(before, after), (before, after, peak)
 
-    @contextlib.contextmanager
-    def tracing(self, name):
-        if name == "assemble":
-            live["before"] = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-        with timer(self, name):
-            yield
-        if name == "assemble":
-            live["after"], live["peak"] = tracemalloc.get_traced_memory()
 
-    monkeypatch.setattr(ex.PhaseTimer, "time", tracing)
-    tracemalloc.start()
-    try:
-        ex.run_solve_pipeline(ex.ExperimentConfig(level=8).validate())
-    finally:
-        tracemalloc.stop()
-    assert live["peak"] <= 1.75 * max(live["before"], live["after"]), live
+def test_3d_element_and_norm_scratch_follow_the_live_data(monkeypatch):
+    # popcorn L4: the point passes work in chunks of whole cells, the
+    # dense sums a batch of cells at a time into one stream, and the
+    # pattern keeps no room for repeated keys, so neither phase holds
+    # more than 1.3 times the larger of its live data before and after
+    live = phase_memory(monkeypatch, ex.ExperimentConfig(
+        geometry="popcorn", dimension=3, level=4, solution="sine"),
+        {"assemble", "norms"})
+    for before, after, peak in live.values():
+        assert peak <= 1.3 * max(before, after), live
+
+
+@pytest.mark.parametrize("d, level, ls", [
+    (2, 5, Sphere((0.5, 0.5), 0.3)), (3, 3, Popcorn())],
+    ids=["circle-2d-L5", "popcorn-3d-L3"])
+def test_results_do_not_depend_on_the_chunk_sizes(monkeypatch, d, level, ls):
+    # chunks end at cell boundaries, so a cell sums its points in one run
+    # whatever the chunk sizes; 37 gives chunks of one cell, cells larger
+    # than a chunk, and one lattice row per slab
+    def run():
+        grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
+            _serial_agg_system(level, ls, f=lambda p: np.sum(p ** 2, axis=1),
+                               g=lambda p: np.sum(p, axis=1), d=d)
+        system, *_ = _distributed_system(cls, 3, elements)
+        return (cls, quad, elements, (A, b), system.gather(),
+                std_taus(cls, quad, 10.0))
+
+    results = []
+    for size in (8192, 37):
+        for module in (geometry, assembly):
+            monkeypatch.setattr(module, "CHUNK_POINTS", size)
+            monkeypatch.setattr(module, "KERNEL_CHUNK", size)
+        results.append(run())
+    (cls, quad, (mats, vecs), serial, dist, taus), other = results
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and \
+            a.tobytes() == b.tobytes()
+
+    for name in ("labels", "active_id", "vertex_values", "face_ids",
+                 "face_open"):
+        assert same(getattr(cls, name), getattr(other[0], name)), name
+    for name in vars(quad):
+        assert same(getattr(quad, name), getattr(other[1], name)), name
+    other_mats, other_vecs = other[2]
+    for name in ("reference", "ids", "own"):
+        assert same(getattr(mats, name), getattr(other_mats, name)), name
+    assert same(vecs, other_vecs) and same(taus, other[5])
+    _assert_bitwise(*serial, *other[3])
+    _assert_bitwise(*dist, *other[4])
 
 
 @pytest.mark.parametrize("level, ls, d, n_parts", [

@@ -49,6 +49,9 @@ def test_csr_record_equals_scipy_bitwise(arrays, x):
                                  max_size=A.shape[1])), dtype=np.float64)
     assert _same(A @ v, S @ v)
     M, N = A.shape
+    # into a buffer that holds stale values, as the solver's does
+    out = np.full(M, np.nan)
+    assert A.matvec(v, out) is out and _same(out, S @ v)
     for k in range(-M - 1, N + 2):
         assert _same(A.diagonal(k), S.diagonal(k))
     coo = sp.coo_matrix(S)
