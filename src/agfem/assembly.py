@@ -11,18 +11,18 @@ reference matrix, the one their common box rule gives, and only cut
 cells, and any cell with interface points, store their own.  Vectors
 (n_active, m), m = 2**d, are per cell; interior ones are f at the
 points ``interior_rows`` rebuilds a batch of cells at a time times one
-table of shape values.  The cut-cell and interface rules, the only rows
-of the flat quadrature store, are read point by point through
-``bulk_rows`` and ``interface_rows``, which also feed the error norms, in
-chunks that end at cell boundaries and hold at most ``KERNEL_CHUNK``
-points (or one larger cell): each cell sums its points in store order in
-one run, whatever the chunk size, and a chunk's temporaries stay in the
-heap from one chunk to the next.  The penalty reads the bulk stiffness
-this pass sums.  A Q1 function is a product of one factor
-(1 - x, x) per axis, so a cut cell's stiffness takes d * 3**(d-1)
-weighted sums of factor pairs, not m * m gradient products, and its
-interface matrix is one sum S of w v c^T, added as S + S^T and summed
-one row of S at a time.
+table of shape values.  The cut-cell and interface rules, all the
+quadrature store holds, are mapped from its factored form a chunk at a
+time by ``bulk_rows`` and ``interface_rows``, which also feed the error
+norms, in chunks that end at cell boundaries and hold at most
+``KERNEL_CHUNK`` points (or one larger cell): each cell sums its points
+in store order in one run, whatever the chunk size, and a chunk's
+temporaries stay in the heap from one chunk to the next.  The penalty
+reads the bulk stiffness this pass sums.  A Q1 function is a product of
+one factor (1 - x, x) per axis, so a cut cell's stiffness takes d *
+3**(d-1) weighted sums of factor pairs, not m * m gradient products, and
+its interface matrix is one sum S of w v c^T, summed one row of S at a
+time and added as S + S^T, a chunk of cells at a time.
 
 Assembly is one kernel run per subdomain on the virtual runtime, serial
 being the one-process case.  It forms A = C^T A_e C, C the extension
@@ -31,27 +31,33 @@ the load.  A stencil cell, one whose rows are all free and owned, has
 unit rows in C, so its element entries are its sums as they stand: its
 load at a and its entry (a, b) go to fixed slots of the row of corner
 a, the load's and that of the lattice offset of corner b from corner a,
-one of 3**d.  Every other cell gives (key, value) pairs of the dense
-local product C_c^T [b_e, A_e C_c], C_c its rows of C over the
-ascending union of the system rows they touch with a nonzero
+one of 3**d.  Every other cell, a keyed cell, gives (key, value) pairs
+of the dense local product C_c^T [b_e, A_e C_c], C_c its rows of C over
+the ascending union of the system rows they touch with a nonzero
 coefficient, a batch of cells at a time, each sum over the nodes in
 order; where C_c only picks out rows, every product is exact, so a
-nonzero pair is an element entry bit for bit.  Off-owner pairs leave in
+nonzero pair is an element entry bit for bit.  A keyed cell with a row
+owned elsewhere forms its pairs first, and its off-owner pairs leave in
 global-cell order in one routed exchange.  Each owner then builds the
 sorted keys of its rows once, a block of rows at a time, from its rows'
-slots and the sorted keys of its own and the received pairs; pairs
-find their positions by binary search.  Values go
-straight into one array over those keys by ``np.add.at``, which adds in
-index order: the pairs of lower ranks, this subdomain's cells a window
-at a time, each window in cell order, then the pairs of higher ranks.
+slots, the keys its keyed cells' unions give (zero sums included) and
+those of the received pairs; pairs find their positions by binary
+search.  Values go straight into one array over those keys by
+``np.add.at``, which adds in index order: the pairs of lower ranks,
+this subdomain's cells a window of about 4 * ``KERNEL_CHUNK`` sums at a
+time, each window written in cell order into one stream, then the pairs
+of higher ranks.  The other keyed cells form their pairs in their
+window, by ascending union width in batches of about ``KERNEL_CHUNK``
+sums, so that only the owned pairs of the cells that send any are held
+beyond a window; their zero sums add nothing.
 ``partition_weighted_sfc`` gives ranks ascending ranges of cell ids, so
 rank order is global-cell order, the invariant the numbering's
 independence of P rests on too.  So every (row, col) is a left-to-right
 sum of its cells' sums in global-cell order, the same for every P, and
 serial and distributed systems are bitwise equal.  The loads and the
 ``CSR`` block are then cut out of that array in place; entries summing
-to zero are not stored.  Beyond the keys and the pairs, scratch is
-bounded by the batch and the window, and arrays that end shorter than
+to zero are not stored.  Beyond the keys, scratch is bounded by the
+batch and the window, and arrays that end shorter than
 allotted (the pairs without their zeros, the keys) shrink in place.
 """
 
@@ -127,31 +133,46 @@ def interior_rows(cls: CellClassification, quad: QuadratureStore):
 
 
 def bulk_rows(cls: CellClassification, quad: QuadratureStore):
-    """The bulk points of the store, the cut cells' rules, in chunks of
-    whole cells, at most 8 * ``KERNEL_CHUNK`` / m points each, m = 2**d,
-    unless one cell has more: (cell of each point, points, weights, the
-    per-axis factors (d, 2, n) of the Q1 shape functions, as
+    """The bulk points of the store, the cut cells' rules, mapped a chunk
+    of whole cells at a time, at most 8 * ``KERNEL_CHUNK`` / m points
+    each, m = 2**d, unless one cell has more: (cell of each point, points,
+    weights, the per-axis factors (d, 2, n) of the Q1 shape functions, as
     ``axis_factors``).  A chunk's temporaries grow with m per point."""
-    for sl in cell_chunks(quad.offsets, 8 * KERNEL_CHUNK >> cls.grid.d):
-        cells, pts = quad.bulk_cells(sl), quad.points[sl]
-        yield (cells, pts, quad.weights[sl],
-               axis_factors(cls.reference_coords(cells, pts)))
+    n = quad.ref_weights.size
+    for sl in cell_chunks(quad.simplex_offsets,
+                          (8 * KERNEL_CHUNK >> cls.grid.d) // n):
+        cells, (pts, w) = quad.bulk_cells(sl), quad.bulk_rule(sl)
+        yield (cells, pts, w,
+               axis_factors(_reference_coords(cls, cells[::n], pts)))
 
 
 def interface_rows(cls: CellClassification, quad: QuadratureStore):
-    """The interface points of the store in chunks of whole cells, at most
-    4 * ``KERNEL_CHUNK`` / m points each, m = 2**d, unless one cell
-    has more, so that each (m, n) table holds about 4 *
+    """The interface points of the store, mapped a chunk of whole cells at
+    a time, at most 4 * ``KERNEL_CHUNK`` / m points each, m = 2**d, unless
+    one cell has more, so that each (m, n) table holds about 4 *
     ``KERNEL_CHUNK`` values: (cell of each point, points, weights,
     and, points last, the shape values (m, n) and normal derivatives (m,
     n) of the shape functions)."""
-    for sl in cell_chunks(quad.boundary_offsets,
-                          4 * KERNEL_CHUNK >> cls.grid.d):
-        cells, pts = quad.boundary_cells(sl), quad.boundary_points[sl]
-        vals, grads = q1_tables(axis_factors(cls.reference_coords(cells, pts)))
-        yield (cells, pts, quad.boundary_weights[sl], vals,
-               np.einsum("dan,nd->an", grads,
-                         quad.boundary_normals[sl] / cls.grid.h))
+    n = quad.facet_weights.size
+    for sl in cell_chunks(quad.facet_offsets,
+                          (4 * KERNEL_CHUNK >> cls.grid.d) // n):
+        cells, (pts, w, normals) = (quad.boundary_cells(sl),
+                                    quad.interface_rule(sl))
+        vals, grads = q1_tables(axis_factors(
+            _reference_coords(cls, cells[::n], pts)))
+        gn = np.einsum("dan,nd->an", grads, normals / cls.grid.h)
+        del grads    # not held while the next chunk is formed
+        yield cells, pts, w, vals, gn
+
+
+def _reference_coords(cls, owners, pts):
+    """Coordinates of the points ``pts`` in the unit boxes of their cells,
+    as ``reference_coords`` gives them, the points coming an equal number
+    per entry of ``owners`` in turn: each cell's origin is formed once."""
+    lo = cls.grid.cell_origin(cls.id_to_lattice[owners - 1])
+    rel = pts.reshape(len(owners), -1, pts.shape[1]) - lo[:, None, :]
+    rel /= cls.grid.h
+    return rel.reshape(pts.shape)
 
 
 def _stiffness_integrands(factors, out):
@@ -168,20 +189,36 @@ def _stiffness_integrands(factors, out):
     return out
 
 
+@functools.cache
+def _stiffness_tables(d):
+    """Per axis c, the column of each entry (a, b) among the sums of
+    ``_stiffness_integrands``, that at the factor pairs (a_e, b_e) of the
+    other axes, and its sign, negative where a_c != b_c: (d, m, m) each,
+    read-only, as every caller shares them."""
+    bits = np.arange(2 ** d)[:, None] >> np.arange(d) & 1
+    pair = bits[:, None, :] + bits[None, :, :]    # (m, m, d): 0, 1 or 2
+    cols = np.stack([c * 3 ** (d - 1)
+                     + np.delete(pair, c, axis=2) @ 3 ** np.arange(d - 1)
+                     for c in range(d)])
+    signs = np.where(pair == 1, -1.0, 1.0).transpose(2, 0, 1)
+    for table in (cols, signs):
+        table.setflags(write=False)
+    return cols, signs
+
+
 def _factor_stiffness(sums, h):
     """Stiffness matrices (nc, m, m) from the weighted sums (nc, d *
     3**(d-1)) of ``_stiffness_integrands``: entry (a, b) adds, over the
-    axes c in order, the sum at the factor pairs (a_e, b_e) of the other
-    axes times 1 / h_c**2, negated where a_c != b_c."""
-    d = len(h)
-    bits = np.arange(2 ** d)[:, None] >> np.arange(d) & 1
-    pair = bits[:, None, :] + bits[None, :, :]    # (m, m, d): 0, 1 or 2
-    terms = []
-    for c in range(d):
-        col = c * 3 ** (d - 1) + np.delete(pair, c, axis=2) @ 3 ** np.arange(d - 1)
-        sign = np.where(pair[:, :, c] == 1, -1.0, 1.0)
-        terms.append(sums[:, col] * (sign / h[c] ** 2))
-    return sum(terms[1:], terms[0])
+    axes c in order, its sum of ``_stiffness_tables`` times 1 / h_c**2
+    and its sign, each term in turn into one array."""
+    cols, signs = _stiffness_tables(len(h))
+    out = sums[:, cols[0]]
+    out *= signs[0] / h[0] ** 2
+    for c in range(1, len(h)):
+        term = sums[:, cols[c]]
+        term *= signs[c] / h[c] ** 2
+        out += term
+    return out
 
 
 @dataclass
@@ -230,26 +267,45 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
     cells share one reference element: they store no matrix, and their
     load vectors are f at their points times the fixed table of shape
     values.  Only cut cells, and any cell with interface points, store a
-    matrix.  Their points are integrated in chunks: the bulk stiffness
-    in factor form, the interface matrix as S + S^T, S summed one row at
-    a time, so that no chunk holds an (m, m, n) product.
+    matrix.  Their points are mapped from the store and integrated a
+    chunk at a time: the bulk stiffness in factor form, the interface
+    matrix as S + S^T, S summed one row at a time, so that no chunk holds
+    an (m, m, n) product.  Each pass is a function of its own, so that
+    none of its chunk arrays outlives it.
     """
     m = 2 ** cls.grid.d
-    cut = cls.cut_ids
-    held = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
+    held = np.flatnonzero(np.diff(quad.facet_offsets)) + 1
     # the cells with a matrix of their own; not np.union1d, whose hash
     # path takes about 9 ms on its first call in a process
-    ids = _sorted_distinct(np.concatenate([cut, held]))
+    ids = _sorted_distinct(np.concatenate([cls.cut_ids, held]))
     vecs = np.zeros((cls.n_active, m))
     vals_ref, grads_ref = reference_tables(cls, quad)
     ref = np.einsum("nad,nbd,n->ab", grads_ref, grads_ref, quad.box_weights)
     mats = CellMatrices(ref, ids, np.tile(ref, (ids.size, 1, 1)),
                         cls.n_active)
     if f is not None:
-        for cells, pts in interior_rows(cls, quad):
-            fw = np.asarray(f(pts.reshape(-1, pts.shape[2]))).reshape(
-                pts.shape[:2])
-            vecs[cells - 1] = (fw * quad.box_weights) @ vals_ref
+        _interior_loads(cls, quad, vecs, f, vals_ref)
+    _add_cut_stiffness(cls, quad, mats, vecs, f)
+    _add_interface_terms(cls, quad, mats, vecs,
+                         np.broadcast_to(penalty(mats), cls.n_active), g)
+    return mats, vecs
+
+
+def _interior_loads(cls, quad, vecs, f, vals_ref):
+    """Write the load of every interior cell into ``vecs``: f at its points
+    times the table of shape values."""
+    for cells, pts in interior_rows(cls, quad):
+        fw = np.asarray(f(pts.reshape(-1, pts.shape[2]))).reshape(
+            pts.shape[:2])
+        vecs[cells - 1] = (fw * quad.box_weights) @ vals_ref
+
+
+def _add_cut_stiffness(cls, quad, mats, vecs, f):
+    """Write the bulk stiffness of every cut cell into ``mats`` and add its
+    load to ``vecs``: the weighted sums of each cell's integrands, in one
+    run of its chunk, then its matrix from them, a block of cells at a
+    time."""
+    cut, m = cls.cut_ids, mats.reference.shape[0]
     k = cls.grid.d * 3 ** (cls.grid.d - 1)
     sums = np.zeros((cut.size, k))
     buf = np.empty(0)     # the integrands of each chunk, grown as needed
@@ -257,32 +313,38 @@ def poisson_elements(cls: CellClassification, quad: QuadratureStore, penalty,
         if buf.size < k * w.size:
             buf = np.empty(k * w.size)
         starts = _runs(cells)
-        integrands = _stiffness_integrands(
-            factors, buf[:k * w.size].reshape(k, w.size))
         _add_weighted_runs(sums, np.searchsorted(cut, cells[starts]), starts,
-                           w, integrands)
+                           w, _stiffness_integrands(
+                               factors, buf[:k * w.size].reshape(k, w.size)))
         if f is not None:
             _add_weighted_runs(vecs, cells[starts] - 1, starts,
                                w * np.asarray(f(pts)),
                                tensor_products(factors))
-    mats.own[np.searchsorted(ids, cut)] = _factor_stiffness(sums, cls.grid.h)
-    taus = np.broadcast_to(penalty(mats), cls.n_active)
-    S = np.zeros((held.size, m, m))
+    at = np.searchsorted(mats.ids, cut)
+    for sl in point_chunks(cut.size, KERNEL_CHUNK // m):
+        mats.own[at[sl]] = _factor_stiffness(sums[sl], cls.grid.h)
+
+
+def _add_interface_terms(cls, quad, mats, vecs, taus, g):
+    """Add the interface terms of every cell with interface points, tau
+    being ``taus`` of its cell, to ``mats`` and ``vecs``: the matrix as S
+    + S^T, S summed one row at a time, a chunk of cells at a time."""
+    m = mats.reference.shape[0]
     for cells, pts, w, vals, gn in interface_rows(cls, quad):
         tau = taus[cells - 1]
         starts = _runs(cells)
-        rows = np.searchsorted(held, cells[starts])
         # tau v v^T - v gn^T - gn v^T = v c^T + c v^T, c = tau v / 2 - gn
         c = 0.5 * tau * vals - gn
         row = np.empty_like(c)    # one row of S's integrands at a time
+        S = np.zeros((starts.size, m, m))
         for a in range(m):
-            _add_weighted_runs(S[:, a], rows, starts, w,
+            _add_weighted_runs(S[:, a], slice(None), starts, w,
                                np.multiply(vals[a], c, out=row))
+        mats.own[np.searchsorted(mats.ids, cells[starts])] += \
+            S + S.transpose(0, 2, 1)
         if g is not None:
             _add_weighted_runs(vecs, cells[starts] - 1, starts,
                                w * np.asarray(g(pts)), tau * vals - gn)
-    mats.own[np.searchsorted(ids, held)] += S + S.transpose(0, 2, 1)
-    return mats, vecs
 
 
 def _cholesky(A):
@@ -307,7 +369,7 @@ def nitsche_tau_std(cls: CellClassification, quad: QuadratureStore,
     is its penalty; other cells get 0, which no term reads.  Raises
     ``TauUnboundedError`` naming the first cell whose deflated V is not
     positive definite."""
-    cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
+    cells = np.flatnonzero(np.diff(quad.facet_offsets)) + 1
     V = V.take(cells)
     B = np.zeros_like(V)
     for c, _, w, _, gn in interface_rows(cls, quad):
@@ -371,8 +433,9 @@ def _keys(rows, n):
     """Keys (nc, k, k + 1) of cell sums, load first, at 0-based rows
     ``rows`` (nc, k): row * (n + 1) + col + 1, col -1 being the load."""
     key = np.empty(rows.shape + (rows.shape[1] + 1,), dtype=np.int64)
-    key[:, :, 0] = rows * (n + 1)
-    key[:, :, 1:] = key[:, :, :1] + rows[:, None, :] + 1
+    np.multiply(rows, n + 1, out=key[:, :, 0])
+    np.add(key[:, :, :1], rows[:, None, :], out=key[:, :, 1:])
+    key[:, :, 1:] += 1
     return key
 
 
@@ -390,10 +453,41 @@ def _entries(C, dofs):
     return pos, node % m, node // m
 
 
-def _dense_sums(C, dofs, mats, vecs, ids, n):
+def _dense_keys(C, dofs, n, lo, hi):
+    """For the cells with 0-based DOFs ``dofs`` (nc, m): the keys that
+    ``_dense_sums`` gives them in the rows ``lo:hi``, distinct and
+    ascending, and per cell the number k of system rows its rows of C
+    touch and whether one lies outside ``lo:hi``.  A cell's keys pair each
+    row of its union with the load and each row of the union, zero sums
+    included; cells go a chunk at a time."""
+    nc, m = dofs.shape
+    parts = [np.zeros(0, dtype=np.int64)]
+    width = np.empty(nc, dtype=np.int64)
+    outside = np.empty(nc, dtype=bool)
+    for sl in point_chunks(nc, 2 * KERNEL_CHUNK // m ** 2 + 1):
+        pos, _, ent_cell = _entries(C, dofs[sl])
+        union = _sorted_distinct(ent_cell * n + C.indices[pos])
+        cell, row = np.divmod(union, n)
+        width[sl] = np.bincount(cell, minlength=sl.stop - sl.start)
+        first = np.cumsum(width[sl]) - width[sl]
+        owned = (row >= lo) & (row < hi)
+        outside[sl] = np.bincount(cell[~owned],
+                                  minlength=sl.stop - sl.start) > 0
+        # an owned row's keys: the load, then each row of its cell's union
+        cell, row = cell[owned], row[owned]
+        lens = width[sl][cell] + 1
+        at = _ranges(first[cell] - 1, lens)
+        col = np.where(at < np.repeat(first[cell], lens), -1, union[at] % n)
+        parts.append(_sorted_distinct(np.repeat(row * (n + 1), lens)
+                                      + col + 1))
+    return _sorted_distinct(np.concatenate(parts)), width, outside
+
+
+def _dense_sums(C, dofs, width, mats, vecs, ids, n):
     """The nonzero sums of the 1-based cells ``ids`` with 0-based DOFs
-    ``dofs`` (nc, m), as (count per cell, keys, values) in cell order,
-    keyed as ``_keys``; ``mats`` and ``vecs`` hold every active cell.
+    ``dofs`` (nc, m), each touching ``width`` system rows, as (count per
+    cell, keys, values) in cell order, keyed as ``_keys``; ``mats`` and
+    ``vecs`` hold every active cell.
 
     A cell's rows of C over the ascending union of the k system rows they
     touch form C_c (m, k); its sums are [C_c^T b_e, C_c^T T], T = A_e C_c,
@@ -404,64 +498,65 @@ def _dense_sums(C, dofs, mats, vecs, ids, n):
     builds its own index arrays and writes its k (k + 1) sums per cell at
     the cell's place in one stream; the zeros then leave it in place."""
     nc, m = dofs.shape
-    width = np.empty(nc, dtype=np.int64)
-    for sl in point_chunks(nc, 2 * KERNEL_CHUNK // m ** 2 + 1):
-        pos, _, ent_cell = _entries(C, dofs[sl])
-        union = _sorted_distinct(ent_cell * n + C.indices[pos])
-        width[sl] = np.bincount(union // n, minlength=sl.stop - sl.start)
     size = width * (width + 1)
     start = np.cumsum(size) - size
     keys = np.empty(int(size.sum()), dtype=np.int64)
     vals = np.empty(keys.size)
     keep = np.empty(keys.size, dtype=bool)
     counts = np.empty(nc, dtype=np.int64)
-    order = np.argsort(width, kind="stable")
-    batch = np.cumsum(size[order]) // (2 * KERNEL_CHUNK)
-    for cells in np.split(order, np.flatnonzero(np.diff(batch)) + 1):
-        nb, k = cells.size, int(width[cells].max(initial=0))
-        pos, ent_node, ent_cell = _entries(C, dofs[cells])
-        union, col = np.unique(ent_cell * n + C.indices[pos],
-                               return_inverse=True)
-        first = np.cumsum(width[cells]) - width[cells]
-        Cc = np.zeros((nb, m, k))
-        Cc[ent_cell, ent_node, col - first[ent_cell]] = C.data[pos]
-        A = mats.take(ids[cells])
-        Tb = np.empty((nb, m, k + 1))
-        Tb[:, :, 0] = vecs[ids[cells] - 1]
-        T = Tb[:, :, 1:]
-        np.multiply(A[:, :, :1], Cc[:, None, 0], out=T)
-        for b in range(1, m):
-            T += A[:, :, b, None] * Cc[:, None, b]
-        val = Cc[:, 0, :, None] * Tb[:, 0, None, :]
-        for a in range(1, m):
-            val += Cc[:, a, :, None] * Tb[:, a, None, :]
-        real = np.arange(-1, k) < width[cells, None]
-        rows = union[np.where(real[:, 1:], first[:, None] + np.arange(k), 0)] % n
-        real = real[:, 1:, None] & real[:, None, :]
+    for cells in _width_batches(width, 2 * KERNEL_CHUNK):
         dest = _ranges(start[cells], size[cells])
-        keys[dest] = _keys(rows, n)[real]
-        vals[dest] = val[real]
+        keys[dest], vals[dest], counts[cells] = _batch_sums(
+            C, dofs[cells], width[cells], mats.take(ids[cells]),
+            vecs[ids[cells] - 1], n)
         keep[dest] = vals[dest] != 0.0
-        counts[cells] = np.count_nonzero(real & (val != 0.0), axis=(1, 2))
     _compact(keep, keys, vals)
     return counts, keys, vals
 
 
-def _in_cell_order(parts, n_cells):
-    """One stream of the entries of ``parts``, (cells, *arrays, counts)
-    with ``counts`` entries per listed cell, each cell's entries after
-    those of the cells before it: (count per cell, *arrays)."""
-    counts = np.zeros(n_cells, dtype=np.int64)
-    for cells, *_, lens in parts:
-        counts[cells] = lens
-    offsets = np.cumsum(counts) - counts
-    out = [np.empty(int(counts.sum()), dtype=a.dtype)
-           for a in parts[0][1:-1]]
-    for cells, *arrays, lens in parts:
-        dest = _ranges(offsets[cells], lens)
-        for o, a in zip(out, arrays):
-            o[dest] = a
-    return counts, *out
+def _width_batches(width, limit):
+    """Positions of cells touching ``width`` rows each, by ascending width
+    in batches of about ``limit`` sums, k (k + 1) per cell, so that a
+    batch padded to its widest cell pads little."""
+    order = np.argsort(width, kind="stable")
+    batch = np.cumsum(width[order] * (width[order] + 1)) // limit
+    return np.split(order, np.flatnonzero(np.diff(batch)) + 1) \
+        if width.size else []
+
+
+def _batch_sums(C, dofs, width, mat, vec, n):
+    """The k (k + 1) sums of each of a batch of cells with 0-based DOFs
+    ``dofs`` (nb, m), touching ``width`` rows each, matrices ``mat`` and
+    vectors ``vec``, as ``_dense_sums`` forms them: (keys, values) in cell
+    order, zeros included, and each cell's count of nonzero values.  The
+    batch is padded to its widest cell, and each array is dropped once
+    the next is formed."""
+    nb, m = dofs.shape
+    k = int(width.max(initial=0))
+    pos, ent_node, ent_cell = _entries(C, dofs)
+    col = ent_cell * n + C.indices[pos]
+    union = _sorted_distinct(col)
+    col = np.searchsorted(union, col)    # each entry's place in the union
+    first = np.cumsum(width) - width
+    Cc = np.zeros((nb, m, k))
+    Cc[ent_cell, ent_node, col - first[ent_cell]] = C.data[pos]
+    del pos, ent_node, ent_cell, col
+    Tb = np.empty((nb, m, k + 1))
+    Tb[:, :, 0] = vec
+    T = Tb[:, :, 1:]
+    np.multiply(mat[:, :, :1], Cc[:, None, 0], out=T)
+    for b in range(1, m):
+        T += mat[:, :, b, None] * Cc[:, None, b]
+    val = Cc[:, 0, :, None] * Tb[:, 0, None, :]
+    for a in range(1, m):
+        val += Cc[:, a, :, None] * Tb[:, a, None, :]
+    del Cc, Tb, T
+    real = np.arange(-1, k) < width[:, None]
+    rows = union[np.where(real[:, 1:], first[:, None] + np.arange(k), 0)] % n
+    real = real[:, 1:, None] & real[:, None, :]
+    nonzero = np.count_nonzero(real & (val != 0.0), axis=(1, 2))
+    val = val[real]
+    return _keys(rows, n)[real], val, nonzero
 
 
 @functools.cache
@@ -503,13 +598,12 @@ def _compact(keep, *arrays):
 
 def _pattern(rows, table, extra, first, n_owned, stride, index):
     """Sorted keys (row - first) * stride + col + 1 of the owned rows,
-    col -1 for the load, the position in them of each slot of ``table``
-    in each row (n_owned * (3**d + 1), flat; -1 where a row has no such
-    key) and that of each key of ``extra``, both of dtype ``index``.  The
-    slots are those of the 1-based rows ``rows`` (n_cells, m) of cells
-    whose rows are all free and owned, joined with the distinct ascending
-    keys ``extra``, a block of about ``CHUNK_POINTS`` slots at a time,
-    each block sorting its own keys."""
+    col -1 for the load, and the position in them of each slot of
+    ``table`` in each row (n_owned * (3**d + 1), flat, of dtype ``index``;
+    -1 where a row has no such key).  The slots are those of the 1-based
+    rows ``rows`` (n_cells, m) of cells whose rows are all free and owned,
+    joined with the distinct ascending keys ``extra``, a block of about
+    ``CHUNK_POINTS`` slots at a time, each block sorting its own keys."""
     k = table.max() + 1
     cols = np.full(n_owned * k, stride, dtype=index)
     per = max(1, CHUNK_POINTS // table.size)
@@ -520,7 +614,6 @@ def _pattern(rows, table, extra, first, n_owned, stride, index):
     cols = cols.reshape(n_owned, k)      # each block becomes its slots
     keys = np.empty(np.count_nonzero(cols < stride) + extra.size,
                     dtype=np.int64)
-    at = np.empty(extra.size, dtype=index)
     per, nnz, e0 = max(1, CHUNK_POINTS // k), 0, 0
     for r0 in range(0, n_owned, per):
         block = cols[r0:r0 + per]
@@ -532,10 +625,9 @@ def _pattern(rows, table, extra, first, n_owned, stride, index):
         keys[nnz:nnz + uniq.size] = uniq
         block[held] = nnz + np.searchsorted(uniq, stencil)
         block[~held] = -1
-        at[e0:e1] = nnz + np.searchsorted(uniq, extra[e0:e1])
         nnz, e0 = nnz + uniq.size, e1
     _shrink(keys, nnz)    # keys both sources hold were counted twice
-    return keys, cols.ravel(), at
+    return keys, cols.ravel()
 
 
 def _owned_pairs(s, src, payload, first, n_owned, stride):
@@ -583,51 +675,52 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     # every other cell, one with a constrained DOF (row 0) too, gives pairs
     keyed = np.any((rows <= first) | (rows > first + n_owned), axis=1)
     kc = np.flatnonzero(keyed)
-    kcount, kkey, kval = _dense_sums(C, cell_dofs[kc] - 1, mats, vecs,
-                                     cell_ids[kc], n_global)
+    # the keys of the owned rows' sums, zero sums included: a pattern key
+    # that only zero sums reach adds to 0 and is not stored
+    extra, width, outside = _dense_keys(C, cell_dofs[kc] - 1, n_global,
+                                        first, first + n_owned)
 
-    # off-owner sums leave in cell order; joined in rank order, every
-    # owner adds them in global-cell order
+    # a cell with sums of rows owned elsewhere forms its sums now and
+    # keeps its owned ones, and so does every keyed cell when all their
+    # sums fit in one window; every other keyed cell forms its sums in
+    # its window below.  Off-owner sums leave in cell order; joined in
+    # rank order, every owner adds them in global-cell order
     base = first * stride      # owned keys less base: the pattern's keys
-    mine = (kkey >= base) & (kkey < base + n_owned * stride)
+    end = base + n_owned * stride
+    if np.sum(width * (width + 1)) <= 4 * KERNEL_CHUNK:
+        outside[:] = True
+    sc = np.flatnonzero(outside)    # positions in kc
+    scount, skey, sval = _dense_sums(C, cell_dofs[kc[sc]] - 1, width[sc],
+                                     mats, vecs, cell_ids[kc[sc]], n_global)
+    mine = (skey >= base) & (skey < end)
     off = np.flatnonzero(~mine)
-    key, val = kkey[off], kval[off]
+    key, val = skey[off], sval[off]
     owner = np.searchsorted(row_starts, key // stride + 1, side="right")
     received = yield proc.routed_exchange(
         {int(dst): (key[owner == dst], val[owner == dst])
          for dst in _sorted_distinct(owner)})
+    del key, val, owner
     pairs = [(r, *_owned_pairs(s, r, payload, first, n_owned, stride))
              for r, payload in sorted(received.items())]
-    kcount -= np.bincount(np.searchsorted(np.cumsum(kcount), off,
-                                          side="right"), minlength=kc.size)
-    _compact(mine, kkey, kval)
+    scount -= np.bincount(np.searchsorted(np.cumsum(scount), off,
+                                          side="right"), minlength=sc.size)
+    _compact(mine, skey, sval)
     del mine, off
-    kkey -= base
+    skey -= base
 
     table = _slot_table(m.bit_length() - 1)
     k = table.max() + 1
-    # the distinct pair keys, each chunk's first (the empty array stands
-    # in for no pairs at all)
+    extra -= base
     extra = _sorted_distinct(np.concatenate(
-        [np.zeros(0, dtype=np.int64)]
-        + [_sorted_distinct(kkey[sl])
-           for sl in point_chunks(kkey.size, 8 * KERNEL_CHUNK)]
-        + [pk for _, pk, _ in pairs]))
-    # positions in the keys fit int32 where the keys' count bound does;
-    # the pairs' keys give way to their positions among the distinct
-    # keys, and those to their positions in the pattern's keys
+        [extra] + [pk for _, pk, _ in pairs]))
+    # positions in the keys fit int32 where the keys' count bound does
     index = np.int32 if max(n_owned * k + extra.size, stride) < 2 ** 31 \
         else np.int64
-    kpos = np.empty(kkey.size, dtype=index)
-    for sl in point_chunks(kkey.size, 8 * KERNEL_CHUNK):
-        kpos[sl] = np.searchsorted(extra, kkey[sl])
-    del kkey
-    keys, slots, at = _pattern(rows[~keyed], table, extra, first, n_owned,
-                               stride, index)
+    keys, slots = _pattern(rows[~keyed], table, extra, first, n_owned,
+                           stride, index)
     del extra
-    for sl in point_chunks(kpos.size, 8 * KERNEL_CHUNK):
-        kpos[sl] = at[kpos[sl]]
-    del at
+    spos = np.searchsorted(keys, skey).astype(index)
+    del skey
 
     # every key adds its sums in global-cell order: the lower ranks'
     # sums, this rank's cells a window at a time, the higher ranks'
@@ -635,28 +728,57 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     for r, pk, pv in pairs:
         if r < s:
             np.add.at(buf, np.searchsorted(keys, pk), pv)
-    kstart = np.cumsum(kcount) - kcount
-    per = max(1, 4 * KERNEL_CHUNK // table.size)
-    for w0 in range(0, n_cells, per):
-        fc = np.flatnonzero(~keyed[w0:w0 + per]) + w0
-        pos = np.take(slots, ((rows[fc] - 1 - first) * k)[:, :, None] + table)
-        val = np.concatenate([vecs[cell_ids[fc] - 1, :, None],
-                              mats.take(cell_ids[fc])], axis=2)
-        i0, i1 = np.searchsorted(kc, [w0, w0 + per])
-        if i1 > i0:
-            e = slice(kstart[i0], kstart[i1 - 1] + kcount[i1 - 1])
-            _, pos, val = _in_cell_order(
-                [(fc - w0, pos.ravel(), val.ravel(),
-                  np.full(fc.size, table.size)),
-                 (kc[i0:i1] - w0, kpos[e], kval[e],
-                  kcount[i0:i1])],
-                min(per, n_cells - w0))
-        np.add.at(buf, pos.ravel(), val.ravel())
+    # each cell's place in the stream of its window, windows of about 4 *
+    # KERNEL_CHUNK sums: table.size per stencil cell, its owned nonzero
+    # sums per sending cell, k (k + 1) per other keyed cell
+    size = np.full(n_cells, table.size)
+    size[kc] = width * (width + 1)
+    size[kc[sc]] = scount
+    stop = np.cumsum(size)
+    start = stop - size
+    sstart = np.cumsum(scount) - scount
+    cuts = np.flatnonzero(np.diff(stop // (4 * KERNEL_CHUNK))) + 1
+    for w0, w1 in zip([0, *cuts], [*cuts, n_cells]):
+        fc = np.flatnonzero(~keyed[w0:w1]) + w0
+        fpos = np.take(slots, ((rows[fc] - 1 - first) * k)[:, :, None]
+                       + table).ravel()
+        fval = np.concatenate([vecs[cell_ids[fc] - 1, :, None],
+                               mats.take(cell_ids[fc])], axis=2).ravel()
+        i0, i1 = np.searchsorted(kc, [w0, w1])
+        if i0 == i1:
+            np.add.at(buf, fpos, fval)
+            continue
+        s0 = start[w0]
+        pos = np.empty(stop[w1 - 1] - s0, dtype=index)
+        val = np.empty(pos.size)
+        dest = ((start[fc] - s0)[:, None] + np.arange(table.size)).ravel()
+        pos[dest], val[dest] = fpos, fval
+        del fpos, fval, dest
+        j0, j1 = np.searchsorted(sc, [i0, i1])
+        if j1 > j0:
+            e = slice(sstart[j0], sstart[j1 - 1] + scount[j1 - 1])
+            dest = _ranges(start[kc[sc[j0:j1]]] - s0, scount[j0:j1])
+            pos[dest], val[dest] = spos[e], sval[e]
+            del dest
+        # the other keyed cells' sums, zeros kept: a zero adds nothing
+        lazy = np.flatnonzero(~outside[i0:i1]) + i0
+        for batch in _width_batches(width[lazy], KERNEL_CHUNK):
+            cells = kc[lazy[batch]]
+            kkey, kval, _ = _batch_sums(
+                C, cell_dofs[cells] - 1, width[lazy[batch]],
+                mats.take(cell_ids[cells]), vecs[cell_ids[cells] - 1],
+                n_global)
+            kkey -= base
+            dest = _ranges(start[cells] - s0, size[cells])
+            pos[dest], val[dest] = np.searchsorted(keys, kkey), kval
+            del kkey, kval, dest
+        np.add.at(buf, pos, val)
+        del pos, val    # not held while the next window is formed
     for r, pk, pv in pairs:
         if r > s:
             np.add.at(buf, np.searchsorted(keys, pk), pv)
 
-    del slots, kpos, kval    # freed before the CSR is cut out of buf
+    del slots, spos, sval    # freed before the CSR is cut out of buf
     load = keys % stride == 0
     b = np.zeros(n_owned)
     b[keys[load] // stride] = buf[load]

@@ -209,19 +209,21 @@ def manufactured_solution(cfg: ExperimentConfig):
         p = np.atleast_2d(p)
         out = np.ones(p.shape[0])
         for a in range(d):
-            out = out * np.sin(pi * p[:, a])
+            x = pi * p[:, a]
+            out *= np.sin(x, out=x)
         return out
 
     def grad(p):
+        # component c is pi times the factors of the axes in order, cos
+        # on axis c and sin on the others: one axis's factors at a time
         p = np.atleast_2d(p)
-        sines = [np.sin(pi * p[:, a]) for a in range(d)]
-        cosines = [np.cos(pi * p[:, a]) for a in range(d)]
-        out = np.empty_like(p)
-        for c in range(d):
-            comp = np.full(p.shape[0], pi)
-            for a in range(d):
-                comp = comp * (cosines[a] if a == c else sines[a])
-            out[:, c] = comp
+        out = np.full(p.shape, pi)
+        for a in range(d):
+            x = pi * p[:, a]
+            cos = np.cos(x)
+            sin = np.sin(x, out=x)
+            for c in range(d):
+                out[:, c] *= cos if a == c else sin
         return out
 
     def f(p):

@@ -45,18 +45,25 @@ def tensor_products(factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def q1_gradient(factors: np.ndarray, c: int, out=None) -> np.ndarray:
+    """Component c (2**d, n) of the Q1 reference gradients from the
+    factors (d, 2, n) of ``axis_factors``: the product of a corner's
+    factors over the other axes, negated where its c-bit is 0."""
+    corners = np.arange(2 ** len(factors))
+    rest = (corners >> (c + 1) << c) | (corners & ((1 << c) - 1))
+    return np.multiply(tensor_products(np.delete(factors, c, axis=0))[rest],
+                       (2.0 * (corners >> c & 1) - 1.0)[:, None], out=out)
+
+
 def q1_tables(factors: np.ndarray):
     """Q1 shape values (2**d, n) and reference gradients (d, 2**d, n) from
     the factors (d, 2, n) of ``axis_factors``: a corner's value is the
-    product of its factors in axis order, and gradient component c the
-    product over the other axes, negated where the corner's c-bit is 0."""
+    product of its factors in axis order, and gradient component c is
+    ``q1_gradient``."""
     d, _, n = factors.shape
-    corners = np.arange(2 ** d)
     grads = np.empty((d, 2 ** d, n))
     for c in range(d):
-        rest = (corners >> (c + 1) << c) | (corners & ((1 << c) - 1))
-        np.multiply(tensor_products(np.delete(factors, c, axis=0))[rest],
-                    (2.0 * (corners >> c & 1) - 1.0)[:, None], out=grads[c])
+        q1_gradient(factors, c, out=grads[c])
     return tensor_products(factors), grads
 
 

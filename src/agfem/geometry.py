@@ -22,16 +22,20 @@ smooth ones.
 Clipping is one array pass over all sub-simplices of a batch of cells,
 read off case tables by the number of inside vertices: classification
 clips every candidate cell for its cut volume, and quadrature clips the
-cut cells again for their simplices and facets (keeping the first clip
-gives the same store, holds it in memory and saves no measurable time).
-Classification samples the level set, forms corner values and clips a
-slab of lattice rows at a time, so its scratch follows the slab, not the
-lattice.  The flat store in cell-id order holds the cut cells' rules
-only, mapped in batches; ``cell_chunks`` cuts it into chunks that end at
-cell boundaries for the kernels that integrate over it.  Interior cells
-are one reference element: their box rule is kept once, in unit-box
-coordinates, and their points are rebuilt a chunk at a time where they
-are needed.
+cut cells again, ``KERNEL_CHUNK`` sub-simplices at a time, for their
+simplices and facets.  (Keeping the first clip was measured against a
+store of expanded points, where it saved no time; it is untested on the
+factored store.)  Classification samples the level set, forms corner
+values and clips a slab of lattice rows at a time, so its scratch
+follows the slab, not the lattice.  The store in cell-id order holds
+the cut cells' rules only, in factored form: the kept sub-simplices and
+facets, with the one reference rule of each kind.  ``cell_chunks`` cuts
+it into chunks that end at cell boundaries, and the kernels that
+integrate over it map the rules onto a chunk's simplices and facets as
+they read it, so no kernel forms an array of every point.  Interior
+cells are one reference element: their box rule is kept once, in
+unit-box coordinates, and their points are rebuilt a chunk at a time
+where they are needed.
 """
 
 from __future__ import annotations
@@ -243,44 +247,89 @@ def _clip(simplices, values, tol):
 
 @dataclass
 class QuadratureStore:
-    """Bulk rules of the cut cells and interface rules, flat, in cell-id
-    order, and the one box rule of every interior cell.
+    """The cut cells' rules in factored form, in cell-id order, and the one
+    box rule of every interior cell.
 
-    Active cell k owns rows ``offsets[k-1]:offsets[k]`` of the bulk arrays
-    and ``boundary_offsets[k-1]:boundary_offsets[k]`` of the interface
-    arrays; an interior cell owns no rows of either.  Interface normals
-    are unit vectors pointing out of the domain.  An interior cell's rule
-    is the box rule, its points at the cell origin plus ``box_points * h``
-    and its weights ``box_weights``, so integrals over interior cells use
-    one reference element.
+    A cut cell's bulk rule is the reference simplex rule (``ref_points``,
+    ``ref_weights``) mapped onto each of its kept inside sub-simplices, and
+    its interface rule the reference facet rule (``facet_points``,
+    ``facet_weights``) mapped onto each of its kept facets.  Active cell k
+    owns simplices ``simplex_offsets[k-1]:simplex_offsets[k]`` and facets
+    ``facet_offsets[k-1]:facet_offsets[k]``; an interior cell owns none.  A
+    simplex's weights are ``jac`` times the reference weights, a facet's
+    ``scale`` times the facet rule's, and every point of a facet takes its
+    unit normal, pointing out of the domain.  ``bulk_rule`` and
+    ``interface_rule`` map a slice of simplices or facets, each one's
+    points in turn; the properties ``points``, ``weights``,
+    ``boundary_points``, ``boundary_weights`` and ``boundary_normals``
+    expand the whole store, to inspect it.  An interior cell's rule is the
+    box rule, its points at the cell origin plus ``box_points * h`` and
+    its weights ``box_weights``, so integrals over interior cells use one
+    reference element.
     """
 
-    points: np.ndarray            # (n, d)
-    weights: np.ndarray           # (n,)
-    offsets: np.ndarray           # (n_active + 1,), from 0
-    boundary_points: np.ndarray   # (nb, d)
-    boundary_weights: np.ndarray  # (nb,)
-    boundary_normals: np.ndarray  # (nb, d)
-    boundary_offsets: np.ndarray  # (n_active + 1,), from 0
+    simplices: np.ndarray         # (ns, d+1, d) kept inside sub-simplices
+    jac: np.ndarray               # (ns,) |det| of each one's edge matrix
+    simplex_offsets: np.ndarray   # (n_active + 1,), from 0
+    facets: np.ndarray            # (nf, d, d) kept interface facets
+    normals: np.ndarray           # (nf, d) unit, out of the domain
+    scale: np.ndarray             # (nf,) each one's measure scale
+    facet_offsets: np.ndarray     # (n_active + 1,), from 0
+    ref_points: np.ndarray        # (n_ref, d) simplex rule, reference coords
+    ref_weights: np.ndarray       # (n_ref,) its weights
+    facet_points: np.ndarray      # (n_f, d-1) facet rule, reference coords
+    facet_weights: np.ndarray     # (n_f,) its weights
     box_points: np.ndarray        # (n_box, d) interior rule, unit-box coords
     box_weights: np.ndarray       # (n_box,) its weights
 
+    def bulk_rule(self, rows: slice):
+        """Points (n, d) and weights (n,) of the simplices ``rows``."""
+        pts = _map_rule(self.simplices[rows], self.ref_points)
+        return (pts.reshape(-1, pts.shape[2]),
+                (self.jac[rows, None] * self.ref_weights).ravel())
+
+    def interface_rule(self, rows: slice):
+        """Points (n, d), weights (n,) and normals (n, d) of the facets
+        ``rows``."""
+        pts = _map_rule(self.facets[rows], self.facet_points)
+        return (pts.reshape(-1, pts.shape[2]),
+                (self.scale[rows, None] * self.facet_weights).ravel(),
+                np.repeat(self.normals[rows], self.facet_weights.size, axis=0))
+
     def bulk_cells(self, rows: slice = slice(None)) -> np.ndarray:
-        """Cell id of each bulk point in ``rows``."""
-        return _cells_of(self.offsets, rows)
+        """Cell id of each bulk point of the simplices ``rows``."""
+        return np.repeat(_cells_of(self.simplex_offsets, rows),
+                         self.ref_weights.size)
 
     def boundary_cells(self, rows: slice = slice(None)) -> np.ndarray:
-        """Cell id of each interface point in ``rows``."""
-        return _cells_of(self.boundary_offsets, rows)
+        """Cell id of each interface point of the facets ``rows``."""
+        return np.repeat(_cells_of(self.facet_offsets, rows),
+                         self.facet_weights.size)
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.bulk_rule(slice(None))[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return (self.jac[:, None] * self.ref_weights).ravel()
+
+    @property
+    def boundary_points(self) -> np.ndarray:
+        return self.interface_rule(slice(None))[0]
+
+    @property
+    def boundary_weights(self) -> np.ndarray:
+        return (self.scale[:, None] * self.facet_weights).ravel()
+
+    @property
+    def boundary_normals(self) -> np.ndarray:
+        return self.interface_rule(slice(None))[2]
 
 
 def _cells_of(offsets, rows):
     start, stop, _ = rows.indices(int(offsets[-1]))
     return np.searchsorted(offsets, np.arange(start, stop), side="right")
-
-
-def _offsets(counts):
-    return np.concatenate([[0], np.cumsum(counts)])
 
 
 def _map_rule(simplices, ref_pts):
@@ -289,36 +338,22 @@ def _map_rule(simplices, ref_pts):
     return simplices[:, :1] + ref_pts @ (simplices[:, 1:] - simplices[:, :1])
 
 
-def _bulk_rules(grid, n_active, simplices, s_cell):
-    """Points, weights and offsets of the cut cells' bulk rules: the
-    simplex rule mapped onto their kept sub-simplices."""
-    d = grid.d
-    ref_pts, ref_w = (_triangle_rule if d == 2 else _tet_rule)()
+def _kept_simplices(grid, simplices, s_cell):
+    """The simplices of at least ``MIN_VOLUME_FRACTION`` of the cell, the
+    |det| of their edge matrices and their cells."""
     jac = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1]))
-    volume = jac / (2.0 if d == 2 else 6.0)
+    volume = jac / (2.0 if grid.d == 2 else 6.0)
     keep = ~(volume < MIN_VOLUME_FRACTION * grid.cell_volume)
-    simplices, s_cell, jac = simplices[keep], s_cell[keep], jac[keep]
-    n_ref = len(ref_w)
-    offsets = _offsets(np.bincount(s_cell - 1, minlength=n_active) * n_ref)
-    points = np.empty((offsets[-1], d))
-    weights = np.empty(offsets[-1])
-    # the simplices come in cell order, so simplex i owns the rows
-    # i * n_ref:(i + 1) * n_ref
-    per = max(1, CHUNK_POINTS // n_ref)
-    for s in range(0, len(simplices), per):
-        rows = slice(s * n_ref, (s + per) * n_ref)
-        points[rows] = _map_rule(simplices[s:s + per], ref_pts).reshape(-1, d)
-        weights[rows] = (jac[s:s + per, None] * ref_w).ravel()
-    return points, weights, offsets
+    return simplices[keep], jac[keep], s_cell[keep]
 
 
-def _interface_rules(grid, n_active, facets, anchors, f_cell):
-    """Points, weights, unit normals and offsets of the interface rules.
+def _kept_facets(grid, facets, anchors, f_cell):
+    """The facets of non-negligible measure, their unit normals, measure
+    scales and cells.
 
     Each normal points away from the inside vertex ``anchors`` of its
     simplex, along the gradient of the simplex's linear interpolant."""
     d = grid.d
-    f_pts, f_w = _box_rule(np.ones(1)) if d == 2 else _facet_rule()
     edges = facets[:, 1:] - facets[:, :1]
     if d == 2:
         scale = np.hypot(edges[:, 0, 0], edges[:, 0, 1])
@@ -330,15 +365,18 @@ def _interface_rules(grid, n_active, facets, anchors, f_cell):
         scale = np.sqrt((normals[:, None, :] @ normals[:, :, None]).ravel())
         measure = 0.5 * scale
     keep = ~(measure < 1e-14 * float(np.min(grid.h)) ** (d - 1))
-    facets, anchors, f_cell = facets[keep], anchors[keep], f_cell[keep]
-    normals = normals[keep] / scale[keep, None]
+    facets, anchors, f_cell, scale = (facets[keep], anchors[keep],
+                                      f_cell[keep], scale[keep])
+    normals = normals[keep] / scale[:, None]
     outward = np.einsum("nd,nd->n", normals, facets.mean(axis=1) - anchors)
     normals[outward < 0.0] *= -1.0
-    n_f = len(f_w)
-    return (_map_rule(facets, f_pts).reshape(-1, d),
-            (scale[keep, None] * f_w).ravel(),
-            np.repeat(normals, n_f, axis=0),
-            _offsets(np.bincount(f_cell - 1, minlength=n_active) * n_f))
+    return facets, normals, scale, f_cell
+
+
+def _offsets(cells, n_active):
+    """Offsets (n_active + 1,) of runs of the 1-based cells ``cells``."""
+    return np.concatenate([[0], np.cumsum(np.bincount(cells - 1,
+                                                      minlength=n_active))])
 
 
 def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
@@ -347,31 +385,44 @@ def cut_quadrature(grid: BackgroundGrid, ls: LevelSet,
 
     Interior cells keep empty ranges: their rule is the store's box rule,
     the tensor-product Gauss rule of the box.  Cut cells get rules on the
-    linearized inside region and interface; sub-simplices below
-    ``MIN_VOLUME_FRACTION`` of the cell and facets of negligible measure
-    are dropped.  Corner values come from the classification; ``ls`` is
-    sampled only at 2D cut-cell centers.  Every rule is exact to
-    ``QUAD_DEGREE``.
+    linearized inside region and interface, clipped ``KERNEL_CHUNK``
+    sub-simplices at a time; sub-simplices below ``MIN_VOLUME_FRACTION``
+    of the cell and facets of negligible measure are dropped.  Corner
+    values come from the classification; ``ls`` is sampled only at 2D
+    cut-cell centers.  Every rule is exact to ``QUAD_DEGREE``.
     """
-    cut = cls.cut_ids
-    lattices = cls.id_to_lattice[cut - 1]
-    corners = _cell_corners(cls.vertex_values, lattices)
-    centers = np.zeros(cut.size)
-    if grid.d == 2 and cut.size:
-        centers = np.asarray(ls(cls.barycenters()[cut - 1]), dtype=np.float64)
-    simplices, s_src, facets, anchors, f_src = _clip(
-        *_sub_simplices(grid, lattices, corners, centers), cls.tol)
-    n_sub = len(_SUBDIVISION[grid.d])
-    s_cell, f_cell = cut[s_src // n_sub], cut[f_src // n_sub]
-    points, weights, offsets = _bulk_rules(grid, cls.n_active, simplices,
-                                           s_cell)
-    b_points, b_weights, b_normals, b_offsets = _interface_rules(
-        grid, cls.n_active, facets, anchors, f_cell)
+    d, cut = grid.d, cls.cut_ids
+    n_sub = len(_SUBDIVISION[d])
+    parts = []
+    # a batch of no cells gives the empty arrays where no cell is cut
+    for c in point_chunks(cut.size, KERNEL_CHUNK // n_sub) or [slice(0, 0)]:
+        lattices = cls.id_to_lattice[cut[c] - 1]
+        centers = np.zeros(len(lattices))
+        if d == 2 and lattices.size:
+            centers = np.asarray(ls(grid.cell_barycenter(lattices)),
+                                 dtype=np.float64)
+        simplices, s_src, facets, anchors, f_src = _clip(*_sub_simplices(
+            grid, lattices, _cell_corners(cls.vertex_values, lattices),
+            centers), cls.tol)
+        parts.append(_kept_simplices(grid, simplices, cut[c][s_src // n_sub])
+                     + _kept_facets(grid, facets, anchors,
+                                    cut[c][f_src // n_sub]))
+    # each field's batches are joined, then dropped, in turn
+    columns = [list(c) for c in zip(*parts)]
+    del parts
+    simplices, jac, s_cell, facets, normals, scale, f_cell = (
+        np.concatenate(columns.pop(0)) for _ in range(len(columns)))
+    ref_points, ref_weights = (_triangle_rule if d == 2 else _tet_rule)()
+    facet_points, facet_weights = (_box_rule(np.ones(1)) if d == 2
+                                   else _facet_rule())
     return QuadratureStore(
-        points=points, weights=weights, offsets=offsets,
-        boundary_points=b_points, boundary_weights=b_weights,
-        boundary_normals=b_normals, boundary_offsets=b_offsets,
-        box_points=_box_rule(np.ones(grid.d))[0],
+        simplices=simplices, jac=jac,
+        simplex_offsets=_offsets(s_cell, cls.n_active),
+        facets=facets, normals=normals, scale=scale,
+        facet_offsets=_offsets(f_cell, cls.n_active),
+        ref_points=ref_points, ref_weights=ref_weights,
+        facet_points=facet_points, facet_weights=facet_weights,
+        box_points=_box_rule(np.ones(d))[0],
         box_weights=_box_rule(grid.h)[1])
 
 
@@ -524,11 +575,13 @@ def _labels(grid: BackgroundGrid, ls: LevelSet, vvals: np.ndarray,
     labels = np.full((n,) * d, EXTERIOR, dtype=np.int8)
     for sl in _slabs(n, d):
         corners = _corner_values(vvals[sl.start:sl.stop + 1], d)
-        inner = np.max(corners, axis=-1) < -tol
+        # column by column: numpy reduces a short last axis slowly
+        inner = functools.reduce(np.maximum,
+                                 np.moveaxis(corners, -1, 0)) < -tol
         labels[sl][inner] = INTERIOR
         lattices, cvals = np.argwhere(~inner), corners[~inner]
         lattices[:, 0] += sl.start
-        touched = np.min(cvals, axis=-1) < -tol
+        touched = functools.reduce(np.minimum, cvals.T) < -tol
         centers = np.zeros(len(lattices))
         if d == 2 and lattices.size:
             centers = np.asarray(ls(grid.cell_barycenter(lattices)),

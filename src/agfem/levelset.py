@@ -10,6 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """Sums of squares along the last axis of ``x``, column by column from
+    the first: for fewer than 8 columns bitwise what ``np.sum(x**2,
+    axis=-1)`` and ``np.linalg.norm`` sum, without numpy's slow reduction
+    along a short last axis, and squaring one column at a time."""
+    out = x[..., 0] * x[..., 0]
+    for c in range(1, x.shape[-1]):
+        out += x[..., c] * x[..., c]
+    return out
+
+
 class LevelSet:
     """Base class; subclasses implement :meth:`__call__` on (n, d) points."""
 
@@ -44,7 +55,7 @@ class Sphere(LevelSet):
 
     def __call__(self, points):
         points = np.asarray(points, dtype=np.float64)
-        return np.linalg.norm(points - self.center, axis=-1) - self.radius
+        return np.sqrt(squared_norms(points - self.center)) - self.radius
 
 
 class Popcorn(LevelSet):
@@ -81,9 +92,9 @@ class Popcorn(LevelSet):
     def __call__(self, points):
         points = np.asarray(points, dtype=np.float64)
         x = (points - self.shift) / self.scale
-        val = np.linalg.norm(x, axis=-1) - self.r0
+        val = np.sqrt(squared_norms(x)) - self.r0
         for b in self.bumps:
-            d2 = np.sum((x - b) ** 2, axis=-1)
+            d2 = squared_norms(x - b)
             val = val - self.amplitude * np.exp(-d2 / self.sigma**2)
         # scaling the geometry scales the (distance-like) field too
         return val * self.scale

@@ -26,7 +26,9 @@ Error norms take the Q1 nodal values of every active cell, however the
 space produced them, and read the cells of the ``CellClassification``
 in one batched pass: interior cells through one reference element, its
 points rebuilt a batch of cells at a time, and cut cells over the bulk
-points of the flat quadrature store.
+points the quadrature store maps a chunk at a time.  Each chunk
+evaluates the exact solution before u_h, and holds none of its arrays
+while the next chunk is formed, so the pass holds about one chunk.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ import numpy as np
 
 from .assembly import (DistributedSystem, bulk_rows, interior_rows,
                        reference_tables)
-from .fespace import q1_tables
+from .fespace import q1_gradient, tensor_products
 from .geometry import point_chunks
+from .levelset import squared_norms
 from .partition import _sorted_distinct
 from .runtime import RuntimeProtocolError, VirtualRuntime
 from .sparse import CSR
@@ -230,24 +233,52 @@ def condition_estimate(system) -> float:
     return float(eig[-1] / eig[0])
 
 
-def _solution_chunks(cls, quad, nodal):
-    """Points, weights, u_h and grad(u_h) over the bulk points in chunks:
-    interior cells from their nodal values and the reference tables, cut
-    cells point by point from the store."""
+def _error_terms(cls, quad, nodal, u_exact, grad_exact):
+    """The terms of the four sums of ``error_norms``, chunk by chunk: w (u
+    - u_h)^2, w |grad u - grad u_h|^2, w u^2 and w |grad u|^2, each summed
+    over the chunk's points.  Interior cells go a batch at a time, u_h
+    from their nodal values and the reference tables, cut cells point by
+    point from the store.  The exact solution comes first, and u_h once
+    the points are gone, so that a chunk holds few arrays at once and none
+    while the next is formed."""
     d = cls.grid.d
     vals_ref, grads_ref = reference_tables(cls, quad)
     # (m, n_box * d): one product gives every cell's gradients at its points
     grads_ref = grads_ref.transpose(1, 0, 2).reshape(grads_ref.shape[1], -1)
     for cells, pts in interior_rows(cls, quad):
+        ge, ue = _exact(pts.reshape(-1, d), u_exact, grad_exact)
+        del pts
         values = nodal[cells - 1]
-        yield (pts.reshape(-1, d), np.tile(quad.box_weights, cells.size),
-               (values @ vals_ref.T).ravel(),
-               (values @ grads_ref).reshape(-1, d))
+        yield _terms(np.tile(quad.box_weights, cells.size), ue, ge,
+                     (values @ vals_ref.T).ravel(),
+                     (values @ grads_ref).reshape(-1, d))
+        del ge, ue
     for cells, pts, w, factors in bulk_rows(cls, quad):
-        vals, grads = q1_tables(factors)
+        ge, ue = _exact(pts, u_exact, grad_exact)
+        del pts
         values = nodal[cells - 1]
-        yield (pts, w, np.einsum("an,na->n", vals, values),
-               np.einsum("dan,na->nd", grads, values) / cls.grid.h)
+        uh = np.einsum("an,na->n", tensor_products(factors), values)
+        gh = np.empty((w.size, d))    # one gradient table at a time
+        for c in range(d):
+            gh[:, c] = np.einsum("an,na->n", q1_gradient(factors, c), values)
+        gh /= cls.grid.h
+        del factors, values
+        yield _terms(w, ue, ge, uh, gh)
+        del w, ge, ue, uh, gh
+
+
+def _exact(pts, u_exact, grad_exact):
+    """grad u and u at ``pts``, the larger first."""
+    ge = np.asarray(grad_exact(pts))
+    return ge, np.asarray(u_exact(pts))
+
+
+def _terms(w, ue, ge, uh, gh):
+    """The four terms of one chunk, as ``_error_terms``; ``gh`` is
+    overwritten."""
+    return (float(w @ (ue - uh) ** 2),
+            float(w @ squared_norms(np.subtract(ge, gh, out=gh))),
+            float(w @ ue**2), float(w @ squared_norms(ge)))
 
 
 @dataclass
@@ -279,13 +310,11 @@ def error_norms(cls, quad, nodal, u_exact, grad_exact) -> ErrorNorms:
         raise ValueError(f"expected nodal values of shape {shape}, got "
                          f"{nodal.shape}")
     err2 = errg2 = base2 = baseg2 = 0.0
-    for pts, w, uh, gh in _solution_chunks(cls, quad, nodal):
-        ue = np.asarray(u_exact(pts))
-        ge = np.asarray(grad_exact(pts))
-        err2 += float(w @ (ue - uh) ** 2)
-        errg2 += float(w @ np.sum((ge - gh) ** 2, axis=1))
-        base2 += float(w @ ue**2)
-        baseg2 += float(w @ np.sum(ge**2, axis=1))
+    for e, eg, b, bg in _error_terms(cls, quad, nodal, u_exact, grad_exact):
+        err2 += e
+        errg2 += eg
+        base2 += b
+        baseg2 += bg
     if base2 > 1e-28 and baseg2 > 1e-28:
         return ErrorNorms(l2=float(np.sqrt(err2 / base2)),
                           h1_semi=float(np.sqrt(errg2 / baseg2)))

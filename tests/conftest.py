@@ -7,7 +7,7 @@ import functools
 import itertools
 import signal
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,10 @@ import scipy.special
 from agfem.assembly import (TauUnboundedError, nitsche_tau_agg,
                             nitsche_tau_std, poisson_elements)
 from agfem.fespace import extension_operator, shape_gradients, shape_values
-from agfem.geometry import _box_rule, classify_cells, point_chunks
+from agfem.geometry import (MIN_VOLUME_FRACTION, _box_rule, _cell_corners,
+                            _clip, _facet_rule, _map_rule, _sub_simplices,
+                            _tet_rule, _triangle_rule, classify_cells,
+                            point_chunks)
 from agfem.grid import face_neighbors, unit_box_grid
 from agfem.levelset import HalfPlane, Sphere
 
@@ -301,17 +304,119 @@ def clip_cells_oracle(grid, lattices, corners, centers, tol):
             np.array(f_cell, dtype=np.intp))
 
 
+@dataclass
+class PointRule:
+    """Quadrature rules with every point expanded, flat, in cell-id order:
+    active cell k owns rows ``offsets[k-1]:offsets[k]`` of the bulk arrays
+    and ``boundary_offsets[k-1]:boundary_offsets[k]`` of the interface
+    arrays."""
+
+    points: np.ndarray            # (n, d)
+    weights: np.ndarray           # (n,)
+    offsets: np.ndarray           # (n_active + 1,), from 0
+    boundary_points: np.ndarray   # (nb, d)
+    boundary_weights: np.ndarray  # (nb,)
+    boundary_normals: np.ndarray  # (nb, d)
+    boundary_offsets: np.ndarray  # (n_active + 1,), from 0
+
+    def bulk_cells(self, rows=slice(None)):
+        """Cell id of each bulk point in ``rows``."""
+        return _cells_of(self.offsets, rows)
+
+    def boundary_cells(self, rows=slice(None)):
+        """Cell id of each interface point in ``rows``."""
+        return _cells_of(self.boundary_offsets, rows)
+
+
+def _cells_of(offsets, rows):
+    start, stop, _ = rows.indices(int(offsets[-1]))
+    return np.searchsorted(offsets, np.arange(start, stop), side="right")
+
+
+def _point_offsets(counts):
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def expanded_quadrature(grid, ls, cls):
+    """The cut cells' rules of ``cut_quadrature`` with every point
+    expanded: every cut cell clipped in one pass, then the simplex and
+    facet rules mapped onto all kept simplices and facets at once.  The
+    oracle for the points, weights and normals the store generates a
+    chunk at a time."""
+    d, cut = grid.d, cls.cut_ids
+    lattices = cls.id_to_lattice[cut - 1]
+    corners = _cell_corners(cls.vertex_values, lattices)
+    centers = np.zeros(cut.size)
+    if d == 2 and cut.size:
+        centers = np.asarray(ls(cls.barycenters()[cut - 1]), dtype=np.float64)
+    simplices, s_src, facets, anchors, f_src = _clip(
+        *_sub_simplices(grid, lattices, corners, centers), cls.tol)
+    n_sub = 4 if d == 2 else 6
+    s_cell, f_cell = cut[s_src // n_sub], cut[f_src // n_sub]
+
+    # bulk: the simplex rule on every kept sub-simplex
+    ref_pts, ref_w = (_triangle_rule if d == 2 else _tet_rule)()
+    jac = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1]))
+    volume = jac / (2.0 if d == 2 else 6.0)
+    keep = ~(volume < MIN_VOLUME_FRACTION * grid.cell_volume)
+    simplices, s_cell, jac = simplices[keep], s_cell[keep], jac[keep]
+    points = _map_rule(simplices, ref_pts).reshape(-1, d)
+    weights = (jac[:, None] * ref_w).ravel()
+    offsets = _point_offsets(
+        np.bincount(s_cell - 1, minlength=cls.n_active) * len(ref_w))
+
+    # interface: the facet rule on every kept facet, normals away from the
+    # inside vertex of the facet's simplex
+    f_pts, f_w = _box_rule(np.ones(1)) if d == 2 else _facet_rule()
+    edges = facets[:, 1:] - facets[:, :1]
+    if d == 2:
+        scale = np.hypot(edges[:, 0, 0], edges[:, 0, 1])
+        normals = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
+        measure = scale
+    else:
+        normals = np.cross(edges[:, 0], edges[:, 1])
+        scale = np.sqrt((normals[:, None, :] @ normals[:, :, None]).ravel())
+        measure = 0.5 * scale
+    keep = ~(measure < 1e-14 * float(np.min(grid.h)) ** (d - 1))
+    facets, anchors, f_cell = facets[keep], anchors[keep], f_cell[keep]
+    normals = normals[keep] / scale[keep, None]
+    outward = np.einsum("nd,nd->n", normals, facets.mean(axis=1) - anchors)
+    normals[outward < 0.0] *= -1.0
+    n_f = len(f_w)
+    return PointRule(
+        points=points, weights=weights, offsets=offsets,
+        boundary_points=_map_rule(facets, f_pts).reshape(-1, d),
+        boundary_weights=(scale[keep, None] * f_w).ravel(),
+        boundary_normals=np.repeat(normals, n_f, axis=0),
+        boundary_offsets=_point_offsets(
+            np.bincount(f_cell - 1, minlength=cls.n_active) * n_f))
+
+
+def expand(quad):
+    """The store ``quad`` with every point expanded, from its whole-store
+    accessors."""
+    return PointRule(
+        points=quad.points, weights=quad.weights,
+        offsets=quad.simplex_offsets * quad.ref_weights.size,
+        boundary_points=quad.boundary_points,
+        boundary_weights=quad.boundary_weights,
+        boundary_normals=quad.boundary_normals,
+        boundary_offsets=quad.facet_offsets * quad.facet_weights.size)
+
+
 def full_bulk_rule(cls, quad):
-    """``quad`` with the bulk rule of every active cell in its flat arrays,
-    in cell order: the box rule at each interior cell's origin, rebuilt
-    here, merged with the store's rows of the cut cells."""
+    """``quad`` expanded, with the bulk rule of every active cell in its
+    flat arrays, in cell order: the box rule at each interior cell's
+    origin, rebuilt here, merged with the store's points of the cut
+    cells."""
     grid = cls.grid
     box_points, box_weights = _box_rule(grid.h)
     assert np.array_equal(box_weights, quad.box_weights)
-    counts = np.diff(quad.offsets)
+    rule = expand(quad)
+    counts = np.diff(rule.offsets)
     assert not np.any(counts[cls.interior_ids - 1])
     counts[cls.interior_ids - 1] = box_weights.size
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    offsets = _point_offsets(counts)
     interior = np.zeros(offsets[-1], dtype=bool)
     interior[(offsets[cls.interior_ids - 1][:, None]
               + np.arange(box_weights.size)).ravel()] = True
@@ -320,8 +425,8 @@ def full_bulk_rule(cls, quad):
     lo = grid.cell_origin(cls.id_to_lattice[cls.interior_ids - 1])
     points[interior] = (lo[:, None, :] + box_points).reshape(-1, grid.d)
     weights[interior] = np.tile(box_weights, cls.interior_ids.size)
-    points[~interior], weights[~interior] = quad.points, quad.weights
-    return replace(quad, points=points, weights=weights, offsets=offsets)
+    points[~interior], weights[~interior] = rule.points, rule.weights
+    return replace(rule, points=points, weights=weights, offsets=offsets)
 
 
 def all_points_elements(cls, quad, taus, f=None, g=None):
@@ -377,6 +482,7 @@ def tau_std_oracle(cls, cell_id, quad, beta):
     """Penalty of one cell with interface points for the standard space,
     from its own volume and boundary forms and one dense generalized
     eigenproblem: the oracle for the batched ``nitsche_tau_std``."""
+    quad = expand(quad)
     bulk = slice(*quad.offsets[cell_id - 1:cell_id + 1])
     bnd = slice(*quad.boundary_offsets[cell_id - 1:cell_id + 1])
     grid = cls.grid

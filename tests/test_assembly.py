@@ -59,10 +59,8 @@ def test_tau_std_needs_boundary_and_floors_degenerate_rules():
     # degenerate boundary rule with zero weight: B = 0, floored at beta/h
     base = cut_quadrature(grid, HalfPlane((1, 0), 0.5), cls)
     degenerate = replace(
-        base, boundary_points=base.boundary_points[:1],
-        boundary_weights=np.zeros(1),
-        boundary_normals=base.boundary_normals[:1],
-        boundary_offsets=np.array([0, 1]))
+        base, facets=base.facets[:1], normals=base.normals[:1],
+        scale=np.zeros(1), facet_offsets=np.array([0, 1]))
     assert std_taus(cls, degenerate, 10.0)[0] == \
         nitsche_tau_agg(1.0, 10.0)
 
@@ -76,7 +74,7 @@ def test_batched_tau_std_matches_the_per_cell_eigenproblems(ls, d, level):
     grid, cls, _ = classified(level, ls, d)
     quad = cut_quadrature(grid, ls, cls)
     taus = std_taus(cls, quad, 10.0)
-    cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
+    cells = np.flatnonzero(np.diff(quad.facet_offsets)) + 1
     want = [tau_std_oracle(cls, int(k), quad, 10.0) for k in cells]
     assert cells.size > 100
     assert taus[cells - 1] == pytest.approx(want, rel=1e-8, abs=0)
@@ -87,15 +85,15 @@ def test_tau_std_names_the_cell_with_a_singular_volume_form():
     ls = Sphere((0.5, 0.5), 0.3)
     grid, cls, _ = classified(4, ls)
     quad = cut_quadrature(grid, ls, cls)
-    cells = np.flatnonzero(np.diff(quad.boundary_offsets)) + 1
+    cells = np.flatnonzero(np.diff(quad.facet_offsets)) + 1
     k = int(cells[3])
-    weights = quad.weights.copy()
+    jac = quad.jac.copy()
     for j in (k, int(cells[8])):   # the error names the first
-        weights[quad.offsets[j - 1]:quad.offsets[j]] = 0.0
+        jac[quad.simplex_offsets[j - 1]:quad.simplex_offsets[j]] = 0.0
     with pytest.raises(TauUnboundedError, match=f"^cell {k}: "):
-        std_taus(cls, replace(quad, weights=weights), 10.0)
+        std_taus(cls, replace(quad, jac=jac), 10.0)
     with pytest.raises(TauUnboundedError, match=f"^cell {k}$"):
-        tau_std_oracle(cls, k, replace(quad, weights=weights), 10.0)
+        tau_std_oracle(cls, k, replace(quad, jac=jac), 10.0)
 
 
 def test_interior_stiffness_stencil():
@@ -189,33 +187,25 @@ def test_homogeneous_data_gives_zero_vector():
 
 
 def _synthetic_boundary(grid, lattice):
-    """Outer edges of a boundary cell as a hand-built interface rule."""
+    """Outer edges of a boundary cell as hand-built interface facets: their
+    end points (k, 2, 2), outward normals (k, 2) and lengths (k,)."""
     lo = grid.cell_origin(lattice)
     hi = lo + grid.h
     n = grid.n_per_axis
-    x, w = np.polynomial.legendre.leggauss(3)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    pts, wts, nrm = [], [], []
-    sides = []
-    if lattice[0] == 0:
-        sides.append((np.array([-1.0, 0.0]), lo[0]))
-    if lattice[0] == n - 1:
-        sides.append((np.array([1.0, 0.0]), hi[0]))
-    for normal, xpos in sides:
-        pts.append(np.stack([np.full(3, xpos), lo[1] + t * grid.h[1]], axis=1))
-        wts.append(wt * grid.h[1])
-        nrm.append(np.broadcast_to(normal, (3, 2)).copy())
-    sides = []
-    if lattice[1] == 0:
-        sides.append((np.array([0.0, -1.0]), lo[1]))
-    if lattice[1] == n - 1:
-        sides.append((np.array([0.0, 1.0]), hi[1]))
-    for normal, ypos in sides:
-        pts.append(np.stack([lo[0] + t * grid.h[0], np.full(3, ypos)], axis=1))
-        wts.append(wt * grid.h[0])
-        nrm.append(np.broadcast_to(normal, (3, 2)).copy())
-    return np.vstack(pts), np.concatenate(wts), np.vstack(nrm)
+    facets, normals, lengths = [], [], []
+    for axis in range(2):
+        along = 1 - axis
+        for sign, side, at in ((-1.0, 0, lo[axis]), (1.0, n - 1, hi[axis])):
+            if lattice[axis] != side:
+                continue
+            ends = np.empty((2, 2))
+            ends[:, axis] = at
+            ends[:, along] = lo[along], hi[along]
+            facets.append(ends)
+            normals.append(sign * np.eye(2)[axis])
+            lengths.append(grid.h[along])
+    return (np.array(facets).reshape(-1, 2, 2),
+            np.array(normals).reshape(-1, 2), np.array(lengths))
 
 
 def test_patch_consistency_for_harmonic_solution():
@@ -229,10 +219,10 @@ def test_patch_consistency_for_harmonic_solution():
     rules = [_synthetic_boundary(grid, cls.lattice_of(k))
              for k in range(1, cls.n_active + 1)]
     quad = replace(
-        base, boundary_points=np.vstack([r[0] for r in rules]),
-        boundary_weights=np.concatenate([r[1] for r in rules]),
-        boundary_normals=np.vstack([r[2] for r in rules]),
-        boundary_offsets=np.cumsum([0] + [r[1].size for r in rules]))
+        base, facets=np.concatenate([r[0] for r in rules]),
+        normals=np.concatenate([r[1] for r in rules]),
+        scale=np.concatenate([r[2] for r in rules]),
+        facet_offsets=np.cumsum([0] + [r[2].size for r in rules]))
     elements = poisson_elements(cls, quad, lambda V: tau, None, u)
     A, b = assemble_serial(space, None, None, elements)
     nodal = u(space.node_coords)

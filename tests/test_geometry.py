@@ -7,7 +7,8 @@ import pytest
 
 from agfem import experiments as ex
 from agfem import geometry
-from agfem.assembly import interior_rows, poisson_elements
+from agfem.assembly import bulk_rows, interface_rows, interior_rows, \
+    poisson_elements
 from agfem.geometry import (CHUNK_POINTS, CUT, EXTERIOR, INTERIOR,
                             MIN_VOLUME_FRACTION, QUAD_DEGREE,
                             ClassificationError,
@@ -18,8 +19,9 @@ from agfem.geometry import (CHUNK_POINTS, CUT, EXTERIOR, INTERIOR,
 from agfem.grid import unit_box_grid
 from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
 
-from conftest import (clip_cells_oracle, conical_tet_rule, cut_volume,
-                      face_rule, full_bulk_rule, gradient, phase_memory)
+from conftest import (clip_cells_oracle, conical_tet_rule, cut_volume, expand,
+                      expanded_quadrature, face_rule, full_bulk_rule,
+                      gradient, phase_memory)
 
 
 def test_classify_all_interior():
@@ -94,7 +96,7 @@ def _volume(cls, quad):
 def test_interior_cell_uses_tensor_rule():
     grid, cls, quad = _store(1, HalfPlane((1, 0), 5.0))
     assert cls.n_active == 4 and cls.cut_ids.size == 0
-    assert quad.weights.size == 0 and not np.any(quad.offsets)
+    assert quad.weights.size == 0 and not np.any(quad.simplex_offsets)
     assert quad.box_weights.sum() == pytest.approx(0.25, abs=1e-15)
     assert quad.boundary_weights.size == 0
     assert np.all(quad.box_weights > 0)
@@ -192,13 +194,93 @@ def test_3d_facets_take_the_facet_rule_and_2d_triangles_theirs():
     # a 3D store maps the 6-point rule onto every interface triangle; a
     # 2D store keeps the collapsed rule on every bulk triangle
     grid, cls, quad = _store(3, Sphere((0.5, 0.5, 0.5), 0.3), d=3)
+    assert np.array_equal(quad.facet_weights, _facet_rule()[1])
     runs = _rule_runs(quad.boundary_weights, _facet_rule()[1])
-    assert np.all(np.diff(quad.boundary_offsets) % 6 == 0)
     assert runs.sum() == pytest.approx(4 * np.pi * 0.3 ** 2, rel=0.05)
     grid, cls, quad = _store(4, Sphere((0.5, 0.5), 0.3))
-    n_tri = len(_triangle_rule()[1])
-    assert np.all(np.diff(quad.offsets) % n_tri == 0)
+    assert np.array_equal(quad.ref_weights, _triangle_rule()[1])
     _rule_runs(quad.weights, _triangle_rule()[1])
+
+
+def _same(a, b):
+    """Bitwise equal arrays of one dtype and shape."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def _joined(chunks, i, like):
+    """Item ``i`` of every chunk, joined; ``like[:0]`` when none."""
+    return np.concatenate([c[i] for c in chunks]) if chunks else like[:0]
+
+
+@pytest.mark.parametrize("level, ls, d", [
+    (6, Sphere((0.5, 0.5), 0.3), 2),
+    (3, Popcorn(), 3),
+    (4, Popcorn(), 3),
+    (4, HalfPlane(np.array([1.0, 2.0]) / np.sqrt(5.0), 0.31), 2),
+    (3, HalfPlane(np.array([1.0, 2.0, 2.0]) / 3.0, 0.55), 3),
+    (2, HalfPlane((1, 0), 5.0), 2),
+], ids=["circle-L6", "popcorn-L3", "popcorn-L4", "halfplane-2d",
+        "halfplane-3d", "no-cut-cells"])
+def test_generated_rules_equal_the_expanded_oracle(level, ls, d):
+    # the store keeps each rule factored and maps it a chunk at a time;
+    # what the kernels read, chunk by chunk, and what the whole-store
+    # accessors give are the expansion of every point at once, bitwise
+    grid, cls, quad = _store(level, ls, d)
+    want = expanded_quadrature(grid, ls, cls)
+    got = expand(quad)
+    for name in vars(want):
+        assert _same(getattr(got, name), getattr(want, name)), name
+    bulk = list(bulk_rows(cls, quad))
+    interface = list(interface_rows(cls, quad))
+    if level >= 4 and not isinstance(ls, HalfPlane):
+        assert len(bulk) > 1 and len(interface) > (d == 3)
+    for i, w in enumerate((want.bulk_cells(), want.points, want.weights)):
+        assert _same(_joined(bulk, i, w), w)
+    for i, w in enumerate((want.boundary_cells(), want.boundary_points,
+                           want.boundary_weights)):
+        assert _same(_joined(interface, i, w), w)
+    assert (want.weights.size > 0) == (cls.cut_ids.size > 0)
+
+
+def test_the_store_holds_a_third_of_its_expansion():
+    # popcorn L4: a kept tetrahedron is 13 floats, not 14 points of 4, and
+    # a facet 13, not 6 points of 7
+    grid, cls, quad = _store(4, Popcorn(), 3)
+    held = sum(a.nbytes for a in vars(quad).values())
+    expanded = sum(a.nbytes for a in vars(expand(quad)).values()) + \
+        quad.box_points.nbytes + quad.box_weights.nbytes
+    assert held <= expanded / 3, (held, expanded)
+
+
+@pytest.mark.parametrize("space", ["agg", "std"])
+def test_the_solve_maps_the_store_a_chunk_at_a_time(monkeypatch, space):
+    # no whole-store accessor is read, and no mapping covers the whole
+    # store: the elements, the std penalty and the norms map its rules a
+    # chunk at a time
+    def expanded(self):
+        raise AssertionError("the whole store was expanded")
+
+    for name in ("points", "weights", "boundary_points", "boundary_weights",
+                 "boundary_normals"):
+        monkeypatch.setattr(geometry.QuadratureStore, name,
+                            property(expanded))
+    mapped = {}
+    for name, units in (("bulk_rule", "jac"), ("interface_rule", "scale")):
+        def record(self, rows, _map=getattr(geometry.QuadratureStore, name),
+                   _name=name, _units=units):
+            n = len(getattr(self, _units))
+            mapped.setdefault(_name, []).append((len(range(n)[rows]), n))
+            return _map(self, rows)
+
+        monkeypatch.setattr(geometry.QuadratureStore, name, record)
+    ex.run_solve_pipeline(ex.ExperimentConfig(
+        geometry="popcorn", dimension=3, level=3, procs=2,
+        space=space).validate())
+    assert set(mapped) == {"bulk_rule", "interface_rule"}
+    for calls in mapped.values():
+        assert len(calls) > 2 and all(m < n for m, n in calls)
 
 
 @pytest.mark.parametrize("level, ls", [
@@ -213,7 +295,7 @@ def test_tet_rule_matches_conical_product_oracle(monkeypatch, level, ls):
                         functools.partial(conical_tet_rule, 4))
     oracle = cut_quadrature(grid, ls, cls)
     assert quad.weights.size * 27 == oracle.weights.size * 14
-    for name in ("boundary_points", "boundary_weights", "boundary_offsets"):
+    for name in ("boundary_points", "boundary_weights", "facet_offsets"):
         assert np.array_equal(getattr(quad, name), getattr(oracle, name))
     volumes = _per_cell(cls, quad.bulk_cells(), quad.weights)
     expected = _per_cell(cls, oracle.bulk_cells(), oracle.weights)
@@ -307,9 +389,11 @@ def test_normals_point_out_of_the_discrete_domain(level, ls, d):
 ], ids=["circle-2d-L5", "popcorn-3d-L3"])
 def test_store_files_points_under_their_cells(level, ls, d):
     grid, cls, quad = _store(level, ls, d)
+    rule = expand(quad)
     for offsets, cells, pts in (
-            (quad.offsets, quad.bulk_cells(), quad.points),
-            (quad.boundary_offsets, quad.boundary_cells(), quad.boundary_points)):
+            (rule.offsets, quad.bulk_cells(), rule.points),
+            (rule.boundary_offsets, quad.boundary_cells(),
+             rule.boundary_points)):
         assert offsets.shape == (cls.n_active + 1,) and offsets[0] == 0
         assert np.all(np.diff(offsets) >= 0) and offsets[-1] == len(pts)
         assert np.array_equal(cells, np.repeat(np.arange(1, cls.n_active + 1),
@@ -339,7 +423,7 @@ def test_interior_cells_are_one_reference_element(level, ls, d):
     # the box rule moved to each cell origin
     grid, cls, quad = _store(level, ls, d)
     assert cls.interior_ids.size
-    assert not np.any(np.diff(quad.offsets)[cls.interior_ids - 1])
+    assert not np.any(np.diff(quad.simplex_offsets)[cls.interior_ids - 1])
     box_points, box_weights = _box_rule(grid.h)
     assert np.array_equal(quad.box_weights, box_weights)
     batches = list(interior_rows(cls, quad))

@@ -169,7 +169,7 @@ def test_error_norms_match_all_points_oracle(level, ls, d):
     full = u(space.node_coords) + 0.01 * np.random.default_rng(5).standard_normal(
         space.n_dofs)
     zero, zero_grad = (lambda p: np.zeros(len(p))), np.zeros_like
-    for q in (quad, replace(quad, weights=np.zeros_like(quad.weights))):
+    for q in (quad, replace(quad, jac=np.zeros_like(quad.jac))):
         for exact in ((u, gu), (zero, zero_grad)):
             got = error_norms(cls, q, full[space.cell_dofs - 1], *exact)
             want = all_points_norms(space, q, full, *exact)
