@@ -42,22 +42,23 @@ global-cell order in one routed exchange.  Each owner then builds the
 sorted keys of its rows once, a block of rows at a time, from its rows'
 slots, the keys its keyed cells' unions give (zero sums included) and
 those of the received pairs; pairs find their positions by binary
-search.  Values go straight into one array over those keys by
-``np.add.at``, which adds in index order: the pairs of lower ranks,
-this subdomain's cells a window of about 4 * ``KERNEL_CHUNK`` sums at a
-time, each window written in cell order into one stream, then the pairs
-of higher ranks.  The other keyed cells form their pairs in their
-window, by ascending union width in batches of about ``KERNEL_CHUNK``
-sums, so that only the owned pairs of the cells that send any are held
-beyond a window; their zero sums add nothing.
+search.  Each keyed cell's union is found once, in the pass that gives
+its keys, and kept for its sums.  Values go straight into one array
+over those keys by ``np.add.at``, which adds in index order: the pairs
+of lower ranks, this subdomain's cells a window of about 4 *
+``KERNEL_CHUNK`` sums at a time, each window written in cell order into
+one stream, then the pairs of higher ranks.  The other keyed cells form
+their pairs in their window, by ascending union width in batches of
+about ``KERNEL_CHUNK`` sums, so that only the owned pairs of the cells
+that send any are held beyond a window; their zero sums add nothing.
 ``partition_weighted_sfc`` gives ranks ascending ranges of cell ids, so
 rank order is global-cell order, the invariant the numbering's
 independence of P rests on too.  So every (row, col) is a left-to-right
 sum of its cells' sums in global-cell order, the same for every P, and
 serial and distributed systems are bitwise equal.  The loads and the
 ``CSR`` block are then cut out of that array in place; entries summing
-to zero are not stored.  Beyond the keys, scratch is bounded by the
-batch and the window, and arrays that end shorter than
+to zero are not stored.  Beyond the keys and the unions, scratch is
+bounded by the batch and the window, and arrays that end shorter than
 allotted (the pairs without their zeros, the keys) shrink in place.
 """
 
@@ -456,59 +457,55 @@ def _entries(C, dofs):
 def _dense_keys(C, dofs, n, lo, hi):
     """For the cells with 0-based DOFs ``dofs`` (nc, m): the keys that
     ``_dense_sums`` gives them in the rows ``lo:hi``, distinct and
-    ascending, and per cell the number k of system rows its rows of C
-    touch and whether one lies outside ``lo:hi``.  A cell's keys pair each
-    row of its union with the load and each row of the union, zero sums
-    included; cells go a chunk at a time."""
+    ascending, each cell's union, the ascending system rows its rows of
+    C touch with a nonzero coefficient, joined in cell order, and per
+    cell the number k of rows in its union and whether one lies outside
+    ``lo:hi``.  A cell's keys pair each row of its union with the load
+    and each row of the union, zero sums included; cells go a chunk at a
+    time."""
     nc, m = dofs.shape
     parts = [np.zeros(0, dtype=np.int64)]
+    unions = [np.zeros(0, dtype=np.int64)]
     width = np.empty(nc, dtype=np.int64)
     outside = np.empty(nc, dtype=bool)
     for sl in point_chunks(nc, 2 * KERNEL_CHUNK // m ** 2 + 1):
         pos, _, ent_cell = _entries(C, dofs[sl])
-        union = _sorted_distinct(ent_cell * n + C.indices[pos])
-        cell, row = np.divmod(union, n)
+        cell, row = np.divmod(_sorted_distinct(ent_cell * n + C.indices[pos]),
+                              n)
+        unions.append(row)
         width[sl] = np.bincount(cell, minlength=sl.stop - sl.start)
         first = np.cumsum(width[sl]) - width[sl]
         owned = (row >= lo) & (row < hi)
         outside[sl] = np.bincount(cell[~owned],
                                   minlength=sl.stop - sl.start) > 0
         # an owned row's keys: the load, then each row of its cell's union
-        cell, row = cell[owned], row[owned]
+        cell = cell[owned]
         lens = width[sl][cell] + 1
         at = _ranges(first[cell] - 1, lens)
-        col = np.where(at < np.repeat(first[cell], lens), -1, union[at] % n)
-        parts.append(_sorted_distinct(np.repeat(row * (n + 1), lens)
+        col = np.where(at < np.repeat(first[cell], lens), -1, row[at])
+        parts.append(_sorted_distinct(np.repeat(row[owned] * (n + 1), lens)
                                       + col + 1))
-    return _sorted_distinct(np.concatenate(parts)), width, outside
+    return (_sorted_distinct(np.concatenate(parts)), np.concatenate(unions),
+            width, outside)
 
 
-def _dense_sums(C, dofs, width, mats, vecs, ids, n):
-    """The nonzero sums of the 1-based cells ``ids`` with 0-based DOFs
-    ``dofs`` (nc, m), each touching ``width`` system rows, as (count per
-    cell, keys, values) in cell order, keyed as ``_keys``; ``mats`` and
-    ``vecs`` hold every active cell.
-
-    A cell's rows of C over the ascending union of the k system rows they
-    touch form C_c (m, k); its sums are [C_c^T b_e, C_c^T T], T = A_e C_c,
-    each entry of T summed over the nodes b in order and each of the
-    product over the nodes a.  Cells go by ascending k in batches of about
-    2 * ``KERNEL_CHUNK`` sums, each padded to its widest cell: padding
-    adds no term to any sum, and its entries are dropped.  Each batch
-    builds its own index arrays and writes its k (k + 1) sums per cell at
-    the cell's place in one stream; the zeros then leave it in place."""
-    nc, m = dofs.shape
+def _dense_sums(batch_sums, width):
+    """The nonzero sums of cells touching ``width`` system rows each, as
+    (count per cell, keys, values) in cell order, keyed as ``_keys``:
+    ``batch_sums(cells)`` forms those of the cells at positions ``cells``,
+    as ``_batch_sums``.  Cells go by ascending width in batches of about
+    2 * ``KERNEL_CHUNK`` sums; each batch writes its k (k + 1) sums per
+    cell at the cell's place in one stream, and the zeros then leave it
+    in place."""
     size = width * (width + 1)
     start = np.cumsum(size) - size
     keys = np.empty(int(size.sum()), dtype=np.int64)
     vals = np.empty(keys.size)
     keep = np.empty(keys.size, dtype=bool)
-    counts = np.empty(nc, dtype=np.int64)
+    counts = np.empty(width.size, dtype=np.int64)
     for cells in _width_batches(width, 2 * KERNEL_CHUNK):
         dest = _ranges(start[cells], size[cells])
-        keys[dest], vals[dest], counts[cells] = _batch_sums(
-            C, dofs[cells], width[cells], mats.take(ids[cells]),
-            vecs[ids[cells] - 1], n)
+        keys[dest], vals[dest], counts[cells] = batch_sums(cells)
         keep[dest] = vals[dest] != 0.0
     _compact(keep, keys, vals)
     return counts, keys, vals
@@ -524,20 +521,27 @@ def _width_batches(width, limit):
         if width.size else []
 
 
-def _batch_sums(C, dofs, width, mat, vec, n):
+def _batch_sums(C, dofs, rows, width, mat, vec, n):
     """The k (k + 1) sums of each of a batch of cells with 0-based DOFs
-    ``dofs`` (nb, m), touching ``width`` rows each, matrices ``mat`` and
-    vectors ``vec``, as ``_dense_sums`` forms them: (keys, values) in cell
-    order, zeros included, and each cell's count of nonzero values.  The
-    batch is padded to its widest cell, and each array is dropped once
-    the next is formed."""
+    ``dofs`` (nb, m), unions ``rows`` joined in batch order, as
+    ``_dense_keys`` gives them, k = ``width`` rows each, matrices ``mat``
+    and vectors ``vec``: (keys, values) in cell order, zeros included,
+    and each cell's count of nonzero values.
+
+    A cell's rows of C over its union form C_c (m, k); its sums are
+    [C_c^T b_e, C_c^T T], T = A_e C_c, each entry of T summed over the
+    nodes b in order and each of the product over the nodes a.  The
+    batch is padded to its widest cell: padding adds no term to any sum,
+    and its entries are dropped.  Each array is dropped once the next is
+    formed."""
     nb, m = dofs.shape
     k = int(width.max(initial=0))
-    pos, ent_node, ent_cell = _entries(C, dofs)
-    col = ent_cell * n + C.indices[pos]
-    union = _sorted_distinct(col)
-    col = np.searchsorted(union, col)    # each entry's place in the union
     first = np.cumsum(width) - width
+    pos, ent_node, ent_cell = _entries(C, dofs)
+    # each entry's place in its cell's union; keyed cell * n + row, the
+    # batch's unions ascend
+    col = np.searchsorted(np.repeat(np.arange(nb) * n, width) + rows,
+                          ent_cell * n + C.indices[pos])
     Cc = np.zeros((nb, m, k))
     Cc[ent_cell, ent_node, col - first[ent_cell]] = C.data[pos]
     del pos, ent_node, ent_cell, col
@@ -552,7 +556,7 @@ def _batch_sums(C, dofs, width, mat, vec, n):
         val += Cc[:, a, :, None] * Tb[:, a, None, :]
     del Cc, Tb, T
     real = np.arange(-1, k) < width[:, None]
-    rows = union[np.where(real[:, 1:], first[:, None] + np.arange(k), 0)] % n
+    rows = rows[np.where(real[:, 1:], first[:, None] + np.arange(k), 0)]
     real = real[:, 1:, None] & real[:, None, :]
     nonzero = np.count_nonzero(real & (val != 0.0), axis=(1, 2))
     val = val[real]
@@ -676,22 +680,28 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     keyed = np.any((rows <= first) | (rows > first + n_owned), axis=1)
     kc = np.flatnonzero(keyed)
     # the keys of the owned rows' sums, zero sums included: a pattern key
-    # that only zero sums reach adds to 0 and is not stored
-    extra, width, outside = _dense_keys(C, cell_dofs[kc] - 1, n_global,
-                                        first, first + n_owned)
+    # that only zero sums reach adds to 0 and is not stored; each keyed
+    # cell's union is found here once and kept for its sums
+    extra, union, width, outside = _dense_keys(
+        C, cell_dofs[kc] - 1, n_global, first, first + n_owned)
+    ustart = np.cumsum(width) - width
+
+    def sums(at):
+        """``_batch_sums`` of the keyed cells at positions ``at`` in kc."""
+        cells = kc[at]
+        return _batch_sums(C, cell_dofs[cells] - 1,
+                           union[_ranges(ustart[at], width[at])], width[at],
+                           mats.take(cell_ids[cells]),
+                           vecs[cell_ids[cells] - 1], n_global)
 
     # a cell with sums of rows owned elsewhere forms its sums now and
-    # keeps its owned ones, and so does every keyed cell when all their
-    # sums fit in one window; every other keyed cell forms its sums in
-    # its window below.  Off-owner sums leave in cell order; joined in
-    # rank order, every owner adds them in global-cell order
+    # keeps its owned ones; every other keyed cell forms its sums in its
+    # window below.  Off-owner sums leave in cell order; joined in rank
+    # order, every owner adds them in global-cell order
     base = first * stride      # owned keys less base: the pattern's keys
     end = base + n_owned * stride
-    if np.sum(width * (width + 1)) <= 4 * KERNEL_CHUNK:
-        outside[:] = True
     sc = np.flatnonzero(outside)    # positions in kc
-    scount, skey, sval = _dense_sums(C, cell_dofs[kc[sc]] - 1, width[sc],
-                                     mats, vecs, cell_ids[kc[sc]], n_global)
+    scount, skey, sval = _dense_sums(lambda at: sums(sc[at]), width[sc])
     mine = (skey >= base) & (skey < end)
     off = np.flatnonzero(~mine)
     key, val = skey[off], sval[off]
@@ -719,7 +729,9 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     keys, slots = _pattern(rows[~keyed], table, extra, first, n_owned,
                            stride, index)
     del extra
-    spos = np.searchsorted(keys, skey).astype(index)
+    spos = np.empty(skey.size, dtype=index)
+    for sl in point_chunks(skey.size, 8 * KERNEL_CHUNK):
+        spos[sl] = np.searchsorted(keys, skey[sl])
     del skey
 
     # every key adds its sums in global-cell order: the lower ranks'
@@ -763,12 +775,9 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
         # the other keyed cells' sums, zeros kept: a zero adds nothing
         lazy = np.flatnonzero(~outside[i0:i1]) + i0
         for batch in _width_batches(width[lazy], KERNEL_CHUNK):
-            cells = kc[lazy[batch]]
-            kkey, kval, _ = _batch_sums(
-                C, cell_dofs[cells] - 1, width[lazy[batch]],
-                mats.take(cell_ids[cells]), vecs[cell_ids[cells] - 1],
-                n_global)
+            kkey, kval, _ = sums(lazy[batch])
             kkey -= base
+            cells = kc[lazy[batch]]
             dest = _ranges(start[cells] - s0, size[cells])
             pos[dest], val[dest] = np.searchsorted(keys, kkey), kval
             del kkey, kval, dest
@@ -778,7 +787,7 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
         if r > s:
             np.add.at(buf, np.searchsorted(keys, pk), pv)
 
-    del slots, spos, sval    # freed before the CSR is cut out of buf
+    del slots, spos, sval, union    # freed before the CSR is cut out of buf
     load = keys % stride == 0
     b = np.zeros(n_owned)
     b[keys[load] // stride] = buf[load]

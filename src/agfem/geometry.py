@@ -260,12 +260,11 @@ class QuadratureStore:
     ``scale`` times the facet rule's, and every point of a facet takes its
     unit normal, pointing out of the domain.  ``bulk_rule`` and
     ``interface_rule`` map a slice of simplices or facets, each one's
-    points in turn; the properties ``points``, ``weights``,
-    ``boundary_points``, ``boundary_weights`` and ``boundary_normals``
-    expand the whole store, to inspect it.  An interior cell's rule is the
-    box rule, its points at the cell origin plus ``box_points * h`` and
-    its weights ``box_weights``, so integrals over interior cells use one
-    reference element.
+    points in turn; the properties ``weights`` and ``boundary_weights``
+    expand the weights of the whole store, to count or inspect them.  An
+    interior cell's rule is the box rule, its points at the cell origin
+    plus ``box_points * h`` and its weights ``box_weights``, so integrals
+    over interior cells use one reference element.
     """
 
     simplices: np.ndarray         # (ns, d+1, d) kept inside sub-simplices
@@ -307,24 +306,12 @@ class QuadratureStore:
                          self.facet_weights.size)
 
     @property
-    def points(self) -> np.ndarray:
-        return self.bulk_rule(slice(None))[0]
-
-    @property
     def weights(self) -> np.ndarray:
         return (self.jac[:, None] * self.ref_weights).ravel()
 
     @property
-    def boundary_points(self) -> np.ndarray:
-        return self.interface_rule(slice(None))[0]
-
-    @property
     def boundary_weights(self) -> np.ndarray:
         return (self.scale[:, None] * self.facet_weights).ravel()
-
-    @property
-    def boundary_normals(self) -> np.ndarray:
-        return self.interface_rule(slice(None))[2]
 
 
 def _cells_of(offsets, rows):

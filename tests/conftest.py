@@ -393,14 +393,16 @@ def expanded_quadrature(grid, ls, cls):
 
 
 def expand(quad):
-    """The store ``quad`` with every point expanded, from its whole-store
-    accessors."""
+    """The store ``quad`` with every point expanded: each rule mapped onto
+    every simplex and facet of the store at once."""
+    points, weights = quad.bulk_rule(slice(None))
+    boundary_points, boundary_weights, boundary_normals = \
+        quad.interface_rule(slice(None))
     return PointRule(
-        points=quad.points, weights=quad.weights,
+        points=points, weights=weights,
         offsets=quad.simplex_offsets * quad.ref_weights.size,
-        boundary_points=quad.boundary_points,
-        boundary_weights=quad.boundary_weights,
-        boundary_normals=quad.boundary_normals,
+        boundary_points=boundary_points, boundary_weights=boundary_weights,
+        boundary_normals=boundary_normals,
         boundary_offsets=quad.facet_offsets * quad.facet_weights.size)
 
 

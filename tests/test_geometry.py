@@ -262,8 +262,7 @@ def test_the_solve_maps_the_store_a_chunk_at_a_time(monkeypatch, space):
     def expanded(self):
         raise AssertionError("the whole store was expanded")
 
-    for name in ("points", "weights", "boundary_points", "boundary_weights",
-                 "boundary_normals"):
+    for name in ("weights", "boundary_weights"):
         monkeypatch.setattr(geometry.QuadratureStore, name,
                             property(expanded))
     mapped = {}
@@ -295,8 +294,10 @@ def test_tet_rule_matches_conical_product_oracle(monkeypatch, level, ls):
                         functools.partial(conical_tet_rule, 4))
     oracle = cut_quadrature(grid, ls, cls)
     assert quad.weights.size * 27 == oracle.weights.size * 14
-    for name in ("boundary_points", "boundary_weights", "facet_offsets"):
-        assert np.array_equal(getattr(quad, name), getattr(oracle, name))
+    for name in ("boundary_points", "boundary_weights"):
+        assert np.array_equal(getattr(expand(quad), name),
+                              getattr(expand(oracle), name))
+    assert np.array_equal(quad.facet_offsets, oracle.facet_offsets)
     volumes = _per_cell(cls, quad.bulk_cells(), quad.weights)
     expected = _per_cell(cls, oracle.bulk_cells(), oracle.weights)
     assert np.all(np.abs(volumes - expected) <= 1e-15)
@@ -311,7 +312,7 @@ def test_halfplane_cut_is_exact():
     grid, cls, quad = _store(0, HalfPlane((1, 0), 0.5))
     assert abs(_volume(cls, quad) - 0.5) < 1e-12
     assert abs(quad.boundary_weights.sum() - 1.0) < 1e-12
-    assert np.allclose(quad.boundary_normals, [1.0, 0.0])
+    assert np.allclose(expand(quad).boundary_normals, [1.0, 0.0])
 
     # oblique cuts stay exact at finer levels
     for level in (2, 4):
@@ -327,7 +328,7 @@ def test_halfplane_exact_3d():
     grid, cls, quad = _store(0, HalfPlane((1, 0, 0), 0.5), d=3)
     assert abs(_volume(cls, quad) - 0.5) < 1e-12
     assert abs(quad.boundary_weights.sum() - 1.0) < 1e-12
-    assert np.allclose(quad.boundary_normals, [1.0, 0.0, 0.0])
+    assert np.allclose(expand(quad).boundary_normals, [1.0, 0.0, 0.0])
 
 
 def test_circle_measures_level_six():
@@ -353,8 +354,8 @@ def test_weights_positive_and_bounded():
     assert np.all(quad.weights >= -1e-15)
     volumes = _per_cell(cls, quad.bulk_cells(), quad.weights)
     assert np.all(volumes <= grid.cell_volume * (1 + 1e-12))
-    assert np.allclose(np.linalg.norm(quad.boundary_normals, axis=1), 1.0,
-                       atol=1e-12)
+    assert np.allclose(np.linalg.norm(expand(quad).boundary_normals, axis=1),
+                       1.0, atol=1e-12)
 
 
 def test_normals_align_with_gradient():
@@ -362,9 +363,10 @@ def test_normals_align_with_gradient():
     # facets of the linearized surface face against the true gradient
     for level, ls, d in ((5, Sphere((0.5, 0.5), 0.3), 2), (4, Popcorn(), 3)):
         grid, cls, quad = _store(level, ls, d)
-        assert quad.boundary_weights.size > 0
-        grads = gradient(ls, quad.boundary_points, 1e-7)
-        assert np.all(np.einsum("nd,nd->n", grads, quad.boundary_normals) > 0)
+        rule = expand(quad)
+        assert rule.boundary_weights.size > 0
+        grads = gradient(ls, rule.boundary_points, 1e-7)
+        assert np.all(np.einsum("nd,nd->n", grads, rule.boundary_normals) > 0)
 
 
 @pytest.mark.parametrize("level, ls, d", [
@@ -377,9 +379,10 @@ def test_normals_point_out_of_the_discrete_domain(level, ls, d):
     # whose normal points inward breaks it
     grid, cls, quad = _store(level, ls, d)
     volume = d * _volume(cls, quad)
+    rule = expand(quad)
     for c in (np.full(d, 0.5), np.array([0.3, 0.6, 0.45])[:d]):
-        flux = quad.boundary_weights @ np.einsum(
-            "nd,nd->n", quad.boundary_points - c, quad.boundary_normals)
+        flux = rule.boundary_weights @ np.einsum(
+            "nd,nd->n", rule.boundary_points - c, rule.boundary_normals)
         assert abs(flux - volume) <= 1e-13 * volume
 
 
