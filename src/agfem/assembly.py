@@ -27,39 +27,24 @@ time and added as S + S^T, a chunk of cells at a time.
 Assembly is one kernel run per subdomain on the virtual runtime, serial
 being the one-process case.  It forms A = C^T A_e C, C the extension
 operator, as per-cell sums keyed row * (n + 1) + col + 1, col -1 being
-the load.  A stencil cell, one whose rows are all free and owned, has
-unit rows in C, so its element entries are its sums as they stand: its
-load at a and its entry (a, b) go to fixed slots of the row of corner
-a, the load's and that of the lattice offset of corner b from corner a,
-one of 3**d.  Every other cell, a keyed cell, gives (key, value) pairs
-of the dense local product C_c^T [b_e, A_e C_c], C_c its rows of C over
-the ascending union of the system rows they touch with a nonzero
-coefficient, a batch of cells at a time, each sum over the nodes in
-order; where C_c only picks out rows, every product is exact, so a
-nonzero pair is an element entry bit for bit.  A keyed cell with a row
-owned elsewhere forms its pairs first, and its off-owner pairs leave in
-global-cell order in one routed exchange.  Each owner then builds the
-sorted keys of its rows once, a block of rows at a time, from its rows'
-slots, the keys its keyed cells' unions give (zero sums included) and
-those of the received pairs; pairs find their positions by binary
-search.  Each keyed cell's union is found once, in the pass that gives
-its keys, and kept for its sums.  Values go straight into one array
-over those keys by ``np.add.at``, which adds in index order: the pairs
-of lower ranks, this subdomain's cells a window of about 4 *
-``KERNEL_CHUNK`` sums at a time, each window written in cell order into
-one stream, then the pairs of higher ranks.  The other keyed cells form
-their pairs in their window, by ascending union width in batches of
-about ``KERNEL_CHUNK`` sums, so that only the owned pairs of the cells
-that send any are held beyond a window; their zero sums add nothing.
-``partition_weighted_sfc`` gives ranks ascending ranges of cell ids, so
-rank order is global-cell order, the invariant the numbering's
-independence of P rests on too.  So every (row, col) is a left-to-right
-sum of its cells' sums in global-cell order, the same for every P, and
-serial and distributed systems are bitwise equal.  The loads and the
-``CSR`` block are then cut out of that array in place; entries summing
-to zero are not stored.  Beyond the keys and the unions, scratch is
-bounded by the batch and the window, and arrays that end shorter than
-allotted (the pairs without their zeros, the keys) shrink in place.
+the load.  A stencil cell, one whose rows are all free and owned, adds
+its element entries as they stand at fixed slots of its corners' rows:
+the load's and one per lattice offset between corners, 3**d in all.
+Every other cell, a keyed cell, adds the nonzero sums of C_c^T [b_e,
+A_e C_c], C_c its rows of C, formed by two sparse products a batch of
+cells at a time (``_cell_sums``).  A first pass forms them for their
+keys and counts, and those of rows owned elsewhere leave in cell order
+in one routed exchange.  Each owner builds the sorted keys of its rows
+once, from its rows' slots, its keyed cells' keys and the received
+ones, and adds every sum into one array over them by ``np.add.at``,
+which adds in index order: the pairs of lower ranks, its own cells in
+cell order a window of about 4 * ``KERNEL_CHUNK`` sums at a time, the
+keyed cells' sums formed again, then the pairs of higher ranks.  Ranks
+hold ascending ranges of cell ids (``partition_weighted_sfc``), so every
+(row, col) is a left-to-right sum of its cells' sums in global-cell
+order, the same for every P: serial and distributed systems are bitwise
+equal.  The loads and the ``CSR`` block are cut out of that array in
+place; entries summing to zero are not stored.
 """
 
 from __future__ import annotations
@@ -247,9 +232,11 @@ class CellMatrices:
         cells = np.asarray(cells)
         out = np.empty(cells.shape + self.reference.shape)
         out[...] = self.reference
-        at = np.searchsorted(self.ids, cells)
-        hit = np.append(self.ids, 0)[at] == cells
-        out[hit] = self.own[at[hit]]
+        if self.ids.size:
+            at = np.minimum(np.searchsorted(self.ids, cells),
+                            self.ids.size - 1)
+            hit = self.ids[at] == cells
+            out[hit] = self.own[at[hit]]
         return out
 
 
@@ -430,143 +417,55 @@ def _ranges(starts, lens):
     return np.arange(int(np.sum(lens))) + np.repeat(starts - offsets, lens)
 
 
-def _keys(rows, n):
-    """Keys (nc, k, k + 1) of cell sums, load first, at 0-based rows
-    ``rows`` (nc, k): row * (n + 1) + col + 1, col -1 being the load."""
-    key = np.empty(rows.shape + (rows.shape[1] + 1,), dtype=np.int64)
-    np.multiply(rows, n + 1, out=key[:, :, 0])
-    np.add(key[:, :, :1], rows[:, None, :], out=key[:, :, 1:])
-    key[:, :, 1:] += 1
-    return key
-
-
-def _entries(C, dofs):
-    """The nonzero stored entries of the rows of C at the 0-based DOFs
-    ``dofs`` (nb, m), cell by cell and node by node: their positions in
-    C, their node and their cell (0..nb-1).  A zero coefficient adds a
-    zero term to every sum it enters, so it is left out."""
+def _cell_sums(C, dofs, mats, vecs, n):
+    """The nonzero sums C_c^T [b_e, A_e C_c] of a batch of cells with
+    0-based DOFs ``dofs`` (nb, m), matrices ``mats`` and vectors ``vecs``:
+    (cell 0..nb-1, key, value) in cell order, keyed row * (n + 1) + col +
+    1, col -1 being the load.  G holds the cells' rows of C, each column
+    renumbered to its place in its cell's union of system rows, then a
+    unit row per cell at a load column of its own; T = [A_e, b_e] G, and
+    the sums are G_C^T T, G_C the rows of C in G.  Each sum folds from 0
+    in stored order, over the nodes b for T and the nodes a for the sums,
+    as the dense local product does; a term not stored would add a zero,
+    which changes no sum that is not zero."""
     nb, m = dofs.shape
-    lens = (C.indptr[dofs + 1] - C.indptr[dofs]).ravel()
-    pos = _ranges(C.indptr[dofs.ravel()], lens)
-    node = np.repeat(np.arange(nb * m), lens)
-    nonzero = C.data[pos] != 0.0
-    pos, node = pos[nonzero], node[nonzero]
-    return pos, node % m, node // m
-
-
-def _dense_keys(C, dofs, n, lo, hi):
-    """For the cells with 0-based DOFs ``dofs`` (nc, m): the keys that
-    ``_dense_sums`` gives them in the rows ``lo:hi``, distinct and
-    ascending, each cell's union, the ascending system rows its rows of
-    C touch with a nonzero coefficient, joined in cell order, and per
-    cell the number k of rows in its union and whether one lies outside
-    ``lo:hi``.  A cell's keys pair each row of its union with the load
-    and each row of the union, zero sums included; cells go a chunk at a
-    time."""
-    nc, m = dofs.shape
-    parts = [np.zeros(0, dtype=np.int64)]
-    unions = [np.zeros(0, dtype=np.int64)]
-    width = np.empty(nc, dtype=np.int64)
-    outside = np.empty(nc, dtype=bool)
-    for sl in point_chunks(nc, 2 * KERNEL_CHUNK // m ** 2 + 1):
-        pos, _, ent_cell = _entries(C, dofs[sl])
-        cell, row = np.divmod(_sorted_distinct(ent_cell * n + C.indices[pos]),
-                              n)
-        unions.append(row)
-        width[sl] = np.bincount(cell, minlength=sl.stop - sl.start)
-        first = np.cumsum(width[sl]) - width[sl]
-        owned = (row >= lo) & (row < hi)
-        outside[sl] = np.bincount(cell[~owned],
-                                  minlength=sl.stop - sl.start) > 0
-        # an owned row's keys: the load, then each row of its cell's union
-        cell = cell[owned]
-        lens = width[sl][cell] + 1
-        at = _ranges(first[cell] - 1, lens)
-        col = np.where(at < np.repeat(first[cell], lens), -1, row[at])
-        parts.append(_sorted_distinct(np.repeat(row[owned] * (n + 1), lens)
-                                      + col + 1))
-    return (_sorted_distinct(np.concatenate(parts)), np.concatenate(unions),
-            width, outside)
-
-
-def _dense_sums(batch_sums, width):
-    """The nonzero sums of cells touching ``width`` system rows each, as
-    (count per cell, keys, values) in cell order, keyed as ``_keys``:
-    ``batch_sums(cells)`` forms those of the cells at positions ``cells``,
-    as ``_batch_sums``.  Cells go by ascending width in batches of about
-    2 * ``KERNEL_CHUNK`` sums; each batch writes its k (k + 1) sums per
-    cell at the cell's place in one stream, and the zeros then leave it
-    in place."""
-    size = width * (width + 1)
-    start = np.cumsum(size) - size
-    keys = np.empty(int(size.sum()), dtype=np.int64)
-    vals = np.empty(keys.size)
-    keep = np.empty(keys.size, dtype=bool)
-    counts = np.empty(width.size, dtype=np.int64)
-    for cells in _width_batches(width, 2 * KERNEL_CHUNK):
-        dest = _ranges(start[cells], size[cells])
-        keys[dest], vals[dest], counts[cells] = batch_sums(cells)
-        keep[dest] = vals[dest] != 0.0
-    _compact(keep, keys, vals)
-    return counts, keys, vals
-
-
-def _width_batches(width, limit):
-    """Positions of cells touching ``width`` rows each, by ascending width
-    in batches of about ``limit`` sums, k (k + 1) per cell, so that a
-    batch padded to its widest cell pads little."""
-    order = np.argsort(width, kind="stable")
-    batch = np.cumsum(width[order] * (width[order] + 1)) // limit
-    return np.split(order, np.flatnonzero(np.diff(batch)) + 1) \
-        if width.size else []
-
-
-def _batch_sums(C, dofs, rows, width, mat, vec, n):
-    """The k (k + 1) sums of each of a batch of cells with 0-based DOFs
-    ``dofs`` (nb, m), unions ``rows`` joined in batch order, as
-    ``_dense_keys`` gives them, k = ``width`` rows each, matrices ``mat``
-    and vectors ``vec``: (keys, values) in cell order, zeros included,
-    and each cell's count of nonzero values.
-
-    A cell's rows of C over its union form C_c (m, k); its sums are
-    [C_c^T b_e, C_c^T T], T = A_e C_c, each entry of T summed over the
-    nodes b in order and each of the product over the nodes a.  The
-    batch is padded to its widest cell: padding adds no term to any sum,
-    and its entries are dropped.  Each array is dropped once the next is
-    formed."""
-    nb, m = dofs.shape
-    k = int(width.max(initial=0))
-    first = np.cumsum(width) - width
-    pos, ent_node, ent_cell = _entries(C, dofs)
-    # each entry's place in its cell's union; keyed cell * n + row, the
-    # batch's unions ascend
-    col = np.searchsorted(np.repeat(np.arange(nb) * n, width) + rows,
-                          ent_cell * n + C.indices[pos])
-    Cc = np.zeros((nb, m, k))
-    Cc[ent_cell, ent_node, col - first[ent_cell]] = C.data[pos]
-    del pos, ent_node, ent_cell, col
-    Tb = np.empty((nb, m, k + 1))
-    Tb[:, :, 0] = vec
-    T = Tb[:, :, 1:]
-    np.multiply(mat[:, :, :1], Cc[:, None, 0], out=T)
-    for b in range(1, m):
-        T += mat[:, :, b, None] * Cc[:, None, b]
-    val = Cc[:, 0, :, None] * Tb[:, 0, None, :]
-    for a in range(1, m):
-        val += Cc[:, a, :, None] * Tb[:, a, None, :]
-    del Cc, Tb, T
-    real = np.arange(-1, k) < width[:, None]
-    rows = rows[np.where(real[:, 1:], first[:, None] + np.arange(k), 0)]
-    real = real[:, 1:, None] & real[:, None, :]
-    nonzero = np.count_nonzero(real & (val != 0.0), axis=(1, 2))
-    val = val[real]
-    return _keys(rows, n)[real], val, nonzero
+    r = nb * m
+    starts = C.indptr[dofs.ravel()]
+    lens = C.indptr[dofs.ravel() + 1] - starts
+    pos = _ranges(starts, lens)
+    union, place = np.unique(
+        np.repeat(np.arange(nb) * n, lens.reshape(nb, m).sum(axis=1))
+        + C.indices[pos], return_inverse=True)
+    k = union.size
+    indptr = np.concatenate([[0], lens, np.ones(nb, dtype=lens.dtype)])
+    G = CSR(np.concatenate([C.data[pos], np.ones(nb)]),
+            np.concatenate([place, k + np.arange(nb)]), indptr.cumsum(),
+            (r + nb, k + nb))
+    # [A_e, b_e] by rows (cell, a): columns (cell, b), then the cell's load
+    cols = np.where(np.arange(m + 1) < m,
+                    np.arange(nb)[:, None, None] * m + np.arange(m + 1),
+                    r + np.arange(nb)[:, None, None])
+    E = CSR(np.concatenate([mats, vecs[:, :, None]], axis=2).ravel(),
+            np.broadcast_to(cols, (nb, m, m + 1)).ravel(),
+            np.arange(0, r * (m + 1) + 1, m + 1), (r, r + nb))
+    del mats, vecs, place, cols    # the batch's arrays, not held further
+    T = E.matmat(G)
+    Gt = CSR(G.data[:pos.size], G.indices[:pos.size], G.indptr[:r + 1],
+             (r, k + nb)).transpose()
+    del E, G, pos
+    S = Gt.matmat(T)
+    del Gt, T
+    cell, row = np.divmod(union, n)
+    lens = np.diff(S.indptr[:k + 1])
+    col = np.concatenate([row + 1, np.zeros(nb, dtype=np.int64)])
+    return (np.repeat(cell, lens),
+            np.repeat(row * (n + 1), lens) + col[S.indices], S.data)
 
 
 @functools.cache
 def _slot_table(d):
-    """(m, m + 1) slots of a cell's sums in the rows of its corners, in
-    the layout of ``_keys``: slot 3**d of row a holds the load, and
+    """(m, m + 1) slots of a cell's sums in the rows of its corners, load
+    first as in the keys: slot 3**d of row a holds the load, and
     column b the base-3 code of the lattice offset of corner b from
     corner a, one digit 0, 1 or 2 per axis.  Read-only, as every caller
     shares it."""
@@ -588,7 +487,7 @@ def _shrink(a, n):
 def _compact(keep, *arrays):
     """Keep the entries of ``arrays`` where ``keep`` holds, in order and in
     place, a chunk at a time, and cut the arrays down to them (as
-    ``_shrink``); returns their number."""
+    ``_shrink``)."""
     n = 0
     for sl in point_chunks(keep.size, 8 * KERNEL_CHUNK):
         at = np.flatnonzero(keep[sl]) + sl.start
@@ -597,7 +496,6 @@ def _compact(keep, *arrays):
         n += at.size
     for a in arrays:
         _shrink(a, n)
-    return n
 
 
 def _pattern(rows, table, extra, first, n_owned, stride, index):
@@ -665,46 +563,47 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     others, and the element matrices and vectors of every active cell."""
     s = proc.rank
     C = extension_operator(row_of, constraints, n_global)
-    empty = np.diff(C.indptr)[cell_dofs - 1] == 0
-    if np.any(empty):
+    if np.any(empty := np.diff(C.indptr)[cell_dofs - 1] == 0):
         raise AssemblyError(
             f"subdomain {s}: DOF {int(cell_dofs[empty][0])} has neither a "
             f"system row nor a constraint")
+    del empty
     n_cells, m = cell_dofs.shape
     stride = n_global + 1
     first = int(row_starts[s - 1]) - 1
     n_owned = int(row_starts[s]) - 1 - first
-    rows = row_of[cell_dofs - 1]
+    base = first * stride      # owned keys less base: the pattern's keys
     # stencil cells (rows all free and owned) add at their rows' slots;
-    # every other cell, one with a constrained DOF (row 0) too, gives pairs
+    # every other cell, one with a constrained DOF (row 0) too, is keyed
+    rows = row_of[cell_dofs - 1]
     keyed = np.any((rows <= first) | (rows > first + n_owned), axis=1)
+    del rows    # formed again a window at a time
     kc = np.flatnonzero(keyed)
-    # the keys of the owned rows' sums, zero sums included: a pattern key
-    # that only zero sums reach adds to 0 and is not stored; each keyed
-    # cell's union is found here once and kept for its sums
-    extra, union, width, outside = _dense_keys(
-        C, cell_dofs[kc] - 1, n_global, first, first + n_owned)
-    ustart = np.cumsum(width) - width
+    per = 2 * KERNEL_CHUNK // m ** 2 + 1     # keyed cells per product
 
     def sums(at):
-        """``_batch_sums`` of the keyed cells at positions ``at`` in kc."""
+        """``_cell_sums`` of the keyed cells at positions ``at`` in kc, keys
+        less base, and which of them lie in owned rows."""
         cells = kc[at]
-        return _batch_sums(C, cell_dofs[cells] - 1,
-                           union[_ranges(ustart[at], width[at])], width[at],
-                           mats.take(cell_ids[cells]),
-                           vecs[cell_ids[cells] - 1], n_global)
+        cell, key, val = _cell_sums(C, cell_dofs[cells] - 1,
+                                    mats.take(cell_ids[cells]),
+                                    vecs[cell_ids[cells] - 1], n_global)
+        key -= base
+        return cell, key, val, (key >= 0) & (key < n_owned * stride)
 
-    # a cell with sums of rows owned elsewhere forms its sums now and
-    # keeps its owned ones; every other keyed cell forms its sums in its
-    # window below.  Off-owner sums leave in cell order; joined in rank
-    # order, every owner adds them in global-cell order
-    base = first * stride      # owned keys less base: the pattern's keys
-    end = base + n_owned * stride
-    sc = np.flatnonzero(outside)    # positions in kc
-    scount, skey, sval = _dense_sums(lambda at: sums(sc[at]), width[sc])
-    mine = (skey >= base) & (skey < end)
-    off = np.flatnonzero(~mine)
-    key, val = skey[off], sval[off]
+    # each keyed cell's owned keys and their count; its off-owner sums
+    # leave in cell order, and joined in rank order every owner adds them
+    # in global-cell order
+    parts = [np.zeros(0, dtype=np.int64)]
+    count = np.empty(kc.size, dtype=np.int64)
+    off = [(np.zeros(0, dtype=np.int64), np.zeros(0))]
+    for sl in point_chunks(kc.size, per):
+        cell, key, val, mine = sums(sl)
+        parts.append(_sorted_distinct(key[mine]))
+        count[sl] = np.bincount(cell[mine], minlength=sl.stop - sl.start)
+        off.append((key[~mine] + base, val[~mine]))
+    key, val = (np.concatenate(a) for a in zip(*off))
+    del off
     owner = np.searchsorted(row_starts, key // stride + 1, side="right")
     received = yield proc.routed_exchange(
         {int(dst): (key[owner == dst], val[owner == dst])
@@ -712,27 +611,18 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
     del key, val, owner
     pairs = [(r, *_owned_pairs(s, r, payload, first, n_owned, stride))
              for r, payload in sorted(received.items())]
-    scount -= np.bincount(np.searchsorted(np.cumsum(scount), off,
-                                          side="right"), minlength=sc.size)
-    _compact(mine, skey, sval)
-    del mine, off
-    skey -= base
 
     table = _slot_table(m.bit_length() - 1)
     k = table.max() + 1
-    extra -= base
     extra = _sorted_distinct(np.concatenate(
-        [extra] + [pk for _, pk, _ in pairs]))
+        parts + [pk for _, pk, _ in pairs]))
+    del parts
     # positions in the keys fit int32 where the keys' count bound does
     index = np.int32 if max(n_owned * k + extra.size, stride) < 2 ** 31 \
         else np.int64
-    keys, slots = _pattern(rows[~keyed], table, extra, first, n_owned,
-                           stride, index)
+    keys, slots = _pattern(row_of[cell_dofs[~keyed] - 1], table, extra,
+                           first, n_owned, stride, index)
     del extra
-    spos = np.empty(skey.size, dtype=index)
-    for sl in point_chunks(skey.size, 8 * KERNEL_CHUNK):
-        spos[sl] = np.searchsorted(keys, skey[sl])
-    del skey
 
     # every key adds its sums in global-cell order: the lower ranks'
     # sums, this rank's cells a window at a time, the higher ranks'
@@ -742,18 +632,16 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
             np.add.at(buf, np.searchsorted(keys, pk), pv)
     # each cell's place in the stream of its window, windows of about 4 *
     # KERNEL_CHUNK sums: table.size per stencil cell, its owned nonzero
-    # sums per sending cell, k (k + 1) per other keyed cell
+    # sums per keyed cell
     size = np.full(n_cells, table.size)
-    size[kc] = width * (width + 1)
-    size[kc[sc]] = scount
+    size[kc] = count
     stop = np.cumsum(size)
     start = stop - size
-    sstart = np.cumsum(scount) - scount
     cuts = np.flatnonzero(np.diff(stop // (4 * KERNEL_CHUNK))) + 1
     for w0, w1 in zip([0, *cuts], [*cuts, n_cells]):
         fc = np.flatnonzero(~keyed[w0:w1]) + w0
-        fpos = np.take(slots, ((rows[fc] - 1 - first) * k)[:, :, None]
-                       + table).ravel()
+        fpos = np.take(slots, ((row_of[cell_dofs[fc] - 1] - 1 - first)
+                               * k)[:, :, None] + table).ravel()
         fval = np.concatenate([vecs[cell_ids[fc] - 1, :, None],
                                mats.take(cell_ids[fc])], axis=2).ravel()
         i0, i1 = np.searchsorted(kc, [w0, w1])
@@ -766,28 +654,20 @@ def _assembly_body(proc, cell_dofs, cell_ids, row_of, constraints, mats, vecs,
         dest = ((start[fc] - s0)[:, None] + np.arange(table.size)).ravel()
         pos[dest], val[dest] = fpos, fval
         del fpos, fval, dest
-        j0, j1 = np.searchsorted(sc, [i0, i1])
-        if j1 > j0:
-            e = slice(sstart[j0], sstart[j1 - 1] + scount[j1 - 1])
-            dest = _ranges(start[kc[sc[j0:j1]]] - s0, scount[j0:j1])
-            pos[dest], val[dest] = spos[e], sval[e]
-            del dest
-        # the other keyed cells' sums, zeros kept: a zero adds nothing
-        lazy = np.flatnonzero(~outside[i0:i1]) + i0
-        for batch in _width_batches(width[lazy], KERNEL_CHUNK):
-            kkey, kval, _ = sums(lazy[batch])
-            kkey -= base
-            cells = kc[lazy[batch]]
-            dest = _ranges(start[cells] - s0, size[cells])
-            pos[dest], val[dest] = np.searchsorted(keys, kkey), kval
-            del kkey, kval, dest
+        for c0 in range(i0, i1, per):
+            at = slice(c0, min(c0 + per, i1))
+            _, key, kval, mine = sums(at)
+            dest = _ranges(start[kc[at]] - s0, count[at])
+            pos[dest] = np.searchsorted(keys, key[mine])
+            val[dest] = kval[mine]
+            del key, kval, mine, dest
         np.add.at(buf, pos, val)
         del pos, val    # not held while the next window is formed
     for r, pk, pv in pairs:
         if r > s:
             np.add.at(buf, np.searchsorted(keys, pk), pv)
 
-    del slots, spos, sval, union    # freed before the CSR is cut out of buf
+    del slots    # freed before the CSR is cut out of buf
     load = keys % stride == 0
     b = np.zeros(n_owned)
     b[keys[load] // stride] = buf[load]

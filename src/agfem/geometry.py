@@ -465,9 +465,6 @@ class CellClassification:
         lo = self.grid.cell_origin(self.lattice_of(cell_id))
         return (np.atleast_2d(points) - lo) / self.grid.h
 
-    def barycenters(self) -> np.ndarray:
-        return self.grid.origin + (self.id_to_lattice + 0.5) * self.grid.h
-
     def neighbor_ids(self, steps) -> np.ndarray:
         """Active ids of the cells at ``lattice + step``, one row per active
         cell and one column per step (entries -1, 0 or 1); 0 outside the

@@ -46,16 +46,6 @@ def morton_encode(lattice: np.ndarray, level: int) -> np.ndarray:
     return code
 
 
-def morton_decode(code: np.ndarray, level: int, d: int) -> np.ndarray:
-    """Inverse of :func:`morton_encode`; returns (..., d) lattice indices."""
-    code = np.asarray(code, dtype=np.int64)
-    lattice = np.zeros(code.shape + (d,), dtype=np.int64)
-    for bit in range(level):
-        for axis in range(d):
-            lattice[..., axis] |= ((code >> (bit * d + axis)) & 1) << bit
-    return lattice
-
-
 @dataclass(frozen=True)
 class BackgroundGrid:
     """Uniform Cartesian grid of ``(2**level)**d`` axis-aligned box cells."""
@@ -81,12 +71,6 @@ class BackgroundGrid:
 
     def cell_barycenter(self, lattice) -> np.ndarray:
         return self.origin + (np.asarray(lattice, dtype=np.float64) + 0.5) * self.h
-
-    def cell_vertices(self, lattice) -> np.ndarray:
-        """Vertices of one cell, x varying fastest: (2**d, d) array."""
-        lo = self.cell_origin(lattice)
-        corners = corner_offsets(self.d)
-        return lo + corners * self.h
 
     def contains_lattice(self, lattice) -> bool:
         lat = np.asarray(lattice)

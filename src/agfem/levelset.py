@@ -98,16 +98,3 @@ class Popcorn(LevelSet):
             val = val - self.amplitude * np.exp(-d2 / self.sigma**2)
         # scaling the geometry scales the (distance-like) field too
         return val * self.scale
-
-
-class CallableLevelSet(LevelSet):
-    """Wrap a plain function psi(points) -> values."""
-
-    def __init__(self, fn, name: str = "custom"):
-        self.fn = fn
-        self.name = name
-
-    def __call__(self, points):
-        return np.asarray(self.fn(np.asarray(points, dtype=np.float64)),
-                          dtype=np.float64)
-

@@ -3,13 +3,14 @@
 ``CSR`` holds the four arrays of a CSR matrix and calls the routines of
 the extension module ``scipy.sparse._sparsetools`` that scipy's own
 ``csr_matrix`` calls: ``A @ x`` (or ``A.matvec(x, out)`` into a
-caller's buffer) is ``csr_matvec``, ``A.diagonal(k)``
-``csr_diagonal`` and ``A.toarray()`` ``csr_todense``, on the same
-arrays, so every result is bitwise scipy's.  The extension is loaded on
-its own, from scipy's ``sparse/`` directory: importing the
-``scipy.sparse`` package would also run ``scipy._lib.array_api_compat``,
-which imports every numpy submodule, ``numpy.f2py`` and
-``numpy.testing`` included, and costs more than a small solve.
+caller's buffer) is ``csr_matvec``, ``A.matmat(B)`` ``csr_matmat``,
+``A.transpose()`` ``csr_tocsc``, ``A.diagonal(k)`` ``csr_diagonal`` and
+``A.toarray()`` ``csr_todense``, on the same arrays, so every result is
+bitwise scipy's.  The extension is loaded on its own, from scipy's
+``sparse/`` directory: importing the ``scipy.sparse`` package would also
+run ``scipy._lib.array_api_compat``, which imports every numpy
+submodule, ``numpy.f2py`` and ``numpy.testing`` included, and costs more
+than a small solve.
 
 Index arrays are int32 wherever the shape and the number of stored
 entries fit, as scipy's constructor makes them: the product is slower on
@@ -54,7 +55,7 @@ _sparsetools = _load_sparsetools()
 def _index_dtype(shape, nnz):
     """int32 when every index and offset of a valid CSR matrix of this
     shape and entry count fits in it, else int64."""
-    return np.int32 if max(*shape, nnz) <= np.iinfo(np.int32).max \
+    return np.int32 if max(*shape, nnz) < 2 ** 31 \
         else np.int64
 
 
@@ -151,3 +152,41 @@ class CSR:
         _sparsetools.csr_todense(*self.shape, self.indptr, self.indices,
                                  self.data, out)
         return out
+
+    def transpose(self) -> "CSR":
+        """The transpose, each row's columns ascending, as ``csr_tocsc``
+        gives them: entry (i, j) stays a separate entry (j, i)."""
+        M, N = self.shape
+        dtype = _index_dtype((N, M), self.nnz)
+        indptr = np.empty(N + 1, dtype=dtype)
+        indices = np.empty(self.nnz, dtype=dtype)
+        data = np.empty(self.nnz)
+        _sparsetools.csr_tocsc(M, N, self.indptr.astype(dtype, copy=False),
+                               self.indices.astype(dtype, copy=False),
+                               self.data, indptr, indices, data)
+        return CSR(data, indices, indptr, (N, M))
+
+    def matmat(self, B: "CSR") -> "CSR":
+        """``self @ B`` as ``csr_matmat`` forms it: row i sums v * B's row
+        j over the stored entries (j, v) of row i in stored order, starting
+        from 0, each column in one running sum; sums equal to zero are not
+        stored, and a row's columns are in no set order."""
+        (M, K), (K2, N) = self.shape, B.shape
+        if K != K2:
+            raise ValueError(f"matrix of shape {self.shape} times one of "
+                             f"shape {B.shape}")
+        dtype = np.result_type(self.indptr, B.indptr)
+        args = [a.astype(dtype, copy=False)
+                for a in (self.indptr, self.indices, B.indptr, B.indices)]
+        nnz = _sparsetools.csr_matmat_maxnnz(M, N, *args)
+        dtype = np.result_type(dtype, _index_dtype((M, N), nnz))
+        args = [a.astype(dtype, copy=False) for a in args]
+        indptr = np.empty(M + 1, dtype=dtype)
+        indices = np.empty(nnz, dtype=dtype)
+        data = np.empty(nnz)
+        _sparsetools.csr_matmat(M, N, *args[:2], self.data, *args[2:], B.data,
+                                indptr, indices, data)
+        # room the zero sums left, handed back in place: the arrays are ours
+        for a in (indices, data):
+            a.resize(int(indptr[-1]), refcheck=False)
+        return CSR(data, indices, indptr, (M, N))

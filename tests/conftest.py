@@ -22,8 +22,41 @@ from agfem.geometry import (MIN_VOLUME_FRACTION, _box_rule, _cell_corners,
                             _clip, _facet_rule, _map_rule, _sub_simplices,
                             _tet_rule, _triangle_rule, classify_cells,
                             point_chunks)
-from agfem.grid import face_neighbors, unit_box_grid
-from agfem.levelset import HalfPlane, Sphere
+from agfem.grid import corner_offsets, face_neighbors, unit_box_grid
+from agfem.levelset import HalfPlane, LevelSet, Sphere
+
+
+def morton_decode(code, level: int, d: int) -> np.ndarray:
+    """Inverse of ``grid.morton_encode``: (..., d) lattice indices."""
+    code = np.asarray(code, dtype=np.int64)
+    lattice = np.zeros(code.shape + (d,), dtype=np.int64)
+    for bit in range(level):
+        for axis in range(d):
+            lattice[..., axis] |= ((code >> (bit * d + axis)) & 1) << bit
+    return lattice
+
+
+def cell_vertices(grid, lattice) -> np.ndarray:
+    """Vertices of one cell of ``grid``, x varying fastest: (2**d, d)."""
+    return grid.cell_origin(lattice) + corner_offsets(grid.d) * grid.h
+
+
+def barycenters(cls) -> np.ndarray:
+    """Barycenters (n_active, d) of the active cells of ``cls``, in id
+    order."""
+    return cls.grid.origin + (cls.id_to_lattice + 0.5) * cls.grid.h
+
+
+class CallableLevelSet(LevelSet):
+    """Wrap a plain function psi(points) -> values."""
+
+    def __init__(self, fn, name: str = "custom"):
+        self.fn = fn
+        self.name = name
+
+    def __call__(self, points):
+        return np.asarray(self.fn(np.asarray(points, dtype=np.float64)),
+                          dtype=np.float64)
 
 
 def bfs_aggregation_oracle(classification, face_active):
@@ -230,7 +263,7 @@ def conical_tet_rule(order):
 
 def cell_simplices(grid, lattice, corner_vals, center_val):
     """Simplex subdivision of one cell with sampled level-set values."""
-    verts = grid.cell_vertices(lattice)
+    verts = cell_vertices(grid, lattice)
     if grid.d == 2:
         center = grid.cell_barycenter(lattice)
         ring = [0, 1, 3, 2]  # corners in boundary order, x fastest indexing
@@ -348,7 +381,7 @@ def expanded_quadrature(grid, ls, cls):
     corners = _cell_corners(cls.vertex_values, lattices)
     centers = np.zeros(cut.size)
     if d == 2 and cut.size:
-        centers = np.asarray(ls(cls.barycenters()[cut - 1]), dtype=np.float64)
+        centers = np.asarray(ls(barycenters(cls)[cut - 1]), dtype=np.float64)
     simplices, s_src, facets, anchors, f_src = _clip(
         *_sub_simplices(grid, lattices, corners, centers), cls.tol)
     n_sub = 4 if d == 2 else 6

@@ -23,14 +23,14 @@ from agfem.fespace import (build_constraints_serial, build_std_space,
                            classify_dofs)
 from agfem.geometry import classify_cells, cut_quadrature
 from agfem.grid import unit_box_grid
-from agfem.levelset import CallableLevelSet, HalfPlane, Sphere
+from agfem.levelset import HalfPlane, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 from agfem.assembly import assemble_distributed
 
-from conftest import (bfs_aggregation_oracle, check_plan_duality,
-                      classified, full_bulk_rule, prolongate, random_geometry,
-                      root_next_pairs, to_scipy)
+from conftest import (CallableLevelSet, bfs_aggregation_oracle,
+                      check_plan_duality, classified, full_bulk_rule,
+                      prolongate, random_geometry, root_next_pairs, to_scipy)
 
 GEOMETRIES = {
     "halfplane": lambda: HalfPlane((1.0, 0.0), 0.6180339887),

@@ -16,16 +16,18 @@ from agfem.distagg import build_direct_plan, build_inverse_plan, import_root_dat
 from agfem.distspace import (build_constraints_distributed,
                              number_dofs_distributed)
 from agfem.fespace import (build_constraints_serial, build_std_space,
-                           classify_dofs, shape_gradients, shape_values)
+                           classify_dofs, extension_operator, shape_gradients,
+                           shape_values)
 from agfem.geometry import classify_cells, cut_quadrature
 from agfem.grid import unit_box_grid
 from agfem.levelset import HalfPlane, Popcorn, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import (all_points_elements, classified, full_bulk_rule,
-                      oracle_assembly, oracle_cell_sums, phase_memory,
-                      prolongate, std_taus, tau_std_oracle, to_scipy)
+from conftest import (_oracle_cell_sums, all_points_elements, classified,
+                      full_bulk_rule, oracle_assembly, oracle_cell_sums,
+                      phase_memory, prolongate, std_taus, tau_std_oracle,
+                      to_scipy)
 
 
 def test_tau_agg_values():
@@ -371,9 +373,10 @@ def _assert_bitwise(A, b, A_ref, b_ref):
     (3, 3, Sphere((0.5, 0.5, 0.5), 0.35))],
     ids=["circle-2d-L5", "popcorn-3d-L3", "sphere-3d-L3"])
 def test_kernel_matches_per_cell_oracle(d, level, ls, n_parts):
-    # free cells skip C and constrained ones go in padded batches, yet
-    # every entry sums in the order of the per-cell dense product; with
-    # f = None the interior load vectors are zeros that must be dropped
+    # free cells skip C and constrained ones go through two sparse
+    # products, yet every entry sums in the order of the per-cell dense
+    # product; with f = None the interior load vectors are zeros that
+    # must be dropped
     grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
         _serial_agg_system(level, ls, g=lambda p: np.sum(p, axis=1), d=d)
     _assert_bitwise(A, b, *oracle_assembly(
@@ -401,6 +404,44 @@ def test_long_sums_add_left_to_right_in_cell_order(n_parts):
         subdomains, dcons, elements, numbering.n_global))
 
 
+@pytest.mark.parametrize("n_parts", [1, 8])
+def test_cell_sums_match_the_per_cell_oracle(n_parts):
+    # every keyed cell of popcorn L3 in one batch: each cell's nonzero
+    # sums are the dense local product's bit for bit, also where its rows
+    # of C hold a zero coefficient, which adds a zero term to every sum
+    grid, cls, space, dofs, cons, quad, taus, elements, A, b = \
+        _serial_agg_system(3, Popcorn(), f=lambda p: np.sum(p ** 2, axis=1),
+                           g=lambda p: np.sum(p, axis=1), d=3)
+    system, numbering, dcons = _distributed_system(cls, n_parts, elements)
+    mats, vecs = elements
+    n, starts = numbering.n_global, numbering.owned_ranges()
+    zero_coefficient = 0
+    for s, (piece, con) in enumerate(zip(numbering.pieces, dcons)):
+        cell_dofs, cell_ids, row_of = piece.owned_cells()
+        C = extension_operator(row_of, con, n)
+        rows = row_of[cell_dofs - 1]
+        keyed = np.flatnonzero(np.any(
+            (rows < starts[s]) | (rows >= starts[s + 1]), axis=1))
+        assert keyed.size
+        cell, key, val = assembly._cell_sums(
+            C, cell_dofs[keyed] - 1, mats.take(cell_ids[keyed]),
+            vecs[cell_ids[keyed] - 1], n)
+        assert np.all(np.diff(cell) >= 0)
+        for i, c in enumerate(keyed):
+            k, dofs_c = cell_ids[c], cell_dofs[c] - 1
+            want = sorted((row * (n + 1) + col + 1, v) for row, col, v in
+                          _oracle_cell_sums(C, dofs_c, mats[k - 1],
+                                            vecs[k - 1]))
+            got = sorted(zip(key[cell == i].tolist(), val[cell == i].tolist()))
+            assert [g[0] for g in got] == [w[0] for w in want]
+            bits = [np.array([v for _, v in x]).view(np.int64)
+                    for x in (got, want)]
+            assert np.array_equal(*bits)
+            zero_coefficient += any(
+                0.0 in C.data[C.indptr[j]:C.indptr[j + 1]] for j in dofs_c)
+    assert zero_coefficient > 0
+
+
 def test_assembly_scratch_follows_the_live_data(monkeypatch):
     # circle L8 streams 379k cell sums; the assemble phase may hold at
     # most 1.75 times the larger of the data live before and after it,
@@ -412,9 +453,10 @@ def test_assembly_scratch_follows_the_live_data(monkeypatch):
 
 def test_3d_element_and_norm_scratch_follow_the_live_data(monkeypatch):
     # popcorn L4: the point passes work in chunks of whole cells, the
-    # dense sums a batch of cells at a time into one stream, and the
-    # pattern keeps no room for repeated keys, so neither phase holds
-    # more than 1.3 times the larger of its live data before and after
+    # keyed cells' products a batch of cells at a time into one stream,
+    # and the pattern keeps no room for repeated keys, so neither phase
+    # holds more than 1.3 times the larger of its live data before and
+    # after
     live = phase_memory(monkeypatch, ex.ExperimentConfig(
         geometry="popcorn", dimension=3, level=4, solution="sine"),
         {"assemble", "norms"})
@@ -470,7 +512,8 @@ def test_results_do_not_depend_on_the_chunk_sizes(monkeypatch, d, level, ls):
 def test_standard_space_matches_per_cell_oracle(level, ls, d, n_parts):
     # every DOF of the standard space is free: at P = 1 every cell is a
     # stencil cell, at P = 3 the cells with a row owned elsewhere take the
-    # dense product; zeros of either sign are dropped as in the oracle
+    # two sparse products; zeros of either sign are dropped as in the
+    # oracle
     grid, cls, _ = classified(level, ls, d)
     space = build_std_space(cls)
     quad = cut_quadrature(grid, ls, cls)

@@ -8,12 +8,13 @@ from agfem.distagg import (ImportProtocolError, PathPlan,
                            PathReconstructionError, build_direct_plan,
                            build_inverse_plan, import_root_data)
 from agfem.distspace import number_dofs_distributed
-from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
+from agfem.levelset import HalfPlane, Popcorn, Sphere
 from agfem.partition import Partition, build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import VirtualRuntime
 
-from conftest import (bfs_aggregation_oracle, check_plan_duality, classified,
-                      random_geometry, root_next_pairs)
+from conftest import (CallableLevelSet, barycenters, bfs_aggregation_oracle,
+                      check_plan_duality, classified, random_geometry,
+                      root_next_pairs)
 
 
 def _left_right_setup():
@@ -113,7 +114,7 @@ def test_stall_lists_every_orphan_across_subdomains():
 
     grid, cls, fa = classified(4, CallableLevelSet(two_disks, "two-disks"))
     speck = [k for k in range(1, cls.n_active + 1)
-             if np.linalg.norm(cls.barycenters()[k - 1] - (0.5, 0.8)) < 0.2]
+             if np.linalg.norm(barycenters(cls)[k - 1] - (0.5, 0.8)) < 0.2]
     assert speck and all(cls.is_cut[k - 1] for k in speck)
     halves = np.where(cls.id_to_lattice[:, 0] < 8, 1, 2).astype(np.int64)
     assert len({int(halves[k - 1]) for k in speck}) == 2  # straddles the cut

@@ -15,7 +15,7 @@ from agfem.levelset import HalfPlane, Sphere
 from agfem.partition import build_subdomain_meshes, partition_weighted_sfc
 from agfem.runtime import RuntimeProtocolError, VirtualRuntime
 
-from conftest import classified
+from conftest import CallableLevelSet, classified
 
 
 def _setup(level, ls, n_parts):
@@ -200,8 +200,6 @@ def test_owner_consistency_with_serial():
 def test_missing_import_reported():
     # the whisker cells aggregate across whole subdomains, so some roots
     # are not locally relevant and must come from the import buffer
-    from agfem.levelset import CallableLevelSet
-
     def bulb(p):
         p = np.atleast_2d(p)
         strip = np.abs(p[:, 1] - 0.5) - 0.03

@@ -17,9 +17,10 @@ from agfem.geometry import (CHUNK_POINTS, CUT, EXTERIOR, INTERIOR,
                             cell_chunks, classify_cells, cut_quadrature,
                             face_is_active)
 from agfem.grid import unit_box_grid
-from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
+from agfem.levelset import HalfPlane, Popcorn, Sphere
 
-from conftest import (clip_cells_oracle, conical_tet_rule, cut_volume, expand,
+from conftest import (CallableLevelSet, barycenters, clip_cells_oracle,
+                      conical_tet_rule, cut_volume, expand,
                       expanded_quadrature, face_rule, full_bulk_rule,
                       gradient, phase_memory)
 
@@ -405,7 +406,7 @@ def test_store_files_points_under_their_cells(level, ls, d):
         assert np.all((pts >= lo) & (pts <= lo + grid.h))
     # every cut cell's weights sum to its clipped volume
     volumes = _per_cell(cls, quad.bulk_cells(), quad.weights)
-    centers = ls(cls.barycenters())
+    centers = ls(barycenters(cls))
     corners = _corner_values(cls.vertex_values, d)
     for k in cls.cut_ids:
         lattice = cls.lattice_of(k)
@@ -451,7 +452,7 @@ def test_clipper_matches_the_per_simplex_oracle(level, ls, d):
     lattices = cls.id_to_lattice[cls.cut_ids - 1]
     corners = _corner_values(cls.vertex_values, d)
     batch = (grid, lattices, corners[tuple(lattices.T)],
-             ls(cls.barycenters()[cls.cut_ids - 1]))
+             ls(barycenters(cls)[cls.cut_ids - 1]))
     bulk, b_src, facets, anchors, f_src = _clip(*_sub_simplices(*batch), cls.tol)
     n_sub = 4 if d == 2 else 6
     got = (bulk, b_src // n_sub, facets, anchors, f_src // n_sub)

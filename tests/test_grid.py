@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from agfem.grid import (GridError, build_grid, face_neighbors, morton_decode,
-                        morton_encode, unit_box_grid)
+from agfem.grid import (GridError, build_grid, face_neighbors, morton_encode,
+                        unit_box_grid)
+
+from conftest import cell_vertices, morton_decode
 
 
 def test_one_refinement_of_unit_square():
@@ -79,7 +81,7 @@ def test_cell_geometry():
     assert np.allclose(grid.h, [1.0, 2.0])
     assert np.allclose(grid.cell_origin((1, 1)), [2.0, 4.0])
     assert np.allclose(grid.cell_barycenter((0, 0)), [1.5, 3.0])
-    verts = grid.cell_vertices((0, 0))
+    verts = cell_vertices(grid, (0, 0))
     assert verts.shape == (4, 2)
     assert np.allclose(verts[0], [1.0, 2.0])
     assert np.allclose(verts[3], [2.0, 4.0])

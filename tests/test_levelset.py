@@ -1,8 +1,8 @@
 import numpy as np
 
-from agfem.levelset import CallableLevelSet, HalfPlane, Popcorn, Sphere
+from agfem.levelset import HalfPlane, Popcorn, Sphere
 
-from conftest import gradient
+from conftest import CallableLevelSet, gradient
 
 
 def test_halfplane_sign_convention():

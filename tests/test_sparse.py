@@ -102,3 +102,76 @@ def test_csr_indices_widen_only_past_int32():
     S = sp.csr_matrix((np.ones(1), np.array([big - 1]), np.array([0, 1])),
                       shape=(1, big))
     assert S.indices.dtype == np.int64
+
+
+def _entries(A):
+    """(row, col, value bits) of every stored entry of a ``CSR`` record or
+    a scipy matrix, rows ascending, then columns, then value bits."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    nnz = int(A.indptr[-1])
+    cols = np.asarray(A.indices[:nnz], dtype=np.int64)
+    bits = np.asarray(A.data[:nnz], dtype=np.float64).view(np.int64)
+    order = np.lexsort((bits, cols, rows))
+    return rows[order], cols[order], bits[order]
+
+
+def _widened(A, wide):
+    """``A`` with int64 index arrays if ``wide``, as a matrix past int32
+    would hold them."""
+    if wide:
+        A.indices = A.indices.astype(np.int64)
+        A.indptr = A.indptr.astype(np.int64)
+    return A
+
+
+@st.composite
+def csr_products(draw):
+    """The arrays of a product A @ B: B has as many rows as A has columns,
+    the last of them empty where fewer were drawn."""
+    a = draw(csr_arrays())
+    n = a[3][1]
+    data, indices, indptr, (rows, cols) = draw(csr_arrays(max_rows=n))
+    indptr = np.concatenate([indptr, np.full(n - rows, indptr[-1])])
+    return a, (data, indices, indptr, (n, cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=csr_products(), wide_a=st.booleans(), wide_b=st.booleans())
+def test_csr_matmat_equals_scipy_bitwise(pair, wide_a, wide_b):
+    (A, SA), (B, SB) = map(_pair, pair)
+    P = _widened(A, wide_a).matmat(_widened(B, wide_b))
+    S = SA @ SB
+    assert P.shape == S.shape and P.nnz == S.nnz
+    assert P.indices.dtype == P.indptr.dtype == np.int32
+    for ours, theirs in zip(_entries(P), _entries(S)):
+        assert np.array_equal(ours, theirs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays=csr_arrays(), wide=st.booleans())
+def test_csr_transpose_equals_scipy_bitwise(arrays, wide):
+    A, S = _pair(arrays)
+    T = _widened(A, wide).transpose()
+    St = S.T.tocsr()
+    assert T.shape == St.shape and T.nnz == St.nnz
+    assert _same(T.indptr, St.indptr)
+    for ours, theirs in zip(_entries(T), _entries(St)):
+        assert np.array_equal(ours, theirs)
+
+
+def test_csr_products_without_entries_and_of_mismatched_shapes():
+    # A's only column meets an empty row of B; sums that cancel to zero
+    # are not stored either
+    A = CSR(np.array([1.0, 1.0]), np.array([0, 1]), np.array([0, 1, 2, 2]),
+            (3, 3))
+    B = CSR(np.array([1.0]), np.array([1]), np.array([0, 0, 0, 1]), (3, 2))
+    P = A.matmat(B)
+    assert P.shape == (3, 2) and P.nnz == 0
+    assert np.array_equal(P.indptr, [0, 0, 0, 0])
+    C = CSR(np.array([1.0, -1.0]), np.array([0, 0]), np.array([0, 1, 2, 2]),
+            (3, 1))
+    assert CSR(np.ones(2), np.array([0, 1]), np.array([0, 2]),
+               (1, 3)).matmat(C).nnz == 0
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) times one of "
+                                         r"shape \(1, 3\)"):
+        A.matmat(CSR(np.ones(1), np.array([0]), np.array([0, 1]), (1, 3)))
